@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,9 +24,6 @@ from . import gaussian as gaussian_mod
 from . import measurement, probability, quench, states
 from .discord import discord as discord_of_state
 from .errors import ConsistencyError, ValidationError
-
-DEFAULT_SEED = 0
-SEED_VARIABLE = "QCORR_SEED"
 
 
 def _fmt(value: float) -> str:
@@ -56,19 +52,6 @@ def _write_output(path, text: str):
         return
     with open(path, "w", encoding="ascii") as handle:
         handle.write(text)
-
-
-def run_seed() -> int:
-    raw = os.environ.get(SEED_VARIABLE)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ValidationError(f"{SEED_VARIABLE} must be an unsigned integer; got {raw!r}")
-    if seed < 0:
-        raise ValidationError(f"{SEED_VARIABLE} must be an unsigned integer; got {raw!r}")
-    return seed
 
 
 def _parse_distribution(text: str) -> probability.Distribution:
@@ -313,7 +296,6 @@ def parse_and_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        run_seed()  # validated even though current verbs are deterministic
         result = args.handler(args)
         if getattr(args, "writes_file", False):
             path, text = result

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ConsistencyError, ValidationError
+from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
 from .measurement import Povm, povm_outcome
 from .states import DensityMatrix, partial_trace, quantum_mutual_information, von_neumann_entropy
 
 THETA_POINTS = 64
 PHI_POINTS = 128
-ZERO_WEIGHT = 1e-14
-NEGATIVE_CLAMP = 1e-9
 
 
 def _fold_angles(theta: float, phi: float):
@@ -101,7 +99,7 @@ def _binary_entropy_from_det(dets: np.ndarray) -> np.ndarray:
     lam = np.clip((1.0 + disc) / 2.0, 0.0, 1.0)
     out = np.zeros_like(lam)
     for p in (lam, 1.0 - lam):
-        live = p > 1e-15
+        live = p > ZERO_PROBABILITY
         out[live] -= p[live] * np.log(p[live])
     return out
 
@@ -140,7 +138,8 @@ def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> fl
     """Classical correlations S(rho_B) - sum_j p_j S(rho_B^(j)) for the
     projective measurement of ``basis`` on qubit A, in nats.
 
-    Outcomes with probability below ``ZERO_WEIGHT`` contribute nothing.
+    Outcomes with probability at or below ``ZERO_WEIGHT`` (defined in
+    :mod:`qcorr.errors`) contribute nothing.
     """
     _require_two_qubits(rho)
     n, n_perp = basis.vectors()
@@ -202,8 +201,8 @@ def discord(rho: DensityMatrix) -> DiscordResult:
     """Quantum discord D(B|A): mutual information minus the maximal
     measurement-extractable classical correlations.
 
-    Values in ``[-1e-9, 0)`` are clamped to zero; anything more negative
-    raises :class:`ConsistencyError` since it signals a broken
+    Values in ``[-NEGATIVE_CLAMP, 0)`` are clamped to zero; anything more
+    negative raises :class:`ConsistencyError` since it signals a broken
     optimization rather than rounding noise.
     """
     _require_two_qubits(rho)

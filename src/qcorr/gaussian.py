@@ -23,13 +23,15 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .errors import ValidationError
+from .errors import (
+    HAMILTONIAN_TOL,
+    OPERATION_SLACK,
+    PHYSICALITY_SLACK,
+    SUPPORT_CUTOFF,
+    ValidationError,
+    hermitian_part,
+)
 
-SYMMETRY_TOL = 1e-10
-# Construction admits nu_min >= 1/2 - PHYSICALITY_SLACK; operations on a
-# wilder matrix fail with the looser OPERATION_SLACK bound.
-PHYSICALITY_SLACK = 1e-9
-OPERATION_SLACK = 1e-6
 VACUUM_VARIANCE = 0.5
 
 _MEASUREMENT_GRID_S = 24
@@ -64,13 +66,7 @@ class CovarianceMatrix:
     sigma: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.sigma, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-            raise ValidationError(f"covariance matrix must be square of even size; got {mat.shape}")
-        defect = float(np.max(np.abs(mat - mat.T)))
-        if defect > SYMMETRY_TOL:
-            raise ValidationError(f"covariance matrix is not symmetric: defect {defect!r}")
-        mat = (mat + mat.T) / 2.0
+        mat = hermitian_part(self.sigma, "covariance matrix", dtype=float, even=True)
         spectrum = _symplectic_spectrum(mat)
         nu_min = float(spectrum.min())
         if nu_min < VACUUM_VARIANCE - PHYSICALITY_SLACK:
@@ -95,13 +91,9 @@ class QuadraticHamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-            raise ValidationError(f"Hamiltonian matrix must be square of even size; got {mat.shape}")
-        defect = float(np.max(np.abs(mat - mat.T)))
-        if defect > 1e-12:
-            raise ValidationError(f"Hamiltonian matrix is not symmetric: defect {defect!r}")
-        mat = (mat + mat.T) / 2.0
+        mat = hermitian_part(
+            self.matrix, "Hamiltonian matrix", dtype=float, tol=HAMILTONIAN_TOL, even=True
+        )
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -226,7 +218,7 @@ def mode_entropy(nu: float) -> float:
     above = nu - VACUUM_VARIANCE
     if above < -OPERATION_SLACK:
         raise ValidationError(f"symplectic eigenvalue {nu!r} below the vacuum value 1/2")
-    if above <= 1e-12:
+    if above <= SUPPORT_CUTOFF:
         return 0.0
     plus = nu + VACUUM_VARIANCE
     return plus * math.log(plus) - above * math.log(above)

@@ -14,14 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BORN_SUM_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part
 from .probability import Distribution, JointDistribution, mutual_information
-from .states import DensityMatrix, PureState, eigh_phase_fixed
-
-HERMITICITY_TOL = 1e-10
-COMPLETENESS_TOL = 1e-10
-PSD_TOL = 1e-10
-ZERO_OUTCOME = 1e-14
+from .states import DensityMatrix, PureState, _matrix_to_pairs, _pairs_to_matrix, eigh_phase_fixed
 
 
 def _merge_degenerate(vals: np.ndarray, vecs: np.ndarray):
@@ -52,18 +47,12 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"observable must be square; got shape {mat.shape}")
-        defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if defect > HERMITICITY_TOL:
-            raise ValidationError(f"observable is not Hermitian: defect {defect!r}")
-        mat = (mat + mat.conj().T) / 2.0
+        mat = hermitian_part(self.matrix, "observable")
         vals, vecs = eigh_phase_fixed(mat)
         outcomes, projectors = _merge_degenerate(vals, vecs)
         resolution = sum(projectors)
         res_defect = float(np.max(np.abs(resolution - np.eye(mat.shape[0]))))
-        if res_defect > COMPLETENESS_TOL:
+        if res_defect > MATRIX_TOL:
             raise ValidationError(f"eigenprojectors fail to resolve identity: {res_defect!r}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -96,20 +85,18 @@ class Povm:
     elements: tuple
 
     def __post_init__(self):
-        mats = tuple(np.asarray(e, dtype=complex) for e in self.elements)
+        mats = tuple(hermitian_part(e, f"element {idx}") for idx, e in enumerate(self.elements))
         if not mats:
             raise ValidationError("a POVM needs at least one element")
         dim = mats[0].shape[0]
         for idx, e in enumerate(mats):
-            if e.ndim != 2 or e.shape != (dim, dim):
+            if e.shape != (dim, dim):
                 raise ValidationError(f"element {idx} has shape {e.shape}; expected ({dim}, {dim})")
-            if float(np.max(np.abs(e - e.conj().T))) > HERMITICITY_TOL:
-                raise ValidationError(f"element {idx} is not Hermitian")
-            low = float(np.linalg.eigvalsh((e + e.conj().T) / 2).min())
-            if low < -PSD_TOL:
+            low = float(np.linalg.eigvalsh(e).min())
+            if low < -MATRIX_TOL:
                 raise ValidationError(f"element {idx} is not PSD: eigenvalue {low!r}")
         defect = float(np.max(np.abs(sum(mats) - np.eye(dim))))
-        if defect > COMPLETENESS_TOL:
+        if defect > MATRIX_TOL:
             raise ValidationError(f"elements do not sum to identity: defect {defect!r}")
         object.__setattr__(self, "elements", mats)
 
@@ -134,7 +121,7 @@ class StochasticMap:
         dim = ops[0].shape[1]
         total = sum(k.conj().T @ k for k in ops)
         defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > COMPLETENESS_TOL:
+        if defect > MATRIX_TOL:
             raise ValidationError(f"Kraus operators are not trace preserving: defect {defect!r}")
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -156,8 +143,8 @@ def everett_state(alpha: complex, beta: complex, eps: float) -> PureState:
     alpha = complex(alpha)
     beta = complex(beta)
     weight = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(weight - 1.0) > 1e-12:
-        raise ValidationError(f"|alpha|^2 + |beta|^2 = {weight!r}; expected 1 within 1e-12")
+    if abs(weight - 1.0) > NORM_TOL:
+        raise ValidationError(f"|alpha|^2 + |beta|^2 = {weight!r}; expected 1 within {NORM_TOL}")
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"pointer overlap must lie in [0, 1]; got {eps!r}")
     amplitudes = np.array(
@@ -172,8 +159,9 @@ def born_distribution(rho: DensityMatrix, obs: Observable) -> Distribution:
     eigenprojectors, ordered by ascending eigenvalue.
 
     The computed probabilities inherit the state's trace defect (up to
-    1e-10 by construction), so they are renormalized rather than
-    rejected; anything worse signals a broken projector resolution.
+    ``MATRIX_TOL`` by construction), so they are renormalized rather
+    than rejected; a defect beyond ``BORN_SUM_TOL`` signals a broken
+    projector resolution.
     """
     if rho.dim != obs.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim} vs observable {obs.dim}")
@@ -181,7 +169,7 @@ def born_distribution(rho: DensityMatrix, obs: Observable) -> Distribution:
         [float(np.real(np.trace(rho.elements @ proj))) for proj in obs.projectors]
     )
     probs = np.clip(probs, 0.0, None)
-    if abs(probs.sum() - 1.0) > 1e-9:
+    if abs(probs.sum() - 1.0) > BORN_SUM_TOL:
         raise ValidationError(f"outcome probabilities sum to {probs.sum()!r}")
     return Distribution.normalized(probs)
 
@@ -205,7 +193,7 @@ def joint_born_distribution(
         for j, q in enumerate(obs_b.projectors):
             table[i, j] = float(np.real(np.trace(rho.elements @ np.kron(p, q))))
     table = np.clip(table, 0.0, None)
-    if abs(table.sum() - 1.0) > 1e-9:
+    if abs(table.sum() - 1.0) > BORN_SUM_TOL:
         raise ValidationError(f"joint outcome probabilities sum to {table.sum()!r}")
     return JointDistribution.normalized(table)
 
@@ -241,8 +229,8 @@ def povm_outcome(rho: DensityMatrix, povm: Povm, j: int):
 
     The POVM acts on subsystem A (elements are d_a x d_a, embedded as
     ``E_j (x) I``). Returns ``(p_j, rho_B_given_j)``. Raises when the
-    requested outcome has probability below ``ZERO_OUTCOME``, since the
-    conditional state is then undefined.
+    requested outcome has probability at or below ``ZERO_WEIGHT``, since
+    the conditional state is then undefined.
     """
     if not rho.is_bipartite:
         raise ValidationError("POVM conditioning requires a bipartite state")
@@ -256,7 +244,7 @@ def povm_outcome(rho: DensityMatrix, povm: Povm, j: int):
     # Tr_A[(E_j (x) I) rho], a d_b x d_b block
     block = np.einsum("ab,bcad->cd", effect, four)
     prob = float(np.real(np.trace(block)))
-    if prob <= ZERO_OUTCOME:
+    if prob <= ZERO_WEIGHT:
         raise ValidationError(
             f"outcome {j} has probability {prob!r}; conditional state undefined"
         )
@@ -265,18 +253,6 @@ def povm_outcome(rho: DensityMatrix, povm: Povm, j: int):
 
 
 # -- JSON serialization -------------------------------------------------
-
-def _matrix_to_pairs(mat: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in mat.ravel()]
-
-
-def _pairs_to_matrix(pairs) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs])
-    dim = math.isqrt(flat.size)
-    if dim * dim != flat.size:
-        raise ValidationError(f"matrix length {flat.size} is not a perfect square")
-    return flat.reshape(dim, dim)
-
 
 def observable_to_json(obs: Observable) -> str:
     return json.dumps({"matrix": _matrix_to_pairs(obs.matrix)})

@@ -1,13 +1,14 @@
 """Shannon information measures over finite discrete distributions.
 
 All entropies are returned in nats (natural logarithm). The convention
-``0 * ln 0 = 0`` is enforced by treating probabilities below
+``0 * ln 0 = 0`` is enforced by treating probabilities at or below
 ``ZERO_PROBABILITY`` as exact zeros rather than by taking limits.
 
 Distributions are validated at construction and rejected, not
-renormalized, when the normalization is off by more than
-``NORMALIZATION_TOL``; use :meth:`Distribution.normalized` to build a
-distribution from raw non-negative weights.
+renormalized, when the normalization is off by more than ``NORM_TOL``
+(both tolerances are defined in :mod:`qcorr.errors`); use
+:meth:`Distribution.normalized` to build a distribution from raw
+non-negative weights.
 """
 
 from __future__ import annotations
@@ -17,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-
-NORMALIZATION_TOL = 1e-12
-ZERO_PROBABILITY = 1e-15
+from .errors import NORM_TOL, ZERO_PROBABILITY, ValidationError
 
 
 def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
@@ -30,10 +28,8 @@ def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
     if np.any(arr < 0.0):
         raise ValidationError(f"{what} has a negative entry: {arr.min()!r}")
     total = float(arr.sum())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValidationError(
-            f"{what} entries sum to {total!r}; expected 1 within {NORMALIZATION_TOL}"
-        )
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValidationError(f"{what} entries sum to {total!r}; expected 1 within {NORM_TOL}")
     arr = arr.copy()
     arr.flags.writeable = False
     return arr
@@ -47,6 +43,15 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _normalized(cls, weights):
+    """Build a distribution by normalizing raw non-negative weights."""
+    w = np.asarray(weights, dtype=float)
+    total = w.sum()
+    if total <= 0:
+        raise ValidationError(f"weights must have positive total; got {total!r}")
+    return cls(w / total)
+
+
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A finite discrete probability distribution.
@@ -54,7 +59,7 @@ class Distribution:
     Parameters
     ----------
     probs : array_like
-        Non-negative reals summing to 1 within ``NORMALIZATION_TOL``.
+        Non-negative reals summing to 1 within ``NORM_TOL``.
     """
 
     probs: np.ndarray
@@ -62,14 +67,7 @@ class Distribution:
     def __post_init__(self):
         object.__setattr__(self, "probs", _as_prob_array(self.probs, 1, "distribution"))
 
-    @classmethod
-    def normalized(cls, weights) -> "Distribution":
-        """Build a distribution by normalizing raw non-negative weights."""
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if total <= 0:
-            raise ValidationError(f"weights must have positive total; got {total!r}")
-        return cls(w / total)
+    normalized = classmethod(_normalized)
 
     def __len__(self) -> int:
         return self.probs.size
@@ -88,13 +86,7 @@ class JointDistribution:
     def __post_init__(self):
         object.__setattr__(self, "table", _as_prob_array(self.table, 2, "joint table"))
 
-    @classmethod
-    def normalized(cls, weights) -> "JointDistribution":
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if total <= 0:
-            raise ValidationError(f"weights must have positive total; got {total!r}")
-        return cls(w / total)
+    normalized = classmethod(_normalized)
 
     def marginal_x(self) -> Distribution:
         return Distribution(self.table.sum(axis=1))

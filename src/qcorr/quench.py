@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
+from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError
 from .gaussian import (
     direct_sum,
     gaussian_discord,
@@ -33,10 +33,6 @@ from .gaussian import (
     symplectic_evolution,
     thermal_covariance,
 )
-
-IDENTITY_TOL = 1e-12
-REPORT_TOL = 1e-12
-OMEGA_FLOOR = -1e-9
 
 
 @dataclass(frozen=True)
@@ -98,11 +94,11 @@ class QuenchReport:
     gaussian_discord: float
 
     def __post_init__(self):
-        if abs(self.w_c_irr - (self.w_c_avg - self.df_c)) > REPORT_TOL:
+        if abs(self.w_c_irr - (self.w_c_avg - self.df_c)) > IDENTITY_TOL:
             raise ValidationError("w_c_irr must equal w_c_avg - df_c")
-        if abs(self.w_q_irr - (self.w_q_avg - self.df_q)) > REPORT_TOL:
+        if abs(self.w_q_irr - (self.w_q_avg - self.df_q)) > IDENTITY_TOL:
             raise ValidationError("w_q_irr must equal w_q_avg - df_q")
-        if abs(self.omega_excess - (self.w_q_irr - self.w_c_irr)) > REPORT_TOL:
+        if abs(self.omega_excess - (self.w_q_irr - self.w_c_irr)) > IDENTITY_TOL:
             raise ValidationError("omega_excess must equal w_q_irr - w_c_irr")
         if self.omega_excess < OMEGA_FLOOR:
             raise ValidationError(f"omega_excess = {self.omega_excess!r} is negative")
@@ -293,8 +289,8 @@ def excess_dissipated_work(params: QuenchParams) -> float:
         + (1/b) ln[csch(b hbar w1 / 2) csch(b hbar w2 / 2) / csch^2(b hbar w / 2)]
         + (1/(2 b)) ln[1 + 2 lam0^2 / w^2];
 
-    the two routes must agree to 1e-12. Non-negative, vanishing in the
-    high-temperature limit.
+    the two routes must agree within ``IDENTITY_TOL``. Non-negative,
+    vanishing in the high-temperature limit.
     """
     difference = quantum_irr_work(params) - classical_irr_work(params)
     beta, hbar, omega, lam0 = params.beta, params.hbar, params.omega, params.lambda0

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
-NORM_TOL = 1e-12
-# Eigenvalues below this are treated as exact zeros inside logarithms;
-# this also sets the support-detection threshold for relative entropy.
-SUPPORT_CUTOFF = 1e-12
+from .errors import MATRIX_TOL, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part
 
 
 def eigh_phase_fixed(matrix: np.ndarray):
@@ -88,8 +80,8 @@ class DensityMatrix:
     ----------
     elements : array_like
         Complex square matrix. Hermiticity, unit trace and positivity
-        are checked at construction; eigenvalues in
-        ``[EIGENVALUE_FLOOR, 0)`` are clamped to zero.
+        are checked at construction to ``MATRIX_TOL``; eigenvalues in
+        ``[-MATRIX_TOL, 0)`` are clamped to zero.
     dims : pair of int
         Subsystem dimensions ``(d_a, d_b)`` with product equal to the
         matrix size. Use ``d_b = 1`` for monopartite states.
@@ -99,23 +91,16 @@ class DensityMatrix:
     dims: tuple
 
     def __post_init__(self):
-        mat = np.asarray(self.elements, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"density matrix must be square; got shape {mat.shape}")
+        raw = np.asarray(self.elements, dtype=complex)
+        mat = hermitian_part(raw, "density matrix")
         dims = _validate_dims(self.dims, mat.shape[0])
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > HERMITICITY_TOL:
+        trace = complex(np.trace(raw))
+        if abs(trace - 1.0) > MATRIX_TOL:
             raise ValidationError(
-                f"matrix is not Hermitian: max entrywise defect {herm_defect!r}"
+                f"trace must be 1 within {MATRIX_TOL}; got trace {trace.real!r}"
             )
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValidationError(
-                f"trace must be 1 within {TRACE_TOL}; got trace {trace.real!r}"
-            )
-        mat = (mat + mat.conj().T) / 2.0
         vals, vecs = eigh_phase_fixed(mat)
-        if vals.min() < EIGENVALUE_FLOOR:
+        if vals.min() < -MATRIX_TOL:
             raise ValidationError(
                 f"matrix is not positive semidefinite: smallest eigenvalue {vals.min()!r}"
             )
@@ -269,15 +254,24 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
 # -- JSON serialization -------------------------------------------------
 #
 # A density matrix is stored as {"dims": [d_a, d_b], "matrix": [[re, im],
-# ...]} with the matrix flattened row-major. Plain float serialization
-# round-trips 64-bit values exactly.
+# ...]} with the matrix flattened row-major; observables and POVMs reuse
+# the [[re, im], ...] encoding. Plain float serialization round-trips
+# 64-bit values exactly.
+
+def _matrix_to_pairs(mat: np.ndarray) -> list:
+    return [[float(z.real), float(z.imag)] for z in mat.ravel()]
+
+
+def _pairs_to_matrix(pairs) -> np.ndarray:
+    flat = np.array([complex(re, im) for re, im in pairs])
+    dim = math.isqrt(flat.size)
+    if dim * dim != flat.size:
+        raise ValidationError(f"matrix length {flat.size} is not a perfect square")
+    return flat.reshape(dim, dim)
+
 
 def density_matrix_to_dict(rho: DensityMatrix) -> dict:
-    flat = rho.elements.ravel()
-    return {
-        "dims": [rho.dims[0], rho.dims[1]],
-        "matrix": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"dims": [rho.dims[0], rho.dims[1]], "matrix": _matrix_to_pairs(rho.elements)}
 
 
 def density_matrix_from_dict(payload: dict) -> DensityMatrix:
@@ -286,11 +280,7 @@ def density_matrix_from_dict(payload: dict) -> DensityMatrix:
         pairs = payload["matrix"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"state object must carry 'dims' and 'matrix': {exc}") from exc
-    flat = np.array([complex(re, im) for re, im in pairs])
-    dim = int(round(math.isqrt(flat.size)))
-    if dim * dim != flat.size:
-        raise ValidationError(f"matrix length {flat.size} is not a perfect square")
-    return DensityMatrix(flat.reshape(dim, dim), (int(dims[0]), int(dims[1])))
+    return DensityMatrix(_pairs_to_matrix(pairs), (int(dims[0]), int(dims[1])))
 
 
 def density_matrix_to_json(rho: DensityMatrix) -> str:

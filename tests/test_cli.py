@@ -230,16 +230,3 @@ class TestQuenchVerbs:
         assert code == 1
         assert not out_path.exists()
 
-
-class TestSeedVariable:
-    def test_invalid_seed_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCORR_SEED", "not-a-seed")
-        code, _, err = run(capsys, "entropy", "--dist", "0.5,0.5")
-        assert code == 1
-        assert "QCORR_SEED" in err
-
-    def test_valid_seed_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("QCORR_SEED", "7")
-        code, out, _ = run(capsys, "entropy", "--dist", "0.5,0.5")
-        assert code == 0
-        assert out == "0.69314718055994529\n"
