@@ -5,6 +5,30 @@ on subsystem A, parametrized by Bloch angles. The discord computed here
 is therefore an upper bound on the POVM-optimized quantity; two-outcome
 projective measurements keep the search space two-dimensional and make
 the grid oracle unambiguous.
+
+The search runs on the Bloch representation of the state (Girolami and
+Adesso, PRA 83, 052108, 2011),
+
+    rho = (1 + a.sigma (x) 1 + 1 (x) b.sigma + sum_ij T_ij sigma_i (x) sigma_j) / 4,
+
+read once from the matrix elements. Measuring A along the unit vector
+n = (sin theta cos phi, sin theta sin phi, cos theta) gives the outcomes
++-1 with probabilities p+- = (1 +- a.n) / 2 and leaves B with the Bloch
+vector r+- = (b +- T^T n) / (1 +- a.n), so that
+
+    C(n) = h(|b|) - p+ h(|r+|) - p- h(|r-|),
+
+where h(r) is the entropy of a qubit state with Bloch vector length r.
+Every evaluation is 3-vector arithmetic; S(rho_B) = h(|b|) is computed
+once per search. The bases along n and -n are the same pair of
+projectors, so C(n) = C(-n), and the grid covers only the hemisphere
+phi in [0, pi): its points and their antipodes (pi - theta, phi + pi)
+make up the full theta x [0, 2 pi) grid, whose maximum is therefore the
+same. Exchanging A and B maps (a, b, T) to (b, a, T^T).
+
+:func:`classical_correlations_at` does not use this representation: it
+measures through :class:`~qcorr.measurement.Povm` and partial traces,
+an independent route that the tests compare the search against.
 """
 
 from __future__ import annotations
@@ -20,7 +44,9 @@ from .measurement import Povm, povm_outcome
 from .states import DensityMatrix, partial_trace, quantum_mutual_information, von_neumann_entropy
 
 THETA_POINTS = 64
-PHI_POINTS = 128
+PHI_POINTS = 64  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere
+
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def _fold_angles(theta: float, phi: float):
@@ -104,34 +130,53 @@ def _binary_entropy_from_det(dets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_classical_correlations(rho: DensityMatrix, thetas: np.ndarray, phis: np.ndarray):
-    """Vectorized evaluation of the measured-A classical correlations on a
-    (theta, phi) grid. Matches the scalar route through povm_outcome."""
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    half = (tt / 2.0).ravel()
-    phase = np.exp(1j * pp.ravel())
-    n = np.stack([np.cos(half), phase * np.sin(half)], axis=1)
-    n_perp = np.stack([np.sin(half), -phase * np.cos(half)], axis=1)
+def _bloch(rho: DensityMatrix):
+    """Bloch vectors and correlation matrix ``(a, b, T)`` of a two-qubit
+    state: a_i = Tr[rho sigma_i (x) 1], b_j = Tr[rho 1 (x) sigma_j] and
+    T_ij = Tr[rho sigma_i (x) sigma_j]."""
     four = rho.elements.reshape(2, 2, 2, 2)
-    s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    avg = np.zeros(n.shape[0])
-    for vec in (n, n_perp):
-        block = np.einsum("ga,abcd,gc->gbd", vec.conj(), four, vec)
-        prob = np.real(block[:, 0, 0] + block[:, 1, 1])
-        det = np.real(
-            block[:, 0, 0] * block[:, 1, 1] - block[:, 0, 1] * block[:, 1, 0]
-        )
+    r = np.real(np.einsum("abcd,mca,ndb->mn", four, _PAULI, _PAULI))
+    return r[1:, 0], r[0, 1:], r[1:, 1:]
+
+
+def _qubit_entropy(r2: float) -> float:
+    """Entropy of the qubit state (1 + r.sigma)/2 given |r|^2; the scalar
+    form of :func:`_binary_entropy_from_det` at det = (1 - |r|^2)/4."""
+    lam = (1.0 + math.sqrt(min(max(r2, 0.0), 1.0))) / 2.0
+    total = 0.0
+    for p in (lam, 1.0 - lam):
+        if p > ZERO_PROBABILITY:
+            total -= p * math.log(p)
+    return total
+
+
+def _grid_values(bloch, s_b: float, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """C(n) for every direction of the (theta, phi) grid, given (a, b, T)
+    and S(rho_B)."""
+    a, b, t = bloch
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    sin_t = np.sin(tt).ravel()
+    n = np.stack([sin_t * np.cos(pp).ravel(), sin_t * np.sin(pp).ravel(), np.cos(tt).ravel()], axis=1)
+    an, tn = n @ a, n @ t
+    values = np.full(n.shape[0], s_b)
+    for sign in (1.0, -1.0):
+        prob = (1.0 + sign * an) / 2.0
         live = prob > ZERO_WEIGHT
-        cond_det = np.zeros_like(det)
-        cond_det[live] = det[live] / prob[live] ** 2
-        entropy = _binary_entropy_from_det(cond_det)
-        avg = avg + np.where(live, prob * entropy, 0.0)
-    values = s_b - avg
+        r2 = np.zeros_like(prob)
+        r2[live] = np.sum((b + sign * tn[live]) ** 2, axis=1) / (2.0 * prob[live]) ** 2
+        values -= np.where(live, prob * _binary_entropy_from_det((1.0 - r2) / 4.0), 0.0)
     if values.min() < -NEGATIVE_CLAMP:
         raise ConsistencyError(
             f"classical correlations evaluated to {values.min()!r} < 0"
         )
     return np.clip(values, 0.0, None).reshape(len(thetas), len(phis))
+
+
+def _grid_classical_correlations(rho: DensityMatrix, thetas: np.ndarray, phis: np.ndarray):
+    """Vectorized evaluation of the measured-A classical correlations on a
+    (theta, phi) grid. Matches the scalar route through povm_outcome."""
+    bloch = _bloch(rho)
+    return _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), thetas, phis)
 
 
 def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> float:
@@ -159,20 +204,38 @@ def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> fl
     return max(value, 0.0)
 
 
-def _maximize_classical_correlations(rho: DensityMatrix):
-    """Coarse grid followed by local refinement. Returns
-    (value, basis, evaluations, converged)."""
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _maximize_classical_correlations(bloch):
+    """Coarse hemisphere grid followed by local refinement, on (a, b, T).
+    Returns (value, basis, evaluations, converged)."""
+    a, b, t = bloch
+    s_b = _qubit_entropy(float(b @ b))
     thetas = np.linspace(0.0, math.pi, THETA_POINTS)
-    phis = np.linspace(0.0, 2.0 * math.pi, PHI_POINTS, endpoint=False)
-    grid = _grid_classical_correlations(rho, thetas, phis)
+    phis = np.linspace(0.0, math.pi, PHI_POINTS, endpoint=False)
+    grid = _grid_values(bloch, s_b, thetas, phis)
     flat_best = int(np.argmax(grid))  # first occurrence: smallest (theta, phi)
     it, ip = divmod(flat_best, PHI_POINTS)
     grid_value = float(grid[it, ip])
 
+    a, b, t_columns = a.tolist(), b.tolist(), t.T.tolist()  # floats for the scalar objective
+
     def negated(z):
-        t, p = _fold_angles(z[0], z[1])
-        single = _grid_classical_correlations(rho, np.array([t]), np.array([p]))
-        return -float(single[0, 0])
+        sin_t = math.sin(z[0])
+        n = (sin_t * math.cos(z[1]), sin_t * math.sin(z[1]), math.cos(z[0]))
+        an = _dot(a, n)
+        tn = [_dot(column, n) for column in t_columns]
+        value = s_b
+        for sign in (1.0, -1.0):
+            prob = (1.0 + sign * an) / 2.0
+            if prob > ZERO_WEIGHT:
+                r = [b_j + sign * tn_j for b_j, tn_j in zip(b, tn)]
+                value -= prob * _qubit_entropy(_dot(r, r) / (2.0 * prob) ** 2)
+        if value < -NEGATIVE_CLAMP:
+            raise ConsistencyError(f"classical correlations evaluated to {value!r} < 0")
+        return -max(value, 0.0)
 
     result = minimize(
         negated,
@@ -193,21 +256,12 @@ def max_classical_correlations(rho: DensityMatrix):
     """Maximum of :func:`classical_correlations_at` over all projective
     bases on A. Returns ``(value, basis)``."""
     _require_two_qubits(rho)
-    value, basis, _, _ = _maximize_classical_correlations(rho)
+    value, basis, _, _ = _maximize_classical_correlations(_bloch(rho))
     return value, basis
 
 
-def discord(rho: DensityMatrix) -> DiscordResult:
-    """Quantum discord D(B|A): mutual information minus the maximal
-    measurement-extractable classical correlations.
-
-    Values in ``[-NEGATIVE_CLAMP, 0)`` are clamped to zero; anything more
-    negative raises :class:`ConsistencyError` since it signals a broken
-    optimization rather than rounding noise.
-    """
-    _require_two_qubits(rho)
-    info = quantum_mutual_information(rho)
-    value, basis, evaluations, converged = _maximize_classical_correlations(rho)
+def _discord(info: float, bloch) -> DiscordResult:
+    value, basis, evaluations, converged = _maximize_classical_correlations(bloch)
     value = min(value, info) if info < value <= info + NEGATIVE_CLAMP else value
     gap = info - value
     if gap < -NEGATIVE_CLAMP:
@@ -223,13 +277,25 @@ def discord(rho: DensityMatrix) -> DiscordResult:
     )
 
 
+def discord(rho: DensityMatrix) -> DiscordResult:
+    """Quantum discord D(B|A): mutual information minus the maximal
+    measurement-extractable classical correlations.
+
+    Values in ``[-NEGATIVE_CLAMP, 0)`` are clamped to zero; anything more
+    negative raises :class:`ConsistencyError` since it signals a broken
+    optimization rather than rounding noise.
+    """
+    _require_two_qubits(rho)
+    return _discord(quantum_mutual_information(rho), _bloch(rho))
+
+
 def discord_swapped(rho: DensityMatrix) -> DiscordResult:
     """Discord of the state with the roles of A and B exchanged.
 
     No symmetry with :func:`discord` is implied; one-way classical
-    states give zero in one direction only.
+    states give zero in one direction only. The mutual information is
+    symmetric and (a, b, T) becomes (b, a, T^T).
     """
     _require_two_qubits(rho)
-    perm = [0, 2, 1, 3]
-    swapped = rho.elements[np.ix_(perm, perm)]
-    return discord(DensityMatrix(swapped, (2, 2)))
+    a, b, t = _bloch(rho)
+    return _discord(quantum_mutual_information(rho), (b, a, t.T))

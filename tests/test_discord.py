@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from qcorr import (
     random_density_matrix,
     tensor_product,
 )
-from qcorr.discord import _grid_classical_correlations
+from qcorr.discord import PHI_POINTS, THETA_POINTS, _grid_classical_correlations
 
 from .conftest import bell_density, random_classical_state, random_unitary, werner_state
 
@@ -26,6 +27,13 @@ LN2 = 0.6931471805599453
 WERNER_C = 0.13081203594113697
 WERNER_I = 0.3127515147113674
 WERNER_D = 0.18193947877023048
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+# correlation vectors c of the four Bell states; Bell-diagonal states fill this tetrahedron
+BELL_TETRAHEDRON = np.array([[-1, -1, -1], [-1, 1, 1], [1, -1, 1], [1, 1, -1]])
 
 
 def one_way_classical_state() -> DensityMatrix:
@@ -35,6 +43,25 @@ def one_way_classical_state() -> DensityMatrix:
         np.diag([0.0, 1.0]), plus
     )
     return DensityMatrix(mat, (2, 2))
+
+
+def bell_diagonal(c) -> DensityMatrix:
+    """The state (1 + sum_i c_i sigma_i (x) sigma_i) / 4."""
+    mat = np.eye(4) + sum(ci * np.kron(p, p) for ci, p in zip(c, PAULIS))
+    return DensityMatrix(mat / 4.0, (2, 2))
+
+
+def luo_bell_diagonal(c):
+    """Mutual information and discord of :func:`bell_diagonal` ``(c)`` in nats,
+    by Luo's closed form (PRA 77, 042303, 2008)."""
+    c1, c2, c3 = c
+    spectrum = [
+        (1 - c1 - c2 - c3) / 4, (1 - c1 + c2 + c3) / 4, (1 + c1 - c2 + c3) / 4, (1 + c1 + c2 - c3) / 4
+    ]
+    info = 2 * LN2 + sum(x * math.log(x) for x in spectrum if x > 0)
+    top = max(abs(x) for x in c)
+    classical = sum((1 + s * top) / 2 * math.log(1 + s * top) for s in (1, -1) if 1 + s * top > 0)
+    return info, info - classical
 
 
 class TestMeasurementBasis:
@@ -92,6 +119,16 @@ class TestClassicalCorrelationsAt:
                     scalar = classical_correlations_at(rho, MeasurementBasis(theta, phi))
                     assert grid[i, j] == pytest.approx(scalar, abs=1e-12)
 
+    def test_antipodal_directions_agree(self, rng):
+        """C(n) = C(-n): the hemisphere grid of the search relies on it."""
+        for seed in range(20):
+            rho = random_density_matrix((2, 2), int(1 + seed % 4), seed=seed)
+            theta, phi = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+            antipode = MeasurementBasis(math.pi - theta, (phi + math.pi) % (2.0 * math.pi))
+            assert classical_correlations_at(rho, MeasurementBasis(theta, phi)) == pytest.approx(
+                classical_correlations_at(rho, antipode), abs=1e-12
+            )
+
 
 class TestMaxClassicalCorrelations:
     def test_classical_diagonal_state(self):
@@ -112,6 +149,17 @@ class TestMaxClassicalCorrelations:
     def test_werner_maximum(self):
         value, _ = max_classical_correlations(werner_state(0.5))
         assert value == pytest.approx(WERNER_C, abs=1e-9)
+
+    def test_hemisphere_grid_has_the_full_grid_maximum(self):
+        thetas = np.linspace(0.0, math.pi, THETA_POINTS)
+        hemisphere = np.linspace(0.0, math.pi, PHI_POINTS, endpoint=False)
+        full = np.linspace(0.0, 2.0 * math.pi, 2 * PHI_POINTS, endpoint=False)
+        assert THETA_POINTS * PHI_POINTS == 4096
+        for seed in range(20):
+            rho = random_density_matrix((2, 2), int(1 + seed % 4), seed=seed)
+            assert _grid_classical_correlations(rho, thetas, hemisphere).max() == pytest.approx(
+                _grid_classical_correlations(rho, thetas, full).max(), abs=1e-12
+            )
 
     def test_refinement_never_below_grid(self):
         for seed in range(20):
@@ -173,6 +221,37 @@ class TestDiscord:
                 result.mutual_info - result.classical_corr, abs=1e-9
             )
 
+    def test_maximum_matches_povm_route_at_optimal_basis(self):
+        for seed in range(100):
+            rho = random_density_matrix((2, 2), int(1 + seed % 4), seed=seed)
+            result = discord(rho)
+            assert result.classical_corr == pytest.approx(
+                classical_correlations_at(rho, result.optimal_basis), abs=1e-12
+            )
+
+    def test_evaluations_count_grid_and_refinement(self, monkeypatch):
+        module = importlib.import_module("qcorr.discord")
+        nfev = []
+
+        def recording_minimize(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            nfev.append(int(result.nfev))
+            return result
+
+        monkeypatch.setattr(module, "minimize", recording_minimize)
+        result = discord(random_density_matrix((2, 2), 3, seed=5))
+        assert result.trace.evaluations == THETA_POINTS * PHI_POINTS + nfev[0]
+
+    def test_luo_closed_form_on_bell_diagonal_states(self):
+        rng = np.random.default_rng(2008)
+        cases = [(bell_diagonal(c), c) for c in rng.dirichlet(np.ones(4), 24) @ BELL_TETRAHEDRON]
+        cases += [(werner_state(w), (w, -w, w)) for w in (0.1, 0.3, 0.5, 0.8, 1.0)]
+        for rho, c in cases:
+            info, disc = luo_bell_diagonal(c)
+            for result in (discord(rho), discord_swapped(rho)):
+                assert result.mutual_info == pytest.approx(info, abs=1e-9)
+                assert result.discord == pytest.approx(disc, abs=1e-9)
+
     def test_local_unitary_invariance(self, rng):
         for seed in range(10):
             rho = random_density_matrix((2, 2), 4, seed=seed)
@@ -203,9 +282,12 @@ class TestDiscordSwapped:
         assert discord_swapped(rho).discord > 1e-3
 
     def test_swap_matches_manual_permutation(self):
-        rho = werner_state(0.3)
         perm = [0, 2, 1, 3]
-        manual = DensityMatrix(rho.elements[np.ix_(perm, perm)], (2, 2))
-        assert discord_swapped(rho).discord == pytest.approx(
-            discord(manual).discord, abs=1e-12
-        )
+        states = [werner_state(0.3)] + [
+            random_density_matrix((2, 2), int(1 + seed % 4), seed=seed) for seed in range(24)
+        ]
+        for rho in states:
+            manual = discord(DensityMatrix(rho.elements[np.ix_(perm, perm)], (2, 2)))
+            swapped = discord_swapped(rho)
+            for field in ("mutual_info", "classical_corr", "discord"):
+                assert getattr(swapped, field) == pytest.approx(getattr(manual, field), abs=1e-12)
