@@ -42,20 +42,26 @@ OMEGA_FLOOR = -1e-9
 PHYSICALITY_SLACK = 1e-9
 # Operations fail on a symplectic eigenvalue below 1/2 - OPERATION_SLACK (looser than above).
 OPERATION_SLACK = 1e-6
+# Gaussian discord treats a measured mode with det - 1 below this as pure (doubled convention).
+PURE_MODE_CUTOFF = 1e-9
+# Relative width of the boundary between the closed Gaussian discord's two branches.
+BRANCH_BOUNDARY_WIDTH = 1e-9
 
 
 def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, even: bool = False):
     """Validated Hermitian part ``(M + M^dagger) / 2`` of a square matrix.
 
     Raises :class:`ValidationError` naming the matrix ``what`` unless it is
-    non-empty and square (of even size if ``even``) with max entrywise
-    defect ``|M - M^dagger|`` at most ``tol``. A real ``dtype`` makes this
-    the symmetric part and a symmetry check.
+    non-empty and square (of even size if ``even``), finite, and has max
+    entrywise defect ``|M - M^dagger|`` at most ``tol``. A real ``dtype``
+    makes this the symmetric part and a symmetry check.
     """
     mat = np.asarray(matrix, dtype=dtype)
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0) or (even and mat.shape[0] % 2):
         size = "non-empty square of even size" if even else "non-empty square"
         raise ValidationError(f"{what} must be {size}; got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValidationError(f"{what} must be finite; got a NaN or infinite entry")
     adjoint = mat.conj().T
     defect = float(np.max(np.abs(mat - adjoint)))
     if defect > tol:

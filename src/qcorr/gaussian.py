@@ -24,9 +24,11 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 from .errors import (
+    BRANCH_BOUNDARY_WIDTH,
     HAMILTONIAN_TOL,
     OPERATION_SLACK,
     PHYSICALITY_SLACK,
+    PURE_MODE_CUTOFF,
     SUPPORT_CUTOFF,
     ValidationError,
     hermitian_part,
@@ -212,16 +214,30 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix):
     return float(spectrum[0]), float(spectrum[1])
 
 
-def mode_entropy(nu: float) -> float:
+def mode_entropy(nu):
     """Entropy contribution f(nu) = (nu + 1/2) ln(nu + 1/2)
-    - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue."""
+    - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue.
+
+    A float gives a float, evaluated with ``math`` because the measurement
+    search calls it once per evaluation; an array gives an array.
+    """
+    if isinstance(nu, float):
+        above = nu - VACUUM_VARIANCE
+        if above < -OPERATION_SLACK:
+            raise ValidationError(f"symplectic eigenvalue {nu!r} below the vacuum value 1/2")
+        if above <= SUPPORT_CUTOFF:
+            return 0.0
+        plus = nu + VACUUM_VARIANCE
+        return plus * math.log(plus) - above * math.log(above)
+    nu = np.asarray(nu, dtype=float)
     above = nu - VACUUM_VARIANCE
-    if above < -OPERATION_SLACK:
-        raise ValidationError(f"symplectic eigenvalue {nu!r} below the vacuum value 1/2")
-    if above <= SUPPORT_CUTOFF:
-        return 0.0
-    plus = nu + VACUUM_VARIANCE
-    return plus * math.log(plus) - above * math.log(above)
+    if (above < -OPERATION_SLACK).any():
+        lowest = float(nu.min())
+        raise ValidationError(f"symplectic eigenvalue {lowest!r} below the vacuum value 1/2")
+    support = above > SUPPORT_CUTOFF
+    above = np.where(support, above, 1.0)  # log(1) = 0 off the support
+    plus = np.where(support, nu + VACUUM_VARIANCE, 1.0)
+    return plus * np.log(plus) - above * np.log(above)
 
 
 def gaussian_entropy(sigma: CovarianceMatrix) -> float:
@@ -247,58 +263,66 @@ def _require_two_modes(sigma: CovarianceMatrix):
         raise ValidationError(f"operation requires a two-mode state; got {sigma.n_modes} mode(s)")
 
 
-def gaussian_discord(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
-    """Gaussian discord with Gaussian measurements on the chosen mode.
-
-    Uses the closed form built from the four local-symplectic invariants
-    (determinants of the mode blocks, the cross block, and the full
-    matrix): the minimal conditional determinant has two regimes
-    selected by a discriminant, one reached in the infinite-squeezing
-    (homodyne) limit and one at finite squeezing. The result is clamped
-    at zero.
-    """
+def local_invariants(sigma: CovarianceMatrix, measured_mode: int = 1):
+    """The four local-symplectic invariants (a, b, c, d) in the doubled
+    (vacuum = identity) convention: determinants of the unmeasured block,
+    the measured block, the cross block and the whole matrix."""
     _require_two_modes(sigma)
-    doubled = 2.0 * sigma.sigma  # vacuum = identity convention
+    doubled = 2.0 * sigma.sigma
     meas, unmeas, cross = _split_blocks(doubled, measured_mode)
-    inv_b = float(np.linalg.det(meas))
-    inv_a = float(np.linalg.det(unmeas))
-    inv_c = float(np.linalg.det(cross))
-    inv_d = float(np.linalg.det(doubled))
+    return (
+        float(np.linalg.det(unmeas)),
+        float(np.linalg.det(meas)),
+        float(np.linalg.det(cross)),
+        float(np.linalg.det(doubled)),
+    )
 
-    def finite_squeezing_branch():
-        inner = max(inv_c**2 + (inv_b - 1.0) * (inv_d - inv_a), 0.0)
-        return (
-            2.0 * inv_c**2
-            + (inv_b - 1.0) * (inv_d - inv_a)
-            + 2.0 * abs(inv_c) * math.sqrt(inner)
-        ) / (inv_b - 1.0) ** 2
 
-    def homodyne_branch():
-        inner = max(
-            inv_c**4 + (inv_d - inv_a * inv_b) ** 2 - 2.0 * inv_c**2 * (inv_a * inv_b + inv_d),
-            0.0,
-        )
-        return (inv_a * inv_b - inv_c**2 + inv_d - math.sqrt(inner)) / (2.0 * inv_b)
+def gaussian_discord(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
+    """Gaussian discord with Gaussian measurements on the chosen mode:
+    :func:`discord_from_invariants` of the state's local invariants and
+    symplectic spectrum."""
+    invariants = local_invariants(sigma, measured_mode)
+    return float(discord_from_invariants(*invariants, *symplectic_eigenvalues(sigma)))
 
-    margin = (inv_d - inv_a * inv_b) ** 2 - (1.0 + inv_b) * inv_c**2 * (inv_a + inv_d)
-    if inv_b - 1.0 < 1e-9:
-        e_min = inv_a  # pure measured mode: necessarily a product state
-    elif abs(margin) <= 1e-9 * max(1.0, (1.0 + inv_b) * inv_c**2 * (inv_a + inv_d)):
-        # on the branch boundary the two expressions coincide exactly but
-        # the first loses precision to cancellation; take the smaller
-        e_min = min(finite_squeezing_branch(), homodyne_branch())
-    elif margin <= 0.0:
-        e_min = finite_squeezing_branch()
-    else:
-        e_min = homodyne_branch()
-    nu_minus, nu_plus = symplectic_eigenvalues(sigma)
+
+def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
+    """Closed-form Gaussian discord (Adesso-Datta) from the local invariants
+    of :func:`local_invariants` and the symplectic eigenvalues; every
+    argument may be an array of the same shape, and so is the result.
+
+    The minimal conditional determinant has two regimes selected by a
+    discriminant, one reached in the infinite-squeezing (homodyne) limit
+    and one at finite squeezing. The result is clamped at zero.
+    """
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (inv_a, inv_b, inv_c, inv_d))
+    c2 = c * c
+    pure = b - 1.0 < PURE_MODE_CUTOFF  # pure measured mode: necessarily a product state
+    b1 = np.where(pure, 1.0, b - 1.0)
+    finite_inner = np.maximum(c2 + b1 * (d - a), 0.0)
+    finite_squeezing = (2.0 * c2 + b1 * (d - a) + 2.0 * np.abs(c) * np.sqrt(finite_inner)) / b1**2
+    homodyne_inner = np.maximum(c2 * c2 + (d - a * b) ** 2 - 2.0 * c2 * (a * b + d), 0.0)
+    homodyne = (a * b - c2 + d - np.sqrt(homodyne_inner)) / (2.0 * b)
+    margin = (d - a * b) ** 2 - (1.0 + b) * c2 * (a + d)
+    # on the branch boundary the two expressions coincide exactly but the
+    # first loses precision to cancellation; take the smaller
+    boundary = np.abs(margin) <= BRANCH_BOUNDARY_WIDTH * np.maximum(1.0, (1.0 + b) * c2 * (a + d))
+    e_min = np.where(
+        pure,
+        a,
+        np.where(
+            boundary,
+            np.minimum(finite_squeezing, homodyne),
+            np.where(margin <= 0.0, finite_squeezing, homodyne),
+        ),
+    )
     value = (
-        mode_entropy(math.sqrt(max(inv_b, 1.0)) / 2.0)
+        mode_entropy(np.sqrt(np.maximum(b, 1.0)) / 2.0)
         - mode_entropy(nu_minus)
         - mode_entropy(nu_plus)
-        + mode_entropy(math.sqrt(max(e_min, 1.0)) / 2.0)
+        + mode_entropy(np.sqrt(np.maximum(e_min, 1.0)) / 2.0)
     )
-    return max(value, 0.0)
+    return np.maximum(value, 0.0)
 
 
 def _conditional_entropy_factory(sigma: np.ndarray, measured_mode: int):

@@ -9,9 +9,18 @@ quantum dissipated work (quantum minus classical irreversible work),
 the Gaussian discord generated by the quench, and a temperature sweep
 collecting everything.
 
+Each closed form is one numpy expression over beta. The temperature
+sweep evaluates them over the whole array of inverse temperatures in
+one pass, and its discord column comes from the normal-mode propagator,
+built once per sweep, and the local invariants of the evolved vacuum,
+scaled by the thermal occupation; :func:`report_at` is the same code at
+one temperature.
+
 Independent checks (exact-Gaussian Monte-Carlo sampling, tensor-product
-Gaussian quadrature, truncated Fock-basis traces) live alongside the
-closed forms so the two routes can be compared in the test suite.
+Gaussian quadrature, truncated Fock-basis traces, and
+:func:`quench_discord`, which evolves the thermal state with ``expm``)
+live alongside the closed forms so the two routes can be compared in
+the test suite.
 
 The work-operator route is only meaningful for a sudden quench, so no
 time-dependent protocol API is exposed.
@@ -26,10 +35,14 @@ import numpy as np
 
 from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError
 from .gaussian import (
+    CovarianceMatrix,
     direct_sum,
+    discord_from_invariants,
     gaussian_discord,
+    local_invariants,
     normal_mode_frequencies,
     quench_hamiltonian_matrix,
+    quench_propagator_closed_form,
     symplectic_evolution,
     thermal_covariance,
 )
@@ -55,16 +68,18 @@ class QuenchParams:
     def __post_init__(self):
         if self.h_ref is None:
             object.__setattr__(self, "h_ref", 2.0 * math.pi * self.hbar)
-        positives = {
+        values = {
             "mass": self.mass,
             "omega": self.omega,
+            "lambda0": self.lambda0,
             "beta": self.beta,
             "hbar": self.hbar,
             "kb": self.kb,
             "h_ref": self.h_ref,
         }
-        for name, value in positives.items():
-            if not value > 0:
+        for name, value in values.items():
+            _require_finite(name, value)
+            if name != "lambda0" and not value > 0:
                 raise ValidationError(f"{name} must be strictly positive; got {value!r}")
         if self.lambda0 < 0:
             raise ValidationError(f"lambda0 must be non-negative; got {self.lambda0!r}")
@@ -74,8 +89,8 @@ class QuenchParams:
         return 1.0 / (self.kb * self.beta)
 
     def at_temperature(self, temperature: float) -> "QuenchParams":
-        if temperature <= 0:
-            raise ValidationError(f"temperature must be positive; got {temperature!r}")
+        if not 0.0 < temperature < math.inf:
+            raise ValidationError(f"temperature must be positive and finite; got {temperature!r}")
         return replace(self, beta=1.0 / (self.kb * temperature))
 
 
@@ -104,11 +119,43 @@ class QuenchReport:
             raise ValidationError(f"omega_excess = {self.omega_excess!r} is negative")
 
 
-def _log_sinh(x: float) -> float:
-    """ln(sinh(x)) for x > 0, stable against overflow at large x."""
-    if x > 20.0:
-        return x - math.log(2.0) + math.log1p(-math.exp(-2.0 * x))
-    return math.log(math.sinh(x))
+def _require_finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite; got {value!r}")
+
+
+def _log_sinh(x):
+    """ln(sinh(x)) for x > 0, a float or an array, stable against
+    overflow at large x."""
+    return np.where(
+        x > 20.0,
+        x - math.log(2.0) + np.log1p(-np.exp(-2.0 * np.maximum(x, 20.0))),
+        np.log(np.sinh(np.minimum(x, 20.0))),
+    )
+
+
+def _closed_forms(params: QuenchParams, beta):
+    """Every closed form at the inverse temperature ``beta``, a float or an
+    array: ``(w_c, df_c, w_q, df_q, excess)``, where ``excess`` is the
+    single-line closed form of :func:`excess_dissipated_work`. Each is
+    written only here; the public functions evaluate it at ``params.beta``.
+    """
+    hbar, omega, lam0 = params.hbar, params.omega, params.lambda0
+    w1, w2 = normal_mode_frequencies(omega, lam0)
+    half = beta * hbar / 2.0
+    tanh = np.tanh(half * omega)
+    w_c = lam0**2 / (beta * omega**2)
+    df_c = math.log1p(2.0 * lam0**2 / omega**2) / (2.0 * beta)
+    w_q = hbar * lam0**2 / (2.0 * omega) / tanh
+    if lam0 == 0.0:
+        df_q = spectral = 0.0 * beta
+    else:
+        # w1 == omega, so one ln sinh serves both
+        log_sinh_w1, log_sinh_w2 = _log_sinh(half * w1), _log_sinh(half * w2)
+        df_q = (log_sinh_w1 + log_sinh_w2 - 2.0 * log_sinh_w1) / beta
+        spectral = (2.0 * log_sinh_w1 - log_sinh_w1 - log_sinh_w2) / beta
+    kinetic = hbar * lam0**2 / (2.0 * omega) * (1.0 / tanh - 2.0 / (beta * hbar * omega))
+    return w_c, df_c, w_q, df_q, kinetic + spectral + df_c
 
 
 # -- classical branch ----------------------------------------------------
@@ -144,7 +191,7 @@ def classical_partition_quadrature(params: QuenchParams, lam: float, nodes: int 
 def classical_avg_work(params: QuenchParams) -> float:
     """Mean work of the sudden quench over the initial Gibbs ensemble,
     lambda0^2 / (beta omega^2). Independent of the mass and of hbar."""
-    return params.lambda0**2 / (params.beta * params.omega**2)
+    return float(_closed_forms(params, params.beta)[0])
 
 
 def monte_carlo_classical_work(params: QuenchParams, n_samples: int = 1_000_000, seed: int = 0):
@@ -170,13 +217,14 @@ def monte_carlo_classical_work(params: QuenchParams, n_samples: int = 1_000_000,
 def classical_free_energy_change(params: QuenchParams) -> float:
     """Free-energy change (1/(2 beta)) ln[1 + 2 lambda0^2 / omega^2];
     equals -(1/beta) ln[Z_C(lambda0)/Z_C(0)]."""
-    return math.log1p(2.0 * params.lambda0**2 / params.omega**2) / (2.0 * params.beta)
+    return float(_closed_forms(params, params.beta)[1])
 
 
 def classical_irr_work(params: QuenchParams) -> float:
     """Irreversible (dissipated) classical work, mean work minus the
     free-energy change. Non-negative."""
-    return classical_avg_work(params) - classical_free_energy_change(params)
+    w_c, df_c, _, _, _ = _closed_forms(params, params.beta)
+    return float(w_c - df_c)
 
 
 # -- quantum branch ------------------------------------------------------
@@ -222,8 +270,7 @@ def quantum_avg_work(params: QuenchParams) -> float:
     """Mean quantum work of the sudden quench,
     (hbar lambda0^2 / (2 omega)) coth(beta hbar omega / 2).
     Approaches the classical value as beta*hbar*omega -> 0."""
-    half = params.beta * params.hbar * params.omega / 2.0
-    return params.hbar * params.lambda0**2 / (2.0 * params.omega) / math.tanh(half)
+    return float(_closed_forms(params, params.beta)[2])
 
 
 def quantum_avg_work_fock(params: QuenchParams, rel_tol: float = 1e-12) -> float:
@@ -263,19 +310,14 @@ def quantum_avg_work_fock(params: QuenchParams, rel_tol: float = 1e-12) -> float
 def quantum_free_energy_change(params: QuenchParams) -> float:
     """Free-energy change -(1/beta) ln[Z_Q(lambda0)/Z_Q(0)], reducing to
     (1/beta) ln[sinh(beta hbar w2 / 2) / sinh(beta hbar omega / 2)]."""
-    w1, w2 = normal_mode_frequencies(params.omega, params.lambda0)
-    half = params.beta * params.hbar / 2.0
-    if params.lambda0 == 0.0:
-        return 0.0
-    return (
-        _log_sinh(half * w1) + _log_sinh(half * w2) - 2.0 * _log_sinh(half * params.omega)
-    ) / params.beta
+    return float(_closed_forms(params, params.beta)[3])
 
 
 def quantum_irr_work(params: QuenchParams) -> float:
     """Irreversible quantum work, mean work minus the free-energy
     change. Non-negative; zero for a vanishing quench amplitude."""
-    return quantum_avg_work(params) - quantum_free_energy_change(params)
+    _, _, w_q, df_q, _ = _closed_forms(params, params.beta)
+    return float(w_q - df_q)
 
 
 def excess_dissipated_work(params: QuenchParams) -> float:
@@ -292,27 +334,18 @@ def excess_dissipated_work(params: QuenchParams) -> float:
     the two routes must agree within ``IDENTITY_TOL``. Non-negative,
     vanishing in the high-temperature limit.
     """
-    difference = quantum_irr_work(params) - classical_irr_work(params)
-    beta, hbar, omega, lam0 = params.beta, params.hbar, params.omega, params.lambda0
-    w1, w2 = normal_mode_frequencies(omega, lam0)
-    half = beta * hbar / 2.0
-    kinetic = (
-        hbar * lam0**2 / (2.0 * omega)
-        * (1.0 / math.tanh(half * omega) - 2.0 / (beta * hbar * omega))
-    )
-    if lam0 == 0.0:
-        spectral = 0.0
-    else:
-        spectral = (
-            2.0 * _log_sinh(half * omega) - _log_sinh(half * w1) - _log_sinh(half * w2)
-        ) / beta
-    entropic = math.log1p(2.0 * lam0**2 / omega**2) / (2.0 * beta)
-    closed = kinetic + spectral + entropic
+    w_c, df_c, w_q, df_q, closed = _closed_forms(params, params.beta)
+    difference = (w_q - df_q) - (w_c - df_c)
     if abs(closed - difference) > IDENTITY_TOL:
-        raise ConsistencyError(
-            f"excess-work routes disagree: {closed!r} vs {difference!r}"
-        )
-    return difference
+        raise _route_error(params.temperature, closed, difference)
+    return float(difference)
+
+
+def _route_error(temperature: float, closed: float, difference: float) -> ConsistencyError:
+    return ConsistencyError(
+        f"excess-work routes disagree at temperature {float(temperature)!r}: "
+        f"{float(closed)!r} vs {float(difference)!r}"
+    )
 
 
 # -- correlations and the temperature sweep ------------------------------
@@ -322,8 +355,11 @@ def quench_discord(params: QuenchParams, t: float = 1.0) -> float:
 
     Both modes start in the thermal state at (beta, omega), evolve under
     the coupled Hamiltonian at amplitude lambda0 for time ``t``, and the
-    discord of the resulting two-mode Gaussian state is returned.
+    discord of the resulting two-mode Gaussian state is returned. Built
+    with ``expm`` and a validated covariance matrix, this is the
+    independent check of the discord column of :func:`sweep_temperature`.
     """
+    _require_finite("evolution_time", t)
     one_mode = thermal_covariance(params.beta, params.omega, params.hbar)
     initial = direct_sum(one_mode, one_mode)
     ham = quench_hamiltonian_matrix(params.omega, params.lambda0, params.mass, params.hbar)
@@ -331,25 +367,53 @@ def quench_discord(params: QuenchParams, t: float = 1.0) -> float:
     return gaussian_discord(final, measured_mode=1)
 
 
-def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport:
-    """Evaluate every report field at the parameters' temperature."""
-    w_c = classical_avg_work(params)
-    df_c = classical_free_energy_change(params)
-    w_q = quantum_avg_work(params)
-    df_q = quantum_free_energy_change(params)
+def _thermal_quench_discord(params: QuenchParams, beta: np.ndarray, t: float) -> np.ndarray:
+    """Gaussian discord of the post-quench state at each inverse
+    temperature in ``beta``.
+
+    Both modes start at nu(beta) I, with nu = (1/2) coth(beta hbar omega / 2),
+    and the propagator S does not depend on beta, so the evolved state is
+    nu S S^T. The evolved vacuum S S^T / 2 is validated once; its
+    doubled-convention invariants scale as (2 nu)^2 for the 2x2 blocks and
+    (2 nu)^4 for the whole matrix, and both symplectic eigenvalues are nu.
+    """
+    s = quench_propagator_closed_form(params.omega, params.lambda0, t)
+    inv_a, inv_b, inv_c, inv_d = local_invariants(CovarianceMatrix(s @ s.T / 2.0))
+    nu = 0.5 / np.tanh(beta * params.hbar * params.omega / 2.0)
+    scale = (2.0 * nu) ** 2
+    return discord_from_invariants(
+        inv_a * scale, inv_b * scale, inv_c * scale, inv_d * scale * scale, nu, nu
+    )
+
+
+def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> list:
+    """One report per inverse temperature in the array ``beta``, every
+    field computed over the whole array at once.
+
+    Like a loop over :func:`report_at`, raises at the first temperature
+    whose two excess-work routes disagree, after validating the reports
+    before it.
+    """
+    _require_finite("evolution_time", evolution_time)
+    w_c, df_c, w_q, df_q, closed = _closed_forms(params, beta)
     w_c_irr = w_c - df_c
     w_q_irr = w_q - df_q
-    return QuenchReport(
-        temperature=params.temperature,
-        w_c_avg=w_c,
-        df_c=df_c,
-        w_c_irr=w_c_irr,
-        w_q_avg=w_q,
-        df_q=df_q,
-        w_q_irr=w_q_irr,
-        omega_excess=excess_dissipated_work(params),
-        gaussian_discord=quench_discord(params, evolution_time),
-    )
+    omega_excess = w_q_irr - w_c_irr
+    temperature = 1.0 / (params.kb * beta)
+    discord = _thermal_quench_discord(params, beta, evolution_time)
+    disagree = np.abs(closed - omega_excess) > IDENTITY_TOL
+    stop = int(disagree.argmax()) if disagree.any() else beta.size
+    columns = (temperature, w_c, df_c, w_c_irr, w_q, df_q, w_q_irr, omega_excess, discord)
+    reports = [QuenchReport(*row) for row in zip(*(c[:stop].tolist() for c in columns))]
+    if stop < beta.size:
+        raise _route_error(temperature[stop], closed[stop], omega_excess[stop])
+    return reports
+
+
+def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport:
+    """Evaluate every report field at the parameters' temperature: one
+    row of :func:`sweep_temperature`, by the same code."""
+    return _reports(params, np.array([params.beta]), evolution_time)[0]
 
 
 def sweep_temperature(
@@ -361,15 +425,20 @@ def sweep_temperature(
 ):
     """Reports on a uniform temperature grid from t_min to t_max.
 
-    Each grid point is an independent, deterministic evaluation, so
+    Every closed form and the discord are evaluated over the whole array
+    of inverse temperatures in one pass, with the propagator built once.
+    Each grid point's value depends only on its own temperature, so
     refining the grid leaves values at shared temperatures unchanged.
     """
-    if not 0.0 < t_min < t_max:
-        raise ValidationError(f"need 0 < t_min < t_max; got {t_min!r}, {t_max!r}")
+    if not 0.0 < t_min < t_max < math.inf:
+        raise ValidationError(f"need 0 < t_min < t_max < inf; got {t_min!r}, {t_max!r}")
     if points < 2:
         raise ValidationError(f"need at least 2 grid points; got {points!r}")
+    # beta falls monotonically with temperature: valid at both ends, valid throughout
+    params.at_temperature(t_max)
+    params.at_temperature(t_min)
     temperatures = np.linspace(t_min, t_max, points)
-    return [report_at(params.at_temperature(float(t)), evolution_time) for t in temperatures]
+    return _reports(params, 1.0 / (params.kb * temperatures), evolution_time)
 
 
 CSV_FIELDS = (

@@ -219,6 +219,33 @@ class TestQuenchVerbs:
         assert code == 2
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [
+            ("--lambda0", "nan", "lambda0"),
+            ("--omega", "inf", "omega"),
+            ("--mass", "nan", "mass"),
+            ("--hbar", "inf", "hbar"),
+            ("--kb", "nan", "kb"),
+            ("--time", "nan", "evolution_time"),
+            ("--time", "inf", "evolution_time"),
+        ],
+    )
+    @pytest.mark.parametrize("verb", ["point", "sweep"])
+    def test_non_finite_input_is_a_data_error(self, capsys, verb, flag, value, name):
+        argv = ["quench", verb, flag, value] + (["--beta", "1"] if verb == "point" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"qcorr: error: {name} must be finite")
+
+    @pytest.mark.parametrize("beta", ["inf", "nan"])
+    def test_non_finite_beta_is_a_data_error(self, capsys, beta):
+        code, out, err = run(capsys, "quench", "point", "--beta", beta)
+        assert code == 1
+        assert out == ""
+        assert "qcorr: error: beta must be finite" in err
+
     def test_data_error_writes_no_file(self, capsys, tmp_path):
         out_path = tmp_path / "never.csv"
         code, _, _ = run(

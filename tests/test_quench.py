@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qcorr import (
+    ConsistencyError,
     QuenchParams,
     QuenchReport,
     ValidationError,
@@ -50,6 +51,26 @@ class TestParams:
             QuenchParams(beta=-1.0)
         with pytest.raises(ValidationError, match="lambda0"):
             QuenchParams(lambda0=-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mass", "omega", "lambda0", "beta", "hbar", "kb", "h_ref"])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            QuenchParams(**{field: value})
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0])
+    def test_bad_temperature_rejected(self, temperature):
+        with pytest.raises(ValidationError, match="temperature"):
+            UNIT.at_temperature(temperature)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_evolution_time_rejected(self, t):
+        with pytest.raises(ValidationError, match="evolution_time must be finite"):
+            report_at(UNIT, t)
+        with pytest.raises(ValidationError, match="evolution_time must be finite"):
+            sweep_temperature(UNIT, 0.1, 5.0, 3, t)
+        with pytest.raises(ValidationError, match="evolution_time must be finite"):
+            quench_discord(UNIT, t)
 
     def test_h_ref_defaults_to_two_pi_hbar(self):
         assert QuenchParams(hbar=2.0).h_ref == pytest.approx(4.0 * math.pi)
@@ -298,6 +319,10 @@ class TestReportAndSweep:
             sweep_temperature(UNIT, 5.0, 0.1, 10)
         with pytest.raises(ValidationError):
             sweep_temperature(UNIT, 0.1, 5.0, 1)
+        with pytest.raises(ValidationError):
+            sweep_temperature(UNIT, 0.1, math.inf, 10)
+        with pytest.raises(ValidationError, match="beta must be finite"):
+            sweep_temperature(UNIT, 1e-320, 1.0, 10)  # 1 / t_min overflows
 
     def test_sweep_shape_and_decay(self):
         reports = sweep_temperature(UNIT, 0.1, 5.0, 50)
@@ -344,3 +369,63 @@ class TestReportAndSweep:
         first = [float(tok) for tok in lines[1].split(",")]
         assert first[0] == 0.5
         assert first[1] == reports[0].w_c_avg  # 17 significant digits round-trip
+
+
+class TestArraySweep:
+    """The sweep evaluates every field over the array of inverse
+    temperatures at once; these pin it to independent references."""
+
+    @pytest.mark.parametrize("lambda0", [0.475, 1.0, 2.0, 3.15])
+    def test_excess_matches_high_precision_reference(self, lambda0):
+        mpmath = pytest.importorskip("mpmath")
+        reports = sweep_temperature(QuenchParams(lambda0=lambda0), 0.1, 5.0, 100)
+        with mpmath.workdps(40):
+            lam = mpmath.mpf(lambda0)
+            w2 = mpmath.sqrt(1 + 2 * lam**2)
+            for report in reports:
+                b = 1 / mpmath.mpf(report.temperature)
+                quantum = lam**2 / 2 * mpmath.coth(b / 2) - mpmath.log(
+                    mpmath.sinh(b * w2 / 2) / mpmath.sinh(b / 2)
+                ) / b
+                classical = lam**2 / b - mpmath.log(1 + 2 * lam**2) / (2 * b)
+                reference = float(quantum - classical)
+                assert abs(report.omega_excess - reference) <= 1e-8 * abs(reference)
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, 2.1])
+    @pytest.mark.parametrize(
+        "params",
+        [UNIT, QuenchParams(lambda0=2.5, hbar=1.7, mass=0.6, omega=1.3, kb=0.8)],
+        ids=["unit", "scaled"],
+    )
+    def test_discord_matches_expm_oracle(self, params, t):
+        for report in sweep_temperature(params, 0.1, 5.0, 25, t):
+            oracle = quench_discord(params.at_temperature(report.temperature), t)
+            assert abs(report.gaussian_discord - oracle) <= 1e-10
+
+    def test_report_at_is_the_sweep_row(self):
+        params = QuenchParams(lambda0=1.7, hbar=0.9, mass=1.4, kb=1.3)
+        reports = sweep_temperature(params, 0.1, 5.0, 50, 2.1)
+        temperatures = np.linspace(0.1, 5.0, 50)
+        for i in (0, 17, 49):
+            single = report_at(params.at_temperature(float(temperatures[i])), 2.1)
+            assert single == reports[i]
+
+    def test_route_guard_raises_at_the_first_disagreement(self):
+        params = QuenchParams(lambda0=3.0)
+        with pytest.raises(ConsistencyError, match="at temperature") as raised:
+            sweep_temperature(params, 0.1, 1e3, 50)
+        for temperature in np.linspace(0.1, 1e3, 50):
+            try:
+                report_at(params.at_temperature(float(temperature)))
+            except ConsistencyError as exc:
+                assert str(exc) == str(raised.value)
+                break
+        else:
+            pytest.fail("no single point raised")
+
+    def test_hot_sweep_without_disagreement_returns(self):
+        assert len(sweep_temperature(QuenchParams(lambda0=0.5), 0.1, 1e3, 1000)) == 1000
+
+    def test_high_temperature_point_is_accepted(self):
+        report = report_at(QuenchParams(beta=1e-7))
+        assert report.gaussian_discord >= 0.0

@@ -2,9 +2,10 @@
 
 Each case adds a defect ``delta`` to one off-diagonal entry, so that the
 max entrywise defect ``|M - M^dagger|`` is exactly ``delta``: half the
-type's tolerance is accepted, twice it rejected. The tolerances are
-written out here, not imported from ``qcorr.errors``, so that moving a
-gate fails these tests.
+type's tolerance is accepted, twice it rejected, and a NaN or infinite
+defect is rejected as non-finite. The tolerances are written out here,
+not imported from ``qcorr.errors``, so that moving a gate fails these
+tests.
 """
 
 import numpy as np
@@ -60,3 +61,16 @@ def test_double_tolerance_rejected(name):
     tol, word, build = CASES[name]
     with pytest.raises(ValidationError, match=word):
         build(2.0 * tol)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_non_finite_entry_rejected(name, value):
+    _, _, build = CASES[name]
+    with pytest.raises(ValidationError, match="must be finite"):
+        build(value)
+
+
+def test_non_finite_diagonal_rejected():
+    with pytest.raises(ValidationError, match="density matrix must be finite"):
+        DensityMatrix(np.diag([float("nan"), 0.5, 0.25, 0.25]), (2, 2))
