@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -70,25 +71,6 @@ def _parse_joint(text: str) -> probability.JointDistribution:
     return probability.JointDistribution(rows)
 
 
-def load_state(path: str):
-    """Load a density matrix or covariance matrix from a JSON file.
-
-    Objects with "dims" and "matrix" keys are density matrices; bare
-    nested arrays are covariance matrices. Loading fails with the first
-    violated invariant named in the error.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}")
-    if isinstance(payload, dict):
-        return states.density_matrix_from_dict(payload)
-    if isinstance(payload, list):
-        return gaussian_mod.CovarianceMatrix(np.asarray(payload, dtype=float))
-    raise ValidationError(f"{path}: expected a JSON object or array, got {type(payload).__name__}")
-
-
 def everett_demo(alpha: complex, beta: complex, eps_values):
     """Rows (eps, measurement mutual information, quantum mutual
     information of the global state) over a grid of pointer overlaps.
@@ -130,9 +112,7 @@ def _cmd_mutual_info(args) -> str:
 
 
 def _cmd_qstate(args) -> str:
-    rho = load_state(args.state)
-    if not isinstance(rho, states.DensityMatrix):
-        raise ValidationError(f"{args.state} holds a covariance matrix; use the gaussian verb")
+    rho = states.density_matrix_from_json(Path(args.state).read_text(encoding="utf-8"))
     report = {
         "dims": [rho.dims[0], rho.dims[1]],
         "entropy": states.von_neumann_entropy(rho),
@@ -151,9 +131,7 @@ def _cmd_qstate(args) -> str:
 
 
 def _cmd_discord(args) -> str:
-    rho = load_state(args.state)
-    if not isinstance(rho, states.DensityMatrix):
-        raise ValidationError(f"{args.state} holds a covariance matrix; use the gaussian verb")
+    rho = states.density_matrix_from_json(Path(args.state).read_text(encoding="utf-8"))
     result = discord_of_state(rho)
     return (
         _dumps(
@@ -172,9 +150,8 @@ def _cmd_discord(args) -> str:
 
 
 def _cmd_gaussian(args) -> str:
-    sigma = load_state(args.cov)
-    if not isinstance(sigma, gaussian_mod.CovarianceMatrix):
-        raise ValidationError(f"{args.cov} holds a density matrix; use the qstate verb")
+    sigma = gaussian_mod.covariance_from_json(Path(args.cov).read_text(encoding="utf-8"))
+    discord = gaussian_mod.gaussian_discord(sigma, args.measured_mode)  # rejects all but two modes
     nu_minus, nu_plus = gaussian_mod.symplectic_eigenvalues(sigma)
     return (
         _dumps(
@@ -182,7 +159,7 @@ def _cmd_gaussian(args) -> str:
                 "nu_minus": nu_minus,
                 "nu_plus": nu_plus,
                 "entropy": gaussian_mod.gaussian_entropy(sigma),
-                "discord": gaussian_mod.gaussian_discord(sigma, args.measured_mode),
+                "discord": discord,
             }
         )
         + "\n"
@@ -190,6 +167,8 @@ def _cmd_gaussian(args) -> str:
 
 
 def _cmd_everett(args) -> tuple:
+    if args.points < 2:
+        raise ValidationError(f"--points must be at least 2; got {args.points}")
     rows = everett_demo(_parse_complex(args.alpha), _parse_complex(args.beta),
                         np.linspace(0.0, 1.0, args.points))
     lines = ["epsilon,measurement_mutual_information,quantum_mutual_information"]
@@ -200,7 +179,6 @@ def _cmd_everett(args) -> tuple:
 
 def _quench_params(args) -> quench.QuenchParams:
     return quench.QuenchParams(
-        mass=args.mass,
         omega=args.omega,
         lambda0=args.lambda0,
         beta=getattr(args, "beta", 1.0),
@@ -226,7 +204,6 @@ def _cmd_quench_point(args) -> str:
 def _add_quench_physics_flags(parser, with_beta: bool):
     parser.add_argument("--lambda0", type=float, default=1.0, help="quench amplitude")
     parser.add_argument("--omega", type=float, default=1.0, help="oscillator frequency")
-    parser.add_argument("--mass", type=float, default=1.0, help="oscillator mass")
     parser.add_argument("--hbar", type=float, default=1.0, help="reduced Planck constant")
     parser.add_argument("--kb", type=float, default=1.0, help="Boltzmann constant")
     parser.add_argument("--time", type=float, default=1.0, help="evolution time for the discord")
@@ -302,7 +279,7 @@ def parse_and_dispatch(argv) -> int:
             _write_output(path, text)
         else:
             sys.stdout.write(result)
-    except (ValidationError, ConsistencyError, OSError) as exc:
+    except (ValidationError, ConsistencyError, OSError, UnicodeDecodeError) as exc:
         print(f"qcorr: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -38,10 +38,8 @@ NEGATIVE_CLAMP = 1e-9
 IDENTITY_TOL = 1e-12
 # Excess dissipated work below this is rejected as negative.
 OMEGA_FLOOR = -1e-9
-# Construction admits a smallest symplectic eigenvalue down to 1/2 - PHYSICALITY_SLACK.
+# Covariance matrices and mode entropies admit symplectic eigenvalues down to 1/2 - PHYSICALITY_SLACK.
 PHYSICALITY_SLACK = 1e-9
-# Operations fail on a symplectic eigenvalue below 1/2 - OPERATION_SLACK (looser than above).
-OPERATION_SLACK = 1e-6
 # Gaussian discord treats a measured mode with det - 1 below this as pure (doubled convention).
 PURE_MODE_CUTOFF = 1e-9
 # Relative width of the boundary between the closed Gaussian discord's two branches.

@@ -26,7 +26,6 @@ from scipy.optimize import minimize
 from .errors import (
     BRANCH_BOUNDARY_WIDTH,
     HAMILTONIAN_TOL,
-    OPERATION_SLACK,
     PHYSICALITY_SLACK,
     PURE_MODE_CUTOFF,
     SUPPORT_CUTOFF,
@@ -58,7 +57,7 @@ def _symplectic_spectrum(sigma: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
-    """Second-moment matrix of a Gaussian state (one or two modes).
+    """Second-moment matrix of a Gaussian state of any number of modes.
 
     Validated to be symmetric and to satisfy the uncertainty bound: the
     smallest symplectic eigenvalue must be at least
@@ -129,18 +128,17 @@ def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(out)
 
 
-def quench_hamiltonian_matrix(
-    omega: float, lam: float, mass: float = 1.0, hbar: float = 1.0
-) -> QuadraticHamiltonian:
+def quench_hamiltonian_matrix(omega: float, lam: float, *, hbar: float = 1.0) -> QuadraticHamiltonian:
     """Two coupled oscillators in dimensionless quadratures at reference
     frequency ``omega``.
 
     The coupling adds ``(lam^2 / omega^2)`` to each diagonal x entry and
     ``-(lam^2 / omega^2)`` across the modes; the mass cancels in the
-    dimensionless quadratures. Momentum entries are uncoupled.
+    dimensionless quadratures, so it is not a parameter. Momentum
+    entries are uncoupled.
     """
-    if omega <= 0 or mass <= 0 or hbar <= 0 or lam < 0:
-        raise ValidationError("omega, mass, hbar must be positive and lam non-negative")
+    if omega <= 0 or hbar <= 0 or lam < 0:
+        raise ValidationError("omega and hbar must be positive and lam non-negative")
     ratio = (lam / omega) ** 2
     g = np.zeros((4, 4))
     g[0, 0] = g[2, 2] = 1.0 + ratio
@@ -201,37 +199,33 @@ def symplectic_evolution(
     return CovarianceMatrix(s @ sigma.sigma @ s.T)
 
 
-def symplectic_eigenvalues(sigma: CovarianceMatrix):
-    """Symplectic spectrum (nu_minus, nu_plus) of a two-mode state, or a
-    single value for one mode. Both are >= 1/2 for physical states."""
-    spectrum = sigma._spectrum
-    if float(spectrum.min()) < VACUUM_VARIANCE - OPERATION_SLACK:
-        raise ValidationError(
-            f"unphysical covariance matrix: symplectic eigenvalue {spectrum.min()!r} < 1/2"
-        )
-    if sigma.n_modes == 1:
-        return float(spectrum[0])
-    return float(spectrum[0]), float(spectrum[1])
+def symplectic_eigenvalues(sigma: CovarianceMatrix) -> tuple:
+    """The whole symplectic spectrum, ascending, as a tuple of floats:
+    ``(nu,)`` for one mode, ``(nu_minus, nu_plus)`` for two. The
+    constructor has already checked it against the uncertainty bound."""
+    return tuple(float(nu) for nu in sigma._spectrum)
 
 
 def mode_entropy(nu):
     """Entropy contribution f(nu) = (nu + 1/2) ln(nu + 1/2)
     - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue.
 
-    A float gives a float, evaluated with ``math`` because the measurement
-    search calls it once per evaluation; an array gives an array.
+    Rejects nu below 1/2 - PHYSICALITY_SLACK, the bound a
+    :class:`CovarianceMatrix` is built with. A float gives a float,
+    evaluated with ``math`` because the measurement search calls it once
+    per evaluation; an array gives an array.
     """
     if isinstance(nu, float):
-        above = nu - VACUUM_VARIANCE
-        if above < -OPERATION_SLACK:
+        if nu < VACUUM_VARIANCE - PHYSICALITY_SLACK:
             raise ValidationError(f"symplectic eigenvalue {nu!r} below the vacuum value 1/2")
+        above = nu - VACUUM_VARIANCE
         if above <= SUPPORT_CUTOFF:
             return 0.0
         plus = nu + VACUUM_VARIANCE
         return plus * math.log(plus) - above * math.log(above)
     nu = np.asarray(nu, dtype=float)
     above = nu - VACUUM_VARIANCE
-    if (above < -OPERATION_SLACK).any():
+    if (nu < VACUUM_VARIANCE - PHYSICALITY_SLACK).any():
         lowest = float(nu.min())
         raise ValidationError(f"symplectic eigenvalue {lowest!r} below the vacuum value 1/2")
     support = above > SUPPORT_CUTOFF
@@ -243,10 +237,7 @@ def mode_entropy(nu):
 def gaussian_entropy(sigma: CovarianceMatrix) -> float:
     """von Neumann entropy of a Gaussian state: sum of f over the
     symplectic spectrum, in nats."""
-    nus = symplectic_eigenvalues(sigma)
-    if sigma.n_modes == 1:
-        return mode_entropy(nus)
-    return sum(mode_entropy(nu) for nu in nus)
+    return sum(mode_entropy(nu) for nu in symplectic_eigenvalues(sigma))
 
 
 def _split_blocks(sigma: np.ndarray, measured_mode: int):
@@ -438,5 +429,8 @@ def covariance_to_json(sigma: CovarianceMatrix) -> str:
 
 
 def covariance_from_json(text: str) -> CovarianceMatrix:
-    rows = json.loads(text)
-    return CovarianceMatrix(np.asarray(rows, dtype=float))
+    try:  # json and numpy raise ValueError or TypeError on bad JSON, ragged rows, non-numbers
+        mat = np.asarray(json.loads(text), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"covariance matrix must be a JSON array of rows of numbers: {exc}") from exc
+    return CovarianceMatrix(mat)

@@ -25,6 +25,8 @@ def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"{what} must be a non-empty {ndim}-d array; got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be finite; got a NaN or infinite entry")
     if np.any(arr < 0.0):
         raise ValidationError(f"{what} has a negative entry: {arr.min()!r}")
     total = float(arr.sum())

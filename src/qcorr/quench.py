@@ -362,7 +362,7 @@ def quench_discord(params: QuenchParams, t: float = 1.0) -> float:
     _require_finite("evolution_time", t)
     one_mode = thermal_covariance(params.beta, params.omega, params.hbar)
     initial = direct_sum(one_mode, one_mode)
-    ham = quench_hamiltonian_matrix(params.omega, params.lambda0, params.mass, params.hbar)
+    ham = quench_hamiltonian_matrix(params.omega, params.lambda0, hbar=params.hbar)
     final = symplectic_evolution(initial, ham, t, params.hbar)
     return gaussian_discord(final, measured_mode=1)
 

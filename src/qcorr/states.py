@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ def eigh_phase_fixed(matrix: np.ndarray):
 
 def _validate_dims(dims, size: int) -> tuple:
     try:
-        d_a, d_b = (int(dims[0]), int(dims[1]))
-    except (TypeError, IndexError) as exc:
+        d_a, d_b = (operator.index(d) for d in dims)  # integers only: no float or str coercion
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"dims must be a pair of integers; got {dims!r}") from exc
     if d_a < 1 or d_b < 1 or d_a * d_b != size:
         raise ValidationError(
@@ -263,7 +264,10 @@ def _matrix_to_pairs(mat: np.ndarray) -> list:
 
 
 def _pairs_to_matrix(pairs) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs])
+    try:
+        flat = np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"matrix must be a list of [re, im] number pairs: {exc}") from exc
     dim = math.isqrt(flat.size)
     if dim * dim != flat.size:
         raise ValidationError(f"matrix length {flat.size} is not a perfect square")
@@ -279,8 +283,10 @@ def density_matrix_from_dict(payload: dict) -> DensityMatrix:
         dims = payload["dims"]
         pairs = payload["matrix"]
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"state object must carry 'dims' and 'matrix': {exc}") from exc
-    return DensityMatrix(_pairs_to_matrix(pairs), (int(dims[0]), int(dims[1])))
+        raise ValidationError(
+            f"density matrix must be a JSON object with 'dims' and 'matrix'; got {type(payload).__name__}"
+        ) from exc
+    return DensityMatrix(_pairs_to_matrix(pairs), dims)
 
 
 def density_matrix_to_json(rho: DensityMatrix) -> str:
@@ -288,4 +294,8 @@ def density_matrix_to_json(rho: DensityMatrix) -> str:
 
 
 def density_matrix_from_json(text: str) -> DensityMatrix:
-    return density_matrix_from_dict(json.loads(text))
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"density matrix file is not valid JSON: {exc}") from exc
+    return density_matrix_from_dict(payload)

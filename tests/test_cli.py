@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcorr import CovarianceMatrix, covariance_to_json, density_matrix_to_json
-from qcorr.cli import everett_demo, load_state, main
+from qcorr.cli import everett_demo, main
 
 from .conftest import bell_density
 
@@ -48,12 +48,25 @@ class TestEntropyVerb:
         assert code == 1
         assert "sum" in err
 
+    @pytest.mark.parametrize("dist", ["0.5,nan", "nan", "0.5,inf"])
+    def test_non_finite_distribution_is_data_error(self, capsys, dist):
+        code, out, err = run(capsys, "entropy", "--dist", dist)
+        assert code == 1
+        assert out == ""
+        assert err == "qcorr: error: distribution must be finite; got a NaN or infinite entry\n"
+
 
 class TestMutualInfoVerb:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "mutual-info", "--joint", "0.4,0.1;0.2,0.3")
         assert code == 0
         assert float(out) == pytest.approx(0.08630462173553428, abs=1e-12)
+
+    def test_non_finite_table_is_data_error(self, capsys):
+        code, out, err = run(capsys, "mutual-info", "--joint", "nan,0;0,0.5")
+        assert code == 1
+        assert out == ""
+        assert err == "qcorr: error: joint table must be finite; got a NaN or infinite entry\n"
 
 
 class TestUsageErrors:
@@ -77,14 +90,71 @@ class TestUsageErrors:
         assert "--beta" in err
 
 
-class TestLoadState:
-    def test_density_matrix_detected(self, bell_file):
-        rho = load_state(bell_file)
-        assert rho.dims == (2, 2)
+def assert_data_error(code, out, err, *words):
+    """Exit 1, nothing on stdout, one diagnostic line naming ``words``."""
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qcorr: error: ") and err.count("\n") == 1
+    for word in words:
+        assert word in err
 
-    def test_covariance_detected(self, vacuum_cov_file):
-        sigma = load_state(vacuum_cov_file)
-        assert sigma.n_modes == 2
+
+class TestLoadState:
+    """Each verb decodes the one file type it needs, and says so when the
+    file holds something else."""
+
+    @pytest.mark.parametrize("verb", ["qstate", "discord"])
+    def test_density_verbs_reject_covariance_file(self, capsys, vacuum_cov_file, verb):
+        code, out, err = run(capsys, verb, "--state", vacuum_cov_file)
+        assert_data_error(code, out, err, "density matrix must be a JSON object with 'dims' and 'matrix'")
+
+    def test_gaussian_rejects_density_file(self, capsys, bell_file):
+        code, out, err = run(capsys, "gaussian", "--cov", bell_file)
+        assert_data_error(code, out, err, "covariance matrix must be a JSON array of rows of numbers")
+
+    def test_gaussian_needs_two_modes(self, capsys, tmp_path):
+        path = tmp_path / "one_mode.json"
+        path.write_text(covariance_to_json(CovarianceMatrix(0.5 * np.eye(2))))
+        code, out, err = run(capsys, "gaussian", "--cov", str(path))
+        assert_data_error(code, out, err, "two-mode", "1 mode")
+
+    @pytest.mark.parametrize(
+        "verb, payload, words",
+        [
+            (
+                "qstate",
+                {"dims": [2, 1], "matrix": [[1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+                ["[re, im] number pairs"],
+            ),
+            (
+                "qstate",
+                {"dims": ["a", 2], "matrix": [[0.25 * (k % 5 == 0), 0.0] for k in range(16)]},
+                ["dims must be a pair of integers", "'a'"],
+            ),
+            ("gaussian", [[0.5, 0.0], [0.5]], ["covariance matrix must be a JSON array of rows of numbers"]),
+        ],
+        ids=["three-element-pair", "string-dims", "ragged-covariance"],
+    )
+    def test_malformed_file_is_data_error(self, capsys, tmp_path, verb, payload, words):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        flag = "--cov" if verb == "gaussian" else "--state"
+        code, out, err = run(capsys, verb, flag, str(path))
+        assert_data_error(code, out, err, *words)
+
+    @pytest.mark.parametrize("verb, flag", [("qstate", "--state"), ("gaussian", "--cov")])
+    def test_invalid_json_is_data_error(self, capsys, tmp_path, verb, flag):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        code, out, err = run(capsys, verb, flag, str(path))
+        assert_data_error(code, out, err, "JSON")
+
+    @pytest.mark.parametrize("verb, flag", [("qstate", "--state"), ("gaussian", "--cov")])
+    def test_non_utf8_file_is_data_error(self, capsys, tmp_path, verb, flag):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe[[0.5")
+        code, out, err = run(capsys, verb, flag, str(path))
+        assert_data_error(code, out, err, "utf-8")
 
     def test_trace_violation_named(self, tmp_path, capsys):
         payload = {
@@ -170,6 +240,20 @@ class TestEverettVerb:
             assert later[1] <= earlier[1] + 1e-9
             assert later[2] <= earlier[2] + 1e-9
 
+    @pytest.mark.parametrize("points", ["-3", "0", "1"])
+    def test_fewer_than_two_points_is_data_error(self, capsys, tmp_path, points):
+        out_path = tmp_path / "never.csv"
+        code, out, err = run(
+            capsys, "everett", "--alpha", "1", "--beta", "0", "--points", points, "--out", str(out_path)
+        )
+        assert_data_error(code, out, err, "--points must be at least 2")
+        assert not out_path.exists()
+
+    def test_two_points_are_the_endpoints(self, capsys):
+        code, out, _ = run(capsys, "everett", "--alpha", "1", "--beta", "0", "--points", "2")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == ["0", "1"]
+
 
 class TestQuenchVerbs:
     def test_point_report(self, capsys):
@@ -224,7 +308,6 @@ class TestQuenchVerbs:
         [
             ("--lambda0", "nan", "lambda0"),
             ("--omega", "inf", "omega"),
-            ("--mass", "nan", "mass"),
             ("--hbar", "inf", "hbar"),
             ("--kb", "nan", "kb"),
             ("--time", "nan", "evolution_time"),
@@ -238,6 +321,15 @@ class TestQuenchVerbs:
         assert code == 1
         assert out == ""
         assert err.startswith(f"qcorr: error: {name} must be finite")
+
+    @pytest.mark.parametrize("verb", ["point", "sweep"])
+    def test_mass_flag_is_gone(self, capsys, verb):
+        # the mass cancels in every quench output, so there is no --mass flag
+        argv = ["quench", verb, "--mass", "nan"] + (["--beta", "1"] if verb == "point" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --mass" in err
 
     @pytest.mark.parametrize("beta", ["inf", "nan"])
     def test_non_finite_beta_is_a_data_error(self, capsys, beta):

@@ -116,6 +116,13 @@ class TestQuenchHamiltonian:
         assert freqs == pytest.approx([w1, w2], abs=1e-12)
         assert w2 == pytest.approx(math.sqrt(omega**2 + 2 * lam**2), abs=1e-15)
 
+    def test_hbar_is_keyword_only(self):
+        # the mass cancels and is no parameter; a third positional value must not become hbar
+        with pytest.raises(TypeError):
+            quench_hamiltonian_matrix(1.0, 1.0, 2.0)
+        ham = quench_hamiltonian_matrix(1.0, 1.0, hbar=2.0)
+        assert np.allclose(ham.matrix, 2.0 * quench_hamiltonian_matrix(1.0, 1.0).matrix, atol=1e-15)
+
 
 class TestSymplecticEvolution:
     def test_zero_time_is_identity(self):
@@ -194,6 +201,15 @@ class TestSymplecticEigenvalues:
         sigma = CovarianceMatrix(nu * np.eye(4))
         assert symplectic_eigenvalues(sigma) == pytest.approx((nu, nu), abs=1e-12)
 
+    def test_one_mode_gives_a_one_tuple(self):
+        assert symplectic_eigenvalues(thermal_covariance(1.0, 1.0)) == pytest.approx(
+            (NU_THERMAL_UNIT,), abs=1e-12
+        )
+
+    def test_three_modes_give_the_whole_spectrum(self):
+        sigma = CovarianceMatrix(np.diag([0.5, 0.5, 1.0, 1.0, 2.0, 2.0]))
+        assert symplectic_eigenvalues(sigma) == pytest.approx((0.5, 1.0, 2.0), abs=1e-12)
+
     def test_determinant_identity_on_quench_state(self):
         sigma = quench_state()
         nu_minus, nu_plus = symplectic_eigenvalues(sigma)
@@ -211,6 +227,14 @@ class TestGaussianEntropy:
         assert gaussian_entropy(thermal_covariance(1.0, 1.0)) == pytest.approx(
             MODE_ENTROPY_UNIT, abs=1e-12
         )
+
+    def test_three_modes_sum_over_the_whole_spectrum(self):
+        sigma = CovarianceMatrix(np.diag([0.5, 0.5, 1.0, 1.0, 2.0, 2.0]))
+        expected = sum(
+            (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5) for nu in (1.0, 2.0)
+        )
+        assert expected == pytest.approx(2.6373, abs=1e-4)
+        assert gaussian_entropy(sigma) == pytest.approx(expected, abs=1e-12)
 
     def test_fock_series_cross_check(self):
         beta = 1.3
@@ -301,6 +325,13 @@ class TestSerialization:
         sigma = random_covariance(2)
         recovered = covariance_from_json(covariance_to_json(sigma))
         assert np.array_equal(recovered.sigma, sigma.sigma)
+
+    @pytest.mark.parametrize(
+        "text", ["[[0.5, 0], [0.5]]", '[["half", 0], [0, 0.5]]', '{"dims": [2, 1]}', "[[0.5, 0]"]
+    )
+    def test_malformed_file_rejected(self, text):
+        with pytest.raises(ValidationError, match="covariance matrix must be a JSON array of rows"):
+            covariance_from_json(text)
 
     def test_loading_enforces_uncertainty_bound(self):
         text = covariance_to_json(CovarianceMatrix(0.5 * np.eye(4))).replace("0.5", "0.4")

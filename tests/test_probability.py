@@ -49,6 +49,23 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             JointDistribution([0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # nan compares False against every bound, so it needs its own check
+        with pytest.raises(ValidationError, match="distribution must be finite"):
+            Distribution([0.5, bad])
+        with pytest.raises(ValidationError, match="distribution must be finite"):
+            Distribution([bad])
+        with pytest.raises(ValidationError, match="joint table must be finite"):
+            JointDistribution([[bad, 0.0], [0.0, 0.5]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_normalized_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            Distribution.normalized([1.0, bad])
+        with pytest.raises(ValidationError, match="must be finite"):
+            JointDistribution.normalized([[1.0, bad], [0.0, 1.0]])
+
     def test_probs_are_read_only(self):
         d = Distribution([0.5, 0.5])
         with pytest.raises(ValueError):

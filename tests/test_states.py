@@ -48,6 +48,15 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="dims"):
             DensityMatrix(np.eye(4) / 4.0, (3, 2))
 
+    @pytest.mark.parametrize("dims", [(2.0, 2), ("2", 2), (2.5, 2), (4,), (1, 2, 2), 4])
+    def test_dims_must_be_a_pair_of_integers(self, dims):
+        # no float or string is truncated or parsed into a dimension
+        with pytest.raises(ValidationError, match="dims must be a pair of integers"):
+            DensityMatrix(np.eye(4) / 4.0, dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        assert DensityMatrix(np.eye(4) / 4.0, np.array([2, 2])).dims == (2, 2)
+
     def test_pure_state_norm_checked(self):
         with pytest.raises(ValidationError, match="norm"):
             PureState([1.0, 0.5], (2, 1))
@@ -249,6 +258,21 @@ class TestSerialization:
         recovered = density_matrix_from_json(density_matrix_to_json(rho))
         assert np.array_equal(recovered.elements, rho.elements)
         assert recovered.dims == rho.dims
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "not valid JSON"),
+            ("[[0.5, 0.0], [0.0, 0.5]]", "JSON object with 'dims' and 'matrix'; got list"),
+            ('{"dims": [2, 1]}', "JSON object with 'dims' and 'matrix'; got dict"),
+            ('{"dims": [2, 1], "matrix": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}', r"\[re, im\] number pairs"),
+            ('{"dims": [2, 1], "matrix": [["1", 0], [0, 0], [0, 0], [0, 0]]}', r"\[re, im\] number pairs"),
+            ('{"dims": ["a", 1], "matrix": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "pair of integers"),
+        ],
+    )
+    def test_malformed_file_rejected(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            density_matrix_from_json(text)
 
     def test_loading_enforces_invariants(self):
         text = density_matrix_to_json(bell_density()).replace("0.4999999999999999", "0.4", 1)

@@ -5,7 +5,9 @@ max entrywise defect ``|M - M^dagger|`` is exactly ``delta``: half the
 type's tolerance is accepted, twice it rejected, and a NaN or infinite
 defect is rejected as non-finite. The tolerances are written out here,
 not imported from ``qcorr.errors``, so that moving a gate fails these
-tests.
+tests. The uncertainty bound nu >= 1/2 - 1e-9 is pinned the same way,
+for the covariance constructor and for ``mode_entropy``, which must
+never reject what the constructor accepted.
 """
 
 import numpy as np
@@ -18,6 +20,9 @@ from qcorr import (
     Povm,
     QuadraticHamiltonian,
     ValidationError,
+    gaussian_entropy,
+    mode_entropy,
+    symplectic_eigenvalues,
 )
 
 
@@ -74,3 +79,31 @@ def test_non_finite_entry_rejected(name, value):
 def test_non_finite_diagonal_rejected():
     with pytest.raises(ValidationError, match="density matrix must be finite"):
         DensityMatrix(np.diag([float("nan"), 0.5, 0.25, 0.25]), (2, 2))
+
+
+PHYSICALITY_SLACK = 1e-9
+
+
+def test_covariance_at_half_slack_accepted_downstream():
+    sigma = CovarianceMatrix((0.5 - 0.5 * PHYSICALITY_SLACK) * np.eye(4))
+    assert gaussian_entropy(sigma) == 0.0
+    assert symplectic_eigenvalues(sigma) == pytest.approx((0.5, 0.5), abs=1e-9)
+
+
+def test_covariance_at_double_slack_rejected():
+    with pytest.raises(ValidationError, match="uncertainty"):
+        CovarianceMatrix((0.5 - 2.0 * PHYSICALITY_SLACK) * np.eye(4))
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+def test_mode_entropy_half_slack_accepted(as_array):
+    nu = 0.5 - 0.5 * PHYSICALITY_SLACK
+    value = mode_entropy(np.array([nu]) if as_array else nu)
+    assert np.array_equal(value, [0.0] if as_array else 0.0)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+def test_mode_entropy_double_slack_rejected(as_array):
+    nu = 0.5 - 2.0 * PHYSICALITY_SLACK
+    with pytest.raises(ValidationError, match="below the vacuum value"):
+        mode_entropy(np.array([nu, 1.0]) if as_array else nu)
