@@ -196,7 +196,10 @@ def symplectic_evolution(
             f"mode mismatch: state has {sigma.n_modes}, Hamiltonian {ham.n_modes}"
         )
     s = symplectic_propagator(ham, t, hbar)
-    return CovarianceMatrix(s @ sigma.sigma @ s.T)
+    evolved = s @ sigma.sigma @ s.T
+    # symmetric up to rounding, which at large entries exceeds the
+    # absolute MATRIX_TOL meant for input matrices
+    return CovarianceMatrix((evolved + evolved.T) / 2.0)
 
 
 def symplectic_eigenvalues(sigma: CovarianceMatrix) -> tuple:
@@ -210,13 +213,13 @@ def mode_entropy(nu):
     """Entropy contribution f(nu) = (nu + 1/2) ln(nu + 1/2)
     - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue.
 
-    Rejects nu below 1/2 - PHYSICALITY_SLACK, the bound a
+    Rejects NaN and nu below 1/2 - PHYSICALITY_SLACK, the bound a
     :class:`CovarianceMatrix` is built with. A float gives a float,
     evaluated with ``math`` because the measurement search calls it once
     per evaluation; an array gives an array.
     """
     if isinstance(nu, float):
-        if nu < VACUUM_VARIANCE - PHYSICALITY_SLACK:
+        if not nu >= VACUUM_VARIANCE - PHYSICALITY_SLACK:
             raise ValidationError(f"symplectic eigenvalue {nu!r} below the vacuum value 1/2")
         above = nu - VACUUM_VARIANCE
         if above <= SUPPORT_CUTOFF:
@@ -225,7 +228,7 @@ def mode_entropy(nu):
         return plus * math.log(plus) - above * math.log(above)
     nu = np.asarray(nu, dtype=float)
     above = nu - VACUUM_VARIANCE
-    if (nu < VACUUM_VARIANCE - PHYSICALITY_SLACK).any():
+    if not (nu >= VACUUM_VARIANCE - PHYSICALITY_SLACK).all():
         lowest = float(nu.min())
         raise ValidationError(f"symplectic eigenvalue {lowest!r} below the vacuum value 1/2")
     support = above > SUPPORT_CUTOFF
@@ -316,38 +319,91 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     return np.maximum(value, 0.0)
 
 
+def _block_entries(sigma: np.ndarray, measured_mode: int) -> tuple:
+    """The blocks of :func:`_split_blocks` as Python floats:
+    ``(m00, m01, m11, b00, b01, b11, c00, c01, c10, c11)`` for the
+    symmetric measured block M and unmeasured block B and the cross
+    block C."""
+    meas, unmeas, cross = (block.tolist() for block in _split_blocks(sigma, measured_mode))
+    return (
+        meas[0][0], meas[0][1], meas[1][1],
+        unmeas[0][0], unmeas[0][1], unmeas[1][1],
+        cross[0][0], cross[0][1], cross[1][0], cross[1][1],
+    )
+
+
+def _finite_conditional_det(entries: tuple, s, c, sn):
+    """det(B - k^T (R^T M R + diag(s/2, 1/(2s)))^-1 k) with k = R^T C and R
+    the rotation with cosine ``c`` and sine ``sn``, for the entries of
+    :func:`_block_entries`. ``s``, ``c`` and ``sn`` are floats or
+    broadcastable arrays.
+
+    M is rotated before the seed is added, and the sum is inverted
+    analytically: adding R D R^T to M first loses digits at extreme
+    squeezing.
+    """
+    m00, m01, m11, b00, b01, b11, c00, c01, c10, c11 = entries
+    a00 = c * m00 + sn * m01  # R^T M
+    a01 = c * m01 + sn * m11
+    a10 = -sn * m00 + c * m01
+    a11 = -sn * m01 + c * m11
+    r00 = a00 * c + a01 * sn + s / 2.0  # (R^T M) R + D
+    r01 = -a00 * sn + a01 * c
+    r11 = -a10 * sn + a11 * c + 1.0 / (2.0 * s)
+    det = r00 * r11 - r01 * r01
+    i00, i01, i11 = r11 / det, -r01 / det, r00 / det
+    k00 = c * c00 + sn * c10  # R^T C
+    k01 = c * c01 + sn * c11
+    k10 = -sn * c00 + c * c10
+    k11 = -sn * c01 + c * c11
+    p00 = k00 * i00 + k10 * i01  # k^T (R^T M R + D)^-1
+    p01 = k00 * i01 + k10 * i11
+    p10 = k01 * i00 + k11 * i01
+    p11 = k01 * i01 + k11 * i11
+    q00 = b00 - (p00 * k00 + p01 * k10)
+    q01 = b01 - (p00 * k01 + p01 * k11)
+    q11 = b11 - (p10 * k01 + p11 * k11)
+    return q00 * q11 - q01 * q01
+
+
+def _homodyne_conditional_det(entries: tuple, c, sn):
+    """det(B - w w^T / (v^T M v)) with v = (c, sn) and w = C^T v, the
+    infinite-squeezing limit of :func:`_finite_conditional_det`."""
+    m00, m01, m11, b00, b01, b11, c00, c01, c10, c11 = entries
+    w0 = c00 * c + c10 * sn
+    w1 = c01 * c + c11 * sn
+    denom = (c * m00 + sn * m01) * c + (c * m01 + sn * m11) * sn
+    q01 = b01 - w0 * w1 / denom
+    return (b00 - w0 * w0 / denom) * (b11 - w1 * w1 / denom) - q01 * q01
+
+
+def _conditional_entropy(det):
+    """Entropy of the conditional mode from its determinant, which
+    rounding may push below the vacuum value 1/4; float or array."""
+    if isinstance(det, float):
+        return mode_entropy(math.sqrt(max(det, 0.25)))
+    return mode_entropy(np.sqrt(np.maximum(det, 0.25)))
+
+
 def _conditional_entropy_factory(sigma: np.ndarray, measured_mode: int):
     """Conditional-entropy objectives for seeded Gaussian measurements.
 
     Returns ``(finite, homodyne)`` where ``finite(u, phi)`` evaluates the
     post-measurement entropy of the unmeasured mode for the seed
     covariance R(phi) diag(e^u / 2, e^-u / 2) R(phi)^T and
-    ``homodyne(phi)`` evaluates the exact infinite-squeezing limit. The
-    measured block is rotated first and inverted analytically so both
-    stay accurate at extreme squeezing.
+    ``homodyne(phi)`` evaluates the exact infinite-squeezing limit. Both
+    are scalar ``math`` expressions over the block entries; the measured
+    block is rotated first and inverted analytically so both stay
+    accurate at extreme squeezing.
     """
-    meas, unmeas, cross = _split_blocks(sigma, measured_mode)
+    entries = _block_entries(sigma, measured_mode)
 
     def finite(u: float, phi: float) -> float:
-        u = min(max(u, -34.5), 34.5)
-        s = math.exp(u)
-        c, sn = math.cos(phi), math.sin(phi)
-        rot = np.array([[c, -sn], [sn, c]])
-        m_rot = rot.T @ meas @ rot
-        cross_rot = rot.T @ cross
-        m00 = m_rot[0, 0] + s / 2.0
-        m11 = m_rot[1, 1] + 1.0 / (2.0 * s)
-        m01 = m_rot[0, 1]
-        det = m00 * m11 - m01 * m01
-        inv = np.array([[m11, -m01], [-m01, m00]]) / det
-        conditional = unmeas - cross_rot.T @ inv @ cross_rot
-        return mode_entropy(math.sqrt(max(float(np.linalg.det(conditional)), 0.25)))
+        s = math.exp(min(max(u, -34.5), 34.5))
+        return _conditional_entropy(_finite_conditional_det(entries, s, math.cos(phi), math.sin(phi)))
 
     def homodyne(phi: float) -> float:
-        v = np.array([math.cos(phi), math.sin(phi)])
-        w = cross.T @ v
-        conditional = unmeas - np.outer(w, w) / float(v @ meas @ v)
-        return mode_entropy(math.sqrt(max(float(np.linalg.det(conditional)), 0.25)))
+        return _conditional_entropy(_homodyne_conditional_det(entries, math.cos(phi), math.sin(phi)))
 
     return finite, homodyne
 
@@ -365,25 +421,30 @@ def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 
     """
     _require_two_modes(sigma)
     meas, unmeas, _ = _split_blocks(sigma.sigma, measured_mode)
+    entries = _block_entries(sigma.sigma, measured_mode)
     finite, homodyne = _conditional_entropy_factory(sigma.sigma, measured_mode)
 
+    # the grid as one array, u down the rows; a stable argsort keeps the
+    # first of equal cells in (u, phi) order
     u_grid = np.linspace(_LOG_S_RANGE[0], _LOG_S_RANGE[1], _MEASUREMENT_GRID_S)
     phi_grid = np.linspace(0.0, math.pi, _MEASUREMENT_GRID_PHI, endpoint=False)
-    cells = sorted(
-        ((finite(u, phi), u, phi) for u in u_grid for phi in phi_grid),
-        key=lambda cell: cell[0],
+    grid = _conditional_entropy(
+        _finite_conditional_det(entries, np.exp(u_grid)[:, None], np.cos(phi_grid), np.sin(phi_grid))
     )
-    best = cells[0][0]
-    for _, u0, phi0 in cells[:3]:
+    starts = np.argsort(grid, axis=None, kind="stable")[:3]
+    best = float(grid.flat[starts[0]])
+    for u_at, phi_at in zip(*np.unravel_index(starts, grid.shape)):
         refined = minimize(
             lambda z: finite(z[0], z[1]),
-            np.array([u0, phi0]),
+            np.array([u_grid[u_at], phi_grid[phi_at]]),
             method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 4000},
         )
         best = min(best, float(refined.fun))
-    hom_grid = [(homodyne(phi), phi) for phi in np.linspace(0.0, math.pi, 64, endpoint=False)]
-    hom_best, hom_phi = min(hom_grid, key=lambda cell: cell[0])
+    hom_phis = np.linspace(0.0, math.pi, 64, endpoint=False)
+    hom_grid = _conditional_entropy(_homodyne_conditional_det(entries, np.cos(hom_phis), np.sin(hom_phis)))
+    hom_at = int(np.argmin(hom_grid))
+    hom_best, hom_phi = float(hom_grid[hom_at]), hom_phis[hom_at]
     hom_refined = minimize(
         lambda z: homodyne(z[0]),
         np.array([hom_phi]),

@@ -35,12 +35,16 @@ def eigh_phase_fixed(matrix: np.ndarray):
     return vals, vecs
 
 
-def _validate_dims(dims, size: int) -> tuple:
+def _validate_dims(dims, size: int | None = None) -> tuple:
+    """``dims`` as a pair of positive integers whose product is ``size``
+    (any product when ``size`` is None)."""
     try:
         d_a, d_b = (operator.index(d) for d in dims)  # integers only: no float or str coercion
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"dims must be a pair of integers; got {dims!r}") from exc
-    if d_a < 1 or d_b < 1 or d_a * d_b != size:
+    if d_a < 1 or d_b < 1:
+        raise ValidationError(f"dims must be positive; got {dims!r}")
+    if size is not None and d_a * d_b != size:
         raise ValidationError(
             f"dims {dims!r} incompatible with total dimension {size}"
         )
@@ -242,7 +246,7 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     and returns ``X X^dagger / Tr[X X^dagger]``. Deterministic for a
     fixed seed.
     """
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = _validate_dims(dims)
     dim = d_a * d_b
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must be in [1, {dim}]; got {rank}")

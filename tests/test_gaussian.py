@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qcorr import gaussian
 from qcorr import (
     CovarianceMatrix,
     QuadraticHamiltonian,
@@ -318,6 +319,98 @@ class TestGaussianDiscord:
         shrunk = sigma.sigma.copy()
         with pytest.raises(ValidationError):
             CovarianceMatrix(shrunk * 0.8)
+
+
+def tmsv(r: float) -> CovarianceMatrix:
+    """Two-mode squeezed vacuum with squeezing r."""
+    c, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+    z = np.diag([1.0, -1.0])
+    return CovarianceMatrix(np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]]))
+
+
+def reference_conditional(sigma: np.ndarray, mode: int, u: float, phi: float) -> np.ndarray:
+    """Conditional covariance of the unmeasured mode after the seeded
+    measurement R(phi) diag(e^u / 2, e^-u / 2) R(phi)^T, by 2x2 matrix
+    products: the measured block is rotated, the seed added and the sum
+    inverted analytically."""
+    meas, unmeas, cross = gaussian._split_blocks(sigma, mode)
+    s = math.exp(min(max(u, -34.5), 34.5))
+    c, sn = math.cos(phi), math.sin(phi)
+    rot = np.array([[c, -sn], [sn, c]])
+    m_rot = rot.T @ meas @ rot
+    cross_rot = rot.T @ cross
+    m00 = m_rot[0, 0] + s / 2.0
+    m11 = m_rot[1, 1] + 1.0 / (2.0 * s)
+    m01 = m_rot[0, 1]
+    inv = np.array([[m11, -m01], [-m01, m00]]) / (m00 * m11 - m01 * m01)
+    return unmeas - cross_rot.T @ inv @ cross_rot
+
+
+def reference_homodyne_conditional(sigma: np.ndarray, mode: int, phi: float) -> np.ndarray:
+    """Infinite-squeezing limit of :func:`reference_conditional`."""
+    meas, unmeas, cross = gaussian._split_blocks(sigma, mode)
+    v = np.array([math.cos(phi), math.sin(phi)])
+    w = cross.T @ v
+    return unmeas - np.outer(w, w) / float(v @ meas @ v)
+
+
+def reference_entropy(conditional: np.ndarray) -> float:
+    return mode_entropy(math.sqrt(max(float(np.linalg.det(conditional)), 0.25)))
+
+
+ORACLE_STATES = [random_covariance(seed) for seed in range(10)] + [tmsv(r) for r in (0.0, 1.0, 3.9)]
+EXTREME_U = [-34.5, -20.0, 0.0, 20.0, 34.5]
+PHIS = np.linspace(0.0, math.pi, 12, endpoint=False) + 0.1
+
+
+class TestOracleObjectives:
+    """The scalar objectives and the array grid kernel of
+    :func:`minimize_gaussian_measurement` against the matrix-product
+    reference. The determinant is held to 1e-13 relative to ||sigma||^2,
+    the size of the terms that cancel in it; the entropy to 30 times
+    that, since f(sqrt(det)) has slope at most ln(1e12) < 30 in det above
+    the support cutoff."""
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_finite_squeezing(self, index, mode):
+        sigma = ORACLE_STATES[index].sigma
+        tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
+        entries = gaussian._block_entries(sigma, mode)
+        finite, _ = gaussian._conditional_entropy_factory(sigma, mode)
+        for u in EXTREME_U:
+            grid = gaussian._finite_conditional_det(entries, math.exp(u), np.cos(PHIS), np.sin(PHIS))
+            for phi, from_grid in zip(PHIS, grid):
+                conditional = reference_conditional(sigma, mode, u, phi)
+                expected = float(np.linalg.det(conditional))
+                scalar = gaussian._finite_conditional_det(entries, math.exp(u), math.cos(phi), math.sin(phi))
+                assert scalar == pytest.approx(expected, rel=0, abs=tol)
+                assert from_grid == pytest.approx(expected, rel=0, abs=tol)
+                assert finite(u, phi) == pytest.approx(reference_entropy(conditional), rel=0, abs=30 * tol)
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_homodyne(self, index, mode):
+        sigma = ORACLE_STATES[index].sigma
+        tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
+        entries = gaussian._block_entries(sigma, mode)
+        _, homodyne = gaussian._conditional_entropy_factory(sigma, mode)
+        grid = gaussian._homodyne_conditional_det(entries, np.cos(PHIS), np.sin(PHIS))
+        for phi, from_grid in zip(PHIS, grid):
+            conditional = reference_homodyne_conditional(sigma, mode, phi)
+            expected = float(np.linalg.det(conditional))
+            scalar = gaussian._homodyne_conditional_det(entries, math.cos(phi), math.sin(phi))
+            assert scalar == pytest.approx(expected, rel=0, abs=tol)
+            assert from_grid == pytest.approx(expected, rel=0, abs=tol)
+            assert homodyne(phi) == pytest.approx(reference_entropy(conditional), rel=0, abs=30 * tol)
+
+    def test_oracle_matches_closed_form_tightly(self):
+        for seed in range(100, 120):
+            sigma = random_covariance(seed)
+            for mode in (1, 2):
+                assert minimize_gaussian_measurement(sigma, mode) == pytest.approx(
+                    gaussian_discord(sigma, mode), rel=0, abs=1e-9
+                )
 
 
 class TestSerialization:

@@ -287,6 +287,13 @@ class TestQuenchDiscord:
         assert value == pytest.approx(gaussian_discord(state), abs=1e-12)
 
 
+    def test_high_temperature_state_is_accepted(self):
+        # S sigma S^T at nu = 1e7 is asymmetric by rounding far above the
+        # absolute symmetry tolerance for input matrices; the state is a
+        # thermal one of nu = (1/2) coth(5e-8) = 1e7 and nearly classical
+        assert quench_discord(replace(UNIT, beta=1e-7)) == pytest.approx(0.0, abs=1e-6)
+
+
 class TestReportAndSweep:
     def test_report_identities(self):
         report = report_at(UNIT)

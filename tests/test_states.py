@@ -251,6 +251,16 @@ class TestRandomDensityMatrix:
         with pytest.raises(ValidationError, match="rank"):
             random_density_matrix((2, 2), 5, seed=0)
 
+    @pytest.mark.parametrize("dims", [(2.7, 2), ("2", 2), (2, 2, 1)])
+    def test_dims_must_be_a_pair_of_integers(self, dims):
+        # the constructor's rule: a float is rejected, not truncated
+        with pytest.raises(ValidationError, match="dims must be a pair of integers"):
+            random_density_matrix(dims, 2, seed=1)
+
+    def test_dims_must_be_positive(self):
+        with pytest.raises(ValidationError, match="dims must be positive"):
+            random_density_matrix((-2, -2), 2, seed=1)
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self):

@@ -107,3 +107,11 @@ def test_mode_entropy_double_slack_rejected(as_array):
     nu = 0.5 - 2.0 * PHYSICALITY_SLACK
     with pytest.raises(ValidationError, match="below the vacuum value"):
         mode_entropy(np.array([nu, 1.0]) if as_array else nu)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+def test_mode_entropy_nan_rejected(as_array):
+    # NaN compares false both ways, so the gate must accept only nu >= bound
+    nu = float("nan")
+    with pytest.raises(ValidationError, match="below the vacuum value"):
+        mode_entropy(np.array([nu, 1.0]) if as_array else nu)
