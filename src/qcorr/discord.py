@@ -24,7 +24,9 @@ once per search. The bases along n and -n are the same pair of
 projectors, so C(n) = C(-n), and the grid covers only the hemisphere
 phi in [0, pi): its points and their antipodes (pi - theta, phi + pi)
 make up the full theta x [0, 2 pi) grid, whose maximum is therefore the
-same. Exchanging A and B maps (a, b, T) to (b, a, T^T).
+same. Exchanging A and B maps (a, b, T) to (b, a, T^T). The grid
+maximum is refined by the in-repo Nelder-Mead of :mod:`qcorr._simplex`,
+a step-for-step port of scipy's, so this module does not import scipy.
 
 :func:`classical_correlations_at` does not use this representation: it
 measures through :class:`~qcorr.measurement.Povm` and partial traces,
@@ -37,8 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._simplex import minimize
 from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
 from .measurement import Povm, povm_outcome
 from .states import DensityMatrix, partial_trace, quantum_mutual_information, von_neumann_entropy
@@ -238,18 +240,15 @@ def _maximize_classical_correlations(bloch):
         return -max(value, 0.0)
 
     result = minimize(
-        negated,
-        np.array([thetas[it], phis[ip]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 600, "maxfev": 600},
+        negated, (float(thetas[it]), float(phis[ip])), xatol=1e-7, fatol=1e-12, maxiter=600, maxfev=600
     )
-    evaluations = THETA_POINTS * PHI_POINTS + int(result.nfev)
+    evaluations = THETA_POINTS * PHI_POINTS + result.nfev
     if -result.fun >= grid_value:
-        value = -float(result.fun)
+        value = -result.fun
         basis = MeasurementBasis.canonical(result.x[0], result.x[1])
     else:
         value, basis = grid_value, MeasurementBasis.canonical(thetas[it], phis[ip])
-    return value, basis, evaluations, bool(result.success)
+    return value, basis, evaluations, result.success
 
 
 def max_classical_correlations(rho: DensityMatrix):

@@ -10,7 +10,11 @@ symplectic eigenvalue at least 1/2. All entropies are in nats.
 The closed-form Gaussian discord below is stated in the doubled
 (vacuum = identity) convention internally; its agreement with the
 measurement-minimization search is part of the acceptance suite, which
-makes any convention slip detectable.
+makes any convention slip detectable. That search refines with the
+in-repo Nelder-Mead of :mod:`qcorr._simplex`. scipy's ``expm`` is
+imported only inside :func:`symplectic_propagator` and
+:func:`random_covariance`, so importing this module does not import
+scipy.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import minimize
 
+from ._simplex import minimize
 from .errors import (
     BRANCH_BOUNDARY_WIDTH,
     HAMILTONIAN_TOL,
@@ -156,6 +159,8 @@ def normal_mode_frequencies(omega: float, lam: float):
 
 def symplectic_propagator(ham: QuadraticHamiltonian, t: float, hbar: float = 1.0) -> np.ndarray:
     """Propagator S = exp(Omega G t / hbar) for the quadrature vector."""
+    from scipy.linalg import expm  # an oracle only; keeps scipy off the import path
+
     omega_s = symplectic_form(ham.n_modes)
     return expm(omega_s @ ham.matrix * (t / hbar))
 
@@ -436,22 +441,19 @@ def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 
     for u_at, phi_at in zip(*np.unravel_index(starts, grid.shape)):
         refined = minimize(
             lambda z: finite(z[0], z[1]),
-            np.array([u_grid[u_at], phi_grid[phi_at]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 4000},
+            (float(u_grid[u_at]), float(phi_grid[phi_at])),
+            xatol=1e-10,
+            fatol=1e-14,
+            maxiter=4000,
+            maxfev=4000,
         )
-        best = min(best, float(refined.fun))
+        best = min(best, refined.fun)
     hom_phis = np.linspace(0.0, math.pi, 64, endpoint=False)
     hom_grid = _conditional_entropy(_homodyne_conditional_det(entries, np.cos(hom_phis), np.sin(hom_phis)))
     hom_at = int(np.argmin(hom_grid))
     hom_best, hom_phi = float(hom_grid[hom_at]), hom_phis[hom_at]
-    hom_refined = minimize(
-        lambda z: homodyne(z[0]),
-        np.array([hom_phi]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000},
-    )
-    min_conditional = min(best, hom_best, float(hom_refined.fun))
+    hom_refined = minimize(lambda z: homodyne(z[0]), (float(hom_phi),), xatol=1e-12, fatol=1e-15, maxiter=2000)
+    min_conditional = min(best, hom_best, hom_refined.fun)
 
     nu_minus, nu_plus = symplectic_eigenvalues(sigma)
     entropy_meas = mode_entropy(math.sqrt(max(float(np.linalg.det(meas)), 0.25)))
@@ -470,6 +472,8 @@ def random_covariance(seed: int, nu_max: float = 3.0, pure_prob: float = 0.2) ->
     by a random symplectic built from a Gaussian symmetric generator.
     Deterministic for a fixed seed.
     """
+    from scipy.linalg import expm  # test and benchmark input only; keeps scipy off the import path
+
     rng = np.random.default_rng(seed)
     gen = rng.normal(0.0, 0.35, (4, 4))
     gen = (gen + gen.T) / 2.0

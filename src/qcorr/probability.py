@@ -46,9 +46,19 @@ def _plogp(p: np.ndarray) -> np.ndarray:
 
 
 def _normalized(cls, weights):
-    """Build a distribution by normalizing raw non-negative weights."""
+    """Build a distribution by normalizing raw non-negative weights.
+
+    Finite weights whose sum overflows are first divided by the largest
+    of them; any other input is divided by its sum alone.
+    """
     w = np.asarray(weights, dtype=float)
-    total = w.sum()
+    if not np.isfinite(w).all():
+        raise ValidationError("weights must be finite; got a NaN or infinite entry")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if total == math.inf:
+        w = w / w.max()
+        total = w.sum()
     if total <= 0:
         raise ValidationError(f"weights must have positive total; got {total!r}")
     return cls(w / total)

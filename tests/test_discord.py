@@ -232,9 +232,10 @@ class TestDiscord:
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
         module = importlib.import_module("qcorr.discord")
         nfev = []
+        refine = module.minimize
 
         def recording_minimize(*args, **kwargs):
-            result = minimize(*args, **kwargs)
+            result = refine(*args, **kwargs)
             nfev.append(int(result.nfev))
             return result
 

@@ -66,6 +66,36 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="must be finite"):
             JointDistribution.normalized([[1.0, bad], [0.0, 1.0]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normalized_accepts_weights_whose_sum_overflows(self):
+        assert Distribution.normalized([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
+        assert Distribution.normalized([1e308, 1e308, 0.0, 1e308]).probs == pytest.approx([1 / 3, 1 / 3, 0, 1 / 3])
+        table = JointDistribution.normalized([[1e308, 1e308], [1e308, 1e308]]).table
+        assert table.tolist() == [[0.25, 0.25], [0.25, 0.25]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_normalized_checks_finiteness_before_dividing(self, bad):
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            Distribution.normalized([bad, 1.0])
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            JointDistribution.normalized([[bad, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normalized_overflowing_negative_weights_rejected(self):
+        with pytest.raises(ValidationError, match="positive total"):
+            Distribution.normalized([-1e308, -1e308])
+        with pytest.raises(ValidationError, match="negative"):
+            Distribution.normalized([1e308, -1e308, 1e308])
+
+    def test_normalized_ordinary_weights_divide_by_their_sum(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 17):
+            w = rng.random(n) * 10.0 ** rng.integers(-300, 300)
+            assert np.array_equal(Distribution.normalized(w).probs, w / w.sum())
+        table = rng.random((3, 4))
+        assert np.array_equal(JointDistribution.normalized(table).table, table / table.sum())
+
     def test_probs_are_read_only(self):
         d = Distribution([0.5, 0.5])
         with pytest.raises(ValueError):
