@@ -196,7 +196,7 @@ def _cmd_quench_sweep(args) -> tuple:
 
 def _cmd_quench_point(args) -> str:
     report = quench.report_at(_quench_params(args), args.time)
-    return _dumps({field: getattr(report, field) for field in quench.CSV_FIELDS}) + "\n"
+    return _dumps(report._asdict()) + "\n"
 
 
 # -- parser --------------------------------------------------------------

@@ -8,7 +8,6 @@ so the distributions produced here are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import BORN_SUM_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part
 from .probability import Distribution, JointDistribution, mutual_information
-from .states import DensityMatrix, PureState, _matrix_to_pairs, _pairs_to_matrix, eigh_phase_fixed
+from .states import DensityMatrix, PureState, eigh_phase_fixed
 
 
 def _merge_degenerate(vals: np.ndarray, vecs: np.ndarray):
@@ -250,23 +249,3 @@ def povm_outcome(rho: DensityMatrix, povm: Povm, j: int):
         )
     conditional = DensityMatrix(block / prob, (d_b, 1))
     return prob, conditional
-
-
-# -- JSON serialization -------------------------------------------------
-
-def observable_to_json(obs: Observable) -> str:
-    return json.dumps({"matrix": _matrix_to_pairs(obs.matrix)})
-
-
-def observable_from_json(text: str) -> Observable:
-    payload = json.loads(text)
-    return Observable(_pairs_to_matrix(payload["matrix"]))
-
-
-def povm_to_json(povm: Povm) -> str:
-    return json.dumps({"elements": [_matrix_to_pairs(e) for e in povm.elements]})
-
-
-def povm_from_json(text: str) -> Povm:
-    payload = json.loads(text)
-    return Povm(tuple(_pairs_to_matrix(e) for e in payload["elements"]))

@@ -14,7 +14,10 @@ sweep evaluates them over the whole array of inverse temperatures in
 one pass, and its discord column comes from the normal-mode propagator,
 built once per sweep, and the local invariants of the evolved vacuum,
 scaled by the thermal occupation; :func:`report_at` is the same code at
-one temperature.
+one temperature. The excess-work floor and the two-route check run once
+over each column, before any row is built. Each temperature's outputs
+are one :class:`QuenchReport`, a ``NamedTuple`` whose field names are
+the CSV columns of :func:`reports_to_csv`.
 
 Independent checks (exact-Gaussian Monte-Carlo sampling, tensor-product
 Gaussian quadrature, truncated Fock-basis traces, and
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,9 +98,9 @@ class QuenchParams:
         return replace(self, beta=1.0 / (self.kb * temperature))
 
 
-@dataclass(frozen=True)
-class QuenchReport:
-    """All thermodynamic outputs of the protocol at one temperature."""
+class QuenchReport(NamedTuple):
+    """All thermodynamic outputs of the protocol at one temperature; the
+    field names are the CSV columns."""
 
     temperature: float
     w_c_avg: float
@@ -108,20 +112,16 @@ class QuenchReport:
     omega_excess: float
     gaussian_discord: float
 
-    def __post_init__(self):
-        if abs(self.w_c_irr - (self.w_c_avg - self.df_c)) > IDENTITY_TOL:
-            raise ValidationError("w_c_irr must equal w_c_avg - df_c")
-        if abs(self.w_q_irr - (self.w_q_avg - self.df_q)) > IDENTITY_TOL:
-            raise ValidationError("w_q_irr must equal w_q_avg - df_q")
-        if abs(self.omega_excess - (self.w_q_irr - self.w_c_irr)) > IDENTITY_TOL:
-            raise ValidationError("omega_excess must equal w_q_irr - w_c_irr")
-        if self.omega_excess < OMEGA_FLOOR:
-            raise ValidationError(f"omega_excess = {self.omega_excess!r} is negative")
-
 
 def _require_finite(name: str, value: float):
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite; got {value!r}")
+
+
+def _require_coupling(lam: float):
+    _require_finite("coupling", lam)
+    if lam < 0:
+        raise ValidationError(f"coupling must be non-negative; got {lam!r}")
 
 
 def _log_sinh(x):
@@ -165,8 +165,7 @@ def classical_partition(params: QuenchParams, lam: float) -> float:
 
         Z_C(lam) = (2 pi / (h beta omega))^2 / sqrt(1 + 2 lam^2 / omega^2).
     """
-    if lam < 0:
-        raise ValidationError(f"coupling must be non-negative; got {lam!r}")
+    _require_coupling(lam)
     prefactor = (2.0 * math.pi / (params.h_ref * params.beta * params.omega)) ** 2
     return prefactor / math.sqrt(1.0 + 2.0 * lam * lam / params.omega**2)
 
@@ -176,6 +175,7 @@ def classical_partition_quadrature(params: QuenchParams, lam: float, nodes: int 
     Gauss-Hermite quadrature; the independent check of
     :func:`classical_partition`.
     """
+    _require_coupling(lam)
     x, w = np.polynomial.hermite.hermgauss(nodes)
     beta, m, omega = params.beta, params.mass, params.omega
     # momenta: p = sqrt(2 m / beta) x, two independent factors
@@ -237,8 +237,7 @@ def quantum_partition(params: QuenchParams, lam: float) -> float:
     with the normal-mode frequencies w1 = omega and
     w2 = sqrt(omega^2 + 2 lam^2).
     """
-    if lam < 0:
-        raise ValidationError(f"coupling must be non-negative; got {lam!r}")
+    _require_coupling(lam)
     w1, w2 = normal_mode_frequencies(params.omega, lam)
     half = params.beta * params.hbar / 2.0
     return 0.25 / (math.sinh(half * w1) * math.sinh(half * w2))
@@ -248,6 +247,7 @@ def quantum_partition_fock(params: QuenchParams, lam: float, tail_tol: float = 1
     """Partition function by direct summation of the two-mode Fock
     spectrum of the decoupled normal modes, truncated adaptively until
     the geometric tail bound drops below ``tail_tol`` per mode."""
+    _require_coupling(lam)
     w1, w2 = normal_mode_frequencies(params.omega, lam)
     factors = []
     for wk in (w1, w2):
@@ -391,8 +391,8 @@ def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> l
     field computed over the whole array at once.
 
     Like a loop over :func:`report_at`, raises at the first temperature
-    whose two excess-work routes disagree, after validating the reports
-    before it.
+    whose excess work is below ``OMEGA_FLOOR`` or whose two excess-work
+    routes disagree, whichever comes first.
     """
     _require_finite("evolution_time", evolution_time)
     w_c, df_c, w_q, df_q, closed = _closed_forms(params, beta)
@@ -403,11 +403,14 @@ def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> l
     discord = _thermal_quench_discord(params, beta, evolution_time)
     disagree = np.abs(closed - omega_excess) > IDENTITY_TOL
     stop = int(disagree.argmax()) if disagree.any() else beta.size
-    columns = (temperature, w_c, df_c, w_c_irr, w_q, df_q, w_q_irr, omega_excess, discord)
-    reports = [QuenchReport(*row) for row in zip(*(c[:stop].tolist() for c in columns))]
+    negative = omega_excess[:stop] < OMEGA_FLOOR
+    if negative.any():
+        first = float(omega_excess[negative.argmax()])
+        raise ValidationError(f"omega_excess = {first!r} is negative")
     if stop < beta.size:
         raise _route_error(temperature[stop], closed[stop], omega_excess[stop])
-    return reports
+    columns = (temperature, w_c, df_c, w_c_irr, w_q, df_q, w_q_irr, omega_excess, discord)
+    return list(map(QuenchReport._make, zip(*(c.tolist() for c in columns))))
 
 
 def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport:
@@ -441,23 +444,13 @@ def sweep_temperature(
     return _reports(params, 1.0 / (params.kb * temperatures), evolution_time)
 
 
-CSV_FIELDS = (
-    "temperature",
-    "w_c_avg",
-    "df_c",
-    "w_c_irr",
-    "w_q_avg",
-    "df_q",
-    "w_q_irr",
-    "omega_excess",
-    "gaussian_discord",
-)
+CSV_FIELDS = QuenchReport._fields
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_FIELDS))
 
 
 def reports_to_csv(reports) -> str:
     """CSV rendering of a report list: header row plus one line per
     temperature, every number printed with 17 significant digits."""
     lines = [",".join(CSV_FIELDS)]
-    for report in reports:
-        lines.append(",".join(f"{getattr(report, field):.17g}" for field in CSV_FIELDS))
+    lines.extend(_CSV_ROW % report for report in reports)
     return "\n".join(lines) + "\n"

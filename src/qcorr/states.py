@@ -259,9 +259,8 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
 # -- JSON serialization -------------------------------------------------
 #
 # A density matrix is stored as {"dims": [d_a, d_b], "matrix": [[re, im],
-# ...]} with the matrix flattened row-major; observables and POVMs reuse
-# the [[re, im], ...] encoding. Plain float serialization round-trips
-# 64-bit values exactly.
+# ...]} with the matrix flattened row-major. Plain float serialization
+# round-trips 64-bit values exactly.
 
 def _matrix_to_pairs(mat: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in mat.ravel()]
@@ -278,11 +277,15 @@ def _pairs_to_matrix(pairs) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def density_matrix_to_dict(rho: DensityMatrix) -> dict:
-    return {"dims": [rho.dims[0], rho.dims[1]], "matrix": _matrix_to_pairs(rho.elements)}
+def density_matrix_to_json(rho: DensityMatrix) -> str:
+    return json.dumps({"dims": [rho.dims[0], rho.dims[1]], "matrix": _matrix_to_pairs(rho.elements)})
 
 
-def density_matrix_from_dict(payload: dict) -> DensityMatrix:
+def density_matrix_from_json(text: str) -> DensityMatrix:
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"density matrix file is not valid JSON: {exc}") from exc
     try:
         dims = payload["dims"]
         pairs = payload["matrix"]
@@ -291,15 +294,3 @@ def density_matrix_from_dict(payload: dict) -> DensityMatrix:
             f"density matrix must be a JSON object with 'dims' and 'matrix'; got {type(payload).__name__}"
         ) from exc
     return DensityMatrix(_pairs_to_matrix(pairs), dims)
-
-
-def density_matrix_to_json(rho: DensityMatrix) -> str:
-    return json.dumps(density_matrix_to_dict(rho))
-
-
-def density_matrix_from_json(text: str) -> DensityMatrix:
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ValidationError(f"density matrix file is not valid JSON: {exc}") from exc
-    return density_matrix_from_dict(payload)

@@ -25,12 +25,6 @@ from qcorr import (
     tensor_product,
     von_neumann_entropy,
 )
-from qcorr.measurement import (
-    observable_from_json,
-    observable_to_json,
-    povm_from_json,
-    povm_to_json,
-)
 
 from .conftest import bell_density, random_channel, random_unitary, werner_state
 
@@ -79,16 +73,6 @@ class TestPovmAndChannel:
     def test_channel_trace_preservation_enforced(self):
         with pytest.raises(ValidationError, match="trace preserving"):
             StochasticMap((np.diag([0.5, 0.5]),))
-
-    def test_povm_json_round_trip(self):
-        povm = z_basis_povm()
-        recovered = povm_from_json(povm_to_json(povm))
-        assert all(np.array_equal(a, b) for a, b in zip(recovered.elements, povm.elements))
-
-    def test_observable_json_round_trip(self):
-        obs = Observable(PAULI_X)
-        recovered = observable_from_json(observable_to_json(obs))
-        assert np.array_equal(recovered.matrix, obs.matrix)
 
 
 class TestEverettState:

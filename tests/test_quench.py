@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qcorr import quench
 from qcorr import (
     ConsistencyError,
     QuenchParams,
@@ -169,6 +170,19 @@ class TestQuantumPartition:
         assert abs(fock - closed) < 1e-10
 
 
+class TestCouplingDomain:
+    """The closed forms and their oracles share one coupling domain."""
+
+    @pytest.mark.parametrize(
+        "partition",
+        [classical_partition, classical_partition_quadrature, quantum_partition, quantum_partition_fock],
+    )
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_rejected_by_every_partition_function(self, partition, lam):
+        with pytest.raises(ValidationError, match="coupling"):
+            partition(UNIT, lam)
+
+
 class TestQuantumWork:
     def test_unit_parameters(self):
         assert quantum_avg_work(UNIT) == pytest.approx(WQ_UNIT, abs=1e-12)
@@ -302,9 +316,44 @@ class TestReportAndSweep:
         assert abs(report.omega_excess - (report.w_q_irr - report.w_c_irr)) <= 1e-12
         assert report.temperature == pytest.approx(1.0)
 
-    def test_report_validation(self):
-        with pytest.raises(ValidationError, match="w_c_irr"):
-            QuenchReport(1.0, 1.0, 0.5, 0.4, 1.0, 0.5, 0.5, 0.1, 0.0)
+    @staticmethod
+    def _patch_closed_forms(monkeypatch, lowered=(), disagree=()):
+        """Lower w_q and the closed excess by 2e-9 at the rows ``lowered``,
+        so both routes agree on an excess below ``OMEGA_FLOOR`` there, and
+        shift only the closed excess at the rows ``disagree``."""
+        original = quench._closed_forms
+
+        def patched(params, beta):
+            w_c, df_c, w_q, df_q, closed = original(params, beta)
+            shift = np.zeros(np.shape(beta))
+            shift[list(lowered)] = 2e-9
+            split = np.zeros(np.shape(beta))
+            split[list(disagree)] = 1e-6
+            return w_c, df_c, w_q - shift, df_q, closed - shift + split
+
+        monkeypatch.setattr(quench, "_closed_forms", patched)
+
+    def test_excess_below_floor_is_rejected(self, monkeypatch):
+        # at lambda0 = 0 every field is exactly 0, so the excess becomes -2e-9
+        flat = replace(UNIT, lambda0=0.0)
+        self._patch_closed_forms(monkeypatch, lowered=[0])
+        with pytest.raises(ValidationError, match="omega_excess = -2e-09 is negative"):
+            report_at(flat)
+        self._patch_closed_forms(monkeypatch, lowered=[3, 6])
+        with pytest.raises(ValidationError, match="omega_excess = -2e-09 is negative"):
+            sweep_temperature(flat, 0.5, 2.0, 10)
+
+    @pytest.mark.parametrize(
+        "lowered, disagree, error, message",
+        [
+            (2, 5, ValidationError, "is negative"),
+            (5, 2, ConsistencyError, "routes disagree"),
+        ],
+    )
+    def test_first_failing_row_wins(self, monkeypatch, lowered, disagree, error, message):
+        self._patch_closed_forms(monkeypatch, lowered=[lowered], disagree=[disagree])
+        with pytest.raises(error, match=message):
+            sweep_temperature(replace(UNIT, lambda0=0.0), 0.5, 2.0, 10)
 
     def test_h_ref_cancels_in_every_report_field(self):
         default = report_at(UNIT)
@@ -377,6 +426,21 @@ class TestReportAndSweep:
         assert first[0] == 0.5
         assert first[1] == reports[0].w_c_avg  # 17 significant digits round-trip
 
+    def test_csv_matches_fstring_rendering(self):
+        # the per-field f-string rendering that the one-% row format replaced
+        fields = quench.CSV_FIELDS
+        hand_built = [
+            QuenchReport(*[value] * len(fields))
+            for value in (-0.0, 5e-324, 1e-300, 1.7976931348623157e308, math.inf, math.nan)
+        ]
+        for reports in (
+            sweep_temperature(UNIT, 0.1, 5.0, 1000),
+            sweep_temperature(replace(UNIT, lambda0=0.0), 0.1, 5.0, 50),
+            hand_built,
+            [],
+        ):
+            rows = [",".join(f"{getattr(r, f):.17g}" for f in fields) for r in reports]
+            assert reports_to_csv(reports) == "\n".join([",".join(fields), *rows]) + "\n"
 
 class TestArraySweep:
     """The sweep evaluates every field over the array of inverse
