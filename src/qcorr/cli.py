@@ -47,14 +47,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj)
 
 
-def _write_output(path, text: str):
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(text)
-
-
 def _parse_distribution(text: str) -> probability.Distribution:
     try:
         values = [float(tok) for tok in text.split(",")]
@@ -166,7 +158,7 @@ def _cmd_gaussian(args) -> str:
     )
 
 
-def _cmd_everett(args) -> tuple:
+def _cmd_everett(args) -> str:
     if args.points < 2:
         raise ValidationError(f"--points must be at least 2; got {args.points}")
     rows = everett_demo(_parse_complex(args.alpha), _parse_complex(args.beta),
@@ -174,7 +166,7 @@ def _cmd_everett(args) -> tuple:
     lines = ["epsilon,measurement_mutual_information,quantum_mutual_information"]
     for eps, meas_info, q_info in rows:
         lines.append(f"{_fmt(eps)},{_fmt(meas_info)},{_fmt(q_info)}")
-    return args.out, "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _quench_params(args) -> quench.QuenchParams:
@@ -187,11 +179,11 @@ def _quench_params(args) -> quench.QuenchParams:
     )
 
 
-def _cmd_quench_sweep(args) -> tuple:
+def _cmd_quench_sweep(args) -> str:
     reports = quench.sweep_temperature(
         _quench_params(args), args.t_min, args.t_max, args.points, args.time
     )
-    return args.out, quench.reports_to_csv(reports)
+    return quench.reports_to_csv(reports)
 
 
 def _cmd_quench_point(args) -> str:
@@ -201,14 +193,12 @@ def _cmd_quench_point(args) -> str:
 
 # -- parser --------------------------------------------------------------
 
-def _add_quench_physics_flags(parser, with_beta: bool):
+def _add_quench_physics_flags(parser):
     parser.add_argument("--lambda0", type=float, default=1.0, help="quench amplitude")
     parser.add_argument("--omega", type=float, default=1.0, help="oscillator frequency")
     parser.add_argument("--hbar", type=float, default=1.0, help="reduced Planck constant")
     parser.add_argument("--kb", type=float, default=1.0, help="Boltzmann constant")
     parser.add_argument("--time", type=float, default=1.0, help="evolution time for the discord")
-    if with_beta:
-        parser.add_argument("--beta", type=float, required=True, help="inverse temperature")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,21 +236,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="amplitude of |1>")
     p.add_argument("--points", type=int, default=11, help="overlap grid size")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    p.set_defaults(handler=_cmd_everett, writes_file=True)
+    p.set_defaults(handler=_cmd_everett)
 
     p = verbs.add_parser("quench", help="sudden-quench thermodynamics")
     quench_verbs = p.add_subparsers(dest="quench_verb", required=True)
 
     sweep = quench_verbs.add_parser("sweep", help="temperature sweep as CSV")
-    _add_quench_physics_flags(sweep, with_beta=False)
+    _add_quench_physics_flags(sweep)
     sweep.add_argument("--t-min", type=float, default=0.1, help="lowest temperature")
     sweep.add_argument("--t-max", type=float, default=5.0, help="highest temperature")
     sweep.add_argument("--points", type=int, default=50, help="grid size")
     sweep.add_argument("--out", help="CSV output path (stdout when omitted)")
-    sweep.set_defaults(handler=_cmd_quench_sweep, writes_file=True)
+    sweep.set_defaults(handler=_cmd_quench_sweep)
 
     point = quench_verbs.add_parser("point", help="single-temperature report as JSON")
-    _add_quench_physics_flags(point, with_beta=True)
+    _add_quench_physics_flags(point)
+    point.add_argument("--beta", type=float, required=True, help="inverse temperature")
     point.set_defaults(handler=_cmd_quench_point)
 
     return parser
@@ -273,12 +264,11 @@ def parse_and_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        result = args.handler(args)
-        if getattr(args, "writes_file", False):
-            path, text = result
-            _write_output(path, text)
+        text = args.handler(args)
+        if getattr(args, "out", None) is None:
+            sys.stdout.write(text)
         else:
-            sys.stdout.write(result)
+            Path(args.out).write_text(text, encoding="ascii")
     except (ValidationError, ConsistencyError, OSError, UnicodeDecodeError) as exc:
         print(f"qcorr: error: {exc}", file=sys.stderr)
         return 1

@@ -26,6 +26,8 @@ HAMILTONIAN_TOL = 1e-12
 NORM_TOL = 1e-12
 # Unit-sum defect of Born probabilities beyond which they are rejected, not renormalized.
 BORN_SUM_TOL = 1e-9
+# Observable eigenvalues closer than this times max(1, max |eigenvalue|) merge into one outcome.
+DEGENERACY_TOL = 1e-9
 # Probabilities at or below this are exact zeros in p ln p and when conditioning.
 ZERO_PROBABILITY = 1e-15
 # Measurement outcomes at or below this weight are impossible: no conditional state.

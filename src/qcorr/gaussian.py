@@ -5,7 +5,9 @@ Conventions
 Quadratures are dimensionless, ``x = sqrt(m w / hbar) q`` and
 ``p~ = p / sqrt(m w hbar)``, ordered ``(x1, p1, x2, p2)``. The vacuum
 has quadrature variance 1/2, so physical covariance matrices have every
-symplectic eigenvalue at least 1/2. All entropies are in nats.
+symplectic eigenvalue at least 1/2. All entropies are in nats. A
+quadratic Hamiltonian is held as its frequency matrix G = H / hbar, so
+the propagator exp(Omega G t) takes no hbar.
 
 The closed-form Gaussian discord below is stated in the doubled
 (vacuum = identity) convention internally; its agreement with the
@@ -90,7 +92,9 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Coefficient matrix G of a quadratic Hamiltonian H = (1/2) r^T G r."""
+    """Frequency matrix G = H / hbar of a quadratic Hamiltonian
+    H = (hbar / 2) r^T G r in dimensionless quadratures r; the
+    propagator is S = exp(Omega G t), so hbar never enters it."""
 
     matrix: np.ndarray
 
@@ -131,38 +135,46 @@ def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(out)
 
 
-def quench_hamiltonian_matrix(omega: float, lam: float, *, hbar: float = 1.0) -> QuadraticHamiltonian:
+def _require_coupling(lam: float):
+    if not 0.0 <= lam < math.inf:
+        raise ValidationError(f"coupling must be finite and non-negative; got {lam!r}")
+
+
+def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
     """Two coupled oscillators in dimensionless quadratures at reference
-    frequency ``omega``.
+    frequency ``omega``, as the frequency matrix G = H / hbar.
 
     The coupling adds ``(lam^2 / omega^2)`` to each diagonal x entry and
-    ``-(lam^2 / omega^2)`` across the modes; the mass cancels in the
-    dimensionless quadratures, so it is not a parameter. Momentum
+    ``-(lam^2 / omega^2)`` across the modes; the mass and hbar cancel in
+    the dimensionless quadratures, so neither is a parameter. Momentum
     entries are uncoupled.
     """
-    if omega <= 0 or hbar <= 0 or lam < 0:
-        raise ValidationError("omega and hbar must be positive and lam non-negative")
+    _require_coupling(lam)
+    if omega <= 0:
+        raise ValidationError(f"omega must be positive; got {omega!r}")
     ratio = (lam / omega) ** 2
     g = np.zeros((4, 4))
     g[0, 0] = g[2, 2] = 1.0 + ratio
     g[0, 2] = g[2, 0] = -ratio
     g[1, 1] = g[3, 3] = 1.0
-    return QuadraticHamiltonian(hbar * omega * g)
+    return QuadraticHamiltonian(omega * g)
 
 
 def normal_mode_frequencies(omega: float, lam: float):
     """Frequencies of the decoupled collective modes: the center-of-mass
     mode keeps ``omega``; the relative mode is stiffened to
     ``sqrt(omega^2 + 2 lam^2)``."""
+    _require_coupling(lam)
     return omega, math.sqrt(omega * omega + 2.0 * lam * lam)
 
 
-def symplectic_propagator(ham: QuadraticHamiltonian, t: float, hbar: float = 1.0) -> np.ndarray:
-    """Propagator S = exp(Omega G t / hbar) for the quadrature vector."""
+def symplectic_propagator(ham: QuadraticHamiltonian, t: float) -> np.ndarray:
+    """Propagator S = exp(Omega G t) for the quadrature vector, with G
+    the frequency matrix of ``ham``."""
     from scipy.linalg import expm  # an oracle only; keeps scipy off the import path
 
     omega_s = symplectic_form(ham.n_modes)
-    return expm(omega_s @ ham.matrix * (t / hbar))
+    return expm(omega_s @ ham.matrix * t)
 
 
 def quench_propagator_closed_form(omega: float, lam: float, t: float) -> np.ndarray:
@@ -191,16 +203,14 @@ def quench_propagator_closed_form(omega: float, lam: float, t: float) -> np.ndar
     return rot.T @ block @ rot
 
 
-def symplectic_evolution(
-    sigma: CovarianceMatrix, ham: QuadraticHamiltonian, t: float, hbar: float = 1.0
-) -> CovarianceMatrix:
+def symplectic_evolution(sigma: CovarianceMatrix, ham: QuadraticHamiltonian, t: float) -> CovarianceMatrix:
     """Evolve a covariance matrix: sigma -> S sigma S^T with
-    S = exp(Omega G t / hbar)."""
+    S = exp(Omega G t)."""
     if sigma.n_modes != ham.n_modes:
         raise ValidationError(
             f"mode mismatch: state has {sigma.n_modes}, Hamiltonian {ham.n_modes}"
         )
-    s = symplectic_propagator(ham, t, hbar)
+    s = symplectic_propagator(ham, t)
     evolved = s @ sigma.sigma @ s.T
     # symmetric up to rounding, which at large entries exceeds the
     # absolute MATRIX_TOL meant for input matrices
@@ -464,13 +474,13 @@ def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 
     return max(info - classical, 0.0)
 
 
-def random_covariance(seed: int, nu_max: float = 3.0, pure_prob: float = 0.2) -> CovarianceMatrix:
+def random_covariance(seed: int) -> CovarianceMatrix:
     """Random physical two-mode covariance matrix.
 
     Conjugates a diagonal of symplectic eigenvalues (drawn uniformly
-    from [1/2, nu_max], or exactly 1/2 with probability ``pure_prob``)
-    by a random symplectic built from a Gaussian symmetric generator.
-    Deterministic for a fixed seed.
+    from [1/2, 3], or exactly 1/2 with probability 0.2) by a random
+    symplectic built from a Gaussian symmetric generator. Deterministic
+    for a fixed seed.
     """
     from scipy.linalg import expm  # test and benchmark input only; keeps scipy off the import path
 
@@ -479,7 +489,7 @@ def random_covariance(seed: int, nu_max: float = 3.0, pure_prob: float = 0.2) ->
     gen = (gen + gen.T) / 2.0
     s = expm(symplectic_form(2) @ gen)
     nus = np.where(
-        rng.random(2) < pure_prob, VACUUM_VARIANCE, rng.uniform(VACUUM_VARIANCE, nu_max, 2)
+        rng.random(2) < 0.2, VACUUM_VARIANCE, rng.uniform(VACUUM_VARIANCE, 3.0, 2)
     )
     return CovarianceMatrix(s @ np.diag(np.repeat(nus, 2)) @ s.T)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BORN_SUM_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part
+from .errors import BORN_SUM_TOL, DEGENERACY_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part
 from .probability import Distribution, JointDistribution, mutual_information
 from .states import DensityMatrix, PureState, eigh_phase_fixed
 
@@ -23,7 +23,7 @@ def _merge_degenerate(vals: np.ndarray, vecs: np.ndarray):
 
     Returns (outcome_values, projectors) ordered by ascending eigenvalue.
     """
-    gap_tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))))
+    gap_tol = DEGENERACY_TOL * max(1.0, float(np.max(np.abs(vals))))
     outcomes, projectors = [], []
     start = 0
     for k in range(1, len(vals) + 1):

@@ -23,7 +23,8 @@ Independent checks (exact-Gaussian Monte-Carlo sampling, tensor-product
 Gaussian quadrature, truncated Fock-basis traces, and
 :func:`quench_discord`, which evolves the thermal state with ``expm``)
 live alongside the closed forms so the two routes can be compared in
-the test suite.
+the test suite. The mass cancels in every quantity, so the oracles that
+sample or trace positions work at unit mass.
 
 The work-operator route is only meaningful for a sudden quench, so no
 time-dependent protocol API is exposed.
@@ -32,13 +33,14 @@ time-dependent protocol API is exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError
 from .gaussian import (
+    _require_coupling,
     CovarianceMatrix,
     direct_sum,
     discord_from_invariants,
@@ -51,42 +53,39 @@ from .gaussian import (
     thermal_covariance,
 )
 
+_MC_SAMPLES = 1_000_000
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class QuenchParams:
-    """Physical parameters of the quench protocol.
+    """Physical parameters of the quench protocol, keyword-only.
 
-    ``h_ref`` is the dimensional action constant making the classical
-    partition function dimensionless; it defaults to ``2 pi hbar`` and
-    cancels in every reported observable.
+    There is no mass: in the dimensionless quadratures it cancels in
+    every quantity. Planck's constant ``h = 2 pi hbar`` makes the
+    classical partition function dimensionless.
     """
 
-    mass: float = 1.0
     omega: float = 1.0
     lambda0: float = 1.0
     beta: float = 1.0
     hbar: float = 1.0
     kb: float = 1.0
-    h_ref: float = None
 
     def __post_init__(self):
-        if self.h_ref is None:
-            object.__setattr__(self, "h_ref", 2.0 * math.pi * self.hbar)
-        values = {
-            "mass": self.mass,
-            "omega": self.omega,
-            "lambda0": self.lambda0,
-            "beta": self.beta,
-            "hbar": self.hbar,
-            "kb": self.kb,
-            "h_ref": self.h_ref,
-        }
-        for name, value in values.items():
-            _require_finite(name, value)
-            if name != "lambda0" and not value > 0:
-                raise ValidationError(f"{name} must be strictly positive; got {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            _require_finite(field.name, value)
+            if field.name != "lambda0" and not value > 0:
+                raise ValidationError(f"{field.name} must be strictly positive; got {value!r}")
         if self.lambda0 < 0:
             raise ValidationError(f"lambda0 must be non-negative; got {self.lambda0!r}")
+        # the closed forms divide by omega^2 and take log1p(2 lambda0^2 / omega^2)
+        omega_sq = self.omega * self.omega
+        if not (0.0 < omega_sq < math.inf and math.isfinite(2.0 * (self.lambda0 * self.lambda0) / omega_sq)):
+            raise ValidationError(
+                "omega^2 must be nonzero and finite, and so must 2 lambda0^2 / omega^2; "
+                f"got omega = {self.omega!r}, lambda0 = {self.lambda0!r}"
+            )
 
     @property
     def temperature(self) -> float:
@@ -116,12 +115,6 @@ class QuenchReport(NamedTuple):
 def _require_finite(name: str, value: float):
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite; got {value!r}")
-
-
-def _require_coupling(lam: float):
-    _require_finite("coupling", lam)
-    if lam < 0:
-        raise ValidationError(f"coupling must be non-negative; got {lam!r}")
 
 
 def _log_sinh(x):
@@ -166,51 +159,51 @@ def classical_partition(params: QuenchParams, lam: float) -> float:
         Z_C(lam) = (2 pi / (h beta omega))^2 / sqrt(1 + 2 lam^2 / omega^2).
     """
     _require_coupling(lam)
-    prefactor = (2.0 * math.pi / (params.h_ref * params.beta * params.omega)) ** 2
+    h = 2.0 * math.pi * params.hbar
+    prefactor = (2.0 * math.pi / (h * params.beta * params.omega)) ** 2
     return prefactor / math.sqrt(1.0 + 2.0 * lam * lam / params.omega**2)
 
 
-def classical_partition_quadrature(params: QuenchParams, lam: float, nodes: int = 96) -> float:
-    """Phase-space integral of exp(-beta H) / h^2 by tensor-product
-    Gauss-Hermite quadrature; the independent check of
-    :func:`classical_partition`.
+def classical_partition_quadrature(params: QuenchParams, lam: float) -> float:
+    """Phase-space integral of exp(-beta H) / h^2, at unit mass, by
+    tensor-product Gauss-Hermite quadrature on 96 nodes per axis; the
+    independent check of :func:`classical_partition`.
     """
     _require_coupling(lam)
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    beta, m, omega = params.beta, params.mass, params.omega
-    # momenta: p = sqrt(2 m / beta) x, two independent factors
-    momentum_part = (math.sqrt(2.0 * m / beta) * w.sum()) ** 2
-    # positions: q = sqrt(2 / (beta m omega^2)) x, coupled through the quench term
+    x, w = np.polynomial.hermite.hermgauss(96)
+    beta, omega = params.beta, params.omega
+    # momenta: p = sqrt(2 / beta) x, two independent factors
+    momentum_part = (math.sqrt(2.0 / beta) * w.sum()) ** 2
+    # positions: q = sqrt(2 / (beta omega^2)) x, coupled through the quench term
     coupling = (lam / omega) ** 2
     diff = x[:, None] - x[None, :]
     kernel = np.exp(-coupling * diff**2)
-    position_part = (2.0 / (beta * m * omega**2)) * float(w @ kernel @ w)
-    return momentum_part * position_part / params.h_ref**2
+    position_part = (2.0 / (beta * omega**2)) * float(w @ kernel @ w)
+    return momentum_part * position_part / (2.0 * math.pi * params.hbar) ** 2
 
 
 def classical_avg_work(params: QuenchParams) -> float:
     """Mean work of the sudden quench over the initial Gibbs ensemble,
-    lambda0^2 / (beta omega^2). Independent of the mass and of hbar."""
+    lambda0^2 / (beta omega^2). Independent of hbar."""
     return float(_closed_forms(params, params.beta)[0])
 
 
-def monte_carlo_classical_work(params: QuenchParams, n_samples: int = 1_000_000, seed: int = 0):
-    """Monte-Carlo estimate of the classical average work.
+def monte_carlo_classical_work(params: QuenchParams, *, seed: int = 0):
+    """Monte-Carlo estimate of the classical average work from 10^6
+    samples at unit mass.
 
     Draws exact samples from the uncoupled Gibbs distribution, whose
     position and momentum factors are independent Gaussians; the work
-    (m lambda0^2 / 2)(q1 - q2)^2 involves only the positions, so the
+    (lambda0^2 / 2)(q1 - q2)^2 involves only the positions, so the
     exact position marginal is sampled. Returns ``(mean,
     standard_error)``.
     """
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples for a standard error")
     rng = np.random.default_rng(seed)
-    q_scale = 1.0 / math.sqrt(params.beta * params.mass) / params.omega
-    q = rng.normal(0.0, q_scale, (2, n_samples))
-    work = 0.5 * params.mass * params.lambda0**2 * (q[0] - q[1]) ** 2
+    q_scale = 1.0 / math.sqrt(params.beta) / params.omega
+    q = rng.normal(0.0, q_scale, (2, _MC_SAMPLES))
+    work = 0.5 * params.lambda0**2 * (q[0] - q[1]) ** 2
     mean = float(work.mean())
-    stderr = float(work.std(ddof=1) / math.sqrt(n_samples))
+    stderr = float(work.std(ddof=1) / math.sqrt(_MC_SAMPLES))
     return mean, stderr
 
 
@@ -237,17 +230,16 @@ def quantum_partition(params: QuenchParams, lam: float) -> float:
     with the normal-mode frequencies w1 = omega and
     w2 = sqrt(omega^2 + 2 lam^2).
     """
-    _require_coupling(lam)
     w1, w2 = normal_mode_frequencies(params.omega, lam)
     half = params.beta * params.hbar / 2.0
     return 0.25 / (math.sinh(half * w1) * math.sinh(half * w2))
 
 
-def quantum_partition_fock(params: QuenchParams, lam: float, tail_tol: float = 1e-12) -> float:
+def quantum_partition_fock(params: QuenchParams, lam: float) -> float:
     """Partition function by direct summation of the two-mode Fock
     spectrum of the decoupled normal modes, truncated adaptively until
-    the geometric tail bound drops below ``tail_tol`` per mode."""
-    _require_coupling(lam)
+    the geometric tail bound drops below 1e-12 of the partial sum per
+    mode."""
     w1, w2 = normal_mode_frequencies(params.omega, lam)
     factors = []
     for wk in (w1, w2):
@@ -257,7 +249,7 @@ def quantum_partition_fock(params: QuenchParams, lam: float, tail_tol: float = 1
             levels = np.exp(-step * (np.arange(cutoff + 1) + 0.5))
             partial = float(levels.sum())
             tail = math.exp(-step * (cutoff + 1.5)) / -math.expm1(-step)
-            if tail < tail_tol * partial:
+            if tail < 1e-12 * partial:
                 factors.append(partial)
                 break
             cutoff *= 2
@@ -273,13 +265,14 @@ def quantum_avg_work(params: QuenchParams) -> float:
     return float(_closed_forms(params, params.beta)[2])
 
 
-def quantum_avg_work_fock(params: QuenchParams, rel_tol: float = 1e-12) -> float:
+def quantum_avg_work_fock(params: QuenchParams) -> float:
     """Mean work as a truncated Fock-basis trace of the work operator
-    (m lambda0^2 / 2)(q1 - q2)^2 against the uncoupled thermal state.
+    (lambda0^2 / 2)(q1 - q2)^2, at unit mass, against the uncoupled
+    thermal state.
 
     The position operators are built numerically in the truncated basis
     and the cutoff grows until the estimate stops moving by more than
-    ``rel_tol`` in relative terms.
+    1e-12 in relative terms.
     """
     beta_step = params.beta * params.hbar * params.omega
     cutoff = 24
@@ -288,7 +281,7 @@ def quantum_avg_work_fock(params: QuenchParams, rel_tol: float = 1e-12) -> float
         n = np.arange(cutoff + 1)
         ladder = np.zeros((cutoff + 1, cutoff + 1))
         ladder[n[:-1], n[1:]] = np.sqrt(n[1:])  # annihilation operator
-        q_scale = math.sqrt(params.hbar / (2.0 * params.mass * params.omega))
+        q_scale = math.sqrt(params.hbar / (2.0 * params.omega))
         q_op = q_scale * (ladder + ladder.T)
         q_sq = q_op @ q_op
         weights = np.exp(-beta_step * (n + 0.5))
@@ -296,10 +289,10 @@ def quantum_avg_work_fock(params: QuenchParams, rel_tol: float = 1e-12) -> float
         mean_q = float(weights @ np.diag(q_op))
         mean_q_sq = float(weights @ np.diag(q_sq))
         # (q1 - q2)^2 = q1^2 + q2^2 - 2 q1 q2 across the product state
-        estimate = 0.5 * params.mass * params.lambda0**2 * (
+        estimate = 0.5 * params.lambda0**2 * (
             2.0 * mean_q_sq - 2.0 * mean_q * mean_q
         )
-        if previous is not None and abs(estimate - previous) <= rel_tol * max(1.0, abs(estimate)):
+        if previous is not None and abs(estimate - previous) <= 1e-12 * max(1.0, abs(estimate)):
             return estimate
         previous = estimate
         cutoff *= 2
@@ -362,8 +355,8 @@ def quench_discord(params: QuenchParams, t: float = 1.0) -> float:
     _require_finite("evolution_time", t)
     one_mode = thermal_covariance(params.beta, params.omega, params.hbar)
     initial = direct_sum(one_mode, one_mode)
-    ham = quench_hamiltonian_matrix(params.omega, params.lambda0, hbar=params.hbar)
-    final = symplectic_evolution(initial, ham, t, params.hbar)
+    ham = quench_hamiltonian_matrix(params.omega, params.lambda0)
+    final = symplectic_evolution(initial, ham, t)
     return gaussian_discord(final, measured_mode=1)
 
 

@@ -73,13 +73,13 @@ def test_criterion_2_classical_monte_carlo_oracle():
     worst = 0.0
     ok = True
     for point in range(10):
+        rng.uniform(0.5, 2.0)  # a mass, which cancels; drawn to keep the sample stream
         params = QuenchParams(
-            mass=rng.uniform(0.5, 2.0),
             omega=rng.uniform(0.5, 2.0),
             lambda0=rng.uniform(0.1, 3.0),
             beta=rng.uniform(0.2, 5.0),
         )
-        mean, stderr = monte_carlo_classical_work(params, n_samples=10**6, seed=1000 + point)
+        mean, stderr = monte_carlo_classical_work(params, seed=1000 + point)
         pull = abs(mean - classical_avg_work(params)) / stderr
         worst = max(worst, pull)
         ok = ok and pull < 4.0
@@ -89,7 +89,7 @@ def test_criterion_2_classical_monte_carlo_oracle():
 def test_criterion_3_quantum_fock_oracles():
     """Truncated Fock-basis partition function and work trace at (1, 1, 1)."""
     unit = QuenchParams()
-    dz = abs(quantum_partition_fock(unit, 1.0, tail_tol=1e-12) - quantum_partition(unit, 1.0))
+    dz = abs(quantum_partition_fock(unit, 1.0) - quantum_partition(unit, 1.0))
     dw = abs(quantum_avg_work_fock(unit) - quantum_avg_work(unit))
     ok = dz < 1e-10 and dw < 1e-10
     _report(3, ok, f"|dZ| = {dz:.2e}, |dW| = {dw:.2e} (gate 1e-10)")

@@ -322,6 +322,15 @@ class TestQuenchVerbs:
         assert out == ""
         assert err.startswith(f"qcorr: error: {name} must be finite")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--lambda0", "1e300"), ("--omega", "1e200"), ("--omega", "1e-200"), ("--lambda0", "1e154")],
+    )
+    def test_overflowing_input_is_a_data_error(self, capsys, flag, value):
+        # each squares to inf or 0 inside the closed forms
+        code, out, err = run(capsys, "quench", "point", "--beta", "1", flag, value)
+        assert_data_error(code, out, err, "omega", "lambda0")
+
     @pytest.mark.parametrize("verb", ["point", "sweep"])
     def test_mass_flag_is_gone(self, capsys, verb):
         # the mass cancels in every quench output, so there is no --mass flag

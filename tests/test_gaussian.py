@@ -117,13 +117,6 @@ class TestQuenchHamiltonian:
         assert freqs == pytest.approx([w1, w2], abs=1e-12)
         assert w2 == pytest.approx(math.sqrt(omega**2 + 2 * lam**2), abs=1e-15)
 
-    def test_hbar_is_keyword_only(self):
-        # the mass cancels and is no parameter; a third positional value must not become hbar
-        with pytest.raises(TypeError):
-            quench_hamiltonian_matrix(1.0, 1.0, 2.0)
-        ham = quench_hamiltonian_matrix(1.0, 1.0, hbar=2.0)
-        assert np.allclose(ham.matrix, 2.0 * quench_hamiltonian_matrix(1.0, 1.0).matrix, atol=1e-15)
-
 
 class TestSymplecticEvolution:
     def test_zero_time_is_identity(self):

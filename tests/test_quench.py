@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from qcorr import (
     gaussian_discord,
     minimize_gaussian_measurement,
     monte_carlo_classical_work,
+    normal_mode_frequencies,
     quantum_avg_work,
     quantum_avg_work_fock,
     quantum_free_energy_change,
@@ -26,9 +27,13 @@ from qcorr import (
     quantum_partition,
     quantum_partition_fock,
     quench_discord,
+    quench_hamiltonian_matrix,
+    quench_propagator_closed_form,
+    random_covariance,
     report_at,
     reports_to_csv,
     sweep_temperature,
+    symplectic_propagator,
 )
 
 # frozen from 30-digit evaluations of the closed forms
@@ -54,10 +59,23 @@ class TestParams:
             QuenchParams(lambda0=-0.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["mass", "omega", "lambda0", "beta", "hbar", "kb", "h_ref"])
+    @pytest.mark.parametrize("field", ["omega", "lambda0", "beta", "hbar", "kb"])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             QuenchParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "omega, lambda0",
+        [(1.0, 1e300), (1e200, 1.0), (1e-200, 1.0), (1.0, 1e154), (1e154, 1e154)],
+    )
+    def test_overflowing_squares_rejected(self, omega, lambda0):
+        # the closed forms need omega^2 > 0 and a finite 2 lambda0^2 / omega^2
+        with pytest.raises(ValidationError, match="omega.*lambda0"):
+            QuenchParams(omega=omega, lambda0=lambda0)
+
+    @pytest.mark.parametrize("omega, lambda0", [(1.0, 1e153), (1e-150, 0.0), (1e150, 1e150), (1e-100, 1e-100)])
+    def test_largest_and_smallest_squares_accepted(self, omega, lambda0):
+        QuenchParams(omega=omega, lambda0=lambda0)
 
     @pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0])
     def test_bad_temperature_rejected(self, temperature):
@@ -73,9 +91,6 @@ class TestParams:
         with pytest.raises(ValidationError, match="evolution_time must be finite"):
             quench_discord(UNIT, t)
 
-    def test_h_ref_defaults_to_two_pi_hbar(self):
-        assert QuenchParams(hbar=2.0).h_ref == pytest.approx(4.0 * math.pi)
-
     def test_temperature_round_trip(self):
         params = QuenchParams(kb=2.0).at_temperature(0.25)
         assert params.beta == pytest.approx(2.0)
@@ -84,13 +99,13 @@ class TestParams:
 
 class TestClassicalPartition:
     def test_uncoupled_natural_units(self):
-        params = QuenchParams(h_ref=1.0)
+        params = QuenchParams(hbar=1.0 / (2.0 * math.pi))  # h = 1
         assert classical_partition(params, 0.0) == pytest.approx(
             (2.0 * math.pi) ** 2, abs=1e-10
         )
 
     def test_coupling_equal_to_frequency(self):
-        params = QuenchParams(h_ref=1.0, beta=1.0, omega=1.0)
+        params = QuenchParams(hbar=1.0 / (2.0 * math.pi), beta=1.0, omega=1.0)  # h = 1
         expected = (2.0 * math.pi) ** 2 / math.sqrt(3.0)
         assert classical_partition(params, 1.0) == pytest.approx(expected, abs=1e-10)
 
@@ -102,11 +117,8 @@ class TestClassicalPartition:
 
     def test_quadrature_oracle_at_random_parameters(self, rng):
         for _ in range(5):
-            params = QuenchParams(
-                beta=rng.uniform(0.3, 3.0),
-                omega=rng.uniform(0.5, 2.0),
-                mass=rng.uniform(0.5, 2.0),
-            )
+            params = QuenchParams(beta=rng.uniform(0.3, 3.0), omega=rng.uniform(0.5, 2.0))
+            rng.uniform(0.5, 2.0)  # a mass, which cancels; drawn to keep the sample stream
             lam = rng.uniform(0.0, params.omega)
             closed = classical_partition(params, lam)
             quad = classical_partition_quadrature(params, lam)
@@ -121,12 +133,12 @@ class TestClassicalWork:
         assert classical_avg_work(replace(UNIT, lambda0=0.0)) == 0.0
 
     def test_independent_of_mass_and_hbar(self):
-        assert classical_avg_work(replace(UNIT, mass=7.0, hbar=3.0)) == pytest.approx(
+        assert classical_avg_work(replace(UNIT, hbar=3.0)) == pytest.approx(
             1.0, abs=1e-15
         )
 
     def test_monte_carlo_oracle(self):
-        mean, stderr = monte_carlo_classical_work(UNIT, n_samples=10**6, seed=0)
+        mean, stderr = monte_carlo_classical_work(UNIT, seed=0)
         assert abs(mean - 1.0) < 4.0 * stderr
 
     def test_free_energy_change(self):
@@ -166,12 +178,13 @@ class TestQuantumPartition:
 
     def test_fock_trace_oracle(self):
         closed = quantum_partition(UNIT, 1.0)
-        fock = quantum_partition_fock(UNIT, 1.0, tail_tol=1e-12)
+        fock = quantum_partition_fock(UNIT, 1.0)
         assert abs(fock - closed) < 1e-10
 
 
 class TestCouplingDomain:
-    """The closed forms and their oracles share one coupling domain."""
+    """The closed forms, their oracles and the oscillator helpers share
+    one coupling domain."""
 
     @pytest.mark.parametrize(
         "partition",
@@ -181,6 +194,45 @@ class TestCouplingDomain:
     def test_rejected_by_every_partition_function(self, partition, lam):
         with pytest.raises(ValidationError, match="coupling"):
             partition(UNIT, lam)
+
+    @pytest.mark.parametrize(
+        "helper",
+        [
+            normal_mode_frequencies,
+            quench_hamiltonian_matrix,
+            lambda omega, lam: quench_propagator_closed_form(omega, lam, 1.0),
+        ],
+        ids=["normal_mode_frequencies", "quench_hamiltonian_matrix", "quench_propagator_closed_form"],
+    )
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_rejected_by_every_oscillator_helper(self, helper, lam):
+        with pytest.raises(ValidationError, match="coupling"):
+            helper(1.0, lam)
+
+
+class TestRemovedOptions:
+    """Options whose every caller used one value are constants now; a
+    call still passing one fails loudly instead of shifting arguments."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: QuenchParams(mass=1.0),
+            lambda: QuenchParams(h_ref=1.0),
+            lambda: QuenchParams(1.0),
+            lambda: quench_hamiltonian_matrix(1.0, 1.0, hbar=2.0),
+            lambda: symplectic_propagator(quench_hamiltonian_matrix(1.0, 1.0), 1.0, 2.0),
+            lambda: monte_carlo_classical_work(UNIT, 7),
+            lambda: random_covariance(1, 3.0),
+        ],
+        ids=["mass", "h_ref", "positional_params", "hbar", "propagator_hbar", "positional_seed", "nu_max"],
+    )
+    def test_raises_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_params_have_exactly_five_fields(self):
+        assert [f.name for f in fields(QuenchParams)] == ["omega", "lambda0", "beta", "hbar", "kb"]
 
 
 class TestQuantumWork:
@@ -200,8 +252,8 @@ class TestQuantumWork:
 
     def test_fock_oracles_at_random_parameters(self, rng):
         for _ in range(10):
+            rng.uniform(0.5, 2.0)  # a mass, which cancels; drawn to keep the sample stream
             params = QuenchParams(
-                mass=rng.uniform(0.5, 2.0),
                 omega=rng.uniform(0.5, 2.0),
                 lambda0=rng.uniform(0.1, 3.0),
                 beta=rng.uniform(0.3, 5.0),
@@ -210,7 +262,7 @@ class TestQuantumWork:
             work = quantum_avg_work(params)
             assert abs(quantum_avg_work_fock(params) - work) < 1e-9 * max(1.0, work)
             partition = quantum_partition(params, params.lambda0)
-            fock = quantum_partition_fock(params, params.lambda0, tail_tol=1e-12)
+            fock = quantum_partition_fock(params, params.lambda0)
             assert abs(fock - partition) < 1e-10 * max(1.0, partition)
 
     def test_quantum_dominates_classical(self, rng):
@@ -355,21 +407,6 @@ class TestReportAndSweep:
         with pytest.raises(error, match=message):
             sweep_temperature(replace(UNIT, lambda0=0.0), 0.5, 2.0, 10)
 
-    def test_h_ref_cancels_in_every_report_field(self):
-        default = report_at(UNIT)
-        custom = report_at(replace(UNIT, h_ref=17.0))
-        for field in (
-            "w_c_avg",
-            "df_c",
-            "w_c_irr",
-            "w_q_avg",
-            "df_q",
-            "w_q_irr",
-            "omega_excess",
-            "gaussian_discord",
-        ):
-            assert getattr(custom, field) == pytest.approx(getattr(default, field), abs=1e-13)
-
     def test_sweep_validation(self):
         with pytest.raises(ValidationError):
             sweep_temperature(UNIT, 5.0, 0.1, 10)
@@ -465,7 +502,7 @@ class TestArraySweep:
     @pytest.mark.parametrize("t", [0.0, 0.4, 2.1])
     @pytest.mark.parametrize(
         "params",
-        [UNIT, QuenchParams(lambda0=2.5, hbar=1.7, mass=0.6, omega=1.3, kb=0.8)],
+        [UNIT, QuenchParams(lambda0=2.5, hbar=1.7, omega=1.3, kb=0.8)],
         ids=["unit", "scaled"],
     )
     def test_discord_matches_expm_oracle(self, params, t):
@@ -474,7 +511,7 @@ class TestArraySweep:
             assert abs(report.gaussian_discord - oracle) <= 1e-10
 
     def test_report_at_is_the_sweep_row(self):
-        params = QuenchParams(lambda0=1.7, hbar=0.9, mass=1.4, kb=1.3)
+        params = QuenchParams(lambda0=1.7, hbar=0.9, kb=1.3)
         reports = sweep_temperature(params, 0.1, 5.0, 50, 2.1)
         temperatures = np.linspace(0.1, 5.0, 50)
         for i in (0, 17, 49):

@@ -7,7 +7,8 @@ defect is rejected as non-finite. The tolerances are written out here,
 not imported from ``qcorr.errors``, so that moving a gate fails these
 tests. The uncertainty bound nu >= 1/2 - 1e-9 is pinned the same way,
 for the covariance constructor and for ``mode_entropy``, which must
-never reject what the constructor accepted.
+never reject what the constructor accepted, and so is the gap within
+which an observable's eigenvalues merge into one outcome.
 """
 
 import numpy as np
@@ -115,3 +116,15 @@ def test_mode_entropy_nan_rejected(as_array):
     nu = float("nan")
     with pytest.raises(ValidationError, match="below the vacuum value"):
         mode_entropy(np.array([nu, 1.0]) if as_array else nu)
+
+
+DEGENERACY_TOL = 1e-9
+
+
+@pytest.mark.parametrize("top", [1.0, 1e3])
+@pytest.mark.parametrize("factor, outcomes", [(0.5, 1), (2.0, 2)], ids=["half", "double"])
+def test_degenerate_eigenvalues_merge_within_tolerance(top, factor, outcomes):
+    # the gap scales with max(1, max |eigenvalue|): half of it merges, twice it splits
+    gap = factor * DEGENERACY_TOL * max(1.0, top)
+    observable = Observable(np.diag([-1.0, top - gap, top]))
+    assert len(observable.outcome_values) == outcomes + 1
