@@ -21,10 +21,12 @@ returns the same ``x``, ``fun`` and ``nfev``, bit for bit:
 - ``fun`` is the minimum of the final values as ``numpy.min`` takes it:
   NaN if any value is NaN, and of equal values the last.
 
-Keeping scipy's arithmetic lets the library's two searches, the
-two-qubit refinement and the Gaussian measurement oracle, give the same
-numbers without importing ``scipy.optimize``, which would otherwise be
-most of the start-up time of ``import qcorr``.
+Keeping scipy's arithmetic lets the Gaussian measurement oracle give
+the same numbers without importing ``scipy.optimize``, which would
+otherwise be most of the start-up time of ``import qcorr``. Its one
+other user is the test suite's two-qubit oracle, the grid plus
+Nelder-Mead search that Newton on the sphere (:mod:`qcorr._sphere`)
+replaced in :mod:`qcorr.discord`.
 """
 
 from __future__ import annotations

@@ -18,8 +18,19 @@ from qcorr import (
     random_density_matrix,
     tensor_product,
 )
-from qcorr.discord import PHI_POINTS, THETA_POINTS, _grid_classical_correlations
+from qcorr._sphere import tangent_derivatives
+from qcorr.discord import (
+    GRID,
+    PHI_POINTS,
+    THETA_POINTS,
+    _bloch,
+    _grid_classical_correlations,
+    _grid_values,
+    _negated_objective,
+    _qubit_entropy,
+)
 
+from . import discord_oracle
 from .conftest import bell_density, random_classical_state, random_unitary, werner_state
 
 LN2 = 0.6931471805599453
@@ -43,6 +54,50 @@ def one_way_classical_state() -> DensityMatrix:
         np.diag([0.0, 1.0]), plus
     )
     return DensityMatrix(mat, (2, 2))
+
+
+def _ket(rng) -> np.ndarray:
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return v / np.linalg.norm(v)
+
+
+def _hilbert_schmidt(rng, rank: int, dim: int = 4) -> np.ndarray:
+    x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = x @ x.conj().T
+    return g / np.trace(g).real
+
+
+def _x_state(rng) -> np.ndarray:
+    """Diagonal plus anti-diagonal coherences, each at a random fraction of its bound."""
+    p = rng.dirichlet(np.ones(4))
+    m = np.diag(p).astype(complex)
+    m[0, 3] = math.sqrt(p[0] * p[3]) * rng.random() * np.exp(2j * math.pi * rng.random())
+    m[1, 2] = math.sqrt(p[1] * p[2]) * rng.random() * np.exp(2j * math.pi * rng.random())
+    m[3, 0], m[2, 1] = np.conj(m[0, 3]), np.conj(m[1, 2])
+    return m
+
+
+def _classical_quantum(rng) -> np.ndarray:
+    """p |e0><e0| (x) rho_0 + (1 - p) |e1><e1| (x) rho_1 with {e0, e1} a random basis of A."""
+    e0 = _ket(rng)
+    e1 = np.array([-np.conj(e0[1]), np.conj(e0[0])])
+    p = rng.random()
+    return sum(w * np.kron(np.outer(e, e.conj()), _hilbert_schmidt(rng, 2, 2)) for w, e in ((p, e0), (1 - p, e1)))
+
+
+def seeded_states(per_kind: int, seed: int) -> list:
+    """``per_kind`` states of each of nine kinds: Hilbert-Schmidt random
+    states of ranks 1-4, Werner, Bell-diagonal, X, classical-quantum and
+    pure product states."""
+    rng = np.random.default_rng(seed)
+    kinds = [lambda rank=rank: _hilbert_schmidt(rng, rank) for rank in (1, 2, 3, 4)] + [
+        lambda: werner_state(rng.random()).elements,
+        lambda: bell_diagonal(rng.dirichlet(np.ones(4)) @ BELL_TETRAHEDRON).elements,
+        lambda: _x_state(rng),
+        lambda: _classical_quantum(rng),
+        lambda: np.kron(*(np.outer(k, k.conj()) for k in (_ket(rng), _ket(rng)))),
+    ]
+    return [DensityMatrix(kind(), (2, 2)) for _ in range(per_kind) for kind in kinds]
 
 
 def bell_diagonal(c) -> DensityMatrix:
@@ -151,13 +206,16 @@ class TestMaxClassicalCorrelations:
         assert value == pytest.approx(WERNER_C, abs=1e-9)
 
     def test_hemisphere_grid_has_the_full_grid_maximum(self):
+        """The search's grid holds each direction of the hemisphere grid
+        once, and its maximum is that of the grid over all phi."""
         thetas = np.linspace(0.0, math.pi, THETA_POINTS)
-        hemisphere = np.linspace(0.0, math.pi, PHI_POINTS, endpoint=False)
         full = np.linspace(0.0, 2.0 * math.pi, 2 * PHI_POINTS, endpoint=False)
-        assert THETA_POINTS * PHI_POINTS == 4096
+        assert len(GRID) == (THETA_POINTS - 2) * PHI_POINTS + 1 == 49
+        assert np.abs(GRID @ GRID.T - np.eye(len(GRID))).max() < 1.0 - 1e-3  # no repeats, no antipodes
         for seed in range(20):
             rho = random_density_matrix((2, 2), int(1 + seed % 4), seed=seed)
-            assert _grid_classical_correlations(rho, thetas, hemisphere).max() == pytest.approx(
+            bloch = _bloch(rho)
+            assert _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), GRID).max() == pytest.approx(
                 _grid_classical_correlations(rho, thetas, full).max(), abs=1e-12
             )
 
@@ -230,18 +288,26 @@ class TestDiscord:
             )
 
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
+        """Evaluations are the grid points plus the Newton evaluations of
+        every start, each counted once by the objective it calls."""
         module = importlib.import_module("qcorr.discord")
-        nfev = []
+        calls, runs = [], []
         refine = module.minimize
 
-        def recording_minimize(*args, **kwargs):
-            result = refine(*args, **kwargs)
-            nfev.append(int(result.nfev))
+        def recording_minimize(fun, starts, **options):
+            def counted(n):
+                calls.append(n)
+                return fun(n)
+
+            result = refine(counted, starts, **options)
+            runs.append((len(starts), result.nfev))
             return result
 
         monkeypatch.setattr(module, "minimize", recording_minimize)
         result = discord(random_density_matrix((2, 2), 3, seed=5))
-        assert result.trace.evaluations == THETA_POINTS * PHI_POINTS + nfev[0]
+        assert runs == [(module.STARTS, len(calls))]
+        assert result.trace.evaluations == len(GRID) + len(calls)
+        assert module.STARTS < len(calls) < 20
 
     def test_luo_closed_form_on_bell_diagonal_states(self):
         rng = np.random.default_rng(2008)
@@ -292,3 +358,118 @@ class TestDiscordSwapped:
             swapped = discord_swapped(rho)
             for field in ("mutual_info", "classical_corr", "discord"):
                 assert getattr(swapped, field) == pytest.approx(getattr(manual, field), abs=1e-12)
+
+
+class TestAgainstOracle:
+    """Newton on the sphere against the 64 x 64 grid plus Nelder-Mead search
+    it replaced (:mod:`tests.discord_oracle`)."""
+
+    def test_maximum_and_mutual_information_on_seeded_states(self):
+        states = seeded_states(222, seed=2011)
+        cases = [(rho, i % 2 == 1) for i, rho in enumerate(states)]
+        cases += [(one_way_classical_state(), False), (one_way_classical_state(), True)]
+        assert len(cases) >= 2000
+        worst_c = worst_i = 0.0
+        for rho, swapped in cases:
+            a, b, t = _bloch(rho)
+            result = (discord_swapped if swapped else discord)(rho)
+            expected, _, _, _ = discord_oracle._maximize_classical_correlations((b, a, t.T) if swapped else (a, b, t))
+            assert result.trace.converged
+            worst_c = max(worst_c, abs(result.classical_corr - expected))
+            worst_i = max(worst_i, abs(result.mutual_info - quantum_mutual_information(rho)))
+        assert worst_c <= 1e-12
+        assert worst_i <= 1e-12
+
+
+def _riemannian_by_differences(objective, n, e1, e2, step):
+    """Central differences of the objective along the retraction
+    normalize(n + x e1 + y e2): the gradient and Hessian at x = y = 0."""
+
+    def f(x, y):
+        m = np.asarray(n) + x * np.asarray(e1) + y * np.asarray(e2)
+        return objective((m / np.linalg.norm(m)).tolist())[0]
+
+    f0 = f(0.0, 0.0)
+    grad = ((f(step, 0) - f(-step, 0)) / (2 * step), (f(0, step) - f(0, -step)) / (2 * step))
+    h11 = (f(step, 0) - 2 * f0 + f(-step, 0)) / step**2
+    h22 = (f(0, step) - 2 * f0 + f(0, -step)) / step**2
+    h12 = (f(step, step) - f(step, -step) - f(-step, step) + f(-step, -step)) / (4 * step**2)
+    return grad, (h11, h12, h22)
+
+
+class TestDerivatives:
+    def test_riemannian_gradient_and_hessian_match_differences(self):
+        """At random directions, where both conditional states are mixed, on
+        the seeded states of rank 2 and more, measured on either side."""
+        rng = np.random.default_rng(52108)
+        states = [s for s in seeded_states(6, seed=7) if np.linalg.matrix_rank(s.elements, 1e-6) > 1]
+        checked = 0
+        for rho in states:
+            a, b, t = _bloch(rho)
+            for bloch in ((a, b, t), (b, a, t.T)):
+                objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
+                for _ in range(4):
+                    n = rng.standard_normal(3)
+                    n /= np.linalg.norm(n)
+                    value, g, h = objective(n.tolist())
+                    assert np.isfinite(value) and np.isfinite(g).all() and np.isfinite(h).all()
+                    e1, e2, grad, hess = tangent_derivatives(n.tolist(), g, h)
+                    fd_grad, _ = _riemannian_by_differences(objective, n, e1, e2, 1e-6)
+                    _, fd_hess = _riemannian_by_differences(objective, n, e1, e2, 1e-4)
+                    assert grad == pytest.approx(fd_grad, abs=1e-8)
+                    assert hess == pytest.approx(fd_hess, rel=1e-5, abs=1e-6)
+                    checked += 1
+        assert checked >= 300
+
+    def test_euclidean_hessian_is_symmetric(self):
+        rho = random_density_matrix((2, 2), 4, seed=11)
+        bloch = _bloch(rho)
+        _, _, h = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))([0.48, 0.6, 0.64])
+        assert np.asarray(h) == pytest.approx(np.asarray(h).T, abs=1e-15)
+
+
+class TestDegenerateInputs:
+    """C is constant on pure and Werner states, and its Hessian diverges
+    where a conditional state is pure: the search returns finite values,
+    reports convergence and raises nothing."""
+
+    def _search(self, rho, swapped=False):
+        result = (discord_swapped if swapped else discord)(rho)
+        for field in ("mutual_info", "classical_corr", "discord"):
+            assert math.isfinite(getattr(result, field))
+        assert result.trace.converged
+        return result
+
+    def test_pure_states(self):
+        for seed in range(20):
+            rho = random_density_matrix((2, 2), 1, seed=seed)
+            for swapped in (False, True):
+                result = self._search(rho, swapped)
+                # C = S(rho_B) and D = S(rho_A) = S(rho_B) for every pure state
+                assert result.classical_corr == pytest.approx(result.mutual_info / 2, abs=1e-12)
+        assert self._search(bell_density()).discord == pytest.approx(LN2, abs=1e-12)
+
+    def test_werner_states(self):
+        for weight in (0.0, 0.05, 0.5, 0.9, 1.0):
+            _, expected = luo_bell_diagonal((weight, -weight, weight))
+            assert self._search(werner_state(weight)).discord == pytest.approx(expected, abs=1e-12)
+
+    def test_pure_conditional_state_at_the_optimum(self):
+        """Measuring A of the one-way classical state along z leaves B in |0>
+        or |+>, and is optimal; product pure states leave B pure along every
+        direction."""
+        rho = one_way_classical_state()
+        result = self._search(rho)
+        assert result.discord == pytest.approx(0.0, abs=1e-12)
+        assert min(result.optimal_basis.theta, math.pi - result.optimal_basis.theta) < 1e-6
+        a, b, t = _bloch(rho)
+        objective = _negated_objective((a, b, t), _qubit_entropy(float(b @ b)))
+        for n in ([0.0, 0.0, 1.0], [1e-9, 0.0, 1.0]):
+            _, g, h = objective(n)
+            assert np.isfinite(g).all() and np.isfinite(h).all()
+        assert self._search(rho, swapped=True).discord > 1e-3
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            kets = [_ket(rng), _ket(rng)]
+            product = DensityMatrix(np.kron(*(np.outer(k, k.conj()) for k in kets)), (2, 2))
+            assert self._search(product).classical_corr == pytest.approx(0.0, abs=1e-12)

@@ -1,6 +1,7 @@
 """The in-repo Nelder-Mead against scipy's: the same ``x``, ``fun``,
-``nfev`` and ``success``, compared exactly, on the library's own
-objectives and on cases that reach each branch of the method."""
+``nfev`` and ``success``, compared exactly, on the objectives of the
+Gaussian measurement oracle and the two-qubit test oracle and on cases
+that reach each branch of the method."""
 
 import importlib
 import math
@@ -12,14 +13,14 @@ from scipy.optimize import minimize as scipy_minimize
 from qcorr import (
     CovarianceMatrix,
     DensityMatrix,
-    discord,
-    discord_swapped,
     minimize_gaussian_measurement,
     random_covariance,
     random_density_matrix,
 )
 from qcorr._simplex import minimize
+from qcorr.discord import _bloch
 
+from . import discord_oracle
 from .conftest import bell_density, werner_state
 
 
@@ -37,10 +38,9 @@ def assert_same_as_scipy(fun, x0, **options):
     return ours
 
 
-def library_calls(monkeypatch, layer, run):
-    """(objective, x0, options) of every refinement ``run`` makes in
-    ``qcorr.<layer>``."""
-    module = importlib.import_module(f"qcorr.{layer}")
+def library_calls(monkeypatch, module, run):
+    """(objective, x0, options) of every refinement ``run`` makes through
+    the ``minimize`` bound in ``module``."""
     calls = []
     refine = module.minimize
 
@@ -60,16 +60,19 @@ def rosenbrock(z):
 
 
 def test_discord_objective_on_seeded_states(monkeypatch):
+    """The two-qubit oracle's refinement, the Nelder-Mead that the search
+    used before Newton on the sphere, in both measurement directions."""
     states = [random_density_matrix((2, 2), 1 + seed % 4, seed=seed) for seed in range(24)]
     product = np.kron(np.diag([0.7, 0.3]), np.array([[0.6, 0.2], [0.2, 0.4]]))
     states += [bell_density(), werner_state(0.3), DensityMatrix(product, (2, 2)), DensityMatrix(np.eye(4) / 4, (2, 2))]
 
     def run():
         for rho in states:
-            discord(rho)
-            discord_swapped(rho)
+            a, b, t = _bloch(rho)
+            discord_oracle._maximize_classical_correlations((a, b, t))
+            discord_oracle._maximize_classical_correlations((b, a, t.T))
 
-    calls = library_calls(monkeypatch, "discord", run)
+    calls = library_calls(monkeypatch, discord_oracle, run)
     assert len(calls) == 2 * len(states)
     for fun, x0, options in calls:
         assert options == {"xatol": 1e-7, "fatol": 1e-12, "maxiter": 600, "maxfev": 600}
@@ -86,7 +89,7 @@ def test_gaussian_oracle_objectives(monkeypatch):
             for mode in (1, 2):
                 minimize_gaussian_measurement(sigma, mode)
 
-    calls = library_calls(monkeypatch, "gaussian", run)
+    calls = library_calls(monkeypatch, importlib.import_module("qcorr.gaussian"), run)
     finite = [call for call in calls if len(call[1]) == 2]
     homodyne = [call for call in calls if len(call[1]) == 1]
     assert len(finite) == 3 * len(homodyne) == 3 * 2 * len(states)
