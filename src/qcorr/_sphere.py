@@ -4,18 +4,19 @@ The objective returns its value at a unit 3-vector n together with the
 Euclidean gradient g and Hessian H of an extension off the sphere. On
 the sphere the gradient is P g and the Hessian P H P - (n.g) P, with
 P = 1 - n n^T the projector onto the tangent plane (Absil, Mahony and
-Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008). Each step
-is taken in an orthonormal basis (e1, e2) of that plane and retracted
-onto the sphere by normalizing n + d1 e1 + d2 e2, so the poles of
-(theta, phi) are ordinary points.
+Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008), so H
+is read only on that plane and any matrix with the same P H P serves.
+Each step is taken in an orthonormal basis (e1, e2) of that plane and
+retracted onto the sphere by normalizing n + d1 e1 + d2 e2, so the
+poles of (theta, phi) are ordinary points.
 
 Where the 2x2 Hessian is not positive definite, its eigenvalues are
 replaced by their absolute values (floored at ``CURVATURE_FLOOR``), which
 keeps the step a descent direction; a step that does not lower the value
 is halved until it does. A run stops, converged, when the decrease that
-the step predicts, -(g.d), is at most ``ftol``, or when halving brings
+the step predicts, -(g.d), is at most ``FTOL``, or when halving brings
 it there without a lower value, which is rounding; it returns the lowest
-value it evaluated. It stops unconverged after ``maxiter`` steps.
+value it evaluated. It stops unconverged after ``MAXITER`` steps.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from ._simplex import Result
 
 CURVATURE_FLOOR = 1e-12
 MAX_STEP = 1.0  # radians along the tangent plane
+FTOL = 1e-15  # a step predicting a smaller decrease is rounding
+MAXITER = 50
 
 
 def _dot(u, v) -> float:
@@ -90,13 +93,13 @@ def _newton_step(n, g, h) -> tuple:
     return e1, e2, d1, d2, -(g1 * d1 + g2 * d2)
 
 
-def _descend(fun, n, ftol: float, maxiter: int) -> tuple:
+def _descend(fun, n) -> tuple:
     """One Newton run from the unit vector n: (n, value, nfev, converged)."""
     value, g, h = fun(n)
     nfev = 1
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         e1, e2, d1, d2, predicted = _newton_step(n, g, h)
-        while predicted > ftol:
+        while predicted > FTOL:
             trial = _unit([c + d1 * u + d2 * v for c, u, v in zip(n, e1, e2)])
             trial_value, trial_g, trial_h = fun(trial)
             nfev += 1
@@ -109,24 +112,18 @@ def _descend(fun, n, ftol: float, maxiter: int) -> tuple:
     return n, value, nfev, False
 
 
-def minimize(
-    fun: Callable[[tuple], tuple],
-    starts: Sequence[Sequence[float]],
-    *,
-    ftol: float,
-    maxiter: int,
-) -> Result:
+def minimize(fun: Callable[[tuple], tuple], starts: Sequence[Sequence[float]]) -> Result:
     """Minimize ``fun`` over unit 3-vectors by Newton runs from each of
     ``starts``; ``fun(n)`` returns ``(value, gradient, hessian)`` as a
     float, a 3-sequence and a 3x3 nested sequence.
 
     ``x`` is the unit vector of the lowest value found, ``nfev`` counts the
     evaluations of every run, and ``success`` is false when any run
-    stopped at ``maxiter`` steps.
+    stopped at ``MAXITER`` steps.
     """
     best, nfev, success = None, 0, True
     for start in starts:
-        n, value, count, converged = _descend(fun, _unit(start), ftol, maxiter)
+        n, value, count, converged = _descend(fun, _unit(start))
         nfev += count
         success = success and converged
         if best is None or value < best[1]:

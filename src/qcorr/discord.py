@@ -42,7 +42,9 @@ on pure and Werner states, and its Hessian diverges where a conditional
 state is pure; Newton then stops at rounding with the best value it
 evaluated. The mutual information takes S(rho_A) = h(|a|) and
 S(rho_B) = h(|b|) from the same vectors, so only S(rho) needs the
-spectrum, which :class:`~qcorr.states.DensityMatrix` holds.
+spectrum, which :class:`~qcorr.states.DensityMatrix` holds; all three
+drop eigenvalues at or below ``SUPPORT_CUTOFF``, as
+:func:`~qcorr.states.quantum_mutual_information` does.
 
 :func:`classical_correlations_at` does not use this representation: it
 measures through :class:`~qcorr.measurement.Povm` and partial traces,
@@ -56,16 +58,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sphere import _dot, minimize
+from ._sphere import FTOL, _dot, minimize
 from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
 from .measurement import Povm, povm_outcome
-from .states import DensityMatrix, partial_trace, von_neumann_entropy
+from .states import DensityMatrix, _entropy_of_spectrum, partial_trace, von_neumann_entropy
 
 THETA_POINTS = 8
 PHI_POINTS = 8  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere
 STARTS = 2  # Newton runs, from the best grid directions
-NEWTON_FTOL = 1e-15  # a step predicting a smaller gain in C is rounding
-NEWTON_MAXITER = 50
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -234,11 +234,17 @@ def _negated_objective(bloch, s_b: float):
     + eta'(x) hess x) / 2 to the Hessian, with eta'(x) = ln x + 1 and
     grad lambda+- = +-(a +- v) / 2, grad q = +-a, hess lambda+- =
     +-T (1 - u u^T / w^2) T^T / (2 w), hess q = 0, where v = T u / w and
-    w = |u|. Both are therefore combinations of a a^T, a v^T + v a^T,
-    v v^T and T T^T. An impossible outcome (q <= 2 ZERO_WEIGHT) adds
-    nothing to them, and the eta(lambda-) of a pure conditional state
-    (lambda- <= ZERO_PROBABILITY q) nothing to the value either, as in
-    :func:`_qubit_entropy`: its gradient along the sphere vanishes there.
+    w = |u|. The Hessian is therefore a sum of outer products of a + v,
+    a - v, a and v, and of T T^T. The sphere needs it only on the tangent
+    plane at n, and the vectors are projected onto that plane before
+    their outer products are formed: where a conditional state is nearly
+    pure, lambda- is small, and so is the tangent part of a - v, while its
+    part along n is not; taken whole, the outer product divided by lambda-
+    would have entries of order 1 / lambda- that cancel. An impossible
+    outcome (q <= 2 ZERO_WEIGHT) adds nothing to them, and the
+    eta(lambda-) of a pure conditional state (lambda- <= ZERO_PROBABILITY
+    q) nothing to the value either, as in :func:`_qubit_entropy`: its
+    gradient along the sphere vanishes there.
     """
     a, b, t = bloch
     rows, columns = t.tolist(), t.T.tolist()
@@ -248,7 +254,8 @@ def _negated_objective(bloch, s_b: float):
     def negated(n):
         an = _dot(a, n)
         tn = [_dot(column, n) for column in columns]
-        value, g_a, h_aa, h_tt, parts = s_b, 0.0, 0.0, 0.0, []
+        tangent_a = [a_i - an * n_i for a_i, n_i in zip(a, n)]
+        value, g_a, h_a, h_tt, v_parts, outer = s_b, 0.0, 0.0, 0.0, [], []
         for sign in (1.0, -1.0):
             q = 1.0 + sign * an
             u = [b_j + sign * tn_j for b_j, tn_j in zip(b, tn)]
@@ -259,31 +266,42 @@ def _negated_objective(bloch, s_b: float):
             if q <= 2.0 * ZERO_WEIGHT:
                 continue
             v = [_dot(row, u) / w for row in rows] if w > 0.0 else [0.0, 0.0, 0.0]
-            slope_plus, curve_plus = math.log(plus) + 1.0, 1.0 / (8.0 * plus)
+            vn = _dot(v, n)
+            tangent_v = [v_i - vn * n_i for v_i, n_i in zip(v, n)]
+            slope_plus = math.log(plus) + 1.0
             if mixed:
-                slope_minus, curve_minus = math.log(minus) + 1.0, 1.0 / (8.0 * minus)
-                r = w / q  # the two hess lambda terms together, finite as w -> 0
-                c_t = (math.atanh(r) / r if r > 0.0 else 1.0) / (2.0 * q)
+                slope_minus = math.log(minus) + 1.0
+                # the two hess lambda terms together, (slope_plus - slope_minus) / (4 w): as atanh(r) / r, finite
+                # as w -> 0; with the gradient's ln(lambda-) where lambda- is small, whose rounding then cancels
+                r = w / q
+                if r > 0.5:
+                    c_t = (slope_plus - slope_minus) / (4.0 * w)
+                else:
+                    c_t = (math.atanh(r) / r if r > 0.0 else 1.0) / (2.0 * q)
+                outer.append((-1.0 / (8.0 * minus), [x - y for x, y in zip(tangent_a, tangent_v)]))
             else:
-                slope_minus = curve_minus = 0.0
+                slope_minus = 0.0
                 c_t = slope_plus / (4.0 * w)
-            g_a += sign * (slope_plus + slope_minus - 2.0 * (math.log(q) + 1.0)) / 4.0
-            h_aa += curve_plus + curve_minus - 1.0 / (2.0 * q)
+            # the gradient of -C as coefficients of a and v, its Hessian as outer products and T T^T
+            g_a += sign * (2.0 * math.log(q) + 2.0 - slope_plus - slope_minus) / 4.0
+            v_parts.append((sign * (slope_minus - slope_plus) / 4.0, v))
+            h_a += 1.0 / (2.0 * q)
             h_tt += c_t
-            # coefficients of v in the gradient, of a v^T + v a^T and of v v^T in the Hessian
-            parts.append(
-                (sign * (slope_plus - slope_minus) / 4.0, curve_plus - curve_minus, curve_plus + curve_minus - c_t, v)
-            )
+            outer += [(-1.0 / (8.0 * plus), [x + y for x, y in zip(tangent_a, tangent_v)]), (c_t, tangent_v)]
         if value < -NEGATIVE_CLAMP:
             raise ConsistencyError(f"classical correlations evaluated to {value!r} < 0")
-        grad = [-g_a * a_i for a_i in a]
-        hess = [[-h_aa * a_i * a_j - h_tt * row[j] for j, a_j in enumerate(a)] for a_i, row in zip(a, ttt)]
-        for g_v, h_av, h_vv, v in parts:
-            for i in range(3):
-                grad[i] -= g_v * v[i]
-                hess_i, cross, square = hess[i], h_av * v[i], h_vv * v[i]
-                for j in range(3):
-                    hess_i[j] -= cross * a[j] + h_av * a[i] * v[j] + square * v[j]
+        grad = [g_a * a_i for a_i in a]
+        for g_v, v in v_parts:
+            grad = [g_i + g_v * v_i for g_i, v_i in zip(grad, v)]
+        hess = [[-h_tt * x for x in row] for row in ttt]
+        outer.append((h_a, tangent_a))
+        for coef, x in outer:
+            x0, x1, x2 = x
+            for x_i, row in zip(x, hess):
+                scaled = coef * x_i
+                row[0] += scaled * x0
+                row[1] += scaled * x1
+                row[2] += scaled * x2
         return -max(value, 0.0), grad, hess
 
     return negated
@@ -298,11 +316,11 @@ def _maximize_classical_correlations(bloch):
     cells, on (a, b, T). Returns (value, basis, evaluations, converged)."""
     s_b = _qubit_entropy(float(bloch[1] @ bloch[1]))
     grid = _grid_values(bloch, s_b, GRID)
-    # values within NEWTON_FTOL of each other are equal to rounding, and the earlier direction wins: the
+    # values within FTOL of each other are equal to rounding, and the earlier direction wins: the
     # pole where C is constant, as on pure and Werner states
-    starts = np.argsort(np.round((grid.max() - grid) / NEWTON_FTOL), kind="stable")[:STARTS]
+    starts = np.argsort(np.round((grid.max() - grid) / FTOL), kind="stable")[:STARTS]
     grid_value = float(grid[starts[0]])
-    result = minimize(_negated_objective(bloch, s_b), GRID[starts].tolist(), ftol=NEWTON_FTOL, maxiter=NEWTON_MAXITER)
+    result = minimize(_negated_objective(bloch, s_b), GRID[starts].tolist())
     evaluations = len(GRID) + result.nfev
     if -result.fun >= grid_value:
         value, n = -result.fun, result.x
@@ -319,9 +337,16 @@ def max_classical_correlations(rho: DensityMatrix):
     return value, basis
 
 
+def _marginal_entropies(a: np.ndarray, b: np.ndarray) -> float:
+    """S(rho_A) + S(rho_B) from the Bloch vectors, from the spectra
+    (1 +- |a|)/2 and (1 +- |b|)/2 with the cutoff of von_neumann_entropy."""
+    r = np.sqrt(np.clip([a @ a, b @ b], 0.0, 1.0))
+    return _entropy_of_spectrum(np.concatenate([(1.0 + r) / 2.0, (1.0 - r) / 2.0]))
+
+
 def _discord(rho: DensityMatrix, bloch) -> DiscordResult:
     a, b, _ = bloch
-    info = _qubit_entropy(float(a @ a)) + _qubit_entropy(float(b @ b)) - von_neumann_entropy(rho)
+    info = _marginal_entropies(a, b) - von_neumann_entropy(rho)
     value, basis, evaluations, converged = _maximize_classical_correlations(bloch)
     value = min(value, info) if info < value <= info + NEGATIVE_CLAMP else value
     gap = info - value

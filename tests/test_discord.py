@@ -26,6 +26,7 @@ from qcorr.discord import (
     _bloch,
     _grid_classical_correlations,
     _grid_values,
+    _maximize_classical_correlations,
     _negated_objective,
     _qubit_entropy,
 )
@@ -421,6 +422,48 @@ class TestDerivatives:
                     checked += 1
         assert checked >= 300
 
+    def test_riemannian_hessian_on_a_nearly_pure_state(self):
+        """A pure entangled state with 1e-10 of a mixed one: every
+        conditional state is nearly pure and C nearly constant, so lambda-
+        is about 1e-10 everywhere. Against central differences of C at
+        50 digits, the Hessian keeps its digits, which a sum of terms of
+        order 1 / lambda- would lose."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2011)
+        pure, mixed = _hilbert_schmidt(rng, 1), _hilbert_schmidt(rng, 4)
+        bloch = _bloch(DensityMatrix((1 - 1e-10) * pure + 1e-10 * mixed, (2, 2)))
+        objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
+        a, b, t = ([[mpmath.mpf(float(x)) for x in row] for row in np.atleast_2d(m)] for m in bloch)
+        a, b = a[0], b[0]
+
+        def exact(m):
+            m = [x / mpmath.sqrt(sum(y * y for y in m)) for x in m]
+            total = 0
+            for sign in (1, -1):
+                q = 1 + sign * sum(x * y for x, y in zip(a, m))
+                u = [b[j] + sign * sum(t[i][j] * m[i] for i in range(3)) for j in range(3)]
+                w = mpmath.sqrt(sum(x * x for x in u))
+                total += sum(x * mpmath.log(x) for x in ((q + w) / 2, (q - w) / 2)) / 2 - q * mpmath.log(q) / 2
+            return -total
+
+        with mpmath.workdps(50):
+            for _ in range(4):
+                n = rng.standard_normal(3)
+                n = (n / np.linalg.norm(n)).tolist()
+                e1, e2, grad, hess = tangent_derivatives(n, *objective(n)[1:])
+                step = mpmath.mpf("1e-6")
+
+                def f(x, y):
+                    return exact([mpmath.mpf(c) + x * mpmath.mpf(d) + y * mpmath.mpf(e) for c, d, e in zip(n, e1, e2)])
+
+                h11 = (f(step, 0) - 2 * f(0, 0) + f(-step, 0)) / step**2
+                h22 = (f(0, step) - 2 * f(0, 0) + f(0, -step)) / step**2
+                h12 = (f(step, step) - f(step, -step) - f(-step, step) + f(-step, -step)) / (4 * step**2)
+                expected = [float(x) for x in (h11, h12, h22)]
+                scale = max(abs(x) for x in expected)
+                assert 1e-12 < scale < 1e-8
+                assert hess == pytest.approx(expected, abs=1e-4 * scale)
+
     def test_euclidean_hessian_is_symmetric(self):
         rho = random_density_matrix((2, 2), 4, seed=11)
         bloch = _bloch(rho)
@@ -473,3 +516,45 @@ class TestDegenerateInputs:
             kets = [_ket(rng), _ket(rng)]
             product = DensityMatrix(np.kron(*(np.outer(k, k.conj()) for k in kets)), (2, 2))
             assert self._search(product).classical_corr == pytest.approx(0.0, abs=1e-12)
+
+    def test_near_pure_marginals_at_the_support_cutoff(self):
+        """diag(1 - eps, 0, 0, eps) is classical with marginals of smallest
+        eigenvalue eps. Its three entropies in the mutual information share
+        the SUPPORT_CUTOFF of quantum_mutual_information; mixing cutoffs
+        read D = 2.8e-11 at eps = 1e-12. What is left is the rounding of
+        (1 - |a|)/2, up to about 1e-15 (as with partial traces)."""
+        for eps in [1e-13, 1e-12, 1e-11, *np.logspace(-14, -10, 41)]:
+            rho = DensityMatrix(np.diag([1.0 - eps, 0.0, 0.0, eps]).astype(complex), (2, 2))
+            for swapped in (False, True):
+                result = self._search(rho, swapped)
+                assert abs(result.mutual_info - quantum_mutual_information(rho)) <= 1e-12
+                assert result.discord <= 1e-14
+
+    def test_nearly_pure_states(self):
+        """Pure states with a small admixture: entangled ones, where C is
+        nearly constant, and local rotations of (1 - eps)|00><00| + eps|11><11|,
+        where the conditional states at the optimum are nearly pure. Every
+        search converges and agrees with the oracle."""
+        rng = np.random.default_rng(1008)
+
+        def perp(k):
+            return np.array([-np.conj(k[1]), np.conj(k[0])])
+
+        worst = 0.0
+        for eps in np.logspace(-13, -5, 17):
+            ka, kb = _ket(rng), _ket(rng)
+            states = [
+                (1 - eps) * _hilbert_schmidt(rng, 1) + eps * _hilbert_schmidt(rng, 4),
+                (1 - eps) * np.outer(np.kron(ka, kb), np.kron(ka, kb).conj())
+                + eps * np.outer(np.kron(perp(ka), perp(kb)), np.kron(perp(ka), perp(kb)).conj()),
+            ]
+            for mat in states:
+                rho = DensityMatrix(mat, (2, 2))
+                a, b, t = _bloch(rho)
+                for bloch in ((a, b, t), (b, a, t.T)):
+                    value, _, _, converged = _maximize_classical_correlations(bloch)
+                    assert converged
+                    worst = max(worst, abs(value - discord_oracle._maximize_classical_correlations(bloch)[0]))
+                self._search(rho)
+                self._search(rho, swapped=True)
+        assert worst <= 1e-12

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qcorr import _sphere
 from qcorr._sphere import minimize, tangent_derivatives
 
 
@@ -33,7 +34,7 @@ def test_minimum_is_the_smallest_eigenvalue_from_any_start():
         # the poles, the largest eigenvector (where the Hessian is negative definite) and a random point
         starts = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), tuple(vecs[:, 2] + 1e-3), tuple(rng.standard_normal(3))]
         for start in starts:
-            result = minimize(quadratic(a), [start], ftol=1e-15, maxiter=50)
+            result = minimize(quadratic(a), [start])
             assert result.success
             assert result.fun == pytest.approx(vals[0], abs=1e-13)
             assert abs(np.dot(result.x, vecs[:, 0])) == pytest.approx(1.0, abs=1e-7)
@@ -48,19 +49,20 @@ def test_best_of_several_starts_and_total_evaluations():
         calls.append(n)
         return quadratic(a)(n)
 
-    result = minimize(counted, [(0.6, 0.0, 0.8), (0.1, 0.99, 0.1)], ftol=1e-15, maxiter=50)
+    result = minimize(counted, [(0.6, 0.0, 0.8), (0.1, 0.99, 0.1)])
     assert result.fun == pytest.approx(-2.0, abs=1e-14)
     assert result.nfev == len(calls)
 
 
 def test_constant_objective_stops_at_its_start():
-    result = minimize(lambda n: (0.5, [0.0, 0.0, 0.0], [[0.0] * 3] * 3), [(0.0, 0.0, 2.0)], ftol=1e-15, maxiter=50)
+    result = minimize(lambda n: (0.5, [0.0, 0.0, 0.0], [[0.0] * 3] * 3), [(0.0, 0.0, 2.0)])
     assert result == ((0.0, 0.0, 1.0), 0.5, 1, True)
 
 
-def test_maxiter_ends_a_run_unconverged():
+def test_maxiter_ends_a_run_unconverged(monkeypatch):
+    monkeypatch.setattr(_sphere, "MAXITER", 1)
     a = random_symmetric(np.random.default_rng(1))
-    result = minimize(quadratic(a), [(1.0, 1.0, 1.0)], ftol=1e-15, maxiter=1)
+    result = minimize(quadratic(a), [(1.0, 1.0, 1.0)])
     assert not result.success
 
 
