@@ -58,7 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sphere import FTOL, _dot, minimize
+from ._newton import FTOL
+from ._sphere import _dot, minimize
 from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
 from .measurement import Povm, povm_outcome
 from .states import DensityMatrix, _entropy_of_spectrum, partial_trace, von_neumann_entropy
@@ -347,6 +348,7 @@ def _marginal_entropies(a: np.ndarray, b: np.ndarray) -> float:
 def _discord(rho: DensityMatrix, bloch) -> DiscordResult:
     a, b, _ = bloch
     info = _marginal_entropies(a, b) - von_neumann_entropy(rho)
+    info = 0.0 if -NEGATIVE_CLAMP <= info < 0.0 else info  # as quantum_mutual_information reads it
     value, basis, evaluations, converged = _maximize_classical_correlations(bloch)
     value = min(value, info) if info < value <= info + NEGATIVE_CLAMP else value
     gap = info - value
@@ -367,8 +369,9 @@ def discord(rho: DensityMatrix) -> DiscordResult:
     """Quantum discord D(B|A): mutual information minus the maximal
     measurement-extractable classical correlations.
 
-    Values in ``[-NEGATIVE_CLAMP, 0)`` are clamped to zero; anything more
-    negative raises :class:`ConsistencyError` since it signals a broken
+    Values of the mutual information or the discord in
+    ``[-NEGATIVE_CLAMP, 0)`` are clamped to zero; a discord more negative
+    raises :class:`ConsistencyError` since it signals a broken
     optimization rather than rounding noise.
     """
     _require_two_qubits(rho)

@@ -12,8 +12,21 @@ the propagator exp(Omega G t) takes no hbar.
 The closed-form Gaussian discord below is stated in the doubled
 (vacuum = identity) convention internally; its agreement with the
 measurement-minimization search is part of the acceptance suite, which
-makes any convention slip detectable. That search refines with the
-in-repo Nelder-Mead of :mod:`qcorr._simplex`. scipy's ``expm`` is
+makes any convention slip detectable. That search minimizes the
+determinant of the unmeasured mode's conditional covariance over pure
+seeds Gamma = (e^u v v^T + e^-u w w^T) / 2 with v = (cos phi, sin phi)
+and w = (-sin phi, cos phi). For the measured block M, unmeasured block
+B and cross block C, the Schur complement gives
+
+    det(B - C^T (M + Gamma)^-1 C) = det(sigma + Gamma (+) 0) / det(M + Gamma)
+      = [det sigma + det B / 4 + (e^u v^T Q v + e^-u w^T Q w) / 2]
+        / [det M + 1/4 + (e^u w^T M w + e^-u v^T M v) / 2],
+
+with Q the measured-mode block of adj(sigma). M and Q are positive
+definite, so no terms cancel at any squeezing, and u -> infinity is
+homodyne detection of the quadrature along w, with the determinant
+v^T Q v / w^T M w. The search runs Newton (:mod:`qcorr._newton`) on the
+seed plane (u, phi) and on the homodyne angle. scipy's ``expm`` is
 imported only inside :func:`symplectic_propagator` and
 :func:`random_covariance`, so importing this module does not import
 scipy.
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import minimize
+from ._newton import minimize
 from .errors import (
     BRANCH_BOUNDARY_WIDTH,
     HAMILTONIAN_TOL,
@@ -40,9 +53,16 @@ from .errors import (
 
 VACUUM_VARIANCE = 0.5
 
-_MEASUREMENT_GRID_S = 24
-_MEASUREMENT_GRID_PHI = 16
-_LOG_S_RANGE = (math.log(1e-3), math.log(1e3))
+# the measurement search: seed squeezing u = ln s and orientation phi
+GRID_U = 4
+GRID_PHI = 4
+STARTS = 2  # Newton runs on the seed plane, from the best grid cells
+HOMODYNE_PHIS = 64
+U_CLAMP = 34.5  # e^u and e^-u stay far from overflow and underflow
+# (u, phi) and (-u, phi + pi/2) are the same seed, so the grid takes u in (0, ln 1e3]
+_GRID_U = math.log(1e3) * np.arange(1, GRID_U + 1) / GRID_U
+_GRID_PHI = np.linspace(0.0, math.pi, GRID_PHI, endpoint=False)
+_HOMODYNE_PHIS = np.linspace(0.0, math.pi, HOMODYNE_PHIS, endpoint=False)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -334,143 +354,149 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     return np.maximum(value, 0.0)
 
 
-def _block_entries(sigma: np.ndarray, measured_mode: int) -> tuple:
-    """The blocks of :func:`_split_blocks` as Python floats:
-    ``(m00, m01, m11, b00, b01, b11, c00, c01, c10, c11)`` for the
-    symmetric measured block M and unmeasured block B and the cross
-    block C."""
-    meas, unmeas, cross = (block.tolist() for block in _split_blocks(sigma, measured_mode))
+def _seed_forms(sigma: np.ndarray, measured_mode: int) -> tuple:
+    """``(alpha, q, delta, m)`` for :func:`_conditional_det`: the constant
+    terms alpha = det sigma + det B / 4 and delta = det M + 1/4, and the
+    measured-mode block Q of adj(sigma) and the measured block M as
+    ``(x00, x01, x11)`` float triples.
+
+    Q = adj(det B M - C adj(B) C^T), the adjugate of det B times the Schur
+    complement of B, which needs no inverse.
+    """
+    meas, unmeas, cross = _split_blocks(sigma, measured_mode)
+    det_b = float(np.linalg.det(unmeas))
+    adj_b = np.array([[unmeas[1, 1], -unmeas[0, 1]], [-unmeas[1, 0], unmeas[0, 0]]])
+    schur = (det_b * meas - cross @ adj_b @ cross.T).tolist()
     return (
-        meas[0][0], meas[0][1], meas[1][1],
-        unmeas[0][0], unmeas[0][1], unmeas[1][1],
-        cross[0][0], cross[0][1], cross[1][0], cross[1][1],
+        float(np.linalg.det(sigma)) + det_b / 4.0,
+        (schur[1][1], -(schur[0][1] + schur[1][0]) / 2.0, schur[0][0]),
+        float(np.linalg.det(meas)) + 0.25,
+        (float(meas[0, 0]), float(meas[0, 1]), float(meas[1, 1])),
     )
 
 
-def _finite_conditional_det(entries: tuple, s, c, sn):
-    """det(B - k^T (R^T M R + diag(s/2, 1/(2s)))^-1 k) with k = R^T C and R
-    the rotation with cosine ``c`` and sine ``sn``, for the entries of
-    :func:`_block_entries`. ``s``, ``c`` and ``sn`` are floats or
-    broadcastable arrays.
+def _quadratic_forms(mat: tuple, c, s) -> tuple:
+    """(v^T A v, w^T A w, v^T A w) for the symmetric A = (a00, a01, a11),
+    v = (c, s) and w = (-s, c); floats or broadcastable arrays."""
+    a00, a01, a11 = mat
+    av0, av1 = a00 * c + a01 * s, a01 * c + a11 * s
+    aw0, aw1 = a01 * c - a00 * s, a11 * c - a01 * s
+    return c * av0 + s * av1, c * aw1 - s * aw0, c * aw0 + s * aw1
 
-    M is rotated before the seed is added, and the sum is inverted
-    analytically: adding R D R^T to M first loses digits at extreme
-    squeezing.
+
+def _conditional_det(forms: tuple, e, c, s):
+    """det(B - C^T (M + Gamma)^-1 C) for the seed
+    Gamma = (e v v^T + w w^T / e) / 2, v = (c, s), w = (-s, c), from the
+    :func:`_seed_forms`; floats or broadcastable arrays. It is
+    det(sigma + Gamma (+) 0) / det(M + Gamma), whose two affine forms in
+    (e, 1/e) have non-negative coefficients (see the module docstring)."""
+    alpha, q, delta, m = forms
+    qv, qw, _ = _quadratic_forms(q, c, s)
+    mv, mw, _ = _quadratic_forms(m, c, s)
+    return (alpha + (e * qv + qw / e) / 2.0) / (delta + (e * mw + mv / e) / 2.0)
+
+
+def _homodyne_det(forms: tuple, c, s):
+    """The limit e -> infinity of :func:`_conditional_det`, v^T Q v / w^T M w:
+    homodyne detection of the quadrature along w."""
+    _, q, _, m = forms
+    return _quadratic_forms(q, c, s)[0] / _quadratic_forms(m, c, s)[1]
+
+
+def _finite_objective(forms: tuple):
+    """:func:`_conditional_det` at (u, phi) with e = e^u, and its gradient
+    and Hessian in (u, phi), for :func:`minimize` on the seed plane.
+
+    With N and D the numerator and denominator, d/du of e v^T Q v is
+    itself and d/dphi is 2 e v^T Q w (dv/dphi = w, dw/dphi = -v), so
+    every derivative of N and D is a combination of the same six
+    quadratic forms; those of N / D follow by the quotient rule.
     """
-    m00, m01, m11, b00, b01, b11, c00, c01, c10, c11 = entries
-    a00 = c * m00 + sn * m01  # R^T M
-    a01 = c * m01 + sn * m11
-    a10 = -sn * m00 + c * m01
-    a11 = -sn * m01 + c * m11
-    r00 = a00 * c + a01 * sn + s / 2.0  # (R^T M) R + D
-    r01 = -a00 * sn + a01 * c
-    r11 = -a10 * sn + a11 * c + 1.0 / (2.0 * s)
-    det = r00 * r11 - r01 * r01
-    i00, i01, i11 = r11 / det, -r01 / det, r00 / det
-    k00 = c * c00 + sn * c10  # R^T C
-    k01 = c * c01 + sn * c11
-    k10 = -sn * c00 + c * c10
-    k11 = -sn * c01 + c * c11
-    p00 = k00 * i00 + k10 * i01  # k^T (R^T M R + D)^-1
-    p01 = k00 * i01 + k10 * i11
-    p10 = k01 * i00 + k11 * i01
-    p11 = k01 * i01 + k11 * i11
-    q00 = b00 - (p00 * k00 + p01 * k10)
-    q01 = b01 - (p00 * k01 + p01 * k11)
-    q11 = b11 - (p10 * k01 + p11 * k11)
-    return q00 * q11 - q01 * q01
+    alpha, q, delta, m = forms
+
+    def conditional_det(x):
+        e, c, s = math.exp(x[0]), math.cos(x[1]), math.sin(x[1])
+        qv, qw, qx = _quadratic_forms(q, c, s)
+        mv, mw, mx = _quadratic_forms(m, c, s)
+        # N = alpha + n_uu and D = delta + d_uu; subscripts u and p are derivatives in u and phi
+        n_uu, n_u = (e * qv + qw / e) / 2.0, (e * qv - qw / e) / 2.0
+        d_uu, d_u = (e * mw + mv / e) / 2.0, (e * mw - mv / e) / 2.0
+        plus, minus = e + 1.0 / e, e - 1.0 / e
+        n_p, n_up, n_pp = qx * minus, qx * plus, (qw - qv) * minus
+        d_p, d_up, d_pp = -mx * minus, -mx * plus, (mv - mw) * minus
+        den = delta + d_uu
+        f = (alpha + n_uu) / den
+        g_u, g_p = (n_u - f * d_u) / den, (n_p - f * d_p) / den
+        return f, (g_u, g_p), (
+            (n_uu - f * d_uu - 2.0 * g_u * d_u) / den,
+            (n_up - f * d_up - g_u * d_p - g_p * d_u) / den,
+            (n_pp - f * d_pp - 2.0 * g_p * d_p) / den,
+        )
+
+    return conditional_det
 
 
-def _homodyne_conditional_det(entries: tuple, c, sn):
-    """det(B - w w^T / (v^T M v)) with v = (c, sn) and w = C^T v, the
-    infinite-squeezing limit of :func:`_finite_conditional_det`."""
-    m00, m01, m11, b00, b01, b11, c00, c01, c10, c11 = entries
-    w0 = c00 * c + c10 * sn
-    w1 = c01 * c + c11 * sn
-    denom = (c * m00 + sn * m01) * c + (c * m01 + sn * m11) * sn
-    q01 = b01 - w0 * w1 / denom
-    return (b00 - w0 * w0 / denom) * (b11 - w1 * w1 / denom) - q01 * q01
+def _homodyne_objective(forms: tuple):
+    """:func:`_homodyne_det` at (phi,) with its first and second
+    derivatives, shaped as a two-coordinate gradient and Hessian whose
+    second coordinate is flat, so the Newton step never moves along it."""
+    _, q, _, m = forms
+
+    def conditional_det(x):
+        c, s = math.cos(x[0]), math.sin(x[0])
+        qv, qw, qx = _quadratic_forms(q, c, s)
+        mv, mw, mx = _quadratic_forms(m, c, s)
+        f = qv / mw
+        g = 2.0 * (qx + f * mx) / mw
+        return f, (g, 0.0), (2.0 * (qw - qv - f * (mv - mw) + 2.0 * g * mx) / mw, 0.0, 0.0)
+
+    return conditional_det
 
 
-def _conditional_entropy(det):
-    """Entropy of the conditional mode from its determinant, which
-    rounding may push below the vacuum value 1/4; float or array."""
-    if isinstance(det, float):
-        return mode_entropy(math.sqrt(max(det, 0.25)))
-    return mode_entropy(np.sqrt(np.maximum(det, 0.25)))
+def _seed_plane(x, g, h) -> tuple:
+    """The seed plane (u, phi) as its own chart for :func:`minimize`; a
+    step keeps u within +-U_CLAMP."""
+    return g, h, lambda d1, d2: (min(max(x[0] + d1, -U_CLAMP), U_CLAMP), x[1] + d2)
 
 
-def _conditional_entropy_factory(sigma: np.ndarray, measured_mode: int):
-    """Conditional-entropy objectives for seeded Gaussian measurements.
-
-    Returns ``(finite, homodyne)`` where ``finite(u, phi)`` evaluates the
-    post-measurement entropy of the unmeasured mode for the seed
-    covariance R(phi) diag(e^u / 2, e^-u / 2) R(phi)^T and
-    ``homodyne(phi)`` evaluates the exact infinite-squeezing limit. Both
-    are scalar ``math`` expressions over the block entries; the measured
-    block is rotated first and inverted analytically so both stay
-    accurate at extreme squeezing.
-    """
-    entries = _block_entries(sigma, measured_mode)
-
-    def finite(u: float, phi: float) -> float:
-        s = math.exp(min(max(u, -34.5), 34.5))
-        return _conditional_entropy(_finite_conditional_det(entries, s, math.cos(phi), math.sin(phi)))
-
-    def homodyne(phi: float) -> float:
-        return _conditional_entropy(_homodyne_conditional_det(entries, math.cos(phi), math.sin(phi)))
-
-    return finite, homodyne
+def _homodyne_line(x, g, h) -> tuple:
+    """The homodyne angle (phi,) as a chart for :func:`minimize`."""
+    return g, h, lambda d1, d2: (x[0] + d1,)
 
 
 def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
     """Gaussian discord by direct minimization over seeded single-mode
     Gaussian measurements on the chosen mode.
 
-    Scans squeezing s on a log grid over [1e-3, 1e3] crossed with the
-    seed orientation phi in [0, pi), refines the best cells locally, and
-    separately refines the exact homodyne limit. The discord is then
-    assembled as mutual information minus the extracted classical
-    correlations. Serves as the independent check of
-    :func:`gaussian_discord`.
+    Evaluates the conditional determinant on the GRID_U x GRID_PHI grid
+    of seed squeezing u in (0, ln 1e3] and orientation phi in [0, pi),
+    runs Newton on the (u, phi) plane from its STARTS best cells, and
+    separately refines the homodyne limit by Newton in phi from the best
+    of HOMODYNE_PHIS angles. The smallest determinant found gives the
+    classical correlations through one :func:`mode_entropy`, and the
+    discord is the mutual information minus them. Serves as the
+    independent check of :func:`gaussian_discord`.
     """
     _require_two_modes(sigma)
     meas, unmeas, _ = _split_blocks(sigma.sigma, measured_mode)
-    entries = _block_entries(sigma.sigma, measured_mode)
-    finite, homodyne = _conditional_entropy_factory(sigma.sigma, measured_mode)
-
-    # the grid as one array, u down the rows; a stable argsort keeps the
-    # first of equal cells in (u, phi) order
-    u_grid = np.linspace(_LOG_S_RANGE[0], _LOG_S_RANGE[1], _MEASUREMENT_GRID_S)
-    phi_grid = np.linspace(0.0, math.pi, _MEASUREMENT_GRID_PHI, endpoint=False)
-    grid = _conditional_entropy(
-        _finite_conditional_det(entries, np.exp(u_grid)[:, None], np.cos(phi_grid), np.sin(phi_grid))
-    )
-    starts = np.argsort(grid, axis=None, kind="stable")[:3]
-    best = float(grid.flat[starts[0]])
-    for u_at, phi_at in zip(*np.unravel_index(starts, grid.shape)):
-        refined = minimize(
-            lambda z: finite(z[0], z[1]),
-            (float(u_grid[u_at]), float(phi_grid[phi_at])),
-            xatol=1e-10,
-            fatol=1e-14,
-            maxiter=4000,
-            maxfev=4000,
-        )
-        best = min(best, refined.fun)
-    hom_phis = np.linspace(0.0, math.pi, 64, endpoint=False)
-    hom_grid = _conditional_entropy(_homodyne_conditional_det(entries, np.cos(hom_phis), np.sin(hom_phis)))
+    forms = _seed_forms(sigma.sigma, measured_mode)
+    # a stable argsort keeps the first of equal cells in (u, phi) order
+    grid = _conditional_det(forms, np.exp(_GRID_U)[:, None], np.cos(_GRID_PHI), np.sin(_GRID_PHI))
+    cells = np.argsort(grid, axis=None, kind="stable")[:STARTS]
+    u_at, phi_at = np.unravel_index(cells, grid.shape)
+    starts = list(zip(_GRID_U[u_at].tolist(), _GRID_PHI[phi_at].tolist()))
+    finite = minimize(_finite_objective(forms), starts, _seed_plane)
+    hom_grid = _homodyne_det(forms, np.cos(_HOMODYNE_PHIS), np.sin(_HOMODYNE_PHIS))
     hom_at = int(np.argmin(hom_grid))
-    hom_best, hom_phi = float(hom_grid[hom_at]), hom_phis[hom_at]
-    hom_refined = minimize(lambda z: homodyne(z[0]), (float(hom_phi),), xatol=1e-12, fatol=1e-15, maxiter=2000)
-    min_conditional = min(best, hom_best, hom_refined.fun)
+    homodyne = minimize(_homodyne_objective(forms), [(float(_HOMODYNE_PHIS[hom_at]),)], _homodyne_line)
+    min_det = min(finite.fun, homodyne.fun)  # a run ends at most at its start's value: the grids add nothing
 
     nu_minus, nu_plus = symplectic_eigenvalues(sigma)
     entropy_meas = mode_entropy(math.sqrt(max(float(np.linalg.det(meas)), 0.25)))
     entropy_unmeas = mode_entropy(math.sqrt(max(float(np.linalg.det(unmeas)), 0.25)))
     total = mode_entropy(nu_minus) + mode_entropy(nu_plus)
     info = entropy_meas + entropy_unmeas - total
-    classical = entropy_unmeas - min_conditional
+    classical = entropy_unmeas - mode_entropy(math.sqrt(max(min_det, 0.25)))
     return max(info - classical, 0.0)
 
 

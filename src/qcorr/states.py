@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MATRIX_TOL, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part
+from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part
 
 
 def eigh_phase_fixed(matrix: np.ndarray):
@@ -206,13 +206,16 @@ def quantum_mutual_information(rho: DensityMatrix) -> float:
 
     Also expressible as the relative entropy from ``rho`` to the product
     of its marginals; the two forms are checked against each other in
-    the test suite.
+    the test suite. Values in ``[-NEGATIVE_CLAMP, 0)`` are rounding, or
+    eigenvalues on different sides of ``SUPPORT_CUTOFF`` in the three
+    spectra, and read as zero.
     """
     if not rho.is_bipartite:
         raise ValidationError("mutual information requires a bipartite state")
     s_a = von_neumann_entropy(partial_trace(rho, "A"))
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
-    return s_a + s_b - von_neumann_entropy(rho)
+    info = s_a + s_b - von_neumann_entropy(rho)
+    return 0.0 if -NEGATIVE_CLAMP <= info < 0.0 else info
 
 
 def araki_lieb_check(rho: DensityMatrix):

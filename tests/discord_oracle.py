@@ -1,7 +1,7 @@
 """The two-qubit search of qcorr before Newton on the sphere, kept as an
 oracle: C(n) on a 64 x 64 hemisphere grid in the determinant form of
-the conditional entropies, and the in-repo Nelder-Mead of
-:mod:`qcorr._simplex` in (theta, phi) from the best grid point.
+the conditional entropies, and the Nelder-Mead of :mod:`tests.simplex`
+in (theta, phi) from the best grid point.
 
 :func:`_maximize_classical_correlations` takes the Bloch vectors and
 correlation matrix (a, b, T) and returns (value, basis, evaluations,
@@ -13,8 +13,9 @@ import math
 import numpy as np
 
 from qcorr import ConsistencyError, MeasurementBasis
-from qcorr._simplex import minimize
 from qcorr.errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT
+
+from .simplex import minimize
 
 THETA_POINTS = 64
 PHI_POINTS = 64  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere

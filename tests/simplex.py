@@ -21,29 +21,24 @@ returns the same ``x``, ``fun`` and ``nfev``, bit for bit:
 - ``fun`` is the minimum of the final values as ``numpy.min`` takes it:
   NaN if any value is NaN, and of equal values the last.
 
-Keeping scipy's arithmetic lets the Gaussian measurement oracle give
-the same numbers without importing ``scipy.optimize``, which would
-otherwise be most of the start-up time of ``import qcorr``. Its one
-other user is the test suite's two-qubit oracle, the grid plus
-Nelder-Mead search that Newton on the sphere (:mod:`qcorr._sphere`)
-replaced in :mod:`qcorr.discord`.
+The library refined with this port before it moved here, so the test
+oracles that keep those searches give the library's old numbers: the
+two-qubit grid plus Nelder-Mead search that Newton on the sphere
+replaced in :mod:`qcorr.discord` (:mod:`tests.discord_oracle`), and the
+Gaussian measurement search that Newton on the seed plane replaced in
+:mod:`qcorr.gaussian` (:mod:`tests.gaussian_oracle`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
+
+from qcorr._newton import Result
 
 RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
 NONZERO_DELTA = 0.05
 ZERO_DELTA = 0.00025
-
-
-class Result(NamedTuple):
-    x: tuple
-    fun: float
-    nfev: int
-    success: bool
 
 
 class _Exhausted(Exception):

@@ -530,6 +530,25 @@ class TestDegenerateInputs:
                 assert abs(result.mutual_info - quantum_mutual_information(rho)) <= 1e-12
                 assert result.discord <= 1e-14
 
+    def test_mutual_information_never_negative(self):
+        """(1 - eps)|00><00| + eps rho_2 at eps = 1.5e-12 has a joint
+        eigenvalue above SUPPORT_CUTOFF whose entropy counts and marginal
+        eigenvalues below it that do not: I read -3.0e-11 in all three
+        functions. Values down to -NEGATIVE_CLAMP are read as 0, so
+        0 <= C <= I holds."""
+        pure = np.zeros((4, 4), dtype=complex)
+        pure[0, 0] = 1.0
+        mixed = random_density_matrix((2, 2), 2, seed=2).elements
+        for eps in [1.5e-12, *np.logspace(-13, -10, 31)]:
+            rho = DensityMatrix((1.0 - eps) * pure + eps * mixed, (2, 2))
+            info = quantum_mutual_information(rho)
+            assert info >= 0.0
+            for swapped in (False, True):
+                result = self._search(rho, swapped)
+                assert 0.0 <= result.classical_corr <= result.mutual_info
+                assert result.mutual_info == pytest.approx(info, rel=0, abs=1e-12)
+                assert result.discord >= 0.0
+
     def test_nearly_pure_states(self):
         """Pure states with a small admixture: entangled ones, where C is
         nearly constant, and local rotations of (1 - eps)|00><00| + eps|11><11|,

@@ -27,6 +27,8 @@ from qcorr import (
     thermal_variance,
 )
 
+from . import gaussian_oracle
+
 NU_THERMAL_UNIT = 1.0819767068693265  # (1/2) coth(1/2)
 MODE_ENTROPY_UNIT = 1.0406518522564083  # f(nu) at beta = omega = 1
 
@@ -285,14 +287,12 @@ class TestGaussianDiscord:
         assert gaussian_discord(quench_state(beta=0.02)) < 0.05 * max(values)
 
     def test_refined_search_never_above_grid(self):
-        from qcorr.gaussian import _conditional_entropy_factory, _LOG_S_RANGE
-
         sigma = random_covariance(11)
-        finite, _ = _conditional_entropy_factory(sigma.sigma, 1)
-        grid_best = min(
-            finite(u, phi)
-            for u in np.linspace(_LOG_S_RANGE[0], _LOG_S_RANGE[1], 24)
-            for phi in np.linspace(0.0, math.pi, 16, endpoint=False)
+        forms = gaussian._seed_forms(sigma.sigma, 1)
+        grid_best = float(
+            gaussian._conditional_det(
+                forms, np.exp(gaussian._GRID_U)[:, None], np.cos(gaussian._GRID_PHI), np.sin(gaussian._GRID_PHI)
+            ).min()
         )
         searched = minimize_gaussian_measurement(sigma, 1)
         nu_minus, nu_plus = symplectic_eigenvalues(sigma)
@@ -304,7 +304,7 @@ class TestGaussianDiscord:
             - mode_entropy(nu_minus)
             - mode_entropy(nu_plus)
         )
-        classical_from_grid = mode_entropy(math.sqrt(np.linalg.det(unmeas))) - grid_best
+        classical_from_grid = mode_entropy(math.sqrt(np.linalg.det(unmeas))) - mode_entropy(math.sqrt(grid_best))
         assert searched <= info - classical_from_grid + 1e-12
 
     def test_unphysical_input_rejected(self):
@@ -340,15 +340,12 @@ def reference_conditional(sigma: np.ndarray, mode: int, u: float, phi: float) ->
 
 
 def reference_homodyne_conditional(sigma: np.ndarray, mode: int, phi: float) -> np.ndarray:
-    """Infinite-squeezing limit of :func:`reference_conditional`."""
+    """Limit u -> infinity of :func:`reference_conditional`: homodyne
+    detection of the quadrature along w = (-sin phi, cos phi)."""
     meas, unmeas, cross = gaussian._split_blocks(sigma, mode)
-    v = np.array([math.cos(phi), math.sin(phi)])
-    w = cross.T @ v
-    return unmeas - np.outer(w, w) / float(v @ meas @ v)
-
-
-def reference_entropy(conditional: np.ndarray) -> float:
-    return mode_entropy(math.sqrt(max(float(np.linalg.det(conditional)), 0.25)))
+    w = np.array([-math.sin(phi), math.cos(phi)])
+    x = cross.T @ w
+    return unmeas - np.outer(x, x) / float(w @ meas @ w)
 
 
 ORACLE_STATES = [random_covariance(seed) for seed in range(10)] + [tmsv(r) for r in (0.0, 1.0, 3.9)]
@@ -356,46 +353,75 @@ EXTREME_U = [-34.5, -20.0, 0.0, 20.0, 34.5]
 PHIS = np.linspace(0.0, math.pi, 12, endpoint=False) + 0.1
 
 
+def central_differences(fun, x, step):
+    """Gradient and Hessian (h11, h12, h22) of the objective ``fun`` at x
+    by central differences of its value and of its gradient."""
+    def shifted(k, sign):
+        y = list(x)
+        y[k] += sign * step
+        return fun(tuple(y))
+
+    pairs = [(shifted(k, 1.0), shifted(k, -1.0)) for k in range(len(x))]
+    grad = [(up[0] - down[0]) / (2.0 * step) for up, down in pairs]
+    rows = [[(up[1][j] - down[1][j]) / (2.0 * step) for j in range(len(x))] for up, down in pairs]
+    return grad, rows
+
+
 class TestOracleObjectives:
-    """The scalar objectives and the array grid kernel of
-    :func:`minimize_gaussian_measurement` against the matrix-product
-    reference. The determinant is held to 1e-13 relative to ||sigma||^2,
-    the size of the terms that cancel in it; the entropy to 30 times
-    that, since f(sqrt(det)) has slope at most ln(1e12) < 30 in det above
-    the support cutoff."""
+    """The conditional determinant that :func:`minimize_gaussian_measurement`
+    minimizes, as a scalar objective with derivatives and as the array
+    grid kernel, against the matrix-product reference. The determinant is
+    held to 1e-13 relative to ||sigma||^2, the size of the terms that
+    cancel in it."""
 
     @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
     @pytest.mark.parametrize("mode", [1, 2])
     def test_finite_squeezing(self, index, mode):
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
-        entries = gaussian._block_entries(sigma, mode)
-        finite, _ = gaussian._conditional_entropy_factory(sigma, mode)
+        forms = gaussian._seed_forms(sigma, mode)
+        objective = gaussian._finite_objective(forms)
         for u in EXTREME_U:
-            grid = gaussian._finite_conditional_det(entries, math.exp(u), np.cos(PHIS), np.sin(PHIS))
+            grid = gaussian._conditional_det(forms, math.exp(u), np.cos(PHIS), np.sin(PHIS))
             for phi, from_grid in zip(PHIS, grid):
-                conditional = reference_conditional(sigma, mode, u, phi)
-                expected = float(np.linalg.det(conditional))
-                scalar = gaussian._finite_conditional_det(entries, math.exp(u), math.cos(phi), math.sin(phi))
-                assert scalar == pytest.approx(expected, rel=0, abs=tol)
+                expected = float(np.linalg.det(reference_conditional(sigma, mode, u, phi)))
+                assert objective((u, phi))[0] == pytest.approx(expected, rel=0, abs=tol)
                 assert from_grid == pytest.approx(expected, rel=0, abs=tol)
-                assert finite(u, phi) == pytest.approx(reference_entropy(conditional), rel=0, abs=30 * tol)
 
     @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
     @pytest.mark.parametrize("mode", [1, 2])
     def test_homodyne(self, index, mode):
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
-        entries = gaussian._block_entries(sigma, mode)
-        _, homodyne = gaussian._conditional_entropy_factory(sigma, mode)
-        grid = gaussian._homodyne_conditional_det(entries, np.cos(PHIS), np.sin(PHIS))
+        forms = gaussian._seed_forms(sigma, mode)
+        objective = gaussian._homodyne_objective(forms)
+        grid = gaussian._homodyne_det(forms, np.cos(PHIS), np.sin(PHIS))
         for phi, from_grid in zip(PHIS, grid):
-            conditional = reference_homodyne_conditional(sigma, mode, phi)
-            expected = float(np.linalg.det(conditional))
-            scalar = gaussian._homodyne_conditional_det(entries, math.cos(phi), math.sin(phi))
-            assert scalar == pytest.approx(expected, rel=0, abs=tol)
+            expected = float(np.linalg.det(reference_homodyne_conditional(sigma, mode, phi)))
+            assert objective((phi,))[0] == pytest.approx(expected, rel=0, abs=tol)
             assert from_grid == pytest.approx(expected, rel=0, abs=tol)
-            assert homodyne(phi) == pytest.approx(reference_entropy(conditional), rel=0, abs=30 * tol)
+            # the finite determinant at the clamp is this limit, to e^-34.5 of its size
+            finite = gaussian._finite_objective(forms)((gaussian.U_CLAMP, phi))[0]
+            assert finite == pytest.approx(expected, rel=0, abs=tol)
+
+    @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_derivatives_against_central_differences(self, index, mode):
+        """The closed-form gradient and Hessian in (u, phi), and in phi on
+        the homodyne line, to 1e-7 of the scale the differences resolve."""
+        forms = gaussian._seed_forms(ORACLE_STATES[index].sigma, mode)
+        finite = gaussian._finite_objective(forms)
+        homodyne = gaussian._homodyne_objective(forms)
+        points = [((u, phi), finite) for u in (-6.0, -1.0, 0.0, 0.7, 3.0, 8.0) for phi in PHIS[::3]]
+        points += [((phi,), homodyne) for phi in PHIS]
+        for x, fun in points:
+            value, grad, hess = fun(x)
+            fd_grad, fd_hess = central_differences(fun, x, 1e-5)
+            scale = 1e-7 * (abs(value) + max(abs(g) for g in grad) + max(abs(h) for h in hess))
+            assert grad[: len(x)] == pytest.approx(fd_grad, rel=0, abs=scale)
+            exact = [[hess[0], hess[1]], [hess[1], hess[2]]]
+            for k in range(len(x)):
+                assert exact[k][: len(x)] == pytest.approx(fd_hess[k], rel=0, abs=scale)
 
     def test_oracle_matches_closed_form_tightly(self):
         for seed in range(100, 120):
@@ -404,6 +430,64 @@ class TestOracleObjectives:
                 assert minimize_gaussian_measurement(sigma, mode) == pytest.approx(
                     gaussian_discord(sigma, mode), rel=0, abs=1e-9
                 )
+
+
+def test_seed_plane_steps_stop_at_the_u_clamp():
+    _, _, move = gaussian._seed_plane((34.0, 0.3), (0.0, 0.0), (0.0, 0.0, 0.0))
+    assert move(2.0, 0.5) == (gaussian.U_CLAMP, 0.8)
+    _, _, move = gaussian._seed_plane((-34.0, 0.3), (0.0, 0.0), (0.0, 0.0, 0.0))
+    assert move(-2.0, 0.0) == (-gaussian.U_CLAMP, 0.3)
+
+
+AGREEMENT_STATES = (
+    [random_covariance(seed) for seed in range(200, 240)]
+    + [
+        quench_state(beta=1.0 / temp, lam=lam, t=t)
+        for temp, lam, t in zip(np.linspace(0.1, 5.0, 12), np.linspace(0.5, 3.0, 12), np.linspace(3.0, 0.2, 12))
+    ]
+    + [tmsv(r) for r in np.linspace(0.0, 4.0, 12)]
+)
+
+
+class TestAgainstOracle:
+    """Newton on the seed plane against the 24 x 16 grid plus Nelder-Mead
+    search it replaced (:mod:`tests.gaussian_oracle`), on 128 (state,
+    measured mode) pairs: random states, post-quench thermal states and
+    two-mode squeezed vacua up to r = 4."""
+
+    def test_matches_the_grid_and_nelder_mead_search(self):
+        for sigma in AGREEMENT_STATES:
+            for mode in (1, 2):
+                assert minimize_gaussian_measurement(sigma, mode) == pytest.approx(
+                    gaussian_oracle.minimize_gaussian_measurement(sigma, mode), rel=0, abs=1e-12
+                )
+
+    def test_both_refinements_win_and_u_stays_clamped(self, monkeypatch):
+        """Across the set, the homodyne refinement ends strictly below the
+        finite-squeezing Newton runs on some pair and above them on
+        another, and no finite run evaluates beyond the u clamp."""
+        runs, finite_u = [], []
+        refine = gaussian.minimize
+
+        def recording(fun, starts, chart):
+            def traced(x):
+                if chart is gaussian._seed_plane:
+                    finite_u.append(x[0])
+                return fun(x)
+
+            runs.append(refine(traced, starts, chart))
+            return runs[-1]
+
+        monkeypatch.setattr(gaussian, "minimize", recording)
+        for sigma in AGREEMENT_STATES:
+            for mode in (1, 2):
+                minimize_gaussian_measurement(sigma, mode)
+        assert len(runs) == 2 * 2 * len(AGREEMENT_STATES)
+        pairs = list(zip(runs[0::2], runs[1::2]))  # (finite, homodyne) of each call
+        assert all(len(finite.x) == 2 and len(homodyne.x) == 1 for finite, homodyne in pairs)
+        assert any(homodyne.fun < finite.fun for finite, homodyne in pairs)
+        assert any(finite.fun < homodyne.fun for finite, homodyne in pairs)
+        assert max(abs(u) for u in finite_u) <= gaussian.U_CLAMP
 
 
 class TestSerialization:

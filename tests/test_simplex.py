@@ -1,27 +1,20 @@
-"""The in-repo Nelder-Mead against scipy's: the same ``x``, ``fun``,
-``nfev`` and ``success``, compared exactly, on the objectives of the
-Gaussian measurement oracle and the two-qubit test oracle and on cases
+"""The test suite's Nelder-Mead (:mod:`tests.simplex`) against scipy's:
+the same ``x``, ``fun``, ``nfev`` and ``success``, compared exactly, on
+the objectives of the Gaussian and two-qubit test oracles and on cases
 that reach each branch of the method."""
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from qcorr import (
-    CovarianceMatrix,
-    DensityMatrix,
-    minimize_gaussian_measurement,
-    random_covariance,
-    random_density_matrix,
-)
-from qcorr._simplex import minimize
+from qcorr import CovarianceMatrix, DensityMatrix, random_covariance, random_density_matrix
 from qcorr.discord import _bloch
 
-from . import discord_oracle
+from . import discord_oracle, gaussian_oracle
 from .conftest import bell_density, werner_state
+from .simplex import minimize
 
 
 def assert_same_as_scipy(fun, x0, **options):
@@ -38,7 +31,7 @@ def assert_same_as_scipy(fun, x0, **options):
     return ours
 
 
-def library_calls(monkeypatch, module, run):
+def oracle_calls(monkeypatch, module, run):
     """(objective, x0, options) of every refinement ``run`` makes through
     the ``minimize`` bound in ``module``."""
     calls = []
@@ -72,7 +65,7 @@ def test_discord_objective_on_seeded_states(monkeypatch):
             discord_oracle._maximize_classical_correlations((a, b, t))
             discord_oracle._maximize_classical_correlations((b, a, t.T))
 
-    calls = library_calls(monkeypatch, discord_oracle, run)
+    calls = oracle_calls(monkeypatch, discord_oracle, run)
     assert len(calls) == 2 * len(states)
     for fun, x0, options in calls:
         assert options == {"xatol": 1e-7, "fatol": 1e-12, "maxiter": 600, "maxfev": 600}
@@ -80,6 +73,8 @@ def test_discord_objective_on_seeded_states(monkeypatch):
 
 
 def test_gaussian_oracle_objectives(monkeypatch):
+    """The Gaussian test oracle's refinements, the Nelder-Mead that the
+    measurement search used before Newton on the seed plane."""
     c, s = math.cosh(3.0) / 2, math.sinh(3.0) / 2  # two-mode squeezed vacuum, r = 1.5
     tmsv = CovarianceMatrix(np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]]))
     states = [random_covariance(seed) for seed in range(6)] + [tmsv]
@@ -87,9 +82,9 @@ def test_gaussian_oracle_objectives(monkeypatch):
     def run():
         for sigma in states:
             for mode in (1, 2):
-                minimize_gaussian_measurement(sigma, mode)
+                gaussian_oracle.minimize_gaussian_measurement(sigma, mode)
 
-    calls = library_calls(monkeypatch, importlib.import_module("qcorr.gaussian"), run)
+    calls = oracle_calls(monkeypatch, gaussian_oracle, run)
     finite = [call for call in calls if len(call[1]) == 2]
     homodyne = [call for call in calls if len(call[1]) == 1]
     assert len(finite) == 3 * len(homodyne) == 3 * 2 * len(states)

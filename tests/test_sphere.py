@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qcorr import _sphere
+from qcorr import _newton
 from qcorr._sphere import minimize, tangent_derivatives
 
 
@@ -60,7 +60,7 @@ def test_constant_objective_stops_at_its_start():
 
 
 def test_maxiter_ends_a_run_unconverged(monkeypatch):
-    monkeypatch.setattr(_sphere, "MAXITER", 1)
+    monkeypatch.setattr(_newton, "MAXITER", 1)
     a = random_symmetric(np.random.default_rng(1))
     result = minimize(quadratic(a), [(1.0, 1.0, 1.0)])
     assert not result.success
