@@ -63,7 +63,7 @@ def _tangent_chart(n, g, h) -> tuple:
     """The tangent plane at n as the chart of :func:`qcorr._newton.minimize`:
     a step (d1, d2) reaches n + d1 e1 + d2 e2, normalized."""
     e1, e2, grad, hess = tangent_derivatives(n, g, h)
-    return grad, hess, lambda d1, d2: _unit([c + d1 * u + d2 * v for c, u, v in zip(n, e1, e2)])
+    return grad, hess, lambda d1, d2: (_unit([c + d1 * u + d2 * v for c, u, v in zip(n, e1, e2)]), d1, d2)
 
 
 def minimize(fun: Callable[[tuple], tuple], starts: Sequence[Sequence[float]]) -> _newton.Result:

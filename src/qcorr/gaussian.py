@@ -22,13 +22,24 @@ B and cross block C, the Schur complement gives
       = [det sigma + det B / 4 + (e^u v^T Q v + e^-u w^T Q w) / 2]
         / [det M + 1/4 + (e^u w^T M w + e^-u v^T M v) / 2],
 
-with Q the measured-mode block of adj(sigma). M and Q are positive
-definite, so no terms cancel at any squeezing, and u -> infinity is
-homodyne detection of the quadrature along w, with the determinant
-v^T Q v / w^T M w. The search runs Newton (:mod:`qcorr._newton`) on the
-seed plane (u, phi) and on the homodyne angle. scipy's ``expm`` is
-imported only inside :func:`symplectic_propagator` and
-:func:`random_covariance`, so importing this module does not import
+with Q the measured-mode block of adj(sigma). Times 1 - |zeta|^2, on the
+Poincare disk zeta = x + iy = tanh(u/2) e^{2i phi} (which holds each seed
+once: (u, phi) and (-u, phi + pi/2) are one point), both are quadratics:
+
+    N = alpha (1 - |zeta|^2) + t_Q (1 + |zeta|^2) + (q00 - q11) x + 2 q01 y
+      = alpha (1 - |zeta|^2) + (q00 |1 + zeta|^2 + q11 |1 - zeta|^2) / 2 + 2 q01 y,
+    D = delta (1 - |zeta|^2) + t_M (1 + |zeta|^2) - (m00 - m11) x - 2 m01 y
+      = delta (1 - |zeta|^2) + (m11 |1 + zeta|^2 + m00 |1 - zeta|^2) / 2 - 2 m01 y,
+
+with alpha = det sigma + det B / 4, delta = det M + 1/4, t_Q = tr Q / 2
+and t_M = tr M / 2; the second lines are how they are evaluated. D > 0
+on the closed disk, and its circle (u -> infinity) is homodyne detection
+of the quadrature along w, where N / D is v^T Q v / w^T M w. The search
+runs Newton (:mod:`qcorr._newton`) on the disk, where that limit is at
+finite distance, and on the homodyne angle.
+
+scipy's ``expm`` is imported only inside :func:`symplectic_propagator`
+and :func:`random_covariance`, so importing this module does not import
 scipy.
 """
 
@@ -40,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._newton import minimize
+from ._newton import _newton_step, minimize
 from .errors import (
     BRANCH_BOUNDARY_WIDTH,
     HAMILTONIAN_TOL,
@@ -53,16 +64,18 @@ from .errors import (
 
 VACUUM_VARIANCE = 0.5
 
-# the measurement search: seed squeezing u = ln s and orientation phi
+# the measurement search: seeds zeta = tanh(u/2) e^{2i phi} on the unit disk
 GRID_U = 4
 GRID_PHI = 4
-STARTS = 2  # Newton runs on the seed plane, from the best grid cells
+STARTS = 2  # Newton runs on the disk, from the best grid cells
 HOMODYNE_PHIS = 64
-U_CLAMP = 34.5  # e^u and e^-u stay far from overflow and underflow
-# (u, phi) and (-u, phi + pi/2) are the same seed, so the grid takes u in (0, ln 1e3]
-_GRID_U = math.log(1e3) * np.arange(1, GRID_U + 1) / GRID_U
-_GRID_PHI = np.linspace(0.0, math.pi, GRID_PHI, endpoint=False)
+# (u, phi) and (-u, phi + pi/2) are the same zeta, so the grid takes u in (0, ln 1e3], in (u, phi) order
+_GRID_R = np.tanh(math.log(1e3) * np.arange(1, GRID_U + 1) / (2 * GRID_U))
+_GRID_ANGLE = np.linspace(0.0, 2.0 * math.pi, GRID_PHI, endpoint=False)
+_GRID_X = np.outer(_GRID_R, np.cos(_GRID_ANGLE)).ravel()
+_GRID_Y = np.outer(_GRID_R, np.sin(_GRID_ANGLE)).ravel()
 _HOMODYNE_PHIS = np.linspace(0.0, math.pi, HOMODYNE_PHIS, endpoint=False)
+_HOMODYNE_X, _HOMODYNE_Y = np.cos(2.0 * _HOMODYNE_PHIS), np.sin(2.0 * _HOMODYNE_PHIS)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -355,113 +368,115 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
 
 
 def _seed_forms(sigma: np.ndarray, measured_mode: int) -> tuple:
-    """``(alpha, q, delta, m)`` for :func:`_conditional_det`: the constant
-    terms alpha = det sigma + det B / 4 and delta = det M + 1/4, and the
-    measured-mode block Q of adj(sigma) and the measured block M as
-    ``(x00, x01, x11)`` float triples.
-
+    """``((N, D), det M, det B)``, with N and D of the module docstring as
+    ``(k, p, m, c)``: k (1 - |zeta|^2) + (p |1 + zeta|^2 + m |1 - zeta|^2) / 2 + c y.
     Q = adj(det B M - C adj(B) C^T), the adjugate of det B times the Schur
-    complement of B, which needs no inverse.
-    """
+    complement of B, which needs no inverse."""
     meas, unmeas, cross = _split_blocks(sigma, measured_mode)
-    det_b = float(np.linalg.det(unmeas))
+    det_m, det_b = float(np.linalg.det(meas)), float(np.linalg.det(unmeas))
     adj_b = np.array([[unmeas[1, 1], -unmeas[0, 1]], [-unmeas[1, 0], unmeas[0, 0]]])
-    schur = (det_b * meas - cross @ adj_b @ cross.T).tolist()
-    return (
-        float(np.linalg.det(sigma)) + det_b / 4.0,
-        (schur[1][1], -(schur[0][1] + schur[1][0]) / 2.0, schur[0][0]),
-        float(np.linalg.det(meas)) + 0.25,
-        (float(meas[0, 0]), float(meas[0, 1]), float(meas[1, 1])),
-    )
+    (s00, s01), (s10, s11) = (det_b * meas - cross @ adj_b @ cross.T).tolist()
+    (m00, m01), (_, m11) = meas.tolist()
+    # Q = adj(schur) = [[s11, -s01], [-s10, s00]], symmetrized
+    numerator = (float(np.linalg.det(sigma)) + det_b / 4.0, s11, s00, -(s01 + s10))
+    return (numerator, (det_m + 0.25, m11, m00, -2.0 * m01)), det_m, det_b
 
 
-def _quadratic_forms(mat: tuple, c, s) -> tuple:
-    """(v^T A v, w^T A w, v^T A w) for the symmetric A = (a00, a01, a11),
-    v = (c, s) and w = (-s, c); floats or broadcastable arrays."""
-    a00, a01, a11 = mat
-    av0, av1 = a00 * c + a01 * s, a01 * c + a11 * s
-    aw0, aw1 = a01 * c - a00 * s, a11 * c - a01 * s
-    return c * av0 + s * av1, c * aw1 - s * aw0, c * aw0 + s * aw1
+def _quadratic(form: tuple, x, y):
+    """The quadratic ``form = (k, p, m, c)`` of :func:`_seed_forms` at
+    zeta = x + iy, as a sum of terms that do not cancel where its matrix
+    is ill-conditioned along the quadrature axes."""
+    k, p, m, c = form
+    y2 = y * y
+    return k * (1.0 - x * x - y2) + (p * ((1.0 + x) ** 2 + y2) + m * ((1.0 - x) ** 2 + y2)) / 2.0 + c * y
 
 
-def _conditional_det(forms: tuple, e, c, s):
-    """det(B - C^T (M + Gamma)^-1 C) for the seed
-    Gamma = (e v v^T + w w^T / e) / 2, v = (c, s), w = (-s, c), from the
-    :func:`_seed_forms`; floats or broadcastable arrays. It is
-    det(sigma + Gamma (+) 0) / det(M + Gamma), whose two affine forms in
-    (e, 1/e) have non-negative coefficients (see the module docstring)."""
-    alpha, q, delta, m = forms
-    qv, qw, _ = _quadratic_forms(q, c, s)
-    mv, mw, _ = _quadratic_forms(m, c, s)
-    return (alpha + (e * qv + qw / e) / 2.0) / (delta + (e * mw + mv / e) / 2.0)
-
-
-def _homodyne_det(forms: tuple, c, s):
-    """The limit e -> infinity of :func:`_conditional_det`, v^T Q v / w^T M w:
-    homodyne detection of the quadrature along w."""
-    _, q, _, m = forms
-    return _quadratic_forms(q, c, s)[0] / _quadratic_forms(m, c, s)[1]
+def _conditional_det(forms: tuple, x, y):
+    """det(B - C^T (M + Gamma)^-1 C) for the seed zeta = x + iy of the closed
+    unit disk, as the ratio N / D of the :func:`_seed_forms`; floats or
+    broadcastable arrays. On |zeta| = 1 it is the homodyne limit."""
+    numerator, denominator = forms
+    return _quadratic(numerator, x, y) / _quadratic(denominator, x, y)
 
 
 def _finite_objective(forms: tuple):
-    """:func:`_conditional_det` at (u, phi) with e = e^u, and its gradient
-    and Hessian in (u, phi), for :func:`minimize` on the seed plane.
+    """:func:`_conditional_det` at (x, y) with its gradient and Hessian,
+    for :func:`minimize` on the disk. N and D have affine gradients and
+    Hessians (p + m - 2 k) I, so no transcendental function enters; those
+    of N / D follow by the quotient rule."""
+    (n_k, n_p, n_m, n_c), (d_k, d_p, d_m, d_c) = forms
+    n_curv, d_curv = n_p + n_m - 2.0 * n_k, d_p + d_m - 2.0 * d_k
 
-    With N and D the numerator and denominator, d/du of e v^T Q v is
-    itself and d/dphi is 2 e v^T Q w (dv/dphi = w, dw/dphi = -v), so
-    every derivative of N and D is a combination of the same six
-    quadratic forms; those of N / D follow by the quotient rule.
-    """
-    alpha, q, delta, m = forms
-
-    def conditional_det(x):
-        e, c, s = math.exp(x[0]), math.cos(x[1]), math.sin(x[1])
-        qv, qw, qx = _quadratic_forms(q, c, s)
-        mv, mw, mx = _quadratic_forms(m, c, s)
-        # N = alpha + n_uu and D = delta + d_uu; subscripts u and p are derivatives in u and phi
-        n_uu, n_u = (e * qv + qw / e) / 2.0, (e * qv - qw / e) / 2.0
-        d_uu, d_u = (e * mw + mv / e) / 2.0, (e * mw - mv / e) / 2.0
-        plus, minus = e + 1.0 / e, e - 1.0 / e
-        n_p, n_up, n_pp = qx * minus, qx * plus, (qw - qv) * minus
-        d_p, d_up, d_pp = -mx * minus, -mx * plus, (mv - mw) * minus
-        den = delta + d_uu
-        f = (alpha + n_uu) / den
-        g_u, g_p = (n_u - f * d_u) / den, (n_p - f * d_p) / den
-        return f, (g_u, g_p), (
-            (n_uu - f * d_uu - 2.0 * g_u * d_u) / den,
-            (n_up - f * d_up - g_u * d_p - g_p * d_u) / den,
-            (n_pp - f * d_pp - 2.0 * g_p * d_p) / den,
-        )
+    def conditional_det(z):
+        x, y = z
+        den = _quadratic(forms[1], x, y)
+        f = _quadratic(forms[0], x, y) / den
+        n_x, n_y = n_curv * x + n_p - n_m, n_curv * y + n_c
+        d_x, d_y = d_curv * x + d_p - d_m, d_curv * y + d_c
+        g_x, g_y = (n_x - f * d_x) / den, (n_y - f * d_y) / den
+        curv = n_curv - f * d_curv
+        hess = ((curv - 2.0 * g_x * d_x) / den, -(g_x * d_y + g_y * d_x) / den, (curv - 2.0 * g_y * d_y) / den)
+        return f, (g_x, g_y), hess
 
     return conditional_det
 
 
 def _homodyne_objective(forms: tuple):
-    """:func:`_homodyne_det` at (phi,) with its first and second
-    derivatives, shaped as a two-coordinate gradient and Hessian whose
-    second coordinate is flat, so the Newton step never moves along it."""
-    _, q, _, m = forms
+    """:func:`_conditional_det` on the circle zeta = e^{2i phi}, at (phi,)
+    with its first and second derivatives, shaped as a two-coordinate
+    gradient and Hessian whose second coordinate is flat, so the Newton
+    step never moves along it. There N = 2 (p cos^2 phi + m sin^2 phi
+    + c sin phi cos phi), evaluated in phi so that no terms cancel."""
+    (_, n_p, n_m, n_c), (_, d_p, d_m, d_c) = forms
 
     def conditional_det(x):
         c, s = math.cos(x[0]), math.sin(x[0])
-        qv, qw, qx = _quadratic_forms(q, c, s)
-        mv, mw, mx = _quadratic_forms(m, c, s)
-        f = qv / mw
-        g = 2.0 * (qx + f * mx) / mw
-        return f, (g, 0.0), (2.0 * (qw - qv - f * (mv - mw) + 2.0 * g * mx) / mw, 0.0, 0.0)
+        c2, s2 = c * c - s * s, 2.0 * s * c
+        den = 2.0 * (d_p * c * c + d_m * s * s + d_c * s * c)
+        f = 2.0 * (n_p * c * c + n_m * s * s + n_c * s * c) / den
+        d_1 = 2.0 * ((d_m - d_p) * s2 + d_c * c2)
+        g = (2.0 * ((n_m - n_p) * s2 + n_c * c2) - f * d_1) / den
+        d_2, n_2 = 4.0 * ((d_m - d_p) * c2 - d_c * s2), 4.0 * ((n_m - n_p) * c2 - n_c * s2)
+        return f, (g, 0.0), ((n_2 - f * d_2 - 2.0 * g * d_1) / den, 0.0, 0.0)
 
     return conditional_det
 
 
-def _seed_plane(x, g, h) -> tuple:
-    """The seed plane (u, phi) as its own chart for :func:`minimize`; a
-    step keeps u within +-U_CLAMP."""
-    return g, h, lambda d1, d2: (min(max(x[0] + d1, -U_CLAMP), U_CLAMP), x[1] + d2)
+def _disk(z, g, h) -> tuple:
+    """The closed unit disk of seeds zeta = (x, y) as a chart for
+    :func:`minimize`. A step that would leave the disk stops where it meets
+    the circle; on the circle, the run slides along it instead: the chart
+    is the arc, with the objective's slope and curvature along it."""
+    x, y = z
+    gap = max(1.0 - (x * x + y * y), 0.0)
+    if gap <= 1e-12:  # on the circle, to rounding
+        d1, d2 = _newton_step(g, h)
+        if (x + d1) ** 2 + (y + d2) ** 2 > 1.0:
+            # along the tangent (-y, x); the arc's own curvature adds -g.z
+            curv = h[0] * y * y - 2.0 * h[1] * x * y + h[2] * x * x - (g[0] * x + g[1] * y)
+
+            def slide(d1, d2):
+                norm = math.hypot(x - d1 * y, y + d1 * x)
+                return ((x - d1 * y) / norm, (y + d1 * x) / norm), d1, 0.0
+
+            return (g[1] * x - g[0] * y, 0.0), (curv, 0.0, 0.0), slide
+
+    def move(d1, d2):
+        if (x + d1) ** 2 + (y + d2) ** 2 <= 1.0:
+            return (x + d1, y + d2), d1, d2
+        # the t in (0, 1) with |z + t d| = 1, in the form that does not cancel
+        along, length2 = x * d1 + y * d2, d1 * d1 + d2 * d2
+        root = math.sqrt(along * along + length2 * gap)
+        t = gap / (along + root) if along > 0.0 else (root - along) / length2
+        norm = math.hypot(x + t * d1, y + t * d2)
+        return ((x + t * d1) / norm, (y + t * d2) / norm), t * d1, t * d2
+
+    return g, h, move
 
 
 def _homodyne_line(x, g, h) -> tuple:
     """The homodyne angle (phi,) as a chart for :func:`minimize`."""
-    return g, h, lambda d1, d2: (x[0] + d1,)
+    return g, h, lambda d1, d2: ((x[0] + d1,), d1, d2)
 
 
 def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
@@ -469,31 +484,27 @@ def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 
     Gaussian measurements on the chosen mode.
 
     Evaluates the conditional determinant on the GRID_U x GRID_PHI grid
-    of seed squeezing u in (0, ln 1e3] and orientation phi in [0, pi),
-    runs Newton on the (u, phi) plane from its STARTS best cells, and
-    separately refines the homodyne limit by Newton in phi from the best
-    of HOMODYNE_PHIS angles. The smallest determinant found gives the
-    classical correlations through one :func:`mode_entropy`, and the
-    discord is the mutual information minus them. Serves as the
-    independent check of :func:`gaussian_discord`.
+    of seeds zeta = tanh(u/2) e^{2i phi}, u in (0, ln 1e3] and phi in
+    [0, pi), runs Newton on the closed unit disk from its STARTS best
+    cells (see :func:`_disk` for its circle, the homodyne limit), and
+    refines that limit by Newton in phi from the best of HOMODYNE_PHIS
+    angles. The smallest determinant found gives the classical
+    correlations through one :func:`mode_entropy`, and the discord is the
+    mutual information minus them. Serves as the independent check of
+    :func:`gaussian_discord`.
     """
     _require_two_modes(sigma)
-    meas, unmeas, _ = _split_blocks(sigma.sigma, measured_mode)
-    forms = _seed_forms(sigma.sigma, measured_mode)
+    forms, det_m, det_b = _seed_forms(sigma.sigma, measured_mode)
     # a stable argsort keeps the first of equal cells in (u, phi) order
-    grid = _conditional_det(forms, np.exp(_GRID_U)[:, None], np.cos(_GRID_PHI), np.sin(_GRID_PHI))
-    cells = np.argsort(grid, axis=None, kind="stable")[:STARTS]
-    u_at, phi_at = np.unravel_index(cells, grid.shape)
-    starts = list(zip(_GRID_U[u_at].tolist(), _GRID_PHI[phi_at].tolist()))
-    finite = minimize(_finite_objective(forms), starts, _seed_plane)
-    hom_grid = _homodyne_det(forms, np.cos(_HOMODYNE_PHIS), np.sin(_HOMODYNE_PHIS))
-    hom_at = int(np.argmin(hom_grid))
+    cells = np.argsort(_conditional_det(forms, _GRID_X, _GRID_Y), kind="stable")[:STARTS]
+    finite = minimize(_finite_objective(forms), list(zip(_GRID_X[cells].tolist(), _GRID_Y[cells].tolist())), _disk)
+    hom_at = int(np.argmin(_conditional_det(forms, _HOMODYNE_X, _HOMODYNE_Y)))
     homodyne = minimize(_homodyne_objective(forms), [(float(_HOMODYNE_PHIS[hom_at]),)], _homodyne_line)
     min_det = min(finite.fun, homodyne.fun)  # a run ends at most at its start's value: the grids add nothing
 
     nu_minus, nu_plus = symplectic_eigenvalues(sigma)
-    entropy_meas = mode_entropy(math.sqrt(max(float(np.linalg.det(meas)), 0.25)))
-    entropy_unmeas = mode_entropy(math.sqrt(max(float(np.linalg.det(unmeas)), 0.25)))
+    entropy_meas = mode_entropy(math.sqrt(max(det_m, 0.25)))
+    entropy_unmeas = mode_entropy(math.sqrt(max(det_b, 0.25)))
     total = mode_entropy(nu_minus) + mode_entropy(nu_plus)
     info = entropy_meas + entropy_unmeas - total
     classical = entropy_unmeas - mode_entropy(math.sqrt(max(min_det, 0.25)))

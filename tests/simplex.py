@@ -25,7 +25,7 @@ The library refined with this port before it moved here, so the test
 oracles that keep those searches give the library's old numbers: the
 two-qubit grid plus Nelder-Mead search that Newton on the sphere
 replaced in :mod:`qcorr.discord` (:mod:`tests.discord_oracle`), and the
-Gaussian measurement search that Newton on the seed plane replaced in
+Gaussian measurement search that Newton replaced in
 :mod:`qcorr.gaussian` (:mod:`tests.gaussian_oracle`).
 """
 

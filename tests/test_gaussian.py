@@ -288,12 +288,8 @@ class TestGaussianDiscord:
 
     def test_refined_search_never_above_grid(self):
         sigma = random_covariance(11)
-        forms = gaussian._seed_forms(sigma.sigma, 1)
-        grid_best = float(
-            gaussian._conditional_det(
-                forms, np.exp(gaussian._GRID_U)[:, None], np.cos(gaussian._GRID_PHI), np.sin(gaussian._GRID_PHI)
-            ).min()
-        )
+        forms = gaussian._seed_forms(sigma.sigma, 1)[0]
+        grid_best = float(gaussian._conditional_det(forms, gaussian._GRID_X, gaussian._GRID_Y).min())
         searched = minimize_gaussian_measurement(sigma, 1)
         nu_minus, nu_plus = symplectic_eigenvalues(sigma)
         meas = sigma.sigma[:2, :2]
@@ -353,6 +349,12 @@ EXTREME_U = [-34.5, -20.0, 0.0, 20.0, 34.5]
 PHIS = np.linspace(0.0, math.pi, 12, endpoint=False) + 0.1
 
 
+def disk_point(u: float, phi: float) -> tuple:
+    """The seed (u, phi) on the Poincare disk, zeta = tanh(u/2) e^{2i phi}."""
+    r = math.tanh(u / 2.0)
+    return r * math.cos(2.0 * phi), r * math.sin(2.0 * phi)
+
+
 def central_differences(fun, x, step):
     """Gradient and Hessian (h11, h12, h22) of the objective ``fun`` at x
     by central differences of its value and of its gradient."""
@@ -379,40 +381,45 @@ class TestOracleObjectives:
     def test_finite_squeezing(self, index, mode):
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
-        forms = gaussian._seed_forms(sigma, mode)
+        forms = gaussian._seed_forms(sigma, mode)[0]
         objective = gaussian._finite_objective(forms)
         for u in EXTREME_U:
-            grid = gaussian._conditional_det(forms, math.exp(u), np.cos(PHIS), np.sin(PHIS))
-            for phi, from_grid in zip(PHIS, grid):
+            x, y = np.array([disk_point(u, phi) for phi in PHIS]).T
+            grid = gaussian._conditional_det(forms, x, y)
+            for phi, point, from_grid in zip(PHIS, zip(x, y), grid):
                 expected = float(np.linalg.det(reference_conditional(sigma, mode, u, phi)))
-                assert objective((u, phi))[0] == pytest.approx(expected, rel=0, abs=tol)
+                assert objective(point)[0] == pytest.approx(expected, rel=0, abs=tol)
                 assert from_grid == pytest.approx(expected, rel=0, abs=tol)
 
     @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
     @pytest.mark.parametrize("mode", [1, 2])
     def test_homodyne(self, index, mode):
+        """On the circle zeta = e^{2i phi}: the homodyne objective, the disk
+        objective and the array kernel."""
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
-        forms = gaussian._seed_forms(sigma, mode)
+        forms = gaussian._seed_forms(sigma, mode)[0]
         objective = gaussian._homodyne_objective(forms)
-        grid = gaussian._homodyne_det(forms, np.cos(PHIS), np.sin(PHIS))
+        finite = gaussian._finite_objective(forms)
+        grid = gaussian._conditional_det(forms, np.cos(2.0 * PHIS), np.sin(2.0 * PHIS))
         for phi, from_grid in zip(PHIS, grid):
             expected = float(np.linalg.det(reference_homodyne_conditional(sigma, mode, phi)))
             assert objective((phi,))[0] == pytest.approx(expected, rel=0, abs=tol)
             assert from_grid == pytest.approx(expected, rel=0, abs=tol)
-            # the finite determinant at the clamp is this limit, to e^-34.5 of its size
-            finite = gaussian._finite_objective(forms)((gaussian.U_CLAMP, phi))[0]
-            assert finite == pytest.approx(expected, rel=0, abs=tol)
+            on_circle = finite((math.cos(2.0 * phi), math.sin(2.0 * phi)))[0]
+            assert on_circle == pytest.approx(expected, rel=0, abs=tol)
 
     @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
     @pytest.mark.parametrize("mode", [1, 2])
     def test_derivatives_against_central_differences(self, index, mode):
-        """The closed-form gradient and Hessian in (u, phi), and in phi on
-        the homodyne line, to 1e-7 of the scale the differences resolve."""
-        forms = gaussian._seed_forms(ORACLE_STATES[index].sigma, mode)
+        """The closed-form gradient and Hessian in (x, y), also at
+        |zeta| = 1 - 1e-6, and in phi on the homodyne line, to 1e-7 of the
+        scale the differences resolve."""
+        forms = gaussian._seed_forms(ORACLE_STATES[index].sigma, mode)[0]
         finite = gaussian._finite_objective(forms)
         homodyne = gaussian._homodyne_objective(forms)
-        points = [((u, phi), finite) for u in (-6.0, -1.0, 0.0, 0.7, 3.0, 8.0) for phi in PHIS[::3]]
+        edge = 2.0 * math.atanh(1.0 - 1e-6)
+        points = [(disk_point(u, phi), finite) for u in (-6.0, -1.0, 0.0, 0.7, 3.0, 8.0, edge) for phi in PHIS[::3]]
         points += [((phi,), homodyne) for phi in PHIS]
         for x, fun in points:
             value, grad, hess = fun(x)
@@ -423,6 +430,21 @@ class TestOracleObjectives:
             for k in range(len(x)):
                 assert exact[k][: len(x)] == pytest.approx(fd_hess[k], rel=0, abs=scale)
 
+    def test_oracle_on_locally_squeezed_states(self):
+        """Random states squeezed locally along the quadrature axes by up to
+        e^2, so that M and Q reach condition numbers near e^8: the oracle
+        keeps the closed form's digits, because the quadratics are summed
+        from terms that do not cancel there."""
+        rng = np.random.default_rng(2010)
+        worst = 0.0
+        for seed in range(300):
+            r1, r2 = rng.uniform(-2.0, 2.0, 2)
+            squeeze = np.diag(np.exp([r1, -r1, r2, -r2]))
+            sigma = CovarianceMatrix(squeeze @ random_covariance(seed).sigma @ squeeze)
+            for mode in (1, 2):
+                worst = max(worst, abs(minimize_gaussian_measurement(sigma, mode) - gaussian_discord(sigma, mode)))
+        assert worst < 5e-14
+
     def test_oracle_matches_closed_form_tightly(self):
         for seed in range(100, 120):
             sigma = random_covariance(seed)
@@ -432,11 +454,56 @@ class TestOracleObjectives:
                 )
 
 
-def test_seed_plane_steps_stop_at_the_u_clamp():
-    _, _, move = gaussian._seed_plane((34.0, 0.3), (0.0, 0.0), (0.0, 0.0, 0.0))
-    assert move(2.0, 0.5) == (gaussian.U_CLAMP, 0.8)
-    _, _, move = gaussian._seed_plane((-34.0, 0.3), (0.0, 0.0), (0.0, 0.0, 0.0))
-    assert move(-2.0, 0.0) == (-gaussian.U_CLAMP, 0.3)
+NO_DERIVATIVES = ((0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+def test_disk_steps_from_inside_stop_on_the_circle():
+    _, _, move = gaussian._disk((0.5, 0.0), *NO_DERIVATIVES)
+    assert move(0.25, 0.5) == ((0.75, 0.5), 0.25, 0.5)
+    assert move(1.0, 0.0) == ((1.0, 0.0), 0.5, 0.0)
+    _, _, move = gaussian._disk((0.0, 0.0), *NO_DERIVATIVES)
+    (x, y), d1, d2 = move(1.2, 1.6)
+    assert (x, y, d1, d2) == pytest.approx((0.6, 0.8, 0.6, 0.8), rel=0, abs=1e-15)
+    # a sideways step from near the circle stops where its line meets the circle
+    (x, y), d1, d2 = gaussian._disk((0.0, -0.999), *NO_DERIVATIVES)[2](1.0, 0.0)
+    assert math.hypot(x, y) == pytest.approx(1.0, rel=0, abs=1e-15)
+    assert (d1, d2) == pytest.approx((x, 0.0), rel=0, abs=1e-15)
+
+
+def test_disk_steps_from_the_circle_slide_along_it():
+    """At (0.6, 0.8) with f = -2 (x + y) + |zeta|^2, whose minimum (1, 1) is
+    outside the disk, the Newton step (0.4, 0.2) leaves it, so the chart is
+    the arc: slope g.t along the tangent t = (-0.8, 0.6) and curvature
+    t.H.t - g.z, and a step moves along the circle."""
+    z = (0.6, 0.8)
+    grad, hess, move = gaussian._disk(z, (-0.8, -0.4), (2.0, 0.0, 2.0))
+    assert grad == pytest.approx((0.4, 0.0), rel=0, abs=1e-15)
+    assert hess == pytest.approx((2.8, 0.0, 0.0), rel=0, abs=1e-15)
+    (x, y), d1, d2 = move(0.1, 0.0)
+    assert (d1, d2) == (0.1, 0.0)
+    assert math.hypot(x, y) == pytest.approx(1.0, rel=0, abs=1e-15)
+    assert math.atan2(y, x) == pytest.approx(math.atan2(0.8, 0.6) + math.atan(0.1), rel=0, abs=1e-15)
+    # a Newton step from the circle that stays inside is taken as asked
+    _, _, move = gaussian._disk(z, (0.6, 0.8), (1.0, 0.0, 1.0))
+    assert move(-0.6, -0.8) == ((0.0, 0.0), -0.6, -0.8)
+
+
+@pytest.mark.parametrize("centre", [(0.3, -0.2), (2.0, 1.0), (-0.6, 0.8)])
+def test_newton_on_the_disk_reaches_the_nearest_point(centre):
+    """f = |zeta - c|^2 has its minimum on the closed disk at c, or at
+    c / |c| when c is outside; from the centre and from a point on the
+    circle the runs converge there in a few steps."""
+    cx, cy = centre
+    nearest = np.array(centre) / max(1.0, math.hypot(cx, cy))
+
+    def fun(z):
+        return (z[0] - cx) ** 2 + (z[1] - cy) ** 2, (2.0 * (z[0] - cx), 2.0 * (z[1] - cy)), (2.0, 0.0, 2.0)
+
+    for start in [(0.0, 0.0), (0.0, -1.0)]:
+        result = gaussian.minimize(fun, [start], gaussian._disk)
+        assert result.success and result.nfev <= 8
+        assert result.x == pytest.approx(tuple(nearest), rel=0, abs=1e-8)
+        assert math.hypot(*result.x) <= 1.0 + 1e-15
 
 
 AGREEMENT_STATES = (
@@ -450,7 +517,7 @@ AGREEMENT_STATES = (
 
 
 class TestAgainstOracle:
-    """Newton on the seed plane against the 24 x 16 grid plus Nelder-Mead
+    """Newton on the Poincare disk against the 24 x 16 grid plus Nelder-Mead
     search it replaced (:mod:`tests.gaussian_oracle`), on 128 (state,
     measured mode) pairs: random states, post-quench thermal states and
     two-mode squeezed vacua up to r = 4."""
@@ -462,17 +529,18 @@ class TestAgainstOracle:
                     gaussian_oracle.minimize_gaussian_measurement(sigma, mode), rel=0, abs=1e-12
                 )
 
-    def test_both_refinements_win_and_u_stays_clamped(self, monkeypatch):
+    def test_both_refinements_win_and_finite_runs_converge_in_the_disk(self, monkeypatch):
         """Across the set, the homodyne refinement ends strictly below the
-        finite-squeezing Newton runs on some pair and above them on
-        another, and no finite run evaluates beyond the u clamp."""
-        runs, finite_u = [], []
+        Newton runs on the disk on some pair and above them on another; no
+        run on the disk evaluates outside the closed disk, and every one
+        converges instead of walking toward the homodyne limit."""
+        runs, finite_radii = [], []
         refine = gaussian.minimize
 
         def recording(fun, starts, chart):
             def traced(x):
-                if chart is gaussian._seed_plane:
-                    finite_u.append(x[0])
+                if chart is gaussian._disk:
+                    finite_radii.append(math.hypot(*x))
                 return fun(x)
 
             runs.append(refine(traced, starts, chart))
@@ -487,7 +555,8 @@ class TestAgainstOracle:
         assert all(len(finite.x) == 2 and len(homodyne.x) == 1 for finite, homodyne in pairs)
         assert any(homodyne.fun < finite.fun for finite, homodyne in pairs)
         assert any(finite.fun < homodyne.fun for finite, homodyne in pairs)
-        assert max(abs(u) for u in finite_u) <= gaussian.U_CLAMP
+        assert max(finite_radii) <= 1.0 + 1e-15
+        assert all(finite.success for finite, _ in pairs)
 
 
 class TestSerialization:

@@ -74,7 +74,7 @@ def test_discord_objective_on_seeded_states(monkeypatch):
 
 def test_gaussian_oracle_objectives(monkeypatch):
     """The Gaussian test oracle's refinements, the Nelder-Mead that the
-    measurement search used before Newton on the seed plane."""
+    measurement search used before Newton."""
     c, s = math.cosh(3.0) / 2, math.sinh(3.0) / 2  # two-mode squeezed vacuum, r = 1.5
     tmsv = CovarianceMatrix(np.array([[c, 0, s, 0], [0, c, 0, -s], [s, 0, c, 0], [0, -s, 0, c]]))
     states = [random_covariance(seed) for seed in range(6)] + [tmsv]
