@@ -35,8 +35,9 @@ with alpha = det sigma + det B / 4, delta = det M + 1/4, t_Q = tr Q / 2
 and t_M = tr M / 2; the second lines are how they are evaluated. D > 0
 on the closed disk, and its circle (u -> infinity) is homodyne detection
 of the quadrature along w, where N / D is v^T Q v / w^T M w. The search
-runs Newton (:mod:`qcorr._newton`) on the disk, where that limit is at
-finite distance, and on the homodyne angle.
+is one Newton minimization (:mod:`qcorr._newton`) on the closed disk,
+where that limit is at finite distance: a run that meets the circle
+slides along it, so the runs reach that limit themselves.
 
 scipy's ``expm`` is imported only inside :func:`symplectic_propagator`
 and :func:`random_covariance`, so importing this module does not import
@@ -68,14 +69,11 @@ VACUUM_VARIANCE = 0.5
 GRID_U = 4
 GRID_PHI = 4
 STARTS = 2  # Newton runs on the disk, from the best grid cells
-HOMODYNE_PHIS = 64
 # (u, phi) and (-u, phi + pi/2) are the same zeta, so the grid takes u in (0, ln 1e3], in (u, phi) order
 _GRID_R = np.tanh(math.log(1e3) * np.arange(1, GRID_U + 1) / (2 * GRID_U))
 _GRID_ANGLE = np.linspace(0.0, 2.0 * math.pi, GRID_PHI, endpoint=False)
 _GRID_X = np.outer(_GRID_R, np.cos(_GRID_ANGLE)).ravel()
 _GRID_Y = np.outer(_GRID_R, np.sin(_GRID_ANGLE)).ravel()
-_HOMODYNE_PHIS = np.linspace(0.0, math.pi, HOMODYNE_PHIS, endpoint=False)
-_HOMODYNE_X, _HOMODYNE_Y = np.cos(2.0 * _HOMODYNE_PHIS), np.sin(2.0 * _HOMODYNE_PHIS)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -97,15 +95,20 @@ def _symplectic_spectrum(sigma: np.ndarray) -> np.ndarray:
 class CovarianceMatrix:
     """Second-moment matrix of a Gaussian state of any number of modes.
 
-    Validated to be symmetric and to satisfy the uncertainty bound: the
-    smallest symplectic eigenvalue must be at least
-    ``1/2 - PHYSICALITY_SLACK``.
+    Validated to be symmetric, positive definite (by Cholesky, before the
+    symplectic spectrum is read as |Im eig(Omega sigma)|, which holds only
+    for sigma > 0) and to satisfy the uncertainty bound: the smallest
+    symplectic eigenvalue must be at least ``1/2 - PHYSICALITY_SLACK``.
     """
 
     sigma: np.ndarray
 
     def __post_init__(self):
         mat = hermitian_part(self.sigma, "covariance matrix", dtype=float, even=True)
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            raise ValidationError("covariance matrix is not positive definite") from None
         spectrum = _symplectic_spectrum(mat)
         nu_min = float(spectrum.min())
         if nu_min < VACUUM_VARIANCE - PHYSICALITY_SLACK:
@@ -262,9 +265,9 @@ def mode_entropy(nu):
     - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue.
 
     Rejects NaN and nu below 1/2 - PHYSICALITY_SLACK, the bound a
-    :class:`CovarianceMatrix` is built with. A float gives a float,
-    evaluated with ``math`` because the measurement search calls it once
-    per evaluation; an array gives an array.
+    :class:`CovarianceMatrix` is built with. A float gives a float, with
+    ``math``, for scalar callers such as :func:`gaussian_entropy` and the
+    test suite's oracle, which calls it per evaluation; an array gives an array.
     """
     if isinstance(nu, float):
         if not nu >= VACUUM_VARIANCE - PHYSICALITY_SLACK:
@@ -421,27 +424,6 @@ def _finite_objective(forms: tuple):
     return conditional_det
 
 
-def _homodyne_objective(forms: tuple):
-    """:func:`_conditional_det` on the circle zeta = e^{2i phi}, at (phi,)
-    with its first and second derivatives, shaped as a two-coordinate
-    gradient and Hessian whose second coordinate is flat, so the Newton
-    step never moves along it. There N = 2 (p cos^2 phi + m sin^2 phi
-    + c sin phi cos phi), evaluated in phi so that no terms cancel."""
-    (_, n_p, n_m, n_c), (_, d_p, d_m, d_c) = forms
-
-    def conditional_det(x):
-        c, s = math.cos(x[0]), math.sin(x[0])
-        c2, s2 = c * c - s * s, 2.0 * s * c
-        den = 2.0 * (d_p * c * c + d_m * s * s + d_c * s * c)
-        f = 2.0 * (n_p * c * c + n_m * s * s + n_c * s * c) / den
-        d_1 = 2.0 * ((d_m - d_p) * s2 + d_c * c2)
-        g = (2.0 * ((n_m - n_p) * s2 + n_c * c2) - f * d_1) / den
-        d_2, n_2 = 4.0 * ((d_m - d_p) * c2 - d_c * s2), 4.0 * ((n_m - n_p) * c2 - n_c * s2)
-        return f, (g, 0.0), ((n_2 - f * d_2 - 2.0 * g * d_1) / den, 0.0, 0.0)
-
-    return conditional_det
-
-
 def _disk(z, g, h) -> tuple:
     """The closed unit disk of seeds zeta = (x, y) as a chart for
     :func:`minimize`. A step that would leave the disk stops where it meets
@@ -474,33 +456,25 @@ def _disk(z, g, h) -> tuple:
     return g, h, move
 
 
-def _homodyne_line(x, g, h) -> tuple:
-    """The homodyne angle (phi,) as a chart for :func:`minimize`."""
-    return g, h, lambda d1, d2: ((x[0] + d1,), d1, d2)
-
-
 def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
     """Gaussian discord by direct minimization over seeded single-mode
     Gaussian measurements on the chosen mode.
 
     Evaluates the conditional determinant on the GRID_U x GRID_PHI grid
     of seeds zeta = tanh(u/2) e^{2i phi}, u in (0, ln 1e3] and phi in
-    [0, pi), runs Newton on the closed unit disk from its STARTS best
-    cells (see :func:`_disk` for its circle, the homodyne limit), and
-    refines that limit by Newton in phi from the best of HOMODYNE_PHIS
-    angles. The smallest determinant found gives the classical
-    correlations through one :func:`mode_entropy`, and the discord is the
-    mutual information minus them. Serves as the independent check of
-    :func:`gaussian_discord`.
+    [0, pi), and runs Newton on the closed unit disk from its STARTS best
+    cells; a run that meets the circle, the homodyne limit, slides along
+    it (see :func:`_disk`). The smallest determinant found gives the
+    classical correlations through one :func:`mode_entropy`, and the
+    discord is the mutual information minus them. Serves as the
+    independent check of :func:`gaussian_discord`.
     """
     _require_two_modes(sigma)
     forms, det_m, det_b = _seed_forms(sigma.sigma, measured_mode)
     # a stable argsort keeps the first of equal cells in (u, phi) order
     cells = np.argsort(_conditional_det(forms, _GRID_X, _GRID_Y), kind="stable")[:STARTS]
-    finite = minimize(_finite_objective(forms), list(zip(_GRID_X[cells].tolist(), _GRID_Y[cells].tolist())), _disk)
-    hom_at = int(np.argmin(_conditional_det(forms, _HOMODYNE_X, _HOMODYNE_Y)))
-    homodyne = minimize(_homodyne_objective(forms), [(float(_HOMODYNE_PHIS[hom_at]),)], _homodyne_line)
-    min_det = min(finite.fun, homodyne.fun)  # a run ends at most at its start's value: the grids add nothing
+    starts = list(zip(_GRID_X[cells].tolist(), _GRID_Y[cells].tolist()))
+    min_det = minimize(_finite_objective(forms), starts, _disk).fun  # at most the best cell's value
 
     nu_minus, nu_plus = symplectic_eigenvalues(sigma)
     entropy_meas = mode_entropy(math.sqrt(max(det_m, 0.25)))

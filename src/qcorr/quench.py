@@ -324,21 +324,30 @@ def excess_dissipated_work(params: QuenchParams) -> float:
         + (1/b) ln[csch(b hbar w1 / 2) csch(b hbar w2 / 2) / csch^2(b hbar w / 2)]
         + (1/(2 b)) ln[1 + 2 lam0^2 / w^2];
 
-    the two routes must agree within ``IDENTITY_TOL``. Non-negative,
+    checked as every report is (:func:`_check_excess`). Non-negative,
     vanishing in the high-temperature limit.
     """
     w_c, df_c, w_q, df_q, closed = _closed_forms(params, params.beta)
     difference = (w_q - df_q) - (w_c - df_c)
-    if abs(closed - difference) > IDENTITY_TOL:
-        raise _route_error(params.temperature, closed, difference)
+    _check_excess(np.array([params.temperature]), np.array([closed]), np.array([difference]))
     return float(difference)
 
 
-def _route_error(temperature: float, closed: float, difference: float) -> ConsistencyError:
-    return ConsistencyError(
-        f"excess-work routes disagree at temperature {float(temperature)!r}: "
-        f"{float(closed)!r} vs {float(difference)!r}"
-    )
+def _check_excess(temperature: np.ndarray, closed: np.ndarray, omega_excess: np.ndarray):
+    """Raise at the first temperature whose excess work is below
+    ``OMEGA_FLOOR`` or whose two routes (closed form and difference)
+    disagree by more than ``IDENTITY_TOL``, whichever comes first."""
+    disagree = np.abs(closed - omega_excess) > IDENTITY_TOL
+    stop = int(disagree.argmax()) if disagree.any() else omega_excess.size
+    negative = omega_excess[:stop] < OMEGA_FLOOR
+    if negative.any():
+        first = float(omega_excess[negative.argmax()])
+        raise ValidationError(f"omega_excess = {first!r} is negative")
+    if stop < omega_excess.size:
+        raise ConsistencyError(
+            f"excess-work routes disagree at temperature {float(temperature[stop])!r}: "
+            f"{float(closed[stop])!r} vs {float(omega_excess[stop])!r}"
+        )
 
 
 # -- correlations and the temperature sweep ------------------------------
@@ -383,9 +392,8 @@ def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> l
     """One report per inverse temperature in the array ``beta``, every
     field computed over the whole array at once.
 
-    Like a loop over :func:`report_at`, raises at the first temperature
-    whose excess work is below ``OMEGA_FLOOR`` or whose two excess-work
-    routes disagree, whichever comes first.
+    Like a loop over :func:`report_at`, raises where
+    :func:`_check_excess` does.
     """
     _require_finite("evolution_time", evolution_time)
     w_c, df_c, w_q, df_q, closed = _closed_forms(params, beta)
@@ -394,14 +402,7 @@ def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> l
     omega_excess = w_q_irr - w_c_irr
     temperature = 1.0 / (params.kb * beta)
     discord = _thermal_quench_discord(params, beta, evolution_time)
-    disagree = np.abs(closed - omega_excess) > IDENTITY_TOL
-    stop = int(disagree.argmax()) if disagree.any() else beta.size
-    negative = omega_excess[:stop] < OMEGA_FLOOR
-    if negative.any():
-        first = float(omega_excess[negative.argmax()])
-        raise ValidationError(f"omega_excess = {first!r} is negative")
-    if stop < beta.size:
-        raise _route_error(temperature[stop], closed[stop], omega_excess[stop])
+    _check_excess(temperature, closed, omega_excess)
     columns = (temperature, w_c, df_c, w_c_irr, w_q, df_q, w_q_irr, omega_excess, discord)
     return list(map(QuenchReport._make, zip(*(c.tolist() for c in columns))))
 

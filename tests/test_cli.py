@@ -174,6 +174,13 @@ class TestLoadState:
         assert code == 1
         assert "uncertainty" in err and "0.4" in err
 
+    def test_indefinite_covariance_is_data_error(self, tmp_path, capsys):
+        """Symmetric, eigenvalues -1.48 twice, and |Im eig(Omega sigma)| = (1, 1)."""
+        path = tmp_path / "indefinite_cov.json"
+        path.write_text(json.dumps([[4, 0, 6.4, 0], [0, 4, 0, -6.4], [6.4, 0, 6, 0], [0, -6.4, 0, 6]]))
+        code, out, err = run(capsys, "gaussian", "--cov", str(path))
+        assert_data_error(code, out, err, "not positive definite")
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "qstate", "--state", "/nonexistent.json")
         assert code == 1

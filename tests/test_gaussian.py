@@ -29,6 +29,9 @@ from qcorr import (
 
 from . import gaussian_oracle
 
+# symmetric with eigenvalues -1.48 (twice) and 11.48 (twice), yet |Im eig(Omega sigma)| = (1, 1)
+INDEFINITE = np.array([[4.0, 0.0, 6.4, 0.0], [0.0, 4.0, 0.0, -6.4], [6.4, 0.0, 6.0, 0.0], [0.0, -6.4, 0.0, 6.0]])
+
 NU_THERMAL_UNIT = 1.0819767068693265  # (1/2) coth(1/2)
 MODE_ENTROPY_UNIT = 1.0406518522564083  # f(nu) at beta = omega = 1
 
@@ -69,6 +72,14 @@ class TestConstruction:
 
     def test_vacuum_accepted(self):
         CovarianceMatrix(0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("mat", [-np.eye(2), INDEFINITE])
+    def test_not_positive_definite_rejected(self, mat):
+        """|Im| of the eigenvalues of Omega sigma is the symplectic spectrum
+        only for sigma > 0: -I reads as nu = (1,), and INDEFINITE, with
+        eigenvalue -1.48 twice, as nu = (1, 1)."""
+        with pytest.raises(ValidationError, match="not positive definite"):
+            CovarianceMatrix(mat)
 
     def test_hamiltonian_symmetry_enforced(self):
         mat = np.eye(4)
@@ -394,17 +405,15 @@ class TestOracleObjectives:
     @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
     @pytest.mark.parametrize("mode", [1, 2])
     def test_homodyne(self, index, mode):
-        """On the circle zeta = e^{2i phi}: the homodyne objective, the disk
+        """On the circle zeta = e^{2i phi}, the homodyne limit: the disk
         objective and the array kernel."""
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
         forms = gaussian._seed_forms(sigma, mode)[0]
-        objective = gaussian._homodyne_objective(forms)
         finite = gaussian._finite_objective(forms)
         grid = gaussian._conditional_det(forms, np.cos(2.0 * PHIS), np.sin(2.0 * PHIS))
         for phi, from_grid in zip(PHIS, grid):
             expected = float(np.linalg.det(reference_homodyne_conditional(sigma, mode, phi)))
-            assert objective((phi,))[0] == pytest.approx(expected, rel=0, abs=tol)
             assert from_grid == pytest.approx(expected, rel=0, abs=tol)
             on_circle = finite((math.cos(2.0 * phi), math.sin(2.0 * phi)))[0]
             assert on_circle == pytest.approx(expected, rel=0, abs=tol)
@@ -413,22 +422,45 @@ class TestOracleObjectives:
     @pytest.mark.parametrize("mode", [1, 2])
     def test_derivatives_against_central_differences(self, index, mode):
         """The closed-form gradient and Hessian in (x, y), also at
-        |zeta| = 1 - 1e-6, and in phi on the homodyne line, to 1e-7 of the
-        scale the differences resolve."""
-        forms = gaussian._seed_forms(ORACLE_STATES[index].sigma, mode)[0]
+        |zeta| = 1 - 1e-6, to 1e-7 of the scale the differences resolve.
+        On the circle zeta = e^{i theta}, the slope g.t and curvature
+        t.H.t - g.zeta along the arc, t = (-y, x), which :func:`_disk` forms
+        when a run slides, against five-point differences in theta of the
+        homodyne reference, to the same 1e-7 plus that reference's rounding
+        (eps ||sigma||^2) as the differences amplify it."""
+        sigma = ORACLE_STATES[index].sigma
+        forms = gaussian._seed_forms(sigma, mode)[0]
         finite = gaussian._finite_objective(forms)
-        homodyne = gaussian._homodyne_objective(forms)
         edge = 2.0 * math.atanh(1.0 - 1e-6)
-        points = [(disk_point(u, phi), finite) for u in (-6.0, -1.0, 0.0, 0.7, 3.0, 8.0, edge) for phi in PHIS[::3]]
-        points += [((phi,), homodyne) for phi in PHIS]
-        for x, fun in points:
-            value, grad, hess = fun(x)
-            fd_grad, fd_hess = central_differences(fun, x, 1e-5)
+        for x in [disk_point(u, phi) for u in (-6.0, -1.0, 0.0, 0.7, 3.0, 8.0, edge) for phi in PHIS[::3]]:
+            value, grad, hess = finite(x)
+            fd_grad, fd_hess = central_differences(finite, x, 1e-5)
             scale = 1e-7 * (abs(value) + max(abs(g) for g in grad) + max(abs(h) for h in hess))
-            assert grad[: len(x)] == pytest.approx(fd_grad, rel=0, abs=scale)
-            exact = [[hess[0], hess[1]], [hess[1], hess[2]]]
-            for k in range(len(x)):
-                assert exact[k][: len(x)] == pytest.approx(fd_hess[k], rel=0, abs=scale)
+            assert grad == pytest.approx(fd_grad, rel=0, abs=scale)
+            assert [hess[0], hess[1]] == pytest.approx(fd_hess[0], rel=0, abs=scale)
+            assert [hess[1], hess[2]] == pytest.approx(fd_hess[1], rel=0, abs=scale)
+
+        def homodyne(theta):
+            return float(np.linalg.det(reference_homodyne_conditional(sigma, mode, theta / 2.0)))
+
+        step = 1e-3
+        rounding = np.finfo(float).eps * (1.0 + np.linalg.norm(sigma, 2) ** 2)
+        for theta in 2.0 * PHIS:
+            x, y = math.cos(theta), math.sin(theta)
+            value, (g_x, g_y), (h_xx, h_xy, h_yy) = finite((x, y))
+            slope = g_y * x - g_x * y
+            curv = h_xx * y * y - 2.0 * h_xy * x * y + h_yy * x * x - (g_x * x + g_y * y)
+            f2, f1, f0, f_1, f_2 = (homodyne(theta + k * step) for k in (2, 1, 0, -1, -2))
+            scale = 1e-7 * (abs(value) + abs(slope) + abs(curv))
+            fd_slope = (8.0 * (f1 - f_1) - (f2 - f_2)) / (12.0 * step)
+            fd_curv = (16.0 * (f1 + f_1) - (f2 + f_2) - 30.0 * f0) / (12.0 * step * step)
+            assert slope == pytest.approx(fd_slope, rel=0, abs=scale + 1.5 * rounding / step)
+            assert curv == pytest.approx(fd_curv, rel=0, abs=scale + 16.0 / 3.0 * rounding / step**2)
+            d1, d2 = gaussian._newton_step((g_x, g_y), (h_xx, h_xy, h_yy))
+            if (x + d1) ** 2 + (y + d2) ** 2 > 1.0:  # the run slides: the chart is the arc
+                arc_grad, arc_hess, _ = gaussian._disk((x, y), (g_x, g_y), (h_xx, h_xy, h_yy))
+                assert arc_grad == pytest.approx((slope, 0.0), rel=1e-15, abs=1e-15)
+                assert arc_hess == pytest.approx((curv, 0.0, 0.0), rel=1e-15, abs=1e-15)
 
     def test_oracle_on_locally_squeezed_states(self):
         """Random states squeezed locally along the quadrature axes by up to
@@ -529,34 +561,34 @@ class TestAgainstOracle:
                     gaussian_oracle.minimize_gaussian_measurement(sigma, mode), rel=0, abs=1e-12
                 )
 
-    def test_both_refinements_win_and_finite_runs_converge_in_the_disk(self, monkeypatch):
-        """Across the set, the homodyne refinement ends strictly below the
-        Newton runs on the disk on some pair and above them on another; no
-        run on the disk evaluates outside the closed disk, and every one
-        converges instead of walking toward the homodyne limit."""
-        runs, finite_radii = [], []
+    def test_one_run_on_the_disk_reaches_the_circle_and_converges(self, monkeypatch):
+        """Each oracle call makes one :func:`minimize` call, on the disk from
+        the STARTS best grid cells. Across the set its best point lies on
+        the circle, the homodyne limit, for some pairs and inside the disk
+        for others; no evaluation lies outside the closed disk, and every
+        run converges."""
+        calls, radii = [], []
         refine = gaussian.minimize
 
         def recording(fun, starts, chart):
             def traced(x):
-                if chart is gaussian._disk:
-                    finite_radii.append(math.hypot(*x))
+                radii.append(math.hypot(*x))
                 return fun(x)
 
-            runs.append(refine(traced, starts, chart))
-            return runs[-1]
+            calls.append((len(starts), chart, refine(traced, starts, chart)))
+            return calls[-1][2]
 
         monkeypatch.setattr(gaussian, "minimize", recording)
         for sigma in AGREEMENT_STATES:
             for mode in (1, 2):
                 minimize_gaussian_measurement(sigma, mode)
-        assert len(runs) == 2 * 2 * len(AGREEMENT_STATES)
-        pairs = list(zip(runs[0::2], runs[1::2]))  # (finite, homodyne) of each call
-        assert all(len(finite.x) == 2 and len(homodyne.x) == 1 for finite, homodyne in pairs)
-        assert any(homodyne.fun < finite.fun for finite, homodyne in pairs)
-        assert any(finite.fun < homodyne.fun for finite, homodyne in pairs)
-        assert max(finite_radii) <= 1.0 + 1e-15
-        assert all(finite.success for finite, _ in pairs)
+        assert len(calls) == 2 * len(AGREEMENT_STATES)
+        assert all(starts == gaussian.STARTS and chart is gaussian._disk for starts, chart, _ in calls)
+        best = [math.hypot(*result.x) for _, _, result in calls]
+        assert any(abs(r - 1.0) <= 1e-12 for r in best)
+        assert any(r < 1.0 - 1e-12 for r in best)
+        assert max(radii) <= 1.0 + 1e-15
+        assert all(result.success for _, _, result in calls)
 
 
 class TestSerialization:

@@ -320,6 +320,14 @@ class TestExcessWork:
                 value = excess_dissipated_work(QuenchParams(beta=float(beta), lambda0=float(lam)))
                 assert value >= -1e-12
 
+    def test_floor_checked_as_in_reports(self):
+        """At beta = 2.5e-7 the difference route reads -2.8e-9, below
+        OMEGA_FLOOR: the excess work raises as report_at does."""
+        params = QuenchParams(beta=2.5e-7)
+        for evaluate in (excess_dissipated_work, report_at):
+            with pytest.raises(ValidationError, match="omega_excess .* is negative"):
+                evaluate(params)
+
     def test_routes_agree_via_consistency_guard(self, rng):
         # excess_dissipated_work raises internally if the difference route
         # and the closed form separate by more than 1e-12
