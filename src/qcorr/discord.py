@@ -22,13 +22,15 @@ classical correlations are
     C(n) = h(|b|) + (1/2) sum_{+-} [eta(lambda+) + eta(lambda-) - eta(q)],
 
 where h(r) is the entropy of a qubit state with Bloch vector length r.
-Every evaluation is 3-vector arithmetic, and so are the gradient and
-Hessian of C in n (see :func:`_negated_objective`). The bases along n
-and -n are the same pair of projectors, so C(n) = C(-n), and the grid
-covers only the hemisphere phi in [0, pi): its points and their
-antipodes (pi - theta, phi + pi) make up the full theta x [0, 2 pi)
-grid, whose maximum is therefore the same. Exchanging A and B maps
-(a, b, T) to (b, a, T^T).
+The sphere search (:mod:`qcorr._sphere`) hands the objective each point
+as n with an orthonormal basis (e1, e2) of its tangent plane, and the
+objective returns C with its Riemannian gradient and Hessian in that
+basis: every evaluation is a few dozen dot products of 3-vectors (see
+:func:`_negated_objective`). The bases along n and -n are the same pair
+of projectors, so C(n) = C(-n), and the grid covers only the hemisphere
+phi in [0, pi): its points and their antipodes (pi - theta, phi + pi)
+make up the full theta x [0, 2 pi) grid, whose maximum is therefore the
+same. Exchanging A and B maps (a, b, T) to (b, a, T^T).
 
 The search evaluates C on the distinct directions of a THETA_POINTS x
 PHI_POINTS hemisphere grid (:data:`GRID`) and runs Riemannian Newton on
@@ -60,9 +62,9 @@ import numpy as np
 
 from ._newton import FTOL
 from ._sphere import _dot, minimize
-from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
+from .errors import NEGATIVE_CLAMP, SUPPORT_CUTOFF, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
 from .measurement import Povm, povm_outcome
-from .states import DensityMatrix, _entropy_of_spectrum, partial_trace, von_neumann_entropy
+from .states import DensityMatrix, partial_trace, von_neumann_entropy
 
 THETA_POINTS = 8
 PHI_POINTS = 8  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere
@@ -130,8 +132,9 @@ class DiscordResult:
 
 
 def _require_two_qubits(rho: DensityMatrix):
-    if rho.dims != (2, 2):
-        raise ValidationError(f"operation requires a 2 (x) 2 state; got dims {rho.dims}")
+    if not (isinstance(rho, DensityMatrix) and rho.dims == (2, 2)):
+        got = f"dims {rho.dims}" if isinstance(rho, DensityMatrix) else type(rho).__name__
+        raise ValidationError(f"operation requires a 2 (x) 2 state; got {got}")
 
 
 def _bloch(rho: DensityMatrix):
@@ -227,36 +230,40 @@ def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> fl
 
 
 def _negated_objective(bloch, s_b: float):
-    """-C(n) with its Euclidean gradient and Hessian in n, for
-    :func:`qcorr._sphere.minimize`.
+    """-C(n) with its Riemannian gradient (g1, g2) and Hessian (h11, h12,
+    h22) in the tangent basis (e1, e2), for :func:`qcorr._sphere.minimize`,
+    which passes the point as (n, e1, e2).
 
     Each of the terms eta(lambda+), eta(lambda-) and -eta(q) of outcome
-    +-1 adds eta'(x) grad x / 2 to the gradient and (grad x grad x^T / x
-    + eta'(x) hess x) / 2 to the Hessian, with eta'(x) = ln x + 1 and
-    grad lambda+- = +-(a +- v) / 2, grad q = +-a, hess lambda+- =
-    +-T (1 - u u^T / w^2) T^T / (2 w), hess q = 0, where v = T u / w and
-    w = |u|. The Hessian is therefore a sum of outer products of a + v,
-    a - v, a and v, and of T T^T. The sphere needs it only on the tangent
-    plane at n, and the vectors are projected onto that plane before
-    their outer products are formed: where a conditional state is nearly
-    pure, lambda- is small, and so is the tangent part of a - v, while its
-    part along n is not; taken whole, the outer product divided by lambda-
-    would have entries of order 1 / lambda- that cancel. An impossible
-    outcome (q <= 2 ZERO_WEIGHT) adds nothing to them, and the
-    eta(lambda-) of a pure conditional state (lambda- <= ZERO_PROBABILITY
-    q) nothing to the value either, as in :func:`_qubit_entropy`: its
-    gradient along the sphere vanishes there.
+    +-1 adds eta'(x) grad x / 2 to the Euclidean gradient and (grad x
+    grad x^T / x + eta'(x) hess x) / 2 to the Hessian, with eta'(x) =
+    ln x + 1 and grad lambda+- = +-(a +- v) / 2, grad q = +-a, hess
+    lambda+- = +-T (1 - u u^T / w^2) T^T / (2 w), hess q = 0, where
+    v = T u / w and w = |u|. The gradient is g_a a + sum g_v v and the
+    Hessian a sum of outer products of a + v, a - v, a and v, and of
+    T T^T, so each vector x enters only as x.e1 and x.e2 (v.e_i =
+    u.(T^T e_i) / w), T T^T as (T^T e_i).(T^T e_j), and the curvature
+    term -(n.g) delta_ij as n.g = g_a a.n + sum g_v v.n. On the tangent
+    plane the Hessian keeps its digits where a conditional state is nearly
+    pure: lambda- is small there, and so is the tangent part of a - v,
+    while its part along n, which would give terms of order 1 / lambda-
+    that cancel, never enters. An impossible outcome (q <= 2 ZERO_WEIGHT)
+    adds nothing to the derivatives, and the eta(lambda-) of a pure
+    conditional state (lambda- <= ZERO_PROBABILITY q) nothing to the
+    value either, as in :func:`_qubit_entropy`: its gradient along the
+    sphere vanishes there.
     """
     a, b, t = bloch
-    rows, columns = t.tolist(), t.T.tolist()
-    ttt = (t @ t.T).tolist()
+    columns = t.T.tolist()
     a, b = a.tolist(), b.tolist()
 
-    def negated(n):
-        an = _dot(a, n)
-        tn = [_dot(column, n) for column in columns]
-        tangent_a = [a_i - an * n_i for a_i, n_i in zip(a, n)]
-        value, g_a, h_a, h_tt, v_parts, outer = s_b, 0.0, 0.0, 0.0, [], []
+    def negated(x):
+        n, e1, e2 = x
+        an, a1, a2 = _dot(a, n), _dot(a, e1), _dot(a, e2)
+        tn, t1, t2 = ([_dot(column, y) for column in columns] for y in x)  # T^T n, T^T e1, T^T e2
+        value, g_a, h_a, h_tt = s_b, 0.0, 0.0, 0.0
+        g1 = g2 = normal = 0.0  # the v parts of the gradient and of n.g
+        outer = []
         for sign in (1.0, -1.0):
             q = 1.0 + sign * an
             u = [b_j + sign * tn_j for b_j, tn_j in zip(b, tn)]
@@ -266,9 +273,7 @@ def _negated_objective(bloch, s_b: float):
             value += (_eta(plus) + (_eta(minus) if mixed else 0.0) - _eta(q)) / 2.0
             if q <= 2.0 * ZERO_WEIGHT:
                 continue
-            v = [_dot(row, u) / w for row in rows] if w > 0.0 else [0.0, 0.0, 0.0]
-            vn = _dot(v, n)
-            tangent_v = [v_i - vn * n_i for v_i, n_i in zip(v, n)]
+            v1, v2, vn = (_dot(u, t1) / w, _dot(u, t2) / w, _dot(u, tn) / w) if w > 0.0 else (0.0, 0.0, 0.0)
             slope_plus = math.log(plus) + 1.0
             if mixed:
                 slope_minus = math.log(minus) + 1.0
@@ -279,31 +284,25 @@ def _negated_objective(bloch, s_b: float):
                     c_t = (slope_plus - slope_minus) / (4.0 * w)
                 else:
                     c_t = (math.atanh(r) / r if r > 0.0 else 1.0) / (2.0 * q)
-                outer.append((-1.0 / (8.0 * minus), [x - y for x, y in zip(tangent_a, tangent_v)]))
+                outer.append((-1.0 / (8.0 * minus), a1 - v1, a2 - v2))
             else:
                 slope_minus = 0.0
                 c_t = slope_plus / (4.0 * w)
             # the gradient of -C as coefficients of a and v, its Hessian as outer products and T T^T
             g_a += sign * (2.0 * math.log(q) + 2.0 - slope_plus - slope_minus) / 4.0
-            v_parts.append((sign * (slope_minus - slope_plus) / 4.0, v))
+            g_v = sign * (slope_minus - slope_plus) / 4.0
+            g1, g2, normal = g1 + g_v * v1, g2 + g_v * v2, normal + g_v * vn
             h_a += 1.0 / (2.0 * q)
             h_tt += c_t
-            outer += [(-1.0 / (8.0 * plus), [x + y for x, y in zip(tangent_a, tangent_v)]), (c_t, tangent_v)]
+            outer += [(-1.0 / (8.0 * plus), a1 + v1, a2 + v2), (c_t, v1, v2)]
         if value < -NEGATIVE_CLAMP:
             raise ConsistencyError(f"classical correlations evaluated to {value!r} < 0")
-        grad = [g_a * a_i for a_i in a]
-        for g_v, v in v_parts:
-            grad = [g_i + g_v * v_i for g_i, v_i in zip(grad, v)]
-        hess = [[-h_tt * x for x in row] for row in ttt]
-        outer.append((h_a, tangent_a))
-        for coef, x in outer:
-            x0, x1, x2 = x
-            for x_i, row in zip(x, hess):
-                scaled = coef * x_i
-                row[0] += scaled * x0
-                row[1] += scaled * x1
-                row[2] += scaled * x2
-        return -max(value, 0.0), grad, hess
+        normal += g_a * an
+        outer.append((h_a, a1, a2))
+        h11, h12, h22 = -h_tt * _dot(t1, t1) - normal, -h_tt * _dot(t1, t2), -h_tt * _dot(t2, t2) - normal
+        for coef, x1, x2 in outer:
+            h11, h12, h22 = h11 + coef * x1 * x1, h12 + coef * x1 * x2, h22 + coef * x2 * x2
+        return -max(value, 0.0), (g1 + g_a * a1, g2 + g_a * a2), (h11, h12, h22)
 
     return negated
 
@@ -332,7 +331,10 @@ def _maximize_classical_correlations(bloch):
 
 def max_classical_correlations(rho: DensityMatrix):
     """Maximum of :func:`classical_correlations_at` over all projective
-    bases on A. Returns ``(value, basis)``."""
+    bases on A. Returns ``(value, basis)``.
+
+    Domain: a two-qubit :class:`~qcorr.states.DensityMatrix` (dims (2, 2)); anything else raises ValidationError.
+    """
     _require_two_qubits(rho)
     value, basis, _, _ = _maximize_classical_correlations(_bloch(rho))
     return value, basis
@@ -341,8 +343,8 @@ def max_classical_correlations(rho: DensityMatrix):
 def _marginal_entropies(a: np.ndarray, b: np.ndarray) -> float:
     """S(rho_A) + S(rho_B) from the Bloch vectors, from the spectra
     (1 +- |a|)/2 and (1 +- |b|)/2 with the cutoff of von_neumann_entropy."""
-    r = np.sqrt(np.clip([a @ a, b @ b], 0.0, 1.0))
-    return _entropy_of_spectrum(np.concatenate([(1.0 + r) / 2.0, (1.0 - r) / 2.0]))
+    radii = [math.sqrt(min(max(float(v @ v), 0.0), 1.0)) for v in (a, b)]
+    return -sum(p * math.log(p) for r in radii for p in ((1.0 + r) / 2.0, (1.0 - r) / 2.0) if p > SUPPORT_CUTOFF)
 
 
 def _discord(rho: DensityMatrix, bloch) -> DiscordResult:
@@ -373,6 +375,8 @@ def discord(rho: DensityMatrix) -> DiscordResult:
     ``[-NEGATIVE_CLAMP, 0)`` are clamped to zero; a discord more negative
     raises :class:`ConsistencyError` since it signals a broken
     optimization rather than rounding noise.
+
+    Domain: a two-qubit :class:`~qcorr.states.DensityMatrix` (dims (2, 2)); anything else raises ValidationError.
     """
     _require_two_qubits(rho)
     return _discord(rho, _bloch(rho))
@@ -384,6 +388,8 @@ def discord_swapped(rho: DensityMatrix) -> DiscordResult:
     No symmetry with :func:`discord` is implied; one-way classical
     states give zero in one direction only. The mutual information is
     symmetric and (a, b, T) becomes (b, a, T^T).
+
+    Domain: a two-qubit :class:`~qcorr.states.DensityMatrix` (dims (2, 2)); anything else raises ValidationError.
     """
     _require_two_qubits(rho)
     a, b, t = _bloch(rho)

@@ -26,13 +26,9 @@ def eigh_phase_fixed(matrix: np.ndarray):
     real and positive, making the decomposition reproducible.
     """
     vals, vecs = np.linalg.eigh(matrix)
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        pivot = int(np.argmax(np.abs(col)))
-        phase = col[pivot]
-        if abs(phase) > 0:
-            vecs[:, k] = col * (phase.conjugate() / abs(phase))
-    return vals, vecs
+    phases = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]  # first index on ties
+    # numpy scalar division per column: the array ufunc rounds some factors differently
+    return vals, vecs * np.array([phase.conjugate() / abs(phase) for phase in phases])
 
 
 def _validate_dims(dims, size: int | None = None) -> tuple:

@@ -18,7 +18,7 @@ from qcorr import (
     random_density_matrix,
     tensor_product,
 )
-from qcorr._sphere import tangent_derivatives
+from qcorr._sphere import point
 from qcorr.discord import (
     GRID,
     PHI_POINTS,
@@ -387,8 +387,7 @@ def _riemannian_by_differences(objective, n, e1, e2, step):
     normalize(n + x e1 + y e2): the gradient and Hessian at x = y = 0."""
 
     def f(x, y):
-        m = np.asarray(n) + x * np.asarray(e1) + y * np.asarray(e2)
-        return objective((m / np.linalg.norm(m)).tolist())[0]
+        return objective(point(np.asarray(n) + x * np.asarray(e1) + y * np.asarray(e2)))[0]
 
     f0 = f(0.0, 0.0)
     grad = ((f(step, 0) - f(-step, 0)) / (2 * step), (f(0, step) - f(0, -step)) / (2 * step))
@@ -410,11 +409,9 @@ class TestDerivatives:
             for bloch in ((a, b, t), (b, a, t.T)):
                 objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
                 for _ in range(4):
-                    n = rng.standard_normal(3)
-                    n /= np.linalg.norm(n)
-                    value, g, h = objective(n.tolist())
-                    assert np.isfinite(value) and np.isfinite(g).all() and np.isfinite(h).all()
-                    e1, e2, grad, hess = tangent_derivatives(n.tolist(), g, h)
+                    n, e1, e2 = point(rng.standard_normal(3))
+                    value, grad, hess = objective((n, e1, e2))
+                    assert np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()
                     fd_grad, _ = _riemannian_by_differences(objective, n, e1, e2, 1e-6)
                     _, fd_hess = _riemannian_by_differences(objective, n, e1, e2, 1e-4)
                     assert grad == pytest.approx(fd_grad, abs=1e-8)
@@ -448,9 +445,8 @@ class TestDerivatives:
 
         with mpmath.workdps(50):
             for _ in range(4):
-                n = rng.standard_normal(3)
-                n = (n / np.linalg.norm(n)).tolist()
-                e1, e2, grad, hess = tangent_derivatives(n, *objective(n)[1:])
+                n, e1, e2 = point(rng.standard_normal(3))
+                _, _, hess = objective((n, e1, e2))
                 step = mpmath.mpf("1e-6")
 
                 def f(x, y):
@@ -464,11 +460,30 @@ class TestDerivatives:
                 assert 1e-12 < scale < 1e-8
                 assert hess == pytest.approx(expected, abs=1e-4 * scale)
 
-    def test_euclidean_hessian_is_symmetric(self):
-        rho = random_density_matrix((2, 2), 4, seed=11)
-        bloch = _bloch(rho)
-        _, _, h = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))([0.48, 0.6, 0.64])
-        assert np.asarray(h) == pytest.approx(np.asarray(h).T, abs=1e-15)
+    def test_hessian_rotates_with_the_tangent_basis(self):
+        """The objective reads the tangent basis only through dot products:
+        rotating (e1, e2) by an angle rotates (g1, g2) and the 2x2 Hessian
+        with it, on seeded mixed states, measured on either side. (On pure
+        states C is constant and its derivatives are rounding.)"""
+        rng = np.random.default_rng(2008)
+        for rank in (2, 3, 4):
+            a, b, t = _bloch(random_density_matrix((2, 2), rank, seed=11))
+            for bloch in ((a, b, t), (b, a, t.T)):
+                objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
+                for _ in range(5):
+                    n, e1, e2 = (np.asarray(v) for v in point(rng.standard_normal(3)))
+                    _, grad, (h11, h12, h22) = objective((n, e1, e2))
+                    angle = rng.uniform(0.0, 2.0 * math.pi)
+                    rot = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
+                    f1, f2 = rot @ np.array([e1, e2])
+                    _, rotated_grad, (r11, r12, r22) = objective((n.tolist(), f1.tolist(), f2.tolist()))
+                    hess = np.array([[h11, h12], [h12, h22]])
+                    scale = max(np.abs(grad).max(), np.abs(hess).max())
+                    assert rotated_grad == pytest.approx(rot @ grad, abs=1e-13 * scale)
+                    expected = rot @ hess @ rot.T
+                    assert (r11, r12, r22) == pytest.approx(
+                        (expected[0, 0], expected[0, 1], expected[1, 1]), abs=1e-13 * scale
+                    )
 
 
 class TestDegenerateInputs:
@@ -508,8 +523,8 @@ class TestDegenerateInputs:
         a, b, t = _bloch(rho)
         objective = _negated_objective((a, b, t), _qubit_entropy(float(b @ b)))
         for n in ([0.0, 0.0, 1.0], [1e-9, 0.0, 1.0]):
-            _, g, h = objective(n)
-            assert np.isfinite(g).all() and np.isfinite(h).all()
+            _, grad, hess = objective(point(n))
+            assert np.isfinite(grad).all() and np.isfinite(hess).all()
         assert self._search(rho, swapped=True).discord > 1e-3
         rng = np.random.default_rng(3)
         for _ in range(10):

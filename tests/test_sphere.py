@@ -1,6 +1,8 @@
 """Riemannian Newton on the sphere (:mod:`qcorr._sphere`) on quadratic
 forms n^T A n, whose minimum over unit vectors is the smallest
-eigenvalue of A, attained along its eigenvector."""
+eigenvalue of A, attained along its eigenvector. Their Riemannian
+gradient and Hessian in the tangent basis (e1, e2) at n are 2 e_i^T A n
+and 2 e_i^T A e_j - (n . 2An) delta_ij."""
 
 import math
 
@@ -8,15 +10,18 @@ import numpy as np
 import pytest
 
 from qcorr import _newton
-from qcorr._sphere import minimize, tangent_derivatives
+from qcorr._sphere import minimize, point
 
 
 def quadratic(matrix):
     a = np.asarray(matrix, dtype=float)
 
-    def fun(n):
-        an = a @ np.asarray(n)
-        return float(np.asarray(n) @ an), (2.0 * an).tolist(), (2.0 * a).tolist()
+    def fun(x):
+        n, e1, e2 = (np.asarray(v) for v in x)
+        value = float(n @ a @ n)
+        normal = 2.0 * value  # n . 2An
+        grad = (2.0 * e1 @ a @ n, 2.0 * e2 @ a @ n)
+        return value, grad, (2.0 * e1 @ a @ e1 - normal, 2.0 * e1 @ a @ e2, 2.0 * e2 @ a @ e2 - normal)
 
     return fun
 
@@ -55,7 +60,7 @@ def test_best_of_several_starts_and_total_evaluations():
 
 
 def test_constant_objective_stops_at_its_start():
-    result = minimize(lambda n: (0.5, [0.0, 0.0, 0.0], [[0.0] * 3] * 3), [(0.0, 0.0, 2.0)])
+    result = minimize(lambda x: (0.5, (0.0, 0.0), (0.0, 0.0, 0.0)), [(0.0, 0.0, 2.0)])
     assert result == ((0.0, 0.0, 1.0), 0.5, 1, True)
 
 
@@ -66,16 +71,14 @@ def test_maxiter_ends_a_run_unconverged(monkeypatch):
     assert not result.success
 
 
-def test_tangent_derivatives_at_a_pole():
-    """The tangent basis is orthonormal and orthogonal to n, and the
-    Riemannian Hessian of n^T A n is P (2A) P - (n . 2An) P."""
-    a = random_symmetric(np.random.default_rng(4))
-    n = (0.0, 0.0, -1.0)
-    _, g, h = quadratic(a)(n)
-    e1, e2, grad, hess = tangent_derivatives(n, g, h)
-    basis = np.array([e1, e2, n])
-    assert basis @ basis.T == pytest.approx(np.eye(3), abs=1e-15)
-    tangent = np.array([e1, e2])
-    assert grad == pytest.approx(tuple(tangent @ (2 * a @ n)), abs=1e-14)
-    expected = 2 * tangent @ a @ tangent.T - 2 * a[2, 2] * np.eye(2)
-    assert hess == pytest.approx((expected[0, 0], expected[0, 1], expected[1, 1]), abs=1e-14)
+def test_point_carries_an_orthonormal_tangent_basis():
+    """At the poles, on the coordinate planes and at random directions,
+    the point is normalized and (e1, e2, n) is a right-handed orthonormal
+    basis."""
+    rng = np.random.default_rng(4)
+    for v in [(0.0, 0.0, -1.0), (0.0, 0.0, 2.0), (1.0, 1.0, 0.0), (0.0, 3.0, 4.0), *rng.standard_normal((20, 3))]:
+        n, e1, e2 = point(v)
+        assert n == pytest.approx(tuple(np.asarray(v) / np.linalg.norm(v)), abs=1e-15)
+        basis = np.array([e1, e2, n])
+        assert basis @ basis.T == pytest.approx(np.eye(3), abs=1e-15)
+        assert np.cross(e1, e2) == pytest.approx(n, abs=1e-15)

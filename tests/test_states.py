@@ -19,11 +19,52 @@ from qcorr import (
     tensor_product,
     von_neumann_entropy,
 )
+from qcorr.states import eigh_phase_fixed
 
 from .conftest import bell_density, bell_state, entangled_state, random_unitary
 
 LN2 = 0.6931471805599453
 BINARY_H_QUARTER = 0.5623351446188084  # -0.75 ln 0.75 - 0.25 ln 0.25
+
+
+def _phase_fixed_by_columns(matrix):
+    """The column-by-column gauge fixing that eigh_phase_fixed replaces."""
+    vals, vecs = np.linalg.eigh(matrix)
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        phase = col[int(np.argmax(np.abs(col)))]
+        vecs[:, k] = col * (phase.conjugate() / abs(phase))
+    return vals, vecs
+
+
+def _seeded_hermitian(rng, size):
+    m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return m + m.conj().T
+
+
+class TestEighPhaseFixed:
+    def test_largest_component_real_and_positive_first_index_on_ties(self):
+        """Real up to the rounding of phase * conj(phase) / |phase|. Pauli x
+        and y have components of equal magnitude; the all-ones matrix a
+        degenerate eigenspace."""
+        rng = np.random.default_rng(5)
+        matrices = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.ones((3, 3))]
+        matrices += [_seeded_hermitian(rng, size) for size in (2, 3, 4, 5, 6)]
+        for matrix in matrices:
+            vals, vecs = eigh_phase_fixed(matrix)
+            assert vals == pytest.approx(np.linalg.eigvalsh(matrix), abs=1e-14)
+            for col in vecs.T:
+                pivot = col[np.flatnonzero(np.abs(col) == np.abs(col).max())[0]]
+                assert abs(pivot.imag) <= 1e-16 and pivot.real > 0.0
+
+    def test_bit_identical_to_the_column_loop(self):
+        rng = np.random.default_rng(2000)
+        for k in range(500):
+            matrix = _seeded_hermitian(rng, 2 + k % 5)
+            vals, vecs = eigh_phase_fixed(matrix)
+            expected_vals, expected_vecs = _phase_fixed_by_columns(matrix)
+            assert vals.tobytes() == expected_vals.tobytes()
+            assert vecs.tobytes() == expected_vecs.tobytes()
 
 
 class TestConstruction:
