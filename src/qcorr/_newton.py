@@ -67,6 +67,8 @@ def _descend(fun, x, chart) -> tuple:
         (g1, g2), hess, move = chart(x, g, h)
         d1, d2 = _newton_step((g1, g2), hess)
         while True:
+            if not -(g1 * d1 + g2 * d2) > FTOL:  # the step taken is t (d1, d2), t in (0, 1]: it would stop too
+                return x, value, nfev, True
             trial, d1, d2 = move(d1, d2)
             if not -(g1 * d1 + g2 * d2) > FTOL:  # the decrease the step taken predicts
                 return x, value, nfev, True

@@ -63,7 +63,7 @@ import numpy as np
 from ._newton import FTOL
 from ._sphere import _dot, minimize
 from .errors import NEGATIVE_CLAMP, SUPPORT_CUTOFF, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
-from .measurement import Povm, povm_outcome
+from .measurement import Povm
 from .states import DensityMatrix, partial_trace, von_neumann_entropy
 
 THETA_POINTS = 8
@@ -198,7 +198,7 @@ def _grid_values(bloch, s_b: float, n: np.ndarray) -> np.ndarray:
 
 def _grid_classical_correlations(rho: DensityMatrix, thetas: np.ndarray, phis: np.ndarray):
     """Vectorized evaluation of the measured-A classical correlations on a
-    (theta, phi) grid. Matches the scalar route through povm_outcome."""
+    (theta, phi) grid. Matches the scalar route of classical_correlations_at."""
     bloch = _bloch(rho)
     values = _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), _directions(thetas, phis))
     return values.reshape(len(thetas), len(phis))
@@ -217,12 +217,15 @@ def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> fl
     s_b = von_neumann_entropy(partial_trace(rho, "B"))
     four = rho.elements.reshape(2, 2, 2, 2)
     avg = 0.0
-    for j, effect in enumerate(povm.elements):
-        prob = float(np.real(np.einsum("ab,bcac->", effect, four)))
+    for effect in povm.elements:
+        block = np.einsum("ab,bcad->cd", effect, four)  # Tr_A[(E_j (x) 1) rho] = p_j rho_B^(j)
+        prob = float(np.real(np.trace(block)))
         if prob <= ZERO_WEIGHT:
             continue
-        prob, conditional = povm_outcome(rho, povm, j)
-        avg += prob * von_neumann_entropy(conditional)
+        # p_j S(rho_B^(j)) from the unnormalized block: dividing by p_j first scales its rounding by 1 / p_j
+        mu = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
+        mu = mu[mu > SUPPORT_CUTOFF * prob]
+        avg -= float(np.sum(mu * np.log(mu / prob)))
     value = s_b - avg
     if value < -NEGATIVE_CLAMP:
         raise ConsistencyError(f"classical correlations evaluated to {value!r} < 0")

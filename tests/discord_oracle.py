@@ -1,7 +1,8 @@
 """The two-qubit search of qcorr before Newton on the sphere, kept as an
 oracle: C(n) on a 64 x 64 hemisphere grid in the determinant form of
-the conditional entropies, and the Nelder-Mead of :mod:`tests.simplex`
-in (theta, phi) from the best grid point.
+the conditional entropies, and scipy's Nelder-Mead in (theta, phi) from
+the best grid point, with the tolerances and evaluation limits that
+search used.
 
 :func:`_maximize_classical_correlations` takes the Bloch vectors and
 correlation matrix (a, b, T) and returns (value, basis, evaluations,
@@ -11,11 +12,10 @@ converged), as the library's search did.
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from qcorr import ConsistencyError, MeasurementBasis
 from qcorr.errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT
-
-from .simplex import minimize
 
 THETA_POINTS = 64
 PHI_POINTS = 64  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere
@@ -99,7 +99,10 @@ def _maximize_classical_correlations(bloch):
         return -max(value, 0.0)
 
     result = minimize(
-        negated, (float(thetas[it]), float(phis[ip])), xatol=1e-7, fatol=1e-12, maxiter=600, maxfev=600
+        negated,
+        (thetas[it], phis[ip]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 600, "maxfev": 600},
     )
     evaluations = THETA_POINTS * PHI_POINTS + result.nfev
     if -result.fun >= grid_value:

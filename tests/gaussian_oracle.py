@@ -1,9 +1,9 @@
 """The Gaussian measurement search of qcorr before Newton on the seed
 plane, kept as an oracle: the conditional entropy on a 24 x 16 grid of
 seed squeezing s = e^u over [1e-3, 1e3] and orientation phi in [0, pi),
-the Nelder-Mead of :mod:`tests.simplex` in (u, phi) from the three best
-cells, and the homodyne limit on a 64-point phi grid refined by the same
-Nelder-Mead.
+scipy's Nelder-Mead in (u, phi) from the three best cells, and the
+homodyne limit on a 64-point phi grid refined by the same Nelder-Mead,
+each with the tolerances and evaluation limits that search used.
 
 :func:`minimize_gaussian_measurement` takes a two-mode
 :class:`~qcorr.CovarianceMatrix` and the measured mode and returns the
@@ -13,10 +13,9 @@ discord, as the library's search did.
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from qcorr.gaussian import _require_two_modes, _split_blocks, mode_entropy, symplectic_eigenvalues
-
-from .simplex import minimize
 
 GRID_S = 24
 GRID_PHI = 16
@@ -127,18 +126,21 @@ def minimize_gaussian_measurement(sigma, measured_mode: int = 1) -> float:
     for u_at, phi_at in zip(*np.unravel_index(starts, grid.shape)):
         refined = minimize(
             lambda z: finite(z[0], z[1]),
-            (float(u_grid[u_at]), float(phi_grid[phi_at])),
-            xatol=1e-10,
-            fatol=1e-14,
-            maxiter=4000,
-            maxfev=4000,
+            (u_grid[u_at], phi_grid[phi_at]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 4000},
         )
         best = min(best, refined.fun)
     hom_phis = np.linspace(0.0, math.pi, HOMODYNE_PHIS, endpoint=False)
     hom_grid = _conditional_entropy(_homodyne_conditional_det(entries, np.cos(hom_phis), np.sin(hom_phis)))
     hom_at = int(np.argmin(hom_grid))
     hom_best, hom_phi = float(hom_grid[hom_at]), hom_phis[hom_at]
-    hom_refined = minimize(lambda z: homodyne(z[0]), (float(hom_phi),), xatol=1e-12, fatol=1e-15, maxiter=2000)
+    hom_refined = minimize(
+        lambda z: homodyne(z[0]),
+        (hom_phi,),
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 2000},
+    )
     min_conditional = min(best, hom_best, hom_refined.fun)
 
     nu_minus, nu_plus = symplectic_eigenvalues(sigma)

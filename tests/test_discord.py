@@ -564,6 +564,33 @@ class TestDegenerateInputs:
                 assert result.mutual_info == pytest.approx(info, rel=0, abs=1e-12)
                 assert result.discord >= 0.0
 
+    def test_nearly_pure_product_states_in_closed_form(self):
+        """rho = (1 - eps)|ab><ab| + eps|a'b'><a'b'|, with a' and b' orthogonal
+        to the kets a and b, is classical on both sides: measuring along a
+        (or b) leaves the other qubit in b or b', so I = C = h(eps) =
+        -eps ln eps - (1 - eps) ln(1 - eps) and D = 0 in both roles. The
+        Povm route at the basis returned reads h(eps) too; dividing the
+        conditional block by a rounding-level outcome probability made it
+        raise on such states. Below eps = 1e-12, SUPPORT_CUTOFF drops eps
+        from every spectrum by policy, so the draws start above it."""
+        rng = np.random.default_rng(1981)
+
+        def perp(k):
+            return np.array([-np.conj(k[1]), np.conj(k[0])])
+
+        for eps in np.logspace(math.log10(1.5e-12), -1, 40):
+            h = -eps * math.log(eps) - (1.0 - eps) * math.log1p(-eps)
+            ka, kb = _ket(rng), _ket(rng)
+            kets = (np.kron(ka, kb), np.kron(perp(ka), perp(kb)))
+            mat = (1 - eps) * np.outer(kets[0], kets[0].conj()) + eps * np.outer(kets[1], kets[1].conj())
+            swapped = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+            rho = DensityMatrix(mat, (2, 2))
+            for result, measured_a in ((discord(rho), rho), (discord_swapped(rho), DensityMatrix(swapped, (2, 2)))):
+                assert abs(result.classical_corr - h) <= 1e-13
+                assert abs(result.mutual_info - h) <= 1e-13
+                assert result.discord <= 1e-13
+                assert abs(classical_correlations_at(measured_a, result.optimal_basis) - h) <= 1e-13
+
     def test_nearly_pure_states(self):
         """Pure states with a small admixture: entangled ones, where C is
         nearly constant, and local rotations of (1 - eps)|00><00| + eps|11><11|,

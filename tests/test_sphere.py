@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qcorr import _newton
+from qcorr import _newton, _sphere
 from qcorr._sphere import minimize, point
 
 
@@ -57,6 +57,26 @@ def test_best_of_several_starts_and_total_evaluations():
     result = minimize(counted, [(0.6, 0.0, 0.8), (0.1, 0.99, 0.1)])
     assert result.fun == pytest.approx(-2.0, abs=1e-14)
     assert result.nfev == len(calls)
+
+
+def test_a_tangent_basis_only_for_evaluated_points(monkeypatch):
+    """Each tangent basis built belongs to a point the objective is
+    evaluated at: the loop declines a step that predicts no decrease
+    before the chart maps it to a point."""
+    built = []
+    basis = _sphere._tangent_basis
+
+    def counted(n):
+        built.append(n)
+        return basis(n)
+
+    monkeypatch.setattr(_sphere, "_tangent_basis", counted)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        built.clear()
+        result = minimize(quadratic(random_symmetric(rng)), rng.standard_normal((2, 3)).tolist())
+        assert result.success
+        assert len(built) == result.nfev
 
 
 def test_constant_objective_stops_at_its_start():
