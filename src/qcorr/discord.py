@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._newton import FTOL
-from ._sphere import _dot, minimize
+from ._sphere import minimize
 from .errors import NEGATIVE_CLAMP, SUPPORT_CUTOFF, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
 from .measurement import Povm
 from .states import DensityMatrix, partial_trace, von_neumann_entropy
@@ -191,7 +191,7 @@ def _grid_values(bloch, s_b: float, n: np.ndarray) -> np.ndarray:
     values = s_b + np.sum(eta[0] + eta[1] - eta[2], axis=0) / 2.0
     if values.min() < -NEGATIVE_CLAMP:
         raise ConsistencyError(
-            f"classical correlations evaluated to {values.min()!r} < 0"
+            f"classical correlations evaluated to {float(values.min())!r} < 0"
         )
     return np.clip(values, 0.0, None)
 
@@ -256,27 +256,34 @@ def _negated_objective(bloch, s_b: float):
     value either, as in :func:`_qubit_entropy`: its gradient along the
     sphere vanishes there.
     """
-    a, b, t = bloch
-    columns = t.T.tolist()
-    a, b = a.tolist(), b.tolist()
+    (ax, ay, az), (bx, by, bz) = bloch[0].tolist(), bloch[1].tolist()
+    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = bloch[2].tolist()
 
     def negated(x):
-        n, e1, e2 = x
-        an, a1, a2 = _dot(a, n), _dot(a, e1), _dot(a, e2)
-        tn, t1, t2 = ([_dot(column, y) for column in columns] for y in x)  # T^T n, T^T e1, T^T e2
+        # every dot product in the operand order of _sphere._dot, u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+        (n0, n1, n2), (e10, e11, e12), (e20, e21, e22) = x
+        an, a1, a2 = ax * n0 + ay * n1 + az * n2, ax * e10 + ay * e11 + az * e12, ax * e20 + ay * e21 + az * e22
+        # T^T n, T^T e1, T^T e2
+        tn0, tn1, tn2 = t00 * n0 + t10 * n1 + t20 * n2, t01 * n0 + t11 * n1 + t21 * n2, t02 * n0 + t12 * n1 + t22 * n2
+        p0, p1, p2 = t00 * e10 + t10 * e11 + t20 * e12, t01 * e10 + t11 * e11 + t21 * e12, t02 * e10 + t12 * e11 + t22 * e12
+        s0, s1, s2 = t00 * e20 + t10 * e21 + t20 * e22, t01 * e20 + t11 * e21 + t21 * e22, t02 * e20 + t12 * e21 + t22 * e22
         value, g_a, h_a, h_tt = s_b, 0.0, 0.0, 0.0
         g1 = g2 = normal = 0.0  # the v parts of the gradient and of n.g
         outer = []
         for sign in (1.0, -1.0):
             q = 1.0 + sign * an
-            u = [b_j + sign * tn_j for b_j, tn_j in zip(b, tn)]
-            w = math.sqrt(_dot(u, u))
+            u0, u1, u2 = bx + sign * tn0, by + sign * tn1, bz + sign * tn2
+            w = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
             plus, minus = (q + w) / 2.0, (q - w) / 2.0
             mixed = minus > ZERO_PROBABILITY * q
             value += (_eta(plus) + (_eta(minus) if mixed else 0.0) - _eta(q)) / 2.0
             if q <= 2.0 * ZERO_WEIGHT:
                 continue
-            v1, v2, vn = (_dot(u, t1) / w, _dot(u, t2) / w, _dot(u, tn) / w) if w > 0.0 else (0.0, 0.0, 0.0)
+            if w > 0.0:
+                v1, v2 = (u0 * p0 + u1 * p1 + u2 * p2) / w, (u0 * s0 + u1 * s1 + u2 * s2) / w
+                vn = (u0 * tn0 + u1 * tn1 + u2 * tn2) / w
+            else:
+                v1 = v2 = vn = 0.0
             slope_plus = math.log(plus) + 1.0
             if mixed:
                 slope_minus = math.log(minus) + 1.0
@@ -302,7 +309,9 @@ def _negated_objective(bloch, s_b: float):
             raise ConsistencyError(f"classical correlations evaluated to {value!r} < 0")
         normal += g_a * an
         outer.append((h_a, a1, a2))
-        h11, h12, h22 = -h_tt * _dot(t1, t1) - normal, -h_tt * _dot(t1, t2), -h_tt * _dot(t2, t2) - normal
+        h11 = -h_tt * (p0 * p0 + p1 * p1 + p2 * p2) - normal
+        h12 = -h_tt * (p0 * s0 + p1 * s1 + p2 * s2)
+        h22 = -h_tt * (s0 * s0 + s1 * s1 + s2 * s2) - normal
         for coef, x1, x2 in outer:
             h11, h12, h22 = h11 + coef * x1 * x1, h12 + coef * x1 * x2, h22 + coef * x2 * x2
         return -max(value, 0.0), (g1 + g_a * a1, g2 + g_a * a2), (h11, h12, h22)
@@ -321,7 +330,7 @@ def _maximize_classical_correlations(bloch):
     grid = _grid_values(bloch, s_b, GRID)
     # values within FTOL of each other are equal to rounding, and the earlier direction wins: the
     # pole where C is constant, as on pure and Werner states
-    starts = np.argsort(np.round((grid.max() - grid) / FTOL), kind="stable")[:STARTS]
+    starts = np.argsort(np.rint((grid.max() - grid) / FTOL), kind="stable")[:STARTS]
     grid_value = float(grid[starts[0]])
     result = minimize(_negated_objective(bloch, s_b), GRID[starts].tolist())
     evaluations = len(GRID) + result.nfev

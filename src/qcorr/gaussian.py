@@ -173,7 +173,7 @@ def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
 
 def _require_coupling(lam: float):
     if not 0.0 <= lam < math.inf:
-        raise ValidationError(f"coupling must be finite and non-negative; got {lam!r}")
+        raise ValidationError(f"coupling must be finite and non-negative; got {lam}")
 
 
 def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
@@ -187,7 +187,7 @@ def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
     """
     _require_coupling(lam)
     if omega <= 0:
-        raise ValidationError(f"omega must be positive; got {omega!r}")
+        raise ValidationError(f"omega must be positive; got {omega}")
     ratio = (lam / omega) ** 2
     g = np.zeros((4, 4))
     g[0, 0] = g[2, 2] = 1.0 + ratio

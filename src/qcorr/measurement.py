@@ -145,7 +145,7 @@ def everett_state(alpha: complex, beta: complex, eps: float) -> PureState:
     if abs(weight - 1.0) > NORM_TOL:
         raise ValidationError(f"|alpha|^2 + |beta|^2 = {weight!r}; expected 1 within {NORM_TOL}")
     if not 0.0 <= eps <= 1.0:
-        raise ValidationError(f"pointer overlap must lie in [0, 1]; got {eps!r}")
+        raise ValidationError(f"pointer overlap must lie in [0, 1]; got {eps}")
     amplitudes = np.array(
         [alpha, 0.0, beta * eps, beta * math.sqrt(max(1.0 - eps * eps, 0.0))],
         dtype=complex,
@@ -169,7 +169,7 @@ def born_distribution(rho: DensityMatrix, obs: Observable) -> Distribution:
     )
     probs = np.clip(probs, 0.0, None)
     if abs(probs.sum() - 1.0) > BORN_SUM_TOL:
-        raise ValidationError(f"outcome probabilities sum to {probs.sum()!r}")
+        raise ValidationError(f"outcome probabilities sum to {float(probs.sum())!r}")
     return Distribution.normalized(probs)
 
 
@@ -193,7 +193,7 @@ def joint_born_distribution(
             table[i, j] = float(np.real(np.trace(rho.elements @ np.kron(p, q))))
     table = np.clip(table, 0.0, None)
     if abs(table.sum() - 1.0) > BORN_SUM_TOL:
-        raise ValidationError(f"joint outcome probabilities sum to {table.sum()!r}")
+        raise ValidationError(f"joint outcome probabilities sum to {float(table.sum())!r}")
     return JointDistribution.normalized(table)
 
 
@@ -230,6 +230,12 @@ def povm_outcome(rho: DensityMatrix, povm: Povm, j: int):
     ``E_j (x) I``). Returns ``(p_j, rho_B_given_j)``. Raises when the
     requested outcome has probability at or below ``ZERO_WEIGHT``, since
     the conditional state is then undefined.
+
+    Positivity is checked on the unnormalized block Tr_A[(E_j (x) I) rho],
+    at the scale of ``rho``, to ``MATRIX_TOL``; the conditional state is
+    then built from the block's clamped spectrum divided by its sum. Dividing
+    the block by p_j first would scale its rounding by 1 / p_j and reject
+    outcomes of small but valid probability.
     """
     if not rho.is_bipartite:
         raise ValidationError("POVM conditioning requires a bipartite state")
@@ -247,5 +253,11 @@ def povm_outcome(rho: DensityMatrix, povm: Povm, j: int):
         raise ValidationError(
             f"outcome {j} has probability {prob!r}; conditional state undefined"
         )
-    conditional = DensityMatrix(block / prob, (d_b, 1))
+    vals, vecs = np.linalg.eigh((block + block.conj().T) / 2.0)
+    if vals[0] < -MATRIX_TOL:
+        raise ValidationError(
+            f"outcome {j} block is not positive semidefinite: smallest eigenvalue {float(vals[0])!r}"
+        )
+    vals = np.maximum(vals, 0.0)
+    conditional = DensityMatrix((vecs * (vals / vals.sum())) @ vecs.conj().T, (d_b, 1))
     return prob, conditional

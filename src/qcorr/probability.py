@@ -28,7 +28,7 @@ def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} must be finite; got a NaN or infinite entry")
     if np.any(arr < 0.0):
-        raise ValidationError(f"{what} has a negative entry: {arr.min()!r}")
+        raise ValidationError(f"{what} has a negative entry: {float(arr.min())!r}")
     total = float(arr.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValidationError(f"{what} entries sum to {total!r}; expected 1 within {NORM_TOL}")
@@ -60,7 +60,7 @@ def _normalized(cls, weights):
         w = w / w.max()
         total = w.sum()
     if total <= 0:
-        raise ValidationError(f"weights must have positive total; got {total!r}")
+        raise ValidationError(f"weights must have positive total; got {float(total)!r}")
     return cls(w / total)
 
 

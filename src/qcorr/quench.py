@@ -76,15 +76,15 @@ class QuenchParams:
             value = getattr(self, field.name)
             _require_finite(field.name, value)
             if field.name != "lambda0" and not value > 0:
-                raise ValidationError(f"{field.name} must be strictly positive; got {value!r}")
+                raise ValidationError(f"{field.name} must be strictly positive; got {value}")
         if self.lambda0 < 0:
-            raise ValidationError(f"lambda0 must be non-negative; got {self.lambda0!r}")
+            raise ValidationError(f"lambda0 must be non-negative; got {self.lambda0}")
         # the closed forms divide by omega^2 and take log1p(2 lambda0^2 / omega^2)
         omega_sq = self.omega * self.omega
         if not (0.0 < omega_sq < math.inf and math.isfinite(2.0 * (self.lambda0 * self.lambda0) / omega_sq)):
             raise ValidationError(
                 "omega^2 must be nonzero and finite, and so must 2 lambda0^2 / omega^2; "
-                f"got omega = {self.omega!r}, lambda0 = {self.lambda0!r}"
+                f"got omega = {self.omega}, lambda0 = {self.lambda0}"
             )
 
     @property
@@ -93,7 +93,7 @@ class QuenchParams:
 
     def at_temperature(self, temperature: float) -> "QuenchParams":
         if not 0.0 < temperature < math.inf:
-            raise ValidationError(f"temperature must be positive and finite; got {temperature!r}")
+            raise ValidationError(f"temperature must be positive and finite; got {temperature}")
         return replace(self, beta=1.0 / (self.kb * temperature))
 
 
@@ -114,7 +114,7 @@ class QuenchReport(NamedTuple):
 
 def _require_finite(name: str, value: float):
     if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite; got {value!r}")
+        raise ValidationError(f"{name} must be finite; got {value}")
 
 
 def _log_sinh(x):
@@ -428,9 +428,9 @@ def sweep_temperature(
     refining the grid leaves values at shared temperatures unchanged.
     """
     if not 0.0 < t_min < t_max < math.inf:
-        raise ValidationError(f"need 0 < t_min < t_max < inf; got {t_min!r}, {t_max!r}")
+        raise ValidationError(f"need 0 < t_min < t_max < inf; got {t_min}, {t_max}")
     if points < 2:
-        raise ValidationError(f"need at least 2 grid points; got {points!r}")
+        raise ValidationError(f"need at least 2 grid points; got {points}")
     # beta falls monotonically with temperature: valid at both ends, valid throughout
     params.at_temperature(t_max)
     params.at_temperature(t_min)

@@ -4,6 +4,11 @@ States are bipartite by convention: a :class:`DensityMatrix` carries a
 dimension split ``dims = (d_a, d_b)`` with subsystem A as the slow
 (leftmost) index under row-major flattening. Monopartite states use
 ``d_b = 1``. All entropies are in nats.
+
+A :class:`DensityMatrix` computes its spectrum at construction, which
+validation and every entropy read; its phase-fixed eigenbasis, which
+only :func:`quantum_relative_entropy` reads, is computed on the first
+:meth:`~DensityMatrix.eigenbasis` call and kept.
 """
 
 from __future__ import annotations
@@ -100,18 +105,18 @@ class DensityMatrix:
             raise ValidationError(
                 f"trace must be 1 within {MATRIX_TOL}; got trace {trace.real!r}"
             )
-        vals, vecs = eigh_phase_fixed(mat)
-        if vals.min() < -MATRIX_TOL:
+        vals = np.linalg.eigvalsh(mat)  # ascending
+        if vals[0] < -MATRIX_TOL:
             raise ValidationError(
-                f"matrix is not positive semidefinite: smallest eigenvalue {vals.min()!r}"
+                f"matrix is not positive semidefinite: smallest eigenvalue {float(vals[0])!r}"
             )
-        vals = np.clip(vals, 0.0, None)
+        vals = np.maximum(vals, 0.0)
         mat.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_spectrum", vals)
-        object.__setattr__(self, "_basis", vecs)
+        object.__setattr__(self, "_basis", None)
 
     @property
     def dim(self) -> int:
@@ -126,7 +131,12 @@ class DensityMatrix:
         return self._spectrum
 
     def eigenbasis(self) -> np.ndarray:
-        """Phase-fixed eigenvector columns matching :meth:`spectrum`."""
+        """Phase-fixed eigenvector columns matching :meth:`spectrum`, read-only;
+        computed on the first call and kept."""
+        if self._basis is None:
+            vecs = eigh_phase_fixed(self.elements)[1]
+            vecs.flags.writeable = False
+            object.__setattr__(self, "_basis", vecs)
         return self._basis
 
 

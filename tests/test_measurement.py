@@ -280,6 +280,31 @@ class TestPovmOutcome:
             total = sum(povm_outcome(rho, povm, j)[0] for j in range(2))
             assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_small_probability_outcome_of_a_nearly_pure_state(self, rng):
+        """(1 - eps)|ab><ab| + eps|a'b'><a'b'| at outcome a' = a_perp, with eps
+        log-uniform in [1e-12, 1e-6]: the conditional state is |b'><b'| up to
+        the rounding of rho's entries divided by p (at most 4 eps_mach / p;
+        0.48 measured). Dividing the block by p before the positivity check
+        rejected 83 of these 200 draws."""
+
+        def ket():
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            return v / np.linalg.norm(v)
+
+        def perp(v):
+            return np.array([-v[1].conjugate(), v[0].conjugate()])
+
+        for _ in range(200):
+            a, b, eps = ket(), ket(), 10.0 ** rng.uniform(-12.0, -6.0)
+            ab, flipped = np.kron(a, b), np.kron(perp(a), perp(b))
+            rho = DensityMatrix((1.0 - eps) * np.outer(ab, ab.conj()) + eps * np.outer(flipped, flipped.conj()), (2, 2))
+            povm = Povm((np.outer(a, a.conj()), np.outer(perp(a), perp(a).conj())))
+            prob, conditional = povm_outcome(rho, povm, 1)
+            assert prob == pytest.approx(eps, rel=1e-3)
+            assert abs(np.trace(conditional.elements) - 1.0) <= 1e-15
+            error = np.max(np.abs(conditional.elements - np.outer(perp(b), perp(b).conj())))
+            assert error <= 4.0 * np.finfo(float).eps / prob
+
     def test_zero_probability_outcome_raises(self):
         rho = tensor_product(
             DensityMatrix(np.diag([1.0, 0.0]), (2, 1)), DensityMatrix(np.eye(2) / 2, (2, 1))

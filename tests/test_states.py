@@ -103,6 +103,27 @@ class TestConstruction:
             PureState([1.0, 0.5], (2, 1))
 
 
+class TestSpectrumAndEigenbasis:
+    """The spectrum comes from eigvalsh at construction; the phase-fixed
+    eigenbasis from eigh_phase_fixed on the first eigenbasis() call."""
+
+    def test_spectrum_matches_the_phase_fixed_eigenvalues(self):
+        for seed in range(40):
+            rho = random_density_matrix((2, 2), 1 + seed % 4, seed=seed)
+            vals = np.clip(eigh_phase_fixed(rho.elements)[0], 0.0, None)
+            assert np.max(np.abs(rho.spectrum() - vals)) <= 1e-15
+
+    def test_eigenbasis_is_the_phase_fixed_basis_cached_and_read_only(self):
+        for seed in range(40):
+            rho = random_density_matrix((2, 2), 1 + seed % 4, seed=seed)
+            basis = rho.eigenbasis()
+            assert basis.tobytes() == eigh_phase_fixed(rho.elements)[1].tobytes()
+            assert rho.eigenbasis() is basis
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[:] = np.eye(4)
+
+
 class TestDensityFromPure:
     def test_ground_state(self):
         rho = density_from_pure(PureState([1.0, 0.0], (2, 1)))

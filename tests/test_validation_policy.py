@@ -17,12 +17,16 @@ import pytest
 from qcorr import (
     CovarianceMatrix,
     DensityMatrix,
+    Distribution,
     Observable,
     Povm,
     QuadraticHamiltonian,
+    QuenchParams,
     ValidationError,
+    everett_state,
     gaussian_entropy,
     mode_entropy,
+    quench_hamiltonian_matrix,
     symplectic_eigenvalues,
 )
 
@@ -128,3 +132,21 @@ def test_degenerate_eigenvalues_merge_within_tolerance(top, factor, outcomes):
     gap = factor * DEGENERACY_TOL * max(1.0, top)
     observable = Observable(np.diag([-1.0, top - gap, top]))
     assert len(observable.outcome_values) == outcomes + 1
+
+
+# each rejection measures or echoes a numpy scalar
+NUMPY_SCALAR_REJECTIONS = {
+    "negative eigenvalue": lambda: DensityMatrix(np.diag([1.1, -0.1]), (2, 1)),
+    "negative entry": lambda: Distribution(np.array([1.1, -0.1])),
+    "zero total": lambda: Distribution.normalized(np.zeros(2)),
+    "quench beta": lambda: QuenchParams(beta=np.float64(-1.0)),
+    "omega": lambda: quench_hamiltonian_matrix(np.float64(-1.0), 1.0),
+    "pointer overlap": lambda: everett_state(1.0, 0.0, np.float64(2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_SCALAR_REJECTIONS))
+def test_messages_print_plain_numbers(name):
+    with pytest.raises(ValidationError) as info:
+        NUMPY_SCALAR_REJECTIONS[name]()
+    assert "np.float64" not in str(info.value)
