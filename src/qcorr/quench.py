@@ -11,8 +11,8 @@ collecting everything.
 
 Each closed form is one numpy expression over beta. The temperature
 sweep evaluates them over the whole array of inverse temperatures in
-one pass, and its discord column comes from the normal-mode propagator,
-built once per sweep, and the local invariants of the evolved vacuum,
+one pass, and its discord column comes from the closed-form local
+invariants of the evolved vacuum, (1 + kappa, 1 + kappa, -kappa, 1),
 scaled by the thermal occupation; :func:`report_at` is the same code at
 one temperature. The excess-work floor and the two-route check run once
 over each column, before any row is built. Each temperature's outputs
@@ -33,6 +33,7 @@ time-dependent protocol API is exposed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -41,14 +42,11 @@ import numpy as np
 from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError
 from .gaussian import (
     _require_coupling,
-    CovarianceMatrix,
     direct_sum,
     discord_from_invariants,
     gaussian_discord,
-    local_invariants,
     normal_mode_frequencies,
     quench_hamiltonian_matrix,
-    quench_propagator_closed_form,
     symplectic_evolution,
     thermal_covariance,
 )
@@ -369,23 +367,39 @@ def quench_discord(params: QuenchParams, t: float = 1.0) -> float:
     return gaussian_discord(final, measured_mode=1)
 
 
+def _quench_kappa(omega: float, lam0: float, t: float) -> float:
+    """kappa = (sin(w2 t) lambda0^2 / (omega w2))^2: the evolved vacuum's
+    local invariants are (1 + kappa, 1 + kappa, -kappa, 1)."""
+    _, w2 = normal_mode_frequencies(omega, lam0)
+    return (math.sin(w2 * t) * (lam0 * lam0 / (omega * w2))) ** 2
+
+
 def _thermal_quench_discord(params: QuenchParams, beta: np.ndarray, t: float) -> np.ndarray:
     """Gaussian discord of the post-quench state at each inverse
-    temperature in ``beta``.
+    temperature in ``beta``, from the closed-form local invariants of the
+    evolved state.
 
     Both modes start at nu(beta) I, with nu = (1/2) coth(beta hbar omega / 2),
     and the propagator S does not depend on beta, so the evolved state is
-    nu S S^T. The evolved vacuum S S^T / 2 is validated once; its
-    doubled-convention invariants scale as (2 nu)^2 for the 2x2 blocks and
-    (2 nu)^4 for the whole matrix, and both symplectic eigenvalues are nu.
+    nu S S^T: its doubled-convention invariants are those of the evolved
+    vacuum S S^T scaled by s = (2 nu)^2 for the 2x2 blocks and s^2 for the
+    whole matrix, and both symplectic eigenvalues are nu.
+
+    In the (center-of-mass, relative) frame the center-of-mass rotation is
+    orthogonal, so S S^T is ((I + Q)/2, (I - Q)/2; (I - Q)/2, (I + Q)/2)
+    with Q = M2 M2^T, M2 the relative-mode rotation with quadratures
+    rescaled by r = w2 / omega. det Q = 1 and
+    tr Q = 2 + sin^2(w2 t) (r - 1/r)^2, so the blocks have determinants
+    1 + kappa and -kappa with kappa = (sin(w2 t) (r - 1/r) / 2)^2, and the
+    evolved vacuum is pure (determinant 1). Since r^2 - 1 = 2 lambda0^2 / omega^2,
+    (r - 1/r) / 2 = lambda0^2 / (omega w2), which has no cancellation at
+    small lambda0.
     """
-    s = quench_propagator_closed_form(params.omega, params.lambda0, t)
-    inv_a, inv_b, inv_c, inv_d = local_invariants(CovarianceMatrix(s @ s.T / 2.0))
+    kappa = _quench_kappa(params.omega, params.lambda0, t)
     nu = 0.5 / np.tanh(beta * params.hbar * params.omega / 2.0)
     scale = (2.0 * nu) ** 2
-    return discord_from_invariants(
-        inv_a * scale, inv_b * scale, inv_c * scale, inv_d * scale * scale, nu, nu
-    )
+    local = (1.0 + kappa) * scale
+    return discord_from_invariants(local, local, -kappa * scale, scale * scale, nu, nu)
 
 
 def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> list:
@@ -409,7 +423,10 @@ def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> l
 
 def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport:
     """Evaluate every report field at the parameters' temperature: one
-    row of :func:`sweep_temperature`, by the same code."""
+    row of :func:`sweep_temperature`, by the same code.
+
+    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite one raises ValidationError.
+    """
     return _reports(params, np.array([params.beta]), evolution_time)[0]
 
 
@@ -423,12 +440,20 @@ def sweep_temperature(
     """Reports on a uniform temperature grid from t_min to t_max.
 
     Every closed form and the discord are evaluated over the whole array
-    of inverse temperatures in one pass, with the propagator built once.
-    Each grid point's value depends only on its own temperature, so
-    refining the grid leaves values at shared temperatures unchanged.
+    of inverse temperatures in one pass; the discord column comes from the
+    closed-form local invariants of the evolved state, with no propagator
+    or covariance matrix. Each grid point's value depends only on its own
+    temperature, so refining the grid leaves values at shared temperatures
+    unchanged.
+
+    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, and a ``points`` that is not an integer, raise ValidationError.
     """
     if not 0.0 < t_min < t_max < math.inf:
         raise ValidationError(f"need 0 < t_min < t_max < inf; got {t_min}, {t_max}")
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValidationError(f"points must be an integer; got {points!r}") from None
     if points < 2:
         raise ValidationError(f"need at least 2 grid points; got {points}")
     # beta falls monotonically with temperature: valid at both ends, valid throughout

@@ -9,6 +9,10 @@ with Hypothesis-drawn entries, and nearly pure mixtures (1 - eps) pure +
 eps mixed with eps log-uniform in [1e-13, 1e-5]; the reference is the
 64 x 64 grid plus Nelder-Mead search of :mod:`tests.discord_oracle` for
 C, and :func:`quantum_mutual_information` for I.
+
+Quench sweep: ``sweep_temperature`` takes an integer ``points`` >= 2, a
+Python or numpy integer; a float, even an integral one, or a string
+raises naming ``points``.
 """
 
 import math
@@ -21,11 +25,13 @@ from hypothesis.extra.numpy import arrays
 
 from qcorr import (
     DensityMatrix,
+    QuenchParams,
     ValidationError,
     discord,
     discord_swapped,
     max_classical_correlations,
     quantum_mutual_information,
+    sweep_temperature,
 )
 from qcorr.discord import _bloch
 
@@ -150,3 +156,14 @@ class TestOutsideTheDomain:
     def test_a_raw_array_is_not_a_state(self, search):
         with pytest.raises(ValidationError, match=r"requires a 2 \(x\) 2 state"):
             search(np.eye(4) / 4.0)
+
+
+class TestSweepPoints:
+    @pytest.mark.parametrize("points", [2.5, 3.0, "3", None])
+    def test_non_integer_points_rejected(self, points):
+        with pytest.raises(ValidationError, match="points must be an integer"):
+            sweep_temperature(QuenchParams(), 0.1, 5.0, points)
+
+    @pytest.mark.parametrize("points", [3, np.int64(3), np.int32(3)])
+    def test_integer_points_accepted(self, points):
+        assert len(sweep_temperature(QuenchParams(), 0.1, 5.0, points)) == 3

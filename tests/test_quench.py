@@ -7,6 +7,7 @@ import pytest
 from qcorr import quench
 from qcorr import (
     ConsistencyError,
+    CovarianceMatrix,
     QuenchParams,
     QuenchReport,
     ValidationError,
@@ -35,6 +36,7 @@ from qcorr import (
     sweep_temperature,
     symplectic_propagator,
 )
+from qcorr.gaussian import local_invariants
 
 # frozen from 30-digit evaluations of the closed forms
 DFC_UNIT = 0.5493061443340549       # (1/2) ln 3
@@ -517,6 +519,24 @@ class TestArraySweep:
         for report in sweep_temperature(params, 0.1, 5.0, 25, t):
             oracle = quench_discord(params.at_temperature(report.temperature), t)
             assert abs(report.gaussian_discord - oracle) <= 1e-10
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, 2.1, 37.0])
+    @pytest.mark.parametrize("lambda0", [0.0, 0.05, 0.5, 2.5, 30.0])
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 1.3, 4.0])
+    def test_closed_form_invariants_match_both_propagators(self, omega, lambda0, t):
+        """The sweep's invariants (1 + kappa, 1 + kappa, -kappa, 1) of the
+        evolved vacuum against the determinants of S S^T / 2, to 4e-12
+        relative with S built from the normal modes and 4e-11 with S from
+        expm; where kappa = 0 the cross determinant is rounding, below 1e-30."""
+        kappa = quench._quench_kappa(omega, lambda0, t)
+        closed = (1.0 + kappa, 1.0 + kappa, -kappa, 1.0)
+        routes = [
+            (quench_propagator_closed_form(omega, lambda0, t), 4e-12),
+            (symplectic_propagator(quench_hamiltonian_matrix(omega, lambda0), t), 4e-11),
+        ]
+        for s, rel in routes:
+            invariants = local_invariants(CovarianceMatrix(s @ s.T / 2.0))
+            assert invariants == pytest.approx(closed, rel=rel, abs=1e-30)
 
     def test_report_at_is_the_sweep_row(self):
         params = QuenchParams(lambda0=1.7, hbar=0.9, kb=1.3)
