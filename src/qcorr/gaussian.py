@@ -39,9 +39,9 @@ is one Newton minimization (:mod:`qcorr._newton`) on the closed disk,
 where that limit is at finite distance: a run that meets the circle
 slides along it, so the runs reach that limit themselves.
 
-scipy's ``expm`` is imported only inside :func:`symplectic_propagator`
-and :func:`random_covariance`, so importing this module does not import
-scipy.
+:func:`symplectic_propagator` and :func:`random_covariance` exponentiate
+with :func:`_expm`, a scaling-and-squaring Pade approximant in numpy, so
+this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -204,13 +204,67 @@ def normal_mode_frequencies(omega: float, lam: float):
     return omega, math.sqrt(omega * omega + 2.0 * lam * lam)
 
 
+# Pade degrees m with the bound theta_m of Higham (2005) and the coefficients
+# b_0 .. b_m of the [m/m] approximant p(A) / p(-A), p(x) = sum b_j x^j
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1,
+     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068e0,
+     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+      2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+)
+_THETA_13 = 5.371920351148152
+_B_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring of a Pade approximant.
+
+    The degree m and the scaling 2^-s follow Al-Mohy and Higham (SIAM J.
+    Matrix Anal. Appl. 31, 970, 2009): the [m/m] approximant r_m has a
+    backward error below unit roundoff while max(d_p, d_p+1) <= theta_m,
+    with d_k = ||a^k||_1^(1/k). Exact norms of the even powers are cheap
+    for the small matrices here, and for a non-normal ``a`` they can sit
+    far below ||a||_1, sparing squarings that would each add rounding.
+    With U the odd and V the even part of p(a), r_m(a) = (V - U)^-1 (V + U),
+    formed as I + 2 (V - U)^-1 U so that a near-identity result keeps its
+    identity exact. A non-finite ``a`` gives NaN.
+    """
+    ident = np.eye(a.shape[0])
+    even = [ident, a @ a]  # a^0, a^2, a^4, a^6, a^8
+    for _ in range(3):
+        even.append(even[1] @ even[-1])
+    d4, d6, d8 = (np.linalg.norm(even[j], 1) ** (0.5 / j) for j in (2, 3, 4))
+    for m, theta, b in _PADE:
+        if (max(d4, d6) if m < 7 else max(d6, d8)) <= theta:
+            u = a @ sum(b[j] * even[j // 2] for j in range(m, 0, -2))
+            v = sum(b[j] * even[j // 2] for j in range(m - 1, -1, -2))
+            return ident + 2.0 * np.linalg.solve(v - u, u)
+    d10 = np.linalg.norm(even[2] @ even[3], 1) ** 0.1
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if math.isfinite(eta) else 0
+    a1 = a * 2.0 ** -s
+    a2, a4, a6 = (even[j] * 2.0 ** (-2 * j * s) for j in (1, 2, 3))
+    b = _B_13
+    u = a1 @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    x = ident + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
 def symplectic_propagator(ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     """Propagator S = exp(Omega G t) for the quadrature vector, with G
     the frequency matrix of ``ham``."""
-    from scipy.linalg import expm  # an oracle only; keeps scipy off the import path
-
     omega_s = symplectic_form(ham.n_modes)
-    return expm(omega_s @ ham.matrix * t)
+    return _expm(omega_s @ ham.matrix * t)
 
 
 def quench_propagator_closed_form(omega: float, lam: float, t: float) -> np.ndarray:
@@ -493,12 +547,10 @@ def random_covariance(seed: int) -> CovarianceMatrix:
     symplectic built from a Gaussian symmetric generator. Deterministic
     for a fixed seed.
     """
-    from scipy.linalg import expm  # test and benchmark input only; keeps scipy off the import path
-
     rng = np.random.default_rng(seed)
     gen = rng.normal(0.0, 0.35, (4, 4))
     gen = (gen + gen.T) / 2.0
-    s = expm(symplectic_form(2) @ gen)
+    s = _expm(symplectic_form(2) @ gen)
     nus = np.where(
         rng.random(2) < 0.2, VACUUM_VARIANCE, rng.uniform(VACUUM_VARIANCE, 3.0, 2)
     )

@@ -90,7 +90,11 @@ class QuenchParams:
         return 1.0 / (self.kb * self.beta)
 
     def at_temperature(self, temperature: float) -> "QuenchParams":
-        if not 0.0 < temperature < math.inf:
+        try:
+            in_range = 0.0 < temperature < math.inf
+        except TypeError:
+            raise ValidationError(f"temperature must be a real number; got {temperature!r}") from None
+        if not in_range:
             raise ValidationError(f"temperature must be positive and finite; got {temperature}")
         return replace(self, beta=1.0 / (self.kb * temperature))
 
@@ -111,7 +115,11 @@ class QuenchReport(NamedTuple):
 
 
 def _require_finite(name: str, value: float):
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number; got {value!r}") from None
+    if not finite:
         raise ValidationError(f"{name} must be finite; got {value}")
 
 
@@ -425,7 +433,7 @@ def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport
     """Evaluate every report field at the parameters' temperature: one
     row of :func:`sweep_temperature`, by the same code.
 
-    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite one raises ValidationError.
+    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite or non-real one raises ValidationError.
     """
     return _reports(params, np.array([params.beta]), evolution_time)[0]
 
@@ -446,9 +454,13 @@ def sweep_temperature(
     temperature, so refining the grid leaves values at shared temperatures
     unchanged.
 
-    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, and a ``points`` that is not an integer, raise ValidationError.
+    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, and a ``points`` that is not an integer, raise ValidationError.
     """
-    if not 0.0 < t_min < t_max < math.inf:
+    try:
+        in_range = 0.0 < t_min < t_max < math.inf
+    except TypeError:
+        raise ValidationError(f"t_min and t_max must be real numbers; got {t_min!r}, {t_max!r}") from None
+    if not in_range:
         raise ValidationError(f"need 0 < t_min < t_max < inf; got {t_min}, {t_max}")
     try:
         points = operator.index(points)

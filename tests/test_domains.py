@@ -12,7 +12,9 @@ C, and :func:`quantum_mutual_information` for I.
 
 Quench sweep: ``sweep_temperature`` takes an integer ``points`` >= 2, a
 Python or numpy integer; a float, even an integral one, or a string
-raises naming ``points``.
+raises naming ``points``. A string or None where ``QuenchParams``, the
+sweep, ``report_at`` or ``at_temperature`` take a real number raises
+naming that field.
 """
 
 import math
@@ -31,6 +33,7 @@ from qcorr import (
     discord_swapped,
     max_classical_correlations,
     quantum_mutual_information,
+    report_at,
     sweep_temperature,
 )
 from qcorr.discord import _bloch
@@ -167,3 +170,22 @@ class TestSweepPoints:
     @pytest.mark.parametrize("points", [3, np.int64(3), np.int32(3)])
     def test_integer_points_accepted(self, points):
         assert len(sweep_temperature(QuenchParams(), 0.1, 5.0, points)) == 3
+
+
+class TestQuenchInputTypes:
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda: QuenchParams(omega="1"), "omega"),
+            (lambda: QuenchParams(lambda0=None), "lambda0"),
+            (lambda: sweep_temperature(QuenchParams(), "0.1", 5.0, 3), "t_min"),
+            (lambda: sweep_temperature(QuenchParams(), 0.1, None, 3), "t_max"),
+            (lambda: report_at(QuenchParams(), None), "evolution_time"),
+            (lambda: sweep_temperature(QuenchParams(), 0.1, 5.0, 3, evolution_time="x"), "evolution_time"),
+            (lambda: QuenchParams().at_temperature("1"), "temperature"),
+        ],
+        ids=["omega", "lambda0", "t_min", "t_max", "report_at", "evolution_time", "at_temperature"],
+    )
+    def test_wrong_type_rejected(self, call, field):
+        with pytest.raises(ValidationError, match=f"{field}.* real number"):
+            call()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qcorr import gaussian
 from qcorr import (
@@ -195,6 +196,56 @@ class TestSymplecticEvolution:
         )
         assert gaussian_entropy(forward) == pytest.approx(gaussian_entropy(backward), abs=1e-10)
         assert gaussian_discord(forward) == pytest.approx(gaussian_discord(backward), abs=1e-10)
+
+
+def _random_covariance_generator(seed: int) -> np.ndarray:
+    """Omega G with G drawn as :func:`random_covariance` draws it."""
+    gen = np.random.default_rng(seed).normal(0.0, 0.35, (4, 4))
+    return symplectic_form(2) @ ((gen + gen.T) / 2.0)
+
+
+# a free particle, H = p^2 / 2 per mode: Omega G t is nilpotent and its exp is I + Omega G t
+FREE_PARTICLE = symplectic_form(2) @ np.diag([0.0, 1.0, 0.0, 1.0]) * 2.5
+
+EXPM_GENERATORS = (
+    [pytest.param(_random_covariance_generator(seed), id=f"random-{seed}") for seed in range(200)]
+    + [
+        pytest.param(symplectic_form(2) @ quench_hamiltonian_matrix(1.0, lam0).matrix * t, id=f"quench-{lam0}-{t}")
+        for lam0 in (0.0, 0.1, 1.0, 3.0, 30.0)
+        for t in (0.01, 0.7, 3.0, 20.0)
+    ]
+    + [
+        pytest.param(FREE_PARTICLE, id="free-particle"),
+        pytest.param(np.zeros((4, 4)), id="zero"),
+    ]
+)
+
+
+class TestPadeExpm:
+    UNIT_ROUNDOFF = 2.0**-53
+
+    @staticmethod
+    def _relative_error(x: np.ndarray, exact) -> float:
+        """Relative 1-norm error of ``x`` against a 40-digit reference."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            return float(mpmath.mnorm(mpmath.matrix(x.tolist()) - exact, 1) / mpmath.mnorm(exact, 1))
+
+    @pytest.mark.parametrize("gen", EXPM_GENERATORS)
+    def test_matches_mpmath(self, gen):
+        """Within 1e-13 of 40-digit mpmath, and no worse than scipy's expm
+        beyond two unit roundoffs, the size of the rounding of the result
+        itself in this norm."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.expm(mpmath.matrix(gen.tolist()))
+        err = self._relative_error(gaussian._expm(gen), exact)
+        assert err <= 1e-13
+        assert err <= self._relative_error(expm(gen), exact) + 2 * self.UNIT_ROUNDOFF
+
+    def test_free_particle_is_exact(self):
+        assert np.array_equal(gaussian._expm(FREE_PARTICLE), np.eye(4) + FREE_PARTICLE)
+        assert np.array_equal(gaussian._expm(np.zeros((4, 4))), np.eye(4))
 
 
 class TestSymplecticEigenvalues:
