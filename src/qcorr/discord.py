@@ -44,9 +44,10 @@ on pure and Werner states, and its Hessian diverges where a conditional
 state is pure; Newton then stops at rounding with the best value it
 evaluated. The mutual information takes S(rho_A) = h(|a|) and
 S(rho_B) = h(|b|) from the same vectors, so only S(rho) needs the
-spectrum, which :class:`~qcorr.states.DensityMatrix` holds; all three
-drop eigenvalues at or below ``SUPPORT_CUTOFF``, as
-:func:`~qcorr.states.quantum_mutual_information` does.
+spectrum, which :class:`~qcorr.states.DensityMatrix` holds. Every eta
+here and in :mod:`qcorr.states` is the one of :mod:`qcorr.probability`,
+zero at or below ``ZERO_PROBABILITY``, so I and both routes to C drop
+the same rounding-level eigenvalues.
 
 :func:`classical_correlations_at` does not use this representation: it
 measures through :class:`~qcorr.measurement.Povm` and partial traces,
@@ -62,8 +63,9 @@ import numpy as np
 
 from ._newton import FTOL
 from ._sphere import minimize
-from .errors import NEGATIVE_CLAMP, SUPPORT_CUTOFF, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
+from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
 from .measurement import Povm
+from .probability import _eta, _plogp
 from .states import DensityMatrix, partial_trace, von_neumann_entropy
 
 THETA_POINTS = 8
@@ -149,15 +151,7 @@ def _bloch(rho: DensityMatrix):
 def _qubit_entropy(r2: float) -> float:
     """Entropy of the qubit state (1 + r.sigma)/2 given |r|^2."""
     lam = (1.0 + math.sqrt(min(max(r2, 0.0), 1.0))) / 2.0
-    total = 0.0
-    for p in (lam, 1.0 - lam):
-        if p > ZERO_PROBABILITY:
-            total -= p * math.log(p)
-    return total
-
-
-def _eta(x: float) -> float:
-    return x * math.log(x) if x > 0.0 else 0.0
+    return 0.0 - (_eta(lam) + _eta(1.0 - lam))
 
 
 def _directions(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -184,24 +178,13 @@ def _grid_values(bloch, s_b: float, n: np.ndarray) -> np.ndarray:
     a, b, t = bloch
     q = 1.0 + _SIGNS * (n @ a)
     w = np.sqrt(np.sum((b + _SIGNS[..., None] * (n @ t)) ** 2, axis=2))
-    lam = np.stack([(q + w) / 2.0, (q - w) / 2.0, q])
-    live = lam > 0.0
-    live[1] &= lam[1] > ZERO_PROBABILITY * q  # eta(lambda-) of a pure conditional state is rounding
-    eta = np.where(live, lam * np.log(np.where(live, lam, 1.0)), 0.0)
+    eta = _plogp(np.stack([(q + w) / 2.0, (q - w) / 2.0, q]))
     values = s_b + np.sum(eta[0] + eta[1] - eta[2], axis=0) / 2.0
     if values.min() < -NEGATIVE_CLAMP:
         raise ConsistencyError(
             f"classical correlations evaluated to {float(values.min())!r} < 0"
         )
     return np.clip(values, 0.0, None)
-
-
-def _grid_classical_correlations(rho: DensityMatrix, thetas: np.ndarray, phis: np.ndarray):
-    """Vectorized evaluation of the measured-A classical correlations on a
-    (theta, phi) grid. Matches the scalar route of classical_correlations_at."""
-    bloch = _bloch(rho)
-    values = _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), _directions(thetas, phis))
-    return values.reshape(len(thetas), len(phis))
 
 
 def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> float:
@@ -224,7 +207,7 @@ def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> fl
             continue
         # p_j S(rho_B^(j)) from the unnormalized block: dividing by p_j first scales its rounding by 1 / p_j
         mu = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
-        mu = mu[mu > SUPPORT_CUTOFF * prob]
+        mu = mu[mu > ZERO_PROBABILITY * prob]
         avg -= float(np.sum(mu * np.log(mu / prob)))
     value = s_b - avg
     if value < -NEGATIVE_CLAMP:
@@ -251,10 +234,10 @@ def _negated_objective(bloch, s_b: float):
     pure: lambda- is small there, and so is the tangent part of a - v,
     while its part along n, which would give terms of order 1 / lambda-
     that cancel, never enters. An impossible outcome (q <= 2 ZERO_WEIGHT)
-    adds nothing to the derivatives, and the eta(lambda-) of a pure
-    conditional state (lambda- <= ZERO_PROBABILITY q) nothing to the
-    value either, as in :func:`_qubit_entropy`: its gradient along the
-    sphere vanishes there.
+    adds nothing to the derivatives, and nor does the lambda- of a pure
+    conditional state (lambda- <= ZERO_PROBABILITY), whose gradient along
+    the sphere vanishes there; the eta of :mod:`qcorr.probability` reads
+    such a lambda- as zero in the value too.
     """
     (ax, ay, az), (bx, by, bz) = bloch[0].tolist(), bloch[1].tolist()
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = bloch[2].tolist()
@@ -275,8 +258,7 @@ def _negated_objective(bloch, s_b: float):
             u0, u1, u2 = bx + sign * tn0, by + sign * tn1, bz + sign * tn2
             w = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
             plus, minus = (q + w) / 2.0, (q - w) / 2.0
-            mixed = minus > ZERO_PROBABILITY * q
-            value += (_eta(plus) + (_eta(minus) if mixed else 0.0) - _eta(q)) / 2.0
+            value += (_eta(plus) + _eta(minus) - _eta(q)) / 2.0
             if q <= 2.0 * ZERO_WEIGHT:
                 continue
             if w > 0.0:
@@ -285,7 +267,7 @@ def _negated_objective(bloch, s_b: float):
             else:
                 v1 = v2 = vn = 0.0
             slope_plus = math.log(plus) + 1.0
-            if mixed:
+            if minus > ZERO_PROBABILITY:  # a mixed conditional state, whose eta(lambda-) counts
                 slope_minus = math.log(minus) + 1.0
                 # the two hess lambda terms together, (slope_plus - slope_minus) / (4 w): as atanh(r) / r, finite
                 # as w -> 0; with the gradient's ln(lambda-) where lambda- is small, whose rounding then cancels
@@ -352,16 +334,9 @@ def max_classical_correlations(rho: DensityMatrix):
     return value, basis
 
 
-def _marginal_entropies(a: np.ndarray, b: np.ndarray) -> float:
-    """S(rho_A) + S(rho_B) from the Bloch vectors, from the spectra
-    (1 +- |a|)/2 and (1 +- |b|)/2 with the cutoff of von_neumann_entropy."""
-    radii = [math.sqrt(min(max(float(v @ v), 0.0), 1.0)) for v in (a, b)]
-    return -sum(p * math.log(p) for r in radii for p in ((1.0 + r) / 2.0, (1.0 - r) / 2.0) if p > SUPPORT_CUTOFF)
-
-
 def _discord(rho: DensityMatrix, bloch) -> DiscordResult:
     a, b, _ = bloch
-    info = _marginal_entropies(a, b) - von_neumann_entropy(rho)
+    info = _qubit_entropy(float(a @ a)) + _qubit_entropy(float(b @ b)) - von_neumann_entropy(rho)
     info = 0.0 if -NEGATIVE_CLAMP <= info < 0.0 else info  # as quantum_mutual_information reads it
     value, basis, evaluations, converged = _maximize_classical_correlations(bloch)
     value = min(value, info) if info < value <= info + NEGATIVE_CLAMP else value

@@ -28,11 +28,13 @@ NORM_TOL = 1e-12
 BORN_SUM_TOL = 1e-9
 # Observable eigenvalues closer than this times max(1, max |eigenvalue|) merge into one outcome.
 DEGENERACY_TOL = 1e-9
-# Probabilities at or below this are exact zeros in p ln p and when conditioning.
+# The rounding floor of a probability or eigenvalue: at or below it, x is an exact zero in every
+# x ln x (the one eta of qcorr.probability) and when conditioning.
 ZERO_PROBABILITY = 1e-15
 # Measurement outcomes at or below this weight are impossible: no conditional state.
 ZERO_WEIGHT = 1e-14
-# Eigenvalues and mode occupations nu - 1/2 at or below this are zeros inside logarithms.
+# Support tests only: eigenvalues (quantum_relative_entropy) and mode occupations nu - 1/2
+# (mode_entropy) at or below this are outside the support; no x ln x reads it.
 SUPPORT_CUTOFF = 1e-12
 # Classical correlations or discord down to -NEGATIVE_CLAMP are rounding and clamp to zero.
 NEGATIVE_CLAMP = 1e-9

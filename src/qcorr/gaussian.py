@@ -146,10 +146,29 @@ class QuadraticHamiltonian:
         return self.matrix.shape[0] // 2
 
 
+def _require_finite(name: str, value: float):
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number; got {value!r}") from None
+    if not finite:
+        raise ValidationError(f"{name} must be finite; got {value}")
+
+
+def _require_frequency(omega: float):
+    if not 0.0 < omega < math.inf:
+        raise ValidationError(f"omega must be positive and finite; got {omega}")
+
+
 def thermal_variance(beta: float, omega: float, hbar: float = 1.0) -> float:
-    """Quadrature variance (1/2) coth(beta hbar omega / 2) of a thermal mode."""
-    if beta <= 0 or omega <= 0 or hbar <= 0:
-        raise ValidationError("beta, omega and hbar must be positive")
+    """Quadrature variance (1/2) coth(beta hbar omega / 2) of a thermal mode.
+
+    Domain: 0 < omega < inf, beta > 0 and hbar > 0; NaN or anything else raises ValidationError naming it.
+    """
+    _require_frequency(omega)
+    for name, value in (("beta", beta), ("hbar", hbar)):
+        if not value > 0:
+            raise ValidationError(f"{name} must be positive; got {value}")
     return 0.5 / math.tanh(beta * hbar * omega / 2.0)
 
 
@@ -186,8 +205,7 @@ def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
     entries are uncoupled.
     """
     _require_coupling(lam)
-    if omega <= 0:
-        raise ValidationError(f"omega must be positive; got {omega}")
+    _require_frequency(omega)
     ratio = (lam / omega) ** 2
     g = np.zeros((4, 4))
     g[0, 0] = g[2, 2] = 1.0 + ratio
@@ -201,6 +219,7 @@ def normal_mode_frequencies(omega: float, lam: float):
     mode keeps ``omega``; the relative mode is stiffened to
     ``sqrt(omega^2 + 2 lam^2)``."""
     _require_coupling(lam)
+    _require_frequency(omega)
     return omega, math.sqrt(omega * omega + 2.0 * lam * lam)
 
 
@@ -262,9 +281,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def symplectic_propagator(ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     """Propagator S = exp(Omega G t) for the quadrature vector, with G
-    the frequency matrix of ``ham``."""
-    omega_s = symplectic_form(ham.n_modes)
-    return _expm(omega_s @ ham.matrix * t)
+    the frequency matrix of ``ham``.
+
+    Domain: a finite real ``t`` for which S is finite; anything else raises ValidationError naming t.
+    """
+    _require_finite("t", t)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Omega G t is rejected below
+        s = _expm(symplectic_form(ham.n_modes) @ ham.matrix * t)
+    if not np.isfinite(s).all():
+        raise ValidationError(f"t = {t!r} overflows the propagator exp(Omega G t)")
+    return s
 
 
 def quench_propagator_closed_form(omega: float, lam: float, t: float) -> np.ndarray:
@@ -295,7 +321,7 @@ def quench_propagator_closed_form(omega: float, lam: float, t: float) -> np.ndar
 
 def symplectic_evolution(sigma: CovarianceMatrix, ham: QuadraticHamiltonian, t: float) -> CovarianceMatrix:
     """Evolve a covariance matrix: sigma -> S sigma S^T with
-    S = exp(Omega G t)."""
+    S = exp(Omega G t), for ``t`` in the domain of :func:`symplectic_propagator`."""
     if sigma.n_modes != ham.n_modes:
         raise ValidationError(
             f"mode mismatch: state has {sigma.n_modes}, Hamiltonian {ham.n_modes}"

@@ -1,8 +1,9 @@
 """Shannon information measures over finite discrete distributions.
 
-All entropies are returned in nats (natural logarithm). The convention
-``0 * ln 0 = 0`` is enforced by treating probabilities at or below
-``ZERO_PROBABILITY`` as exact zeros rather than by taking limits.
+All entropies are returned in nats (natural logarithm). Every x ln x
+here and in :mod:`qcorr.states` and :mod:`qcorr.discord` is :func:`_eta`
+(or :func:`_plogp`), which reads x at or below ``ZERO_PROBABILITY``, the
+rounding floor of a probability or eigenvalue, as an exact zero.
 
 Distributions are validated at construction and rejected, not
 renormalized, when the normalization is off by more than ``NORM_TOL``
@@ -37,12 +38,15 @@ def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _eta(x: float) -> float:
+    """x ln x of a float, zero for x at or below ``ZERO_PROBABILITY``."""
+    return x * math.log(x) if x > ZERO_PROBABILITY else 0.0
+
+
 def _plogp(p: np.ndarray) -> np.ndarray:
-    """Entrywise p*ln(p) with the 0*ln(0) = 0 convention."""
-    out = np.zeros_like(p)
+    """Entrywise :func:`_eta` of an array."""
     live = p > ZERO_PROBABILITY
-    out[live] = p[live] * np.log(p[live])
-    return out
+    return np.where(live, p * np.log(np.where(live, p, 1.0)), 0.0)
 
 
 def _normalized(cls, weights):
@@ -124,13 +128,13 @@ def shannon_entropy(d) -> float:
     Lies in [0, ln n] for an n-outcome distribution.
     """
     d = _coerce_dist(d)
-    return float(-_plogp(d.probs).sum())
+    return 0.0 - float(_plogp(d.probs).sum())  # 0.0 - 0.0 is +0.0, where -(0.0) would be -0.0
 
 
 def joint_entropy(j) -> float:
     """Entropy of the joint table, -sum_ij p_ij ln p_ij, in nats."""
     j = _coerce_joint(j)
-    return float(-_plogp(j.table).sum())
+    return 0.0 - float(_plogp(j.table).sum())
 
 
 def conditional_entropy(j) -> float:

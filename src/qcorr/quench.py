@@ -42,6 +42,7 @@ import numpy as np
 from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError
 from .gaussian import (
     _require_coupling,
+    _require_finite,
     direct_sum,
     discord_from_invariants,
     gaussian_discord,
@@ -112,15 +113,6 @@ class QuenchReport(NamedTuple):
     w_q_irr: float
     omega_excess: float
     gaussian_discord: float
-
-
-def _require_finite(name: str, value: float):
-    try:
-        finite = math.isfinite(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be a real number; got {value!r}") from None
-    if not finite:
-        raise ValidationError(f"{name} must be finite; got {value}")
 
 
 def _log_sinh(x):

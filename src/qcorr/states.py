@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part
+from .probability import _plogp
 
 
 def eigh_phase_fixed(matrix: np.ndarray):
@@ -173,14 +174,10 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     raise ValidationError(f"keep must be 'A' or 'B'; got {keep!r}")
 
 
-def _entropy_of_spectrum(vals: np.ndarray) -> float:
-    live = vals > SUPPORT_CUTOFF
-    return float(-np.sum(vals[live] * np.log(vals[live])))
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """von Neumann entropy -Tr[rho ln rho] in nats, in [0, ln d]."""
-    return _entropy_of_spectrum(rho.spectrum())
+    """von Neumann entropy -Tr[rho ln rho] in nats, in [0, ln d]; eigenvalues
+    at or below ``ZERO_PROBABILITY`` are zeros, as in :mod:`qcorr.probability`."""
+    return 0.0 - float(np.sum(_plogp(rho.spectrum())))  # +0.0, not -0.0, for a pure state
 
 
 def quantum_relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
@@ -203,7 +200,7 @@ def quantum_relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
         return math.inf
     live = ~dead
     tr_sigma_ln_rho = float(np.sum(weights[live] * np.log(r_vals[live])))
-    tr_sigma_ln_sigma = -_entropy_of_spectrum(s_vals)
+    tr_sigma_ln_sigma = float(np.sum(_plogp(s_vals)))
     return tr_sigma_ln_sigma - tr_sigma_ln_rho
 
 
@@ -213,7 +210,7 @@ def quantum_mutual_information(rho: DensityMatrix) -> float:
     Also expressible as the relative entropy from ``rho`` to the product
     of its marginals; the two forms are checked against each other in
     the test suite. Values in ``[-NEGATIVE_CLAMP, 0)`` are rounding, or
-    eigenvalues on different sides of ``SUPPORT_CUTOFF`` in the three
+    eigenvalues on different sides of ``ZERO_PROBABILITY`` in the three
     spectra, and read as zero.
     """
     if not rho.is_bipartite:

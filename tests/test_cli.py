@@ -38,6 +38,12 @@ class TestEntropyVerb:
         assert code == 0
         assert out == "0.69314718055994529\n"
 
+    def test_point_mass_prints_zero(self, capsys):
+        """Not -0: the entropy of a point mass is +0.0."""
+        for argv in (("entropy", "--dist", "1,0"), ("entropy", "--dist", "1,0", "--bits")):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (0, "0\n")
+
     def test_bits_flag(self, capsys):
         code, out, _ = run(capsys, "entropy", "--dist", "0.5,0.5", "--bits")
         assert code == 0
@@ -203,9 +209,11 @@ class TestDiscordVerb:
         code, out, _ = run(capsys, "discord", "--state", bell_file)
         assert code == 0
         report = json.loads(out)
+        assert abs(report["classical_corr"] - LN2) <= 1e-15
         assert report["discord"] == pytest.approx(LN2, abs=1e-6)
         assert report["mutual_info"] == pytest.approx(2 * LN2, abs=1e-9)
-        assert 0.0 <= report["theta"] <= math.pi
+        # C is constant on the Bell pair; the search then returns the pole (0, 0)
+        assert (report["theta"], report["phi"]) == (0.0, 0.0)
         assert report["converged"] is True
 
 

@@ -24,7 +24,7 @@ from qcorr.discord import (
     PHI_POINTS,
     THETA_POINTS,
     _bloch,
-    _grid_classical_correlations,
+    _directions,
     _grid_values,
     _maximize_classical_correlations,
     _negated_objective,
@@ -55,6 +55,14 @@ def one_way_classical_state() -> DensityMatrix:
         np.diag([0.0, 1.0]), plus
     )
     return DensityMatrix(mat, (2, 2))
+
+
+def _grid_classical_correlations(rho: DensityMatrix, thetas, phis) -> np.ndarray:
+    """C on the (theta, phi) grid, theta-major, by the search's vectorized
+    kernel; the tests compare it with the Povm route of classical_correlations_at."""
+    bloch = _bloch(rho)
+    values = _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), _directions(thetas, phis))
+    return values.reshape(len(thetas), len(phis))
 
 
 def _ket(rng) -> np.ndarray:
@@ -228,6 +236,22 @@ class TestMaxClassicalCorrelations:
             grid_best = float(_grid_classical_correlations(rho, thetas, phis).max())
             value, _ = max_classical_correlations(rho)
             assert value >= grid_best - 1e-12
+
+    @pytest.mark.parametrize("ket", [np.full(4, 0.5), np.eye(4)[0]], ids=["plus_plus", "zero_zero"])
+    def test_value_is_the_povm_route_at_its_basis_near_pure_states(self, ket):
+        """400 seeded states within eps in [1e-14, 1e-10] of |++><++| and of
+        |00><00|: the search's eta and the Povm route drop the same
+        rounding-level eigenvalues, so C at the returned basis is the value
+        returned. With the Povm route cut at 1e-12 and the search at 1e-15
+        they differed by up to 2.7e-11."""
+        rng = np.random.default_rng(2001)
+        pure = np.outer(ket, ket).astype(complex)
+        worst = 0.0
+        for eps in 10.0 ** rng.uniform(-14.0, -10.0, 400):
+            rho = DensityMatrix((1.0 - eps) * pure + eps * _hilbert_schmidt(rng, 4), (2, 2))
+            value, basis = max_classical_correlations(rho)
+            worst = max(worst, abs(value - classical_correlations_at(rho, basis)))
+        assert worst <= 1e-13
 
     def test_multistart_refinement_agrees(self, rng):
         for seed in range(5):
@@ -534,11 +558,13 @@ class TestDegenerateInputs:
 
     def test_near_pure_marginals_at_the_support_cutoff(self):
         """diag(1 - eps, 0, 0, eps) is classical with marginals of smallest
-        eigenvalue eps. Its three entropies in the mutual information share
-        the SUPPORT_CUTOFF of quantum_mutual_information; mixing cutoffs
-        read D = 2.8e-11 at eps = 1e-12. What is left is the rounding of
-        (1 - |a|)/2, up to about 1e-15 (as with partial traces)."""
-        for eps in [1e-13, 1e-12, 1e-11, *np.logspace(-14, -10, 41)]:
+        eigenvalue eps. Its three entropies in the mutual information and
+        the C of the search share the one eta of qcorr.probability, zero at
+        or below ZERO_PROBABILITY, as quantum_mutual_information does; with
+        the 1e-12 support cutoff in I and not in C, D read 2.8e-11 at
+        eps = 1e-12. What is left is the rounding of (1 - |a|)/2, up to
+        about 1e-15 (as with partial traces)."""
+        for eps in [1e-13, 1e-12, 1e-11, *np.logspace(-15, -10, 51)]:
             rho = DensityMatrix(np.diag([1.0 - eps, 0.0, 0.0, eps]).astype(complex), (2, 2))
             for swapped in (False, True):
                 result = self._search(rho, swapped)
@@ -546,15 +572,15 @@ class TestDegenerateInputs:
                 assert result.discord <= 1e-14
 
     def test_mutual_information_never_negative(self):
-        """(1 - eps)|00><00| + eps rho_2 at eps = 1.5e-12 has a joint
-        eigenvalue above SUPPORT_CUTOFF whose entropy counts and marginal
-        eigenvalues below it that do not: I read -3.0e-11 in all three
-        functions. Values down to -NEGATIVE_CLAMP are read as 0, so
-        0 <= C <= I holds."""
+        """(1 - eps)|00><00| + eps rho_2 at eps = 1.5e-15 has a joint
+        eigenvalue (1.09e-15) above ZERO_PROBABILITY whose entropy counts and
+        marginal eigenvalues below it that do not: the three entropies give
+        I = -3.7e-14 (with the cutoff at 1e-12, eps = 1.5e-12 gave -3.0e-11).
+        Values down to -NEGATIVE_CLAMP are read as 0, so 0 <= C <= I holds."""
         pure = np.zeros((4, 4), dtype=complex)
         pure[0, 0] = 1.0
         mixed = random_density_matrix((2, 2), 2, seed=2).elements
-        for eps in [1.5e-12, *np.logspace(-13, -10, 31)]:
+        for eps in [1.5e-15, 1.5e-12, *np.logspace(-16, -10, 61)]:
             rho = DensityMatrix((1.0 - eps) * pure + eps * mixed, (2, 2))
             info = quantum_mutual_information(rho)
             assert info >= 0.0
@@ -571,14 +597,16 @@ class TestDegenerateInputs:
         -eps ln eps - (1 - eps) ln(1 - eps) and D = 0 in both roles. The
         Povm route at the basis returned reads h(eps) too; dividing the
         conditional block by a rounding-level outcome probability made it
-        raise on such states. Below eps = 1e-12, SUPPORT_CUTOFF drops eps
-        from every spectrum by policy, so the draws start above it."""
+        raise on such states. Every route drops eps only at or below
+        ZERO_PROBABILITY (1e-15), so the draws start at 1e-14; with the
+        entropies of I cut at 1e-12 and C's eta not, they were off by up
+        to 2.7e-11 below it."""
         rng = np.random.default_rng(1981)
 
         def perp(k):
             return np.array([-np.conj(k[1]), np.conj(k[0])])
 
-        for eps in np.logspace(math.log10(1.5e-12), -1, 40):
+        for eps in np.logspace(-14, -1, 53):
             h = -eps * math.log(eps) - (1.0 - eps) * math.log1p(-eps)
             ka, kb = _ket(rng), _ket(rng)
             kets = (np.kron(ka, kb), np.kron(perp(ka), perp(kb)))

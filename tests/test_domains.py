@@ -15,6 +15,14 @@ Python or numpy integer; a float, even an integral one, or a string
 raises naming ``points``. A string or None where ``QuenchParams``, the
 sweep, ``report_at`` or ``at_temperature`` take a real number raises
 naming that field.
+
+Gaussian frequencies and temperatures: ``thermal_variance`` (and so
+``thermal_covariance``) takes beta > 0, hbar > 0 and 0 < omega < inf, and
+``normal_mode_frequencies``, ``quench_hamiltonian_matrix`` and
+``quench_propagator_closed_form`` take 0 < omega < inf; NaN fails every
+``not x > 0`` guard. ``symplectic_propagator`` and
+``symplectic_evolution`` take a finite real ``t`` whose propagator is
+finite. Each violation raises naming the argument.
 """
 
 import math
@@ -30,8 +38,16 @@ from qcorr import (
     QuenchParams,
     ValidationError,
     discord,
+    direct_sum,
     discord_swapped,
     max_classical_correlations,
+    normal_mode_frequencies,
+    quench_hamiltonian_matrix,
+    quench_propagator_closed_form,
+    symplectic_evolution,
+    symplectic_propagator,
+    thermal_covariance,
+    thermal_variance,
     quantum_mutual_information,
     report_at,
     sweep_temperature,
@@ -189,3 +205,65 @@ class TestQuenchInputTypes:
     def test_wrong_type_rejected(self, call, field):
         with pytest.raises(ValidationError, match=f"{field}.* real number"):
             call()
+
+
+class TestFrequenciesAndTemperatures:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: thermal_variance(math.nan, 1.0), "beta"),
+            (lambda: thermal_variance(0.0, 1.0), "beta"),
+            (lambda: thermal_variance(1.0, math.nan), "omega"),
+            (lambda: thermal_variance(1.0, -1.0), "omega"),
+            (lambda: thermal_variance(1.0, math.inf), "omega"),
+            (lambda: thermal_variance(1.0, 1.0, math.nan), "hbar"),
+            (lambda: thermal_covariance(math.nan, 1.0), "beta"),
+            (lambda: normal_mode_frequencies(-1.0, 1.0), "omega"),
+            (lambda: normal_mode_frequencies(math.nan, 1.0), "omega"),
+            (lambda: normal_mode_frequencies(0.0, 1.0), "omega"),
+            (lambda: quench_propagator_closed_form(-1.0, 1.0, 1.0), "omega"),
+            (lambda: quench_propagator_closed_form(math.nan, 1.0, 1.0), "omega"),
+            (lambda: quench_hamiltonian_matrix(math.nan, 1.0), "omega"),
+            (lambda: quench_hamiltonian_matrix(math.inf, 1.0), "omega"),
+        ],
+        ids=[
+            "thermal_variance_beta_nan", "thermal_variance_beta_zero", "thermal_variance_omega_nan",
+            "thermal_variance_omega_negative", "thermal_variance_omega_inf", "thermal_variance_hbar_nan",
+            "thermal_covariance_beta_nan", "normal_modes_omega_negative", "normal_modes_omega_nan",
+            "normal_modes_omega_zero", "closed_form_omega_negative", "closed_form_omega_nan",
+            "hamiltonian_omega_nan", "hamiltonian_omega_inf",
+        ],
+    )
+    def test_rejected_naming_the_argument(self, call, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be positive"):
+            call()
+
+    def test_zero_temperature_is_the_vacuum(self):
+        assert thermal_variance(math.inf, 1.0) == 0.5
+
+
+class TestEvolutionTime:
+    HAM = quench_hamiltonian_matrix(1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (math.nan, "t must be finite"),
+            (math.inf, "t must be finite"),
+            (-math.inf, "t must be finite"),
+            ("1", "t must be a real number"),
+            (None, "t must be a real number"),
+            (1j, "t must be a real number"),
+            (1e300, "t = 1e\\+300 overflows the propagator"),
+        ],
+    )
+    def test_rejected_naming_t(self, t, message):
+        vacuum = direct_sum(thermal_covariance(math.inf, 1.0), thermal_covariance(math.inf, 1.0))
+        for call in (lambda: symplectic_propagator(self.HAM, t), lambda: symplectic_evolution(vacuum, self.HAM, t)):
+            with pytest.raises(ValidationError, match=message):
+                call()
+
+    @pytest.mark.parametrize("t", [0.0, -2.5, 3, np.float64(20.0)])
+    def test_finite_real_t_accepted(self, t):
+        s = symplectic_propagator(self.HAM, t)
+        assert abs(np.linalg.det(s) - 1.0) <= 1e-9

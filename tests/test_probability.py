@@ -109,6 +109,11 @@ class TestShannonEntropy:
     def test_deterministic(self):
         assert shannon_entropy(Distribution([1.0, 0.0])) == 0.0
 
+    @pytest.mark.parametrize("probs", [[1.0, 0.0], [1.0], [0.0, 1.0, 1e-16]])
+    def test_point_mass_is_positive_zero(self, probs):
+        """The negated sum of zeros is -0.0, which prints as -0."""
+        assert math.copysign(1.0, shannon_entropy(probs)) == 1.0
+
     def test_quarter_three_quarter(self):
         assert shannon_entropy(Distribution([0.25, 0.75])) == pytest.approx(
             0.5623351446188084, abs=1e-12
@@ -123,6 +128,10 @@ class TestShannonEntropy:
 
 
 class TestJointAndConditional:
+    @pytest.mark.parametrize("table", [[[1.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    def test_one_cell_joint_entropy_is_positive_zero(self, table):
+        assert math.copysign(1.0, joint_entropy(table)) == 1.0
+
     def test_perfect_correlation(self):
         assert joint_entropy(JointDistribution(np.diag([0.5, 0.5]))) == pytest.approx(
             LN2, abs=1e-15

@@ -177,6 +177,30 @@ class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
         assert von_neumann_entropy(bell_density()) == pytest.approx(0.0, abs=1e-12)
 
+    def test_pure_state_is_positive_zero(self):
+        """The negated sum of zeros is -0.0, which prints as -0."""
+        for rho in (bell_density(), DensityMatrix(np.diag([1.0, 0.0]), (2, 1))):
+            assert math.copysign(1.0, von_neumann_entropy(rho)) == 1.0
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_nearly_pure_states_match_mpmath(self, dim):
+        """(1 - eps)|psi><psi| + eps I/d for eps in [1e-15, 1e-9] has the
+        spectrum {1 - eps + eps/d, eps/d (d - 1 times)}. Eigenvalues eps/d
+        are counted from ZERO_PROBABILITY (1e-15) up, so the entropy is
+        within 1e-12 of the exact one; cut at 1e-12 it was off by up to
+        6.6e-11 (d = 4) and 2.6e-10 (d = 16)."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(dim)
+        for eps in np.logspace(-15, -9, 25):
+            ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            ket /= np.linalg.norm(ket)
+            rho = DensityMatrix((1.0 - eps) * np.outer(ket, ket.conj()) + eps * np.eye(dim) / dim, (dim, 1))
+            e = mpmath.mpf(float(eps))
+            large, small = 1 - e + e / dim, e / dim
+            exact = -(large * mpmath.log(large) + (dim - 1) * small * mpmath.log(small))
+            assert abs(von_neumann_entropy(rho) - float(exact)) <= 1e-12
+
     def test_maximally_mixed(self):
         rho = DensityMatrix(np.eye(2) / 2.0, (2, 1))
         assert von_neumann_entropy(rho) == pytest.approx(LN2, abs=1e-14)
