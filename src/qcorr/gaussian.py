@@ -7,7 +7,9 @@ Quadratures are dimensionless, ``x = sqrt(m w / hbar) q`` and
 has quadrature variance 1/2, so physical covariance matrices have every
 symplectic eigenvalue at least 1/2. All entropies are in nats. A
 quadratic Hamiltonian is held as its frequency matrix G = H / hbar, so
-the propagator exp(Omega G t) takes no hbar.
+the propagator exp(Omega G t) takes no hbar. A two-mode matrix holds its
+block determinants det A, det B, det C and det sigma, taken once when it
+is built; both Gaussian discord routes read them from there.
 
 The closed-form Gaussian discord below is stated in the doubled
 (vacuum = identity) convention internally; its agreement with the
@@ -74,6 +76,7 @@ _GRID_R = np.tanh(math.log(1e3) * np.arange(1, GRID_U + 1) / (2 * GRID_U))
 _GRID_ANGLE = np.linspace(0.0, 2.0 * math.pi, GRID_PHI, endpoint=False)
 _GRID_X = np.outer(_GRID_R, np.cos(_GRID_ANGLE)).ravel()
 _GRID_Y = np.outer(_GRID_R, np.sin(_GRID_ANGLE)).ravel()
+_GRID_POINTS = list(zip(_GRID_X.tolist(), _GRID_Y.tolist()))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -99,6 +102,9 @@ class CovarianceMatrix:
     symplectic spectrum is read as |Im eig(Omega sigma)|, which holds only
     for sigma > 0) and to satisfy the uncertainty bound: the smallest
     symplectic eigenvalue must be at least ``1/2 - PHYSICALITY_SLACK``.
+    A two-mode matrix ((A, C), (C^T, B)) holds det A, det B, det C, det sigma.
+
+    Domain: a real symmetric matrix of even size with those properties; anything else raises ValidationError.
     """
 
     sigma: np.ndarray
@@ -116,6 +122,9 @@ class CovarianceMatrix:
                 f"smallest symplectic eigenvalue {nu_min!r} violates the "
                 f"uncertainty bound {VACUUM_VARIANCE}"
             )
+        if mat.shape[0] == 4:  # one np.linalg.det for the 2x2 blocks ((A, C), (C^T, B)), one for sigma
+            (det_a, det_c), (_, det_b) = np.linalg.det(mat.reshape(2, 2, 2, 2).swapaxes(1, 2)).tolist()
+            object.__setattr__(self, "_dets", (det_a, det_b, det_c, float(np.linalg.det(mat))))
         mat.flags.writeable = False
         spectrum.flags.writeable = False
         object.__setattr__(self, "sigma", mat)
@@ -163,12 +172,14 @@ def _require_frequency(omega: float):
 def thermal_variance(beta: float, omega: float, hbar: float = 1.0) -> float:
     """Quadrature variance (1/2) coth(beta hbar omega / 2) of a thermal mode.
 
-    Domain: 0 < omega < inf, beta > 0 and hbar > 0; NaN or anything else raises ValidationError naming it.
+    Domain: 0 < omega < inf, beta > 0, hbar > 0 and beta hbar omega / 2 > 0; NaN or anything else raises ValidationError naming it.
     """
     _require_frequency(omega)
     for name, value in (("beta", beta), ("hbar", hbar)):
         if not value > 0:
             raise ValidationError(f"{name} must be positive; got {value}")
+    if beta * hbar * omega / 2.0 == 0.0:
+        raise ValidationError(f"beta hbar omega / 2 underflows to 0; got beta = {beta}, omega = {omega}, hbar = {hbar}")
     return 0.5 / math.tanh(beta * hbar * omega / 2.0)
 
 
@@ -190,9 +201,15 @@ def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(out)
 
 
-def _require_coupling(lam: float):
+def _require_coupling(lam: float, omega: float):
+    # the quench's closed forms divide by omega^2 and take log1p(2 lambda0^2 / omega^2)
     if not 0.0 <= lam < math.inf:
         raise ValidationError(f"coupling must be finite and non-negative; got {lam}")
+    _require_frequency(omega)
+    if not (0.0 < omega * omega < math.inf and math.isfinite(2.0 * (lam * lam) / (omega * omega))):
+        raise ValidationError(
+            f"omega^2 must be nonzero and finite, and so must 2 lambda0^2 / omega^2; got omega = {omega}, lambda0 = {lam}"
+        )
 
 
 def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
@@ -204,8 +221,7 @@ def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
     the dimensionless quadratures, so neither is a parameter. Momentum
     entries are uncoupled.
     """
-    _require_coupling(lam)
-    _require_frequency(omega)
+    _require_coupling(lam, omega)
     ratio = (lam / omega) ** 2
     g = np.zeros((4, 4))
     g[0, 0] = g[2, 2] = 1.0 + ratio
@@ -218,8 +234,7 @@ def normal_mode_frequencies(omega: float, lam: float):
     """Frequencies of the decoupled collective modes: the center-of-mass
     mode keeps ``omega``; the relative mode is stiffened to
     ``sqrt(omega^2 + 2 lam^2)``."""
-    _require_coupling(lam)
-    _require_frequency(omega)
+    _require_coupling(lam, omega)
     return omega, math.sqrt(omega * omega + 2.0 * lam * lam)
 
 
@@ -337,17 +352,17 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> tuple:
     """The whole symplectic spectrum, ascending, as a tuple of floats:
     ``(nu,)`` for one mode, ``(nu_minus, nu_plus)`` for two. The
     constructor has already checked it against the uncertainty bound."""
-    return tuple(float(nu) for nu in sigma._spectrum)
+    return tuple(sigma._spectrum.tolist())
 
 
 def mode_entropy(nu):
     """Entropy contribution f(nu) = (nu + 1/2) ln(nu + 1/2)
     - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue.
 
-    Rejects NaN and nu below 1/2 - PHYSICALITY_SLACK, the bound a
-    :class:`CovarianceMatrix` is built with. A float gives a float, with
-    ``math``, for scalar callers such as :func:`gaussian_entropy` and the
-    test suite's oracle, which calls it per evaluation; an array gives an array.
+    A float gives a float, with ``math``, for scalar callers such as
+    :func:`gaussian_entropy` and the oracles; an array gives an array.
+
+    Domain: a float or an array of nu >= 1/2 - PHYSICALITY_SLACK, the bound of :class:`CovarianceMatrix`; NaN or less raises ValidationError.
     """
     if isinstance(nu, float):
         if not nu >= VACUUM_VARIANCE - PHYSICALITY_SLACK:
@@ -388,81 +403,103 @@ def _require_two_modes(sigma: CovarianceMatrix):
         raise ValidationError(f"operation requires a two-mode state; got {sigma.n_modes} mode(s)")
 
 
+def _held_dets(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
+    """The held (det M, det B, det C, det sigma) for the blocks of :func:`_split_blocks`."""
+    _require_two_modes(sigma)
+    if measured_mode not in (1, 2):
+        raise ValidationError(f"measured mode must be 1 or 2; got {measured_mode!r}")
+    det_a, det_b, det_c, det_sigma = sigma._dets
+    return sigma._dets if measured_mode == 1 else (det_b, det_a, det_c, det_sigma)
+
+
 def local_invariants(sigma: CovarianceMatrix, measured_mode: int = 1):
     """The four local-symplectic invariants (a, b, c, d) in the doubled
     (vacuum = identity) convention: determinants of the unmeasured block,
-    the measured block, the cross block and the whole matrix."""
-    _require_two_modes(sigma)
-    doubled = 2.0 * sigma.sigma
-    meas, unmeas, cross = _split_blocks(doubled, measured_mode)
-    return (
-        float(np.linalg.det(unmeas)),
-        float(np.linalg.det(meas)),
-        float(np.linalg.det(cross)),
-        float(np.linalg.det(doubled)),
-    )
+    the measured block, the cross block and the whole matrix, scaled from the held ones.
+
+    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError.
+    """
+    det_m, det_b, det_c, det_sigma = _held_dets(sigma, measured_mode)
+    return 4.0 * det_b, 4.0 * det_m, 4.0 * det_c, 16.0 * det_sigma
 
 
 def gaussian_discord(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
     """Gaussian discord with Gaussian measurements on the chosen mode:
     :func:`discord_from_invariants` of the state's local invariants and
-    symplectic spectrum."""
+    symplectic spectrum, on floats.
+
+    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError.
+    """
     invariants = local_invariants(sigma, measured_mode)
     return float(discord_from_invariants(*invariants, *symplectic_eigenvalues(sigma)))
 
 
+# sqrt, abs, max, min and the branch select of the closed form, for floats and for arrays
+_FLOAT_OPS = (math.sqrt, abs, max, min, lambda cond, x, y: x if cond else y)
+_ARRAY_OPS = (np.sqrt, np.abs, np.maximum, np.minimum, np.where)
+
+
 def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     """Closed-form Gaussian discord (Adesso-Datta) from the local invariants
-    of :func:`local_invariants` and the symplectic eigenvalues; every
-    argument may be an array of the same shape, and so is the result.
+    of :func:`local_invariants` and the symplectic eigenvalues.
 
     The minimal conditional determinant has two regimes selected by a
     discriminant, one reached in the infinite-squeezing (homodyne) limit
     and one at finite squeezing. The result is clamped at zero.
+
+    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state.
     """
-    a, b, c, d = (np.asarray(x, dtype=float) for x in (inv_a, inv_b, inv_c, inv_d))
+    args = (inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus)
+    scalar = all(isinstance(x, float) for x in args)
+    sqrt, absolute, maximum, minimum, select = _FLOAT_OPS if scalar else _ARRAY_OPS
+    a, b, c, d = args[:4] if scalar else (np.asarray(x, dtype=float) for x in args[:4])
     c2 = c * c
     pure = b - 1.0 < PURE_MODE_CUTOFF  # pure measured mode: necessarily a product state
-    b1 = np.where(pure, 1.0, b - 1.0)
-    finite_inner = np.maximum(c2 + b1 * (d - a), 0.0)
-    finite_squeezing = (2.0 * c2 + b1 * (d - a) + 2.0 * np.abs(c) * np.sqrt(finite_inner)) / b1**2
-    homodyne_inner = np.maximum(c2 * c2 + (d - a * b) ** 2 - 2.0 * c2 * (a * b + d), 0.0)
-    homodyne = (a * b - c2 + d - np.sqrt(homodyne_inner)) / (2.0 * b)
-    margin = (d - a * b) ** 2 - (1.0 + b) * c2 * (a + d)
+    b1 = select(pure, 1.0, b - 1.0)
+    finite_inner = maximum(c2 + b1 * (d - a), 0.0)
+    finite_squeezing = (2.0 * c2 + b1 * (d - a) + 2.0 * absolute(c) * sqrt(finite_inner)) / (b1 * b1)
+    skew = d - a * b
+    homodyne_inner = maximum(c2 * c2 + skew * skew - 2.0 * c2 * (a * b + d), 0.0)
+    homodyne = (a * b - c2 + d - sqrt(homodyne_inner)) / (2.0 * b)
+    margin = skew * skew - (1.0 + b) * c2 * (a + d)
     # on the branch boundary the two expressions coincide exactly but the
     # first loses precision to cancellation; take the smaller
-    boundary = np.abs(margin) <= BRANCH_BOUNDARY_WIDTH * np.maximum(1.0, (1.0 + b) * c2 * (a + d))
-    e_min = np.where(
-        pure,
-        a,
-        np.where(
-            boundary,
-            np.minimum(finite_squeezing, homodyne),
-            np.where(margin <= 0.0, finite_squeezing, homodyne),
-        ),
-    )
+    boundary = absolute(margin) <= BRANCH_BOUNDARY_WIDTH * maximum(1.0, (1.0 + b) * c2 * (a + d))
+    branch = select(boundary, minimum(finite_squeezing, homodyne), select(margin <= 0.0, finite_squeezing, homodyne))
+    e_min = select(pure, a, branch)
     value = (
-        mode_entropy(np.sqrt(np.maximum(b, 1.0)) / 2.0)
+        mode_entropy(sqrt(maximum(b, 1.0)) / 2.0)
         - mode_entropy(nu_minus)
         - mode_entropy(nu_plus)
-        + mode_entropy(np.sqrt(np.maximum(e_min, 1.0)) / 2.0)
+        + mode_entropy(sqrt(maximum(e_min, 1.0)) / 2.0)
     )
-    return np.maximum(value, 0.0)
+    return maximum(value, 0.0)
 
 
-def _seed_forms(sigma: np.ndarray, measured_mode: int) -> tuple:
+def _seed_forms(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
     """``((N, D), det M, det B)``, with N and D of the module docstring as
     ``(k, p, m, c)``: k (1 - |zeta|^2) + (p |1 + zeta|^2 + m |1 - zeta|^2) / 2 + c y.
     Q = adj(det B M - C adj(B) C^T), the adjugate of det B times the Schur
-    complement of B, which needs no inverse."""
-    meas, unmeas, cross = _split_blocks(sigma, measured_mode)
-    det_m, det_b = float(np.linalg.det(meas)), float(np.linalg.det(unmeas))
-    adj_b = np.array([[unmeas[1, 1], -unmeas[0, 1]], [-unmeas[1, 0], unmeas[0, 0]]])
-    (s00, s01), (s10, s11) = (det_b * meas - cross @ adj_b @ cross.T).tolist()
-    (m00, m01), (_, m11) = meas.tolist()
-    # Q = adj(schur) = [[s11, -s01], [-s10, s00]], symmetrized
-    numerator = (float(np.linalg.det(sigma)) + det_b / 4.0, s11, s00, -(s01 + s10))
+    complement of B, which needs no inverse; on floats and the held determinants."""
+    det_m, det_b, _, det_sigma = _held_dets(sigma, measured_mode)
+    ((m00, m01), (_, m11)), (u0, u1), (c0, c1) = (b.tolist() for b in _split_blocks(sigma.sigma, measured_mode))
+
+    def adj_b(r, s):  # r^T adj(B) s for rows r, s of C, with adj(B) = [[u11, -u01], [-u10, u00]]
+        return (r[0] * u1[1] - r[1] * u1[0]) * s[0] + (r[1] * u0[0] - r[0] * u0[1]) * s[1]
+
+    # Q = adj(schur) = [[s11, -s01], [-s10, s00]], symmetrized, with schur = det B M - C adj(B) C^T
+    off = (det_b * m01 - adj_b(c0, c1)) + (det_b * m01 - adj_b(c1, c0))
+    numerator = (det_sigma + det_b / 4.0, det_b * m11 - adj_b(c1, c1), det_b * m00 - adj_b(c0, c0), -off)
     return (numerator, (det_m + 0.25, m11, m00, -2.0 * m01)), det_m, det_b
+
+
+def _seed_weights(x, y):
+    """(1 - |zeta|^2, |1 + zeta|^2 / 2, |1 - zeta|^2 / 2, y) at zeta = x + iy, on a last axis."""
+    y2 = y * y
+    return np.stack((1.0 - x * x - y2, ((1.0 + x) ** 2 + y2) / 2.0, ((1.0 - x) ** 2 + y2) / 2.0, y), axis=-1)
+
+
+_GRID_WEIGHTS = _seed_weights(_GRID_X, _GRID_Y)
 
 
 def _quadratic(form: tuple, x, y):
@@ -474,12 +511,12 @@ def _quadratic(form: tuple, x, y):
     return k * (1.0 - x * x - y2) + (p * ((1.0 + x) ** 2 + y2) + m * ((1.0 - x) ** 2 + y2)) / 2.0 + c * y
 
 
-def _conditional_det(forms: tuple, x, y):
-    """det(B - C^T (M + Gamma)^-1 C) for the seed zeta = x + iy of the closed
-    unit disk, as the ratio N / D of the :func:`_seed_forms`; floats or
-    broadcastable arrays. On |zeta| = 1 it is the homodyne limit."""
+def _conditional_det(forms: tuple, weights=_GRID_WEIGHTS):
+    """det(B - C^T (M + Gamma)^-1 C) as N / D of the :func:`_seed_forms`, linear in (k, p, m, c),
+    at the seeds of the closed unit disk with :func:`_seed_weights` ``weights``, by default the
+    grid's. On |zeta| = 1 it is the homodyne limit."""
     numerator, denominator = forms
-    return _quadratic(numerator, x, y) / _quadratic(denominator, x, y)
+    return (weights @ numerator) / (weights @ denominator)
 
 
 def _finite_objective(forms: tuple):
@@ -548,12 +585,13 @@ def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 
     classical correlations through one :func:`mode_entropy`, and the
     discord is the mutual information minus them. Serves as the
     independent check of :func:`gaussian_discord`.
+
+    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError.
     """
-    _require_two_modes(sigma)
-    forms, det_m, det_b = _seed_forms(sigma.sigma, measured_mode)
+    forms, det_m, det_b = _seed_forms(sigma, measured_mode)
     # a stable argsort keeps the first of equal cells in (u, phi) order
-    cells = np.argsort(_conditional_det(forms, _GRID_X, _GRID_Y), kind="stable")[:STARTS]
-    starts = list(zip(_GRID_X[cells].tolist(), _GRID_Y[cells].tolist()))
+    cells = np.argsort(_conditional_det(forms), kind="stable")[:STARTS].tolist()
+    starts = [_GRID_POINTS[cell] for cell in cells]
     min_det = minimize(_finite_objective(forms), starts, _disk).fun  # at most the best cell's value
 
     nu_minus, nu_plus = symplectic_eigenvalues(sigma)

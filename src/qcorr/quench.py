@@ -78,13 +78,7 @@ class QuenchParams:
                 raise ValidationError(f"{field.name} must be strictly positive; got {value}")
         if self.lambda0 < 0:
             raise ValidationError(f"lambda0 must be non-negative; got {self.lambda0}")
-        # the closed forms divide by omega^2 and take log1p(2 lambda0^2 / omega^2)
-        omega_sq = self.omega * self.omega
-        if not (0.0 < omega_sq < math.inf and math.isfinite(2.0 * (self.lambda0 * self.lambda0) / omega_sq)):
-            raise ValidationError(
-                "omega^2 must be nonzero and finite, and so must 2 lambda0^2 / omega^2; "
-                f"got omega = {self.omega}, lambda0 = {self.lambda0}"
-            )
+        _require_coupling(self.lambda0, self.omega)
 
     @property
     def temperature(self) -> float:
@@ -156,7 +150,7 @@ def classical_partition(params: QuenchParams, lam: float) -> float:
 
         Z_C(lam) = (2 pi / (h beta omega))^2 / sqrt(1 + 2 lam^2 / omega^2).
     """
-    _require_coupling(lam)
+    _require_coupling(lam, params.omega)
     h = 2.0 * math.pi * params.hbar
     prefactor = (2.0 * math.pi / (h * params.beta * params.omega)) ** 2
     return prefactor / math.sqrt(1.0 + 2.0 * lam * lam / params.omega**2)
@@ -167,7 +161,7 @@ def classical_partition_quadrature(params: QuenchParams, lam: float) -> float:
     tensor-product Gauss-Hermite quadrature on 96 nodes per axis; the
     independent check of :func:`classical_partition`.
     """
-    _require_coupling(lam)
+    _require_coupling(lam, params.omega)
     x, w = np.polynomial.hermite.hermgauss(96)
     beta, omega = params.beta, params.omega
     # momenta: p = sqrt(2 / beta) x, two independent factors

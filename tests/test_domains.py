@@ -19,10 +19,12 @@ naming that field.
 Gaussian frequencies and temperatures: ``thermal_variance`` (and so
 ``thermal_covariance``) takes beta > 0, hbar > 0 and 0 < omega < inf, and
 ``normal_mode_frequencies``, ``quench_hamiltonian_matrix`` and
-``quench_propagator_closed_form`` take 0 < omega < inf; NaN fails every
-``not x > 0`` guard. ``symplectic_propagator`` and
+``quench_propagator_closed_form`` take 0 < omega < inf with omega^2 and
+2 lambda0^2 / omega^2 nonzero and finite, the rule of ``QuenchParams``;
+``thermal_variance`` also needs beta hbar omega / 2 > 0 in floating
+point. NaN fails every ``not x > 0`` guard. ``symplectic_propagator`` and
 ``symplectic_evolution`` take a finite real ``t`` whose propagator is
-finite. Each violation raises naming the argument.
+finite. Each violation raises naming the argument or the broken rule.
 """
 
 import math
@@ -207,35 +209,45 @@ class TestQuenchInputTypes:
             call()
 
 
+RATIO = r"omega\^2 must be nonzero and finite, and so must 2 lambda0\^2 / omega\^2"
+
+
 class TestFrequenciesAndTemperatures:
     @pytest.mark.parametrize(
-        "call, name",
+        "call, message",
         [
-            (lambda: thermal_variance(math.nan, 1.0), "beta"),
-            (lambda: thermal_variance(0.0, 1.0), "beta"),
-            (lambda: thermal_variance(1.0, math.nan), "omega"),
-            (lambda: thermal_variance(1.0, -1.0), "omega"),
-            (lambda: thermal_variance(1.0, math.inf), "omega"),
-            (lambda: thermal_variance(1.0, 1.0, math.nan), "hbar"),
-            (lambda: thermal_covariance(math.nan, 1.0), "beta"),
-            (lambda: normal_mode_frequencies(-1.0, 1.0), "omega"),
-            (lambda: normal_mode_frequencies(math.nan, 1.0), "omega"),
-            (lambda: normal_mode_frequencies(0.0, 1.0), "omega"),
-            (lambda: quench_propagator_closed_form(-1.0, 1.0, 1.0), "omega"),
-            (lambda: quench_propagator_closed_form(math.nan, 1.0, 1.0), "omega"),
-            (lambda: quench_hamiltonian_matrix(math.nan, 1.0), "omega"),
-            (lambda: quench_hamiltonian_matrix(math.inf, 1.0), "omega"),
+            (lambda: thermal_variance(math.nan, 1.0), "beta must be positive"),
+            (lambda: thermal_variance(0.0, 1.0), "beta must be positive"),
+            (lambda: thermal_variance(1.0, math.nan), "omega must be positive"),
+            (lambda: thermal_variance(1.0, -1.0), "omega must be positive"),
+            (lambda: thermal_variance(1.0, math.inf), "omega must be positive"),
+            (lambda: thermal_variance(1.0, 1.0, math.nan), "hbar must be positive"),
+            (lambda: thermal_covariance(math.nan, 1.0), "beta must be positive"),
+            (lambda: normal_mode_frequencies(-1.0, 1.0), "omega must be positive"),
+            (lambda: normal_mode_frequencies(math.nan, 1.0), "omega must be positive"),
+            (lambda: normal_mode_frequencies(0.0, 1.0), "omega must be positive"),
+            (lambda: quench_propagator_closed_form(-1.0, 1.0, 1.0), "omega must be positive"),
+            (lambda: quench_propagator_closed_form(math.nan, 1.0, 1.0), "omega must be positive"),
+            (lambda: quench_hamiltonian_matrix(math.nan, 1.0), "omega must be positive"),
+            (lambda: quench_hamiltonian_matrix(math.inf, 1.0), "omega must be positive"),
+            (lambda: thermal_variance(1e-200, 1e-200), "beta hbar omega / 2 underflows to 0"),
+            (lambda: normal_mode_frequencies(1.0, 1e200), RATIO),
+            (lambda: quench_propagator_closed_form(1.0, 1e200, 1.0), RATIO),
+            (lambda: quench_hamiltonian_matrix(1e-200, 1.0), RATIO),
+            (lambda: quench_hamiltonian_matrix(1e-100, 1e100), RATIO),
         ],
         ids=[
             "thermal_variance_beta_nan", "thermal_variance_beta_zero", "thermal_variance_omega_nan",
             "thermal_variance_omega_negative", "thermal_variance_omega_inf", "thermal_variance_hbar_nan",
             "thermal_covariance_beta_nan", "normal_modes_omega_negative", "normal_modes_omega_nan",
             "normal_modes_omega_zero", "closed_form_omega_negative", "closed_form_omega_nan",
-            "hamiltonian_omega_nan", "hamiltonian_omega_inf",
+            "hamiltonian_omega_nan", "hamiltonian_omega_inf", "thermal_variance_underflow",
+            "normal_modes_ratio_overflow", "closed_form_ratio_overflow", "hamiltonian_omega_square_underflow",
+            "hamiltonian_ratio_overflow",
         ],
     )
-    def test_rejected_naming_the_argument(self, call, name):
-        with pytest.raises(ValidationError, match=f"^{name} must be positive"):
+    def test_rejected_naming_the_argument(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
             call()
 
     def test_zero_temperature_is_the_vacuum(self):

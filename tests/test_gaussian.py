@@ -27,6 +27,8 @@ from qcorr import (
     thermal_covariance,
     thermal_variance,
 )
+from qcorr.errors import BRANCH_BOUNDARY_WIDTH, PURE_MODE_CUTOFF
+from qcorr.gaussian import discord_from_invariants, local_invariants
 
 from . import gaussian_oracle
 
@@ -350,8 +352,8 @@ class TestGaussianDiscord:
 
     def test_refined_search_never_above_grid(self):
         sigma = random_covariance(11)
-        forms = gaussian._seed_forms(sigma.sigma, 1)[0]
-        grid_best = float(gaussian._conditional_det(forms, gaussian._GRID_X, gaussian._GRID_Y).min())
+        forms = gaussian._seed_forms(sigma, 1)[0]
+        grid_best = float(gaussian._conditional_det(forms).min())
         searched = minimize_gaussian_measurement(sigma, 1)
         nu_minus, nu_plus = symplectic_eigenvalues(sigma)
         meas = sigma.sigma[:2, :2]
@@ -443,11 +445,11 @@ class TestOracleObjectives:
     def test_finite_squeezing(self, index, mode):
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
-        forms = gaussian._seed_forms(sigma, mode)[0]
+        forms = gaussian._seed_forms(ORACLE_STATES[index], mode)[0]
         objective = gaussian._finite_objective(forms)
         for u in EXTREME_U:
             x, y = np.array([disk_point(u, phi) for phi in PHIS]).T
-            grid = gaussian._conditional_det(forms, x, y)
+            grid = gaussian._conditional_det(forms, gaussian._seed_weights(x, y))
             for phi, point, from_grid in zip(PHIS, zip(x, y), grid):
                 expected = float(np.linalg.det(reference_conditional(sigma, mode, u, phi)))
                 assert objective(point)[0] == pytest.approx(expected, rel=0, abs=tol)
@@ -460,9 +462,9 @@ class TestOracleObjectives:
         objective and the array kernel."""
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
-        forms = gaussian._seed_forms(sigma, mode)[0]
+        forms = gaussian._seed_forms(ORACLE_STATES[index], mode)[0]
         finite = gaussian._finite_objective(forms)
-        grid = gaussian._conditional_det(forms, np.cos(2.0 * PHIS), np.sin(2.0 * PHIS))
+        grid = gaussian._conditional_det(forms, gaussian._seed_weights(np.cos(2.0 * PHIS), np.sin(2.0 * PHIS)))
         for phi, from_grid in zip(PHIS, grid):
             expected = float(np.linalg.det(reference_homodyne_conditional(sigma, mode, phi)))
             assert from_grid == pytest.approx(expected, rel=0, abs=tol)
@@ -480,7 +482,7 @@ class TestOracleObjectives:
         homodyne reference, to the same 1e-7 plus that reference's rounding
         (eps ||sigma||^2) as the differences amplify it."""
         sigma = ORACLE_STATES[index].sigma
-        forms = gaussian._seed_forms(sigma, mode)[0]
+        forms = gaussian._seed_forms(ORACLE_STATES[index], mode)[0]
         finite = gaussian._finite_objective(forms)
         edge = 2.0 * math.atanh(1.0 - 1e-6)
         for x in [disk_point(u, phi) for u in (-6.0, -1.0, 0.0, 0.7, 3.0, 8.0, edge) for phi in PHIS[::3]]:
@@ -640,6 +642,71 @@ class TestAgainstOracle:
         assert any(r < 1.0 - 1e-12 for r in best)
         assert max(radii) <= 1.0 + 1e-15
         assert all(result.success for _, _, result in calls)
+
+
+ROUTE_STATES = (
+    [random_covariance(seed) for seed in range(300)]
+    + [
+        quench_state(beta=1.0 / temp, lam=lam, t=t)
+        for temp in (0.1, 0.5, 2.0, 5.0)
+        for lam in (0.5, 3.0)
+        for t in (0.2, 1.7)
+    ]
+    + [tmsv(r) for r in (0.3, 1.0, 2.0)]
+    + [
+        direct_sum(thermal_covariance(math.inf, 1.0), other)
+        for other in (thermal_covariance(0.5, 1.0), CovarianceMatrix(np.diag([2.0, 0.125])))
+    ]
+)
+
+
+def closed_form_branch(a, b, c, d) -> str:
+    """The branch :func:`discord_from_invariants` takes, by its own tests."""
+    if b - 1.0 < PURE_MODE_CUTOFF:
+        return "pure"
+    margin = (d - a * b) ** 2 - (1.0 + b) * c * c * (a + d)
+    if abs(margin) <= BRANCH_BOUNDARY_WIDTH * max(1.0, (1.0 + b) * c * c * (a + d)):
+        return "boundary"
+    return "finite" if margin <= 0.0 else "homodyne"
+
+
+class TestHeldDeterminants:
+    """A two-mode matrix holds det A, det B, det C and det sigma of its
+    blocks ((A, C), (C^T, B)); the closed form and the oracle read them."""
+
+    def test_bit_for_bit_those_of_the_blocks(self):
+        for sigma in ROUTE_STATES:
+            s = sigma.sigma
+            dets = tuple(float(np.linalg.det(block)) for block in (s[:2, :2], s[2:, 2:], s[:2, 2:], s))
+            assert sigma._dets == dets
+            det_a, det_b, det_c, det_sigma = dets
+            assert local_invariants(sigma, 1) == (4.0 * det_b, 4.0 * det_a, 4.0 * det_c, 16.0 * det_sigma)
+            assert local_invariants(sigma, 2) == (4.0 * det_a, 4.0 * det_b, 4.0 * det_c, 16.0 * det_sigma)
+            assert gaussian._seed_forms(sigma, 1)[1:] == (det_a, det_b)
+            assert gaussian._seed_forms(sigma, 2)[1:] == (det_b, det_a)
+
+    def test_float_route_matches_array_route_on_every_branch(self):
+        """:func:`discord_from_invariants` on six floats (math and builtins)
+        against the same invariants as arrays (numpy), on random states,
+        post-quench thermal states from T = 0.1 to 5, two-mode squeezed
+        vacua and products with a vacuum: every branch (pure measured mode,
+        finite squeezing, homodyne, the BRANCH_BOUNDARY_WIDTH boundary)
+        within 1e-13 relative. The routes differ by the last bits of
+        math.log against np.log: 3.1e-15 here, and 1.5e-14 at most over
+        random_covariance seeds 0-1499."""
+        rows, branches = [], set()
+        for sigma in ROUTE_STATES:
+            for mode in (1, 2):
+                invariants = local_invariants(sigma, mode)
+                rows.append(invariants + symplectic_eigenvalues(sigma))
+                branches.add(closed_form_branch(*invariants))
+        assert branches == {"pure", "finite", "homodyne", "boundary"}
+        from_arrays = discord_from_invariants(*np.array(rows).T)
+        assert isinstance(from_arrays, np.ndarray) and from_arrays.shape == (len(rows),)
+        for row, expected in zip(rows, from_arrays.tolist()):
+            from_floats = discord_from_invariants(*row)
+            assert type(from_floats) is float
+            assert from_floats == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 class TestSerialization:
