@@ -102,7 +102,7 @@ class CovarianceMatrix:
     symplectic spectrum is read as |Im eig(Omega sigma)|, which holds only
     for sigma > 0) and to satisfy the uncertainty bound: the smallest
     symplectic eigenvalue must be at least ``1/2 - PHYSICALITY_SLACK``.
-    A two-mode matrix ((A, C), (C^T, B)) holds det A, det B, det C, det sigma.
+    A two-mode ((A, C), (C^T, B)) holds ((det A, det C), (det C^T, det B)) and det sigma.
 
     Domain: a real symmetric matrix of even size with those properties; anything else raises ValidationError.
     """
@@ -123,8 +123,9 @@ class CovarianceMatrix:
                 f"uncertainty bound {VACUUM_VARIANCE}"
             )
         if mat.shape[0] == 4:  # one np.linalg.det for the 2x2 blocks ((A, C), (C^T, B)), one for sigma
-            (det_a, det_c), (_, det_b) = np.linalg.det(mat.reshape(2, 2, 2, 2).swapaxes(1, 2)).tolist()
-            object.__setattr__(self, "_dets", (det_a, det_b, det_c, float(np.linalg.det(mat))))
+            block_dets = np.linalg.det(mat.reshape(2, 2, 2, 2).swapaxes(1, 2))
+            block_dets.flags.writeable = False
+            object.__setattr__(self, "_dets", (block_dets, float(np.linalg.det(mat))))
         mat.flags.writeable = False
         spectrum.flags.writeable = False
         object.__setattr__(self, "sigma", mat)
@@ -172,15 +173,17 @@ def _require_frequency(omega: float):
 def thermal_variance(beta: float, omega: float, hbar: float = 1.0) -> float:
     """Quadrature variance (1/2) coth(beta hbar omega / 2) of a thermal mode.
 
-    Domain: 0 < omega < inf, beta > 0, hbar > 0 and beta hbar omega / 2 > 0; NaN or anything else raises ValidationError naming it.
+    Domain: 0 < omega < inf, beta > 0, hbar > 0 and beta hbar omega / 2 large enough for a finite variance; NaN or anything else raises ValidationError naming it.
     """
     _require_frequency(omega)
     for name, value in (("beta", beta), ("hbar", hbar)):
         if not value > 0:
             raise ValidationError(f"{name} must be positive; got {value}")
-    if beta * hbar * omega / 2.0 == 0.0:
-        raise ValidationError(f"beta hbar omega / 2 underflows to 0; got beta = {beta}, omega = {omega}, hbar = {hbar}")
-    return 0.5 / math.tanh(beta * hbar * omega / 2.0)
+    half = beta * hbar * omega / 2.0
+    variance = 0.5 / math.tanh(half) if half > 0.0 else math.inf  # a subnormal half overflows silently
+    if variance == math.inf:
+        raise ValidationError(f"beta hbar omega / 2 underflows: 1/2 coth({half}) is not finite; got beta = {beta}, omega = {omega}, hbar = {hbar}")
+    return variance
 
 
 def thermal_covariance(beta: float, omega: float, hbar: float = 1.0) -> CovarianceMatrix:
@@ -207,9 +210,7 @@ def _require_coupling(lam: float, omega: float):
         raise ValidationError(f"coupling must be finite and non-negative; got {lam}")
     _require_frequency(omega)
     if not (0.0 < omega * omega < math.inf and math.isfinite(2.0 * (lam * lam) / (omega * omega))):
-        raise ValidationError(
-            f"omega^2 must be nonzero and finite, and so must 2 lambda0^2 / omega^2; got omega = {omega}, lambda0 = {lam}"
-        )
+        raise ValidationError(f"omega^2 must be nonzero and finite, and so must 2 lambda0^2 / omega^2; got omega = {omega}, lambda0 = {lam}")
 
 
 def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
@@ -390,11 +391,13 @@ def gaussian_entropy(sigma: CovarianceMatrix) -> float:
 
 
 def _split_blocks(sigma: np.ndarray, measured_mode: int):
-    """(measured block, unmeasured block, cross block with measured rows)."""
+    """(measured block, unmeasured block, cross block with measured rows) of a two-mode matrix,
+    or of its 2 x 2 matrix of block determinants: the one place that orients by the measured mode."""
+    n = len(sigma) // 2
     if measured_mode == 1:
-        return sigma[:2, :2], sigma[2:, 2:], sigma[:2, 2:]
+        return sigma[:n, :n], sigma[n:, n:], sigma[:n, n:]
     if measured_mode == 2:
-        return sigma[2:, 2:], sigma[:2, :2], sigma[2:, :2]
+        return sigma[n:, n:], sigma[:n, :n], sigma[n:, :n]
     raise ValidationError(f"measured mode must be 1 or 2; got {measured_mode!r}")
 
 
@@ -404,12 +407,10 @@ def _require_two_modes(sigma: CovarianceMatrix):
 
 
 def _held_dets(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
-    """The held (det M, det B, det C, det sigma) for the blocks of :func:`_split_blocks`."""
+    """The held (det M, det B, det C, det sigma) of the blocks (M, B, C) of :func:`_split_blocks`."""
     _require_two_modes(sigma)
-    if measured_mode not in (1, 2):
-        raise ValidationError(f"measured mode must be 1 or 2; got {measured_mode!r}")
-    det_a, det_b, det_c, det_sigma = sigma._dets
-    return sigma._dets if measured_mode == 1 else (det_b, det_a, det_c, det_sigma)
+    block_dets, det_sigma = sigma._dets
+    return (*(det.item() for det in _split_blocks(block_dets, measured_mode)), det_sigma)
 
 
 def local_invariants(sigma: CovarianceMatrix, measured_mode: int = 1):
@@ -493,28 +494,26 @@ def _seed_forms(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
     return (numerator, (det_m + 0.25, m11, m00, -2.0 * m01)), det_m, det_b
 
 
-def _seed_weights(x, y):
-    """(1 - |zeta|^2, |1 + zeta|^2 / 2, |1 - zeta|^2 / 2, y) at zeta = x + iy, on a last axis."""
+def _seed_weights(x, y) -> tuple:
+    """(1 - |zeta|^2, |1 + zeta|^2 / 2, |1 - zeta|^2 / 2, y) at zeta = x + iy, the weights of (k, p, m, c)
+    in :func:`_seed_forms`: terms that do not cancel where their matrix is ill-conditioned."""
     y2 = y * y
-    return np.stack((1.0 - x * x - y2, ((1.0 + x) ** 2 + y2) / 2.0, ((1.0 - x) ** 2 + y2) / 2.0, y), axis=-1)
+    return 1.0 - x * x - y2, ((1.0 + x) ** 2 + y2) / 2.0, ((1.0 - x) ** 2 + y2) / 2.0, y
 
 
-_GRID_WEIGHTS = _seed_weights(_GRID_X, _GRID_Y)
+def _quadratic(form: tuple, weights: tuple) -> float:
+    """The quadratic ``form = (k, p, m, c)`` of :func:`_seed_forms` at one seed's :func:`_seed_weights`."""
+    (k, p, m, c), (w_k, w_p, w_m, w_c) = form, weights
+    return k * w_k + (p * w_p + m * w_m) + c * w_c
 
 
-def _quadratic(form: tuple, x, y):
-    """The quadratic ``form = (k, p, m, c)`` of :func:`_seed_forms` at
-    zeta = x + iy, as a sum of terms that do not cancel where its matrix
-    is ill-conditioned along the quadrature axes."""
-    k, p, m, c = form
-    y2 = y * y
-    return k * (1.0 - x * x - y2) + (p * ((1.0 + x) ** 2 + y2) + m * ((1.0 - x) ** 2 + y2)) / 2.0 + c * y
+_GRID_WEIGHTS = np.stack(_seed_weights(_GRID_X, _GRID_Y), axis=-1)
 
 
-def _conditional_det(forms: tuple, weights=_GRID_WEIGHTS):
-    """det(B - C^T (M + Gamma)^-1 C) as N / D of the :func:`_seed_forms`, linear in (k, p, m, c),
-    at the seeds of the closed unit disk with :func:`_seed_weights` ``weights``, by default the
-    grid's. On |zeta| = 1 it is the homodyne limit."""
+def _conditional_det(forms: tuple, x=None, y=None):
+    """det(B - C^T (M + Gamma)^-1 C) as N / D of the :func:`_seed_forms` at the seeds zeta = x + iy
+    of the closed unit disk (arrays, by default the grid); on |zeta| = 1 the homodyne limit."""
+    weights = _GRID_WEIGHTS if x is None else np.stack(_seed_weights(x, y), axis=-1)
     numerator, denominator = forms
     return (weights @ numerator) / (weights @ denominator)
 
@@ -529,8 +528,9 @@ def _finite_objective(forms: tuple):
 
     def conditional_det(z):
         x, y = z
-        den = _quadratic(forms[1], x, y)
-        f = _quadratic(forms[0], x, y) / den
+        weights = _seed_weights(x, y)
+        den = _quadratic(forms[1], weights)
+        f = _quadratic(forms[0], weights) / den
         n_x, n_y = n_curv * x + n_p - n_m, n_curv * y + n_c
         d_x, d_y = d_curv * x + d_p - d_m, d_curv * y + d_c
         g_x, g_y = (n_x - f * d_x) / den, (n_y - f * d_y) / den

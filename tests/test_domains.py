@@ -230,7 +230,8 @@ class TestFrequenciesAndTemperatures:
             (lambda: quench_propagator_closed_form(math.nan, 1.0, 1.0), "omega must be positive"),
             (lambda: quench_hamiltonian_matrix(math.nan, 1.0), "omega must be positive"),
             (lambda: quench_hamiltonian_matrix(math.inf, 1.0), "omega must be positive"),
-            (lambda: thermal_variance(1e-200, 1e-200), "beta hbar omega / 2 underflows to 0"),
+            (lambda: thermal_variance(1e-200, 1e-200), "beta hbar omega / 2 underflows"),
+            (lambda: thermal_variance(1e-155, 1e-155), "beta hbar omega / 2 underflows"),
             (lambda: normal_mode_frequencies(1.0, 1e200), RATIO),
             (lambda: quench_propagator_closed_form(1.0, 1e200, 1.0), RATIO),
             (lambda: quench_hamiltonian_matrix(1e-200, 1.0), RATIO),
@@ -242,6 +243,7 @@ class TestFrequenciesAndTemperatures:
             "thermal_covariance_beta_nan", "normal_modes_omega_negative", "normal_modes_omega_nan",
             "normal_modes_omega_zero", "closed_form_omega_negative", "closed_form_omega_nan",
             "hamiltonian_omega_nan", "hamiltonian_omega_inf", "thermal_variance_underflow",
+            "thermal_variance_subnormal",
             "normal_modes_ratio_overflow", "closed_form_ratio_overflow", "hamiltonian_omega_square_underflow",
             "hamiltonian_ratio_overflow",
         ],

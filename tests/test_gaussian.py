@@ -449,7 +449,7 @@ class TestOracleObjectives:
         objective = gaussian._finite_objective(forms)
         for u in EXTREME_U:
             x, y = np.array([disk_point(u, phi) for phi in PHIS]).T
-            grid = gaussian._conditional_det(forms, gaussian._seed_weights(x, y))
+            grid = gaussian._conditional_det(forms, x, y)
             for phi, point, from_grid in zip(PHIS, zip(x, y), grid):
                 expected = float(np.linalg.det(reference_conditional(sigma, mode, u, phi)))
                 assert objective(point)[0] == pytest.approx(expected, rel=0, abs=tol)
@@ -464,7 +464,7 @@ class TestOracleObjectives:
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
         forms = gaussian._seed_forms(ORACLE_STATES[index], mode)[0]
         finite = gaussian._finite_objective(forms)
-        grid = gaussian._conditional_det(forms, gaussian._seed_weights(np.cos(2.0 * PHIS), np.sin(2.0 * PHIS)))
+        grid = gaussian._conditional_det(forms, np.cos(2.0 * PHIS), np.sin(2.0 * PHIS))
         for phi, from_grid in zip(PHIS, grid):
             expected = float(np.linalg.det(reference_homodyne_conditional(sigma, mode, phi)))
             assert from_grid == pytest.approx(expected, rel=0, abs=tol)
@@ -677,11 +677,13 @@ class TestHeldDeterminants:
     def test_bit_for_bit_those_of_the_blocks(self):
         for sigma in ROUTE_STATES:
             s = sigma.sigma
-            dets = tuple(float(np.linalg.det(block)) for block in (s[:2, :2], s[2:, 2:], s[:2, 2:], s))
-            assert sigma._dets == dets
-            det_a, det_b, det_c, det_sigma = dets
+            det_a, det_b, det_c, det_ct, det_sigma = (
+                float(np.linalg.det(block)) for block in (s[:2, :2], s[2:, 2:], s[:2, 2:], s[2:, :2], s)
+            )
+            block_dets, held_sigma = sigma._dets
+            assert block_dets.tolist() == [[det_a, det_c], [det_ct, det_b]] and held_sigma == det_sigma
             assert local_invariants(sigma, 1) == (4.0 * det_b, 4.0 * det_a, 4.0 * det_c, 16.0 * det_sigma)
-            assert local_invariants(sigma, 2) == (4.0 * det_a, 4.0 * det_b, 4.0 * det_c, 16.0 * det_sigma)
+            assert local_invariants(sigma, 2) == (4.0 * det_a, 4.0 * det_b, 4.0 * det_ct, 16.0 * det_sigma)
             assert gaussian._seed_forms(sigma, 1)[1:] == (det_a, det_b)
             assert gaussian._seed_forms(sigma, 2)[1:] == (det_b, det_a)
 

@@ -10,12 +10,19 @@ The parent revision is exported with ``git archive`` into a fresh directory;
 the change runs in this checkout. Pair k runs seed ``--seed + k`` on both
 sides, the parent first in even pairs and the change first in odd ones, so a
 drift of the host's speed falls on both sides alike. Each run's last stdout
-line (the JSON verdict of ``bench/run.py``) is recorded as it is. The
-summary gives, per end-to-end metric of ``BENCHMARK.json``, the quartiles of
-each side and in how many pairs the change is better. ``--other`` adds
-pairs of further workloads, with ``--other-pairs`` pairs each, and
+line (the JSON verdict of ``bench/run.py``) is recorded as it is. ``--other``
+adds further workloads, each run for the same ``--pairs`` pairs, and
 ``--traced S`` one traced (``--trace 1``) run of S seconds per side of the
 claimed workload, for its per-layer metrics.
+
+Every workload gets a summary per end-to-end metric of ``BENCHMARK.json``:
+the quartiles of each side, in how many pairs the change is better, how
+much worse the change's median is than the parent's (relative, negative when
+better), and the spread, the larger interquartile range of the two sides
+over its median. A metric whose spread exceeds its bound is marked
+unresolved, since its pairs cannot tell a change within the bound from
+noise, unless every run of the change reads better than every run of the
+parent.
 
 Standard library only.
 """
@@ -78,8 +85,9 @@ def run_pairs(sides: dict, workload: str, pairs: int, seconds: int, seed: int) -
 
 
 def summarize(records: list, end_to_end: list) -> dict:
-    """Quartiles of each side (``statistics.quantiles``, exclusive method)
-    and the number of pairs in which the change is better, per metric."""
+    """Per metric: quartiles of each side (``statistics.quantiles``, exclusive
+    method), the pairs in which the change is better, the change's relative
+    loss against the parent's median, and the spread against the bound."""
     out = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -90,7 +98,19 @@ def summarize(records: list, end_to_end: list) -> dict:
         for side, vals in values.items():
             q1, median, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else (vals[0],) * 3
             entry[side] = {"q1": q1, "median": median, "q3": q3}
-        entry["change_wins"] = f"{wins}/{len(records)}"
+        parent, change = entry["parent"]["median"], entry["change"]["median"]
+        spread = max((e["q3"] - e["q1"]) / abs(e["median"]) for e in (entry["parent"], entry["change"]))
+        if higher:
+            separated = min(values["change"]) > max(values["parent"])
+        else:
+            separated = max(values["change"]) < min(values["parent"])
+        entry.update(
+            change_wins=f"{wins}/{len(records)}",
+            worse_by=((parent - change) if higher else (change - parent)) / abs(parent),
+            spread=spread,
+            bound=spec["bound"],
+            resolved=spread <= spec["bound"] or separated,
+        )
         out[name] = entry
     return out
 
@@ -103,8 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="discord_search", help="workload of the claim")
     parser.add_argument("--metric", required=True, help="end-to-end metric the change claims to improve")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--other", nargs="*", default=[], help="further workloads to pair")
-    parser.add_argument("--other-pairs", type=int, default=2)
+    parser.add_argument("--other", nargs="*", default=[], help="further workloads to pair, --pairs pairs each")
     parser.add_argument("--traced", type=int, default=0, metavar="S", help="seconds of one traced run per side")
     parser.add_argument("--change-note", required=True, help="one line saying what the change does")
     parser.add_argument("--out", required=True, type=Path, help="output file, e.g. BENCH_22.json")
@@ -121,9 +140,9 @@ def main(argv=None) -> int:
         claim = {"workload": args.workload, "metric": args.metric, "seconds": args.seconds,
                  "trace": 0, "pairs": records, "summary": summarize(records, end_to_end)}
         other = {}
-        for k, workload in enumerate(args.other):
-            seed = args.seed + args.pairs + k * args.other_pairs
-            other[workload] = run_pairs(sides, workload, args.other_pairs, args.seconds, seed)[0]
+        for k, workload in enumerate(args.other, start=1):
+            pairs = run_pairs(sides, workload, args.pairs, args.seconds, args.seed + k * args.pairs)[0]
+            other[workload] = {"pairs": pairs, "summary": summarize(pairs, end_to_end)}
         if args.traced:
             traced = {"workload": args.workload, "seconds": args.traced, "trace": 1, "seed": args.seed}
             for side, checkout in sides.items():
@@ -136,7 +155,7 @@ def main(argv=None) -> int:
         "claim": claim,
     }
     if other:
-        result["other_workloads"] = {"seconds": args.seconds, "trace": 0, "pairs": other}
+        result["other_workloads"] = {"seconds": args.seconds, "trace": 0, **other}
     if args.traced:
         result["traced"] = traced
     result["env"] = env
@@ -145,6 +164,12 @@ def main(argv=None) -> int:
     print(f"{args.metric}: parent median {summary['parent']['median']:.6g} "
           f"(IQR {summary['parent']['q3'] - summary['parent']['q1']:.6g}), change median "
           f"{summary['change']['median']:.6g}; change better in {summary['change_wins']} pairs")
+    summaries = {args.workload: claim["summary"], **{w: o["summary"] for w, o in other.items()}}
+    for workload, metrics in summaries.items():
+        for name, entry in metrics.items():
+            verdict = "unresolved" if not entry["resolved"] else "worse" if entry["worse_by"] > entry["bound"] else "ok"
+            print(f"{workload} {name}: worse by {entry['worse_by']:+.3f}, spread {entry['spread']:.3f} "
+                  f"(bound {entry['bound']}): {verdict}")
     return 0
 
 
