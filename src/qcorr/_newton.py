@@ -14,7 +14,8 @@ value is halved until it does. A run stops, converged, when the decrease
 that the step taken predicts, -(g.d), is at most ``FTOL``, or when
 halving brings it there without a lower value, which is rounding; it
 returns the lowest value it evaluated. It stops unconverged after
-``MAXITER`` steps.
+``MAXITER`` steps. The loop, the step and both charts' points,
+derivatives and moves are floats and tuples of floats: no numpy call.
 """
 
 from __future__ import annotations
@@ -36,23 +37,22 @@ class Result(NamedTuple):
 
 
 def _newton_step(grad, hess) -> tuple:
-    """Step (d1, d2) of the |H|-modified Newton iteration."""
+    """Step (d1, d2) of the |H|-modified Newton iteration, in the
+    eigenbasis (v, w) of the Hessian, on floats."""
     g1, g2 = grad
     h11, h12, h22 = hess
     mean, half = (h11 + h22) / 2.0, (h11 - h22) / 2.0
     radius = math.hypot(half, h12)
     if radius == 0.0:
-        vectors = ((1.0, 0.0), (0.0, 1.0))
+        (v1, v2), (w1, w2) = (1.0, 0.0), (0.0, 1.0)
     else:
-        # unit eigenvector of the larger eigenvalue; the other is its rotation
+        # unit eigenvector v of the larger eigenvalue; w is its rotation
         c, s = (half + radius, h12) if half >= 0.0 else (h12, radius - half)
         norm = math.hypot(c, s)
-        vectors = ((c / norm, s / norm), (-s / norm, c / norm))
-    d1 = d2 = 0.0
-    for (v1, v2), mu in zip(vectors, (mean + radius, mean - radius)):
-        coef = -(v1 * g1 + v2 * g2) / max(abs(mu), CURVATURE_FLOOR)
-        d1 += coef * v1
-        d2 += coef * v2
+        (v1, v2), (w1, w2) = (c / norm, s / norm), (-s / norm, c / norm)
+    along_v = -(v1 * g1 + v2 * g2) / max(abs(mean + radius), CURVATURE_FLOOR)
+    along_w = -(w1 * g1 + w2 * g2) / max(abs(mean - radius), CURVATURE_FLOOR)
+    d1, d2 = 0.0 + along_v * v1 + along_w * w1, 0.0 + along_v * v2 + along_w * w2
     length = math.hypot(d1, d2)
     if length > MAX_STEP:
         d1, d2 = d1 * MAX_STEP / length, d2 * MAX_STEP / length
@@ -64,8 +64,8 @@ def _descend(fun, x, chart) -> tuple:
     value, g, h = fun(x)
     nfev = 1
     for _ in range(MAXITER):
-        (g1, g2), hess, move = chart(x, g, h)
-        d1, d2 = _newton_step((g1, g2), hess)
+        grad, hess, move = chart(x, g, h)
+        (g1, g2), (d1, d2) = grad, _newton_step(grad, hess)
         while True:
             if not -(g1 * d1 + g2 * d2) > FTOL:  # the step taken is t (d1, d2), t in (0, 1]: it would stop too
                 return x, value, nfev, True

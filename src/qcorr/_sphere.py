@@ -10,6 +10,7 @@ Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008), so an
 objective needs its derivatives only along e1 and e2 and along n. Each
 step (d1, d2) is retracted onto the sphere by normalizing
 n + d1 e1 + d2 e2, so the poles of (theta, phi) are ordinary points.
+Points, bases and retractions are tuples of floats: no numpy call.
 
 Steps are those of the shared Newton loop of :mod:`qcorr._newton`, whose
 ``MAX_STEP`` is here a length in radians along the tangent plane.
@@ -23,32 +24,27 @@ from typing import Callable, Sequence
 from . import _newton
 
 
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _unit(v) -> tuple:
-    norm = math.sqrt(_dot(v, v))
-    return (v[0] / norm, v[1] / norm, v[2] / norm)
-
-
 def _tangent_basis(n) -> tuple:
-    """Orthonormal e1, e2 with e1 x e2 = n, built from the coordinate axis
-    least aligned with n."""
+    """Orthonormal e1, e2 with e1 x e2 = n: e1 is the unit n x axis, for
+    the coordinate axis least aligned with n."""
     x, y, z = n
     if abs(x) <= abs(y) and abs(x) <= abs(z):
-        e1 = _unit((0.0, z, -y))  # n x (1, 0, 0)
+        norm = math.sqrt(z * z + y * y)  # n x (1, 0, 0) = (0, z, -y)
+        e10, e11, e12 = 0.0, z / norm, -y / norm
     elif abs(y) <= abs(z):
-        e1 = _unit((-z, 0.0, x))  # n x (0, 1, 0)
+        norm = math.sqrt(z * z + x * x)  # n x (0, 1, 0) = (-z, 0, x)
+        e10, e11, e12 = -z / norm, 0.0, x / norm
     else:
-        e1 = _unit((y, -x, 0.0))  # n x (0, 0, 1)
-    e2 = (y * e1[2] - z * e1[1], z * e1[0] - x * e1[2], x * e1[1] - y * e1[0])
-    return e1, e2
+        norm = math.sqrt(y * y + x * x)  # n x (0, 0, 1) = (y, -x, 0)
+        e10, e11, e12 = y / norm, -x / norm, 0.0
+    return (e10, e11, e12), (y * e12 - z * e11, z * e10 - x * e12, x * e11 - y * e10)
 
 
 def point(v) -> tuple:
     """The search point ``(n, e1, e2)`` of the direction of ``v``."""
-    n = _unit(v)
+    x, y, z = v
+    norm = math.sqrt(x * x + y * y + z * z)
+    n = (x / norm, y / norm, z / norm)
     return (n, *_tangent_basis(n))
 
 
@@ -56,8 +52,10 @@ def _tangent_chart(x, grad, hess) -> tuple:
     """The tangent plane at x = (n, e1, e2) as the chart of
     :func:`qcorr._newton.minimize`: a step (d1, d2) reaches the point of
     n + d1 e1 + d2 e2."""
-    n, e1, e2 = x
-    return grad, hess, lambda d1, d2: (point([c + d1 * u + d2 * v for c, u, v in zip(n, e1, e2)]), d1, d2)
+    (n0, n1, n2), (a0, a1, a2), (b0, b1, b2) = x
+    return grad, hess, lambda d1, d2: (
+        point((n0 + d1 * a0 + d2 * b0, n1 + d1 * a1 + d2 * b1, n2 + d1 * a2 + d2 * b2)), d1, d2
+    )
 
 
 def minimize(fun: Callable[[tuple], tuple], starts: Sequence[Sequence[float]]) -> _newton.Result:
@@ -70,5 +68,5 @@ def minimize(fun: Callable[[tuple], tuple], starts: Sequence[Sequence[float]]) -
     evaluations of every run, and ``success`` is false when any run
     stopped at ``_newton.MAXITER`` steps.
     """
-    result = _newton.minimize(fun, [point(start) for start in starts], _tangent_chart)
-    return result._replace(x=result.x[0])
+    x, value, nfev, success = _newton.minimize(fun, [point(start) for start in starts], _tangent_chart)
+    return _newton.Result(x[0], value, nfev, success)

@@ -1,10 +1,8 @@
 """Two-qubit classical correlations and quantum discord.
 
 Classical correlations are extracted by rank-1 projective measurements
-on subsystem A, parametrized by Bloch angles. The discord computed here
-is therefore an upper bound on the POVM-optimized quantity; two-outcome
-projective measurements keep the search space two-dimensional and make
-the grid oracle unambiguous.
+on subsystem A, parametrized by Bloch angles, so the discord computed
+here is an upper bound on the POVM-optimized quantity.
 
 The search runs on the Bloch representation of the state (Girolami and
 Adesso, PRA 83, 052108, 2011),
@@ -16,21 +14,15 @@ n = (sin theta cos phi, sin theta sin phi, cos theta) gives the outcomes
 +-1 with probabilities p+- = (1 +- a.n) / 2 and leaves B with the Bloch
 vector (b +- T^T n) / (1 +- a.n). With eta(x) = x ln x, q = 1 +- a.n,
 u = b +- T^T n and lambda+- = (q +- |u|) / 2, twice the outcome's
-probability times each eigenvalue of its conditional state, the
-classical correlations are
+probability times each eigenvalue of its conditional state,
 
     C(n) = h(|b|) + (1/2) sum_{+-} [eta(lambda+) + eta(lambda-) - eta(q)],
 
 where h(r) is the entropy of a qubit state with Bloch vector length r.
-The sphere search (:mod:`qcorr._sphere`) hands the objective each point
-as n with an orthonormal basis (e1, e2) of its tangent plane, and the
-objective returns C with its Riemannian gradient and Hessian in that
-basis: every evaluation is a few dozen dot products of 3-vectors (see
-:func:`_negated_objective`). The bases along n and -n are the same pair
-of projectors, so C(n) = C(-n), and the grid covers only the hemisphere
-phi in [0, pi): its points and their antipodes (pi - theta, phi + pi)
-make up the full theta x [0, 2 pi) grid, whose maximum is therefore the
-same. Exchanging A and B maps (a, b, T) to (b, a, T^T).
+The bases along n and -n are the same pair of projectors, so C(n) = C(-n):
+the grid covers the hemisphere phi in [0, pi), whose points and their
+antipodes make up the full grid. Exchanging A and B maps (a, b, T) to
+(b, a, T^T).
 
 The search evaluates C on the distinct directions of a THETA_POINTS x
 PHI_POINTS hemisphere grid (:data:`GRID`) and runs Riemannian Newton on
@@ -39,19 +31,25 @@ STARTS best of them; it returns the larger of the grid and Newton
 maxima. The grid is twice as dense, along each axis, as the smallest
 that reproduces the 64 x 64 grid plus Nelder-Mead search of earlier
 versions to 1e-12 on the seeded states of the tests (4 x 4 with two
-starts). C is constant
-on pure and Werner states, and its Hessian diverges where a conditional
-state is pure; Newton then stops at rounding with the best value it
-evaluated. The mutual information takes S(rho_A) = h(|a|) and
-S(rho_B) = h(|b|) from the same vectors, so only S(rho) needs the
-spectrum, which :class:`~qcorr.states.DensityMatrix` holds. Every eta
-here and in :mod:`qcorr.states` is the one of :mod:`qcorr.probability`,
-zero at or below ``ZERO_PROBABILITY``, so I and both routes to C drop
-the same rounding-level eigenvalues.
+starts). C is constant on pure and Werner states, and its Hessian
+diverges where a conditional state is pure; Newton then stops at
+rounding with the best value it evaluated.
 
-:func:`classical_correlations_at` does not use this representation: it
-measures through :class:`~qcorr.measurement.Povm` and partial traces,
-an independent route that the tests compare the search against.
+Numpy does the array work: one einsum reads (a, b, T), one call per
+array operation evaluates C on both outcomes of every grid direction at
+once, and a few rank the grid. The rest runs on floats: each Newton
+evaluation is a few dozen products of 3-vectors (see
+:func:`_negated_objective`), the retraction and tangent bases are those
+of :mod:`qcorr._sphere`, and the mutual information takes S(rho_A) =
+h(|a|) and S(rho_B) = h(|b|) from the vectors and S(rho) from the
+spectrum that :class:`~qcorr.states.DensityMatrix` holds. Every eta is
+the one of :mod:`qcorr.probability`, zero at or below
+``ZERO_PROBABILITY``, so I and both routes to C drop the same
+rounding-level eigenvalues.
+
+:func:`classical_correlations_at` measures through
+:class:`~qcorr.measurement.Povm` and partial traces instead, an
+independent route that the tests compare the search against.
 """
 
 from __future__ import annotations
@@ -75,16 +73,6 @@ STARTS = 2  # Newton runs, from the best grid directions
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
-def _fold_angles(theta: float, phi: float):
-    """Map arbitrary angles onto theta in [0, pi], phi in [0, 2*pi)."""
-    theta = theta % (2.0 * math.pi)
-    if theta > math.pi:
-        theta = 2.0 * math.pi - theta
-        phi = phi + math.pi
-    phi = phi % (2.0 * math.pi)
-    return theta, phi
-
-
 @dataclass(frozen=True)
 class MeasurementBasis:
     """Bloch angles of a projective qubit basis {|n><n|, |n_perp><n_perp|}."""
@@ -100,10 +88,12 @@ class MeasurementBasis:
 
     @classmethod
     def canonical(cls, theta: float, phi: float) -> "MeasurementBasis":
-        t, p = _fold_angles(float(theta), float(phi))
-        if p >= 2.0 * math.pi:  # guard against rounding at the seam
-            p = 0.0
-        return cls(min(t, math.pi), p)
+        """The basis of any angles, folded onto theta in [0, pi] and phi in [0, 2 pi)."""
+        theta, phi = float(theta) % (2.0 * math.pi), float(phi)
+        if theta > math.pi:
+            theta, phi = 2.0 * math.pi - theta, phi + math.pi
+        phi %= 2.0 * math.pi
+        return cls(min(theta, math.pi), 0.0 if phi >= 2.0 * math.pi else phi)  # rounding at the seam
 
     def vectors(self):
         """The basis kets (|n>, |n_perp>) as complex 2-vectors."""
@@ -164,27 +154,25 @@ def _directions(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
 # each direction of the theta x phi hemisphere grid once: the row theta = 0 is one point, and the
 # row theta = pi holds its antipode
 GRID = np.concatenate(
-    [
-        [[0.0, 0.0, 1.0]],
-        _directions(np.linspace(0.0, math.pi, THETA_POINTS)[1:-1], np.linspace(0.0, math.pi, PHI_POINTS, endpoint=False)),
-    ]
+    [[[0.0, 0.0, 1.0]], _directions(np.linspace(0.0, math.pi, THETA_POINTS)[1:-1], np.linspace(0.0, math.pi, PHI_POINTS, endpoint=False))]
 )
-_SIGNS = np.array([[1.0], [-1.0]])
+_GRID_POINTS = GRID.tolist()
+# the outcomes +-1 along the first axis; (q + w * _ETA_W) * _ETA_H stacks lambda+ = (q + w) / 2, lambda- = (q - w) / 2 and q
+_SIGNS, _SIGNS_3 = np.array([[1.0], [-1.0]]), np.array([[[1.0]], [[-1.0]]])
+_ETA_W, _ETA_H = np.array([[[1.0]], [[-1.0]], [[0.0]]]), np.array([[[0.5]], [[0.5]], [[1.0]]])
 
 
 def _grid_values(bloch, s_b: float, n: np.ndarray) -> np.ndarray:
-    """C(n) for every row of the direction array ``n``, given (a, b, T) and
-    S(rho_B), in the eta form of the module docstring."""
+    """C(n) for every row of the direction array ``n``, given (a, b, T) and S(rho_B), in the eta
+    form of the module docstring; each numpy call covers both outcomes of every direction."""
     a, b, t = bloch
     q = 1.0 + _SIGNS * (n @ a)
-    w = np.sqrt(np.sum((b + _SIGNS[..., None] * (n @ t)) ** 2, axis=2))
-    eta = _plogp(np.stack([(q + w) / 2.0, (q - w) / 2.0, q]))
-    values = s_b + np.sum(eta[0] + eta[1] - eta[2], axis=0) / 2.0
+    u = b + _SIGNS_3 * (n @ t)
+    eta = _plogp((q + np.sqrt((u * u).sum(axis=2)) * _ETA_W) * _ETA_H)
+    values = s_b + (eta[0] + eta[1] - eta[2]).sum(axis=0) / 2.0
     if values.min() < -NEGATIVE_CLAMP:
-        raise ConsistencyError(
-            f"classical correlations evaluated to {float(values.min())!r} < 0"
-        )
-    return np.clip(values, 0.0, None)
+        raise ConsistencyError(f"classical correlations evaluated to {float(values.min())!r} < 0")
+    return np.maximum(values, 0.0)
 
 
 def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> float:
@@ -243,7 +231,7 @@ def _negated_objective(bloch, s_b: float):
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = bloch[2].tolist()
 
     def negated(x):
-        # every dot product in the operand order of _sphere._dot, u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+        # every dot product in the operand order u[0] * v[0] + u[1] * v[1] + u[2] * v[2], as qcorr._sphere forms them
         (n0, n1, n2), (e10, e11, e12), (e20, e21, e22) = x
         an, a1, a2 = ax * n0 + ay * n1 + az * n2, ax * e10 + ay * e11 + az * e12, ax * e20 + ay * e21 + az * e22
         # T^T n, T^T e1, T^T e2
@@ -311,15 +299,18 @@ def _maximize_classical_correlations(bloch):
     s_b = _qubit_entropy(float(bloch[1] @ bloch[1]))
     grid = _grid_values(bloch, s_b, GRID)
     # values within FTOL of each other are equal to rounding, and the earlier direction wins: the
-    # pole where C is constant, as on pure and Werner states
-    starts = np.argsort(np.rint((grid.max() - grid) / FTOL), kind="stable")[:STARTS]
-    grid_value = float(grid[starts[0]])
-    result = minimize(_negated_objective(bloch, s_b), GRID[starts].tolist())
+    # pole where C is constant, as on pure and Werner states; argmin takes the first of equal keys
+    keys, cells = np.rint((grid.max() - grid) / FTOL), []
+    for _ in range(STARTS):
+        cells.append(keys.argmin().item())
+        keys[cells[-1]] = math.inf
+    grid_value = grid[cells[0]].item()
+    result = minimize(_negated_objective(bloch, s_b), [_GRID_POINTS[cell] for cell in cells])
     evaluations = len(GRID) + result.nfev
     if -result.fun >= grid_value:
         value, n = -result.fun, result.x
     else:
-        value, n = grid_value, GRID[starts[0]].tolist()
+        value, n = grid_value, _GRID_POINTS[cells[0]]
     return value, _basis_of(n), evaluations, result.success
 
 
@@ -336,15 +327,14 @@ def max_classical_correlations(rho: DensityMatrix):
 
 def _discord(rho: DensityMatrix, bloch) -> DiscordResult:
     a, b, _ = bloch
-    info = _qubit_entropy(float(a @ a)) + _qubit_entropy(float(b @ b)) - von_neumann_entropy(rho)
+    l0, l1, l2, l3 = rho.spectrum().tolist()  # S(rho) = -sum eta, summed in numpy's order for four terms
+    info = _qubit_entropy(float(a @ a)) + _qubit_entropy(float(b @ b)) + (_eta(l0) + _eta(l1) + _eta(l2) + _eta(l3))
     info = 0.0 if -NEGATIVE_CLAMP <= info < 0.0 else info  # as quantum_mutual_information reads it
     value, basis, evaluations, converged = _maximize_classical_correlations(bloch)
     value = min(value, info) if info < value <= info + NEGATIVE_CLAMP else value
     gap = info - value
     if gap < -NEGATIVE_CLAMP:
-        raise ConsistencyError(
-            f"discord evaluated to {gap!r}; classical correlations exceed mutual information"
-        )
+        raise ConsistencyError(f"discord evaluated to {gap!r}; classical correlations exceed mutual information")
     return DiscordResult(
         mutual_info=info,
         classical_corr=value,

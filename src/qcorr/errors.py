@@ -46,15 +46,23 @@ OMEGA_FLOOR = -1e-9
 PHYSICALITY_SLACK = 1e-9
 # Gaussian discord treats a measured mode with det - 1 below this as pure (doubled convention).
 PURE_MODE_CUTOFF = 1e-9
+# Local invariants a, b, d (doubled) below the vacuum's 1 by up to this are rounding of their determinants.
+INVARIANT_SLACK = 1e-7
 # Relative width of the boundary between the closed Gaussian discord's two branches.
 BRANCH_BOUNDARY_WIDTH = 1e-9
+# |det S - 1| beyond which a propagator S = exp(Omega G t) has lost its accuracy: about 300 times the
+# worst value, 3.5e-13, of the dense t sweep of [0, 25] at lambda0 = 30 in test_gaussian.py::TestPadeExpm.
+PROPAGATOR_DET_TOL = 1e-10
+# Largest |entry| of a validated matrix: M + M^dagger and every 2 x 2 minor of it stay finite.
+MATRIX_ENTRY_MAX = 1e150
 
 
 def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, even: bool = False):
     """Validated Hermitian part ``(M + M^dagger) / 2`` of a square matrix.
 
     Raises :class:`ValidationError` naming the matrix ``what`` unless it is
-    non-empty and square (of even size if ``even``), finite, and has max
+    non-empty and square (of even size if ``even``), has no entry larger
+    than ``MATRIX_ENTRY_MAX`` in magnitude (nor a NaN), and has max
     entrywise defect ``|M - M^dagger|`` at most ``tol``. A real ``dtype``
     makes this the symmetric part and a symmetry check.
     """
@@ -62,11 +70,14 @@ def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, ev
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0) or (even and mat.shape[0] % 2):
         size = "non-empty square of even size" if even else "non-empty square"
         raise ValidationError(f"{what} must be {size}; got shape {mat.shape}")
-    if not np.isfinite(mat).all():
+    largest = abs(mat).max()
+    if not largest <= MATRIX_ENTRY_MAX:  # NaN fails it too
+        if largest < np.inf:
+            raise ValidationError(f"{what} overflows: max |entry| {float(largest)!r} exceeds {MATRIX_ENTRY_MAX}")
         raise ValidationError(f"{what} must be finite; got a NaN or infinite entry")
     adjoint = mat.conj().T
-    defect = float(np.max(np.abs(mat - adjoint)))
+    defect = abs(mat - adjoint).max()
     if defect > tol:
         kind = "Hermitian" if np.iscomplexobj(mat) else "symmetric"
-        raise ValidationError(f"{what} is not {kind}: max entrywise defect {defect!r}")
+        raise ValidationError(f"{what} is not {kind}: max entrywise defect {float(defect)!r}")
     return (mat + adjoint) / 2.0

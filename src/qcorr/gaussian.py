@@ -55,17 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._newton import _newton_step, minimize
-from .errors import (
-    BRANCH_BOUNDARY_WIDTH,
-    HAMILTONIAN_TOL,
-    PHYSICALITY_SLACK,
-    PURE_MODE_CUTOFF,
-    SUPPORT_CUTOFF,
-    ValidationError,
-    hermitian_part,
-)
+from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
+from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part
 
 VACUUM_VARIANCE = 0.5
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 # the measurement search: seeds zeta = tanh(u/2) e^{2i phi} on the unit disk
 GRID_U = 4
@@ -104,7 +98,7 @@ class CovarianceMatrix:
     symplectic eigenvalue must be at least ``1/2 - PHYSICALITY_SLACK``.
     A two-mode ((A, C), (C^T, B)) holds ((det A, det C), (det C^T, det B)) and det sigma.
 
-    Domain: a real symmetric matrix of even size with those properties; anything else raises ValidationError.
+    Domain: a real symmetric matrix of even size with those properties, entries of at most MATRIX_ENTRY_MAX and a finite det sigma; anything else raises ValidationError.
     """
 
     sigma: np.ndarray
@@ -118,14 +112,14 @@ class CovarianceMatrix:
         spectrum = _symplectic_spectrum(mat)
         nu_min = float(spectrum.min())
         if nu_min < VACUUM_VARIANCE - PHYSICALITY_SLACK:
-            raise ValidationError(
-                f"smallest symplectic eigenvalue {nu_min!r} violates the "
-                f"uncertainty bound {VACUUM_VARIANCE}"
-            )
-        if mat.shape[0] == 4:  # one np.linalg.det for the 2x2 blocks ((A, C), (C^T, B)), one for sigma
+            raise ValidationError(f"smallest symplectic eigenvalue {nu_min!r} violates the uncertainty bound {VACUUM_VARIANCE}")
+        if mat.shape[0] == 4:  # one np.linalg.det for the 2x2 blocks ((A, C), (C^T, B)), one slogdet for sigma
             block_dets = np.linalg.det(mat.reshape(2, 2, 2, 2).swapaxes(1, 2))
             block_dets.flags.writeable = False
-            object.__setattr__(self, "_dets", (block_dets, float(np.linalg.det(mat))))
+            sign, log_det = np.linalg.slogdet(mat)
+            if not log_det < _LOG_FLOAT_MAX:  # sign exp(ln |det|) is how np.linalg.det forms it, warning on overflow
+                raise ValidationError(f"covariance matrix determinant overflows: ln det sigma = {log_det.item()!r}")
+            object.__setattr__(self, "_dets", (block_dets, sign.item() * math.exp(log_det.item())))
         mat.flags.writeable = False
         spectrum.flags.writeable = False
         object.__setattr__(self, "sigma", mat)
@@ -205,12 +199,13 @@ def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
 
 
 def _require_coupling(lam: float, omega: float):
-    # the quench's closed forms divide by omega^2 and take log1p(2 lambda0^2 / omega^2)
+    # the quench's closed forms divide by omega^2, take log1p(2 lambda0^2 / omega^2) and sqrt(omega^2 + 2 lambda0^2)
     if not 0.0 <= lam < math.inf:
         raise ValidationError(f"coupling must be finite and non-negative; got {lam}")
     _require_frequency(omega)
-    if not (0.0 < omega * omega < math.inf and math.isfinite(2.0 * (lam * lam) / (omega * omega))):
-        raise ValidationError(f"omega^2 must be nonzero and finite, and so must 2 lambda0^2 / omega^2; got omega = {omega}, lambda0 = {lam}")
+    square = omega * omega
+    if not (0.0 < square < math.inf and math.isfinite(2.0 * (lam * lam) / square) and square + 2.0 * lam * lam < math.inf):
+        raise ValidationError(f"omega^2 must be nonzero and finite, and so must 2 lambda0^2 / omega^2 and omega^2 + 2 lambda0^2; got omega = {omega}, lambda0 = {lam}")
 
 
 def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
@@ -299,13 +294,16 @@ def symplectic_propagator(ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     """Propagator S = exp(Omega G t) for the quadrature vector, with G
     the frequency matrix of ``ham``.
 
-    Domain: a finite real ``t`` for which S is finite; anything else raises ValidationError naming t.
+    Domain: a finite real ``t`` for which S is finite and |det S - 1| <= PROPAGATOR_DET_TOL; anything else raises ValidationError naming t.
     """
     _require_finite("t", t)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Omega G t is rejected below
         s = _expm(symplectic_form(ham.n_modes) @ ham.matrix * t)
+        defect = abs(np.linalg.det(s) - 1.0)
     if not np.isfinite(s).all():
         raise ValidationError(f"t = {t!r} overflows the propagator exp(Omega G t)")
+    if not defect <= PROPAGATOR_DET_TOL:
+        raise ValidationError(f"t = {t!r} is beyond the propagator's accuracy: |det exp(Omega G t) - 1| = {float(defect)!r} > {PROPAGATOR_DET_TOL}")
     return s
 
 
@@ -375,9 +373,9 @@ def mode_entropy(nu):
         return plus * math.log(plus) - above * math.log(above)
     nu = np.asarray(nu, dtype=float)
     above = nu - VACUUM_VARIANCE
-    if not (nu >= VACUUM_VARIANCE - PHYSICALITY_SLACK).all():
-        lowest = float(nu.min())
-        raise ValidationError(f"symplectic eigenvalue {lowest!r} below the vacuum value 1/2")
+    lowest = nu.min(initial=math.inf)  # NaN if any is NaN; inf for an empty array
+    if not lowest >= VACUUM_VARIANCE - PHYSICALITY_SLACK:
+        raise ValidationError(f"symplectic eigenvalue {float(lowest)!r} below the vacuum value 1/2")
     support = above > SUPPORT_CUTOFF
     above = np.where(support, above, 1.0)  # log(1) = 0 off the support
     plus = np.where(support, nu + VACUUM_VARIANCE, 1.0)
@@ -448,24 +446,34 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     discriminant, one reached in the infinite-squeezing (homodyne) limit
     and one at finite squeezing. The result is clamped at zero.
 
-    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state.
+    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK raises ValidationError naming it.
     """
     args = (inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus)
     scalar = all(isinstance(x, float) for x in args)
     sqrt, absolute, maximum, minimum, select = _FLOAT_OPS if scalar else _ARRAY_OPS
     a, b, c, d = args[:4] if scalar else (np.asarray(x, dtype=float) for x in args[:4])
-    c2 = c * c
+    floor = 1.0 - INVARIANT_SLACK
+    if scalar:  # NaN fails every comparison
+        physical = floor <= a < math.inf and floor <= b < math.inf and floor <= d < math.inf
+    else:
+        physical = minimum(minimum(a, b), d).min(initial=math.inf) >= floor and maximum(maximum(a, b), d).max(initial=0.0) < math.inf
+    if not physical:
+        name, bad = next((n, v) for n, x in zip("abd", (a, b, d)) for v in np.ravel(x).tolist() if not floor <= v < math.inf)
+        raise ValidationError(f"invariant {name} must be finite and at least 1 - INVARIANT_SLACK, the vacuum's; got {bad!r}")
+    c2, ab = c * c, a * b  # each product and difference below is formed once
     pure = b - 1.0 < PURE_MODE_CUTOFF  # pure measured mode: necessarily a product state
     b1 = select(pure, 1.0, b - 1.0)
-    finite_inner = maximum(c2 + b1 * (d - a), 0.0)
-    finite_squeezing = (2.0 * c2 + b1 * (d - a) + 2.0 * absolute(c) * sqrt(finite_inner)) / (b1 * b1)
-    skew = d - a * b
-    homodyne_inner = maximum(c2 * c2 + skew * skew - 2.0 * c2 * (a * b + d), 0.0)
-    homodyne = (a * b - c2 + d - sqrt(homodyne_inner)) / (2.0 * b)
-    margin = skew * skew - (1.0 + b) * c2 * (a + d)
+    lift = b1 * (d - a)
+    finite_inner = maximum(c2 + lift, 0.0)
+    finite_squeezing = (2.0 * c2 + lift + 2.0 * absolute(c) * sqrt(finite_inner)) / (b1 * b1)
+    skew = d - ab
+    skew2, spread = skew * skew, (1.0 + b) * c2 * (a + d)
+    homodyne_inner = maximum(c2 * c2 + skew2 - 2.0 * c2 * (ab + d), 0.0)
+    homodyne = (ab - c2 + d - sqrt(homodyne_inner)) / (2.0 * b)
+    margin = skew2 - spread
     # on the branch boundary the two expressions coincide exactly but the
     # first loses precision to cancellation; take the smaller
-    boundary = absolute(margin) <= BRANCH_BOUNDARY_WIDTH * maximum(1.0, (1.0 + b) * c2 * (a + d))
+    boundary = absolute(margin) <= BRANCH_BOUNDARY_WIDTH * maximum(1.0, spread)
     branch = select(boundary, minimum(finite_squeezing, homodyne), select(margin <= 0.0, finite_squeezing, homodyne))
     e_min = select(pure, a, branch)
     value = (

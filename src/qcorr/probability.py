@@ -44,9 +44,8 @@ def _eta(x: float) -> float:
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
-    """Entrywise :func:`_eta` of an array."""
-    live = p > ZERO_PROBABILITY
-    return np.where(live, p * np.log(np.where(live, p, 1.0)), 0.0)
+    """Entrywise :func:`_eta` of an array (ln 1 = 0 off the support, so a rounding-level x < 0 gives -0.0)."""
+    return p * np.log(np.where(p > ZERO_PROBABILITY, p, 1.0))
 
 
 def _normalized(cls, weights):

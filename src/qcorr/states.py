@@ -41,15 +41,13 @@ def _validate_dims(dims, size: int | None = None) -> tuple:
     """``dims`` as a pair of positive integers whose product is ``size``
     (any product when ``size`` is None)."""
     try:
-        d_a, d_b = (operator.index(d) for d in dims)  # integers only: no float or str coercion
+        d_a, d_b = map(operator.index, dims)  # integers only: no float or str coercion
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"dims must be a pair of integers; got {dims!r}") from exc
     if d_a < 1 or d_b < 1:
         raise ValidationError(f"dims must be positive; got {dims!r}")
     if size is not None and d_a * d_b != size:
-        raise ValidationError(
-            f"dims {dims!r} incompatible with total dimension {size}"
-        )
+        raise ValidationError(f"dims {dims!r} incompatible with total dimension {size}")
     return (d_a, d_b)
 
 
@@ -100,18 +98,14 @@ class DensityMatrix:
     def __post_init__(self):
         raw = np.asarray(self.elements, dtype=complex)
         mat = hermitian_part(raw, "density matrix")
-        dims = _validate_dims(self.dims, mat.shape[0])
-        trace = complex(np.trace(raw))
+        dims = _validate_dims(self.dims, len(mat))
+        trace = complex(raw.trace())
         if abs(trace - 1.0) > MATRIX_TOL:
-            raise ValidationError(
-                f"trace must be 1 within {MATRIX_TOL}; got trace {trace.real!r}"
-            )
+            raise ValidationError(f"trace must be 1 within {MATRIX_TOL}; got trace {trace.real!r}")
         vals = np.linalg.eigvalsh(mat)  # ascending
         if vals[0] < -MATRIX_TOL:
-            raise ValidationError(
-                f"matrix is not positive semidefinite: smallest eigenvalue {float(vals[0])!r}"
-            )
-        vals = np.maximum(vals, 0.0)
+            raise ValidationError(f"matrix is not positive semidefinite: smallest eigenvalue {float(vals[0])!r}")
+        np.maximum(vals, 0.0, out=vals)
         mat.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "elements", mat)

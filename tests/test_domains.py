@@ -19,12 +19,17 @@ naming that field.
 Gaussian frequencies and temperatures: ``thermal_variance`` (and so
 ``thermal_covariance``) takes beta > 0, hbar > 0 and 0 < omega < inf, and
 ``normal_mode_frequencies``, ``quench_hamiltonian_matrix`` and
-``quench_propagator_closed_form`` take 0 < omega < inf with omega^2 and
-2 lambda0^2 / omega^2 nonzero and finite, the rule of ``QuenchParams``;
-``thermal_variance`` also needs beta hbar omega / 2 > 0 in floating
-point. NaN fails every ``not x > 0`` guard. ``symplectic_propagator`` and
-``symplectic_evolution`` take a finite real ``t`` whose propagator is
-finite. Each violation raises naming the argument or the broken rule.
+``quench_propagator_closed_form`` take 0 < omega < inf with omega^2,
+2 lambda0^2 / omega^2 and omega^2 + 2 lambda0^2 nonzero and finite, the
+rule of ``QuenchParams``; ``thermal_variance`` also needs
+beta hbar omega / 2 > 0 in floating point. NaN fails every ``not x > 0``
+guard. ``symplectic_propagator`` and ``symplectic_evolution`` take a
+finite real ``t`` whose propagator is finite with |det S - 1| at most
+``PROPAGATOR_DET_TOL``. A covariance matrix has entries of at most
+``MATRIX_ENTRY_MAX`` and a finite det sigma, and
+``discord_from_invariants`` takes a, b and d finite and at least 1 within
+``INVARIANT_SLACK``, the rounding of the determinants they are held as. Each violation raises naming the argument, the
+invariant or the broken rule.
 """
 
 import math
@@ -36,12 +41,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qcorr import (
+    CovarianceMatrix,
     DensityMatrix,
     QuenchParams,
     ValidationError,
     discord,
     direct_sum,
     discord_swapped,
+    gaussian_discord,
     max_classical_correlations,
     normal_mode_frequencies,
     quench_hamiltonian_matrix,
@@ -55,6 +62,7 @@ from qcorr import (
     sweep_temperature,
 )
 from qcorr.discord import _bloch
+from qcorr.gaussian import discord_from_invariants
 
 from . import discord_oracle
 
@@ -236,6 +244,8 @@ class TestFrequenciesAndTemperatures:
             (lambda: quench_propagator_closed_form(1.0, 1e200, 1.0), RATIO),
             (lambda: quench_hamiltonian_matrix(1e-200, 1.0), RATIO),
             (lambda: quench_hamiltonian_matrix(1e-100, 1e100), RATIO),
+            (lambda: normal_mode_frequencies(1.3e154, 0.5e154), RATIO),
+            (lambda: report_at(QuenchParams(omega=1.3e154, lambda0=0.5e154)), RATIO),
         ],
         ids=[
             "thermal_variance_beta_nan", "thermal_variance_beta_zero", "thermal_variance_omega_nan",
@@ -245,7 +255,7 @@ class TestFrequenciesAndTemperatures:
             "hamiltonian_omega_nan", "hamiltonian_omega_inf", "thermal_variance_underflow",
             "thermal_variance_subnormal",
             "normal_modes_ratio_overflow", "closed_form_ratio_overflow", "hamiltonian_omega_square_underflow",
-            "hamiltonian_ratio_overflow",
+            "hamiltonian_ratio_overflow", "normal_modes_sum_overflow", "report_at_sum_overflow",
         ],
     )
     def test_rejected_naming_the_argument(self, call, message):
@@ -269,6 +279,9 @@ class TestEvolutionTime:
             (None, "t must be a real number"),
             (1j, "t must be a real number"),
             (1e300, "t = 1e\\+300 overflows the propagator"),
+            (1e15, "t = 1000000000000000.0 is beyond the propagator's accuracy"),
+            (1e20, "t = 1e\\+20 is beyond the propagator's accuracy"),
+            (1e25, "t = 1e\\+25 is beyond the propagator's accuracy"),
         ],
     )
     def test_rejected_naming_t(self, t, message):
@@ -281,3 +294,67 @@ class TestEvolutionTime:
     def test_finite_real_t_accepted(self, t):
         s = symplectic_propagator(self.HAM, t)
         assert abs(np.linalg.det(s) - 1.0) <= 1e-9
+
+
+class TestCovarianceOverflow:
+    """A covariance matrix with an entry beyond MATRIX_ENTRY_MAX (1e150), or
+    whose det sigma overflows, raises naming the overflow: no numpy error or
+    RuntimeWarning escapes, and nothing is accepted with an infinite held
+    determinant."""
+
+    def test_huge_entry_rejected(self):
+        with pytest.raises(ValidationError, match=r"^covariance matrix overflows: max \|entry\| 1e\+308 exceeds 1e\+150"):
+            thermal_covariance(1e-308, 1.0)
+
+    def test_overflowing_determinant_rejected(self):
+        mode = thermal_covariance(1e-100, 1.0)  # nu = 1e100, so det sigma = 1e400
+        with pytest.raises(ValidationError, match="^covariance matrix determinant overflows: ln det sigma = 921.03"):
+            direct_sum(mode, mode)
+
+    def test_largest_entries_accepted(self):
+        assert thermal_covariance(1e-149, 1.0).sigma[0, 0] == pytest.approx(1e149, rel=1e-12)
+        pair = direct_sum(thermal_covariance(1e-76, 1.0), thermal_covariance(1e-76, 1.0))
+        assert pair._dets[1] == pytest.approx(1e304, rel=1e-12)
+
+
+class TestInvariants:
+    """``discord_from_invariants`` on floats and on arrays rejects an a, b or d
+    that is not finite or lies below the vacuum's 1 by more than
+    INVARIANT_SLACK (1e-7), naming the first such invariant and its value."""
+
+    @pytest.mark.parametrize(
+        "invariants, name, value",
+        [
+            ((4.0, 0.5, 3.0, 1.0), "b", "0.5"),  # the measured mode's determinant below the doubled vacuum's
+            ((4.0, 0.0, 3.0, 1.0), "b", "0.0"),  # the closed form divides by b
+            ((math.nan, 2.0, 1.0, 2.0), "a", "nan"),
+            ((2.0, 2.0, 1.0, math.inf), "d", "inf"),
+            ((2.0, 2.0, 1.0, 1.0 - 2e-7), "d", "0.9999998"),
+        ],
+        ids=["b_below_vacuum", "b_zero", "a_nan", "d_inf", "d_below_slack"],
+    )
+    def test_rejected_naming_the_invariant(self, invariants, name, value):
+        floats = invariants + (0.5, 0.5)
+        arrays_ = tuple(np.array([2.0, x, 2.0]) for x in invariants) + (np.full(3, 0.5),) * 2
+        for args in (floats, arrays_):
+            with pytest.raises(ValidationError, match=f"^invariant {name} must be finite .*; got {value}$"):
+                discord_from_invariants(*args)
+
+    def test_vacuum_within_the_slack_accepted(self):
+        low = 1.0 - 0.5e-7
+        assert discord_from_invariants(low, low, 0.0, low, 0.5, 0.5) == 0.0
+        assert discord_from_invariants(*(np.full(2, x) for x in (low, low, 0.0, low, 0.5, 0.5))).tolist() == [0.0, 0.0]
+
+    def test_rounding_of_held_determinants_accepted(self):
+        """Two-mode squeezed vacua with r < 4 hold d = 16 det sigma below 1 by
+        rounding alone, by up to 1.2e-9 on this grid (beyond PURE_MODE_CUTOFF);
+        the closed form takes them and stays within 1e-9 of the analytic discord
+        cosh^2 r ln cosh^2 r - sinh^2 r ln sinh^2 r (measured 8.9e-10)."""
+        for r in np.linspace(0.05, 3.99, 400).tolist():
+            c, s = math.cosh(2.0 * r) / 2.0, math.sinh(2.0 * r) / 2.0
+            z = np.diag([1.0, -1.0])
+            sigma = CovarianceMatrix(np.block([[c * np.eye(2), s * z], [s * z, c * np.eye(2)]]))
+            ch, sh = math.cosh(r) ** 2, math.sinh(r) ** 2
+            exact = ch * math.log(ch) - sh * math.log(sh)
+            for mode in (1, 2):
+                assert gaussian_discord(sigma, mode) == pytest.approx(exact, rel=1e-9)

@@ -27,7 +27,7 @@ from qcorr import (
     thermal_covariance,
     thermal_variance,
 )
-from qcorr.errors import BRANCH_BOUNDARY_WIDTH, PURE_MODE_CUTOFF
+from qcorr.errors import BRANCH_BOUNDARY_WIDTH, PROPAGATOR_DET_TOL, PURE_MODE_CUTOFF
 from qcorr.gaussian import discord_from_invariants, local_invariants
 
 from . import gaussian_oracle
@@ -244,6 +244,16 @@ class TestPadeExpm:
         err = self._relative_error(gaussian._expm(gen), exact)
         assert err <= 1e-13
         assert err <= self._relative_error(expm(gen), exact) + 2 * self.UNIT_ROUNDOFF
+
+    def test_det_over_a_dense_t_sweep_within_the_tolerance_margin(self):
+        """|det S - 1| over 2001 times t in [0, 25] at lambda0 = 30, past the
+        listed t = 20 and the interval [18, 22] where the error against mpmath
+        peaks (3.6e-13), stays 100 times below PROPAGATOR_DET_TOL, beyond which
+        symplectic_propagator rejects t. Measured: 3.5e-13 at t = 21.36."""
+        ham = quench_hamiltonian_matrix(1.0, 30.0)
+        times = np.linspace(0.0, 25.0, 2001).tolist()
+        worst = max(abs(float(np.linalg.det(symplectic_propagator(ham, t))) - 1.0) for t in times)
+        assert worst <= PROPAGATOR_DET_TOL / 100
 
     def test_free_particle_is_exact(self):
         assert np.array_equal(gaussian._expm(FREE_PARTICLE), np.eye(4) + FREE_PARTICLE)
