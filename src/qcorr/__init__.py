@@ -23,7 +23,6 @@ from .gaussian import (
     mode_entropy,
     normal_mode_frequencies,
     quench_hamiltonian_matrix,
-    quench_propagator_closed_form,
     random_covariance,
     symplectic_eigenvalues,
     symplectic_evolution,
@@ -61,16 +60,11 @@ from .quench import (
     classical_free_energy_change,
     classical_irr_work,
     classical_partition,
-    classical_partition_quadrature,
     excess_dissipated_work,
-    monte_carlo_classical_work,
     quantum_avg_work,
-    quantum_avg_work_fock,
     quantum_free_energy_change,
     quantum_irr_work,
     quantum_partition,
-    quantum_partition_fock,
-    quench_discord,
     report_at,
     reports_to_csv,
     sweep_temperature,

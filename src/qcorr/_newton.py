@@ -1,6 +1,7 @@
 """Newton minimization in two dimensions, on plain floats: the loop that
-Riemannian Newton on the sphere (:mod:`qcorr._sphere`) and the Gaussian
-measurement search on the Poincare disk (:mod:`qcorr.gaussian`) share.
+Riemannian Newton on the sphere (:mod:`qcorr.discord`) and the Gaussian
+measurement search on the Poincare disk (:mod:`qcorr.gaussian`) share,
+each passing its own chart.
 
 A chart turns the objective's derivatives at a point into a gradient
 (g1, g2) and Hessian (h11, h12, h22) in two local coordinates, and maps

@@ -26,21 +26,30 @@ antipodes make up the full grid. Exchanging A and B maps (a, b, T) to
 
 The search evaluates C on the distinct directions of a THETA_POINTS x
 PHI_POINTS hemisphere grid (:data:`GRID`) and runs Riemannian Newton on
-the sphere (:mod:`qcorr._sphere`, bound here as ``minimize``) from the
-STARTS best of them; it returns the larger of the grid and Newton
-maxima. The grid is twice as dense, along each axis, as the smallest
-that reproduces the 64 x 64 grid plus Nelder-Mead search of earlier
-versions to 1e-12 on the seeded states of the tests (4 x 4 with two
-starts). C is constant on pure and Werner states, and its Hessian
-diverges where a conditional state is pure; Newton then stops at
-rounding with the best value it evaluated.
+the sphere from the STARTS best of them; it returns the larger of the
+grid and Newton maxima. A point of the Newton search is a unit 3-vector
+n with an orthonormal basis (e1, e2) of its tangent plane
+(:func:`point`), and a step (d1, d2) is retracted onto the sphere by
+normalizing n + d1 e1 + d2 e2 (:func:`_tangent_chart`), so the poles of
+(theta, phi) are ordinary points. The objective returns the Riemannian
+gradient and Hessian in (e1, e2): for an extension off the sphere with
+Euclidean gradient g and Hessian H these are g.e_i and e_i^T H e_j -
+(n.g) delta_ij (Absil, Mahony and Sepulchre, *Optimization Algorithms on
+Matrix Manifolds*, 2008). The loop is :func:`qcorr._newton.minimize`,
+bound here as ``minimize`` and given that chart, whose ``MAX_STEP`` is
+then a length in radians along the tangent plane. The grid is twice as
+dense, along each axis, as the smallest that reproduces the 64 x 64 grid
+plus Nelder-Mead search of earlier versions to 1e-12 on the seeded
+states of the tests (4 x 4 with two starts). C is constant on pure and
+Werner states, and its Hessian diverges where a conditional state is
+pure; Newton then stops at rounding with the best value it evaluated.
 
 Numpy does the array work: one einsum reads (a, b, T), one call per
 array operation evaluates C on both outcomes of every grid direction at
 once, and a few rank the grid. The rest runs on floats: each Newton
 evaluation is a few dozen products of 3-vectors (see
-:func:`_negated_objective`), the retraction and tangent bases are those
-of :mod:`qcorr._sphere`, and the mutual information takes S(rho_A) =
+:func:`_negated_objective`), the retraction and tangent bases are tuples
+of floats, and the mutual information takes S(rho_A) =
 h(|a|) and S(rho_B) = h(|b|) from the vectors and S(rho) from the
 spectrum that :class:`~qcorr.states.DensityMatrix` holds. Every eta is
 the one of :mod:`qcorr.probability`, zero at or below
@@ -59,8 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._newton import FTOL
-from ._sphere import minimize
+from ._newton import FTOL, minimize
 from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
 from .measurement import Povm
 from .probability import _eta, _plogp
@@ -203,10 +211,44 @@ def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> fl
     return max(value, 0.0)
 
 
+def _tangent_basis(n) -> tuple:
+    """Orthonormal e1, e2 with e1 x e2 = n: e1 is the unit n x axis, for
+    the coordinate axis least aligned with n."""
+    x, y, z = n
+    if abs(x) <= abs(y) and abs(x) <= abs(z):
+        norm = math.sqrt(z * z + y * y)  # n x (1, 0, 0) = (0, z, -y)
+        e10, e11, e12 = 0.0, z / norm, -y / norm
+    elif abs(y) <= abs(z):
+        norm = math.sqrt(z * z + x * x)  # n x (0, 1, 0) = (-z, 0, x)
+        e10, e11, e12 = -z / norm, 0.0, x / norm
+    else:
+        norm = math.sqrt(y * y + x * x)  # n x (0, 0, 1) = (y, -x, 0)
+        e10, e11, e12 = y / norm, -x / norm, 0.0
+    return (e10, e11, e12), (y * e12 - z * e11, z * e10 - x * e12, x * e11 - y * e10)
+
+
+def point(v) -> tuple:
+    """The search point ``(n, e1, e2)`` of the direction of ``v``."""
+    x, y, z = v
+    norm = math.sqrt(x * x + y * y + z * z)
+    n = (x / norm, y / norm, z / norm)
+    return (n, *_tangent_basis(n))
+
+
+def _tangent_chart(x, grad, hess) -> tuple:
+    """The tangent plane at x = (n, e1, e2) as the chart of
+    :func:`minimize`: a step (d1, d2) reaches the point of
+    n + d1 e1 + d2 e2."""
+    (n0, n1, n2), (a0, a1, a2), (b0, b1, b2) = x
+    return grad, hess, lambda d1, d2: (
+        point((n0 + d1 * a0 + d2 * b0, n1 + d1 * a1 + d2 * b1, n2 + d1 * a2 + d2 * b2)), d1, d2
+    )
+
+
 def _negated_objective(bloch, s_b: float):
     """-C(n) with its Riemannian gradient (g1, g2) and Hessian (h11, h12,
-    h22) in the tangent basis (e1, e2), for :func:`qcorr._sphere.minimize`,
-    which passes the point as (n, e1, e2).
+    h22) in the tangent basis (e1, e2), at the point (n, e1, e2) of
+    :func:`point`, for :func:`minimize` in :func:`_tangent_chart`.
 
     Each of the terms eta(lambda+), eta(lambda-) and -eta(q) of outcome
     +-1 adds eta'(x) grad x / 2 to the Euclidean gradient and (grad x
@@ -231,7 +273,7 @@ def _negated_objective(bloch, s_b: float):
     (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = bloch[2].tolist()
 
     def negated(x):
-        # every dot product in the operand order u[0] * v[0] + u[1] * v[1] + u[2] * v[2], as qcorr._sphere forms them
+        # every dot product in the operand order u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
         (n0, n1, n2), (e10, e11, e12), (e20, e21, e22) = x
         an, a1, a2 = ax * n0 + ay * n1 + az * n2, ax * e10 + ay * e11 + az * e12, ax * e20 + ay * e21 + az * e22
         # T^T n, T^T e1, T^T e2
@@ -293,10 +335,10 @@ def _basis_of(n) -> MeasurementBasis:
     return MeasurementBasis.canonical(math.atan2(math.hypot(n[0], n[1]), n[2]), math.atan2(n[1], n[0]))
 
 
-def _maximize_classical_correlations(bloch):
+def _maximize_classical_correlations(bloch, s_b: float):
     """Coarse hemisphere grid, then Newton on the sphere from its best
-    cells, on (a, b, T). Returns (value, basis, evaluations, converged)."""
-    s_b = _qubit_entropy(float(bloch[1] @ bloch[1]))
+    cells, on (a, b, T) and S(rho_B) = h(|b|). Returns (value, basis,
+    evaluations, converged)."""
     grid = _grid_values(bloch, s_b, GRID)
     # values within FTOL of each other are equal to rounding, and the earlier direction wins: the
     # pole where C is constant, as on pure and Werner states; argmin takes the first of equal keys
@@ -305,10 +347,10 @@ def _maximize_classical_correlations(bloch):
         cells.append(keys.argmin().item())
         keys[cells[-1]] = math.inf
     grid_value = grid[cells[0]].item()
-    result = minimize(_negated_objective(bloch, s_b), [_GRID_POINTS[cell] for cell in cells])
+    result = minimize(_negated_objective(bloch, s_b), [point(_GRID_POINTS[cell]) for cell in cells], _tangent_chart)
     evaluations = len(GRID) + result.nfev
     if -result.fun >= grid_value:
-        value, n = -result.fun, result.x
+        value, n = -result.fun, result.x[0]
     else:
         value, n = grid_value, _GRID_POINTS[cells[0]]
     return value, _basis_of(n), evaluations, result.success
@@ -321,16 +363,18 @@ def max_classical_correlations(rho: DensityMatrix):
     Domain: a two-qubit :class:`~qcorr.states.DensityMatrix` (dims (2, 2)); anything else raises ValidationError.
     """
     _require_two_qubits(rho)
-    value, basis, _, _ = _maximize_classical_correlations(_bloch(rho))
+    bloch = _bloch(rho)
+    value, basis, _, _ = _maximize_classical_correlations(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
     return value, basis
 
 
 def _discord(rho: DensityMatrix, bloch) -> DiscordResult:
     a, b, _ = bloch
     l0, l1, l2, l3 = rho.spectrum().tolist()  # S(rho) = -sum eta, summed in numpy's order for four terms
-    info = _qubit_entropy(float(a @ a)) + _qubit_entropy(float(b @ b)) + (_eta(l0) + _eta(l1) + _eta(l2) + _eta(l3))
+    s_b = _qubit_entropy(float(b @ b))
+    info = _qubit_entropy(float(a @ a)) + s_b + (_eta(l0) + _eta(l1) + _eta(l2) + _eta(l3))
     info = 0.0 if -NEGATIVE_CLAMP <= info < 0.0 else info  # as quantum_mutual_information reads it
-    value, basis, evaluations, converged = _maximize_classical_correlations(bloch)
+    value, basis, evaluations, converged = _maximize_classical_correlations(bloch, s_b)
     value = min(value, info) if info < value <= info + NEGATIVE_CLAMP else value
     gap = info - value
     if gap < -NEGATIVE_CLAMP:

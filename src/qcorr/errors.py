@@ -1,5 +1,8 @@
 """Exception types and the validation policy shared across the package:
-every accept/reject tolerance and zero cutoff, defined once below."""
+every accept/reject tolerance, zero cutoff and argument-type check, defined once below."""
+
+import math
+import operator
 
 import numpy as np
 
@@ -55,6 +58,22 @@ BRANCH_BOUNDARY_WIDTH = 1e-9
 PROPAGATOR_DET_TOL = 1e-10
 # Largest |entry| of a validated matrix: M + M^dagger and every 2 x 2 minor of it stay finite.
 MATRIX_ENTRY_MAX = 1e150
+
+
+def require_real(name: str, value) -> bool:
+    """Whether ``value`` is finite; raises naming ``name`` unless it is a real number (NaN and inf are)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a real number; got {value!r}") from None
+
+
+def require_integer(name: str, value) -> int:
+    """``value`` through ``operator.index``: a Python or numpy integer, never a float or string."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer; got {value!r}") from None
 
 
 def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, even: bool = False):

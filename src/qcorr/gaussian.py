@@ -56,7 +56,7 @@ import numpy as np
 
 from ._newton import _newton_step, minimize
 from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
-from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part
+from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_real
 
 VACUUM_VARIANCE = 0.5
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -151,16 +151,12 @@ class QuadraticHamiltonian:
 
 
 def _require_finite(name: str, value: float):
-    try:
-        finite = math.isfinite(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be a real number; got {value!r}") from None
-    if not finite:
+    if not require_real(name, value):
         raise ValidationError(f"{name} must be finite; got {value}")
 
 
 def _require_frequency(omega: float):
-    if not 0.0 < omega < math.inf:
+    if not (require_real("omega", omega) and omega > 0.0):
         raise ValidationError(f"omega must be positive and finite; got {omega}")
 
 
@@ -171,6 +167,7 @@ def thermal_variance(beta: float, omega: float, hbar: float = 1.0) -> float:
     """
     _require_frequency(omega)
     for name, value in (("beta", beta), ("hbar", hbar)):
+        require_real(name, value)
         if not value > 0:
             raise ValidationError(f"{name} must be positive; got {value}")
     half = beta * hbar * omega / 2.0
@@ -200,7 +197,7 @@ def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
 
 def _require_coupling(lam: float, omega: float):
     # the quench's closed forms divide by omega^2, take log1p(2 lambda0^2 / omega^2) and sqrt(omega^2 + 2 lambda0^2)
-    if not 0.0 <= lam < math.inf:
+    if not (require_real("coupling", lam) and lam >= 0.0):
         raise ValidationError(f"coupling must be finite and non-negative; got {lam}")
     _require_frequency(omega)
     square = omega * omega
@@ -307,32 +304,6 @@ def symplectic_propagator(ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     return s
 
 
-def quench_propagator_closed_form(omega: float, lam: float, t: float) -> np.ndarray:
-    """Propagator of the coupled pair built from its normal modes.
-
-    Rotates to the (center-of-mass, relative) mode pair, applies the
-    harmonic rotation with frequency-rescaled quadratures, and rotates
-    back. Agrees with :func:`symplectic_propagator` applied to
-    :func:`quench_hamiltonian_matrix` to high accuracy.
-    """
-    w1, w2 = normal_mode_frequencies(omega, lam)
-
-    def mode_block(wk: float) -> np.ndarray:
-        c, s = math.cos(wk * t), math.sin(wk * t)
-        return np.array([[c, (omega / wk) * s], [-(wk / omega) * s, c]])
-
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    rot = np.zeros((4, 4))
-    rot[0, 0] = rot[0, 2] = inv_sqrt2   # x_com
-    rot[1, 1] = rot[1, 3] = inv_sqrt2   # p_com
-    rot[2, 0] = inv_sqrt2; rot[2, 2] = -inv_sqrt2  # x_rel
-    rot[3, 1] = inv_sqrt2; rot[3, 3] = -inv_sqrt2  # p_rel
-    block = np.zeros((4, 4))
-    block[:2, :2] = mode_block(w1)
-    block[2:, 2:] = mode_block(w2)
-    return rot.T @ block @ rot
-
-
 def symplectic_evolution(sigma: CovarianceMatrix, ham: QuadraticHamiltonian, t: float) -> CovarianceMatrix:
     """Evolve a covariance matrix: sigma -> S sigma S^T with
     S = exp(Omega G t), for ``t`` in the domain of :func:`symplectic_propagator`."""
@@ -354,6 +325,12 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> tuple:
     return tuple(sigma._spectrum.tolist())
 
 
+def _eigenvalue_error(nu: float) -> str:
+    if nu == math.inf:
+        return f"symplectic eigenvalue {nu!r} is not finite"
+    return f"symplectic eigenvalue {nu!r} below the vacuum value 1/2"
+
+
 def mode_entropy(nu):
     """Entropy contribution f(nu) = (nu + 1/2) ln(nu + 1/2)
     - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue.
@@ -361,24 +338,25 @@ def mode_entropy(nu):
     A float gives a float, with ``math``, for scalar callers such as
     :func:`gaussian_entropy` and the oracles; an array gives an array.
 
-    Domain: a float or an array of nu >= 1/2 - PHYSICALITY_SLACK, the bound of :class:`CovarianceMatrix`; NaN or less raises ValidationError.
+    Domain: a float or an array of finite nu >= 1/2 - PHYSICALITY_SLACK, the bound of :class:`CovarianceMatrix`; NaN, inf or less raises ValidationError.
     """
     if isinstance(nu, float):
-        if not nu >= VACUUM_VARIANCE - PHYSICALITY_SLACK:
-            raise ValidationError(f"symplectic eigenvalue {nu!r} below the vacuum value 1/2")
+        if not VACUUM_VARIANCE - PHYSICALITY_SLACK <= nu < math.inf:
+            raise ValidationError(_eigenvalue_error(nu))
         above = nu - VACUUM_VARIANCE
         if above <= SUPPORT_CUTOFF:
             return 0.0
         plus = nu + VACUUM_VARIANCE
         return plus * math.log(plus) - above * math.log(above)
     nu = np.asarray(nu, dtype=float)
-    above = nu - VACUUM_VARIANCE
     lowest = nu.min(initial=math.inf)  # NaN if any is NaN; inf for an empty array
-    if not lowest >= VACUUM_VARIANCE - PHYSICALITY_SLACK:
-        raise ValidationError(f"symplectic eigenvalue {float(lowest)!r} below the vacuum value 1/2")
-    support = above > SUPPORT_CUTOFF
-    above = np.where(support, above, 1.0)  # log(1) = 0 off the support
-    plus = np.where(support, nu + VACUUM_VARIANCE, 1.0)
+    in_range = lowest >= VACUUM_VARIANCE - PHYSICALITY_SLACK
+    if not (in_range and nu.max(initial=0.0) < math.inf):
+        raise ValidationError(_eigenvalue_error(math.inf if in_range else float(lowest)))
+    above, plus = nu - VACUUM_VARIANCE, nu + VACUUM_VARIANCE
+    if not lowest - VACUUM_VARIANCE > SUPPORT_CUTOFF:  # an occupation nu - 1/2 off the support: log(1) = 0 there
+        support = above > SUPPORT_CUTOFF
+        above, plus = np.where(support, above, 1.0), np.where(support, plus, 1.0)
     return plus * np.log(plus) - above * np.log(above)
 
 
@@ -446,26 +424,29 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     discriminant, one reached in the infinite-squeezing (homodyne) limit
     and one at finite squeezing. The result is clamped at zero.
 
-    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK raises ValidationError naming it.
+    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it.
     """
     args = (inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus)
     scalar = all(isinstance(x, float) for x in args)
     sqrt, absolute, maximum, minimum, select = _FLOAT_OPS if scalar else _ARRAY_OPS
     a, b, c, d = args[:4] if scalar else (np.asarray(x, dtype=float) for x in args[:4])
-    floor = 1.0 - INVARIANT_SLACK
+    floor, abs_c = 1.0 - INVARIANT_SLACK, absolute(c)
     if scalar:  # NaN fails every comparison
-        physical = floor <= a < math.inf and floor <= b < math.inf and floor <= d < math.inf
-    else:
-        physical = minimum(minimum(a, b), d).min(initial=math.inf) >= floor and maximum(maximum(a, b), d).max(initial=0.0) < math.inf
+        physical = floor <= a < math.inf and floor <= b < math.inf and floor <= d < math.inf and abs_c < math.inf
+    else:  # one test of all four per call; a NaN carries through maximum
+        physical = minimum(minimum(a, b), d).min(initial=math.inf) >= floor and maximum(maximum(maximum(a, b), d), abs_c).max(initial=0.0) < math.inf
     if not physical:
-        name, bad = next((n, v) for n, x in zip("abd", (a, b, d)) for v in np.ravel(x).tolist() if not floor <= v < math.inf)
-        raise ValidationError(f"invariant {name} must be finite and at least 1 - INVARIANT_SLACK, the vacuum's; got {bad!r}")
+        for name, x in zip("abcd", (a, b, c, d)):
+            bad = [v for v in np.ravel(x).tolist() if not (abs(v) < math.inf and (name == "c" or v >= floor))]
+            if bad:
+                need = "finite" if name == "c" else "finite and at least 1 - INVARIANT_SLACK, the vacuum's"
+                raise ValidationError(f"invariant {name} must be {need}; got {bad[0]!r}")
     c2, ab = c * c, a * b  # each product and difference below is formed once
     pure = b - 1.0 < PURE_MODE_CUTOFF  # pure measured mode: necessarily a product state
     b1 = select(pure, 1.0, b - 1.0)
     lift = b1 * (d - a)
     finite_inner = maximum(c2 + lift, 0.0)
-    finite_squeezing = (2.0 * c2 + lift + 2.0 * absolute(c) * sqrt(finite_inner)) / (b1 * b1)
+    finite_squeezing = (2.0 * c2 + lift + 2.0 * abs_c * sqrt(finite_inner)) / (b1 * b1)
     skew = d - ab
     skew2, spread = skew * skew, (1.0 + b) * c2 * (a + d)
     homodyne_inner = maximum(c2 * c2 + skew2 - 2.0 * c2 * (ab + d), 0.0)

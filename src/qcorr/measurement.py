@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BORN_SUM_TOL, DEGENERACY_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part
+from .errors import BORN_SUM_TOL, DEGENERACY_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part, require_integer
 from .probability import Distribution, JointDistribution, mutual_information
 from .states import DensityMatrix, PureState, eigh_phase_fixed
 
@@ -53,7 +53,8 @@ class Observable:
         res_defect = float(np.max(np.abs(resolution - np.eye(mat.shape[0]))))
         if res_defect > MATRIX_TOL:
             raise ValidationError(f"eigenprojectors fail to resolve identity: {res_defect!r}")
-        mat.flags.writeable = False
+        for array in (mat, outcomes, *projectors):
+            array.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_outcomes", outcomes)
         object.__setattr__(self, "_projectors", projectors)
@@ -97,6 +98,8 @@ class Povm:
         defect = float(np.max(np.abs(sum(mats) - np.eye(dim))))
         if defect > MATRIX_TOL:
             raise ValidationError(f"elements do not sum to identity: defect {defect!r}")
+        for e in mats:
+            e.flags.writeable = False
         object.__setattr__(self, "elements", mats)
 
     @property
@@ -114,7 +117,7 @@ class StochasticMap:
     kraus_ops: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
+        ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)  # copies: the caller's arrays stay the caller's
         if not ops:
             raise ValidationError("a stochastic map needs at least one Kraus operator")
         dim = ops[0].shape[1]
@@ -122,6 +125,8 @@ class StochasticMap:
         defect = float(np.max(np.abs(total - np.eye(dim))))
         if defect > MATRIX_TOL:
             raise ValidationError(f"Kraus operators are not trace preserving: defect {defect!r}")
+        for k in ops:
+            k.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
 
     @property
@@ -242,6 +247,7 @@ def povm_outcome(rho: DensityMatrix, povm: Povm, j: int):
     d_a, d_b = rho.dims
     if povm.dim != d_a:
         raise ValidationError(f"POVM dimension {povm.dim} does not match d_a = {d_a}")
+    j = require_integer("outcome index", j)
     if not 0 <= j < len(povm):
         raise ValidationError(f"outcome index {j} out of range for {len(povm)} elements")
     effect = povm.elements[j]

@@ -19,12 +19,10 @@ over each column, before any row is built. Each temperature's outputs
 are one :class:`QuenchReport`, a ``NamedTuple`` whose field names are
 the CSV columns of :func:`reports_to_csv`.
 
-Independent checks (exact-Gaussian Monte-Carlo sampling, tensor-product
-Gaussian quadrature, truncated Fock-basis traces, and
-:func:`quench_discord`, which evolves the thermal state with ``expm``)
-live alongside the closed forms so the two routes can be compared in
-the test suite. The mass cancels in every quantity, so the oracles that
-sample or trace positions work at unit mass.
+Each quantity has one path here. Its independent check (exact-Gaussian
+Monte-Carlo sampling, tensor-product Gaussian quadrature, truncated
+Fock-basis traces, and the discord of the thermal state evolved with
+``expm``) lives in the test suite, ``tests/quench_oracle.py``.
 
 The work-operator route is only meaningful for a sudden quench, so no
 time-dependent protocol API is exposed.
@@ -33,26 +31,13 @@ time-dependent protocol API is exposed.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError
-from .gaussian import (
-    _require_coupling,
-    _require_finite,
-    direct_sum,
-    discord_from_invariants,
-    gaussian_discord,
-    normal_mode_frequencies,
-    quench_hamiltonian_matrix,
-    symplectic_evolution,
-    thermal_covariance,
-)
-
-_MC_SAMPLES = 1_000_000
+from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError, require_integer, require_real
+from .gaussian import _require_coupling, _require_finite, discord_from_invariants, normal_mode_frequencies
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -85,11 +70,8 @@ class QuenchParams:
         return 1.0 / (self.kb * self.beta)
 
     def at_temperature(self, temperature: float) -> "QuenchParams":
-        try:
-            in_range = 0.0 < temperature < math.inf
-        except TypeError:
-            raise ValidationError(f"temperature must be a real number; got {temperature!r}") from None
-        if not in_range:
+        require_real("temperature", temperature)
+        if not 0.0 < temperature < math.inf:
             raise ValidationError(f"temperature must be positive and finite; got {temperature}")
         return replace(self, beta=1.0 / (self.kb * temperature))
 
@@ -156,47 +138,10 @@ def classical_partition(params: QuenchParams, lam: float) -> float:
     return prefactor / math.sqrt(1.0 + 2.0 * lam * lam / params.omega**2)
 
 
-def classical_partition_quadrature(params: QuenchParams, lam: float) -> float:
-    """Phase-space integral of exp(-beta H) / h^2, at unit mass, by
-    tensor-product Gauss-Hermite quadrature on 96 nodes per axis; the
-    independent check of :func:`classical_partition`.
-    """
-    _require_coupling(lam, params.omega)
-    x, w = np.polynomial.hermite.hermgauss(96)
-    beta, omega = params.beta, params.omega
-    # momenta: p = sqrt(2 / beta) x, two independent factors
-    momentum_part = (math.sqrt(2.0 / beta) * w.sum()) ** 2
-    # positions: q = sqrt(2 / (beta omega^2)) x, coupled through the quench term
-    coupling = (lam / omega) ** 2
-    diff = x[:, None] - x[None, :]
-    kernel = np.exp(-coupling * diff**2)
-    position_part = (2.0 / (beta * omega**2)) * float(w @ kernel @ w)
-    return momentum_part * position_part / (2.0 * math.pi * params.hbar) ** 2
-
-
 def classical_avg_work(params: QuenchParams) -> float:
     """Mean work of the sudden quench over the initial Gibbs ensemble,
     lambda0^2 / (beta omega^2). Independent of hbar."""
     return float(_closed_forms(params, params.beta)[0])
-
-
-def monte_carlo_classical_work(params: QuenchParams, *, seed: int = 0):
-    """Monte-Carlo estimate of the classical average work from 10^6
-    samples at unit mass.
-
-    Draws exact samples from the uncoupled Gibbs distribution, whose
-    position and momentum factors are independent Gaussians; the work
-    (lambda0^2 / 2)(q1 - q2)^2 involves only the positions, so the
-    exact position marginal is sampled. Returns ``(mean,
-    standard_error)``.
-    """
-    rng = np.random.default_rng(seed)
-    q_scale = 1.0 / math.sqrt(params.beta) / params.omega
-    q = rng.normal(0.0, q_scale, (2, _MC_SAMPLES))
-    work = 0.5 * params.lambda0**2 * (q[0] - q[1]) ** 2
-    mean = float(work.mean())
-    stderr = float(work.std(ddof=1) / math.sqrt(_MC_SAMPLES))
-    return mean, stderr
 
 
 def classical_free_energy_change(params: QuenchParams) -> float:
@@ -227,69 +172,11 @@ def quantum_partition(params: QuenchParams, lam: float) -> float:
     return 0.25 / (math.sinh(half * w1) * math.sinh(half * w2))
 
 
-def quantum_partition_fock(params: QuenchParams, lam: float) -> float:
-    """Partition function by direct summation of the two-mode Fock
-    spectrum of the decoupled normal modes, truncated adaptively until
-    the geometric tail bound drops below 1e-12 of the partial sum per
-    mode."""
-    w1, w2 = normal_mode_frequencies(params.omega, lam)
-    factors = []
-    for wk in (w1, w2):
-        step = params.beta * params.hbar * wk
-        cutoff = 8
-        while True:
-            levels = np.exp(-step * (np.arange(cutoff + 1) + 0.5))
-            partial = float(levels.sum())
-            tail = math.exp(-step * (cutoff + 1.5)) / -math.expm1(-step)
-            if tail < 1e-12 * partial:
-                factors.append(partial)
-                break
-            cutoff *= 2
-            if cutoff > 2**22:
-                raise ConsistencyError("Fock cutoff failed to converge")
-    return factors[0] * factors[1]
-
-
 def quantum_avg_work(params: QuenchParams) -> float:
     """Mean quantum work of the sudden quench,
     (hbar lambda0^2 / (2 omega)) coth(beta hbar omega / 2).
     Approaches the classical value as beta*hbar*omega -> 0."""
     return float(_closed_forms(params, params.beta)[2])
-
-
-def quantum_avg_work_fock(params: QuenchParams) -> float:
-    """Mean work as a truncated Fock-basis trace of the work operator
-    (lambda0^2 / 2)(q1 - q2)^2, at unit mass, against the uncoupled
-    thermal state.
-
-    The position operators are built numerically in the truncated basis
-    and the cutoff grows until the estimate stops moving by more than
-    1e-12 in relative terms.
-    """
-    beta_step = params.beta * params.hbar * params.omega
-    cutoff = 24
-    previous = None
-    while True:
-        n = np.arange(cutoff + 1)
-        ladder = np.zeros((cutoff + 1, cutoff + 1))
-        ladder[n[:-1], n[1:]] = np.sqrt(n[1:])  # annihilation operator
-        q_scale = math.sqrt(params.hbar / (2.0 * params.omega))
-        q_op = q_scale * (ladder + ladder.T)
-        q_sq = q_op @ q_op
-        weights = np.exp(-beta_step * (n + 0.5))
-        weights /= weights.sum()
-        mean_q = float(weights @ np.diag(q_op))
-        mean_q_sq = float(weights @ np.diag(q_sq))
-        # (q1 - q2)^2 = q1^2 + q2^2 - 2 q1 q2 across the product state
-        estimate = 0.5 * params.lambda0**2 * (
-            2.0 * mean_q_sq - 2.0 * mean_q * mean_q
-        )
-        if previous is not None and abs(estimate - previous) <= 1e-12 * max(1.0, abs(estimate)):
-            return estimate
-        previous = estimate
-        cutoff *= 2
-        if cutoff > 2**14:
-            raise ConsistencyError("Fock cutoff failed to converge")
 
 
 def quantum_free_energy_change(params: QuenchParams) -> float:
@@ -343,23 +230,6 @@ def _check_excess(temperature: np.ndarray, closed: np.ndarray, omega_excess: np.
 
 
 # -- correlations and the temperature sweep ------------------------------
-
-def quench_discord(params: QuenchParams, t: float = 1.0) -> float:
-    """Gaussian discord of the post-quench state.
-
-    Both modes start in the thermal state at (beta, omega), evolve under
-    the coupled Hamiltonian at amplitude lambda0 for time ``t``, and the
-    discord of the resulting two-mode Gaussian state is returned. Built
-    with ``expm`` and a validated covariance matrix, this is the
-    independent check of the discord column of :func:`sweep_temperature`.
-    """
-    _require_finite("evolution_time", t)
-    one_mode = thermal_covariance(params.beta, params.omega, params.hbar)
-    initial = direct_sum(one_mode, one_mode)
-    ham = quench_hamiltonian_matrix(params.omega, params.lambda0)
-    final = symplectic_evolution(initial, ham, t)
-    return gaussian_discord(final, measured_mode=1)
-
 
 def _quench_kappa(omega: float, lam0: float, t: float) -> float:
     """kappa = (sin(w2 t) lambda0^2 / (omega w2))^2: the evolved vacuum's
@@ -448,10 +318,7 @@ def sweep_temperature(
         raise ValidationError(f"t_min and t_max must be real numbers; got {t_min!r}, {t_max!r}") from None
     if not in_range:
         raise ValidationError(f"need 0 < t_min < t_max < inf; got {t_min}, {t_max}")
-    try:
-        points = operator.index(points)
-    except TypeError:
-        raise ValidationError(f"points must be an integer; got {points!r}") from None
+    points = require_integer("points", points)
     if points < 2:
         raise ValidationError(f"need at least 2 grid points; got {points}")
     # beta falls monotonically with temperature: valid at both ends, valid throughout

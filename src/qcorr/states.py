@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part
+from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_integer
 from .probability import _plogp
 
 
@@ -248,6 +248,7 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     """
     d_a, d_b = _validate_dims(dims)
     dim = d_a * d_b
+    rank = require_integer("rank", rank)
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must be in [1, {dim}]; got {rank}")
     rng = np.random.default_rng(seed)

@@ -19,16 +19,13 @@ from qcorr import (
     excess_dissipated_work,
     gaussian_discord,
     minimize_gaussian_measurement,
-    monte_carlo_classical_work,
     mutual_information,
     mutual_information_as_divergence,
     partial_trace,
     quantum_avg_work,
-    quantum_avg_work_fock,
     quantum_free_energy_change,
     quantum_mutual_information,
     quantum_partition,
-    quantum_partition_fock,
     quantum_relative_entropy,
     quench_hamiltonian_matrix,
     random_covariance,
@@ -44,6 +41,7 @@ from qcorr.measurement import Observable
 from qcorr.probability import conditional_entropy
 
 from .conftest import bell_density, random_channel, random_classical_state
+from .quench_oracle import monte_carlo_classical_work, quantum_avg_work_fock, quantum_partition_fock
 
 LN2 = 0.6931471805599453
 

@@ -18,7 +18,6 @@ from qcorr import (
     random_density_matrix,
     tensor_product,
 )
-from qcorr._sphere import point
 from qcorr.discord import (
     GRID,
     PHI_POINTS,
@@ -29,6 +28,7 @@ from qcorr.discord import (
     _maximize_classical_correlations,
     _negated_objective,
     _qubit_entropy,
+    point,
 )
 
 from . import discord_oracle
@@ -319,12 +319,14 @@ class TestDiscord:
         calls, runs = [], []
         refine = module.minimize
 
-        def recording_minimize(fun, starts, **options):
+        def recording_minimize(fun, starts, chart):
+            assert chart is module._tangent_chart
+
             def counted(n):
                 calls.append(n)
                 return fun(n)
 
-            result = refine(counted, starts, **options)
+            result = refine(counted, starts, chart)
             runs.append((len(starts), result.nfev))
             return result
 
@@ -641,7 +643,7 @@ class TestDegenerateInputs:
                 rho = DensityMatrix(mat, (2, 2))
                 a, b, t = _bloch(rho)
                 for bloch in ((a, b, t), (b, a, t.T)):
-                    value, _, _, converged = _maximize_classical_correlations(bloch)
+                    value, _, _, converged = _maximize_classical_correlations(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
                     assert converged
                     worst = max(worst, abs(value - discord_oracle._maximize_classical_correlations(bloch)[0]))
                 self._search(rho)

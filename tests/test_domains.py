@@ -18,7 +18,7 @@ naming that field.
 
 Gaussian frequencies and temperatures: ``thermal_variance`` (and so
 ``thermal_covariance``) takes beta > 0, hbar > 0 and 0 < omega < inf, and
-``normal_mode_frequencies``, ``quench_hamiltonian_matrix`` and
+``normal_mode_frequencies``, ``quench_hamiltonian_matrix`` and the oracle
 ``quench_propagator_closed_form`` take 0 < omega < inf with omega^2,
 2 lambda0^2 / omega^2 and omega^2 + 2 lambda0^2 nonzero and finite, the
 rule of ``QuenchParams``; ``thermal_variance`` also needs
@@ -28,8 +28,12 @@ finite real ``t`` whose propagator is finite with |det S - 1| at most
 ``PROPAGATOR_DET_TOL``. A covariance matrix has entries of at most
 ``MATRIX_ENTRY_MAX`` and a finite det sigma, and
 ``discord_from_invariants`` takes a, b and d finite and at least 1 within
-``INVARIANT_SLACK``, the rounding of the determinants they are held as. Each violation raises naming the argument, the
-invariant or the broken rule.
+``INVARIANT_SLACK``, the rounding of the determinants they are held as, a
+finite c, and symplectic eigenvalues in the domain of ``mode_entropy``
+(finite, and at least 1/2 within ``PHYSICALITY_SLACK``). A string, None or
+float where these helpers take a real number or an integer raises too.
+Each violation raises naming the argument, the invariant or the broken
+rule.
 """
 
 import math
@@ -43,21 +47,26 @@ from hypothesis.extra.numpy import arrays
 from qcorr import (
     CovarianceMatrix,
     DensityMatrix,
+    Povm,
     QuenchParams,
     ValidationError,
+    classical_partition,
     discord,
     direct_sum,
     discord_swapped,
     gaussian_discord,
     max_classical_correlations,
+    mode_entropy,
     normal_mode_frequencies,
+    povm_outcome,
+    quantum_partition,
     quench_hamiltonian_matrix,
-    quench_propagator_closed_form,
     symplectic_evolution,
     symplectic_propagator,
     thermal_covariance,
     thermal_variance,
     quantum_mutual_information,
+    random_density_matrix,
     report_at,
     sweep_temperature,
 )
@@ -65,6 +74,7 @@ from qcorr.discord import _bloch
 from qcorr.gaussian import discord_from_invariants
 
 from . import discord_oracle
+from .quench_oracle import quench_propagator_closed_form
 
 TOL = 1e-12
 # the same draws on every run: no example database replays earlier failures
@@ -217,6 +227,25 @@ class TestQuenchInputTypes:
             call()
 
 
+class TestIntegerArguments:
+    """A float where ``random_density_matrix`` and ``povm_outcome`` take an
+    integer raises ValidationError naming the argument, not a TypeError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: random_density_matrix((2, 2), 2.5, 1), "rank must be an integer; got 2.5"),
+            (lambda: povm_outcome(DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2)),
+                                  Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), 0.5),
+             "outcome index must be an integer; got 0.5"),
+        ],
+        ids=["random_density_matrix_rank", "povm_outcome_index"],
+    )
+    def test_rejected_naming_the_argument(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
+
+
 RATIO = r"omega\^2 must be nonzero and finite, and so must 2 lambda0\^2 / omega\^2"
 
 
@@ -246,6 +275,14 @@ class TestFrequenciesAndTemperatures:
             (lambda: quench_hamiltonian_matrix(1e-100, 1e100), RATIO),
             (lambda: normal_mode_frequencies(1.3e154, 0.5e154), RATIO),
             (lambda: report_at(QuenchParams(omega=1.3e154, lambda0=0.5e154)), RATIO),
+            (lambda: thermal_variance("1", 1.0), "beta must be a real number; got '1'"),
+            (lambda: thermal_variance(1.0, None), "omega must be a real number; got None"),
+            (lambda: thermal_variance(1.0, 1.0, "1"), "hbar must be a real number; got '1'"),
+            (lambda: thermal_covariance(None, 1.0), "beta must be a real number; got None"),
+            (lambda: normal_mode_frequencies(1.0, "1"), "coupling must be a real number; got '1'"),
+            (lambda: quench_hamiltonian_matrix("1", 1.0), "omega must be a real number; got '1'"),
+            (lambda: classical_partition(QuenchParams(), "1"), "coupling must be a real number; got '1'"),
+            (lambda: quantum_partition(QuenchParams(), "1"), "coupling must be a real number; got '1'"),
         ],
         ids=[
             "thermal_variance_beta_nan", "thermal_variance_beta_zero", "thermal_variance_omega_nan",
@@ -256,6 +293,9 @@ class TestFrequenciesAndTemperatures:
             "thermal_variance_subnormal",
             "normal_modes_ratio_overflow", "closed_form_ratio_overflow", "hamiltonian_omega_square_underflow",
             "hamiltonian_ratio_overflow", "normal_modes_sum_overflow", "report_at_sum_overflow",
+            "thermal_variance_beta_str", "thermal_variance_omega_none", "thermal_variance_hbar_str",
+            "thermal_covariance_beta_none", "normal_modes_coupling_str", "hamiltonian_omega_str",
+            "classical_partition_coupling_str", "quantum_partition_coupling_str",
         ],
     )
     def test_rejected_naming_the_argument(self, call, message):
@@ -320,7 +360,8 @@ class TestCovarianceOverflow:
 class TestInvariants:
     """``discord_from_invariants`` on floats and on arrays rejects an a, b or d
     that is not finite or lies below the vacuum's 1 by more than
-    INVARIANT_SLACK (1e-7), naming the first such invariant and its value."""
+    INVARIANT_SLACK (1e-7), a c that is not finite, and an infinite
+    symplectic eigenvalue, naming the first such invariant and its value."""
 
     @pytest.mark.parametrize(
         "invariants, name, value",
@@ -339,6 +380,29 @@ class TestInvariants:
         for args in (floats, arrays_):
             with pytest.raises(ValidationError, match=f"^invariant {name} must be finite .*; got {value}$"):
                 discord_from_invariants(*args)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_non_finite_c_rejected_naming_c(self, c):
+        floats = (2.0, 2.0, c, 2.0, 0.5, 0.5)
+        arrays_ = tuple(np.array([2.0, x]) for x in (2.0, 2.0)) + (np.array([0.0, c]), np.full(2, 2.0)) + (np.full(2, 0.5),) * 2
+        for args in (floats, arrays_):
+            with pytest.raises(ValidationError, match=f"^invariant c must be finite; got {c!r}$"):
+                discord_from_invariants(*args)
+
+    @pytest.mark.parametrize("which", [4, 5], ids=["nu_minus", "nu_plus"])
+    def test_infinite_symplectic_eigenvalue_rejected(self, which):
+        floats = [2.0, 2.0, 0.0, 2.0, 0.5, 0.5]
+        floats[which] = math.inf
+        arrays_ = [np.array([x, x]) for x in (2.0, 2.0, 0.0, 2.0, 0.5, 0.5)]
+        arrays_[which] = np.array([0.5, math.inf])
+        for args in (floats, arrays_):
+            with pytest.raises(ValidationError, match="^symplectic eigenvalue inf is not finite$"):
+                discord_from_invariants(*args)
+
+    @pytest.mark.parametrize("nu", [math.inf, np.array([1.0, math.inf])], ids=["float", "array"])
+    def test_mode_entropy_of_inf_rejected(self, nu):
+        with pytest.raises(ValidationError, match="^symplectic eigenvalue inf is not finite$"):
+            mode_entropy(nu)
 
     def test_vacuum_within_the_slack_accepted(self):
         low = 1.0 - 0.5e-7

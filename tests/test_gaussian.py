@@ -18,7 +18,6 @@ from qcorr import (
     mode_entropy,
     normal_mode_frequencies,
     quench_hamiltonian_matrix,
-    quench_propagator_closed_form,
     random_covariance,
     symplectic_eigenvalues,
     symplectic_evolution,
@@ -31,6 +30,7 @@ from qcorr.errors import BRANCH_BOUNDARY_WIDTH, PROPAGATOR_DET_TOL, PURE_MODE_CU
 from qcorr.gaussian import discord_from_invariants, local_invariants
 
 from . import gaussian_oracle
+from .quench_oracle import quench_propagator_closed_form
 
 # symmetric with eigenvalues -1.48 (twice) and 11.48 (twice), yet |Im eig(Omega sigma)| = (1, 1)
 INDEFINITE = np.array([[4.0, 0.0, 6.4, 0.0], [0.0, 4.0, 0.0, -6.4], [6.4, 0.0, 6.0, 0.0], [0.0, -6.4, 0.0, 6.0]])

@@ -1,6 +1,7 @@
 """qcorr needs numpy alone: with every import of scipy refused, the
-functions that exponentiate a generator and every README CLI verb run, and
-none of them even tries to import scipy."""
+functions that exponentiate a generator, the quench-discord oracle that
+evolves through them, and every README CLI verb run, and none of them even
+tries to import scipy."""
 
 import json
 import os
@@ -15,7 +16,6 @@ from qcorr import (
     QuenchParams,
     covariance_to_json,
     density_matrix_to_json,
-    quench_discord,
     quench_hamiltonian_matrix,
     random_covariance,
     symplectic_evolution,
@@ -23,10 +23,12 @@ from qcorr import (
 )
 
 from .conftest import bell_density
+from .quench_oracle import quench_discord
 
 # A meta-path finder first in line refuses scipy and records every attempt;
-# the script then calls the library's expm users, runs every README verb in
-# the same interpreter (their stdout goes to a buffer) and prints the results.
+# the script then calls the library's expm users and the quench-discord
+# oracle, runs every README verb in the same interpreter (their stdout goes
+# to a buffer) and prints the results.
 _SCRIPT = """
 import contextlib, io, json, sys
 
@@ -41,9 +43,9 @@ class RefuseScipy:
 
 sys.meta_path.insert(0, RefuseScipy())
 
-from qcorr import (QuenchParams, quench_discord, quench_hamiltonian_matrix, random_covariance,
-                   symplectic_evolution, symplectic_propagator)
+from qcorr import QuenchParams, quench_hamiltonian_matrix, random_covariance, symplectic_evolution, symplectic_propagator
 from qcorr.cli import main
+from tests.quench_oracle import quench_discord
 
 ham = quench_hamiltonian_matrix(1.0, 0.5)
 library = {
@@ -79,7 +81,8 @@ def test_no_cli_verb_imports_scipy(tmp_path):
     cov = tmp_path / "cov.json"
     cov.write_text(covariance_to_json(random_covariance(3)))
     src = str(Path(qcorr.__file__).resolve().parents[1])  # import the qcorr under test
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    root = str(Path(__file__).resolve().parents[1])  # and the oracle beside this test
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, root, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(bell), str(cov), str(tmp_path)],
         capture_output=True,

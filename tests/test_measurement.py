@@ -75,6 +75,32 @@ class TestPovmAndChannel:
             StochasticMap((np.diag([0.5, 0.5]),))
 
 
+class TestValidatedRecordsAreFrozen:
+    """A validated Observable, Povm or StochasticMap holds read-only copies:
+    a write raises, and a later write to the caller's array changes nothing."""
+
+    def test_map_ignores_later_writes_to_the_callers_array(self):
+        x = PAULI_X.astype(complex)  # complex, so that a conversion without a copy would share it
+        flip = StochasticMap((x,))
+        x[:] = np.eye(2)
+        rho = DensityMatrix(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
+        assert np.array_equal(apply_local_map(rho, flip, "A").elements, np.diag([0.0, 0.5, 0.5, 0.0]))
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            lambda: StochasticMap((PAULI_X,)).kraus_ops,
+            lambda: z_basis_povm().elements,
+            lambda: (Observable(PAULI_Z).outcome_values, *Observable(np.kron(PAULI_Z, np.eye(2))).projectors),
+        ],
+        ids=["kraus_ops", "povm_elements", "observable_outcomes_and_projectors"],
+    )
+    def test_writes_raise(self, arrays):
+        for array in arrays():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
 class TestEverettState:
     def test_zero_overlap_is_bell(self):
         psi = everett_state(1 / math.sqrt(2), 1 / math.sqrt(2), 0.0)

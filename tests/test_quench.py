@@ -15,21 +15,15 @@ from qcorr import (
     classical_free_energy_change,
     classical_irr_work,
     classical_partition,
-    classical_partition_quadrature,
     excess_dissipated_work,
     gaussian_discord,
     minimize_gaussian_measurement,
-    monte_carlo_classical_work,
     normal_mode_frequencies,
     quantum_avg_work,
-    quantum_avg_work_fock,
     quantum_free_energy_change,
     quantum_irr_work,
     quantum_partition,
-    quantum_partition_fock,
-    quench_discord,
     quench_hamiltonian_matrix,
-    quench_propagator_closed_form,
     random_covariance,
     report_at,
     reports_to_csv,
@@ -37,6 +31,15 @@ from qcorr import (
     symplectic_propagator,
 )
 from qcorr.gaussian import local_invariants
+
+from .quench_oracle import (
+    classical_partition_quadrature,
+    monte_carlo_classical_work,
+    quantum_avg_work_fock,
+    quantum_partition_fock,
+    quench_discord,
+    quench_propagator_closed_form,
+)
 
 # frozen from 30-digit evaluations of the closed forms
 DFC_UNIT = 0.5493061443340549       # (1/2) ln 3

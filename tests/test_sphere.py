@@ -1,16 +1,26 @@
-"""Riemannian Newton on the sphere (:mod:`qcorr._sphere`) on quadratic
+"""Riemannian Newton on the sphere (the points and chart of
+:mod:`qcorr.discord` in the loop of :mod:`qcorr._newton`) on quadratic
 forms n^T A n, whose minimum over unit vectors is the smallest
 eigenvalue of A, attained along its eigenvector. Their Riemannian
 gradient and Hessian in the tangent basis (e1, e2) at n are 2 e_i^T A n
 and 2 e_i^T A e_j - (n . 2An) delta_ij."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from qcorr import _newton, _sphere
-from qcorr._sphere import minimize, point
+from qcorr import _newton
+from qcorr.discord import _tangent_chart, point
+
+sphere = importlib.import_module("qcorr.discord")  # the package binds the name discord to the function
+
+
+def minimize(fun, starts):
+    """Newton runs from the directions ``starts``, as the discord search runs them; ``x`` is the unit vector found."""
+    x, value, nfev, success = _newton.minimize(fun, [point(start) for start in starts], _tangent_chart)
+    return _newton.Result(x[0], value, nfev, success)
 
 
 def quadratic(matrix):
@@ -64,13 +74,13 @@ def test_a_tangent_basis_only_for_evaluated_points(monkeypatch):
     evaluated at: the loop declines a step that predicts no decrease
     before the chart maps it to a point."""
     built = []
-    basis = _sphere._tangent_basis
+    basis = sphere._tangent_basis
 
     def counted(n):
         built.append(n)
         return basis(n)
 
-    monkeypatch.setattr(_sphere, "_tangent_basis", counted)
+    monkeypatch.setattr(sphere, "_tangent_basis", counted)
     rng = np.random.default_rng(7)
     for _ in range(20):
         built.clear()
