@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every subcommand is a thin wrapper over a library call: the CLI parses,
-dispatches, and serializes, adding no arithmetic of its own. Numeric
-output is printed with 17 significant digits so files round-trip 64-bit
-floats exactly. Output files are written only after the computation has
-fully succeeded.
+dispatches, and serializes, adding no arithmetic of its own. Each verb
+handler returns its data (a float, a dict, or CSV text), and
+:func:`parse_and_dispatch` renders it once: text as it is, anything else
+as one line of JSON whose floats carry 17 significant digits, so output
+round-trips 64-bit floats exactly. Output files are written only after
+the computation has fully succeeded.
 
 Exit codes: 0 on success, 2 on usage errors (unknown verbs or flags,
 malformed values), 1 on data errors (unreadable files, violated state
@@ -41,9 +43,7 @@ def _dumps(obj) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return '"inf"'
-        return _fmt(obj)
+        return '"inf"' if math.isinf(obj) else _fmt(obj)
     return json.dumps(obj)
 
 
@@ -89,73 +89,53 @@ def _parse_complex(text: str) -> complex:
 
 # -- verb handlers -------------------------------------------------------
 
-def _cmd_entropy(args) -> str:
+def _cmd_entropy(args) -> float:
     value = probability.shannon_entropy(_parse_distribution(args.dist))
-    if args.bits:
-        value /= math.log(2.0)
-    return _fmt(value) + "\n"
+    return value / math.log(2.0) if args.bits else value
 
 
-def _cmd_mutual_info(args) -> str:
+def _cmd_mutual_info(args) -> float:
     value = probability.mutual_information(_parse_joint(args.joint))
-    if args.bits:
-        value /= math.log(2.0)
-    return _fmt(value) + "\n"
+    return value / math.log(2.0) if args.bits else value
 
 
-def _cmd_qstate(args) -> str:
+def _cmd_qstate(args) -> dict:
     rho = states.density_matrix_from_json(Path(args.state).read_text(encoding="utf-8"))
-    report = {
-        "dims": [rho.dims[0], rho.dims[1]],
-        "entropy": states.von_neumann_entropy(rho),
-    }
+    report = {"dims": rho.dims, "entropy": states.von_neumann_entropy(rho)}
     if rho.is_bipartite:
-        lower, middle, upper = states.araki_lieb_check(rho)
         report.update(
-            {
-                "entropy_a": states.von_neumann_entropy(states.partial_trace(rho, "A")),
-                "entropy_b": states.von_neumann_entropy(states.partial_trace(rho, "B")),
-                "mutual_information": states.quantum_mutual_information(rho),
-                "araki_lieb": [lower, middle, upper],
-            }
+            entropy_a=states.von_neumann_entropy(states.partial_trace(rho, "A")),
+            entropy_b=states.von_neumann_entropy(states.partial_trace(rho, "B")),
+            mutual_information=states.quantum_mutual_information(rho),
+            araki_lieb=states.araki_lieb_check(rho),
         )
-    return _dumps(report) + "\n"
+    return report
 
 
-def _cmd_discord(args) -> str:
+def _cmd_discord(args) -> dict:
     rho = states.density_matrix_from_json(Path(args.state).read_text(encoding="utf-8"))
     result = discord_of_state(rho)
-    return (
-        _dumps(
-            {
-                "mutual_info": result.mutual_info,
-                "classical_corr": result.classical_corr,
-                "discord": result.discord,
-                "theta": result.optimal_basis.theta,
-                "phi": result.optimal_basis.phi,
-                "evaluations": result.trace.evaluations,
-                "converged": result.trace.converged,
-            }
-        )
-        + "\n"
-    )
+    return {
+        "mutual_info": result.mutual_info,
+        "classical_corr": result.classical_corr,
+        "discord": result.discord,
+        "theta": result.optimal_basis.theta,
+        "phi": result.optimal_basis.phi,
+        "evaluations": result.trace.evaluations,
+        "converged": result.trace.converged,
+    }
 
 
-def _cmd_gaussian(args) -> str:
+def _cmd_gaussian(args) -> dict:
     sigma = gaussian_mod.covariance_from_json(Path(args.cov).read_text(encoding="utf-8"))
     discord = gaussian_mod.gaussian_discord(sigma, args.measured_mode)  # rejects all but two modes
     nu_minus, nu_plus = gaussian_mod.symplectic_eigenvalues(sigma)
-    return (
-        _dumps(
-            {
-                "nu_minus": nu_minus,
-                "nu_plus": nu_plus,
-                "entropy": gaussian_mod.gaussian_entropy(sigma),
-                "discord": discord,
-            }
-        )
-        + "\n"
-    )
+    return {
+        "nu_minus": nu_minus,
+        "nu_plus": nu_plus,
+        "entropy": gaussian_mod.gaussian_entropy(sigma),
+        "discord": discord,
+    }
 
 
 def _cmd_everett(args) -> str:
@@ -186,9 +166,8 @@ def _cmd_quench_sweep(args) -> str:
     return quench.reports_to_csv(reports)
 
 
-def _cmd_quench_point(args) -> str:
-    report = quench.report_at(_quench_params(args), args.time)
-    return _dumps(report._asdict()) + "\n"
+def _cmd_quench_point(args) -> dict:
+    return quench.report_at(_quench_params(args), args.time)._asdict()
 
 
 # -- parser --------------------------------------------------------------
@@ -264,7 +243,8 @@ def parse_and_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = args.handler(args)
+        out = args.handler(args)
+        text = out if isinstance(out, str) else _dumps(out) + "\n"
         if getattr(args, "out", None) is None:
             sys.stdout.write(text)
         else:

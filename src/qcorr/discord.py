@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._newton import FTOL, minimize
-from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError
+from .errors import NEGATIVE_CLAMP, ZERO_PROBABILITY, ZERO_WEIGHT, ConsistencyError, ValidationError, require_real
 from .measurement import Povm
 from .probability import _eta, _plogp
 from .states import DensityMatrix, partial_trace, von_neumann_entropy
@@ -89,6 +89,9 @@ class MeasurementBasis:
     phi: float
 
     def __post_init__(self):
+        if not (isinstance(self.theta, float) and isinstance(self.phi, float)):  # floats skip the type check
+            require_real("theta", self.theta)
+            require_real("phi", self.phi)
         if not 0.0 <= self.theta <= math.pi:
             raise ValidationError(f"theta must lie in [0, pi]; got {self.theta!r}")
         if not 0.0 <= self.phi < 2.0 * math.pi:

@@ -1,5 +1,6 @@
 """Exception types and the validation policy shared across the package:
-every accept/reject tolerance, zero cutoff and argument-type check, defined once below."""
+every accept/reject tolerance, zero cutoff and argument-type check, and the
+one test that an operator sum is the identity, defined once below."""
 
 import math
 import operator
@@ -74,6 +75,22 @@ def require_integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer; got {value!r}") from None
+
+
+def require_seed(value) -> int:
+    """A random ensemble's seed: a non-negative integer through :func:`require_integer`."""
+    seed = require_integer("seed", value)
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative; got {seed}")
+    return seed
+
+
+def require_identity(total: np.ndarray, what: str):
+    """Raises naming ``what`` unless the square ``total`` equals the identity
+    within ``MATRIX_TOL`` entrywise; a NaN defect fails too."""
+    defect = float(np.max(np.abs(total - np.eye(len(total)))))
+    if not defect <= MATRIX_TOL:
+        raise ValidationError(f"{what}: defect {defect!r}")
 
 
 def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, even: bool = False):

@@ -42,8 +42,8 @@ where that limit is at finite distance: a run that meets the circle
 slides along it, so the runs reach that limit themselves.
 
 :func:`symplectic_propagator` and :func:`random_covariance` exponentiate
-with :func:`_expm`, a scaling-and-squaring Pade approximant in numpy, so
-this module needs numpy alone.
+with :func:`_expm`, a scaling-and-squaring [13/13] Pade approximant in
+numpy, so this module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 
 from ._newton import _newton_step, minimize
 from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
-from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_real
+from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_real, require_seed
 
 VACUUM_VARIANCE = 0.5
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -231,17 +231,8 @@ def normal_mode_frequencies(omega: float, lam: float):
     return omega, math.sqrt(omega * omega + 2.0 * lam * lam)
 
 
-# Pade degrees m with the bound theta_m of Higham (2005) and the coefficients
-# b_0 .. b_m of the [m/m] approximant p(A) / p(-A), p(x) = sum b_j x^j
-_PADE = (
-    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (7, 9.504178996162932e-1,
-     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-    (9, 2.097847961257068e0,
-     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-      2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-)
+# the coefficients b_0 .. b_13 of the [13/13] Pade approximant p(A) / p(-A), p(x) = sum b_j x^j,
+# and its bound theta_13 of Higham (2005)
 _THETA_13 = 5.371920351148152
 _B_13 = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
@@ -251,33 +242,29 @@ _B_13 = (
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring of a Pade approximant.
+    """exp(a) by scaling and squaring of the [13/13] Pade approximant r_13.
 
-    The degree m and the scaling 2^-s follow Al-Mohy and Higham (SIAM J.
-    Matrix Anal. Appl. 31, 970, 2009): the [m/m] approximant r_m has a
-    backward error below unit roundoff while max(d_p, d_p+1) <= theta_m,
-    with d_k = ||a^k||_1^(1/k). Exact norms of the even powers are cheap
-    for the small matrices here, and for a non-normal ``a`` they can sit
-    far below ||a||_1, sparing squarings that would each add rounding.
-    With U the odd and V the even part of p(a), r_m(a) = (V - U)^-1 (V + U),
+    The scaling 2^-s follows Al-Mohy and Higham (SIAM J. Matrix Anal.
+    Appl. 31, 970, 2009): r_13 has a backward error below unit roundoff
+    while min(max(d_6, d_8), max(d_8, d_10)) 2^-s <= theta_13, with
+    d_k = ||a^k||_1^(1/k). Exact norms of the even powers are cheap for
+    the small matrices here, and for a non-normal ``a`` they can sit far
+    below ||a||_1, sparing squarings that would each add rounding. The
+    paper's lower degrees 3 to 9 would only save flops on small norms.
+    With U the odd and V the even part of p(a), r_13(a) = (V - U)^-1 (V + U),
     formed as I + 2 (V - U)^-1 U so that a near-identity result keeps its
-    identity exact. A non-finite ``a`` gives NaN.
+    identity exact. A zero ``a`` takes s = 0; a non-finite ``a`` gives NaN.
     """
     ident = np.eye(a.shape[0])
-    even = [ident, a @ a]  # a^0, a^2, a^4, a^6, a^8
-    for _ in range(3):
-        even.append(even[1] @ even[-1])
-    d4, d6, d8 = (np.linalg.norm(even[j], 1) ** (0.5 / j) for j in (2, 3, 4))
-    for m, theta, b in _PADE:
-        if (max(d4, d6) if m < 7 else max(d6, d8)) <= theta:
-            u = a @ sum(b[j] * even[j // 2] for j in range(m, 0, -2))
-            v = sum(b[j] * even[j // 2] for j in range(m - 1, -1, -2))
-            return ident + 2.0 * np.linalg.solve(v - u, u)
-    d10 = np.linalg.norm(even[2] @ even[3], 1) ** 0.1
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    a8 = a2 @ a6
+    d6, d8, d10 = (np.linalg.norm(p, 1) ** (1.0 / k) for p, k in ((a6, 6), (a8, 8), (a4 @ a6, 10)))
     eta = min(max(d6, d8), max(d8, d10))
-    s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if math.isfinite(eta) else 0
+    s = max(math.ceil(math.log2(eta / _THETA_13)), 0) if 0.0 < eta < math.inf else 0
     a1 = a * 2.0 ** -s
-    a2, a4, a6 = (even[j] * 2.0 ** (-2 * j * s) for j in (1, 2, 3))
+    a2, a4, a6 = (p * 2.0 ** (-k * s) for p, k in ((a2, 2), (a4, 4), (a6, 6)))
     b = _B_13
     u = a1 @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
@@ -405,7 +392,7 @@ def gaussian_discord(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
     :func:`discord_from_invariants` of the state's local invariants and
     symplectic spectrum, on floats.
 
-    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError.
+    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, and so does a state whose invariants overflow the closed form (thermal pairs from nu of about 3e76, where the matrix itself is still accepted), saying so and naming them.
     """
     invariants = local_invariants(sigma, measured_mode)
     return float(discord_from_invariants(*invariants, *symplectic_eigenvalues(sigma)))
@@ -416,32 +403,13 @@ _FLOAT_OPS = (math.sqrt, abs, max, min, lambda cond, x, y: x if cond else y)
 _ARRAY_OPS = (np.sqrt, np.abs, np.maximum, np.minimum, np.where)
 
 
-def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
-    """Closed-form Gaussian discord (Adesso-Datta) from the local invariants
-    of :func:`local_invariants` and the symplectic eigenvalues.
-
-    The minimal conditional determinant has two regimes selected by a
-    discriminant, one reached in the infinite-squeezing (homodyne) limit
-    and one at finite squeezing. The result is clamped at zero.
-
-    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it.
-    """
-    args = (inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus)
-    scalar = all(isinstance(x, float) for x in args)
-    sqrt, absolute, maximum, minimum, select = _FLOAT_OPS if scalar else _ARRAY_OPS
-    a, b, c, d = args[:4] if scalar else (np.asarray(x, dtype=float) for x in args[:4])
-    floor, abs_c = 1.0 - INVARIANT_SLACK, absolute(c)
-    if scalar:  # NaN fails every comparison
-        physical = floor <= a < math.inf and floor <= b < math.inf and floor <= d < math.inf and abs_c < math.inf
-    else:  # one test of all four per call; a NaN carries through maximum
-        physical = minimum(minimum(a, b), d).min(initial=math.inf) >= floor and maximum(maximum(maximum(a, b), d), abs_c).max(initial=0.0) < math.inf
-    if not physical:
-        for name, x in zip("abcd", (a, b, c, d)):
-            bad = [v for v in np.ravel(x).tolist() if not (abs(v) < math.inf and (name == "c" or v >= floor))]
-            if bad:
-                need = "finite" if name == "c" else "finite and at least 1 - INVARIANT_SLACK, the vacuum's"
-                raise ValidationError(f"invariant {name} must be {need}; got {bad[0]!r}")
-    c2, ab = c * c, a * b  # each product and difference below is formed once
+def _min_conditional_det(a, b, abs_c, d, ops):
+    """The minimal conditional determinant E_min of the unmeasured mode, from the local invariants
+    with the ``ops`` of floats or of arrays. A discriminant selects one of two regimes, one reached
+    in the infinite-squeezing (homodyne) limit and one at finite squeezing. Invariants near the
+    float range overflow its terms: the selected branch may stay finite, or E_min is NaN or infinite."""
+    sqrt, absolute, maximum, minimum, select = ops
+    c2, ab = abs_c * abs_c, a * b  # each product and difference below is formed once
     pure = b - 1.0 < PURE_MODE_CUTOFF  # pure measured mode: necessarily a product state
     b1 = select(pure, 1.0, b - 1.0)
     lift = b1 * (d - a)
@@ -456,7 +424,43 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     # first loses precision to cancellation; take the smaller
     boundary = absolute(margin) <= BRANCH_BOUNDARY_WIDTH * maximum(1.0, spread)
     branch = select(boundary, minimum(finite_squeezing, homodyne), select(margin <= 0.0, finite_squeezing, homodyne))
-    e_min = select(pure, a, branch)
+    return select(pure, a, branch)
+
+
+def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
+    """Closed-form Gaussian discord (Adesso-Datta) from the local invariants
+    of :func:`local_invariants` and the symplectic eigenvalues, through
+    :func:`_min_conditional_det`. The result is clamped at zero.
+
+    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it, and invariants so large (products such as ab, c^2 or b (d - a) beyond the float range) that the minimal conditional determinant is NaN or infinite raise ValidationError saying they overflow the closed form and naming them.
+    """
+    args = (inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus)
+    scalar = all(isinstance(x, float) for x in args)
+    ops = _FLOAT_OPS if scalar else _ARRAY_OPS
+    sqrt, absolute, maximum, minimum, _ = ops
+    a, b, c, d = args[:4] if scalar else (np.asarray(x, dtype=float) for x in args[:4])
+    floor, abs_c = 1.0 - INVARIANT_SLACK, absolute(c)
+    if scalar:  # NaN fails every comparison
+        physical = floor <= a < math.inf and floor <= b < math.inf and floor <= d < math.inf and abs_c < math.inf
+    else:  # one test of all four per call; a NaN carries through maximum
+        physical = minimum(minimum(a, b), d).min(initial=math.inf) >= floor and maximum(maximum(maximum(a, b), d), abs_c).max(initial=0.0) < math.inf
+    if not physical:
+        for name, x in zip("abcd", (a, b, c, d)):
+            bad = [v for v in np.ravel(x).tolist() if not (abs(v) < math.inf and (name == "c" or v >= floor))]
+            if bad:
+                need = "finite" if name == "c" else "finite and at least 1 - INVARIANT_SLACK, the vacuum's"
+                raise ValidationError(f"invariant {name} must be {need}; got {bad[0]!r}")
+    if scalar:  # Python float arithmetic overflows without a warning
+        e_min = _min_conditional_det(a, b, abs_c, d, ops)
+        finite = abs(e_min) < math.inf
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow that matters is reported below
+            e_min = _min_conditional_det(a, b, abs_c, d, ops)
+        finite = np.isfinite(e_min).all()
+    if not finite:
+        first = np.argmin(np.isfinite(np.ravel(e_min)))  # the first NaN or infinite entry
+        named = ", ".join(f"{n} = {np.broadcast_to(x, np.shape(e_min)).flat[first].item()!r}" for n, x in zip("abcd", (a, b, c, d)))
+        raise ValidationError(f"invariants {named} overflow the closed form")
     value = (
         mode_entropy(sqrt(maximum(b, 1.0)) / 2.0)
         - mode_entropy(nu_minus)
@@ -600,7 +604,7 @@ def random_covariance(seed: int) -> CovarianceMatrix:
     symplectic built from a Gaussian symmetric generator. Deterministic
     for a fixed seed.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     gen = rng.normal(0.0, 0.35, (4, 4))
     gen = (gen + gen.T) / 2.0
     s = _expm(symplectic_form(2) @ gen)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BORN_SUM_TOL, DEGENERACY_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part, require_integer
+from .errors import BORN_SUM_TOL, DEGENERACY_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part
+from .errors import require_identity, require_integer, require_real
 from .probability import Distribution, JointDistribution, mutual_information
 from .states import DensityMatrix, PureState, eigh_phase_fixed
 
@@ -49,10 +50,7 @@ class Observable:
         mat = hermitian_part(self.matrix, "observable")
         vals, vecs = eigh_phase_fixed(mat)
         outcomes, projectors = _merge_degenerate(vals, vecs)
-        resolution = sum(projectors)
-        res_defect = float(np.max(np.abs(resolution - np.eye(mat.shape[0]))))
-        if res_defect > MATRIX_TOL:
-            raise ValidationError(f"eigenprojectors fail to resolve identity: {res_defect!r}")
+        require_identity(sum(projectors), "eigenprojectors fail to resolve identity")
         for array in (mat, outcomes, *projectors):
             array.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -95,9 +93,7 @@ class Povm:
             low = float(np.linalg.eigvalsh(e).min())
             if low < -MATRIX_TOL:
                 raise ValidationError(f"element {idx} is not PSD: eigenvalue {low!r}")
-        defect = float(np.max(np.abs(sum(mats) - np.eye(dim))))
-        if defect > MATRIX_TOL:
-            raise ValidationError(f"elements do not sum to identity: defect {defect!r}")
+        require_identity(sum(mats), "elements do not sum to identity")
         for e in mats:
             e.flags.writeable = False
         object.__setattr__(self, "elements", mats)
@@ -120,11 +116,13 @@ class StochasticMap:
         ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)  # copies: the caller's arrays stay the caller's
         if not ops:
             raise ValidationError("a stochastic map needs at least one Kraus operator")
-        dim = ops[0].shape[1]
-        total = sum(k.conj().T @ k for k in ops)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > MATRIX_TOL:
-            raise ValidationError(f"Kraus operators are not trace preserving: defect {defect!r}")
+        for idx, k in enumerate(ops):
+            if k.ndim != 2 or k.size == 0 or k.shape != ops[0].shape:
+                need = f"shape {ops[0].shape}" if idx else "a non-empty 2-D array"
+                raise ValidationError(f"Kraus operator {idx} has shape {k.shape}; expected {need}")
+            if not np.isfinite(k).all():
+                raise ValidationError(f"Kraus operator {idx} must be finite; got a NaN or infinite entry")
+        require_identity(sum(k.conj().T @ k for k in ops), "Kraus operators are not trace preserving")
         for k in ops:
             k.flags.writeable = False
         object.__setattr__(self, "kraus_ops", ops)
@@ -149,6 +147,7 @@ def everett_state(alpha: complex, beta: complex, eps: float) -> PureState:
     weight = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(weight - 1.0) > NORM_TOL:
         raise ValidationError(f"|alpha|^2 + |beta|^2 = {weight!r}; expected 1 within {NORM_TOL}")
+    require_real("pointer overlap", eps)
     if not 0.0 <= eps <= 1.0:
         raise ValidationError(f"pointer overlap must lie in [0, 1]; got {eps}")
     amplitudes = np.array(

@@ -289,7 +289,7 @@ def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport
     """Evaluate every report field at the parameters' temperature: one
     row of :func:`sweep_temperature`, by the same code.
 
-    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite or non-real one raises ValidationError.
+    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite or non-real one raises ValidationError, and so does a temperature at which the discord's invariants overflow its closed form (from T of about 1e38 at the default parameters), saying so.
     """
     return _reports(params, np.array([params.beta]), evolution_time)[0]
 
@@ -310,7 +310,7 @@ def sweep_temperature(
     temperature, so refining the grid leaves values at shared temperatures
     unchanged.
 
-    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, and a ``points`` that is not an integer, raise ValidationError.
+    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, a ``points`` that is not an integer, and a grid temperature at which the discord's invariants overflow its closed form (as in :func:`report_at`), raise ValidationError.
     """
     try:
         in_range = 0.0 < t_min < t_max < math.inf

@@ -7,8 +7,8 @@ dimension split ``dims = (d_a, d_b)`` with subsystem A as the slow
 
 A :class:`DensityMatrix` computes its spectrum at construction, which
 validation and every entropy read; its phase-fixed eigenbasis, which
-only :func:`quantum_relative_entropy` reads, is computed on the first
-:meth:`~DensityMatrix.eigenbasis` call and kept.
+only :func:`quantum_relative_entropy` reads, is computed anew on each
+:meth:`~DensityMatrix.eigenbasis` call.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_integer
+from .errors import require_seed
 from .probability import _plogp
 
 
@@ -111,7 +112,6 @@ class DensityMatrix:
         object.__setattr__(self, "elements", mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_spectrum", vals)
-        object.__setattr__(self, "_basis", None)
 
     @property
     def dim(self) -> int:
@@ -126,13 +126,9 @@ class DensityMatrix:
         return self._spectrum
 
     def eigenbasis(self) -> np.ndarray:
-        """Phase-fixed eigenvector columns matching :meth:`spectrum`, read-only;
-        computed on the first call and kept."""
-        if self._basis is None:
-            vecs = eigh_phase_fixed(self.elements)[1]
-            vecs.flags.writeable = False
-            object.__setattr__(self, "_basis", vecs)
-        return self._basis
+        """Phase-fixed eigenvector columns matching :meth:`spectrum`, computed
+        on each call: a fresh array, so writing into it changes no later result."""
+        return eigh_phase_fixed(self.elements)[1]
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:
@@ -251,7 +247,7 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     rank = require_integer("rank", rank)
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must be in [1, {dim}]; got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed))
     x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     gram = x @ x.conj().T
     return DensityMatrix(gram / np.trace(gram).real, (d_a, d_b))

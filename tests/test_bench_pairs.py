@@ -2,9 +2,11 @@
 ``BENCH_<PR>.json``, on synthetic pair records: the sign of ``worse_by`` for
 higher-better and lower-better metrics, the win count, ``resolved`` by a
 spread within the bound and by full separation, and the quartiles of a
-single pair."""
+single pair. Its ``main`` without ``--metric``, with ``run_bench`` stubbed:
+no claim, and every workload still paired and judged."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,33 @@ def test_one_pair_reads_its_value_as_every_quartile():
     assert entry["parent"] == {"q1": 120.0, "median": 120.0, "q3": 120.0}
     assert entry["change"] == {"q1": 100.0, "median": 100.0, "q3": 100.0}
     assert entry["spread"] == 0.0 and entry["resolved"] and entry["change_wins"] == "1/1"
+
+
+def test_without_a_metric_every_workload_gets_its_pairs_and_verdicts(monkeypatch, tmp_path, capsys):
+    end_to_end = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = []
+
+    def run_bench(checkout, workload, seconds, trace, seed):
+        runs.append((checkout, workload, trace, seed))
+        value = 100.0 if checkout == "parent" else 101.0
+        metrics = {spec["name"]: {"value": value} for spec in end_to_end}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}, {"python": "3"}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"abc123\n")
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: "parent")
+    monkeypatch.setattr(bench_pairs, "ROOT", _PATH.parent.parent)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD", "--pairs", "2", "--seconds", "1", "--workload", "quench_sweep",
+            "--other", "cli_cold", "--seed", "7", "--change-note", "no claim", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    result = json.loads(out.read_text())
+    assert result["claim"]["metric"] is None
+    names = {spec["name"] for spec in end_to_end}
+    for entry in (result["claim"], result["other_workloads"]["cli_cold"]):
+        assert len(entry["pairs"]) == 2 and set(entry["summary"]) == names
+    assert [(w, seed) for checkout, w, _, seed in runs if checkout == "parent"] == [
+        ("quench_sweep", 7), ("quench_sweep", 8), ("cli_cold", 9), ("cli_cold", 10)]
+    printed = capsys.readouterr().out
+    assert "quench_sweep items_per_s: worse by -0.010" in printed
+    assert "cli_cold call_ms_p50: worse by +0.010" in printed

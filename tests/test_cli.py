@@ -373,3 +373,62 @@ class TestQuenchVerbs:
         assert code == 1
         assert not out_path.exists()
 
+
+
+# -- output bytes ----------------------------------------------------------
+
+FIXED_FILES = {
+    "rho.json": '{"dims": [2, 2], "matrix": [[0.05565701592143772, 0.0], [0.07863302488181285, 0.03383062811164195], [0.08484795760461257, -0.07175669580000116], [0.06378545095709888, -0.004183425434479645], [0.07863302488181285, -0.03383062811164195], [0.23942178989472182, 0.0], [0.05765069510491669, -0.3012313254968068], [0.07434671556889237, -0.09452036138262547], [0.08484795760461257, 0.07175669580000116], [0.05765069510491669, 0.3012313254968068], [0.5720686521840355, 0.0], [0.10816393326658923, 0.0927674237751674], [0.06378545095709888, 0.004183425434479645], [0.07434671556889237, 0.09452036138262547], [0.10816393326658923, -0.0927674237751674], [0.13285254199980484, 0.0]]}',
+    "qubit.json": '{"dims": [2, 1], "matrix": [[0.7, 0.0], [0.2, 0.1], [0.2, -0.1], [0.3, 0.0]]}',
+    "cov.json": '[[0.8735585532377617, -1.3286297707438848, 0.13006914957775026, 0.013306898559156805], [-1.3286297707438848, 7.7407348146137664, -0.5612053906652568, -1.104932883528828], [0.13006914957775026, -0.5612053906652568, 0.8257057914794199, -0.19255553032386086], [0.013306898559156805, -1.104932883528828, -0.19255553032386086, 2.240755091544804]]',
+}
+
+# each verb's stdout, or its --out file, on the fixed files above: text pinned byte for byte
+OUTPUT_BYTES = [
+    (('entropy', '--dist', '0.2,0.3,0.5'),
+     '1.0296530140645737\n'),
+    (('entropy', '--dist', '0.2,0.3,0.5', '--bits'),
+     '1.4854752972273346\n'),
+    (('mutual-info', '--joint', '0.4,0.1;0.2,0.3'),
+     '0.086304621735533882\n'),
+    (('mutual-info', '--joint', '0.4,0.1;0.2,0.3', '--bits'),
+     '0.12451124978365258\n'),
+    (('qstate', '--state', 'rho.json'),
+     '{"dims": [2, 2], "entropy": 0.55420432978675516, "entropy_a": 0.48883074354140876, "entropy_b": 0.5518909406848268, "mutual_information": 0.48651735443948052, "araki_lieb": [0.06306019714341804, 0.55420432978675516, 1.0407216842262357]}\n'),
+    (('qstate', '--state', 'qubit.json'),
+     '{"dims": [2, 1], "entropy": 0.50040242353818787}\n'),
+    (('discord', '--state', 'rho.json'),
+     '{"mutual_info": 0.48651735443948074, "classical_corr": 0.25351238622096983, "discord": 0.23300496821851091, "theta": 0.96484019177191793, "phi": 0.93233074960957019, "evaluations": 57, "converged": true}\n'),
+    (('gaussian', '--cov', 'cov.json'),
+     '{"nu_minus": 1.2318018725312183, "nu_plus": 2.2405399916753881, "entropy": 2.9778320799230613, "discord": 0.0071737656791206472}\n'),
+    (('gaussian', '--cov', 'cov.json', '--measured-mode', '2'),
+     '{"nu_minus": 1.2318018725312183, "nu_plus": 2.2405399916753881, "entropy": 2.9778320799230613, "discord": 0.010406642627390772}\n'),
+    (('everett', '--alpha', '0.6', '--beta', '0.8j', '--points', '3'),
+     'epsilon,measurement_mutual_information,quantum_mutual_information\n0,0.65341819479370167,1.3068363895874033\n0.5,0.33245247453392412,1.0592342209301453\n1,0,0\n'),
+    (('everett', '--alpha', '0.6', '--beta', '0.8j', '--points', '3', '--out', 'out.csv'),
+     'epsilon,measurement_mutual_information,quantum_mutual_information\n0,0.65341819479370167,1.3068363895874033\n0.5,0.33245247453392412,1.0592342209301453\n1,0,0\n'),
+    (('quench', 'point', '--beta', '0.3', '--lambda0', '0.7', '--omega', '1.3', '--hbar', '2', '--kb', '0.5', '--time', '2.5'),
+     '{"temperature": 6.666666666666667, "w_c_avg": 0.96646942800788938, "df_c": 0.76224990579529328, "w_c_irr": 0.20421952221259609, "w_q_avg": 1.0149796575642425, "df_q": 0.81062092170964828, "w_q_irr": 0.20435873585459419, "omega_excess": 0.00013921364199809272, "gaussian_discord": 0.0097299406924007403}\n'),
+    (('quench', 'sweep', '--lambda0', '0.5', '--t-min', '0.5', '--t-max', '2', '--points', '3', '--time', '3'),
+     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.125,0.1013662770270411,0.023633722972958904,0.16412941068741643,0.13993207780520026,0.024197332882216177,0.00056360990925727328,0.0060514785066955734\n1.25,0.3125,0.25341569256760271,0.059084307432397287,0.32899155522902351,0.26986434002045478,0.059127215208568729,4.290777617144137e-05,0.0030959206980956111\n2,0.5,0.40546510810816438,0.094534891891835615,0.51037352063419961,0.41582792710339778,0.09454559353080183,1.0701638966215121e-05,0.0021453614864814785\n'),
+    (('quench', 'sweep', '--lambda0', '0.5', '--t-min', '0.5', '--t-max', '2', '--points', '3', '--time', '3', '--out', 'out.csv'),
+     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.125,0.1013662770270411,0.023633722972958904,0.16412941068741643,0.13993207780520026,0.024197332882216177,0.00056360990925727328,0.0060514785066955734\n1.25,0.3125,0.25341569256760271,0.059084307432397287,0.32899155522902351,0.26986434002045478,0.059127215208568729,4.290777617144137e-05,0.0030959206980956111\n2,0.5,0.40546510810816438,0.094534891891835615,0.51037352063419961,0.41582792710339778,0.09454559353080183,1.0701638966215121e-05,0.0021453614864814785\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    OUTPUT_BYTES,
+    ids=["entropy", "entropy_bits", "mutual_info", "mutual_info_bits", "qstate_bipartite", "qstate_qubit",
+         "discord", "gaussian", "gaussian_mode_2", "everett", "everett_out", "quench_point", "quench_sweep",
+         "quench_sweep_out"],
+)
+def test_output_bytes(capsys, tmp_path, argv, expected):
+    for name, text in FIXED_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv))
+    assert (code, err) == (0, "")
+    if "--out" in argv:
+        assert out == "" and (tmp_path / "out.csv").read_bytes() == expected.encode("ascii")
+    else:
+        assert out == expected

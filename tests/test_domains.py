@@ -30,10 +30,19 @@ finite real ``t`` whose propagator is finite with |det S - 1| at most
 ``discord_from_invariants`` takes a, b and d finite and at least 1 within
 ``INVARIANT_SLACK``, the rounding of the determinants they are held as, a
 finite c, and symplectic eigenvalues in the domain of ``mode_entropy``
-(finite, and at least 1/2 within ``PHYSICALITY_SLACK``). A string, None or
-float where these helpers take a real number or an integer raises too.
-Each violation raises naming the argument, the invariant or the broken
-rule.
+(finite, and at least 1/2 within ``PHYSICALITY_SLACK``); invariants whose
+closed-form terms overflow to a NaN or infinite minimal conditional
+determinant raise naming all four, through ``gaussian_discord``,
+``report_at`` and ``sweep_temperature`` too. A string, None or float where
+these helpers take a real number or an integer raises too.
+
+Operators, angles and seeds: ``StochasticMap`` takes non-empty, finite 2-D
+Kraus operators of one shape; ``MeasurementBasis`` and ``everett_state``
+take real angles and overlap; ``random_density_matrix`` and
+``random_covariance`` take a non-negative integer seed.
+
+Each violation raises naming the argument, the invariant, the operator
+index or the broken rule.
 """
 
 import math
@@ -47,13 +56,16 @@ from hypothesis.extra.numpy import arrays
 from qcorr import (
     CovarianceMatrix,
     DensityMatrix,
+    MeasurementBasis,
     Povm,
+    StochasticMap,
     QuenchParams,
     ValidationError,
     classical_partition,
     discord,
     direct_sum,
     discord_swapped,
+    everett_state,
     gaussian_discord,
     max_classical_correlations,
     mode_entropy,
@@ -66,6 +78,7 @@ from qcorr import (
     thermal_covariance,
     thermal_variance,
     quantum_mutual_information,
+    random_covariance,
     random_density_matrix,
     report_at,
     sweep_temperature,
@@ -228,8 +241,9 @@ class TestQuenchInputTypes:
 
 
 class TestIntegerArguments:
-    """A float where ``random_density_matrix`` and ``povm_outcome`` take an
-    integer raises ValidationError naming the argument, not a TypeError."""
+    """A float where ``random_density_matrix``, ``random_covariance`` and
+    ``povm_outcome`` take an integer, or a negative seed, raises
+    ValidationError naming the argument, not a TypeError or numpy's ValueError."""
 
     @pytest.mark.parametrize(
         "call, message",
@@ -238,10 +252,43 @@ class TestIntegerArguments:
             (lambda: povm_outcome(DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2)),
                                   Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), 0.5),
              "outcome index must be an integer; got 0.5"),
+            (lambda: random_density_matrix((2, 2), 2, 2.5), "seed must be an integer; got 2.5"),
+            (lambda: random_density_matrix((2, 2), 2, -1), "seed must be non-negative; got -1"),
+            (lambda: random_covariance(2.5), "seed must be an integer; got 2.5"),
+            (lambda: random_covariance(-1), "seed must be non-negative; got -1"),
         ],
-        ids=["random_density_matrix_rank", "povm_outcome_index"],
+        ids=["random_density_matrix_rank", "povm_outcome_index", "random_density_matrix_seed_float",
+             "random_density_matrix_seed_negative", "random_covariance_seed_float", "random_covariance_seed_negative"],
     )
     def test_rejected_naming_the_argument(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
+
+
+class TestOperatorsAndAngles:
+    """A Kraus operator that is not a non-empty 2-D array, does not share the
+    first one's shape or is not finite, and an angle or pointer overlap that
+    is not a real number, raise ValidationError naming the operator index or
+    the argument, not numpy's IndexError or ValueError or a TypeError."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: StochasticMap((np.array([1.0, 0.0]),)),
+             r"Kraus operator 0 has shape \(2,\); expected a non-empty 2-D array"),
+            (lambda: StochasticMap((np.eye(2), np.eye(3))), r"Kraus operator 1 has shape \(3, 3\); expected shape \(2, 2\)"),
+            (lambda: StochasticMap((np.zeros((0, 0)),)),
+             r"Kraus operator 0 has shape \(0, 0\); expected a non-empty 2-D array"),
+            (lambda: StochasticMap((np.eye(2), np.full((2, 2), math.nan))),
+             "Kraus operator 1 must be finite; got a NaN or infinite entry"),
+            (lambda: MeasurementBasis("1", 0.0), "theta must be a real number; got '1'"),
+            (lambda: MeasurementBasis(0.0, None), "phi must be a real number; got None"),
+            (lambda: everett_state(1.0, 0.0, "0.5"), "pointer overlap must be a real number; got '0.5'"),
+        ],
+        ids=["kraus_1d", "kraus_shapes_differ", "kraus_empty", "kraus_nan", "basis_theta_str", "basis_phi_none",
+             "everett_eps_str"],
+    )
+    def test_rejected_naming_the_operator_or_argument(self, call, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             call()
 
@@ -403,6 +450,31 @@ class TestInvariants:
     def test_mode_entropy_of_inf_rejected(self, nu):
         with pytest.raises(ValidationError, match="^symplectic eigenvalue inf is not finite$"):
             mode_entropy(nu)
+
+    OVERFLOW = r"^invariants a = 1e\+200, b = 1e\+200, c = 0.0, d = 1.0 overflow the closed form$"
+
+    def test_overflowing_invariants_named_on_both_routes(self):
+        """a b = inf makes the minimal conditional determinant NaN: one error names
+        the invariants, with no numpy warning, and not the NaN symplectic
+        eigenvalue derived from them."""
+        floats = (1e200, 1e200, 0.0, 1.0, 0.5, 0.5)
+        arrays_ = tuple(np.array([2.0, x]) for x in floats[:4]) + (np.full(2, 0.5),) * 2
+        arrays_[3][0] = 4.0
+        for args in (floats, arrays_):
+            with pytest.raises(ValidationError, match=self.OVERFLOW):
+                discord_from_invariants(*args)
+
+    def test_accepted_state_whose_invariants_overflow(self):
+        mode = thermal_covariance(3e-77, 1.0)  # nu = 3.3e76: entries and det sigma finite
+        with pytest.raises(ValidationError, match=r"^invariants a = 4.44.*e\+153, .* overflow the closed form$"):
+            gaussian_discord(direct_sum(mode, mode))
+
+    def test_sweep_beyond_the_closed_form_raises_naming_the_invariants(self):
+        """Below T = 1e38 (lambda0 = omega = 1, t = 1) the terms overflow but select a finite branch: 0.0, no warning."""
+        assert [r.gaussian_discord for r in sweep_temperature(QuenchParams(), 4e30, 1e38, 3)] == [0.0, 0.0, 0.0]
+        for call in (lambda: report_at(QuenchParams(beta=1e-39)), lambda: sweep_temperature(QuenchParams(), 1.0, 1e39, 2)):
+            with pytest.raises(ValidationError, match=r"^invariants a = 5.29.*e\+78, .* overflow the closed form$"):
+                call()
 
     def test_vacuum_within_the_slack_accepted(self):
         low = 1.0 - 0.5e-7

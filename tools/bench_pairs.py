@@ -13,7 +13,10 @@ drift of the host's speed falls on both sides alike. Each run's last stdout
 line (the JSON verdict of ``bench/run.py``) is recorded as it is. ``--other``
 adds further workloads, each run for the same ``--pairs`` pairs, and
 ``--traced S`` one traced (``--trace 1``) run of S seconds per side of the
-claimed workload, for its per-layer metrics.
+claimed workload, for its per-layer metrics. ``--metric`` names the
+end-to-end metric a change claims to improve; a change that claims no gain
+leaves it out, the file records ``claim.metric`` as null, and every workload
+still gets its pairs and verdicts.
 
 Every workload gets a summary per end-to-end metric of ``BENCHMARK.json``:
 the quartiles of each side, in how many pairs the change is better, how
@@ -121,7 +124,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--workload", default="discord_search", help="workload of the claim")
-    parser.add_argument("--metric", required=True, help="end-to-end metric the change claims to improve")
+    parser.add_argument("--metric", help="end-to-end metric the change claims to improve (none: no claim)")
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     parser.add_argument("--other", nargs="*", default=[], help="further workloads to pair, --pairs pairs each")
     parser.add_argument("--traced", type=int, default=0, metavar="S", help="seconds of one traced run per side")
@@ -131,7 +134,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    if args.metric not in {spec["name"] for spec in end_to_end}:
+    if args.metric is not None and args.metric not in {spec["name"] for spec in end_to_end}:
         parser.error(f"--metric must be an end-to-end metric of BENCHMARK.json; got {args.metric}")
     parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
@@ -160,10 +163,11 @@ def main(argv=None) -> int:
         result["traced"] = traced
     result["env"] = env
     args.out.write_text(json.dumps(result, indent=1) + "\n")
-    summary = claim["summary"][args.metric]
-    print(f"{args.metric}: parent median {summary['parent']['median']:.6g} "
-          f"(IQR {summary['parent']['q3'] - summary['parent']['q1']:.6g}), change median "
-          f"{summary['change']['median']:.6g}; change better in {summary['change_wins']} pairs")
+    if args.metric is not None:
+        summary = claim["summary"][args.metric]
+        print(f"{args.metric}: parent median {summary['parent']['median']:.6g} "
+              f"(IQR {summary['parent']['q3'] - summary['parent']['q1']:.6g}), change median "
+              f"{summary['change']['median']:.6g}; change better in {summary['change_wins']} pairs")
     summaries = {args.workload: claim["summary"], **{w: o["summary"] for w, o in other.items()}}
     for workload, metrics in summaries.items():
         for name, entry in metrics.items():
