@@ -19,7 +19,7 @@ import pathlib
 
 from qcorr import QuenchParams, reports_to_csv, sweep_temperature
 
-params = QuenchParams(omega=1.0, lambda0=1.0, hbar=1.0, kb=1.0)
+params = QuenchParams(omega=1.0, lambda0=1.0)
 
 print("Single temperature point, unit natural parameters (T = 1):")
 reports = sweep_temperature(params, 0.1, 5.0, 50)

@@ -149,25 +149,26 @@ def _cmd_everett(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _quench_params(args) -> quench.QuenchParams:
-    return quench.QuenchParams(
-        omega=args.omega,
-        lambda0=args.lambda0,
-        beta=getattr(args, "beta", 1.0),
-        hbar=args.hbar,
-        kb=args.kb,
-    )
-
-
-def _cmd_quench_sweep(args) -> str:
-    reports = quench.sweep_temperature(
-        _quench_params(args), args.t_min, args.t_max, args.points, args.time
-    )
-    return quench.reports_to_csv(reports)
-
-
-def _cmd_quench_point(args) -> dict:
-    return quench.report_at(_quench_params(args), args.time)._asdict()
+def _cmd_quench(args):
+    """Both quench verbs. The library works at hbar = k_B = 1, so the units are
+    converted here, once: omega -> hbar omega, lambda0 -> hbar lambda0,
+    t -> t / hbar, T -> k_B T, and the temperature column back by 1 / k_B."""
+    hbar, kb, sweep = args.hbar, args.kb, args.quench_verb == "sweep"
+    for name, value in (("hbar", hbar), ("kb", kb)):
+        if not 0.0 < value < math.inf:
+            raise ValidationError(f"{name} must be {'strictly positive' if math.isfinite(value) else 'finite'}; got {value}")
+    scaled = {"omega": args.omega * hbar, "lambda0": args.lambda0 * hbar, "time": args.time / hbar}
+    if sweep:
+        scaled.update(t_min=kb * args.t_min, t_max=kb * args.t_max)
+    for name, value in scaled.items():
+        if math.isfinite(getattr(args, name)) and not math.isfinite(value):
+            unit = "kb" if name.startswith("t_") else "hbar"
+            raise ValidationError(f"--{name.replace('_', '-')} {getattr(args, name)!r} with --{unit} {getattr(args, unit)!r} overflows at hbar = k_B = 1; got {value}")
+    params = quench.QuenchParams(omega=scaled["omega"], lambda0=scaled["lambda0"], beta=getattr(args, "beta", 1.0))
+    reports = (quench.sweep_temperature(params, scaled["t_min"], scaled["t_max"], args.points, scaled["time"])
+               if sweep else [quench.report_at(params, scaled["time"])])
+    reports = [report._replace(temperature=report.temperature / kb) for report in reports]
+    return quench.reports_to_csv(reports) if sweep else reports[0]._asdict()
 
 
 # -- parser --------------------------------------------------------------
@@ -226,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--t-max", type=float, default=5.0, help="highest temperature")
     sweep.add_argument("--points", type=int, default=50, help="grid size")
     sweep.add_argument("--out", help="CSV output path (stdout when omitted)")
-    sweep.set_defaults(handler=_cmd_quench_sweep)
+    sweep.set_defaults(handler=_cmd_quench)
 
     point = quench_verbs.add_parser("point", help="single-temperature report as JSON")
     _add_quench_physics_flags(point)
     point.add_argument("--beta", type=float, required=True, help="inverse temperature")
-    point.set_defaults(handler=_cmd_quench_point)
+    point.set_defaults(handler=_cmd_quench)
 
     return parser
 

@@ -5,9 +5,9 @@ Conventions
 Quadratures are dimensionless, ``x = sqrt(m w / hbar) q`` and
 ``p~ = p / sqrt(m w hbar)``, ordered ``(x1, p1, x2, p2)``. The vacuum
 has quadrature variance 1/2, so physical covariance matrices have every
-symplectic eigenvalue at least 1/2. All entropies are in nats. A
-quadratic Hamiltonian is held as its frequency matrix G = H / hbar, so
-the propagator exp(Omega G t) takes no hbar. A two-mode matrix holds its
+symplectic eigenvalue at least 1/2. All entropies are in nats, and
+hbar = k_B = 1. A quadratic Hamiltonian is held as its frequency matrix
+G, with propagator exp(Omega G t). A two-mode matrix holds its
 block determinants det A, det B, det C and det sigma, taken once when it
 is built; both Gaussian discord routes read them from there.
 
@@ -132,9 +132,8 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Frequency matrix G = H / hbar of a quadratic Hamiltonian
-    H = (hbar / 2) r^T G r in dimensionless quadratures r; the
-    propagator is S = exp(Omega G t), so hbar never enters it."""
+    """Frequency matrix G of a quadratic Hamiltonian H = r^T G r / 2 in
+    dimensionless quadratures r; the propagator is S = exp(Omega G t)."""
 
     matrix: np.ndarray
 
@@ -160,27 +159,29 @@ def _require_frequency(omega: float):
         raise ValidationError(f"omega must be positive and finite; got {omega}")
 
 
-def thermal_variance(beta: float, omega: float, hbar: float = 1.0) -> float:
-    """Quadrature variance (1/2) coth(beta hbar omega / 2) of a thermal mode.
+def thermal_variance(beta: float, omega: float) -> float:
+    """Quadrature variance (1/2) coth(beta omega / 2) of a thermal mode.
 
-    Domain: 0 < omega < inf, beta > 0, hbar > 0 and beta hbar omega / 2 large enough for a finite variance; NaN or anything else raises ValidationError naming it.
+    Domain: 0 < omega < inf, beta > 0 and beta omega / 2 large enough for a finite variance; NaN or anything else raises ValidationError naming it.
     """
     _require_frequency(omega)
-    for name, value in (("beta", beta), ("hbar", hbar)):
-        require_real(name, value)
-        if not value > 0:
-            raise ValidationError(f"{name} must be positive; got {value}")
-    half = beta * hbar * omega / 2.0
+    require_real("beta", beta)
+    if not beta > 0:
+        raise ValidationError(f"beta must be positive; got {beta}")
+    half = beta * omega / 2.0
     variance = 0.5 / math.tanh(half) if half > 0.0 else math.inf  # a subnormal half overflows silently
     if variance == math.inf:
-        raise ValidationError(f"beta hbar omega / 2 underflows: 1/2 coth({half}) is not finite; got beta = {beta}, omega = {omega}, hbar = {hbar}")
+        raise ValidationError(f"beta omega / 2 underflows: 1/2 coth({half}) is not finite; got beta = {beta}, omega = {omega}")
     return variance
 
 
-def thermal_covariance(beta: float, omega: float, hbar: float = 1.0) -> CovarianceMatrix:
+def thermal_covariance(beta: float, omega: float) -> CovarianceMatrix:
     """Single-mode thermal covariance matrix nu * I with
-    nu = (1/2) coth(beta hbar omega / 2)."""
-    return CovarianceMatrix(thermal_variance(beta, omega, hbar) * np.eye(2))
+    nu = (1/2) coth(beta omega / 2).
+
+    Domain: that of :func:`thermal_variance`, whose errors it raises; a nu above MATRIX_ENTRY_MAX raises ValidationError naming the overflow.
+    """
+    return CovarianceMatrix(thermal_variance(beta, omega) * np.eye(2))
 
 
 def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
@@ -207,12 +208,12 @@ def _require_coupling(lam: float, omega: float):
 
 def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
     """Two coupled oscillators in dimensionless quadratures at reference
-    frequency ``omega``, as the frequency matrix G = H / hbar.
+    frequency ``omega``, as the frequency matrix G.
 
     The coupling adds ``(lam^2 / omega^2)`` to each diagonal x entry and
-    ``-(lam^2 / omega^2)`` across the modes; the mass and hbar cancel in
-    the dimensionless quadratures, so neither is a parameter. Momentum
-    entries are uncoupled.
+    ``-(lam^2 / omega^2)`` across the modes; the mass cancels in the
+    dimensionless quadratures, so it is not a parameter. Momentum entries
+    are uncoupled.
     """
     _require_coupling(lam, omega)
     ratio = (lam / omega) ** 2
@@ -381,10 +382,13 @@ def local_invariants(sigma: CovarianceMatrix, measured_mode: int = 1):
     (vacuum = identity) convention: determinants of the unmeasured block,
     the measured block, the cross block and the whole matrix, scaled from the held ones.
 
-    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError.
+    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, and so does a det sigma whose d = 16 det sigma overflows (from det sigma of about 1.1e307), naming det sigma.
     """
     det_m, det_b, det_c, det_sigma = _held_dets(sigma, measured_mode)
-    return 4.0 * det_b, 4.0 * det_m, 4.0 * det_c, 16.0 * det_sigma
+    d = 16.0 * det_sigma
+    if d == math.inf:
+        raise ValidationError(f"det sigma = {det_sigma!r} overflows the invariant d = 16 det sigma")
+    return 4.0 * det_b, 4.0 * det_m, 4.0 * det_c, d
 
 
 def gaussian_discord(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
@@ -435,7 +439,7 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it, and invariants so large (products such as ab, c^2 or b (d - a) beyond the float range) that the minimal conditional determinant is NaN or infinite raise ValidationError saying they overflow the closed form and naming them.
     """
     args = (inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus)
-    scalar = all(isinstance(x, float) for x in args)
+    scalar = all(type(x) is float for x in args)  # numpy scalars take the array route, under np.errstate
     ops = _FLOAT_OPS if scalar else _ARRAY_OPS
     sqrt, absolute, maximum, minimum, _ = ops
     a, b, c, d = args[:4] if scalar else (np.asarray(x, dtype=float) for x in args[:4])

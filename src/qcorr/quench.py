@@ -9,6 +9,11 @@ quantum dissipated work (quantum minus classical irreversible work),
 the Gaussian discord generated by the quench, and a temperature sweep
 collecting everything.
 
+Units are hbar = k_B = 1: ``qcorr.cli`` converts once, at the boundary.
+The closed forms are finite for 1e-100 <= beta omega <= 1e100 and
+lambda0 <= 1e50 omega. Further out nothing is guarded: they may raise
+ZeroDivisionError or a numpy RuntimeWarning, or return inf or NaN.
+
 Each closed form is one numpy expression over beta. The temperature
 sweep evaluates them over the whole array of inverse temperatures in
 one pass, and its discord column comes from the closed-form local
@@ -45,15 +50,14 @@ class QuenchParams:
     """Physical parameters of the quench protocol, keyword-only.
 
     There is no mass: in the dimensionless quadratures it cancels in
-    every quantity. Planck's constant ``h = 2 pi hbar`` makes the
-    classical partition function dimensionless.
+    every quantity.
+
+    Domain: finite real fields, omega > 0, lambda0 >= 0 and beta > 0, with omega^2, 2 lambda0^2 / omega^2 and omega^2 + 2 lambda0^2 nonzero and finite; anything else raises ValidationError naming the field.
     """
 
     omega: float = 1.0
     lambda0: float = 1.0
     beta: float = 1.0
-    hbar: float = 1.0
-    kb: float = 1.0
 
     def __post_init__(self):
         for field in fields(self):
@@ -67,18 +71,25 @@ class QuenchParams:
 
     @property
     def temperature(self) -> float:
-        return 1.0 / (self.kb * self.beta)
+        return 1.0 / self.beta
 
     def at_temperature(self, temperature: float) -> "QuenchParams":
+        """These parameters at beta = 1 / temperature, a temperature in units of energy (k_B T).
+
+        Domain: a real 0 < temperature < inf whose 1 / temperature is finite; anything else raises ValidationError.
+        """
         require_real("temperature", temperature)
         if not 0.0 < temperature < math.inf:
             raise ValidationError(f"temperature must be positive and finite; got {temperature}")
-        return replace(self, beta=1.0 / (self.kb * temperature))
+        return replace(self, beta=1.0 / temperature)
 
 
 class QuenchReport(NamedTuple):
     """All thermodynamic outputs of the protocol at one temperature; the
-    field names are the CSV columns."""
+    field names are the CSV columns.
+
+    Domain: not checked; the library builds each report from validated inputs.
+    """
 
     temperature: float
     w_c_avg: float
@@ -107,13 +118,13 @@ def _closed_forms(params: QuenchParams, beta):
     single-line closed form of :func:`excess_dissipated_work`. Each is
     written only here; the public functions evaluate it at ``params.beta``.
     """
-    hbar, omega, lam0 = params.hbar, params.omega, params.lambda0
+    omega, lam0 = params.omega, params.lambda0
     w1, w2 = normal_mode_frequencies(omega, lam0)
-    half = beta * hbar / 2.0
+    half = beta / 2.0
     tanh = np.tanh(half * omega)
     w_c = lam0**2 / (beta * omega**2)
     df_c = math.log1p(2.0 * lam0**2 / omega**2) / (2.0 * beta)
-    w_q = hbar * lam0**2 / (2.0 * omega) / tanh
+    w_q = lam0**2 / (2.0 * omega) / tanh
     if lam0 == 0.0:
         df_q = spectral = 0.0 * beta
     else:
@@ -121,7 +132,7 @@ def _closed_forms(params: QuenchParams, beta):
         log_sinh_w1, log_sinh_w2 = _log_sinh(half * w1), _log_sinh(half * w2)
         df_q = (log_sinh_w1 + log_sinh_w2 - 2.0 * log_sinh_w1) / beta
         spectral = (2.0 * log_sinh_w1 - log_sinh_w1 - log_sinh_w2) / beta
-    kinetic = hbar * lam0**2 / (2.0 * omega) * (1.0 / tanh - 2.0 / (beta * hbar * omega))
+    kinetic = lam0**2 / (2.0 * omega) * (1.0 / tanh - 2.0 / (beta * omega))
     return w_c, df_c, w_q, df_q, kinetic + spectral + df_c
 
 
@@ -130,29 +141,38 @@ def _closed_forms(params: QuenchParams, beta):
 def classical_partition(params: QuenchParams, lam: float) -> float:
     """Classical partition function of the coupled pair,
 
-        Z_C(lam) = (2 pi / (h beta omega))^2 / sqrt(1 + 2 lam^2 / omega^2).
+        Z_C(lam) = (2 pi / (h beta omega))^2 / sqrt(1 + 2 lam^2 / omega^2), h = 2 pi.
+
+    Domain: a :class:`QuenchParams` and a coupling ``lam`` under the rule of its lambda0, else ValidationError naming the coupling or omega^2; beta omega below about 1e-154 is not guarded and raises OverflowError or ZeroDivisionError.
     """
     _require_coupling(lam, params.omega)
-    h = 2.0 * math.pi * params.hbar
-    prefactor = (2.0 * math.pi / (h * params.beta * params.omega)) ** 2
-    return prefactor / math.sqrt(1.0 + 2.0 * lam * lam / params.omega**2)
+    return (1.0 / (params.beta * params.omega)) ** 2 / math.sqrt(1.0 + 2.0 * lam * lam / params.omega**2)
 
 
 def classical_avg_work(params: QuenchParams) -> float:
     """Mean work of the sudden quench over the initial Gibbs ensemble,
-    lambda0^2 / (beta omega^2). Independent of hbar."""
+    lambda0^2 / (beta omega^2).
+
+    Domain: any :class:`QuenchParams` in the closed-form range of the module docstring; outside it, unguarded.
+    """
     return float(_closed_forms(params, params.beta)[0])
 
 
 def classical_free_energy_change(params: QuenchParams) -> float:
     """Free-energy change (1/(2 beta)) ln[1 + 2 lambda0^2 / omega^2];
-    equals -(1/beta) ln[Z_C(lambda0)/Z_C(0)]."""
+    equals -(1/beta) ln[Z_C(lambda0)/Z_C(0)].
+
+    Domain: any :class:`QuenchParams` in the closed-form range of the module docstring; outside it, unguarded.
+    """
     return float(_closed_forms(params, params.beta)[1])
 
 
 def classical_irr_work(params: QuenchParams) -> float:
     """Irreversible (dissipated) classical work, mean work minus the
-    free-energy change. Non-negative."""
+    free-energy change. Non-negative.
+
+    Domain: any :class:`QuenchParams` in the closed-form range of the module docstring; outside it, unguarded.
+    """
     w_c, df_c, _, _, _ = _closed_forms(params, params.beta)
     return float(w_c - df_c)
 
@@ -162,32 +182,43 @@ def classical_irr_work(params: QuenchParams) -> float:
 def quantum_partition(params: QuenchParams, lam: float) -> float:
     """Quantum partition function of the coupled pair,
 
-        Z_Q(lam) = (1/4) csch(beta hbar w1 / 2) csch(beta hbar w2 / 2)
+        Z_Q(lam) = (1/4) csch(beta w1 / 2) csch(beta w2 / 2)
 
     with the normal-mode frequencies w1 = omega and
     w2 = sqrt(omega^2 + 2 lam^2).
+
+    Domain: as :func:`classical_partition` for ``lam``; beta w / 2 outside about 1e-154 to 710 is not guarded and raises OverflowError or ZeroDivisionError.
     """
     w1, w2 = normal_mode_frequencies(params.omega, lam)
-    half = params.beta * params.hbar / 2.0
+    half = params.beta / 2.0
     return 0.25 / (math.sinh(half * w1) * math.sinh(half * w2))
 
 
 def quantum_avg_work(params: QuenchParams) -> float:
     """Mean quantum work of the sudden quench,
-    (hbar lambda0^2 / (2 omega)) coth(beta hbar omega / 2).
-    Approaches the classical value as beta*hbar*omega -> 0."""
+    (lambda0^2 / (2 omega)) coth(beta omega / 2).
+    Approaches the classical value as beta*omega -> 0.
+
+    Domain: any :class:`QuenchParams` in the closed-form range of the module docstring; outside it, unguarded.
+    """
     return float(_closed_forms(params, params.beta)[2])
 
 
 def quantum_free_energy_change(params: QuenchParams) -> float:
     """Free-energy change -(1/beta) ln[Z_Q(lambda0)/Z_Q(0)], reducing to
-    (1/beta) ln[sinh(beta hbar w2 / 2) / sinh(beta hbar omega / 2)]."""
+    (1/beta) ln[sinh(beta w2 / 2) / sinh(beta omega / 2)].
+
+    Domain: any :class:`QuenchParams` in the closed-form range of the module docstring; outside it, unguarded.
+    """
     return float(_closed_forms(params, params.beta)[3])
 
 
 def quantum_irr_work(params: QuenchParams) -> float:
     """Irreversible quantum work, mean work minus the free-energy
-    change. Non-negative; zero for a vanishing quench amplitude."""
+    change. Non-negative; zero for a vanishing quench amplitude.
+
+    Domain: any :class:`QuenchParams` in the closed-form range of the module docstring; outside it, unguarded.
+    """
     _, _, w_q, df_q, _ = _closed_forms(params, params.beta)
     return float(w_q - df_q)
 
@@ -199,21 +230,23 @@ def excess_dissipated_work(params: QuenchParams) -> float:
     Evaluated both as that difference and through the single-line
     closed form
 
-        (hbar lam0^2 / (2 w)) (coth(b hbar w / 2) - 2 / (b hbar w))
-        + (1/b) ln[csch(b hbar w1 / 2) csch(b hbar w2 / 2) / csch^2(b hbar w / 2)]
+        (lam0^2 / (2 w)) (coth(b w / 2) - 2 / (b w))
+        + (1/b) ln[csch(b w1 / 2) csch(b w2 / 2) / csch^2(b w / 2)]
         + (1/(2 b)) ln[1 + 2 lam0^2 / w^2];
 
     checked as every report is (:func:`_check_excess`). Non-negative,
     vanishing in the high-temperature limit.
+
+    Domain: as the closed forms it combines; an excess below OMEGA_FLOOR raises ValidationError and routes that disagree by more than IDENTITY_TOL raise ConsistencyError, as in every report.
     """
     w_c, df_c, w_q, df_q, closed = _closed_forms(params, params.beta)
     difference = (w_q - df_q) - (w_c - df_c)
-    _check_excess(np.array([params.temperature]), np.array([closed]), np.array([difference]))
+    _check_excess(np.array([params.beta]), np.array([closed]), np.array([difference]))
     return float(difference)
 
 
-def _check_excess(temperature: np.ndarray, closed: np.ndarray, omega_excess: np.ndarray):
-    """Raise at the first temperature whose excess work is below
+def _check_excess(beta: np.ndarray, closed: np.ndarray, omega_excess: np.ndarray):
+    """Raise at the first inverse temperature whose excess work is below
     ``OMEGA_FLOOR`` or whose two routes (closed form and difference)
     disagree by more than ``IDENTITY_TOL``, whichever comes first."""
     disagree = np.abs(closed - omega_excess) > IDENTITY_TOL
@@ -224,7 +257,7 @@ def _check_excess(temperature: np.ndarray, closed: np.ndarray, omega_excess: np.
         raise ValidationError(f"omega_excess = {first!r} is negative")
     if stop < omega_excess.size:
         raise ConsistencyError(
-            f"excess-work routes disagree at temperature {float(temperature[stop])!r}: "
+            f"excess-work routes disagree at beta = {float(beta[stop])!r}: "
             f"{float(closed[stop])!r} vs {float(omega_excess[stop])!r}"
         )
 
@@ -243,7 +276,7 @@ def _thermal_quench_discord(params: QuenchParams, beta: np.ndarray, t: float) ->
     temperature in ``beta``, from the closed-form local invariants of the
     evolved state.
 
-    Both modes start at nu(beta) I, with nu = (1/2) coth(beta hbar omega / 2),
+    Both modes start at nu(beta) I, with nu = (1/2) coth(beta omega / 2),
     and the propagator S does not depend on beta, so the evolved state is
     nu S S^T: its doubled-convention invariants are those of the evolved
     vacuum S S^T scaled by s = (2 nu)^2 for the 2x2 blocks and s^2 for the
@@ -260,7 +293,7 @@ def _thermal_quench_discord(params: QuenchParams, beta: np.ndarray, t: float) ->
     small lambda0.
     """
     kappa = _quench_kappa(params.omega, params.lambda0, t)
-    nu = 0.5 / np.tanh(beta * params.hbar * params.omega / 2.0)
+    nu = 0.5 / np.tanh(beta * params.omega / 2.0)
     scale = (2.0 * nu) ** 2
     local = (1.0 + kappa) * scale
     return discord_from_invariants(local, local, -kappa * scale, scale * scale, nu, nu)
@@ -278,10 +311,9 @@ def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> l
     w_c_irr = w_c - df_c
     w_q_irr = w_q - df_q
     omega_excess = w_q_irr - w_c_irr
-    temperature = 1.0 / (params.kb * beta)
     discord = _thermal_quench_discord(params, beta, evolution_time)
-    _check_excess(temperature, closed, omega_excess)
-    columns = (temperature, w_c, df_c, w_c_irr, w_q, df_q, w_q_irr, omega_excess, discord)
+    _check_excess(beta, closed, omega_excess)
+    columns = (1.0 / beta, w_c, df_c, w_c_irr, w_q, df_q, w_q_irr, omega_excess, discord)
     return list(map(QuenchReport._make, zip(*(c.tolist() for c in columns))))
 
 
@@ -289,7 +321,7 @@ def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport
     """Evaluate every report field at the parameters' temperature: one
     row of :func:`sweep_temperature`, by the same code.
 
-    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite or non-real one raises ValidationError, and so does a temperature at which the discord's invariants overflow its closed form (from T of about 1e38 at the default parameters), saying so.
+    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite or non-real one raises ValidationError, and so does a temperature at which the discord's invariants overflow its closed form (from T of about 1e38 at the default parameters), saying so. Outside the closed-form range of the module docstring, unguarded.
     """
     return _reports(params, np.array([params.beta]), evolution_time)[0]
 
@@ -310,7 +342,7 @@ def sweep_temperature(
     temperature, so refining the grid leaves values at shared temperatures
     unchanged.
 
-    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, a ``points`` that is not an integer, and a grid temperature at which the discord's invariants overflow its closed form (as in :func:`report_at`), raise ValidationError.
+    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, a ``points`` that is not an integer, and a grid temperature at which the discord's invariants overflow its closed form (as in :func:`report_at`), raise ValidationError. Temperatures are energies, k_B T; outside the closed-form range of the module docstring, unguarded.
     """
     try:
         in_range = 0.0 < t_min < t_max < math.inf
@@ -325,7 +357,7 @@ def sweep_temperature(
     params.at_temperature(t_max)
     params.at_temperature(t_min)
     temperatures = np.linspace(t_min, t_max, points)
-    return _reports(params, 1.0 / (params.kb * temperatures), evolution_time)
+    return _reports(params, 1.0 / temperatures, evolution_time)
 
 
 CSV_FIELDS = QuenchReport._fields
@@ -334,7 +366,10 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_FIELDS))
 
 def reports_to_csv(reports) -> str:
     """CSV rendering of a report list: header row plus one line per
-    temperature, every number printed with 17 significant digits."""
+    temperature, every number printed with 17 significant digits.
+
+    Domain: an iterable of :class:`QuenchReport` rows, or of any nine numbers each; not checked.
+    """
     lines = [",".join(CSV_FIELDS)]
     lines.extend(_CSV_ROW % report for report in reports)
     return "\n".join(lines) + "\n"

@@ -7,8 +7,12 @@ Gaussian discord of the thermal state evolved with the library's ``expm``
 from its normal modes (:func:`quench_propagator_closed_form`).
 
 The mass cancels in every quantity, so the oracles that sample or trace
-positions work at unit mass. Each keeps the domain checks of the closed
-form it checks. Only ``math``, numpy and qcorr are imported, so the
+positions work at unit mass. The library works at hbar = k_B = 1; the
+quadrature, Fock and ``expm`` oracles take ``hbar`` as a keyword instead,
+with omega and lambda0 as frequencies, so a test can check the library on
+the rescaled inputs hbar omega, hbar lambda0 and t / hbar against a
+reference that keeps hbar explicit. Each keeps the domain checks of the
+closed form it checks. Only ``math``, numpy and qcorr are imported, so the
 ``expm`` route runs where scipy cannot be imported.
 """
 
@@ -31,7 +35,7 @@ from qcorr.gaussian import _require_coupling, _require_finite
 _MC_SAMPLES = 1_000_000
 
 
-def classical_partition_quadrature(params: QuenchParams, lam: float) -> float:
+def classical_partition_quadrature(params: QuenchParams, lam: float, *, hbar: float = 1.0) -> float:
     """Phase-space integral of exp(-beta H) / h^2, at unit mass, by
     tensor-product Gauss-Hermite quadrature on 96 nodes per axis; the
     independent check of :func:`qcorr.classical_partition`.
@@ -46,7 +50,7 @@ def classical_partition_quadrature(params: QuenchParams, lam: float) -> float:
     diff = x[:, None] - x[None, :]
     kernel = np.exp(-coupling * diff**2)
     position_part = (2.0 / (beta * omega**2)) * float(w @ kernel @ w)
-    return momentum_part * position_part / (2.0 * math.pi * params.hbar) ** 2
+    return momentum_part * position_part / (2.0 * math.pi * hbar) ** 2
 
 
 def monte_carlo_classical_work(params: QuenchParams, *, seed: int = 0):
@@ -68,7 +72,7 @@ def monte_carlo_classical_work(params: QuenchParams, *, seed: int = 0):
     return mean, stderr
 
 
-def quantum_partition_fock(params: QuenchParams, lam: float) -> float:
+def quantum_partition_fock(params: QuenchParams, lam: float, *, hbar: float = 1.0) -> float:
     """Partition function by direct summation of the two-mode Fock
     spectrum of the decoupled normal modes, truncated adaptively until
     the geometric tail bound drops below 1e-12 of the partial sum per
@@ -76,7 +80,7 @@ def quantum_partition_fock(params: QuenchParams, lam: float) -> float:
     w1, w2 = normal_mode_frequencies(params.omega, lam)
     factors = []
     for wk in (w1, w2):
-        step = params.beta * params.hbar * wk
+        step = params.beta * hbar * wk
         cutoff = 8
         while True:
             levels = np.exp(-step * (np.arange(cutoff + 1) + 0.5))
@@ -91,7 +95,7 @@ def quantum_partition_fock(params: QuenchParams, lam: float) -> float:
     return factors[0] * factors[1]
 
 
-def quantum_avg_work_fock(params: QuenchParams) -> float:
+def quantum_avg_work_fock(params: QuenchParams, *, hbar: float = 1.0) -> float:
     """Mean work as a truncated Fock-basis trace of the work operator
     (lambda0^2 / 2)(q1 - q2)^2, at unit mass, against the uncoupled
     thermal state.
@@ -100,14 +104,14 @@ def quantum_avg_work_fock(params: QuenchParams) -> float:
     and the cutoff grows until the estimate stops moving by more than
     1e-12 in relative terms.
     """
-    beta_step = params.beta * params.hbar * params.omega
+    beta_step = params.beta * hbar * params.omega
     cutoff = 24
     previous = None
     while True:
         n = np.arange(cutoff + 1)
         ladder = np.zeros((cutoff + 1, cutoff + 1))
         ladder[n[:-1], n[1:]] = np.sqrt(n[1:])  # annihilation operator
-        q_scale = math.sqrt(params.hbar / (2.0 * params.omega))
+        q_scale = math.sqrt(hbar / (2.0 * params.omega))
         q_op = q_scale * (ladder + ladder.T)
         q_sq = q_op @ q_op
         weights = np.exp(-beta_step * (n + 0.5))
@@ -126,17 +130,17 @@ def quantum_avg_work_fock(params: QuenchParams) -> float:
             raise ConsistencyError("Fock cutoff failed to converge")
 
 
-def quench_discord(params: QuenchParams, t: float = 1.0) -> float:
+def quench_discord(params: QuenchParams, t: float = 1.0, *, hbar: float = 1.0) -> float:
     """Gaussian discord of the post-quench state.
 
-    Both modes start in the thermal state at (beta, omega), evolve under
+    Both modes start in the thermal state at (beta hbar, omega), evolve under
     the coupled Hamiltonian at amplitude lambda0 for time ``t``, and the
     discord of the resulting two-mode Gaussian state is returned. Built
     with ``expm`` and a validated covariance matrix, this is the
     independent check of the discord column of :func:`qcorr.sweep_temperature`.
     """
     _require_finite("evolution_time", t)
-    one_mode = thermal_covariance(params.beta, params.omega, params.hbar)
+    one_mode = thermal_covariance(params.beta * hbar, params.omega)
     initial = direct_sum(one_mode, one_mode)
     ham = quench_hamiltonian_matrix(params.omega, params.lambda0)
     final = symplectic_evolution(initial, ham, t)

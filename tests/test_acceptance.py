@@ -122,7 +122,7 @@ def test_criterion_4_temperature_sweep_shape():
         4,
         ok,
         f"sweep shape ok = {all(checks)}, grid non-negative = {grid_ok}, "
-        f"|excess| at beta*hbar*omega = 0.01 is {classical_limit:.2e} (gate 1e-5)",
+        f"|excess| at beta*omega = 0.01 is {classical_limit:.2e} (gate 1e-5)",
     )
 
 

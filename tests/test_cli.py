@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import CovarianceMatrix, covariance_to_json, density_matrix_to_json
 from qcorr.cli import everett_demo, main
@@ -324,7 +328,9 @@ class TestQuenchVerbs:
             ("--lambda0", "nan", "lambda0"),
             ("--omega", "inf", "omega"),
             ("--hbar", "inf", "hbar"),
+            ("--hbar", "nan", "hbar"),
             ("--kb", "nan", "kb"),
+            ("--kb", "inf", "kb"),
             ("--time", "nan", "evolution_time"),
             ("--time", "inf", "evolution_time"),
         ],
@@ -336,6 +342,28 @@ class TestQuenchVerbs:
         assert code == 1
         assert out == ""
         assert err.startswith(f"qcorr: error: {name} must be finite")
+
+    @pytest.mark.parametrize("flag, value", [("--hbar", "0"), ("--hbar", "-1"), ("--kb", "0"), ("--kb", "-2")])
+    @pytest.mark.parametrize("verb", ["point", "sweep"])
+    def test_non_positive_unit_is_a_data_error(self, capsys, verb, flag, value):
+        argv = ["quench", verb, flag, value] + (["--beta", "1"] if verb == "point" else [])
+        code, out, err = run(capsys, *argv)
+        assert_data_error(code, out, err, f"{flag[2:]} must be strictly positive; got {float(value)}")
+
+    @pytest.mark.parametrize(
+        "verb, argv, flag, unit",
+        [
+            ("point", ("--omega", "1e300", "--hbar", "1e10"), "--omega", "--hbar"),
+            ("sweep", ("--lambda0", "1e200", "--hbar", "1e200"), "--lambda0", "--hbar"),
+            ("point", ("--time", "1e300", "--hbar", "1e-10"), "--time", "--hbar"),
+            ("sweep", ("--t-min", "1e300", "--t-max", "1e301", "--kb", "1e10"), "--t-min", "--kb"),
+            ("sweep", ("--t-max", "1e300", "--kb", "1e10"), "--t-max", "--kb"),
+        ],
+    )
+    def test_overflowing_conversion_names_both_flags(self, capsys, verb, argv, flag, unit):
+        # each input is finite, but hbar omega, hbar lambda0, t / hbar or k_B T is not
+        code, out, err = run(capsys, "quench", verb, *argv, *(["--beta", "1"] if verb == "point" else []))
+        assert_data_error(code, out, err, f"{flag} ", f" with {unit} ", "overflows at hbar = k_B = 1")
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -409,6 +437,8 @@ OUTPUT_BYTES = [
      'epsilon,measurement_mutual_information,quantum_mutual_information\n0,0.65341819479370167,1.3068363895874033\n0.5,0.33245247453392412,1.0592342209301453\n1,0,0\n'),
     (('quench', 'point', '--beta', '0.3', '--lambda0', '0.7', '--omega', '1.3', '--hbar', '2', '--kb', '0.5', '--time', '2.5'),
      '{"temperature": 6.666666666666667, "w_c_avg": 0.96646942800788938, "df_c": 0.76224990579529328, "w_c_irr": 0.20421952221259609, "w_q_avg": 1.0149796575642425, "df_q": 0.81062092170964828, "w_q_irr": 0.20435873585459419, "omega_excess": 0.00013921364199809272, "gaussian_discord": 0.0097299406924007403}\n'),
+    (('quench', 'sweep', '--hbar', '2', '--kb', '0.5', '--lambda0', '0.7', '--omega', '1.3', '--t-min', '0.5', '--t-max', '2', '--points', '3', '--time', '2.5'),
+     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.072485207100591698,0.057168742934646993,0.015316464165944704,0.37694601903153008,0.33402054630283473,0.042925472728695346,0.027609008562750642,0.049545967798707506\n1.25,0.18121301775147922,0.14292185733661747,0.038291160414861747,0.38887531975424822,0.34048627688709643,0.048389042867151788,0.010097882452290041,0.034426576605946779\n2,0.28994082840236679,0.22867497173858797,0.061265856663778817,0.43740622826412251,0.37236445126185758,0.065041777002264933,0.0037759203384861162,0.02360251508261646\n'),
     (('quench', 'sweep', '--lambda0', '0.5', '--t-min', '0.5', '--t-max', '2', '--points', '3', '--time', '3'),
      'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.125,0.1013662770270411,0.023633722972958904,0.16412941068741643,0.13993207780520026,0.024197332882216177,0.00056360990925727328,0.0060514785066955734\n1.25,0.3125,0.25341569256760271,0.059084307432397287,0.32899155522902351,0.26986434002045478,0.059127215208568729,4.290777617144137e-05,0.0030959206980956111\n2,0.5,0.40546510810816438,0.094534891891835615,0.51037352063419961,0.41582792710339778,0.09454559353080183,1.0701638966215121e-05,0.0021453614864814785\n'),
     (('quench', 'sweep', '--lambda0', '0.5', '--t-min', '0.5', '--t-max', '2', '--points', '3', '--time', '3', '--out', 'out.csv'),
@@ -420,7 +450,7 @@ OUTPUT_BYTES = [
     "argv, expected",
     OUTPUT_BYTES,
     ids=["entropy", "entropy_bits", "mutual_info", "mutual_info_bits", "qstate_bipartite", "qstate_qubit",
-         "discord", "gaussian", "gaussian_mode_2", "everett", "everett_out", "quench_point", "quench_sweep",
+         "discord", "gaussian", "gaussian_mode_2", "everett", "everett_out", "quench_point", "quench_sweep_units", "quench_sweep",
          "quench_sweep_out"],
 )
 def test_output_bytes(capsys, tmp_path, argv, expected):
@@ -432,3 +462,51 @@ def test_output_bytes(capsys, tmp_path, argv, expected):
         assert out == "" and (tmp_path / "out.csv").read_bytes() == expected.encode("ascii")
     else:
         assert out == expected
+
+
+# -- units -----------------------------------------------------------------
+
+def quench_outputs(*argv):
+    """Exit code, stderr and every printed number of one quench invocation, run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    text = out.getvalue()
+    if argv[1] == "point":
+        return code, err.getvalue(), [list(json.loads(text).values())] if text else []
+    return code, err.getvalue(), [[float(x) for x in row.split(",")] for row in text.splitlines()[1:]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    i=st.integers(-8, 8),
+    j=st.integers(-8, 8),
+    omega=st.floats(0.01, 100.0),
+    lambda0=st.floats(0.0, 10.0),
+    beta=st.floats(0.01, 100.0),
+    t=st.floats(0.0, 100.0),
+    t_min=st.floats(0.01, 10.0),
+    stretch=st.floats(1.01, 100.0),
+    points=st.integers(2, 6),
+)
+def test_units_convert_bit_for_bit(i, j, omega, lambda0, beta, t, t_min, stretch, points):
+    """At (hbar, k_B) = (2^i, 2^j) the quench verbs print, bit for bit, what
+    they print at (1, 1) on omega -> hbar omega, lambda0 -> hbar lambda0,
+    t -> t / hbar and T -> k_B T, with the temperature column scaled by k_B."""
+    hbar, kb = 2.0**i, 2.0**j
+    t_max = t_min * stretch
+    for verb, temperatures, scaled in (
+        ("point", ("--beta", repr(beta)), ("--beta", repr(beta))),
+        ("sweep", ("--t-min", repr(t_min), "--t-max", repr(t_max), "--points", str(points)),
+         ("--t-min", repr(kb * t_min), "--t-max", repr(kb * t_max), "--points", str(points))),
+    ):
+        code, err, rows = quench_outputs(
+            "quench", verb, *temperatures, "--omega", repr(omega), "--lambda0", repr(lambda0),
+            "--time", repr(t), "--hbar", repr(hbar), "--kb", repr(kb),
+        )
+        unit_code, unit_err, unit_rows = quench_outputs(
+            "quench", verb, *scaled, "--omega", repr(hbar * omega), "--lambda0", repr(hbar * lambda0),
+            "--time", repr(t / hbar),
+        )
+        assert (code, err) == (unit_code, unit_err)
+        assert [[kb * row[0], *row[1:]] for row in rows] == unit_rows

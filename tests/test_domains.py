@@ -17,12 +17,12 @@ sweep, ``report_at`` or ``at_temperature`` take a real number raises
 naming that field.
 
 Gaussian frequencies and temperatures: ``thermal_variance`` (and so
-``thermal_covariance``) takes beta > 0, hbar > 0 and 0 < omega < inf, and
+``thermal_covariance``) takes beta > 0 and 0 < omega < inf, and
 ``normal_mode_frequencies``, ``quench_hamiltonian_matrix`` and the oracle
 ``quench_propagator_closed_form`` take 0 < omega < inf with omega^2,
 2 lambda0^2 / omega^2 and omega^2 + 2 lambda0^2 nonzero and finite, the
 rule of ``QuenchParams``; ``thermal_variance`` also needs
-beta hbar omega / 2 > 0 in floating point. NaN fails every ``not x > 0``
+beta omega / 2 > 0 in floating point. NaN fails every ``not x > 0``
 guard. ``symplectic_propagator`` and ``symplectic_evolution`` take a
 finite real ``t`` whose propagator is finite with |det S - 1| at most
 ``PROPAGATOR_DET_TOL``. A covariance matrix has entries of at most
@@ -83,8 +83,9 @@ from qcorr import (
     report_at,
     sweep_temperature,
 )
+from qcorr import quench
 from qcorr.discord import _bloch
-from qcorr.gaussian import discord_from_invariants
+from qcorr.gaussian import discord_from_invariants, local_invariants
 
 from . import discord_oracle
 from .quench_oracle import quench_propagator_closed_form
@@ -305,7 +306,6 @@ class TestFrequenciesAndTemperatures:
             (lambda: thermal_variance(1.0, math.nan), "omega must be positive"),
             (lambda: thermal_variance(1.0, -1.0), "omega must be positive"),
             (lambda: thermal_variance(1.0, math.inf), "omega must be positive"),
-            (lambda: thermal_variance(1.0, 1.0, math.nan), "hbar must be positive"),
             (lambda: thermal_covariance(math.nan, 1.0), "beta must be positive"),
             (lambda: normal_mode_frequencies(-1.0, 1.0), "omega must be positive"),
             (lambda: normal_mode_frequencies(math.nan, 1.0), "omega must be positive"),
@@ -314,8 +314,8 @@ class TestFrequenciesAndTemperatures:
             (lambda: quench_propagator_closed_form(math.nan, 1.0, 1.0), "omega must be positive"),
             (lambda: quench_hamiltonian_matrix(math.nan, 1.0), "omega must be positive"),
             (lambda: quench_hamiltonian_matrix(math.inf, 1.0), "omega must be positive"),
-            (lambda: thermal_variance(1e-200, 1e-200), "beta hbar omega / 2 underflows"),
-            (lambda: thermal_variance(1e-155, 1e-155), "beta hbar omega / 2 underflows"),
+            (lambda: thermal_variance(1e-200, 1e-200), "beta omega / 2 underflows"),
+            (lambda: thermal_variance(1e-155, 1e-155), "beta omega / 2 underflows"),
             (lambda: normal_mode_frequencies(1.0, 1e200), RATIO),
             (lambda: quench_propagator_closed_form(1.0, 1e200, 1.0), RATIO),
             (lambda: quench_hamiltonian_matrix(1e-200, 1.0), RATIO),
@@ -324,7 +324,6 @@ class TestFrequenciesAndTemperatures:
             (lambda: report_at(QuenchParams(omega=1.3e154, lambda0=0.5e154)), RATIO),
             (lambda: thermal_variance("1", 1.0), "beta must be a real number; got '1'"),
             (lambda: thermal_variance(1.0, None), "omega must be a real number; got None"),
-            (lambda: thermal_variance(1.0, 1.0, "1"), "hbar must be a real number; got '1'"),
             (lambda: thermal_covariance(None, 1.0), "beta must be a real number; got None"),
             (lambda: normal_mode_frequencies(1.0, "1"), "coupling must be a real number; got '1'"),
             (lambda: quench_hamiltonian_matrix("1", 1.0), "omega must be a real number; got '1'"),
@@ -333,14 +332,14 @@ class TestFrequenciesAndTemperatures:
         ],
         ids=[
             "thermal_variance_beta_nan", "thermal_variance_beta_zero", "thermal_variance_omega_nan",
-            "thermal_variance_omega_negative", "thermal_variance_omega_inf", "thermal_variance_hbar_nan",
+            "thermal_variance_omega_negative", "thermal_variance_omega_inf",
             "thermal_covariance_beta_nan", "normal_modes_omega_negative", "normal_modes_omega_nan",
             "normal_modes_omega_zero", "closed_form_omega_negative", "closed_form_omega_nan",
             "hamiltonian_omega_nan", "hamiltonian_omega_inf", "thermal_variance_underflow",
             "thermal_variance_subnormal",
             "normal_modes_ratio_overflow", "closed_form_ratio_overflow", "hamiltonian_omega_square_underflow",
             "hamiltonian_ratio_overflow", "normal_modes_sum_overflow", "report_at_sum_overflow",
-            "thermal_variance_beta_str", "thermal_variance_omega_none", "thermal_variance_hbar_str",
+            "thermal_variance_beta_str", "thermal_variance_omega_none",
             "thermal_covariance_beta_none", "normal_modes_coupling_str", "hamiltonian_omega_str",
             "classical_partition_coupling_str", "quantum_partition_coupling_str",
         ],
@@ -469,6 +468,24 @@ class TestInvariants:
         with pytest.raises(ValidationError, match=r"^invariants a = 4.44.*e\+153, .* overflow the closed form$"):
             gaussian_discord(direct_sum(mode, mode))
 
+    def test_det_sigma_whose_d_overflows_named(self):
+        """det sigma = 1e308 is finite, so the matrix is accepted, but d = 16 det sigma is not: the
+        error names det sigma, not an invariant d the caller never passed."""
+        mode = thermal_covariance(1e-77, 1.0)  # nu = 1e77
+        pair = direct_sum(mode, mode)
+        for call in (lambda: gaussian_discord(pair), lambda: local_invariants(pair)):
+            with pytest.raises(ValidationError, match=r"^det sigma = 1.0000000000000136e\+308 overflows the invariant d = 16 det sigma$"):
+                call()
+
+    def test_numpy_scalar_invariants_take_the_array_route(self):
+        """np.float64 is a float subclass, but its scalar arithmetic warns on overflow; such
+        invariants take the array route, under np.errstate, and raise the one overflow error."""
+        a, b, d = 10.0 ** np.random.default_rng(0).uniform(0.0, 308.0, 3)  # 1.53e196, 1.24e83, 4.17e12
+        with pytest.raises(ValidationError, match=r"^invariants a = 1.528268617151872e\+196, .* overflow the closed form$"):
+            discord_from_invariants(a, b, np.float64(-1.49), d, np.float64(0.5), np.float64(0.5))
+        inside = (3.0, 2.5, 1.2, 4.0, 0.7, 1.1)
+        assert discord_from_invariants(*map(np.float64, inside)) == pytest.approx(discord_from_invariants(*inside), rel=1e-14)
+
     def test_sweep_beyond_the_closed_form_raises_naming_the_invariants(self):
         """Below T = 1e38 (lambda0 = omega = 1, t = 1) the terms overflow but select a finite branch: 0.0, no warning."""
         assert [r.gaussian_discord for r in sweep_temperature(QuenchParams(), 4e30, 1e38, 3)] == [0.0, 0.0, 0.0]
@@ -494,3 +511,14 @@ class TestInvariants:
             exact = ch * math.log(ch) - sh * math.log(sh)
             for mode in (1, 2):
                 assert gaussian_discord(sigma, mode) == pytest.approx(exact, rel=1e-9)
+
+
+def test_every_public_quench_name_states_its_domain():
+    """Each class and function that qcorr.quench defines, and thermal_variance and
+    thermal_covariance, carries exactly one ``Domain:`` line in its docstring."""
+    defined = [obj for name, obj in vars(quench).items()
+               if not name.startswith("_") and callable(obj) and obj.__module__ == quench.__name__]
+    assert len(defined) == 14
+    lacking = [obj.__qualname__ for obj in (*defined, thermal_variance, thermal_covariance)
+               if [line.strip().startswith("Domain:") for line in (obj.__doc__ or "").splitlines()].count(True) != 1]
+    assert lacking == []

@@ -29,6 +29,7 @@ from qcorr import (
     reports_to_csv,
     sweep_temperature,
     symplectic_propagator,
+    thermal_variance,
 )
 from qcorr.gaussian import local_invariants
 
@@ -64,7 +65,7 @@ class TestParams:
             QuenchParams(lambda0=-0.5)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["omega", "lambda0", "beta", "hbar", "kb"])
+    @pytest.mark.parametrize("field", ["omega", "lambda0", "beta"])
     def test_non_finite_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             QuenchParams(**{field: value})
@@ -97,22 +98,25 @@ class TestParams:
             quench_discord(UNIT, t)
 
     def test_temperature_round_trip(self):
-        params = QuenchParams(kb=2.0).at_temperature(0.25)
+        params = UNIT.at_temperature(0.5)
         assert params.beta == pytest.approx(2.0)
-        assert params.temperature == pytest.approx(0.25)
+        assert params.temperature == pytest.approx(0.5)
 
 
 class TestClassicalPartition:
+    # h = 2 pi hbar = 1: the library takes hbar omega and hbar lambda
+    HBAR = 1.0 / (2.0 * math.pi)
+
     def test_uncoupled_natural_units(self):
-        params = QuenchParams(hbar=1.0 / (2.0 * math.pi))  # h = 1
+        params = QuenchParams(omega=self.HBAR * 1.0)
         assert classical_partition(params, 0.0) == pytest.approx(
             (2.0 * math.pi) ** 2, abs=1e-10
         )
 
     def test_coupling_equal_to_frequency(self):
-        params = QuenchParams(hbar=1.0 / (2.0 * math.pi), beta=1.0, omega=1.0)  # h = 1
+        params = QuenchParams(beta=1.0, omega=self.HBAR * 1.0)
         expected = (2.0 * math.pi) ** 2 / math.sqrt(3.0)
-        assert classical_partition(params, 1.0) == pytest.approx(expected, abs=1e-10)
+        assert classical_partition(params, self.HBAR * 1.0) == pytest.approx(expected, abs=1e-10)
 
     def test_quadrature_oracle_agreement(self):
         params = QuenchParams(beta=2.0, omega=1.3)
@@ -138,7 +142,8 @@ class TestClassicalWork:
         assert classical_avg_work(replace(UNIT, lambda0=0.0)) == 0.0
 
     def test_independent_of_mass_and_hbar(self):
-        assert classical_avg_work(replace(UNIT, hbar=3.0)) == pytest.approx(
+        # hbar = 3 on the unit inputs: hbar omega = hbar lambda0 = 3
+        assert classical_avg_work(replace(UNIT, omega=3.0, lambda0=3.0)) == pytest.approx(
             1.0, abs=1e-15
         )
 
@@ -229,15 +234,19 @@ class TestRemovedOptions:
             lambda: symplectic_propagator(quench_hamiltonian_matrix(1.0, 1.0), 1.0, 2.0),
             lambda: monte_carlo_classical_work(UNIT, 7),
             lambda: random_covariance(1, 3.0),
+            lambda: QuenchParams(hbar=1.0),
+            lambda: QuenchParams(kb=1.0),
+            lambda: thermal_variance(1.0, 1.0, 1.0),
         ],
-        ids=["mass", "h_ref", "positional_params", "hbar", "propagator_hbar", "positional_seed", "nu_max"],
+        ids=["mass", "h_ref", "positional_params", "hbar", "propagator_hbar", "positional_seed", "nu_max",
+             "params_hbar", "params_kb", "thermal_variance_hbar"],
     )
     def test_raises_type_error(self, call):
         with pytest.raises(TypeError):
             call()
 
-    def test_params_have_exactly_five_fields(self):
-        assert [f.name for f in fields(QuenchParams)] == ["omega", "lambda0", "beta", "hbar", "kb"]
+    def test_params_have_exactly_three_fields(self):
+        assert [f.name for f in fields(QuenchParams)] == ["omega", "lambda0", "beta"]
 
 
 class TestQuantumWork:
@@ -256,18 +265,17 @@ class TestQuantumWork:
         assert abs(quantum_avg_work_fock(UNIT) - WQ_UNIT) < 1e-10
 
     def test_fock_oracles_at_random_parameters(self, rng):
+        """The library on hbar omega and hbar lambda0 against the Fock traces
+        with hbar explicit."""
         for _ in range(10):
             rng.uniform(0.5, 2.0)  # a mass, which cancels; drawn to keep the sample stream
-            params = QuenchParams(
-                omega=rng.uniform(0.5, 2.0),
-                lambda0=rng.uniform(0.1, 3.0),
-                beta=rng.uniform(0.3, 5.0),
-                hbar=rng.uniform(0.5, 2.0),
-            )
+            omega, lambda0, beta, hbar = (rng.uniform(*bounds) for bounds in ((0.5, 2.0), (0.1, 3.0), (0.3, 5.0), (0.5, 2.0)))
+            physical = QuenchParams(omega=omega, lambda0=lambda0, beta=beta)
+            params = QuenchParams(omega=hbar * omega, lambda0=hbar * lambda0, beta=beta)
             work = quantum_avg_work(params)
-            assert abs(quantum_avg_work_fock(params) - work) < 1e-9 * max(1.0, work)
+            assert abs(quantum_avg_work_fock(physical, hbar=hbar) - work) < 1e-9 * max(1.0, work)
             partition = quantum_partition(params, params.lambda0)
-            fock = quantum_partition_fock(params, params.lambda0)
+            fock = quantum_partition_fock(physical, lambda0, hbar=hbar)
             assert abs(fock - partition) < 1e-10 * max(1.0, partition)
 
     def test_quantum_dominates_classical(self, rng):
@@ -337,13 +345,8 @@ class TestExcessWork:
         # excess_dissipated_work raises internally if the difference route
         # and the closed form separate by more than 1e-12
         for _ in range(50):
-            params = QuenchParams(
-                beta=rng.uniform(0.05, 20.0),
-                omega=rng.uniform(0.5, 2.0),
-                lambda0=rng.uniform(0.0, 5.0),
-                hbar=rng.uniform(0.5, 2.0),
-            )
-            excess_dissipated_work(params)
+            beta, omega, lambda0, hbar = (rng.uniform(*bounds) for bounds in ((0.05, 20.0), (0.5, 2.0), (0.0, 5.0), (0.5, 2.0)))
+            excess_dissipated_work(QuenchParams(beta=beta, omega=hbar * omega, lambda0=hbar * lambda0))
 
 
 class TestQuenchDiscord:
@@ -514,13 +517,16 @@ class TestArraySweep:
 
     @pytest.mark.parametrize("t", [0.0, 0.4, 2.1])
     @pytest.mark.parametrize(
-        "params",
-        [UNIT, QuenchParams(lambda0=2.5, hbar=1.7, omega=1.3, kb=0.8)],
+        "physical, hbar, kb",
+        [(UNIT, 1.0, 1.0), (QuenchParams(lambda0=2.5, omega=1.3), 1.7, 0.8)],
         ids=["unit", "scaled"],
     )
-    def test_discord_matches_expm_oracle(self, params, t):
-        for report in sweep_temperature(params, 0.1, 5.0, 25, t):
-            oracle = quench_discord(params.at_temperature(report.temperature), t)
+    def test_discord_matches_expm_oracle(self, physical, hbar, kb, t):
+        """The sweep on the converted inputs hbar omega, hbar lambda0, k_B T
+        and t / hbar against the expm oracle with hbar explicit."""
+        params = QuenchParams(omega=hbar * physical.omega, lambda0=hbar * physical.lambda0)
+        for report in sweep_temperature(params, kb * 0.1, kb * 5.0, 25, t / hbar):
+            oracle = quench_discord(physical.at_temperature(report.temperature), t, hbar=hbar)
             assert abs(report.gaussian_discord - oracle) <= 1e-10
 
     @pytest.mark.parametrize("t", [0.0, 0.4, 2.1, 37.0])
@@ -542,16 +548,17 @@ class TestArraySweep:
             assert invariants == pytest.approx(closed, rel=rel, abs=1e-30)
 
     def test_report_at_is_the_sweep_row(self):
-        params = QuenchParams(lambda0=1.7, hbar=0.9, kb=1.3)
-        reports = sweep_temperature(params, 0.1, 5.0, 50, 2.1)
-        temperatures = np.linspace(0.1, 5.0, 50)
+        hbar, kb = 0.9, 1.3  # lambda0 = 1.7 converted as the command line does
+        params = QuenchParams(lambda0=hbar * 1.7, omega=hbar)
+        reports = sweep_temperature(params, kb * 0.1, kb * 5.0, 50, 2.1 / hbar)
+        temperatures = np.linspace(kb * 0.1, kb * 5.0, 50)
         for i in (0, 17, 49):
-            single = report_at(params.at_temperature(float(temperatures[i])), 2.1)
+            single = report_at(params.at_temperature(float(temperatures[i])), 2.1 / hbar)
             assert single == reports[i]
 
     def test_route_guard_raises_at_the_first_disagreement(self):
         params = QuenchParams(lambda0=3.0)
-        with pytest.raises(ConsistencyError, match="at temperature") as raised:
+        with pytest.raises(ConsistencyError, match="at beta") as raised:
             sweep_temperature(params, 0.1, 1e3, 50)
         for temperature in np.linspace(0.1, 1e3, 50):
             try:
