@@ -159,6 +159,7 @@ def _cmd_quench(args):
             raise ValidationError(f"{name} must be {'strictly positive' if math.isfinite(value) else 'finite'}; got {value}")
     scaled = {"omega": args.omega * hbar, "lambda0": args.lambda0 * hbar, "time": args.time / hbar}
     if sweep:
+        quench._require_temperature_range(args.t_min, args.t_max)  # as given, so that its message quotes them
         scaled.update(t_min=kb * args.t_min, t_max=kb * args.t_max)
     for name, value in scaled.items():
         if math.isfinite(getattr(args, name)) and not math.isfinite(value):

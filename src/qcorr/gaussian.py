@@ -74,7 +74,9 @@ _GRID_POINTS = list(zip(_GRID_X.tolist(), _GRID_Y.tolist()))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """The block-diagonal symplectic form for quadrature order (x1, p1, ...)."""
+    """The block-diagonal symplectic form for quadrature order (x1, p1, ...).
+
+    Domain: a Python or numpy integer n_modes >= 0, 0 giving a 0 x 0 array; not checked, so a negative one escapes as numpy's ValueError and a float, string or None as TypeError."""
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
@@ -133,7 +135,9 @@ class CovarianceMatrix:
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """Frequency matrix G of a quadratic Hamiltonian H = r^T G r / 2 in
-    dimensionless quadratures r; the propagator is S = exp(Omega G t)."""
+    dimensionless quadratures r; the propagator is S = exp(Omega G t).
+
+    Domain: a non-empty real matrix of even size, symmetric within HAMILTONIAN_TOL, with finite entries of at most MATRIX_ENTRY_MAX (its sign is not checked), else ValidationError; a ragged or non-numeric matrix escapes as numpy's ValueError, and a complex one loses its imaginary part with only a ComplexWarning."""
 
     matrix: np.ndarray
 
@@ -185,7 +189,9 @@ def thermal_covariance(beta: float, omega: float) -> CovarianceMatrix:
 
 
 def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
-    """Product state of independent Gaussian modes."""
+    """Product state of independent Gaussian modes.
+
+    Domain: one or more :class:`CovarianceMatrix` blocks whose direct sum that class accepts (a finite det sigma), else ValidationError, also for no blocks at all; a block of another type escapes as AttributeError."""
     mats = [b.sigma for b in blocks]
     total = sum(m.shape[0] for m in mats)
     out = np.zeros((total, total))
@@ -214,6 +220,8 @@ def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
     ``-(lam^2 / omega^2)`` across the modes; the mass cancels in the
     dimensionless quadratures, so it is not a parameter. Momentum entries
     are uncoupled.
+
+    Domain: that of :func:`normal_mode_frequencies`, whose ValidationError it raises.
     """
     _require_coupling(lam, omega)
     ratio = (lam / omega) ** 2
@@ -227,7 +235,9 @@ def quench_hamiltonian_matrix(omega: float, lam: float) -> QuadraticHamiltonian:
 def normal_mode_frequencies(omega: float, lam: float):
     """Frequencies of the decoupled collective modes: the center-of-mass
     mode keeps ``omega``; the relative mode is stiffened to
-    ``sqrt(omega^2 + 2 lam^2)``."""
+    ``sqrt(omega^2 + 2 lam^2)``.
+
+    Domain: real 0 < omega < inf and a finite lam >= 0 with omega^2, 2 lam^2 / omega^2 and omega^2 + 2 lam^2 nonzero and finite, the rule of QuenchParams; anything else, a non-real argument included, raises ValidationError naming it."""
     _require_coupling(lam, omega)
     return omega, math.sqrt(omega * omega + 2.0 * lam * lam)
 
@@ -294,7 +304,9 @@ def symplectic_propagator(ham: QuadraticHamiltonian, t: float) -> np.ndarray:
 
 def symplectic_evolution(sigma: CovarianceMatrix, ham: QuadraticHamiltonian, t: float) -> CovarianceMatrix:
     """Evolve a covariance matrix: sigma -> S sigma S^T with
-    S = exp(Omega G t), for ``t`` in the domain of :func:`symplectic_propagator`."""
+    S = exp(Omega G t), for ``t`` in the domain of :func:`symplectic_propagator`.
+
+    Domain: a :class:`CovarianceMatrix` and a :class:`QuadraticHamiltonian` of as many modes, a ``t`` in the domain of :func:`symplectic_propagator` and an evolved matrix that :class:`CovarianceMatrix` accepts, else ValidationError; a state or Hamiltonian of another type escapes as AttributeError."""
     if sigma.n_modes != ham.n_modes:
         raise ValidationError(
             f"mode mismatch: state has {sigma.n_modes}, Hamiltonian {ham.n_modes}"
@@ -309,7 +321,9 @@ def symplectic_evolution(sigma: CovarianceMatrix, ham: QuadraticHamiltonian, t: 
 def symplectic_eigenvalues(sigma: CovarianceMatrix) -> tuple:
     """The whole symplectic spectrum, ascending, as a tuple of floats:
     ``(nu,)`` for one mode, ``(nu_minus, nu_plus)`` for two. The
-    constructor has already checked it against the uncertainty bound."""
+    constructor has already checked it against the uncertainty bound.
+
+    Domain: a :class:`CovarianceMatrix` of any number of modes; anything else escapes as AttributeError."""
     return tuple(sigma._spectrum.tolist())
 
 
@@ -350,7 +364,9 @@ def mode_entropy(nu):
 
 def gaussian_entropy(sigma: CovarianceMatrix) -> float:
     """von Neumann entropy of a Gaussian state: sum of f over the
-    symplectic spectrum, in nats."""
+    symplectic spectrum, in nats.
+
+    Domain: a :class:`CovarianceMatrix` of any number of modes; anything else escapes as AttributeError."""
     return sum(mode_entropy(nu) for nu in symplectic_eigenvalues(sigma))
 
 
@@ -434,7 +450,8 @@ def _min_conditional_det(a, b, abs_c, d, ops):
 def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     """Closed-form Gaussian discord (Adesso-Datta) from the local invariants
     of :func:`local_invariants` and the symplectic eigenvalues, through
-    :func:`_min_conditional_det`. The result is clamped at zero.
+    :func:`_min_conditional_det`. The result is clamped at zero. One array passed
+    as both eigenvalues (nu, nu) has f(nu) evaluated once and subtracted twice.
 
     Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it, and invariants so large (products such as ab, c^2 or b (d - a) beyond the float range) that the minimal conditional determinant is NaN or infinite raise ValidationError saying they overflow the closed form and naming them.
     """
@@ -465,12 +482,9 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
         first = np.argmin(np.isfinite(np.ravel(e_min)))  # the first NaN or infinite entry
         named = ", ".join(f"{n} = {np.broadcast_to(x, np.shape(e_min)).flat[first].item()!r}" for n, x in zip("abcd", (a, b, c, d)))
         raise ValidationError(f"invariants {named} overflow the closed form")
-    value = (
-        mode_entropy(sqrt(maximum(b, 1.0)) / 2.0)
-        - mode_entropy(nu_minus)
-        - mode_entropy(nu_plus)
-        + mode_entropy(sqrt(maximum(e_min, 1.0)) / 2.0)
-    )
+    f_minus = mode_entropy(nu_minus)
+    f_plus = f_minus if nu_plus is nu_minus else mode_entropy(nu_plus)
+    value = mode_entropy(sqrt(maximum(b, 1.0)) / 2.0) - f_minus - f_plus + mode_entropy(sqrt(maximum(e_min, 1.0)) / 2.0)
     return maximum(value, 0.0)
 
 
@@ -607,6 +621,8 @@ def random_covariance(seed: int) -> CovarianceMatrix:
     from [1/2, 3], or exactly 1/2 with probability 0.2) by a random
     symplectic built from a Gaussian symmetric generator. Deterministic
     for a fixed seed.
+
+    Domain: a non-negative Python or numpy integer seed, a bool included; anything else raises ValidationError naming the seed.
     """
     rng = np.random.default_rng(require_seed(seed))
     gen = rng.normal(0.0, 0.35, (4, 4))
@@ -624,10 +640,12 @@ def random_covariance(seed: int) -> CovarianceMatrix:
 # array of floats.
 
 def covariance_to_json(sigma: CovarianceMatrix) -> str:
+    """Domain: a :class:`CovarianceMatrix`; anything else escapes as AttributeError."""
     return json.dumps([[float(x) for x in row] for row in sigma.sigma])
 
 
 def covariance_from_json(text: str) -> CovarianceMatrix:
+    """Domain: a str, bytes or bytearray holding a JSON array of rows of numbers that :class:`CovarianceMatrix` accepts; anything else raises ValidationError."""
     try:  # json and numpy raise ValueError or TypeError on bad JSON, ragged rows, non-numbers
         mat = np.asarray(json.loads(text), dtype=float)
     except (TypeError, ValueError) as exc:

@@ -401,6 +401,12 @@ class TestQuenchVerbs:
         assert code == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("kb", ["1", "0.5", "2"])
+    def test_range_error_quotes_the_given_temperatures(self, capsys, kb):
+        # the library sees k_B T, but the message quotes --t-min and --t-max as typed
+        code, out, err = run(capsys, "quench", "sweep", "--kb", kb, "--t-min", "5", "--t-max", "1")
+        assert (code, out, err) == (1, "", "qcorr: error: need 0 < t_min < t_max < inf; got 5.0, 1.0\n")
+
 
 
 # -- output bytes ----------------------------------------------------------

@@ -83,7 +83,7 @@ from qcorr import (
     report_at,
     sweep_temperature,
 )
-from qcorr import quench
+from qcorr import gaussian, quench
 from qcorr.discord import _bloch
 from qcorr.gaussian import discord_from_invariants, local_invariants
 
@@ -513,12 +513,13 @@ class TestInvariants:
                 assert gaussian_discord(sigma, mode) == pytest.approx(exact, rel=1e-9)
 
 
-def test_every_public_quench_name_states_its_domain():
-    """Each class and function that qcorr.quench defines, and thermal_variance and
-    thermal_covariance, carries exactly one ``Domain:`` line in its docstring."""
-    defined = [obj for name, obj in vars(quench).items()
-               if not name.startswith("_") and callable(obj) and obj.__module__ == quench.__name__]
-    assert len(defined) == 14
-    lacking = [obj.__qualname__ for obj in (*defined, thermal_variance, thermal_covariance)
+@pytest.mark.parametrize("module, count", [(quench, 14), (gaussian, 20)], ids=["quench", "gaussian"])
+def test_every_public_name_states_its_domain(module, count):
+    """Each class and function that qcorr.quench or qcorr.gaussian defines
+    carries exactly one ``Domain:`` line in its docstring."""
+    defined = [obj for name, obj in vars(module).items()
+               if not name.startswith("_") and callable(obj) and obj.__module__ == module.__name__]
+    assert len(defined) == count
+    lacking = [obj.__qualname__ for obj in defined
                if [line.strip().startswith("Domain:") for line in (obj.__doc__ or "").splitlines()].count(True) != 1]
     assert lacking == []

@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -575,3 +578,78 @@ class TestArraySweep:
     def test_high_temperature_point_is_accepted(self):
         report = report_at(QuenchParams(beta=1e-7))
         assert report.gaussian_discord >= 0.0
+
+
+# sha256 of reports_to_csv(sweep_temperature(QuenchParams(lambda0=lambda0), 0.1, 5.0, points, t)) by
+# (points, lambda0, t), and the repr of report_at at lambda0 = 3, beta = 10, taken at commit da782ad; at
+# lambda0 = 3 the coldest rows have beta w2 / 2 = 21.8, the large-argument branch of ln sinh
+SWEEP_SHA256 = {
+    (50, 0.5, 1.0): "50b217704683f2b6f2b623a8ff7ac42dfab3490945e2019a965a13d1b818e16b",
+    (50, 0.5, 2.5): "c38e6c49f146146a529c17fa0a5784ad67c55891a9d54c75cadd8dd99d3ae1cc",
+    (50, 1.0, 1.0): "dbea350d3bb29ee391e79ecc9192ba03d27869149c883043c1884bd119c8c249",
+    (50, 1.0, 2.5): "d57b2a70a2a90d225e37cde8b6f27293373dd91e86db6dc2b10b58327077f209",
+    (50, 2.0, 1.0): "8cfcf88611d421975b52d17abd5d3c7d009290e7e619bdad6343a21039cd20fb",
+    (50, 2.0, 2.5): "6c10f7fc51bfc2f24d5e83f25b8117793c80108bfe4718677beddf9ad05150cc",
+    (50, 3.0, 1.0): "c2c1b800e0d01459fc39f41a0002d219b3f28be946bb1f363ae4d358ec1aa7c3",
+    (50, 3.0, 2.5): "6451436e00e39b0f0d3e0adaf16714c12e0981cdcff3d191582fbe9ad97f0d37",
+    (1000, 0.5, 1.0): "33d776b3deb5847ce3e2ef6c73697e53794a9f2e3065473b5d87741086828b31",
+    (1000, 0.5, 2.5): "55c517d1833aba0f8bfc28c913ced2866a6247898588dc3eb699af091eb2abfe",
+    (1000, 1.0, 1.0): "80f960a7d0b755c7916405c4e4ec60933cb5f1c0f4a770f7c06ec4e3e4d24feb",
+    (1000, 1.0, 2.5): "d228ba1b5cdaa16fae37e538285f10e1076186fdbf67bd0b4feee266235e5ad0",
+    (1000, 2.0, 1.0): "29a0e08bdce723ef33d6e1f40746d470f167975fb1f4dd5a93d05e55a8ae06b1",
+    (1000, 2.0, 2.5): "67e11b6b1900f44696ca57af748c2c134900fd2110bc468471c2919612832da8",
+    (1000, 3.0, 1.0): "12d98f3ee36d9c0d084bf9e24537169fb56093a09b1402a0a19b8644d982b258",
+    (1000, 3.0, 2.5): "7e98e2d5808d21c51ae25210ccc3083c656f0304933fd2b5430d8537e3b119ee",
+}
+REPORT_LAMBDA3_BETA10 = (
+    "QuenchReport(temperature=0.1, w_c_avg=0.9, df_c=0.14722194895832202, w_c_irr=0.7527780510416779, "
+    "w_q_avg=4.500408617919088, df_q=1.6794540118663743, w_q_irr=2.8209546060527133, "
+    "omega_excess=2.0681765550110356, gaussian_discord=1.0480528954392732)"
+)
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("points, lambda0, t", list(SWEEP_SHA256))
+    def test_sweep_csv_bytes(self, points, lambda0, t):
+        csv = reports_to_csv(sweep_temperature(QuenchParams(lambda0=lambda0), 0.1, 5.0, points, t))
+        assert hashlib.sha256(csv.encode("ascii")).hexdigest() == SWEEP_SHA256[points, lambda0, t]
+
+    def test_report_on_the_large_argument_branch(self):
+        assert repr(report_at(QuenchParams(lambda0=3.0, beta=10.0))) == REPORT_LAMBDA3_BETA10
+
+
+class TestSweepCost:
+    """The Python-level calls of one sweep, counted with ``sys.setprofile``.
+    Its ``call`` events are Python frames only: ufunc calls are invisible to
+    the hook, and builtins show as ``c_call``, so the count is of the
+    sweep's Python code, the same at every grid size when no frame runs per row.
+    The garbage collector is off while counting, since the finalizers of other
+    objects (such as a suspended generator) would run Python frames inside."""
+
+    @staticmethod
+    def _python_calls(params, points):
+        calls = []
+
+        def hook(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code)
+
+        gc.collect()
+        gc.disable()
+        sys.setprofile(hook)
+        try:
+            sweep_temperature(params, 0.1, 5.0, points)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        return calls
+
+    @pytest.mark.parametrize("lambda0", [1.0, 3.0], ids=["one_branch", "both_branches"])
+    def test_no_python_frame_per_row(self, lambda0):
+        params = QuenchParams(lambda0=lambda0)
+        sweep_temperature(params, 0.1, 5.0, 2)  # any lazy set-up runs before counting
+        small, large = self._python_calls(params, 50), self._python_calls(params, 1000)
+        assert [code.co_qualname for code in small] == [code.co_qualname for code in large]
+
+    def test_no_quench_params_built(self):
+        assert QuenchParams.__post_init__.__code__ not in self._python_calls(UNIT, 50)
