@@ -2,11 +2,11 @@
 
 Every subcommand is a thin wrapper over a library call: the CLI parses,
 dispatches, and serializes, adding no arithmetic of its own. Each verb
-handler returns its data (a float, a dict, or CSV text), and
-:func:`parse_and_dispatch` renders it once: text as it is, anything else
-as one line of JSON whose floats carry 17 significant digits, so output
-round-trips 64-bit floats exactly. Output files are written only after
-the computation has fully succeeded.
+handler returns its data (a float, a dict, or CSV text); :func:`main` is
+the one renderer: text as it is, anything else one line of JSON whose
+floats carry 17 significant digits, so output round-trips 64-bit floats
+exactly. Output files are written only after the computation has fully
+succeeded.
 
 Exit codes: 0 on success, 2 on usage errors (unknown verbs or flags,
 malformed values), 1 on data errors (unreadable files, violated state
@@ -238,10 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_and_dispatch(argv) -> int:
-    parser = build_parser()
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)  # None reads sys.argv[1:]
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -255,10 +254,6 @@ def parse_and_dispatch(argv) -> int:
         print(f"qcorr: error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def main(argv=None) -> int:
-    return parse_and_dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

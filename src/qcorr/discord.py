@@ -29,7 +29,7 @@ PHI_POINTS hemisphere grid (:data:`GRID`) and runs Riemannian Newton on
 the sphere from the STARTS best of them; it returns the larger of the
 grid and Newton maxima. A point of the Newton search is a unit 3-vector
 n with an orthonormal basis (e1, e2) of its tangent plane
-(:func:`point`), and a step (d1, d2) is retracted onto the sphere by
+(:func:`_point`), and a step (d1, d2) is retracted onto the sphere by
 normalizing n + d1 e1 + d2 e2 (:func:`_tangent_chart`), so the poles of
 (theta, phi) are ordinary points. The objective returns the Riemannian
 gradient and Hessian in (e1, e2): for an extension off the sphere with
@@ -83,7 +83,9 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Bloch angles of a projective qubit basis {|n><n|, |n_perp><n_perp|}."""
+    """Bloch angles of a projective qubit basis {|n><n|, |n_perp><n_perp|}.
+
+    Domain: real angles 0 <= theta <= pi and 0 <= phi < 2 pi; anything else, NaN and non-real values included, raises ValidationError naming the angle."""
 
     theta: float
     phi: float
@@ -117,6 +119,8 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class OptimizerTrace:
+    """Domain: not checked; :func:`discord` records its search's evaluation count and convergence here."""
+
     evaluations: int
     converged: bool
 
@@ -125,7 +129,9 @@ class OptimizerTrace:
 class DiscordResult:
     """Mutual information, classical correlations and their difference.
     :func:`discord` builds it with 0 <= classical_corr <= mutual_info and
-    discord the clamped difference; a hand-built one is not validated."""
+    discord the clamped difference.
+
+    Domain: not checked; a hand-built one is not validated."""
 
     mutual_info: float
     classical_corr: float
@@ -192,7 +198,8 @@ def classical_correlations_at(rho: DensityMatrix, basis: MeasurementBasis) -> fl
 
     Outcomes with probability at or below ``ZERO_WEIGHT`` (defined in
     :mod:`qcorr.errors`) contribute nothing.
-    """
+
+    Domain: a two-qubit :class:`~qcorr.states.DensityMatrix` (dims (2, 2)), else ValidationError, and a :class:`MeasurementBasis`; a basis of another type escapes as AttributeError."""
     _require_two_qubits(rho)
     n, n_perp = basis.vectors()
     povm = Povm((np.outer(n, n.conj()), np.outer(n_perp, n_perp.conj())))
@@ -230,7 +237,7 @@ def _tangent_basis(n) -> tuple:
     return (e10, e11, e12), (y * e12 - z * e11, z * e10 - x * e12, x * e11 - y * e10)
 
 
-def point(v) -> tuple:
+def _point(v) -> tuple:
     """The search point ``(n, e1, e2)`` of the direction of ``v``."""
     x, y, z = v
     norm = math.sqrt(x * x + y * y + z * z)
@@ -244,14 +251,14 @@ def _tangent_chart(x, grad, hess) -> tuple:
     n + d1 e1 + d2 e2."""
     (n0, n1, n2), (a0, a1, a2), (b0, b1, b2) = x
     return grad, hess, lambda d1, d2: (
-        point((n0 + d1 * a0 + d2 * b0, n1 + d1 * a1 + d2 * b1, n2 + d1 * a2 + d2 * b2)), d1, d2
+        _point((n0 + d1 * a0 + d2 * b0, n1 + d1 * a1 + d2 * b1, n2 + d1 * a2 + d2 * b2)), d1, d2
     )
 
 
 def _negated_objective(bloch, s_b: float):
     """-C(n) with its Riemannian gradient (g1, g2) and Hessian (h11, h12,
     h22) in the tangent basis (e1, e2), at the point (n, e1, e2) of
-    :func:`point`, for :func:`minimize` in :func:`_tangent_chart`.
+    :func:`_point`, for :func:`minimize` in :func:`_tangent_chart`.
 
     Each of the terms eta(lambda+), eta(lambda-) and -eta(q) of outcome
     +-1 adds eta'(x) grad x / 2 to the Euclidean gradient and (grad x
@@ -344,13 +351,10 @@ def _maximize_classical_correlations(bloch, s_b: float):
     evaluations, converged)."""
     grid = _grid_values(bloch, s_b, GRID)
     # values within FTOL of each other are equal to rounding, and the earlier direction wins: the
-    # pole where C is constant, as on pure and Werner states; argmin takes the first of equal keys
-    keys, cells = np.rint((grid.max() - grid) / FTOL), []
-    for _ in range(STARTS):
-        cells.append(keys.argmin().item())
-        keys[cells[-1]] = math.inf
+    # pole where C is constant, as on pure and Werner states; a stable argsort keeps the first of equal keys
+    cells = np.rint((grid.max() - grid) / FTOL).argsort(kind="stable")[:STARTS].tolist()
     grid_value = grid[cells[0]].item()
-    result = minimize(_negated_objective(bloch, s_b), [point(_GRID_POINTS[cell]) for cell in cells], _tangent_chart)
+    result = minimize(_negated_objective(bloch, s_b), [_point(_GRID_POINTS[cell]) for cell in cells], _tangent_chart)
     evaluations = len(GRID) + result.nfev
     if -result.fun >= grid_value:
         value, n = -result.fun, result.x[0]

@@ -1,6 +1,8 @@
 """Exception types and the validation policy shared across the package:
-every accept/reject tolerance, zero cutoff and argument-type check, and the
-one test that an operator sum is the identity, defined once below."""
+every accept/reject tolerance, zero cutoff and argument check
+(:func:`require_real`, :func:`require_finite`, :func:`require_integer`,
+:func:`require_seed`, :func:`hermitian_part`), and the one test that an
+operator sum is the identity, defined once below."""
 
 import math
 import operator
@@ -69,6 +71,12 @@ def require_real(name: str, value) -> bool:
         raise ValidationError(f"{name} must be a real number; got {value!r}") from None
 
 
+def require_finite(name: str, value) -> None:
+    """Raises naming ``name`` unless ``value`` is a finite real number."""
+    if not require_real(name, value):
+        raise ValidationError(f"{name} must be finite; got {value}")
+
+
 def require_integer(name: str, value) -> int:
     """``value`` through ``operator.index``: a Python or numpy integer, never a float or string."""
     try:
@@ -97,12 +105,18 @@ def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, ev
     """Validated Hermitian part ``(M + M^dagger) / 2`` of a square matrix.
 
     Raises :class:`ValidationError` naming the matrix ``what`` unless it is
-    non-empty and square (of even size if ``even``), has no entry larger
-    than ``MATRIX_ENTRY_MAX`` in magnitude (nor a NaN), and has max
-    entrywise defect ``|M - M^dagger|`` at most ``tol``. A real ``dtype``
-    makes this the symmetric part and a symmetry check.
+    a rectangular array of numbers, non-empty and square (of even size if
+    ``even``), has no entry larger than ``MATRIX_ENTRY_MAX`` in magnitude
+    (nor a NaN), and has max entrywise defect ``|M - M^dagger|`` at most
+    ``tol``. A real ``dtype`` makes this the symmetric part and a symmetry
+    check, and rejects a nonzero imaginary part (an all-zero one is dropped).
     """
-    mat = np.asarray(matrix, dtype=dtype)
+    # a real dtype reads everything but a real array as complex, so that no imaginary part is dropped
+    cast = complex if getattr(getattr(matrix, "dtype", None), "kind", "c") == "c" else dtype
+    try:
+        mat = np.asarray(matrix, dtype=cast)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+        raise ValidationError(f"{what} must be a rectangular array of numbers: {exc}") from None
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0) or (even and mat.shape[0] % 2):
         size = "non-empty square of even size" if even else "non-empty square"
         raise ValidationError(f"{what} must be {size}; got shape {mat.shape}")
@@ -111,6 +125,11 @@ def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, ev
         if largest < np.inf:
             raise ValidationError(f"{what} overflows: max |entry| {float(largest)!r} exceeds {MATRIX_ENTRY_MAX}")
         raise ValidationError(f"{what} must be finite; got a NaN or infinite entry")
+    if cast is not dtype:
+        imaginary = abs(mat.imag).max()
+        if imaginary:
+            raise ValidationError(f"{what} must be real: max |imaginary part| {float(imaginary)!r}")
+        mat = mat.real
     adjoint = mat.conj().T
     defect = abs(mat - adjoint).max()
     if defect > tol:

@@ -56,7 +56,7 @@ import numpy as np
 
 from ._newton import _newton_step, minimize
 from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
-from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_real, require_seed
+from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_finite, require_integer, require_real, require_seed
 
 VACUUM_VARIANCE = 0.5
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -76,7 +76,9 @@ _GRID_POINTS = list(zip(_GRID_X.tolist(), _GRID_Y.tolist()))
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The block-diagonal symplectic form for quadrature order (x1, p1, ...).
 
-    Domain: a Python or numpy integer n_modes >= 0, 0 giving a 0 x 0 array; not checked, so a negative one escapes as numpy's ValueError and a float, string or None as TypeError."""
+    Domain: a Python or numpy integer n_modes >= 0, 0 giving a 0 x 0 array; a negative one, a float, string or None raises ValidationError naming n_modes."""
+    if require_integer("n_modes", n_modes) < 0:
+        raise ValidationError(f"n_modes must be non-negative; got {n_modes}")
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
@@ -100,7 +102,7 @@ class CovarianceMatrix:
     symplectic eigenvalue must be at least ``1/2 - PHYSICALITY_SLACK``.
     A two-mode ((A, C), (C^T, B)) holds ((det A, det C), (det C^T, det B)) and det sigma.
 
-    Domain: a real symmetric matrix of even size with those properties, entries of at most MATRIX_ENTRY_MAX and a finite det sigma; anything else raises ValidationError.
+    Domain: a real symmetric matrix of even size with those properties, entries of at most MATRIX_ENTRY_MAX and a finite det sigma (a complex one whose imaginary parts are all zero is read as its real part); anything else, a ragged or non-numeric matrix included, raises ValidationError.
     """
 
     sigma: np.ndarray
@@ -137,7 +139,7 @@ class QuadraticHamiltonian:
     """Frequency matrix G of a quadratic Hamiltonian H = r^T G r / 2 in
     dimensionless quadratures r; the propagator is S = exp(Omega G t).
 
-    Domain: a non-empty real matrix of even size, symmetric within HAMILTONIAN_TOL, with finite entries of at most MATRIX_ENTRY_MAX (its sign is not checked), else ValidationError; a ragged or non-numeric matrix escapes as numpy's ValueError, and a complex one loses its imaginary part with only a ComplexWarning."""
+    Domain: a non-empty rectangular array of real numbers of even size, symmetric within HAMILTONIAN_TOL, with finite entries of at most MATRIX_ENTRY_MAX (its sign is not checked); anything else, a ragged or non-numeric matrix or a nonzero imaginary part included, raises ValidationError naming the Hamiltonian matrix."""
 
     matrix: np.ndarray
 
@@ -151,11 +153,6 @@ class QuadraticHamiltonian:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-
-def _require_finite(name: str, value: float):
-    if not require_real(name, value):
-        raise ValidationError(f"{name} must be finite; got {value}")
 
 
 def _require_frequency(omega: float):
@@ -291,7 +288,7 @@ def symplectic_propagator(ham: QuadraticHamiltonian, t: float) -> np.ndarray:
 
     Domain: a finite real ``t`` for which S is finite and |det S - 1| <= PROPAGATOR_DET_TOL; anything else raises ValidationError naming t.
     """
-    _require_finite("t", t)
+    require_finite("t", t)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Omega G t is rejected below
         s = _expm(symplectic_form(ham.n_modes) @ ham.matrix * t)
         defect = abs(np.linalg.det(s) - 1.0)
@@ -601,7 +598,7 @@ def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 
     """
     forms, det_m, det_b = _seed_forms(sigma, measured_mode)
     # a stable argsort keeps the first of equal cells in (u, phi) order
-    cells = np.argsort(_conditional_det(forms), kind="stable")[:STARTS].tolist()
+    cells = _conditional_det(forms).argsort(kind="stable")[:STARTS].tolist()
     starts = [_GRID_POINTS[cell] for cell in cells]
     min_det = minimize(_finite_objective(forms), starts, _disk).fun  # at most the best cell's value
 

@@ -209,20 +209,16 @@ def measurement_mutual_information(
 
 
 def apply_local_map(rho: DensityMatrix, channel: StochasticMap, side: str) -> DensityMatrix:
-    """Apply a stochastic map to one subsystem: sum_k (K (x) I) rho (K (x) I)^dagger."""
+    """Apply a stochastic map to one subsystem: sum_k K' rho K'^dagger with K' = K (x) I on side "A", I (x) K on "B"."""
     if not rho.is_bipartite:
         raise ValidationError("local maps act on bipartite states")
-    d_a, d_b = rho.dims
-    if side == "A":
-        if channel.dim != d_a:
-            raise ValidationError(f"Kraus dimension {channel.dim} does not match d_a = {d_a}")
-        embedded = [np.kron(k, np.eye(d_b)) for k in channel.kraus_ops]
-    elif side == "B":
-        if channel.dim != d_b:
-            raise ValidationError(f"Kraus dimension {channel.dim} does not match d_b = {d_b}")
-        embedded = [np.kron(np.eye(d_a), k) for k in channel.kraus_ops]
-    else:
+    if side not in ("A", "B"):
         raise ValidationError(f"side must be 'A' or 'B'; got {side!r}")
+    at = "AB".index(side)
+    if channel.dim != rho.dims[at]:
+        raise ValidationError(f"Kraus dimension {channel.dim} does not match d_{side.lower()} = {rho.dims[at]}")
+    factors = [np.eye(d) for d in rho.dims]
+    embedded = [np.kron(*factors[:at], k, *factors[at + 1 :]) for k in channel.kraus_ops]
     out = sum(k @ rho.elements @ k.conj().T for k in embedded)
     return DensityMatrix(out, rho.dims)
 

@@ -109,9 +109,6 @@ class JointDistribution:
     def marginal_y(self) -> Distribution:
         return Distribution(self.table.sum(axis=0))
 
-    def transpose(self) -> "JointDistribution":
-        return JointDistribution(self.table.T)
-
 
 def _coerce_dist(d) -> Distribution:
     return d if isinstance(d, Distribution) else Distribution(d)

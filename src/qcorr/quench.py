@@ -37,14 +37,14 @@ time-dependent protocol API is exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError, require_integer, require_real
-from .gaussian import _require_coupling, _require_finite, discord_from_invariants, normal_mode_frequencies
+from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError, require_finite, require_integer
+from .gaussian import _require_coupling, discord_from_invariants, normal_mode_frequencies
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -64,26 +64,12 @@ class QuenchParams:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            _require_finite(field.name, value)
+            require_finite(field.name, value)
             if field.name != "lambda0" and not value > 0:
                 raise ValidationError(f"{field.name} must be strictly positive; got {value}")
         if self.lambda0 < 0:
             raise ValidationError(f"lambda0 must be non-negative; got {self.lambda0}")
         _require_coupling(self.lambda0, self.omega)
-
-    @property
-    def temperature(self) -> float:
-        return 1.0 / self.beta
-
-    def at_temperature(self, temperature: float) -> "QuenchParams":
-        """These parameters at beta = 1 / temperature, a temperature in units of energy (k_B T).
-
-        Domain: a real 0 < temperature < inf whose 1 / temperature is finite; anything else raises ValidationError.
-        """
-        require_real("temperature", temperature)
-        if not 0.0 < temperature < math.inf:
-            raise ValidationError(f"temperature must be positive and finite; got {temperature}")
-        return replace(self, beta=1.0 / temperature)
 
 
 class QuenchReport(NamedTuple):
@@ -310,7 +296,7 @@ def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> l
     Like a loop over :func:`report_at`, raises where
     :func:`_check_excess` does.
     """
-    _require_finite("evolution_time", evolution_time)
+    require_finite("evolution_time", evolution_time)
     w_c, df_c, w_q, df_q, closed = _closed_forms(params, beta)
     w_c_irr = w_c - df_c
     w_q_irr = w_q - df_q
@@ -363,7 +349,7 @@ def sweep_temperature(
     if points < 2:
         raise ValidationError(f"need at least 2 grid points; got {points}")
     # beta = 1 / t falls with t and is positive below t_max < inf: finite at t_min, valid throughout
-    _require_finite("beta", 1.0 / t_min)
+    require_finite("beta", 1.0 / t_min)
     temperatures = np.linspace(t_min, t_max, points)
     return _reports(params, 1.0 / temperatures, evolution_time)
 

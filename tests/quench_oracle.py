@@ -30,7 +30,8 @@ from qcorr import (
     symplectic_evolution,
     thermal_covariance,
 )
-from qcorr.gaussian import _require_coupling, _require_finite
+from qcorr.errors import require_finite
+from qcorr.gaussian import _require_coupling
 
 _MC_SAMPLES = 1_000_000
 
@@ -139,7 +140,7 @@ def quench_discord(params: QuenchParams, t: float = 1.0, *, hbar: float = 1.0) -
     with ``expm`` and a validated covariance matrix, this is the
     independent check of the discord column of :func:`qcorr.sweep_temperature`.
     """
-    _require_finite("evolution_time", t)
+    require_finite("evolution_time", t)
     one_mode = thermal_covariance(params.beta * hbar, params.omega)
     initial = direct_sum(one_mode, one_mode)
     ham = quench_hamiltonian_matrix(params.omega, params.lambda0)

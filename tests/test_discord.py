@@ -27,8 +27,8 @@ from qcorr.discord import (
     _grid_values,
     _maximize_classical_correlations,
     _negated_objective,
+    _point,
     _qubit_entropy,
-    point,
 )
 
 from . import discord_oracle
@@ -413,7 +413,7 @@ def _riemannian_by_differences(objective, n, e1, e2, step):
     normalize(n + x e1 + y e2): the gradient and Hessian at x = y = 0."""
 
     def f(x, y):
-        return objective(point(np.asarray(n) + x * np.asarray(e1) + y * np.asarray(e2)))[0]
+        return objective(_point(np.asarray(n) + x * np.asarray(e1) + y * np.asarray(e2)))[0]
 
     f0 = f(0.0, 0.0)
     grad = ((f(step, 0) - f(-step, 0)) / (2 * step), (f(0, step) - f(0, -step)) / (2 * step))
@@ -435,7 +435,7 @@ class TestDerivatives:
             for bloch in ((a, b, t), (b, a, t.T)):
                 objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
                 for _ in range(4):
-                    n, e1, e2 = point(rng.standard_normal(3))
+                    n, e1, e2 = _point(rng.standard_normal(3))
                     value, grad, hess = objective((n, e1, e2))
                     assert np.isfinite(value) and np.isfinite(grad).all() and np.isfinite(hess).all()
                     fd_grad, _ = _riemannian_by_differences(objective, n, e1, e2, 1e-6)
@@ -471,7 +471,7 @@ class TestDerivatives:
 
         with mpmath.workdps(50):
             for _ in range(4):
-                n, e1, e2 = point(rng.standard_normal(3))
+                n, e1, e2 = _point(rng.standard_normal(3))
                 _, _, hess = objective((n, e1, e2))
                 step = mpmath.mpf("1e-6")
 
@@ -497,7 +497,7 @@ class TestDerivatives:
             for bloch in ((a, b, t), (b, a, t.T)):
                 objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
                 for _ in range(5):
-                    n, e1, e2 = (np.asarray(v) for v in point(rng.standard_normal(3)))
+                    n, e1, e2 = (np.asarray(v) for v in _point(rng.standard_normal(3)))
                     _, grad, (h11, h12, h22) = objective((n, e1, e2))
                     angle = rng.uniform(0.0, 2.0 * math.pi)
                     rot = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]])
@@ -549,7 +549,7 @@ class TestDegenerateInputs:
         a, b, t = _bloch(rho)
         objective = _negated_objective((a, b, t), _qubit_entropy(float(b @ b)))
         for n in ([0.0, 0.0, 1.0], [1e-9, 0.0, 1.0]):
-            _, grad, hess = objective(point(n))
+            _, grad, hess = objective(_point(n))
             assert np.isfinite(grad).all() and np.isfinite(hess).all()
         assert self._search(rho, swapped=True).discord > 1e-3
         rng = np.random.default_rng(3)

@@ -13,8 +13,7 @@ C, and :func:`quantum_mutual_information` for I.
 Quench sweep: ``sweep_temperature`` takes an integer ``points`` >= 2, a
 Python or numpy integer; a float, even an integral one, or a string
 raises naming ``points``. A string or None where ``QuenchParams``, the
-sweep, ``report_at`` or ``at_temperature`` take a real number raises
-naming that field.
+sweep or ``report_at`` take a real number raises naming that field.
 
 Gaussian frequencies and temperatures: ``thermal_variance`` (and so
 ``thermal_covariance``) takes beta > 0 and 0 < omega < inf, and
@@ -41,11 +40,18 @@ Kraus operators of one shape; ``MeasurementBasis`` and ``everett_state``
 take real angles and overlap; ``random_density_matrix`` and
 ``random_covariance`` take a non-negative integer seed.
 
+Matrices: ``CovarianceMatrix``, ``QuadraticHamiltonian``, ``Observable``
+and ``Povm`` take rectangular arrays of numbers, and the first two real
+ones: a complex matrix is accepted as its real part only when every
+imaginary part is zero. ``symplectic_form`` takes an integer n_modes >= 0.
+
 Each violation raises naming the argument, the invariant, the operator
 index or the broken rule.
 """
 
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,7 +63,9 @@ from qcorr import (
     CovarianceMatrix,
     DensityMatrix,
     MeasurementBasis,
+    Observable,
     Povm,
+    QuadraticHamiltonian,
     StochasticMap,
     QuenchParams,
     ValidationError,
@@ -74,6 +82,7 @@ from qcorr import (
     quantum_partition,
     quench_hamiltonian_matrix,
     symplectic_evolution,
+    symplectic_form,
     symplectic_propagator,
     thermal_covariance,
     thermal_variance,
@@ -232,9 +241,8 @@ class TestQuenchInputTypes:
             (lambda: sweep_temperature(QuenchParams(), 0.1, None, 3), "t_max"),
             (lambda: report_at(QuenchParams(), None), "evolution_time"),
             (lambda: sweep_temperature(QuenchParams(), 0.1, 5.0, 3, evolution_time="x"), "evolution_time"),
-            (lambda: QuenchParams().at_temperature("1"), "temperature"),
         ],
-        ids=["omega", "lambda0", "t_min", "t_max", "report_at", "evolution_time", "at_temperature"],
+        ids=["omega", "lambda0", "t_min", "t_max", "report_at", "evolution_time"],
     )
     def test_wrong_type_rejected(self, call, field):
         with pytest.raises(ValidationError, match=f"{field}.* real number"):
@@ -403,6 +411,54 @@ class TestCovarianceOverflow:
         assert pair._dets[1] == pytest.approx(1e304, rel=1e-12)
 
 
+class TestMatrixInput:
+    """A ragged or non-numeric matrix, a real matrix given with a nonzero
+    imaginary part and a bad ``symplectic_form`` size raise ValidationError
+    naming the matrix or n_modes, not numpy's ValueError or TypeError, and no
+    imaginary part is dropped with only a ComplexWarning."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CovarianceMatrix([[1.0, 0.0], [0.0]]), "covariance matrix must be a rectangular array of numbers"),
+            (lambda: QuadraticHamiltonian([["a", "b"], ["c", "d"]]), "Hamiltonian matrix must be a rectangular array of numbers"),
+            (lambda: Observable([[1.0, 0.0], [0.0]]), "observable must be a rectangular array of numbers"),
+            (lambda: Povm(([[1.0, 0.0], [0.0, "x"]],)), "element 0 must be a rectangular array of numbers"),
+            (lambda: CovarianceMatrix(np.eye(2) * (1 + 0.5j)), r"covariance matrix must be real: max \|imaginary part\| 0.5$"),
+            (lambda: QuadraticHamiltonian(1j * np.eye(2)), r"Hamiltonian matrix must be real: max \|imaginary part\| 1.0$"),
+            (lambda: CovarianceMatrix([[0.5, 1e-20j], [-1e-20j, 0.5]]), r"covariance matrix must be real: max \|imaginary part\| 1e-20$"),
+            (lambda: symplectic_form(-1), "n_modes must be non-negative; got -1$"),
+            (lambda: symplectic_form(2.5), "n_modes must be an integer; got 2.5$"),
+            (lambda: symplectic_form(None), "n_modes must be an integer; got None$"),
+        ],
+        ids=["covariance_ragged", "hamiltonian_strings", "observable_ragged", "povm_ragged", "covariance_complex",
+             "hamiltonian_complex", "covariance_complex_list", "symplectic_form_negative", "symplectic_form_float",
+             "symplectic_form_none"],
+    )
+    def test_rejected_naming_the_matrix(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{message}"):
+                call()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_imaginary_part_accepted_as_the_real_matrix(self, seed):
+        sigma = random_covariance(seed).sigma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for given in (sigma + 0j, (sigma + 0j).tolist()):
+                accepted = CovarianceMatrix(given)
+                assert accepted.sigma.dtype == float and accepted.sigma.tobytes() == sigma.tobytes()
+                assert accepted._dets[0].tobytes() == random_covariance(seed)._dets[0].tobytes()
+                assert accepted._dets[1] == random_covariance(seed)._dets[1]
+                assert accepted._spectrum.tobytes() == random_covariance(seed)._spectrum.tobytes()
+                assert QuadraticHamiltonian(given).matrix.tobytes() == QuadraticHamiltonian(sigma).matrix.tobytes()
+
+    def test_zero_modes_accepted(self):
+        assert symplectic_form(0).shape == (0, 0)
+        assert symplectic_form(np.int64(2)).tobytes() == symplectic_form(2).tobytes()
+
+
 class TestInvariants:
     """``discord_from_invariants`` on floats and on arrays rejects an a, b or d
     that is not finite or lies below the vacuum's 1 by more than
@@ -513,10 +569,13 @@ class TestInvariants:
                 assert gaussian_discord(sigma, mode) == pytest.approx(exact, rel=1e-9)
 
 
-@pytest.mark.parametrize("module, count", [(quench, 14), (gaussian, 20)], ids=["quench", "gaussian"])
+@pytest.mark.parametrize(
+    "module, count", [(quench, 14), (gaussian, 20), (importlib.import_module("qcorr.discord"), 7)],
+    ids=["quench", "gaussian", "discord"],
+)
 def test_every_public_name_states_its_domain(module, count):
-    """Each class and function that qcorr.quench or qcorr.gaussian defines
-    carries exactly one ``Domain:`` line in its docstring."""
+    """Each class and function that qcorr.quench, qcorr.gaussian or
+    qcorr.discord defines carries exactly one ``Domain:`` line in its docstring."""
     defined = [obj for name, obj in vars(module).items()
                if not name.startswith("_") and callable(obj) and obj.__module__ == module.__name__]
     assert len(defined) == count

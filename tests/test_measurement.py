@@ -234,6 +234,29 @@ class TestLocalMaps:
         assert out.elements[0, 3] == pytest.approx(0.5 * (1 - 2 * p), abs=1e-14)
         assert out.elements[3, 0] == pytest.approx(0.2, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "kraus_dim, side, message",
+        [
+            (3, "A", "Kraus dimension 3 does not match d_a = 2"),
+            (2, "B", "Kraus dimension 2 does not match d_b = 3"),
+            (3, "C", "side must be 'A' or 'B'; got 'C'"),
+            (2, None, "side must be 'A' or 'B'; got None"),
+        ],
+    )
+    def test_mismatch_and_bad_side_rejected(self, kraus_dim, side, message):
+        rho = random_density_matrix((2, 3), 2, seed=0)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            apply_local_map(rho, StochasticMap((np.eye(kraus_dim),)), side)
+
+    def test_each_side_embeds_its_factor(self):
+        rho = random_density_matrix((2, 3), 6, seed=1)
+        flip_a = StochasticMap((np.array([[0.0, 1.0], [1.0, 0.0]]),))
+        cycle_b = StochasticMap((np.roll(np.eye(3), 1, axis=0),))
+        for channel, side, unitary in ((flip_a, "A", np.kron(flip_a.kraus_ops[0], np.eye(3))),
+                                       (cycle_b, "B", np.kron(np.eye(2), cycle_b.kraus_ops[0]))):
+            out = apply_local_map(rho, channel, side)
+            assert np.array_equal(out.elements, DensityMatrix(unitary @ rho.elements @ unitary.conj().T, (2, 3)).elements)
+
     def test_data_processing_quantum(self, rng):
         for seed in range(500):
             rho = random_density_matrix((2, 2), int(1 + seed % 4), seed=seed)

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from qcorr import _newton
-from qcorr.discord import _tangent_chart, point
+from qcorr.discord import _point, _tangent_chart
 
 sphere = importlib.import_module("qcorr.discord")  # the package binds the name discord to the function
 
 
 def minimize(fun, starts):
     """Newton runs from the directions ``starts``, as the discord search runs them; ``x`` is the unit vector found."""
-    x, value, nfev, success = _newton.minimize(fun, [point(start) for start in starts], _tangent_chart)
+    x, value, nfev, success = _newton.minimize(fun, [_point(start) for start in starts], _tangent_chart)
     return _newton.Result(x[0], value, nfev, success)
 
 
@@ -107,7 +107,7 @@ def test_point_carries_an_orthonormal_tangent_basis():
     basis."""
     rng = np.random.default_rng(4)
     for v in [(0.0, 0.0, -1.0), (0.0, 0.0, 2.0), (1.0, 1.0, 0.0), (0.0, 3.0, 4.0), *rng.standard_normal((20, 3))]:
-        n, e1, e2 = point(v)
+        n, e1, e2 = _point(v)
         assert n == pytest.approx(tuple(np.asarray(v) / np.linalg.norm(v)), abs=1e-15)
         basis = np.array([e1, e2, n])
         assert basis @ basis.T == pytest.approx(np.eye(3), abs=1e-15)
