@@ -26,10 +26,14 @@ antipodes make up the full grid. Exchanging A and B maps (a, b, T) to
 
 The search evaluates C on the distinct directions of a THETA_POINTS x
 PHI_POINTS hemisphere grid (:data:`GRID`) and runs Riemannian Newton on
-the sphere from the STARTS best of them; it returns the larger of the
-grid and Newton maxima. A point of the Newton search is a unit 3-vector
-n with an orthonormal basis (e1, e2) of its tangent plane
-(:func:`_point`), and a step (d1, d2) is retracted onto the sphere by
+the sphere from the best of them. Only where that run evaluates its start
+alone, at a critical point of C such as the pole of X, Bell-diagonal and
+Werner states or anywhere on a constant C, does a second run start from
+the second-best direction: the maximum can lie in another basin that no
+grid row reaches (the equator, for an X state whose pole is a saddle). It
+returns the largest of the grid and Newton maxima. A point of the Newton
+search is a unit 3-vector n with an orthonormal basis (e1, e2) of its
+tangent plane (:func:`_point`), and a step (d1, d2) is retracted onto the sphere by
 normalizing n + d1 e1 + d2 e2 (:func:`_tangent_chart`), so the poles of
 (theta, phi) are ordinary points. The objective returns the Riemannian
 gradient and Hessian in (e1, e2): for an extension off the sphere with
@@ -76,7 +80,7 @@ from .states import DensityMatrix, partial_trace, von_neumann_entropy
 
 THETA_POINTS = 8
 PHI_POINTS = 8  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere
-STARTS = 2  # Newton runs, from the best grid directions
+STARTS = 2  # Newton runs at most: from the best grid direction, then the second best if the first stops at its start
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -347,20 +351,26 @@ def _basis_of(n) -> MeasurementBasis:
 
 def _maximize_classical_correlations(bloch, s_b: float):
     """Coarse hemisphere grid, then Newton on the sphere from its best
-    cells, on (a, b, T) and S(rho_B) = h(|b|). Returns (value, basis,
+    cell, and from its second best where that run evaluates its start
+    alone, on (a, b, T) and S(rho_B) = h(|b|). Returns (value, basis,
     evaluations, converged)."""
     grid = _grid_values(bloch, s_b, GRID)
     # values within FTOL of each other are equal to rounding, and the earlier direction wins: the
     # pole where C is constant, as on pure and Werner states; a stable argsort keeps the first of equal keys
     cells = np.rint((grid.max() - grid) / FTOL).argsort(kind="stable")[:STARTS].tolist()
     grid_value = grid[cells[0]].item()
-    result = minimize(_negated_objective(bloch, s_b), [_point(_GRID_POINTS[cell]) for cell in cells], _tangent_chart)
-    evaluations = len(GRID) + result.nfev
+    objective = _negated_objective(bloch, s_b)
+    result = minimize(objective, [_point(_GRID_POINTS[cells[0]])], _tangent_chart)
+    nfev, converged = result.nfev, result.success
+    if nfev == 1:  # stopped where it started, at a critical point of C such as the pole of an X state
+        second = minimize(objective, [_point(_GRID_POINTS[cells[1]])], _tangent_chart)
+        nfev, converged = nfev + second.nfev, converged and second.success
+        result = second if second.fun < result.fun else result
     if -result.fun >= grid_value:
         value, n = -result.fun, result.x[0]
     else:
         value, n = grid_value, _GRID_POINTS[cells[0]]
-    return value, _basis_of(n), evaluations, result.success
+    return value, _basis_of(n), len(GRID) + nfev, converged
 
 
 def max_classical_correlations(rho: DensityMatrix):

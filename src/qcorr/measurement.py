@@ -113,7 +113,10 @@ class StochasticMap:
     kraus_ops: tuple
 
     def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)  # copies: the caller's arrays stay the caller's
+        try:
+            ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)  # copies: the caller's arrays stay the caller's
+        except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+            raise ValidationError(f"Kraus operators must be rectangular arrays of numbers: {exc}") from None
         if not ops:
             raise ValidationError("a stochastic map needs at least one Kraus operator")
         for idx, k in enumerate(ops):

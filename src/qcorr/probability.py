@@ -23,7 +23,10 @@ from .errors import NORM_TOL, ZERO_PROBABILITY, ValidationError
 
 
 def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+        raise ValidationError(f"{what} must be a rectangular array of numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"{what} must be a non-empty {ndim}-d array; got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -54,7 +57,10 @@ def _normalized(cls, weights):
     Finite weights whose sum overflows are first divided by the largest
     of them; any other input is divided by its sum alone.
     """
-    w = np.asarray(weights, dtype=float)
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+        raise ValidationError(f"weights must be a rectangular array of numbers: {exc}") from None
     if not np.isfinite(w).all():
         raise ValidationError("weights must be finite; got a NaN or infinite entry")
     with np.errstate(over="ignore"):

@@ -31,6 +31,8 @@ def eigh_phase_fixed(matrix: np.ndarray):
     Eigenvalues come out ascending (as from ``numpy.linalg.eigh``); each
     eigenvector is rephased so that its largest-magnitude component is
     real and positive, making the decomposition reproducible.
+
+    Domain: not checked; a square Hermitian array, of which numpy's eigh reads the lower triangle: other shapes raise numpy's LinAlgError, and a NaN entry gives NaN eigenvalues.
     """
     vals, vecs = np.linalg.eigh(matrix)
     phases = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]  # first index on ties
@@ -54,16 +56,21 @@ def _validate_dims(dims, size: int | None = None) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized state vector with a bipartite dimension split."""
+    """A normalized state vector with a bipartite dimension split.
+
+    Domain: numbers of unit norm within ``NORM_TOL`` (flattened), and dims a pair of positive integers whose product is their count; anything else, ragged, non-numeric, NaN and infinite input included, raises ValidationError naming the violated invariant."""
 
     amplitudes: np.ndarray
     dims: tuple
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).ravel().copy()
+        try:
+            amp = np.asarray(self.amplitudes, dtype=complex).ravel().copy()
+        except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+            raise ValidationError(f"state vector must be an array of numbers: {exc}") from None
         dims = _validate_dims(self.dims, amp.size)
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails it too
             raise ValidationError(f"state norm is {norm!r}; expected 1 within {NORM_TOL}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -91,13 +98,18 @@ class DensityMatrix:
     dims : pair of int
         Subsystem dimensions ``(d_a, d_b)`` with product equal to the
         matrix size. Use ``d_b = 1`` for monopartite states.
+
+    Domain: a non-empty square array of finite numbers, none larger than ``MATRIX_ENTRY_MAX`` in magnitude, Hermitian, of unit trace and positive semidefinite within ``MATRIX_TOL``, and dims a pair of positive integers whose product is its size; anything else, ragged or non-numeric input included, raises ValidationError naming the violated invariant.
     """
 
     elements: np.ndarray
     dims: tuple
 
     def __post_init__(self):
-        raw = np.asarray(self.elements, dtype=complex)
+        try:
+            raw = np.asarray(self.elements, dtype=complex)
+        except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+            raise ValidationError(f"density matrix must be a rectangular array of numbers: {exc}") from None
         mat = hermitian_part(raw, "density matrix")
         dims = _validate_dims(self.dims, len(mat))
         trace = complex(raw.trace())
@@ -132,12 +144,16 @@ class DensityMatrix:
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:
-    """Rank-1 density matrix |psi><psi|."""
+    """Rank-1 density matrix |psi><psi|.
+
+    Domain: a :class:`PureState`; anything else escapes as AttributeError."""
     return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims)
 
 
 def tensor_product(rho_a: DensityMatrix, rho_b: DensityMatrix) -> DensityMatrix:
-    """Product state rho_a (x) rho_b with dims (dim_a, dim_b)."""
+    """Product state rho_a (x) rho_b with dims (dim_a, dim_b).
+
+    Domain: two :class:`DensityMatrix` objects; anything else escapes as AttributeError."""
     return DensityMatrix(np.kron(rho_a.elements, rho_b.elements), (rho_a.dim, rho_b.dim))
 
 
@@ -150,6 +166,8 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
         Bipartite state.
     keep : {"A", "B"}
         Which subsystem survives the trace.
+
+    Domain: a bipartite :class:`DensityMatrix` (d_b > 1) and keep "A" or "B", else ValidationError; anything but a DensityMatrix escapes as AttributeError.
     """
     if not rho.is_bipartite:
         raise ValidationError("partial trace requires a bipartite state (d_b > 1)")
@@ -166,7 +184,9 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy -Tr[rho ln rho] in nats, in [0, ln d]; eigenvalues
-    at or below ``ZERO_PROBABILITY`` are zeros, as in :mod:`qcorr.probability`."""
+    at or below ``ZERO_PROBABILITY`` are zeros, as in :mod:`qcorr.probability`.
+
+    Domain: a :class:`DensityMatrix`; anything else escapes as AttributeError."""
     return 0.0 - float(np.sum(_plogp(rho.spectrum())))  # +0.0, not -0.0, for a pure state
 
 
@@ -177,6 +197,8 @@ def quantum_relative_entropy(sigma: DensityMatrix, rho: DensityMatrix) -> float:
     when the support of ``sigma`` is not contained in the support of
     ``rho`` (support detected at the ``SUPPORT_CUTOFF`` eigenvalue
     threshold). Non-negative by Klein's inequality.
+
+    Domain: two :class:`DensityMatrix` objects of one dimension, else ValidationError; anything but a DensityMatrix escapes as AttributeError.
     """
     if sigma.dim != rho.dim:
         raise ValidationError(f"dimension mismatch: {sigma.dim} vs {rho.dim}")
@@ -202,6 +224,8 @@ def quantum_mutual_information(rho: DensityMatrix) -> float:
     the test suite. Values in ``[-NEGATIVE_CLAMP, 0)`` are rounding, or
     eigenvalues on different sides of ``ZERO_PROBABILITY`` in the three
     spectra, and read as zero.
+
+    Domain: a bipartite :class:`DensityMatrix` (d_b > 1), else ValidationError; anything but a DensityMatrix escapes as AttributeError.
     """
     if not rho.is_bipartite:
         raise ValidationError("mutual information requires a bipartite state")
@@ -216,6 +240,8 @@ def araki_lieb_check(rho: DensityMatrix):
 
     For every valid bipartite state the middle value is sandwiched by
     the outer two.
+
+    Domain: a bipartite :class:`DensityMatrix` (d_b > 1), else ValidationError; anything but a DensityMatrix escapes as AttributeError.
     """
     if not rho.is_bipartite:
         raise ValidationError("Araki-Lieb bounds require a bipartite state")
@@ -229,6 +255,8 @@ def entanglement_entropy(psi: PureState) -> float:
 
     The von Neumann entropy of either reduced state; both subsystems
     give the same value for a globally pure state.
+
+    Domain: a bipartite :class:`PureState` (d_b > 1), else ValidationError; anything but a PureState escapes as AttributeError.
     """
     if not psi.is_bipartite:
         raise ValidationError("entanglement entropy requires a bipartite state")
@@ -241,6 +269,8 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     Draws a complex Gaussian ``d x rank`` matrix X with the given seed
     and returns ``X X^dagger / Tr[X X^dagger]``. Deterministic for a
     fixed seed.
+
+    Domain: dims a pair of positive integers, rank an integer in [1, d_a d_b] and seed a non-negative integer; anything else raises ValidationError naming the argument.
     """
     d_a, d_b = _validate_dims(dims)
     dim = d_a * d_b
@@ -275,10 +305,16 @@ def _pairs_to_matrix(pairs) -> np.ndarray:
 
 
 def density_matrix_to_json(rho: DensityMatrix) -> str:
+    """The file format above, from a :class:`DensityMatrix`.
+
+    Domain: a :class:`DensityMatrix`; anything else escapes as AttributeError."""
     return json.dumps({"dims": [rho.dims[0], rho.dims[1]], "matrix": _matrix_to_pairs(rho.elements)})
 
 
 def density_matrix_from_json(text: str) -> DensityMatrix:
+    """The :class:`DensityMatrix` of a file in the format above.
+
+    Domain: a str, bytes or bytearray holding a JSON object whose "dims" and "matrix" make a valid DensityMatrix; any other text raises ValidationError naming what is wrong, and another type escapes as TypeError."""
     try:
         payload = json.loads(text)
     except ValueError as exc:

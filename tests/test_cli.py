@@ -432,7 +432,7 @@ OUTPUT_BYTES = [
     (('qstate', '--state', 'qubit.json'),
      '{"dims": [2, 1], "entropy": 0.50040242353818787}\n'),
     (('discord', '--state', 'rho.json'),
-     '{"mutual_info": 0.48651735443948074, "classical_corr": 0.25351238622096983, "discord": 0.23300496821851091, "theta": 0.96484019177191793, "phi": 0.93233074960957019, "evaluations": 57, "converged": true}\n'),
+     '{"mutual_info": 0.48651735443948074, "classical_corr": 0.25351238622096978, "discord": 0.23300496821851097, "theta": 0.96484019174792046, "phi": 0.93233074962546503, "evaluations": 53, "converged": true}\n'),
     (('gaussian', '--cov', 'cov.json'),
      '{"nu_minus": 1.2318018725312183, "nu_plus": 2.2405399916753881, "entropy": 2.9778320799230613, "discord": 0.0071737656791206472}\n'),
     (('gaussian', '--cov', 'cov.json', '--measured-mode', '2'),

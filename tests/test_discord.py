@@ -314,7 +314,8 @@ class TestDiscord:
 
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
         """Evaluations are the grid points plus the Newton evaluations of
-        every start, each counted once by the objective it calls."""
+        every run, each counted once by the objective it calls; a random
+        state of rank 3 takes one run."""
         module = importlib.import_module("qcorr.discord")
         calls, runs = [], []
         refine = module.minimize
@@ -332,9 +333,9 @@ class TestDiscord:
 
         monkeypatch.setattr(module, "minimize", recording_minimize)
         result = discord(random_density_matrix((2, 2), 3, seed=5))
-        assert runs == [(module.STARTS, len(calls))]
+        assert runs == [(1, len(calls))]
         assert result.trace.evaluations == len(GRID) + len(calls)
-        assert module.STARTS < len(calls) < 20
+        assert 1 < len(calls) < 20
 
     def test_luo_closed_form_on_bell_diagonal_states(self):
         rng = np.random.default_rng(2008)
@@ -406,6 +407,71 @@ class TestAgainstOracle:
             worst_i = max(worst_i, abs(result.mutual_info - quantum_mutual_information(rho)))
         assert worst_c <= 1e-12
         assert worst_i <= 1e-12
+
+
+class TestSecondStart:
+    """The search runs Newton from the best grid cell, and from the second
+    best only where that first run evaluates its start alone: at a critical
+    point of C, such as the pole of X, Bell-diagonal and Werner states."""
+
+    def test_hidden_basin_behind_a_critical_pole(self):
+        """An X state whose best grid cell is the pole, a critical point
+        where the first run stops after one evaluation, 5.7e-4 below the
+        maximum on the equator. The grid has no theta = pi / 2 row, and its
+        second-best cell is next to the pole, so a rule that skipped
+        adjacent cells would return the pole's value."""
+        rho = seeded_states(222, seed=2011)[1770]
+        bloch = _bloch(rho)
+        grid = _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), GRID)
+        assert int(grid.argmax()) == 0 and tuple(GRID[0]) == (0.0, 0.0, 1.0)
+        expected, _, _, _ = discord_oracle._maximize_classical_correlations(bloch)
+        assert expected - float(grid.max()) > 5e-4
+        result = discord(rho)
+        assert abs(result.classical_corr - expected) <= 1e-12
+        assert result.optimal_basis.theta == pytest.approx(math.pi / 2, abs=1e-6)
+
+    def test_bell_diagonal_states_at_the_crossover(self):
+        """Bell-diagonal states with |c1| = |c3| (1 + delta), where the
+        optimal axis switches between z and x (Maziero et al., PRA 80,
+        044102, 2009), against Luo's closed form. At delta <= 0 the best
+        grid cell is the pole, a critical point, and the second run starts;
+        at delta > 0 it is a cell next to the equator, and one run does."""
+        cases = 0
+        for c3 in (0.2, 0.45, -0.3):
+            for delta in (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3, 0.1, -0.1):
+                for sign, c2 in ((1, 0.0), (1, 0.1 * c3), (-1, -0.1 * c3)):
+                    c = (sign * c3 * (1.0 + delta), c2, c3)
+                    info, disc = luo_bell_diagonal(c)
+                    for result in (discord(bell_diagonal(c)), discord_swapped(bell_diagonal(c))):
+                        assert result.mutual_info == pytest.approx(info, abs=1e-12)
+                        assert result.discord == pytest.approx(disc, abs=1e-12)
+                    cases += 1
+        assert cases == 81
+
+    def test_second_run_exactly_when_the_first_stops_at_its_start(self, monkeypatch):
+        module = importlib.import_module("qcorr.discord")
+        refine, runs = module.minimize, []
+
+        def recording_minimize(fun, starts, chart):
+            result = refine(fun, starts, chart)
+            runs.append((starts, result.nfev))
+            return result
+
+        monkeypatch.setattr(module, "minimize", recording_minimize)
+        states = seeded_states(4, seed=31) + [bell_diagonal((0.3, 0.0, 0.3)), seeded_states(222, seed=2011)[1770]]
+        seen = set()
+        for rho in states:
+            for search in (discord, discord_swapped):
+                runs.clear()
+                result = search(rho)
+                assert [len(starts) for starts, _ in runs] == [1] * len(runs)
+                first_nfev = runs[0][1]
+                assert len(runs) == (2 if first_nfev == 1 else 1)
+                assert result.trace.evaluations == len(GRID) + sum(nfev for _, nfev in runs)
+                if len(runs) == 2:
+                    assert runs[1][0] != runs[0][0]
+                seen.add(len(runs))
+        assert seen == {1, 2}
 
 
 def _riemannian_by_differences(objective, n, e1, e2, step):

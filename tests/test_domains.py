@@ -40,8 +40,10 @@ Kraus operators of one shape; ``MeasurementBasis`` and ``everett_state``
 take real angles and overlap; ``random_density_matrix`` and
 ``random_covariance`` take a non-negative integer seed.
 
-Matrices: ``CovarianceMatrix``, ``QuadraticHamiltonian``, ``Observable``
-and ``Povm`` take rectangular arrays of numbers, and the first two real
+Matrices: ``CovarianceMatrix``, ``QuadraticHamiltonian``, ``Observable``,
+``Povm``, ``DensityMatrix``, ``StochasticMap``, ``Distribution`` and
+``JointDistribution`` take rectangular arrays of numbers, ``PureState`` an
+array of numbers of unit norm (a NaN norm is not), and the first two real
 ones: a complex matrix is accepted as its real part only when every
 imaginary part is zero. ``symplectic_form`` takes an integer n_modes >= 0.
 
@@ -62,9 +64,12 @@ from hypothesis.extra.numpy import arrays
 from qcorr import (
     CovarianceMatrix,
     DensityMatrix,
+    Distribution,
+    JointDistribution,
     MeasurementBasis,
     Observable,
     Povm,
+    PureState,
     QuadraticHamiltonian,
     StochasticMap,
     QuenchParams,
@@ -92,7 +97,7 @@ from qcorr import (
     report_at,
     sweep_temperature,
 )
-from qcorr import gaussian, quench
+from qcorr import gaussian, quench, states
 from qcorr.discord import _bloch
 from qcorr.gaussian import discord_from_invariants, local_invariants
 
@@ -412,10 +417,11 @@ class TestCovarianceOverflow:
 
 
 class TestMatrixInput:
-    """A ragged or non-numeric matrix, a real matrix given with a nonzero
-    imaginary part and a bad ``symplectic_form`` size raise ValidationError
-    naming the matrix or n_modes, not numpy's ValueError or TypeError, and no
-    imaginary part is dropped with only a ComplexWarning."""
+    """A ragged or non-numeric matrix, vector or distribution, a real matrix
+    given with a nonzero imaginary part and a bad ``symplectic_form`` size
+    raise ValidationError naming the matrix or n_modes, not numpy's
+    ValueError or TypeError, and no imaginary part is dropped with only a
+    ComplexWarning."""
 
     @pytest.mark.parametrize(
         "call, message",
@@ -424,6 +430,14 @@ class TestMatrixInput:
             (lambda: QuadraticHamiltonian([["a", "b"], ["c", "d"]]), "Hamiltonian matrix must be a rectangular array of numbers"),
             (lambda: Observable([[1.0, 0.0], [0.0]]), "observable must be a rectangular array of numbers"),
             (lambda: Povm(([[1.0, 0.0], [0.0, "x"]],)), "element 0 must be a rectangular array of numbers"),
+            (lambda: DensityMatrix([[1.0, 0.0], [0.0]], (2, 1)), "density matrix must be a rectangular array of numbers"),
+            (lambda: DensityMatrix([[1.0, 0.0], [0.0, "x"]], (2, 1)), "density matrix must be a rectangular array of numbers"),
+            (lambda: PureState([1.0, [0.0]], (2, 1)), "state vector must be an array of numbers"),
+            (lambda: PureState([math.nan, 0.0], (2, 1)), "state norm is nan"),
+            (lambda: StochasticMap(([[1.0, 0.0], [0.0]],)), "Kraus operators must be rectangular arrays of numbers"),
+            (lambda: Distribution([0.5, "x"]), "distribution must be a rectangular array of numbers"),
+            (lambda: JointDistribution([[0.5], [0.25, 0.25]]), "joint table must be a rectangular array of numbers"),
+            (lambda: Distribution.normalized([1.0, [2.0]]), "weights must be a rectangular array of numbers"),
             (lambda: CovarianceMatrix(np.eye(2) * (1 + 0.5j)), r"covariance matrix must be real: max \|imaginary part\| 0.5$"),
             (lambda: QuadraticHamiltonian(1j * np.eye(2)), r"Hamiltonian matrix must be real: max \|imaginary part\| 1.0$"),
             (lambda: CovarianceMatrix([[0.5, 1e-20j], [-1e-20j, 0.5]]), r"covariance matrix must be real: max \|imaginary part\| 1e-20$"),
@@ -431,9 +445,10 @@ class TestMatrixInput:
             (lambda: symplectic_form(2.5), "n_modes must be an integer; got 2.5$"),
             (lambda: symplectic_form(None), "n_modes must be an integer; got None$"),
         ],
-        ids=["covariance_ragged", "hamiltonian_strings", "observable_ragged", "povm_ragged", "covariance_complex",
-             "hamiltonian_complex", "covariance_complex_list", "symplectic_form_negative", "symplectic_form_float",
-             "symplectic_form_none"],
+        ids=["covariance_ragged", "hamiltonian_strings", "observable_ragged", "povm_ragged", "density_ragged",
+             "density_strings", "pure_ragged", "pure_nan", "stochastic_map_ragged", "distribution_strings", "joint_ragged",
+             "weights_ragged", "covariance_complex", "hamiltonian_complex", "covariance_complex_list",
+             "symplectic_form_negative", "symplectic_form_float", "symplectic_form_none"],
     )
     def test_rejected_naming_the_matrix(self, call, message):
         with warnings.catch_warnings():
@@ -570,12 +585,13 @@ class TestInvariants:
 
 
 @pytest.mark.parametrize(
-    "module, count", [(quench, 14), (gaussian, 20), (importlib.import_module("qcorr.discord"), 7)],
-    ids=["quench", "gaussian", "discord"],
+    "module, count", [(quench, 14), (gaussian, 20), (importlib.import_module("qcorr.discord"), 7), (states, 14)],
+    ids=["quench", "gaussian", "discord", "states"],
 )
 def test_every_public_name_states_its_domain(module, count):
-    """Each class and function that qcorr.quench, qcorr.gaussian or
-    qcorr.discord defines carries exactly one ``Domain:`` line in its docstring."""
+    """Each class and function that qcorr.quench, qcorr.gaussian,
+    qcorr.discord or qcorr.states defines carries exactly one ``Domain:``
+    line in its docstring."""
     defined = [obj for name, obj in vars(module).items()
                if not name.startswith("_") and callable(obj) and obj.__module__ == module.__name__]
     assert len(defined) == count

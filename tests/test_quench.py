@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcorr import quench
-from qcorr._newton import _newton_step
+from qcorr._newton import _descend, _newton_step
 from qcorr import (
     ConsistencyError,
     CovarianceMatrix,
@@ -655,13 +655,14 @@ class TestSweepCost:
 
     def test_search_frames_pinned(self):
         """One two-qubit search runs 14 numpy frames, whatever its evaluation
-        count, and 51 qcorr frames at the 49 grid directions and one Newton
-        evaluation per start, plus 10 per further evaluation and 2 per further
-        Newton step: 12 per evaluation when every trial step is accepted, 10
-        for a trial that is halved. One closed-form Gaussian discord runs 28
-        qcorr frames and no numpy frame, and the Gaussian oracle no numpy frame."""
+        count, and 38 qcorr frames at the 49 grid directions and one Newton
+        run that evaluates its start alone, plus 13 for a second run that
+        does the same, 10 per further evaluation and 2 per further Newton
+        step: 12 per evaluation when every trial step is accepted, 10 for a
+        trial that is halved. One closed-form Gaussian discord runs 28 qcorr
+        frames and no numpy frame, and the Gaussian oracle no numpy frame."""
         discord(random_density_matrix((2, 2), 2, 0))  # any lazy set-up runs before counting
-        halved = 0
+        halved, run_counts = 0, set()
         for rank in (1, 2, 3, 4):
             for seed in range(4):
                 rho = random_density_matrix((2, 2), rank, seed)
@@ -670,11 +671,13 @@ class TestSweepCost:
                     calls = self._python_calls(lambda: result.append(search(rho)))
                     evaluations = result[0].trace.evaluations
                     steps = sum(code is _newton_step.__code__ for _, code in calls)
+                    runs = sum(code is _descend.__code__ for _, code in calls)
                     packages = [package for package, _ in calls]
                     assert packages.count("numpy") == 14
-                    assert packages.count("qcorr") == 51 + 10 * (evaluations - 51) + 2 * (steps - 2)
+                    assert packages.count("qcorr") == 38 + 13 * (runs - 1) + 10 * (evaluations - 49 - runs) + 2 * (steps - runs)
                     halved += evaluations - 49 - steps  # Newton evaluations less steps: the halved trials
-        assert halved > 0
+                    run_counts.add(runs)
+        assert halved > 0 and run_counts == {1, 2}
         for seed in range(4):
             sigma = random_covariance(seed)
             for mode in (1, 2):
