@@ -15,14 +15,16 @@ value is halved until it does. A run stops, converged, when the decrease
 that the step taken predicts, -(g.d), is at most ``FTOL``, or when
 halving brings it there without a lower value, which is rounding; it
 returns the lowest value it evaluated. It stops unconverged after
-``MAXITER`` steps. The loop, the step and both charts' points,
+``MAXITER`` steps. Both searches start from their best grid cells under
+one rule, that of :func:`minimize`: a further run only where every run so
+far stopped at its start. The loop, the step and both charts' points,
 derivatives and moves are floats and tuples of floats: no numpy call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 CURVATURE_FLOOR = 1e-12
 MAX_STEP = 1.0  # in the chart's coordinates
@@ -82,15 +84,21 @@ def _descend(fun, x, chart) -> tuple:
     return x, value, nfev, False
 
 
-def minimize(fun: Callable[[tuple], tuple], starts: Sequence[tuple], chart: Callable) -> Result:
-    """Minimize ``fun`` by Newton runs in ``chart`` from each of ``starts``.
+def minimize(fun: Callable[[tuple], tuple], starts: Iterable[tuple], chart: Callable) -> Result:
+    """Minimize ``fun`` by Newton runs in ``chart``: from the first of
+    ``starts``, then from each next one only while every run so far has
+    evaluated its start alone (``nfev == 1``), at a critical point such as
+    a saddle or on a constant objective. A run that moves is the search's
+    last, so ``starts`` may be a lazy iterable whose later points are never
+    built.
 
     ``fun(x)`` returns ``(value, gradient, hessian)``, and
     ``chart(x, gradient, hessian)`` returns ``((g1, g2), (h11, h12, h22),
     move)`` with ``move(d1, d2)`` returning ``(point, d1, d2)``: the point
     reached and the step that reached it. ``x`` is the point of the lowest
-    value found, ``nfev`` counts the evaluations of every run, and
-    ``success`` is false when any run stopped at ``MAXITER`` steps.
+    value found, the earliest run's on a tie, ``nfev`` counts the
+    evaluations of every run, and ``success`` is false when any run stopped
+    at ``MAXITER`` steps.
     """
     best, nfev, success = None, 0, True
     for start in starts:
@@ -99,4 +107,6 @@ def minimize(fun: Callable[[tuple], tuple], starts: Sequence[tuple], chart: Call
         success = success and converged
         if best is None or value < best[1]:
             best = (x, value)
+        if count > 1:  # the run moved: its end is where the search ends
+            break
     return Result(best[0], best[1], nfev, success)

@@ -80,7 +80,7 @@ from .states import DensityMatrix, partial_trace, von_neumann_entropy
 
 THETA_POINTS = 8
 PHI_POINTS = 8  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere
-STARTS = 2  # Newton runs at most: from the best grid direction, then the second best if the first stops at its start
+STARTS = 2  # grid directions a search may start from; minimize runs the second only where the first run stops at its start
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -359,18 +359,13 @@ def _maximize_classical_correlations(bloch, s_b: float):
     # pole where C is constant, as on pure and Werner states; a stable argsort keeps the first of equal keys
     cells = np.rint((grid.max() - grid) / FTOL).argsort(kind="stable")[:STARTS].tolist()
     grid_value = grid[cells[0]].item()
-    objective = _negated_objective(bloch, s_b)
-    result = minimize(objective, [_point(_GRID_POINTS[cells[0]])], _tangent_chart)
-    nfev, converged = result.nfev, result.success
-    if nfev == 1:  # stopped where it started, at a critical point of C such as the pole of an X state
-        second = minimize(objective, [_point(_GRID_POINTS[cells[1]])], _tangent_chart)
-        nfev, converged = nfev + second.nfev, converged and second.success
-        result = second if second.fun < result.fun else result
+    starts = map(_point, map(_GRID_POINTS.__getitem__, cells))  # lazy: a second point only for a second run
+    result = minimize(_negated_objective(bloch, s_b), starts, _tangent_chart)
     if -result.fun >= grid_value:
         value, n = -result.fun, result.x[0]
     else:
         value, n = grid_value, _GRID_POINTS[cells[0]]
-    return value, _basis_of(n), len(GRID) + nfev, converged
+    return value, _basis_of(n), len(GRID) + result.nfev, result.success
 
 
 def max_classical_correlations(rho: DensityMatrix):

@@ -15,11 +15,16 @@ class ValidationError(ValueError):
 
     The message names the first violated invariant and includes the
     measured value.
+
+    Domain: any arguments, as for ValueError; qcorr raises it with one message string.
     """
 
 
 class ConsistencyError(RuntimeError):
-    """Two internally redundant computations disagree beyond tolerance."""
+    """Two internally redundant computations disagree beyond tolerance.
+
+    Domain: any arguments, as for RuntimeError; qcorr raises it with one message string.
+    """
 
 
 # -- tolerance table ----------------------------------------------------
@@ -64,7 +69,9 @@ MATRIX_ENTRY_MAX = 1e150
 
 
 def require_real(name: str, value) -> bool:
-    """Whether ``value`` is finite; raises naming ``name`` unless it is a real number (NaN and inf are)."""
+    """Whether ``value`` is finite; raises naming ``name`` unless it is a real number (NaN and inf are).
+
+    Domain: any value; one that ``math.isfinite`` rejects, a complex number, string or None included, raises ValidationError naming ``name``."""
     try:
         return math.isfinite(value)
     except TypeError:
@@ -72,13 +79,17 @@ def require_real(name: str, value) -> bool:
 
 
 def require_finite(name: str, value) -> None:
-    """Raises naming ``name`` unless ``value`` is a finite real number."""
+    """Raises naming ``name`` unless ``value`` is a finite real number.
+
+    Domain: as :func:`require_real`, and NaN and inf raise ValidationError naming ``name`` too."""
     if not require_real(name, value):
         raise ValidationError(f"{name} must be finite; got {value}")
 
 
 def require_integer(name: str, value) -> int:
-    """``value`` through ``operator.index``: a Python or numpy integer, never a float or string."""
+    """``value`` through ``operator.index``: a Python or numpy integer, never a float or string.
+
+    Domain: any value; one that ``operator.index`` rejects, a float, string or None included, raises ValidationError naming ``name`` (a bool passes as 0 or 1)."""
     try:
         return operator.index(value)
     except TypeError:
@@ -86,7 +97,9 @@ def require_integer(name: str, value) -> int:
 
 
 def require_seed(value) -> int:
-    """A random ensemble's seed: a non-negative integer through :func:`require_integer`."""
+    """A random ensemble's seed: a non-negative integer through :func:`require_integer`.
+
+    Domain: as :func:`require_integer`, and a negative integer raises ValidationError naming the seed."""
     seed = require_integer("seed", value)
     if seed < 0:
         raise ValidationError(f"seed must be non-negative; got {seed}")
@@ -95,7 +108,9 @@ def require_seed(value) -> int:
 
 def require_identity(total: np.ndarray, what: str):
     """Raises naming ``what`` unless the square ``total`` equals the identity
-    within ``MATRIX_TOL`` entrywise; a NaN defect fails too."""
+    within ``MATRIX_TOL`` entrywise; a NaN defect fails too.
+
+    Domain: a square numpy array, else not checked: numpy broadcasts another shape against the identity or raises its ValueError."""
     defect = float(np.max(np.abs(total - np.eye(len(total)))))
     if not defect <= MATRIX_TOL:
         raise ValidationError(f"{what}: defect {defect!r}")
@@ -110,6 +125,8 @@ def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, ev
     (nor a NaN), and has max entrywise defect ``|M - M^dagger|`` at most
     ``tol``. A real ``dtype`` makes this the symmetric part and a symmetry
     check, and rejects a nonzero imaginary part (an all-zero one is dropped).
+
+    Domain: any ``matrix``; input that fails any of these raises ValidationError naming ``what``.
     """
     # a real dtype reads everything but a real array as complex, so that no imaginary part is dropped
     cast = complex if getattr(getattr(matrix, "dtype", None), "kind", "c") == "c" else dtype

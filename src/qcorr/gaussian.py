@@ -41,6 +41,23 @@ is one Newton minimization (:mod:`qcorr._newton`) on the closed disk,
 where that limit is at finite distance: a run that meets the circle
 slides along it, so the runs reach that limit themselves.
 
+One Newton run is enough. N and D are quadratics with isotropic Hessians
+(p + m - 2 k) I (see :func:`_finite_objective`), so for any level f,
+N - f D = c |zeta|^2 + (affine in zeta), and the sublevel set {N <= f D}
+of the closed unit disk is the disk cut by a disk (c > 0), a half-plane
+(c = 0) or the outside of an open disk (c < 0). Each cut is connected:
+two circles meet in at most two points, so the part of the unit circle
+that it keeps is one arc. Nor can a local minimum sit apart from lower
+values: at a local minimum zeta0 of N / D, of value f, N - f D >= 0 near
+zeta0 (D > 0) and is 0 at zeta0; a convex quadratic (c >= 0) has no other
+local minima than its global ones, and a concave one (c < 0) has none
+inside the disk and one on its circle, where it is an affine function of
+the angle's cosine and sine (or constant). So N >= f D on the whole disk,
+and every local minimum of N / D is global. A Newton run that moves
+descends to that minimum; one that stops at its start may sit at another
+critical point, or where the chart offers no descent step, and there
+:func:`minimize` runs from the second-best grid cell.
+
 :func:`symplectic_propagator` and :func:`random_covariance` exponentiate
 with :func:`_expm`, a scaling-and-squaring [13/13] Pade approximant in
 numpy, so this module needs numpy alone.
@@ -64,7 +81,7 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # the measurement search: seeds zeta = tanh(u/2) e^{2i phi} on the unit disk
 GRID_U = 4
 GRID_PHI = 4
-STARTS = 2  # Newton runs on the disk, from the best grid cells
+STARTS = 2  # grid cells a search may start from; minimize runs the second only where the first run stops at its start
 # (u, phi) and (-u, phi + pi/2) are the same zeta, so the grid takes u in (0, ln 1e3], in (u, phi) order
 _GRID_R = np.tanh(math.log(1e3) * np.arange(1, GRID_U + 1) / (2 * GRID_U))
 _GRID_ANGLE = np.linspace(0.0, 2.0 * math.pi, GRID_PHI, endpoint=False)
@@ -587,9 +604,11 @@ def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 
 
     Evaluates the conditional determinant on the GRID_U x GRID_PHI grid
     of seeds zeta = tanh(u/2) e^{2i phi}, u in (0, ln 1e3] and phi in
-    [0, pi), and runs Newton on the closed unit disk from its STARTS best
-    cells; a run that meets the circle, the homodyne limit, slides along
-    it (see :func:`_disk`). The smallest determinant found gives the
+    [0, pi), and runs Newton on the closed unit disk from its best cell,
+    and from its second best only where that run stops at its start (the
+    rule of :func:`minimize`; one run suffices, see the module docstring);
+    a run that meets the circle, the homodyne limit, slides along it (see
+    :func:`_disk`). The smallest determinant found gives the
     classical correlations through one :func:`mode_entropy`, and the
     discord is the mutual information minus them. Serves as the
     independent check of :func:`gaussian_discord`.

@@ -42,6 +42,8 @@ class Observable:
 
     The eigenprojectors (merged over degenerate eigenvalues) resolve the
     identity and define the measurement outcomes.
+
+    Domain: a non-empty square array of numbers, none NaN or larger than ``MATRIX_ENTRY_MAX`` in magnitude, Hermitian within ``MATRIX_TOL``; anything else, ragged or non-numeric input included, raises ValidationError naming the observable.
     """
 
     matrix: np.ndarray
@@ -72,13 +74,18 @@ class Observable:
 
 def computational_basis_observable(dim: int) -> Observable:
     """Observable whose eigenbasis is the computational basis, with
-    outcome k carrying eigenvalue k."""
-    return Observable(np.diag(np.arange(dim, dtype=float)))
+    outcome k carrying eigenvalue k.
+
+    Domain: a Python or numpy integer dim >= 1; a float, string or None raises ValidationError naming dim, and dim <= 0 one naming the empty observable."""
+    return Observable(np.diag(np.arange(require_integer("dim", dim), dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """A positive operator-valued measure: PSD elements summing to identity."""
+    """A positive operator-valued measure: PSD elements summing to identity.
+
+    Domain: a non-empty iterable of square matrices of one shape, each valid as an :class:`Observable`'s matrix and PSD within ``MATRIX_TOL``, summing to the identity within ``MATRIX_TOL``; any other such input raises ValidationError naming the element or the sum, and a non-iterable escapes as TypeError.
+    """
 
     elements: tuple
 
@@ -108,7 +115,10 @@ class Povm:
 
 @dataclass(frozen=True, eq=False)
 class StochasticMap:
-    """A trace-preserving quantum operation given by Kraus operators."""
+    """A trace-preserving quantum operation given by Kraus operators.
+
+    Domain: a non-empty iterable of finite, non-empty 2-D arrays of numbers of one shape whose sum of K^dagger K is the identity within ``MATRIX_TOL``; anything else, a non-iterable included, raises ValidationError naming the Kraus operators or the sum.
+    """
 
     kraus_ops: tuple
 
@@ -144,6 +154,8 @@ def everett_state(alpha: complex, beta: complex, eps: float) -> PureState:
     ``eps = 0`` gives perfectly distinguishable pointers and ``eps = 1``
     a product state. The output is normalized automatically because the
     system kets are orthogonal.
+
+    Domain: amplitudes that ``complex()`` accepts with |alpha|^2 + |beta|^2 = 1 within ``NORM_TOL``, and a real 0 <= eps <= 1; else ValidationError naming the norm or the pointer overlap, while an amplitude that ``complex()`` rejects escapes as its TypeError or ValueError.
     """
     alpha = complex(alpha)
     beta = complex(beta)
@@ -168,6 +180,8 @@ def born_distribution(rho: DensityMatrix, obs: Observable) -> Distribution:
     ``MATRIX_TOL`` by construction), so they are renormalized rather
     than rejected; a defect beyond ``BORN_SUM_TOL`` signals a broken
     projector resolution.
+
+    Domain: a :class:`~qcorr.states.DensityMatrix` and an :class:`Observable` of its dimension, else ValidationError; other types escape as AttributeError.
     """
     if rho.dim != obs.dim:
         raise ValidationError(f"dimension mismatch: state {rho.dim} vs observable {obs.dim}")
@@ -186,6 +200,8 @@ def joint_born_distribution(
     """Joint outcome table Tr[rho (P_i (x) Q_j)] for local observables.
 
     Marginals reproduce the Born distributions of the reduced states.
+
+    Domain: a bipartite :class:`~qcorr.states.DensityMatrix` (d_b > 1) and two :class:`Observable` objects of its dims (d_a, d_b), else ValidationError; other types escape as AttributeError.
     """
     if not rho.is_bipartite:
         raise ValidationError("joint distribution requires a bipartite state")
@@ -207,12 +223,16 @@ def joint_born_distribution(
 def measurement_mutual_information(
     rho: DensityMatrix, obs_a: Observable, obs_b: Observable
 ) -> float:
-    """Shannon mutual information of the joint Born table, in nats."""
+    """Shannon mutual information of the joint Born table, in nats.
+
+    Domain: as :func:`joint_born_distribution`."""
     return mutual_information(joint_born_distribution(rho, obs_a, obs_b))
 
 
 def apply_local_map(rho: DensityMatrix, channel: StochasticMap, side: str) -> DensityMatrix:
-    """Apply a stochastic map to one subsystem: sum_k K' rho K'^dagger with K' = K (x) I on side "A", I (x) K on "B"."""
+    """Apply a stochastic map to one subsystem: sum_k K' rho K'^dagger with K' = K (x) I on side "A", I (x) K on "B".
+
+    Domain: a bipartite :class:`~qcorr.states.DensityMatrix` (d_b > 1), side "A" or "B" and a :class:`StochasticMap` of that side's dimension, else ValidationError; other types escape as AttributeError."""
     if not rho.is_bipartite:
         raise ValidationError("local maps act on bipartite states")
     if side not in ("A", "B"):
@@ -239,6 +259,8 @@ def povm_outcome(rho: DensityMatrix, povm: Povm, j: int):
     then built from the block's clamped spectrum divided by its sum. Dividing
     the block by p_j first would scale its rounding by 1 / p_j and reject
     outcomes of small but valid probability.
+
+    Domain: a bipartite :class:`~qcorr.states.DensityMatrix` (d_b > 1), a :class:`Povm` of dimension d_a and an integer 0 <= j < len(povm) whose outcome has probability above ``ZERO_WEIGHT`` and a PSD block within ``MATRIX_TOL``, else ValidationError; other types escape as AttributeError.
     """
     if not rho.is_bipartite:
         raise ValidationError("POVM conditioning requires a bipartite state")

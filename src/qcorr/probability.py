@@ -81,6 +81,8 @@ class Distribution:
     ----------
     probs : array_like
         Non-negative reals summing to 1 within ``NORM_TOL``.
+
+    Domain: a non-empty 1-d array of finite non-negative numbers summing to 1 within ``NORM_TOL``; anything else, ragged or non-numeric input included, raises ValidationError naming the distribution.
     """
 
     probs: np.ndarray
@@ -100,6 +102,8 @@ class JointDistribution:
 
     Rows index outcomes of X, columns outcomes of Y. Row sums give the
     X marginal and column sums the Y marginal.
+
+    Domain: as :class:`Distribution`, for a non-empty 2-d table; anything else raises ValidationError naming the joint table.
     """
 
     table: np.ndarray
@@ -128,13 +132,17 @@ def shannon_entropy(d) -> float:
     """Shannon entropy S = -sum_i p_i ln p_i, in nats.
 
     Lies in [0, ln n] for an n-outcome distribution.
+
+    Domain: a :class:`Distribution` or anything it accepts; anything else raises ValidationError naming the distribution.
     """
     d = _coerce_dist(d)
     return 0.0 - float(_plogp(d.probs).sum())  # 0.0 - 0.0 is +0.0, where -(0.0) would be -0.0
 
 
 def joint_entropy(j) -> float:
-    """Entropy of the joint table, -sum_ij p_ij ln p_ij, in nats."""
+    """Entropy of the joint table, -sum_ij p_ij ln p_ij, in nats.
+
+    Domain: a :class:`JointDistribution` or anything it accepts; anything else raises ValidationError naming the joint table."""
     j = _coerce_joint(j)
     return 0.0 - float(_plogp(j.table).sum())
 
@@ -144,6 +152,8 @@ def conditional_entropy(j) -> float:
 
     Measures the residual uncertainty in Y once X is known. Rows whose
     marginal probability is zero contribute nothing.
+
+    Domain: as :func:`joint_entropy`.
     """
     j = _coerce_joint(j)
     px = j.table.sum(axis=1)
@@ -162,6 +172,8 @@ def mutual_information(j) -> float:
 
     Equals S(Y) - S_X(Y) and S(X) - S_Y(X), is non-negative, and is
     symmetric under transposition of the table.
+
+    Domain: as :func:`joint_entropy`.
     """
     j = _coerce_joint(j)
     sx = shannon_entropy(j.marginal_x())
@@ -174,6 +186,8 @@ def relative_entropy(p, q) -> float:
 
     Returns ``math.inf`` when the support of ``p`` is not contained in
     the support of ``q``. Non-negative, and zero exactly when p = q.
+
+    Domain: two distributions, each a :class:`Distribution` or anything it accepts, of one length; anything else raises ValidationError naming the distribution or the lengths.
     """
     p = _coerce_dist(p)
     q = _coerce_dist(q)
@@ -195,6 +209,8 @@ def mutual_information_as_divergence(j) -> float:
 
     Agrees with :func:`mutual_information` to high accuracy; the two
     routes are kept separate so they can be checked against each other.
+
+    Domain: as :func:`joint_entropy`.
     """
     j = _coerce_joint(j)
     product = np.outer(j.marginal_x().probs, j.marginal_y().probs)

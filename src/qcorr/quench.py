@@ -11,8 +11,9 @@ collecting everything.
 
 Units are hbar = k_B = 1: ``qcorr.cli`` converts once, at the boundary.
 The closed forms are finite for 1e-100 <= beta omega <= 1e100 and
-lambda0 <= 1e50 omega. Further out nothing is guarded: they may raise
-ZeroDivisionError or a numpy RuntimeWarning, or return inf or NaN.
+lambda0 <= 1e50 omega. Further out only the two partition functions are
+guarded, naming beta omega or beta w / 2 in a ValidationError; the others
+may raise ZeroDivisionError or a numpy RuntimeWarning, or return inf or NaN.
 
 Each closed form is one numpy expression over beta; its ln sinh(x) is one
 branch, np.log(np.sinh(x)), while every x = beta w / 2 is at most 20, and
@@ -133,10 +134,17 @@ def classical_partition(params: QuenchParams, lam: float) -> float:
 
         Z_C(lam) = (2 pi / (h beta omega))^2 / sqrt(1 + 2 lam^2 / omega^2), h = 2 pi.
 
-    Domain: a :class:`QuenchParams` and a coupling ``lam`` under the rule of its lambda0, else ValidationError naming the coupling or omega^2; beta omega below about 1e-154 is not guarded and raises OverflowError or ZeroDivisionError.
+    Domain: a :class:`QuenchParams` and a coupling ``lam`` under the rule of its lambda0, else ValidationError naming the coupling or omega^2; where Z_C is not a positive finite float (beta omega below about 7.5e-155, or so large that Z_C underflows to zero), ValidationError naming beta omega.
     """
     _require_coupling(lam, params.omega)
-    return (1.0 / (params.beta * params.omega)) ** 2 / math.sqrt(1.0 + 2.0 * lam * lam / params.omega**2)
+    beta_omega = params.beta * params.omega
+    try:
+        value = (1.0 / beta_omega) ** 2 / math.sqrt(1.0 + 2.0 * lam * lam / params.omega**2)
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"beta omega = {beta_omega!r} puts Z_C = {value!r} outside the positive finite floats")
+    return value
 
 
 def classical_avg_work(params: QuenchParams) -> float:
@@ -177,11 +185,17 @@ def quantum_partition(params: QuenchParams, lam: float) -> float:
     with the normal-mode frequencies w1 = omega and
     w2 = sqrt(omega^2 + 2 lam^2).
 
-    Domain: as :func:`classical_partition` for ``lam``; beta w / 2 outside about 1e-154 to 710 is not guarded and raises OverflowError or ZeroDivisionError.
+    Domain: as :func:`classical_partition` for ``lam``; where Z_Q is not a positive finite float (beta^2 w1 w2 / 4 below about 1.4e-309, or beta (w1 + w2) / 2 above about 711), ValidationError naming both beta w / 2.
     """
     w1, w2 = normal_mode_frequencies(params.omega, lam)
     half = params.beta / 2.0
-    return 0.25 / (math.sinh(half * w1) * math.sinh(half * w2))
+    try:
+        value = 0.25 / (math.sinh(half * w1) * math.sinh(half * w2))
+    except (OverflowError, ZeroDivisionError):
+        value = 0.0
+    if not 0.0 < value < math.inf:
+        raise ValidationError(f"beta w / 2 = {half * w1!r} and {half * w2!r} put Z_Q outside the positive finite floats")
+    return value
 
 
 def quantum_avg_work(params: QuenchParams) -> float:

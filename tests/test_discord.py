@@ -18,6 +18,7 @@ from qcorr import (
     random_density_matrix,
     tensor_product,
 )
+from qcorr import _newton
 from qcorr.discord import (
     GRID,
     PHI_POINTS,
@@ -315,20 +316,27 @@ class TestDiscord:
     def test_evaluations_count_grid_and_refinement(self, monkeypatch):
         """Evaluations are the grid points plus the Newton evaluations of
         every run, each counted once by the objective it calls; a random
-        state of rank 3 takes one run."""
+        state of rank 3 takes one :func:`minimize` call, which reads one of
+        its starts and makes one run."""
         module = importlib.import_module("qcorr.discord")
         calls, runs = [], []
         refine = module.minimize
 
         def recording_minimize(fun, starts, chart):
             assert chart is module._tangent_chart
+            taken = []
 
             def counted(n):
                 calls.append(n)
                 return fun(n)
 
-            result = refine(counted, starts, chart)
-            runs.append((len(starts), result.nfev))
+            def taking(starts):
+                for start in starts:
+                    taken.append(start)
+                    yield start
+
+            result = refine(counted, taking(starts), chart)
+            runs.append((len(taken), result.nfev))
             return result
 
         monkeypatch.setattr(module, "minimize", recording_minimize)
@@ -449,22 +457,31 @@ class TestSecondStart:
         assert cases == 81
 
     def test_second_run_exactly_when_the_first_stops_at_its_start(self, monkeypatch):
+        """One :func:`minimize` call per search, from the two best grid
+        cells; its second Newton run starts exactly where the first
+        evaluates its start alone."""
         module = importlib.import_module("qcorr.discord")
-        refine, runs = module.minimize, []
+        refine, descend, searches, runs = module.minimize, _newton._descend, [], []
 
         def recording_minimize(fun, starts, chart):
-            result = refine(fun, starts, chart)
-            runs.append((starts, result.nfev))
-            return result
+            searches.append(chart)
+            return refine(fun, starts, chart)
+
+        def recording_descend(fun, x, chart):
+            run = descend(fun, x, chart)
+            runs.append((x[0], run[2]))
+            return run
 
         monkeypatch.setattr(module, "minimize", recording_minimize)
+        monkeypatch.setattr(_newton, "_descend", recording_descend)
         states = seeded_states(4, seed=31) + [bell_diagonal((0.3, 0.0, 0.3)), seeded_states(222, seed=2011)[1770]]
         seen = set()
         for rho in states:
             for search in (discord, discord_swapped):
+                searches.clear()
                 runs.clear()
                 result = search(rho)
-                assert [len(starts) for starts, _ in runs] == [1] * len(runs)
+                assert searches == [module._tangent_chart]
                 first_nfev = runs[0][1]
                 assert len(runs) == (2 if first_nfev == 1 else 1)
                 assert result.trace.evaluations == len(GRID) + sum(nfev for _, nfev in runs)

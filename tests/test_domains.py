@@ -53,6 +53,7 @@ index or the broken rule.
 
 import importlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -365,6 +366,36 @@ class TestFrequenciesAndTemperatures:
         assert thermal_variance(math.inf, 1.0) == 0.5
 
 
+class TestPartitionRange:
+    """Z_C and Z_Q name beta omega or beta w / 2 where they are not positive
+    finite floats, at both edges, and are just inside them."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: classical_partition(QuenchParams(beta=1e-160), 1.0), "beta omega = 1e-160 puts Z_C = inf"),
+            (lambda: classical_partition(QuenchParams(omega=1e-80, lambda0=0.0, beta=1e-80), 0.0), "beta omega = 1e-160 puts Z_C = inf"),
+            (lambda: classical_partition(QuenchParams(omega=1e-150, lambda0=0.0, beta=1e-300), 0.0), "beta omega = 0.0 puts Z_C = inf"),
+            (lambda: classical_partition(QuenchParams(beta=1e200), 1.0), "beta omega = 1e+200 puts Z_C = 0.0"),
+            (lambda: quantum_partition(QuenchParams(beta=1e-200), 1.0), "beta w / 2 = 5e-201 and 8.660254037844386e-201"),
+            (lambda: quantum_partition(QuenchParams(beta=1e-320), 0.0), "beta w / 2 = 5e-321 and 5e-321"),
+            (lambda: quantum_partition(QuenchParams(beta=800.0), 0.0), "beta w / 2 = 400.0 and 400.0"),
+            (lambda: quantum_partition(QuenchParams(beta=2000.0), 1.0), "beta w / 2 = 1000.0 and 1732.0508075688772"),
+        ],
+        ids=["classical_small", "classical_small_product", "classical_product_underflow", "classical_large", "quantum_small", "quantum_subnormal",
+             "quantum_product_overflow", "quantum_sinh_overflow"],
+    )
+    def test_outside_the_float_range(self, call, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            call()
+
+    def test_finite_just_inside(self):
+        for beta in (1e-154, 1e150):
+            assert 0.0 < classical_partition(QuenchParams(beta=beta), 1.0) < math.inf
+        for beta, lam in ((1e-150, 1.0), (700.0, 0.0), (400.0, 1.0)):
+            assert 0.0 < quantum_partition(QuenchParams(beta=beta), lam) < math.inf
+
+
 class TestEvolutionTime:
     HAM = quench_hamiltonian_matrix(1.0, 0.5)
 
@@ -585,13 +616,18 @@ class TestInvariants:
 
 
 @pytest.mark.parametrize(
-    "module, count", [(quench, 14), (gaussian, 20), (importlib.import_module("qcorr.discord"), 7), (states, 14)],
-    ids=["quench", "gaussian", "discord", "states"],
+    "module, count",
+    [
+        (quench, 14), (gaussian, 20), (importlib.import_module("qcorr.discord"), 7), (states, 14),
+        (importlib.import_module("qcorr.measurement"), 10), (importlib.import_module("qcorr.probability"), 8),
+        (importlib.import_module("qcorr.errors"), 8),
+    ],
+    ids=["quench", "gaussian", "discord", "states", "measurement", "probability", "errors"],
 )
 def test_every_public_name_states_its_domain(module, count):
-    """Each class and function that qcorr.quench, qcorr.gaussian,
-    qcorr.discord or qcorr.states defines carries exactly one ``Domain:``
-    line in its docstring."""
+    """Each class and function that a qcorr module defines, the module's
+    own public names, carries exactly one ``Domain:`` line in its
+    docstring: in qcorr.errors the two exceptions and the six checks."""
     defined = [obj for name, obj in vars(module).items()
                if not name.startswith("_") and callable(obj) and obj.__module__ == module.__name__]
     assert len(defined) == count

@@ -360,3 +360,14 @@ class TestPovmOutcome:
         )
         with pytest.raises(ValidationError, match="probability"):
             povm_outcome(rho, z_basis_povm(), 1)
+
+
+@pytest.mark.parametrize("dim", [2.5, "2", None])
+def test_computational_basis_observable_names_a_non_integer_dim(dim):
+    """A float dim was truncated by np.arange (2.5 gave a 3-outcome observable)."""
+    with pytest.raises(ValidationError, match="^dim must be an integer"):
+        computational_basis_observable(dim)
+
+
+def test_computational_basis_observable_of_a_numpy_integer():
+    assert computational_basis_observable(np.int64(3)).outcome_values.tolist() == [0.0, 1.0, 2.0]

@@ -18,8 +18,9 @@ sphere = importlib.import_module("qcorr.discord")  # the package binds the name 
 
 
 def minimize(fun, starts):
-    """Newton runs from the directions ``starts``, as the discord search runs them; ``x`` is the unit vector found."""
-    x, value, nfev, success = _newton.minimize(fun, [_point(start) for start in starts], _tangent_chart)
+    """Newton runs from the directions ``starts``, as the discord search runs them, each point built
+    only when its run starts; ``x`` is the unit vector found."""
+    x, value, nfev, success = _newton.minimize(fun, map(_point, starts), _tangent_chart)
     return _newton.Result(x[0], value, nfev, success)
 
 
@@ -57,6 +58,10 @@ def test_minimum_is_the_smallest_eigenvalue_from_any_start():
 
 
 def test_best_of_several_starts_and_total_evaluations():
+    """On diag(1, -2, 3) the first start, the x axis, is a saddle where the
+    run evaluates its start alone, so the second runs, down to the minimum
+    along y; that run moves, so the third start, the z axis, never runs.
+    The evaluations are those of both runs."""
     a = np.diag([1.0, -2.0, 3.0])
     calls = []
 
@@ -64,15 +69,20 @@ def test_best_of_several_starts_and_total_evaluations():
         calls.append(n)
         return quadratic(a)(n)
 
-    result = minimize(counted, [(0.6, 0.0, 0.8), (0.1, 0.99, 0.1)])
+    result = minimize(counted, [(1.0, 0.0, 0.0), (0.1, 0.99, 0.1), (0.0, 0.0, 1.0)])
     assert result.fun == pytest.approx(-2.0, abs=1e-14)
-    assert result.nfev == len(calls)
+    assert result.nfev == len(calls) > 2
+    assert calls[0][0] == (1.0, 0.0, 0.0)
+    assert all(n != (0.0, 0.0, 1.0) for n, _, _ in calls)
 
 
 def test_a_tangent_basis_only_for_evaluated_points(monkeypatch):
     """Each tangent basis built belongs to a point the objective is
     evaluated at: the loop declines a step that predicts no decrease
-    before the chart maps it to a point."""
+    before the chart maps it to a point, and builds a start's point only
+    when its run starts. From the middle eigenvector, a saddle, the first
+    run evaluates its start alone and the second runs; the third start
+    follows a run that moved and is never built."""
     built = []
     basis = sphere._tangent_basis
 
@@ -83,10 +93,52 @@ def test_a_tangent_basis_only_for_evaluated_points(monkeypatch):
     monkeypatch.setattr(sphere, "_tangent_basis", counted)
     rng = np.random.default_rng(7)
     for _ in range(20):
+        a = random_symmetric(rng)
+        saddle = tuple(np.linalg.eigh(a)[1][:, 1].tolist())
         built.clear()
-        result = minimize(quadratic(random_symmetric(rng)), rng.standard_normal((2, 3)).tolist())
+        second, third = rng.standard_normal((2, 3)).tolist()
+        result = minimize(quadratic(a), [saddle, second, third])
         assert result.success
-        assert len(built) == result.nfev
+        assert len(built) == result.nfev > 2
+        assert built[1] == pytest.approx(tuple(np.asarray(second) / np.linalg.norm(second)), abs=1e-15)
+        assert result.fun == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-13)
+
+
+def test_a_further_start_exactly_when_every_run_stopped_at_its_start():
+    """:func:`qcorr._newton.minimize` on f = (x^2 - 1)^2 + y^2 in a flat
+    chart: from the saddle (0, 0) a run evaluates its start alone and the
+    next start runs; from any other start the run moves and the iterable of
+    starts is not read again. On a constant objective every start runs, and
+    the earliest keeps the tie."""
+    def fun(z):
+        x, y = z
+        return (x * x - 1.0) ** 2 + y * y, (4.0 * x * (x * x - 1.0), 2.0 * y), (12.0 * x * x - 4.0, 0.0, 2.0)
+
+    def flat(z, g, h):
+        return g, h, lambda d1, d2: ((z[0] + d1, z[1] + d2), d1, d2)
+
+    def lazy(points, taken):
+        for point in points:
+            taken.append(point)
+            yield point
+
+    rng = np.random.default_rng(11)
+    for first in [(0.0, 0.0), *rng.uniform(-2.0, 2.0, (10, 2)).tolist()]:
+        taken, evaluated = [], []
+
+        def counted(z):
+            evaluated.append(z)
+            return fun(z)
+
+        result = _newton.minimize(counted, lazy([tuple(first), (0.5, 0.5), (-0.5, 0.5)], taken), flat)
+        first_nfev = evaluated.index(taken[1]) if len(taken) > 1 else len(evaluated)
+        assert len(taken) == (2 if first_nfev == 1 else 1)
+        assert result.nfev == len(evaluated)
+        assert result.success and result.fun == pytest.approx(0.0, abs=1e-15)
+    taken = []
+    result = _newton.minimize(lambda z: (0.5, (0.0, 0.0), (0.0, 0.0, 0.0)), lazy([(1.0, 0.0), (0.0, 1.0)], taken), flat)
+    assert taken == [(1.0, 0.0), (0.0, 1.0)]
+    assert result == ((1.0, 0.0), 0.5, 2, True)
 
 
 def test_constant_objective_stops_at_its_start():
