@@ -1,24 +1,34 @@
-"""Newton minimization in two dimensions, on plain floats: the loop that
-Riemannian Newton on the sphere (:mod:`qcorr.discord`) and the Gaussian
-measurement search on the Poincare disk (:mod:`qcorr.gaussian`) share,
-each passing its own chart.
+"""Minimization in two dimensions, on plain floats: the Newton loop of
+the Riemannian search on the sphere (:mod:`qcorr.discord`), and
+Dinkelbach's iteration for the Gaussian measurement search on the unit
+disk (:mod:`qcorr.gaussian`).
 
-A chart turns the objective's derivatives at a point into a gradient
-(g1, g2) and Hessian (h11, h12, h22) in two local coordinates, and maps
-a step (d1, d2) in them to the point it reaches and the step it took,
-which differs from the one asked for only where the chart has an edge.
-Where the 2x2 Hessian is not positive definite, its eigenvalues are
-replaced by their absolute values (floored at ``CURVATURE_FLOOR``),
-which keeps the step a descent direction; steps longer than
-``MAX_STEP`` are shortened to it, and a step that does not lower the
-value is halved until it does. A run stops, converged, when the decrease
-that the step taken predicts, -(g.d), is at most ``FTOL``, or when
-halving brings it there without a lower value, which is rounding; it
+:func:`minimize` takes a chart, which turns the objective's derivatives
+at a point into a gradient (g1, g2) and Hessian (h11, h12, h22) in two
+local coordinates, and maps a step (d1, d2) in them to the point it
+reaches and the step it took. Where the 2x2 Hessian is not positive
+definite, its eigenvalues are replaced by their absolute values (floored
+at ``CURVATURE_FLOOR``), which keeps the step a descent direction; steps
+longer than ``MAX_STEP`` are shortened to it, and a step that does not
+lower the value is halved until it does. A run stops, converged, when the
+decrease that the step taken predicts, -(g.d), is at most ``FTOL``, or
+when halving brings it there without a lower value, which is rounding; it
 returns the lowest value it evaluated. It stops unconverged after
-``MAXITER`` steps. Both searches start from their best grid cells under
-one rule, that of :func:`minimize`: a further run only where every run so
-far stopped at its start. The loop, the step and both charts' points,
-derivatives and moves are floats and tuples of floats: no numpy call.
+``MAXITER`` steps. The sphere search starts from its best grid cells
+under the rule of :func:`minimize`: a further run only where every run so
+far stopped at its start.
+
+:func:`minimize_ratio` minimizes N / D over the closed unit disk, for
+quadratics N and D > 0 with isotropic Hessians (Dinkelbach, Management
+Science 13, 492, 1967). At a level f, N - f D is again such a quadratic,
+so its minimum over the whole disk has a closed form
+(:func:`_disk_minimum`), and the next level is N / D there. N - f D is
+0 at the current point, so at most 0 at the next, and the levels never
+rise; a step is Newton's method on the concave F(f) = min (N - f D),
+whose slope at f is -D at the minimizing point, so they fall
+superlinearly to the root of F, the global minimum of N / D. Both loops,
+their steps and the sphere chart's points, derivatives and moves are
+floats and tuples of floats: no numpy call.
 """
 
 from __future__ import annotations
@@ -110,3 +120,40 @@ def minimize(fun: Callable[[tuple], tuple], starts: Iterable[tuple], chart: Call
         if count > 1:  # the run moved: its end is where the search ends
             break
     return Result(best[0], best[1], nfev, success)
+
+
+def _disk_minimum(curv: float, g1: float, g2: float) -> tuple:
+    """The point of the closed unit disk where (curv / 2) |z|^2 + (g1, g2).z
+    is least: the stationary point -g / curv where curv > |g| puts a
+    minimum inside, else the circle point -g / |g|, and (1, 0) where g = 0
+    leaves every circle point least (curv <= 0)."""
+    norm = math.hypot(g1, g2)
+    if curv > norm:
+        return -g1 / curv, -g2 / curv
+    if norm == 0.0:
+        return 1.0, 0.0
+    return -g1 / norm, -g2 / norm
+
+
+def minimize_ratio(ratio: Callable[[float, float], float], numerator: tuple, denominator: tuple) -> Result:
+    """Minimize ``ratio(x, y)`` = N / D over the closed unit disk by
+    Dinkelbach's iteration from z = x + iy = 0.
+
+    N and D > 0 are quadratics (curv / 2) |z|^2 + (g1, g2).z + const,
+    given as ``(curv, g1, g2)``; ``ratio`` evaluates N / D in a form that
+    keeps its digits. From the level f at the current point, the next point
+    minimizes N - f D over the disk (:func:`_disk_minimum`), and the run
+    stops, converged, at the first level that does not fall, NaN included.
+    ``x`` is the point of the lowest level, ``nfev`` counts the
+    evaluations of ``ratio``, and ``success`` is false when the run stops
+    after ``MAXITER`` steps.
+    """
+    (n_curv, n1, n2), (d_curv, d1, d2) = numerator, denominator
+    x, level = (0.0, 0.0), ratio(0.0, 0.0)
+    for step in range(1, MAXITER + 1):
+        trial = _disk_minimum(n_curv - level * d_curv, n1 - level * d1, n2 - level * d2)
+        value = ratio(*trial)
+        if not value < level:
+            return Result(x, level, step + 1, True)
+        x, level = trial, value
+    return Result(x, level, MAXITER + 1, False)

@@ -36,27 +36,22 @@ once: (u, phi) and (-u, phi + pi/2) are one point), both are quadratics:
 with alpha = det sigma + det B / 4, delta = det M + 1/4, t_Q = tr Q / 2
 and t_M = tr M / 2; the second lines are how they are evaluated. D > 0
 on the closed disk, and its circle (u -> infinity) is homodyne detection
-of the quadrature along w, where N / D is v^T Q v / w^T M w. The search
-is one Newton minimization (:mod:`qcorr._newton`) on the closed disk,
-where that limit is at finite distance: a run that meets the circle
-slides along it, so the runs reach that limit themselves.
+of the quadrature along w, where N / D is v^T Q v / w^T M w. On the
+closed disk that limit is at finite distance, so the search reaches it
+as it reaches any other seed.
 
-One Newton run is enough. N and D are quadratics with isotropic Hessians
-(p + m - 2 k) I (see :func:`_finite_objective`), so for any level f,
-N - f D = c |zeta|^2 + (affine in zeta), and the sublevel set {N <= f D}
-of the closed unit disk is the disk cut by a disk (c > 0), a half-plane
-(c = 0) or the outside of an open disk (c < 0). Each cut is connected:
-two circles meet in at most two points, so the part of the unit circle
-that it keeps is one arc. Nor can a local minimum sit apart from lower
-values: at a local minimum zeta0 of N / D, of value f, N - f D >= 0 near
-zeta0 (D > 0) and is 0 at zeta0; a convex quadratic (c >= 0) has no other
-local minima than its global ones, and a concave one (c < 0) has none
-inside the disk and one on its circle, where it is an affine function of
-the angle's cosine and sine (or constant). So N >= f D on the whole disk,
-and every local minimum of N / D is global. A Newton run that moves
-descends to that minimum; one that stops at its start may sit at another
-critical point, or where the chart offers no descent step, and there
-:func:`minimize` runs from the second-best grid cell.
+The search finds the global minimum. The quadratics (k, p, m, c) have
+isotropic Hessians (p + m - 2 k) I and gradients (p - m, c) at zeta = 0,
+so for any level f, N - f D = (c_f / 2) |zeta|^2 + g_f . zeta + const,
+whose minimum over the closed disk is the interior point -g_f / c_f where
+c_f > |g_f|, else the circle point -g_f / |g_f|. Dinkelbach's iteration
+(:func:`qcorr._newton.minimize_ratio`) starts at zeta = 0, moves to that
+minimum of N - f D at the level f = N / D of the current point, and stops
+when the level no longer falls. Each step minimizes over the whole disk,
+not near the current point, so no start can trap it in a local minimum:
+the levels are Newton's method on F(f) = min (N - f D), a concave
+function with slope -D at the minimizing point, and they fall to its
+root, the global minimum of N / D.
 
 :func:`symplectic_propagator` and :func:`random_covariance` exponentiate
 with :func:`_expm`, a scaling-and-squaring [13/13] Pade approximant in
@@ -68,26 +63,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._newton import _newton_step, minimize
+from ._newton import minimize_ratio as minimize  # the name under which the traced benchmark counts its evaluations
 from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
 from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_finite, require_integer, require_real, require_seed
 
 VACUUM_VARIANCE = 0.5
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-
-# the measurement search: seeds zeta = tanh(u/2) e^{2i phi} on the unit disk
-GRID_U = 4
-GRID_PHI = 4
-STARTS = 2  # grid cells a search may start from; minimize runs the second only where the first run stops at its start
-# (u, phi) and (-u, phi + pi/2) are the same zeta, so the grid takes u in (0, ln 1e3], in (u, phi) order
-_GRID_R = np.tanh(math.log(1e3) * np.arange(1, GRID_U + 1) / (2 * GRID_U))
-_GRID_ANGLE = np.linspace(0.0, 2.0 * math.pi, GRID_PHI, endpoint=False)
-_GRID_X = np.outer(_GRID_R, np.cos(_GRID_ANGLE)).ravel()
-_GRID_Y = np.outer(_GRID_R, np.sin(_GRID_ANGLE)).ravel()
-_GRID_POINTS = list(zip(_GRID_X.tolist(), _GRID_Y.tolist()))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -205,7 +190,10 @@ def thermal_covariance(beta: float, omega: float) -> CovarianceMatrix:
 def direct_sum(*blocks: CovarianceMatrix) -> CovarianceMatrix:
     """Product state of independent Gaussian modes.
 
-    Domain: one or more :class:`CovarianceMatrix` blocks whose direct sum that class accepts (a finite det sigma), else ValidationError, also for no blocks at all; a block of another type escapes as AttributeError."""
+    Domain: one or more :class:`CovarianceMatrix` blocks whose direct sum that class accepts (a finite det sigma); anything else raises ValidationError, also no blocks at all, and a block of another type is named by its type."""
+    for b in blocks:
+        if not isinstance(b, CovarianceMatrix):
+            raise ValidationError(f"blocks must be CovarianceMatrix objects; got {type(b).__name__}")
     mats = [b.sigma for b in blocks]
     total = sum(m.shape[0] for m in mats)
     out = np.zeros((total, total))
@@ -320,7 +308,9 @@ def symplectic_evolution(sigma: CovarianceMatrix, ham: QuadraticHamiltonian, t: 
     """Evolve a covariance matrix: sigma -> S sigma S^T with
     S = exp(Omega G t), for ``t`` in the domain of :func:`symplectic_propagator`.
 
-    Domain: a :class:`CovarianceMatrix` and a :class:`QuadraticHamiltonian` of as many modes, a ``t`` in the domain of :func:`symplectic_propagator` and an evolved matrix that :class:`CovarianceMatrix` accepts, else ValidationError; a state or Hamiltonian of another type escapes as AttributeError."""
+    Domain: a :class:`CovarianceMatrix` and a :class:`QuadraticHamiltonian` of as many modes, a ``t`` in the domain of :func:`symplectic_propagator` and an evolved matrix that :class:`CovarianceMatrix` accepts; anything else raises ValidationError, which names the type of a state or Hamiltonian of another type."""
+    if not (isinstance(sigma, CovarianceMatrix) and isinstance(ham, QuadraticHamiltonian)):
+        raise ValidationError(f"sigma and ham must be a CovarianceMatrix and a QuadraticHamiltonian; got {type(sigma).__name__} and {type(ham).__name__}")
     if sigma.n_modes != ham.n_modes:
         raise ValidationError(
             f"mode mismatch: state has {sigma.n_modes}, Hamiltonian {ham.n_modes}"
@@ -337,7 +327,9 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> tuple:
     ``(nu,)`` for one mode, ``(nu_minus, nu_plus)`` for two. The
     constructor has already checked it against the uncertainty bound.
 
-    Domain: a :class:`CovarianceMatrix` of any number of modes; anything else escapes as AttributeError."""
+    Domain: a :class:`CovarianceMatrix` of any number of modes; anything else raises ValidationError naming its type."""
+    if not isinstance(sigma, CovarianceMatrix):
+        raise ValidationError(f"sigma must be a CovarianceMatrix; got {type(sigma).__name__}")
     return tuple(sigma._spectrum.tolist())
 
 
@@ -380,7 +372,7 @@ def gaussian_entropy(sigma: CovarianceMatrix) -> float:
     """von Neumann entropy of a Gaussian state: sum of f over the
     symplectic spectrum, in nats.
 
-    Domain: a :class:`CovarianceMatrix` of any number of modes; anything else escapes as AttributeError."""
+    Domain: a :class:`CovarianceMatrix` of any number of modes; anything else raises ValidationError naming its type."""
     return sum(mode_entropy(nu) for nu in symplectic_eigenvalues(sigma))
 
 
@@ -396,6 +388,8 @@ def _split_blocks(sigma: np.ndarray, measured_mode: int):
 
 
 def _require_two_modes(sigma: CovarianceMatrix):
+    if not isinstance(sigma, CovarianceMatrix):
+        raise ValidationError(f"sigma must be a CovarianceMatrix; got {type(sigma).__name__}")
     if sigma.n_modes != 2:
         raise ValidationError(f"operation requires a two-mode state; got {sigma.n_modes} mode(s)")
 
@@ -412,7 +406,7 @@ def local_invariants(sigma: CovarianceMatrix, measured_mode: int = 1):
     (vacuum = identity) convention: determinants of the unmeasured block,
     the measured block, the cross block and the whole matrix, scaled from the held ones.
 
-    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, and so does a det sigma whose d = 16 det sigma overflows (from det sigma of about 1.1e307), naming det sigma.
+    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, which names the type of a state of another type, and so does a det sigma whose d = 16 det sigma overflows (from det sigma of about 1.1e307), naming det sigma.
     """
     det_m, det_b, det_c, det_sigma = _held_dets(sigma, measured_mode)
     d = 16.0 * det_sigma
@@ -426,7 +420,7 @@ def gaussian_discord(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
     :func:`discord_from_invariants` of the state's local invariants and
     symplectic spectrum, on floats.
 
-    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, and so does a state whose invariants overflow the closed form (thermal pairs from nu of about 3e76, where the matrix itself is still accepted), saying so and naming them.
+    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, which names the type of a state of another type, and so does a state whose invariants overflow the closed form (thermal pairs from nu of about 3e76, where the matrix itself is still accepted), saying so and naming them.
     """
     invariants = local_invariants(sigma, measured_mode)
     return float(discord_from_invariants(*invariants, *symplectic_eigenvalues(sigma)))
@@ -519,107 +513,38 @@ def _seed_forms(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
     return (numerator, (det_m + 0.25, m11, m00, -2.0 * m01)), det_m, det_b
 
 
-def _seed_weights(x, y) -> tuple:
-    """(1 - |zeta|^2, |1 + zeta|^2 / 2, |1 - zeta|^2 / 2, y) at zeta = x + iy, the weights of (k, p, m, c)
-    in :func:`_seed_forms`: terms that do not cancel where their matrix is ill-conditioned."""
+def _conditional_det(forms: tuple, x, y):
+    """det(B - C^T (M + Gamma)^-1 C) as N / D of the :func:`_seed_forms` at the seed zeta = x + iy
+    of the closed unit disk (floats, or arrays of seeds); on |zeta| = 1 the homodyne limit. The weights
+    (1 - |zeta|^2, |1 + zeta|^2 / 2, |1 - zeta|^2 / 2, y) of (k, p, m, c) do not cancel where M or Q is
+    ill-conditioned."""
     y2 = y * y
-    return 1.0 - x * x - y2, ((1.0 + x) ** 2 + y2) / 2.0, ((1.0 - x) ** 2 + y2) / 2.0, y
-
-
-def _quadratic(form: tuple, weights: tuple) -> float:
-    """The quadratic ``form = (k, p, m, c)`` of :func:`_seed_forms` at one seed's :func:`_seed_weights`."""
-    (k, p, m, c), (w_k, w_p, w_m, w_c) = form, weights
-    return k * w_k + (p * w_p + m * w_m) + c * w_c
-
-
-_GRID_WEIGHTS = np.stack(_seed_weights(_GRID_X, _GRID_Y), axis=-1)
-
-
-def _conditional_det(forms: tuple, x=None, y=None):
-    """det(B - C^T (M + Gamma)^-1 C) as N / D of the :func:`_seed_forms` at the seeds zeta = x + iy
-    of the closed unit disk (arrays, by default the grid); on |zeta| = 1 the homodyne limit."""
-    weights = _GRID_WEIGHTS if x is None else np.stack(_seed_weights(x, y), axis=-1)
-    numerator, denominator = forms
-    return (weights @ numerator) / (weights @ denominator)
-
-
-def _finite_objective(forms: tuple):
-    """:func:`_conditional_det` at (x, y) with its gradient and Hessian,
-    for :func:`minimize` on the disk. N and D have affine gradients and
-    Hessians (p + m - 2 k) I, so no transcendental function enters; those
-    of N / D follow by the quotient rule."""
+    w_k, w_p, w_m = 1.0 - x * x - y2, ((1.0 + x) ** 2 + y2) / 2.0, ((1.0 - x) ** 2 + y2) / 2.0
     (n_k, n_p, n_m, n_c), (d_k, d_p, d_m, d_c) = forms
-    n_curv, d_curv = n_p + n_m - 2.0 * n_k, d_p + d_m - 2.0 * d_k
-
-    def conditional_det(z):
-        x, y = z
-        weights = _seed_weights(x, y)
-        den = _quadratic(forms[1], weights)
-        f = _quadratic(forms[0], weights) / den
-        n_x, n_y = n_curv * x + n_p - n_m, n_curv * y + n_c
-        d_x, d_y = d_curv * x + d_p - d_m, d_curv * y + d_c
-        g_x, g_y = (n_x - f * d_x) / den, (n_y - f * d_y) / den
-        curv = n_curv - f * d_curv
-        hess = ((curv - 2.0 * g_x * d_x) / den, -(g_x * d_y + g_y * d_x) / den, (curv - 2.0 * g_y * d_y) / den)
-        return f, (g_x, g_y), hess
-
-    return conditional_det
-
-
-def _disk(z, g, h) -> tuple:
-    """The closed unit disk of seeds zeta = (x, y) as a chart for
-    :func:`minimize`. A step that would leave the disk stops where it meets
-    the circle; on the circle, the run slides along it instead: the chart
-    is the arc, with the objective's slope and curvature along it."""
-    x, y = z
-    gap = max(1.0 - (x * x + y * y), 0.0)
-    if gap <= 1e-12:  # on the circle, to rounding
-        d1, d2 = _newton_step(g, h)
-        if (x + d1) ** 2 + (y + d2) ** 2 > 1.0:
-            # along the tangent (-y, x); the arc's own curvature adds -g.z
-            curv = h[0] * y * y - 2.0 * h[1] * x * y + h[2] * x * x - (g[0] * x + g[1] * y)
-
-            def slide(d1, d2):
-                norm = math.hypot(x - d1 * y, y + d1 * x)
-                return ((x - d1 * y) / norm, (y + d1 * x) / norm), d1, 0.0
-
-            return (g[1] * x - g[0] * y, 0.0), (curv, 0.0, 0.0), slide
-
-    def move(d1, d2):
-        if (x + d1) ** 2 + (y + d2) ** 2 <= 1.0:
-            return (x + d1, y + d2), d1, d2
-        # the t in (0, 1) with |z + t d| = 1, in the form that does not cancel
-        along, length2 = x * d1 + y * d2, d1 * d1 + d2 * d2
-        root = math.sqrt(along * along + length2 * gap)
-        t = gap / (along + root) if along > 0.0 else (root - along) / length2
-        norm = math.hypot(x + t * d1, y + t * d2)
-        return ((x + t * d1) / norm, (y + t * d2) / norm), t * d1, t * d2
-
-    return g, h, move
+    return (n_k * w_k + (n_p * w_p + n_m * w_m) + n_c * y) / (d_k * w_k + (d_p * w_p + d_m * w_m) + d_c * y)
 
 
 def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
     """Gaussian discord by direct minimization over seeded single-mode
     Gaussian measurements on the chosen mode.
 
-    Evaluates the conditional determinant on the GRID_U x GRID_PHI grid
-    of seeds zeta = tanh(u/2) e^{2i phi}, u in (0, ln 1e3] and phi in
-    [0, pi), and runs Newton on the closed unit disk from its best cell,
-    and from its second best only where that run stops at its start (the
-    rule of :func:`minimize`; one run suffices, see the module docstring);
-    a run that meets the circle, the homodyne limit, slides along it (see
-    :func:`_disk`). The smallest determinant found gives the
-    classical correlations through one :func:`mode_entropy`, and the
-    discord is the mutual information minus them. Serves as the
-    independent check of :func:`gaussian_discord`.
+    Minimizes the conditional determinant N / D over the seeds
+    zeta = tanh(u/2) e^{2i phi} of the closed unit disk, its circle the
+    homodyne limit, by Dinkelbach's iteration from zeta = 0
+    (:func:`qcorr._newton.minimize_ratio`): each step moves to the closed-form
+    minimum of N - f D over the disk at the current level f, and the
+    levels fall to the global minimum (see the module docstring). The
+    smallest determinant found gives the classical correlations through
+    one :func:`mode_entropy`, and the discord is the mutual information
+    minus them. Serves as the independent check of :func:`gaussian_discord`.
 
-    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError.
+    Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, which names the type of a state of another type.
     """
     forms, det_m, det_b = _seed_forms(sigma, measured_mode)
-    # a stable argsort keeps the first of equal cells in (u, phi) order
-    cells = _conditional_det(forms).argsort(kind="stable")[:STARTS].tolist()
-    starts = [_GRID_POINTS[cell] for cell in cells]
-    min_det = minimize(_finite_objective(forms), starts, _disk).fun  # at most the best cell's value
+    (n_k, n_p, n_m, n_c), (d_k, d_p, d_m, d_c) = forms
+    # each as (curvature, gradient at zeta = 0) of (curvature / 2) |zeta|^2 + gradient . zeta + const
+    numerator, denominator = (n_p + n_m - 2.0 * n_k, n_p - n_m, n_c), (d_p + d_m - 2.0 * d_k, d_p - d_m, d_c)
+    min_det = minimize(partial(_conditional_det, forms), numerator, denominator).fun
 
     nu_minus, nu_plus = symplectic_eigenvalues(sigma)
     entropy_meas = mode_entropy(math.sqrt(max(det_m, 0.25)))
@@ -656,7 +581,9 @@ def random_covariance(seed: int) -> CovarianceMatrix:
 # array of floats.
 
 def covariance_to_json(sigma: CovarianceMatrix) -> str:
-    """Domain: a :class:`CovarianceMatrix`; anything else escapes as AttributeError."""
+    """Domain: a :class:`CovarianceMatrix`; anything else raises ValidationError naming its type."""
+    if not isinstance(sigma, CovarianceMatrix):
+        raise ValidationError(f"sigma must be a CovarianceMatrix; got {type(sigma).__name__}")
     return json.dumps([[float(x) for x in row] for row in sigma.sigma])
 
 

@@ -46,6 +46,9 @@ Matrices: ``CovarianceMatrix``, ``QuadraticHamiltonian``, ``Observable``,
 array of numbers of unit norm (a NaN norm is not), and the first two real
 ones: a complex matrix is accepted as its real part only when every
 imaginary part is zero. ``symplectic_form`` takes an integer n_modes >= 0.
+The Gaussian helpers take a ``CovarianceMatrix`` (``symplectic_evolution``
+also a ``QuadraticHamiltonian``); a bare array or None raises naming its
+type.
 
 Each violation raises naming the argument, the invariant, the operator
 index or the broken rule.
@@ -76,12 +79,15 @@ from qcorr import (
     QuenchParams,
     ValidationError,
     classical_partition,
+    covariance_to_json,
     discord,
     direct_sum,
     discord_swapped,
     everett_state,
     gaussian_discord,
+    gaussian_entropy,
     max_classical_correlations,
+    minimize_gaussian_measurement,
     mode_entropy,
     normal_mode_frequencies,
     povm_outcome,
@@ -97,6 +103,7 @@ from qcorr import (
     random_density_matrix,
     report_at,
     sweep_temperature,
+    symplectic_eigenvalues,
 )
 from qcorr import gaussian, quench, states
 from qcorr.discord import _bloch
@@ -445,6 +452,43 @@ class TestCovarianceOverflow:
         assert thermal_covariance(1e-149, 1.0).sigma[0, 0] == pytest.approx(1e149, rel=1e-12)
         pair = direct_sum(thermal_covariance(1e-76, 1.0), thermal_covariance(1e-76, 1.0))
         assert pair._dets[1] == pytest.approx(1e304, rel=1e-12)
+
+
+class TestGaussianArgumentTypes:
+    """Each Gaussian helper that reads a :class:`CovarianceMatrix` names the
+    type of anything else in a ValidationError, where it used to escape as
+    AttributeError."""
+
+    HAM = quench_hamiltonian_matrix(1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [np.eye(4), None], ids=["array", "None"])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (symplectic_eigenvalues, "sigma"),
+            (gaussian_entropy, "sigma"),
+            (gaussian_discord, "sigma"),
+            (minimize_gaussian_measurement, "sigma"),
+            (local_invariants, "sigma"),
+            (direct_sum, "blocks"),
+            (lambda sigma: symplectic_evolution(sigma, TestGaussianArgumentTypes.HAM, 1.0), "sigma and ham"),
+            (covariance_to_json, "sigma"),
+        ],
+        ids=["symplectic_eigenvalues", "gaussian_entropy", "gaussian_discord", "minimize_gaussian_measurement",
+             "local_invariants", "direct_sum", "symplectic_evolution", "covariance_to_json"],
+    )
+    def test_rejected_naming_the_type(self, call, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be .*CovarianceMatrix.*; got {type(value).__name__}"):
+            call(value)
+
+    def test_a_later_block_of_another_type_named(self):
+        with pytest.raises(ValidationError, match="^blocks must be CovarianceMatrix objects; got list"):
+            direct_sum(thermal_covariance(1.0, 1.0), [[0.5, 0.0], [0.0, 0.5]])
+
+    def test_a_hamiltonian_of_another_type_named(self):
+        pair = direct_sum(thermal_covariance(1.0, 1.0), thermal_covariance(1.0, 1.0))
+        with pytest.raises(ValidationError, match="^sigma and ham must be .*; got CovarianceMatrix and ndarray"):
+            symplectic_evolution(pair, self.HAM.matrix, 1.0)
 
 
 class TestMatrixInput:

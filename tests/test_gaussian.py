@@ -363,23 +363,6 @@ class TestGaussianDiscord:
         assert values[-1] < 0.5 * max(values)
         assert gaussian_discord(quench_state(beta=0.02)) < 0.05 * max(values)
 
-    def test_refined_search_never_above_grid(self):
-        sigma = random_covariance(11)
-        forms = gaussian._seed_forms(sigma, 1)[0]
-        grid_best = float(gaussian._conditional_det(forms).min())
-        searched = minimize_gaussian_measurement(sigma, 1)
-        nu_minus, nu_plus = symplectic_eigenvalues(sigma)
-        meas = sigma.sigma[:2, :2]
-        unmeas = sigma.sigma[2:, 2:]
-        info = (
-            mode_entropy(math.sqrt(np.linalg.det(meas)))
-            + mode_entropy(math.sqrt(np.linalg.det(unmeas)))
-            - mode_entropy(nu_minus)
-            - mode_entropy(nu_plus)
-        )
-        classical_from_grid = mode_entropy(math.sqrt(np.linalg.det(unmeas))) - mode_entropy(math.sqrt(grid_best))
-        assert searched <= info - classical_from_grid + 1e-12
-
     def test_unphysical_input_rejected(self):
         sigma = CovarianceMatrix(0.5 * np.eye(4))
         shrunk = sigma.sigma.copy()
@@ -432,26 +415,11 @@ def disk_point(u: float, phi: float) -> tuple:
     return r * math.cos(2.0 * phi), r * math.sin(2.0 * phi)
 
 
-def central_differences(fun, x, step):
-    """Gradient and Hessian (h11, h12, h22) of the objective ``fun`` at x
-    by central differences of its value and of its gradient."""
-    def shifted(k, sign):
-        y = list(x)
-        y[k] += sign * step
-        return fun(tuple(y))
-
-    pairs = [(shifted(k, 1.0), shifted(k, -1.0)) for k in range(len(x))]
-    grad = [(up[0] - down[0]) / (2.0 * step) for up, down in pairs]
-    rows = [[(up[1][j] - down[1][j]) / (2.0 * step) for j in range(len(x))] for up, down in pairs]
-    return grad, rows
-
-
 class TestOracleObjectives:
     """The conditional determinant that :func:`minimize_gaussian_measurement`
-    minimizes, as a scalar objective with derivatives and as the array
-    grid kernel, against the matrix-product reference. The determinant is
-    held to 1e-13 relative to ||sigma||^2, the size of the terms that
-    cancel in it."""
+    minimizes, on floats as the search evaluates it and on arrays of seeds,
+    against the matrix-product reference. The determinant is held to 1e-13
+    relative to ||sigma||^2, the size of the terms that cancel in it."""
 
     @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
     @pytest.mark.parametrize("mode", [1, 2])
@@ -459,74 +427,59 @@ class TestOracleObjectives:
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
         forms = gaussian._seed_forms(ORACLE_STATES[index], mode)[0]
-        objective = gaussian._finite_objective(forms)
         for u in EXTREME_U:
             x, y = np.array([disk_point(u, phi) for phi in PHIS]).T
             grid = gaussian._conditional_det(forms, x, y)
-            for phi, point, from_grid in zip(PHIS, zip(x, y), grid):
+            for phi, point, from_grid in zip(PHIS, zip(x.tolist(), y.tolist()), grid):
                 expected = float(np.linalg.det(reference_conditional(sigma, mode, u, phi)))
-                assert objective(point)[0] == pytest.approx(expected, rel=0, abs=tol)
+                assert gaussian._conditional_det(forms, *point) == pytest.approx(expected, rel=0, abs=tol)
                 assert from_grid == pytest.approx(expected, rel=0, abs=tol)
 
     @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
     @pytest.mark.parametrize("mode", [1, 2])
     def test_homodyne(self, index, mode):
-        """On the circle zeta = e^{2i phi}, the homodyne limit: the disk
-        objective and the array kernel."""
+        """On the circle zeta = e^{2i phi}, the homodyne limit: on floats
+        and on arrays."""
         sigma = ORACLE_STATES[index].sigma
         tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
         forms = gaussian._seed_forms(ORACLE_STATES[index], mode)[0]
-        finite = gaussian._finite_objective(forms)
         grid = gaussian._conditional_det(forms, np.cos(2.0 * PHIS), np.sin(2.0 * PHIS))
-        for phi, from_grid in zip(PHIS, grid):
+        for phi, from_grid in zip(PHIS.tolist(), grid):
             expected = float(np.linalg.det(reference_homodyne_conditional(sigma, mode, phi)))
             assert from_grid == pytest.approx(expected, rel=0, abs=tol)
-            on_circle = finite((math.cos(2.0 * phi), math.sin(2.0 * phi)))[0]
+            on_circle = gaussian._conditional_det(forms, math.cos(2.0 * phi), math.sin(2.0 * phi))
             assert on_circle == pytest.approx(expected, rel=0, abs=tol)
 
     @pytest.mark.parametrize("index", range(len(ORACLE_STATES)))
     @pytest.mark.parametrize("mode", [1, 2])
-    def test_derivatives_against_central_differences(self, index, mode):
-        """The closed-form gradient and Hessian in (x, y), also at
-        |zeta| = 1 - 1e-6, to 1e-7 of the scale the differences resolve.
-        On the circle zeta = e^{i theta}, the slope g.t and curvature
-        t.H.t - g.zeta along the arc, t = (-y, x), which :func:`_disk` forms
-        when a run slides, against five-point differences in theta of the
-        homodyne reference, to the same 1e-7 plus that reference's rounding
-        (eps ||sigma||^2) as the differences amplify it."""
+    def test_expansions_against_the_reference(self, index, mode):
+        """The (curvature, gradient at zeta = 0) of N and D that the oracle
+        passes to its search, with their values k + (p + m) / 2 at zeta = 0
+        from the forms, make N / D as (curv / 2) |zeta|^2 + g.zeta + const,
+        which matches the matrix-product reference, inside the disk and on
+        its circle."""
         sigma = ORACLE_STATES[index].sigma
+        tol = 1e-13 * (1.0 + np.linalg.norm(sigma, 2) ** 2)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gaussian, "minimize", lambda ratio, *expansions: calls.append(expansions) or _newton.Result((0.0, 0.0), 1.0, 1, True))
+            minimize_gaussian_measurement(ORACLE_STATES[index], mode)
+        ((numerator, denominator),) = calls
         forms = gaussian._seed_forms(ORACLE_STATES[index], mode)[0]
-        finite = gaussian._finite_objective(forms)
-        edge = 2.0 * math.atanh(1.0 - 1e-6)
-        for x in [disk_point(u, phi) for u in (-6.0, -1.0, 0.0, 0.7, 3.0, 8.0, edge) for phi in PHIS[::3]]:
-            value, grad, hess = finite(x)
-            fd_grad, fd_hess = central_differences(finite, x, 1e-5)
-            scale = 1e-7 * (abs(value) + max(abs(g) for g in grad) + max(abs(h) for h in hess))
-            assert grad == pytest.approx(fd_grad, rel=0, abs=scale)
-            assert [hess[0], hess[1]] == pytest.approx(fd_hess[0], rel=0, abs=scale)
-            assert [hess[1], hess[2]] == pytest.approx(fd_hess[1], rel=0, abs=scale)
+        (n0, d0) = (k + (p + m) / 2.0 for k, p, m, _ in forms)
 
-        def homodyne(theta):
-            return float(np.linalg.det(reference_homodyne_conditional(sigma, mode, theta / 2.0)))
+        def expanded(x, y):
+            (n_curv, n1, n2), (d_curv, d1, d2) = numerator, denominator
+            r2 = x * x + y * y
+            return (n_curv / 2.0 * r2 + n1 * x + n2 * y + n0) / (d_curv / 2.0 * r2 + d1 * x + d2 * y + d0)
 
-        step = 1e-3
-        rounding = np.finfo(float).eps * (1.0 + np.linalg.norm(sigma, 2) ** 2)
-        for theta in 2.0 * PHIS:
-            x, y = math.cos(theta), math.sin(theta)
-            value, (g_x, g_y), (h_xx, h_xy, h_yy) = finite((x, y))
-            slope = g_y * x - g_x * y
-            curv = h_xx * y * y - 2.0 * h_xy * x * y + h_yy * x * x - (g_x * x + g_y * y)
-            f2, f1, f0, f_1, f_2 = (homodyne(theta + k * step) for k in (2, 1, 0, -1, -2))
-            scale = 1e-7 * (abs(value) + abs(slope) + abs(curv))
-            fd_slope = (8.0 * (f1 - f_1) - (f2 - f_2)) / (12.0 * step)
-            fd_curv = (16.0 * (f1 + f_1) - (f2 + f_2) - 30.0 * f0) / (12.0 * step * step)
-            assert slope == pytest.approx(fd_slope, rel=0, abs=scale + 1.5 * rounding / step)
-            assert curv == pytest.approx(fd_curv, rel=0, abs=scale + 16.0 / 3.0 * rounding / step**2)
-            d1, d2 = gaussian._newton_step((g_x, g_y), (h_xx, h_xy, h_yy))
-            if (x + d1) ** 2 + (y + d2) ** 2 > 1.0:  # the run slides: the chart is the arc
-                arc_grad, arc_hess, _ = gaussian._disk((x, y), (g_x, g_y), (h_xx, h_xy, h_yy))
-                assert arc_grad == pytest.approx((slope, 0.0), rel=1e-15, abs=1e-15)
-                assert arc_hess == pytest.approx((curv, 0.0, 0.0), rel=1e-15, abs=1e-15)
+        for u in (-3.0, 0.0, 1.0, 4.0):
+            for phi in PHIS:
+                expected = float(np.linalg.det(reference_conditional(sigma, mode, u, phi)))
+                assert expanded(*disk_point(u, phi)) == pytest.approx(expected, rel=0, abs=tol)
+        for phi in PHIS:
+            expected = float(np.linalg.det(reference_homodyne_conditional(sigma, mode, phi)))
+            assert expanded(math.cos(2.0 * phi), math.sin(2.0 * phi)) == pytest.approx(expected, rel=0, abs=tol)
 
     def test_oracle_on_locally_squeezed_states(self):
         """Random states squeezed locally along the quadrature axes by up to
@@ -552,58 +505,6 @@ class TestOracleObjectives:
                 )
 
 
-NO_DERIVATIVES = ((0.0, 0.0), (0.0, 0.0, 0.0))
-
-
-def test_disk_steps_from_inside_stop_on_the_circle():
-    _, _, move = gaussian._disk((0.5, 0.0), *NO_DERIVATIVES)
-    assert move(0.25, 0.5) == ((0.75, 0.5), 0.25, 0.5)
-    assert move(1.0, 0.0) == ((1.0, 0.0), 0.5, 0.0)
-    _, _, move = gaussian._disk((0.0, 0.0), *NO_DERIVATIVES)
-    (x, y), d1, d2 = move(1.2, 1.6)
-    assert (x, y, d1, d2) == pytest.approx((0.6, 0.8, 0.6, 0.8), rel=0, abs=1e-15)
-    # a sideways step from near the circle stops where its line meets the circle
-    (x, y), d1, d2 = gaussian._disk((0.0, -0.999), *NO_DERIVATIVES)[2](1.0, 0.0)
-    assert math.hypot(x, y) == pytest.approx(1.0, rel=0, abs=1e-15)
-    assert (d1, d2) == pytest.approx((x, 0.0), rel=0, abs=1e-15)
-
-
-def test_disk_steps_from_the_circle_slide_along_it():
-    """At (0.6, 0.8) with f = -2 (x + y) + |zeta|^2, whose minimum (1, 1) is
-    outside the disk, the Newton step (0.4, 0.2) leaves it, so the chart is
-    the arc: slope g.t along the tangent t = (-0.8, 0.6) and curvature
-    t.H.t - g.z, and a step moves along the circle."""
-    z = (0.6, 0.8)
-    grad, hess, move = gaussian._disk(z, (-0.8, -0.4), (2.0, 0.0, 2.0))
-    assert grad == pytest.approx((0.4, 0.0), rel=0, abs=1e-15)
-    assert hess == pytest.approx((2.8, 0.0, 0.0), rel=0, abs=1e-15)
-    (x, y), d1, d2 = move(0.1, 0.0)
-    assert (d1, d2) == (0.1, 0.0)
-    assert math.hypot(x, y) == pytest.approx(1.0, rel=0, abs=1e-15)
-    assert math.atan2(y, x) == pytest.approx(math.atan2(0.8, 0.6) + math.atan(0.1), rel=0, abs=1e-15)
-    # a Newton step from the circle that stays inside is taken as asked
-    _, _, move = gaussian._disk(z, (0.6, 0.8), (1.0, 0.0, 1.0))
-    assert move(-0.6, -0.8) == ((0.0, 0.0), -0.6, -0.8)
-
-
-@pytest.mark.parametrize("centre", [(0.3, -0.2), (2.0, 1.0), (-0.6, 0.8)])
-def test_newton_on_the_disk_reaches_the_nearest_point(centre):
-    """f = |zeta - c|^2 has its minimum on the closed disk at c, or at
-    c / |c| when c is outside; from the centre and from a point on the
-    circle the runs converge there in a few steps."""
-    cx, cy = centre
-    nearest = np.array(centre) / max(1.0, math.hypot(cx, cy))
-
-    def fun(z):
-        return (z[0] - cx) ** 2 + (z[1] - cy) ** 2, (2.0 * (z[0] - cx), 2.0 * (z[1] - cy)), (2.0, 0.0, 2.0)
-
-    for start in [(0.0, 0.0), (0.0, -1.0)]:
-        result = gaussian.minimize(fun, [start], gaussian._disk)
-        assert result.success and result.nfev <= 8
-        assert result.x == pytest.approx(tuple(nearest), rel=0, abs=1e-8)
-        assert math.hypot(*result.x) <= 1.0 + 1e-15
-
-
 AGREEMENT_STATES = (
     [random_covariance(seed) for seed in range(200, 240)]
     + [
@@ -614,71 +515,109 @@ AGREEMENT_STATES = (
 )
 
 
-class TestAgainstOracle:
-    """Newton on the Poincare disk against the 24 x 16 grid plus Nelder-Mead
-    search it replaced (:mod:`tests.gaussian_oracle`), on 128 (state,
-    measured mode) pairs: random states, post-quench thermal states and
-    two-mode squeezed vacua up to r = 4."""
+def recorded_searches(sigma: CovarianceMatrix, mode: int) -> list:
+    """Each call that ``minimize_gaussian_measurement(sigma, mode)`` makes of
+    the bound ``gaussian.minimize``, as ``(result, evaluations)`` with the
+    evaluations ``(|zeta|, N / D)`` in the order made."""
+    calls, search = [], gaussian.minimize
 
-    def test_matches_the_grid_and_nelder_mead_search(self):
-        for sigma in AGREEMENT_STATES:
-            for mode in (1, 2):
-                assert minimize_gaussian_measurement(sigma, mode) == pytest.approx(
-                    gaussian_oracle.minimize_gaussian_measurement(sigma, mode), rel=0, abs=1e-12
-                )
+    def recording(ratio, numerator, denominator):
+        evaluations = []
 
-    def test_one_run_on_the_disk_reaches_the_circle_and_converges(self, monkeypatch):
-        """Each oracle call makes one :func:`minimize` call, on the disk from
-        the STARTS best grid cells, and one Newton run, with a second only
-        where the first stops at its start. Across the set its best point
-        lies on the circle, the homodyne limit, for some pairs and inside
-        the disk for others; no evaluation lies outside the closed disk, and
-        every run converges."""
-        calls, radii, runs = [], [], []
-        refine, descend = gaussian.minimize, _newton._descend
+        def traced(x, y):
+            evaluations.append((math.hypot(x, y), ratio(x, y)))
+            return evaluations[-1][1]
 
-        def recording(fun, starts, chart):
-            def traced(x):
-                radii.append(math.hypot(*x))
-                return fun(x)
+        calls.append((search(traced, numerator, denominator), evaluations))
+        return calls[-1][0]
 
-            runs.append([])
-            calls.append((len(starts), chart, refine(traced, starts, chart)))
-            return calls[-1][2]
-
-        def recording_descend(fun, x, chart):
-            run = descend(fun, x, chart)
-            runs[-1].append(run[2])
-            return run
-
-        monkeypatch.setattr(gaussian, "minimize", recording)
-        monkeypatch.setattr(_newton, "_descend", recording_descend)
-        for sigma in AGREEMENT_STATES:
-            for mode in (1, 2):
-                minimize_gaussian_measurement(sigma, mode)
-        assert len(calls) == 2 * len(AGREEMENT_STATES)
-        assert all(starts == gaussian.STARTS and chart is gaussian._disk for starts, chart, _ in calls)
-        assert all(len(nfevs) == (2 if nfevs[0] == 1 else 1) for nfevs in runs)
-        best = [math.hypot(*result.x) for _, _, result in calls]
-        assert any(abs(r - 1.0) <= 1e-12 for r in best)
-        assert any(r < 1.0 - 1e-12 for r in best)
-        assert max(radii) <= 1.0 + 1e-15
-        assert all(result.success for _, _, result in calls)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gaussian, "minimize", recording)
+        minimize_gaussian_measurement(sigma, mode)
+    return calls
 
 
-class TestOneRunOnTheDisk:
-    """Every sublevel set of the conditional determinant on the closed disk
-    is connected, so every local minimum is global (module docstring of
-    :mod:`qcorr.gaussian`): a Newton run that moves ends at the minimum, and
-    a second run adds nothing beyond rounding."""
+# a dense polar grid of the closed disk: 60 rings at |zeta| = tanh(u/2), u in [0, ln 1e8]
+# (the last 2e-8 inside the circle), the circle itself, and 256 angles on each
+DENSE_R = np.append(np.tanh(np.linspace(0.0, math.log(1e4), 60)), 1.0)
+DENSE_ANGLE = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+DENSE_X = np.outer(DENSE_R, np.cos(DENSE_ANGLE)).ravel()
+DENSE_Y = np.outer(DENSE_R, np.sin(DENSE_ANGLE)).ravel()
 
-    def test_one_run_within_rounding_of_the_better_of_two(self):
-        """On 2102 (state, measured mode) pairs of random states,
-        post-quench thermal states and two-mode squeezed vacua up to r = 4,
-        the one-run search is within ten rounding units, relative, of the
-        better of the runs from the two best grid cells. Where the first run
-        stops at its start, the second runs, so the set must have such
-        pairs."""
+
+def assert_at_most_the_dense_grid(sigma: CovarianceMatrix, mode: int):
+    """The oracle makes one search, and its minimum is at most the least
+    conditional determinant of the dense grid, within 20 rounding units
+    relative to it on the scale max(1, max |sigma_ij|)^2 that the rounding
+    of N / D grows with; its run converges within ``MAXITER`` steps, each
+    level below the one before, and evaluates no seed outside the closed
+    disk."""
+    ((result, evaluations),) = recorded_searches(sigma, mode)
+    forms = gaussian._seed_forms(sigma, mode)[0]
+    grid_min = float(gaussian._conditional_det(forms, DENSE_X, DENSE_Y).min())
+    scale = max(1.0, float(abs(sigma.sigma).max())) ** 2
+    assert result.fun - grid_min <= 20 * sys.float_info.epsilon * scale * grid_min
+    levels = [value for _, value in evaluations]
+    assert result.success and result.nfev == len(levels) <= _newton.MAXITER + 1
+    assert all(later < earlier for earlier, later in zip(levels[:-2], levels[1:-1]))
+    assert levels[-1] >= levels[-2] and result.fun == levels[-2]
+    assert max(radius for radius, _ in evaluations) <= 1.0 + 1e-15
+    return result
+
+
+class TestDinkelbach:
+    """The oracle's search (:func:`qcorr._newton.minimize_ratio`): the
+    closed-form minimum of N - f D on the disk, and the iteration's levels,
+    on quadratics with known minima and on the conditional determinant
+    against a dense grid."""
+
+    @pytest.mark.parametrize(
+        "curv, g1, g2",
+        [(3.0, 1.0, -0.5), (1.0, 2.0, 1.0), (0.5, -0.3, 0.4), (0.0, 0.3, -0.4), (-2.0, 0.5, 0.1),
+         (-1e-3, 0.0, 2.0), (2.0, 0.0, 0.0), (0.0, 0.0, 0.0), (-1.5, 0.0, 0.0)],
+        ids=["inside", "outside", "on_the_circle", "flat", "concave", "barely_concave", "g0_convex", "g0_flat", "g0_concave"],
+    )
+    def test_step_is_the_least_point_of_a_dense_polar_grid(self, curv, g1, g2):
+        """(curv / 2) |z|^2 + g.z at the step is the least of its values on a
+        polar grid of the closed disk, circle included, and the step lies in
+        the disk: inside where curv > |g|, on the circle elsewhere."""
+        x, y = _newton._disk_minimum(curv, g1, g2)
+        radii = np.linspace(0.0, 1.0, 401)[:, None]
+        angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+        grid = curv / 2.0 * radii**2 + radii * (g1 * np.cos(angles) + g2 * np.sin(angles))
+        value = curv / 2.0 * (x * x + y * y) + g1 * x + g2 * y
+        assert value <= grid.min() + 1e-15
+        norm = math.hypot(g1, g2)
+        assert math.hypot(x, y) == pytest.approx(norm / curv if curv > norm else 1.0, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("centre", [(0.3, -0.2), (2.0, 1.0), (-0.6, 0.8)])
+    def test_a_constant_denominator_reaches_the_nearest_point_in_one_step(self, centre):
+        """N / D = |z - c|^2 with D = 1 has its minimum on the closed disk at
+        c, or at c / |c| when c is outside; the first step lands there, and
+        the second finds no lower level."""
+        cx, cy = centre
+        result = _newton.minimize_ratio(lambda x, y: (x - cx) ** 2 + (y - cy) ** 2, (2.0, -2.0 * cx, -2.0 * cy), (0.0, 0.0, 0.0))
+        assert result.success and result.nfev == 3
+        assert result.x == pytest.approx(tuple(np.array(centre) / max(1.0, math.hypot(cx, cy))), rel=0, abs=1e-15)
+
+    def test_stops_unconverged_at_the_iteration_cap(self, monkeypatch):
+        """A search that needs more than one step, capped at one, returns its
+        one step's level, unconverged, after two evaluations."""
+        sigma = random_covariance(3)
+        (full, _), = recorded_searches(sigma, 1)
+        assert full.nfev > 3
+        monkeypatch.setattr(_newton, "MAXITER", 1)
+        (capped, evaluations), = recorded_searches(sigma, 1)
+        assert not capped.success and capped.nfev == len(evaluations) == 2
+        assert capped.fun == evaluations[1][1] > full.fun
+
+    def test_at_most_a_dense_grid_on_two_thousand_pairs(self):
+        """On 2102 (state, measured mode) pairs of random states, post-quench
+        thermal states and two-mode squeezed vacua up to r = 4, the search
+        is at most the dense grid's minimum within rounding (see
+        :func:`assert_at_most_the_dense_grid`); its minimum lies on the
+        circle, the homodyne limit, for some pairs and inside the disk for
+        others."""
         states = [random_covariance(seed) for seed in range(800)]
         states += [
             quench_state(beta=1.0 / temp, lam=lam, t=t)
@@ -687,47 +626,31 @@ class TestOneRunOnTheDisk:
             for t in np.linspace(0.2, 3.0, 3)
         ]
         states += [tmsv(r) for r in np.linspace(0.0, 4.0, 101)]
-        worst, stopped = 0.0, 0
-        for sigma in states:
-            for mode in (1, 2):
-                forms, _, _ = gaussian._seed_forms(sigma, mode)
-                fun = gaussian._finite_objective(forms)
-                starts = [gaussian._GRID_POINTS[cell] for cell in gaussian._conditional_det(forms).argsort(kind="stable")[:2]]
-                first, second = (_newton._descend(fun, start, gaussian._disk) for start in starts)
-                one = gaussian.minimize(fun, starts, gaussian._disk).fun
-                better = min(first[1], second[1])
-                worst = max(worst, (one - better) / better)
-                stopped += first[2] == 1
-        assert len(states) == 1051
-        assert worst <= 10 * sys.float_info.epsilon
-        assert stopped > 0
+        radii = [math.hypot(*assert_at_most_the_dense_grid(sigma, mode).x) for sigma in states for mode in (1, 2)]
+        assert len(radii) == 2102
+        assert any(abs(r - 1.0) <= 1e-12 for r in radii) and any(r < 1.0 - 1e-12 for r in radii)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-    @given(
-        st.one_of(
-            st.integers(0, 2**32 - 1).map(random_covariance),
-            st.builds(lambda temp, lam, t: quench_state(beta=1.0 / temp, lam=lam, t=t), st.floats(0.1, 5.0), st.floats(0.5, 3.0), st.floats(0.2, 3.0)),
-            st.floats(0.0, 4.0).map(tmsv),
-        ),
-        st.sampled_from([1, 2]),
-        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi)), min_size=2, max_size=6),
-    )
-    def test_runs_from_any_disk_starts_meet_at_one_minimum(self, sigma, mode, polar):
-        """Newton runs from random points of the closed disk, its circle
-        included, that move all end within rounding of the lowest value
-        found: none is caught in a local minimum above the global one. The
-        rounding of N / D grows with sigma's entries, so the bound is 1e-13,
-        relative, times the square of sigma's largest entry where that
-        exceeds 1 (two-mode squeezed vacua up to r = 4 spread by at most 15
-        rounding units on that scale). A run that stops at its start is
-        exempt: there the search runs from a further start."""
-        forms, _, _ = gaussian._seed_forms(sigma, mode)
-        fun = gaussian._finite_objective(forms)
-        runs = [_newton._descend(fun, (radius * math.cos(angle), radius * math.sin(angle)), gaussian._disk) for radius, angle in polar]
-        assert all(converged for _, _, _, converged in runs)
-        lowest = min(value for _, value, _, _ in runs)
-        moved = [value for _, value, nfev, _ in runs if nfev > 1]
-        assert all(value - lowest <= 1e-13 * max(1.0, float(abs(sigma.sigma).max())) ** 2 * lowest for value in moved)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    def test_random_states_at_most_a_dense_grid_and_at_the_closed_form(self, seed, mode):
+        sigma = random_covariance(seed)
+        assert_at_most_the_dense_grid(sigma, mode)
+        assert minimize_gaussian_measurement(sigma, mode) == pytest.approx(gaussian_discord(sigma, mode), rel=0, abs=1e-12)
+
+
+class TestAgainstOracle:
+    """Dinkelbach's iteration on the Poincare disk against the 24 x 16 grid
+    plus Nelder-Mead search that Newton on the disk replaced before it
+    (:mod:`tests.gaussian_oracle`), on 128 (state, measured mode) pairs:
+    random states, post-quench thermal states and two-mode squeezed vacua
+    up to r = 4."""
+
+    def test_matches_the_grid_and_nelder_mead_search(self):
+        for sigma in AGREEMENT_STATES:
+            for mode in (1, 2):
+                assert minimize_gaussian_measurement(sigma, mode) == pytest.approx(
+                    gaussian_oracle.minimize_gaussian_measurement(sigma, mode), rel=0, abs=1e-12
+                )
 
 
 ROUTE_STATES = (

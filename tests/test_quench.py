@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from qcorr import quench
+from qcorr import gaussian, quench
 from qcorr._newton import _descend, _newton_step
 from qcorr import (
     ConsistencyError,
@@ -653,14 +653,17 @@ class TestSweepCost:
         codes = [code for _, code in self._python_calls(lambda: sweep_temperature(UNIT, 0.1, 5.0, 50))]
         assert QuenchParams.__post_init__.__code__ not in codes
 
-    def test_search_frames_pinned(self):
+    def test_search_frames_pinned(self, monkeypatch):
         """One two-qubit search runs 14 numpy frames, whatever its evaluation
         count, and 38 qcorr frames at the 49 grid directions and one Newton
         run that evaluates its start alone, plus 12 for a second run that
         does the same (one :func:`minimize` call holds both runs), 10 per further evaluation and 2 per further Newton
         step: 12 per evaluation when every trial step is accepted, 10 for a
         trial that is halved. One closed-form Gaussian discord runs 28 qcorr
-        frames and no numpy frame, and the Gaussian oracle no numpy frame."""
+        frames and no numpy frame. The Gaussian oracle runs no numpy frame
+        and 25 + 2 nfev qcorr frames: 26 for the seed forms, the spectrum,
+        the five entropies and the search's own frame, then one per
+        evaluation of N / D and one per step, nfev - 1 steps."""
         discord(random_density_matrix((2, 2), 2, 0))  # any lazy set-up runs before counting
         halved, run_counts = 0, set()
         for rank in (1, 2, 3, 4):
@@ -678,10 +681,13 @@ class TestSweepCost:
                     halved += evaluations - 49 - steps  # Newton evaluations less steps: the halved trials
                     run_counts.add(runs)
         assert halved > 0 and run_counts == {1, 2}
+        searches, search = [], gaussian.minimize
+        monkeypatch.setattr(gaussian, "minimize", lambda *args: searches.append(search(*args)) or searches[-1])  # a frame of tests, not of qcorr
         for seed in range(4):
             sigma = random_covariance(seed)
             for mode in (1, 2):
                 packages = [package for package, _ in self._python_calls(lambda: gaussian_discord(sigma, mode))]
                 assert (packages.count("qcorr"), packages.count("numpy")) == (28, 0)
-                oracle = self._python_calls(lambda: minimize_gaussian_measurement(sigma, mode))
-                assert [package for package, _ in oracle].count("numpy") == 0
+                packages = [package for package, _ in self._python_calls(lambda: minimize_gaussian_measurement(sigma, mode))]
+                assert (packages.count("qcorr"), packages.count("numpy")) == (25 + 2 * searches[-1].nfev, 0)
+        assert len(searches) == 8 and len({result.nfev for result in searches}) > 1
