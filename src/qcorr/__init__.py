@@ -14,8 +14,6 @@ from .errors import ConsistencyError, ValidationError
 from .gaussian import (
     CovarianceMatrix,
     QuadraticHamiltonian,
-    covariance_from_json,
-    covariance_to_json,
     direct_sum,
     gaussian_discord,
     gaussian_entropy,
@@ -74,8 +72,6 @@ from .states import (
     PureState,
     araki_lieb_check,
     density_from_pure,
-    density_matrix_from_json,
-    density_matrix_to_json,
     entanglement_entropy,
     partial_trace,
     quantum_mutual_information,

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand is a thin wrapper over a library call: the CLI parses,
-dispatches, and serializes, adding no arithmetic of its own. Each verb
+dispatches, and serializes, adding no arithmetic of its own. It alone knows
+the two file formats: :func:`_read_density_matrix` and :func:`_read_covariance`
+read a JSON file into the validated object; the library takes arrays. Each verb
 handler returns its data (a float, a dict, or CSV text); :func:`main` is
 the one renderer: text as it is, anything else one line of JSON whose
 floats carry 17 significant digits, so output round-trips 64-bit floats
@@ -63,6 +65,35 @@ def _parse_joint(text: str) -> probability.JointDistribution:
     return probability.JointDistribution(rows)
 
 
+def _read_density_matrix(path: str) -> states.DensityMatrix:
+    """``{"dims": [d_a, d_b], "matrix": [[re, im], ...]}``, the matrix flattened row-major."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"density matrix file is not valid JSON: {exc}") from None
+    if not (isinstance(payload, dict) and "dims" in payload and "matrix" in payload):
+        raise ValidationError(f"density matrix must be a JSON object with 'dims' and 'matrix'; got {type(payload).__name__}")
+    try:
+        flat = np.array([complex(re, im) for re, im in payload["matrix"]])
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond the float range
+        raise ValidationError(f"matrix must be a list of [re, im] number pairs: {exc}") from None
+    dim = math.isqrt(flat.size)
+    if dim * dim != flat.size:
+        raise ValidationError(f"matrix length {flat.size} is not a perfect square")
+    return states.DensityMatrix(flat.reshape(dim, dim), payload["dims"])
+
+
+def _read_covariance(path: str) -> gaussian_mod.CovarianceMatrix:
+    """The covariance matrix as a JSON array of its rows of numbers."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:  # bad JSON, ragged rows, non-numbers and integers beyond the float range
+        mat = np.asarray(json.loads(text), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"covariance matrix must be a JSON array of rows of numbers: {exc}") from None
+    return gaussian_mod.CovarianceMatrix(mat)
+
+
 def everett_demo(alpha: complex, beta: complex, eps_values):
     """Rows (eps, measurement mutual information, quantum mutual
     information of the global state) over a grid of pointer overlaps.
@@ -100,7 +131,7 @@ def _cmd_mutual_info(args) -> float:
 
 
 def _cmd_qstate(args) -> dict:
-    rho = states.density_matrix_from_json(Path(args.state).read_text(encoding="utf-8"))
+    rho = _read_density_matrix(args.state)
     report = {"dims": rho.dims, "entropy": states.von_neumann_entropy(rho)}
     if rho.is_bipartite:
         report.update(
@@ -113,7 +144,7 @@ def _cmd_qstate(args) -> dict:
 
 
 def _cmd_discord(args) -> dict:
-    rho = states.density_matrix_from_json(Path(args.state).read_text(encoding="utf-8"))
+    rho = _read_density_matrix(args.state)
     result = discord_of_state(rho)
     return {
         "mutual_info": result.mutual_info,
@@ -127,7 +158,7 @@ def _cmd_discord(args) -> dict:
 
 
 def _cmd_gaussian(args) -> dict:
-    sigma = gaussian_mod.covariance_from_json(Path(args.cov).read_text(encoding="utf-8"))
+    sigma = _read_covariance(args.cov)
     discord = gaussian_mod.gaussian_discord(sigma, args.measured_mode)  # rejects all but two modes
     nu_minus, nu_plus = gaussian_mod.symplectic_eigenvalues(sigma)
     return {

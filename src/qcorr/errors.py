@@ -71,9 +71,11 @@ MATRIX_ENTRY_MAX = 1e150
 def require_real(name: str, value) -> bool:
     """Whether ``value`` is finite; raises naming ``name`` unless it is a real number (NaN and inf are).
 
-    Domain: any value; one that ``math.isfinite`` rejects, a complex number, string or None included, raises ValidationError naming ``name``."""
+    Domain: any value; one that ``math.isfinite`` rejects, a complex number, string or None included, raises ValidationError naming ``name``, and an integer beyond the float range is not finite."""
     try:
         return math.isfinite(value)
+    except OverflowError:
+        return False
     except TypeError:
         raise ValidationError(f"{name} must be a real number; got {value!r}") from None
 
@@ -132,7 +134,7 @@ def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, ev
     cast = complex if getattr(getattr(matrix, "dtype", None), "kind", "c") == "c" else dtype
     try:
         mat = np.asarray(matrix, dtype=cast)
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
         raise ValidationError(f"{what} must be a rectangular array of numbers: {exc}") from None
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0) or (even and mat.shape[0] % 2):
         size = "non-empty square of even size" if even else "non-empty square"

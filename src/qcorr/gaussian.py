@@ -60,7 +60,6 @@ numpy, so this module needs numpy alone.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -165,12 +164,11 @@ def _require_frequency(omega: float):
 def thermal_variance(beta: float, omega: float) -> float:
     """Quadrature variance (1/2) coth(beta omega / 2) of a thermal mode.
 
-    Domain: 0 < omega < inf, beta > 0 and beta omega / 2 large enough for a finite variance; NaN or anything else raises ValidationError naming it.
+    Domain: 0 < omega < inf, beta > 0 within the float range (inf included) and beta omega / 2 large enough for a finite variance; NaN or anything else raises ValidationError naming it.
     """
     _require_frequency(omega)
-    require_real("beta", beta)
-    if not beta > 0:
-        raise ValidationError(f"beta must be positive; got {beta}")
+    if not ((require_real("beta", beta) or beta == math.inf) and beta > 0):  # NaN and integers beyond the float range fail
+        raise ValidationError(f"beta must be positive and convertible to float; got {beta}")
     half = beta * omega / 2.0
     variance = 0.5 / math.tanh(half) if half > 0.0 else math.inf  # a subnormal half overflows silently
     if variance == math.inf:
@@ -497,7 +495,7 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
 
 
 def _seed_forms(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
-    """``((N, D), det M, det B)``, with N and D of the module docstring as
+    """``((N, D), det M)``, with N and D of the module docstring as
     ``(k, p, m, c)``: k (1 - |zeta|^2) + (p |1 + zeta|^2 + m |1 - zeta|^2) / 2 + c y.
     Q = adj(det B M - C adj(B) C^T), the adjugate of det B times the Schur
     complement of B, which needs no inverse; on floats and the held determinants."""
@@ -510,7 +508,7 @@ def _seed_forms(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
     # Q = adj(schur) = [[s11, -s01], [-s10, s00]], symmetrized, with schur = det B M - C adj(B) C^T
     off = (det_b * m01 - adj_b(c0, c1)) + (det_b * m01 - adj_b(c1, c0))
     numerator = (det_sigma + det_b / 4.0, det_b * m11 - adj_b(c1, c1), det_b * m00 - adj_b(c0, c0), -off)
-    return (numerator, (det_m + 0.25, m11, m00, -2.0 * m01)), det_m, det_b
+    return (numerator, (det_m + 0.25, m11, m00, -2.0 * m01)), det_m
 
 
 def _conditional_det(forms: tuple, x, y):
@@ -534,25 +532,21 @@ def minimize_gaussian_measurement(sigma: CovarianceMatrix, measured_mode: int = 
     (:func:`qcorr._newton.minimize_ratio`): each step moves to the closed-form
     minimum of N - f D over the disk at the current level f, and the
     levels fall to the global minimum (see the module docstring). The
-    smallest determinant found gives the classical correlations through
-    one :func:`mode_entropy`, and the discord is the mutual information
-    minus them. Serves as the independent check of :func:`gaussian_discord`.
+    discord is S(M) - S(sigma) + S(E_min) at the smallest determinant E_min:
+    the mutual information less the classical correlations, where S(B) cancels.
+    Serves as the independent check of :func:`gaussian_discord`.
 
     Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, which names the type of a state of another type.
     """
-    forms, det_m, det_b = _seed_forms(sigma, measured_mode)
+    forms, det_m = _seed_forms(sigma, measured_mode)
     (n_k, n_p, n_m, n_c), (d_k, d_p, d_m, d_c) = forms
     # each as (curvature, gradient at zeta = 0) of (curvature / 2) |zeta|^2 + gradient . zeta + const
     numerator, denominator = (n_p + n_m - 2.0 * n_k, n_p - n_m, n_c), (d_p + d_m - 2.0 * d_k, d_p - d_m, d_c)
     min_det = minimize(partial(_conditional_det, forms), numerator, denominator).fun
 
     nu_minus, nu_plus = symplectic_eigenvalues(sigma)
-    entropy_meas = mode_entropy(math.sqrt(max(det_m, 0.25)))
-    entropy_unmeas = mode_entropy(math.sqrt(max(det_b, 0.25)))
     total = mode_entropy(nu_minus) + mode_entropy(nu_plus)
-    info = entropy_meas + entropy_unmeas - total
-    classical = entropy_unmeas - mode_entropy(math.sqrt(max(min_det, 0.25)))
-    return max(info - classical, 0.0)
+    return max(mode_entropy(math.sqrt(max(det_m, 0.25))) - total + mode_entropy(math.sqrt(max(min_det, 0.25))), 0.0)
 
 
 def random_covariance(seed: int) -> CovarianceMatrix:
@@ -574,23 +568,3 @@ def random_covariance(seed: int) -> CovarianceMatrix:
     )
     return CovarianceMatrix(s @ np.diag(np.repeat(nus, 2)) @ s.T)
 
-
-# -- JSON serialization -------------------------------------------------
-#
-# A covariance matrix is stored as a bare 4x4 (or 2x2) row-major nested
-# array of floats.
-
-def covariance_to_json(sigma: CovarianceMatrix) -> str:
-    """Domain: a :class:`CovarianceMatrix`; anything else raises ValidationError naming its type."""
-    if not isinstance(sigma, CovarianceMatrix):
-        raise ValidationError(f"sigma must be a CovarianceMatrix; got {type(sigma).__name__}")
-    return json.dumps([[float(x) for x in row] for row in sigma.sigma])
-
-
-def covariance_from_json(text: str) -> CovarianceMatrix:
-    """Domain: a str, bytes or bytearray holding a JSON array of rows of numbers that :class:`CovarianceMatrix` accepts; anything else raises ValidationError."""
-    try:  # json and numpy raise ValueError or TypeError on bad JSON, ragged rows, non-numbers
-        mat = np.asarray(json.loads(text), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"covariance matrix must be a JSON array of rows of numbers: {exc}") from exc
-    return CovarianceMatrix(mat)

@@ -125,7 +125,7 @@ class StochasticMap:
     def __post_init__(self):
         try:
             ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)  # copies: the caller's arrays stay the caller's
-        except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
             raise ValidationError(f"Kraus operators must be rectangular arrays of numbers: {exc}") from None
         if not ops:
             raise ValidationError("a stochastic map needs at least one Kraus operator")
@@ -155,7 +155,7 @@ def everett_state(alpha: complex, beta: complex, eps: float) -> PureState:
     a product state. The output is normalized automatically because the
     system kets are orthogonal.
 
-    Domain: amplitudes that ``complex()`` accepts with |alpha|^2 + |beta|^2 = 1 within ``NORM_TOL``, and a real 0 <= eps <= 1; else ValidationError naming the norm or the pointer overlap, while an amplitude that ``complex()`` rejects escapes as its TypeError or ValueError.
+    Domain: amplitudes that ``complex()`` accepts with |alpha|^2 + |beta|^2 = 1 within ``NORM_TOL``, and a real 0 <= eps <= 1; else ValidationError naming the norm or the pointer overlap, while an amplitude that ``complex()`` rejects escapes as its TypeError, ValueError or OverflowError.
     """
     alpha = complex(alpha)
     beta = complex(beta)

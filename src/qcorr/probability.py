@@ -25,7 +25,7 @@ from .errors import NORM_TOL, ZERO_PROBABILITY, ValidationError
 def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
         raise ValidationError(f"{what} must be a rectangular array of numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"{what} must be a non-empty {ndim}-d array; got shape {arr.shape}")
@@ -59,7 +59,7 @@ def _normalized(cls, weights):
     """
     try:
         w = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
         raise ValidationError(f"weights must be a rectangular array of numbers: {exc}") from None
     if not np.isfinite(w).all():
         raise ValidationError("weights must be finite; got a NaN or infinite entry")

@@ -13,7 +13,6 @@ only :func:`quantum_relative_entropy` reads, is computed anew on each
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -66,7 +65,7 @@ class PureState:
     def __post_init__(self):
         try:
             amp = np.asarray(self.amplitudes, dtype=complex).ravel().copy()
-        except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
             raise ValidationError(f"state vector must be an array of numbers: {exc}") from None
         dims = _validate_dims(self.dims, amp.size)
         norm = float(np.linalg.norm(amp))
@@ -108,7 +107,7 @@ class DensityMatrix:
     def __post_init__(self):
         try:
             raw = np.asarray(self.elements, dtype=complex)
-        except (TypeError, ValueError) as exc:  # ragged rows, strings, other objects
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
             raise ValidationError(f"density matrix must be a rectangular array of numbers: {exc}") from None
         mat = hermitian_part(raw, "density matrix")
         dims = _validate_dims(self.dims, len(mat))
@@ -282,48 +281,3 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     gram = x @ x.conj().T
     return DensityMatrix(gram / np.trace(gram).real, (d_a, d_b))
 
-
-# -- JSON serialization -------------------------------------------------
-#
-# A density matrix is stored as {"dims": [d_a, d_b], "matrix": [[re, im],
-# ...]} with the matrix flattened row-major. Plain float serialization
-# round-trips 64-bit values exactly.
-
-def _matrix_to_pairs(mat: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in mat.ravel()]
-
-
-def _pairs_to_matrix(pairs) -> np.ndarray:
-    try:
-        flat = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"matrix must be a list of [re, im] number pairs: {exc}") from exc
-    dim = math.isqrt(flat.size)
-    if dim * dim != flat.size:
-        raise ValidationError(f"matrix length {flat.size} is not a perfect square")
-    return flat.reshape(dim, dim)
-
-
-def density_matrix_to_json(rho: DensityMatrix) -> str:
-    """The file format above, from a :class:`DensityMatrix`.
-
-    Domain: a :class:`DensityMatrix`; anything else escapes as AttributeError."""
-    return json.dumps({"dims": [rho.dims[0], rho.dims[1]], "matrix": _matrix_to_pairs(rho.elements)})
-
-
-def density_matrix_from_json(text: str) -> DensityMatrix:
-    """The :class:`DensityMatrix` of a file in the format above.
-
-    Domain: a str, bytes or bytearray holding a JSON object whose "dims" and "matrix" make a valid DensityMatrix; any other text raises ValidationError naming what is wrong, and another type escapes as TypeError."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ValidationError(f"density matrix file is not valid JSON: {exc}") from exc
-    try:
-        dims = payload["dims"]
-        pairs = payload["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(
-            f"density matrix must be a JSON object with 'dims' and 'matrix'; got {type(payload).__name__}"
-        ) from exc
-    return DensityMatrix(_pairs_to_matrix(pairs), dims)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcorr import CovarianceMatrix, covariance_to_json, density_matrix_to_json
-from qcorr.cli import everett_demo, main
+from qcorr import random_covariance, random_density_matrix
+from qcorr.cli import _read_covariance, _read_density_matrix, everett_demo, main
 
 from .conftest import bell_density
 
@@ -22,17 +22,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def density_json(rho) -> str:
+    """The density matrix file format: dims, and the elements row-major as [re, im] pairs."""
+    return json.dumps({"dims": list(rho.dims), "matrix": [[z.real, z.imag] for z in rho.elements.ravel().tolist()]})
+
+
 @pytest.fixture
 def bell_file(tmp_path):
     path = tmp_path / "bell.json"
-    path.write_text(density_matrix_to_json(bell_density()))
+    path.write_text(density_json(bell_density()))
     return str(path)
 
 
 @pytest.fixture
 def vacuum_cov_file(tmp_path):
     path = tmp_path / "vacuum.json"
-    path.write_text(covariance_to_json(CovarianceMatrix(0.5 * np.eye(4))))
+    path.write_text(json.dumps((0.5 * np.eye(4)).tolist()))
     return str(path)
 
 
@@ -110,54 +115,14 @@ def assert_data_error(code, out, err, *words):
 
 
 class TestLoadState:
-    """Each verb decodes the one file type it needs, and says so when the
-    file holds something else."""
-
-    @pytest.mark.parametrize("verb", ["qstate", "discord"])
-    def test_density_verbs_reject_covariance_file(self, capsys, vacuum_cov_file, verb):
-        code, out, err = run(capsys, verb, "--state", vacuum_cov_file)
-        assert_data_error(code, out, err, "density matrix must be a JSON object with 'dims' and 'matrix'")
-
-    def test_gaussian_rejects_density_file(self, capsys, bell_file):
-        code, out, err = run(capsys, "gaussian", "--cov", bell_file)
-        assert_data_error(code, out, err, "covariance matrix must be a JSON array of rows of numbers")
+    """Each verb reads the one file format it needs; the malformed files of
+    ``ERROR_BYTES`` below are pinned there, line for line."""
 
     def test_gaussian_needs_two_modes(self, capsys, tmp_path):
         path = tmp_path / "one_mode.json"
-        path.write_text(covariance_to_json(CovarianceMatrix(0.5 * np.eye(2))))
+        path.write_text(json.dumps((0.5 * np.eye(2)).tolist()))
         code, out, err = run(capsys, "gaussian", "--cov", str(path))
         assert_data_error(code, out, err, "two-mode", "1 mode")
-
-    @pytest.mark.parametrize(
-        "verb, payload, words",
-        [
-            (
-                "qstate",
-                {"dims": [2, 1], "matrix": [[1.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
-                ["[re, im] number pairs"],
-            ),
-            (
-                "qstate",
-                {"dims": ["a", 2], "matrix": [[0.25 * (k % 5 == 0), 0.0] for k in range(16)]},
-                ["dims must be a pair of integers", "'a'"],
-            ),
-            ("gaussian", [[0.5, 0.0], [0.5]], ["covariance matrix must be a JSON array of rows of numbers"]),
-        ],
-        ids=["three-element-pair", "string-dims", "ragged-covariance"],
-    )
-    def test_malformed_file_is_data_error(self, capsys, tmp_path, verb, payload, words):
-        path = tmp_path / "malformed.json"
-        path.write_text(json.dumps(payload))
-        flag = "--cov" if verb == "gaussian" else "--state"
-        code, out, err = run(capsys, verb, flag, str(path))
-        assert_data_error(code, out, err, *words)
-
-    @pytest.mark.parametrize("verb, flag", [("qstate", "--state"), ("gaussian", "--cov")])
-    def test_invalid_json_is_data_error(self, capsys, tmp_path, verb, flag):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, out, err = run(capsys, verb, flag, str(path))
-        assert_data_error(code, out, err, "JSON")
 
     @pytest.mark.parametrize("verb, flag", [("qstate", "--state"), ("gaussian", "--cov")])
     def test_non_utf8_file_is_data_error(self, capsys, tmp_path, verb, flag):
@@ -194,6 +159,16 @@ class TestLoadState:
     def test_missing_file_is_data_error(self, capsys):
         code, _, err = run(capsys, "qstate", "--state", "/nonexistent.json")
         assert code == 1
+
+    def test_files_of_64_bit_floats_read_bit_for_bit(self, tmp_path):
+        """A file of a matrix's floats, as ``json.dumps`` writes them, reads
+        back as bit-identical elements through each reader."""
+        rho, sigma = random_density_matrix((2, 2), 3, seed=9), random_covariance(2)
+        (tmp_path / "rho.json").write_text(density_json(rho))
+        (tmp_path / "cov.json").write_text(json.dumps(sigma.sigma.tolist()))
+        recovered = _read_density_matrix(str(tmp_path / "rho.json"))
+        assert np.array_equal(recovered.elements, rho.elements) and recovered.dims == rho.dims
+        assert np.array_equal(_read_covariance(str(tmp_path / "cov.json")).sigma, sigma.sigma)
 
 
 class TestQstateVerb:
@@ -411,9 +386,27 @@ class TestQuenchVerbs:
 
 # -- output bytes ----------------------------------------------------------
 
+def run_on_fixed_files(capsys, tmp_path, argv):
+    """:func:`run` on ``argv`` with its .json and .csv names in a directory holding ``FIXED_FILES``."""
+    for name, text in FIXED_FILES.items():
+        (tmp_path / name).write_text(text)
+    return run(capsys, *(str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv))
+
+
 FIXED_FILES = {
     "rho.json": '{"dims": [2, 2], "matrix": [[0.05565701592143772, 0.0], [0.07863302488181285, 0.03383062811164195], [0.08484795760461257, -0.07175669580000116], [0.06378545095709888, -0.004183425434479645], [0.07863302488181285, -0.03383062811164195], [0.23942178989472182, 0.0], [0.05765069510491669, -0.3012313254968068], [0.07434671556889237, -0.09452036138262547], [0.08484795760461257, 0.07175669580000116], [0.05765069510491669, 0.3012313254968068], [0.5720686521840355, 0.0], [0.10816393326658923, 0.0927674237751674], [0.06378545095709888, 0.004183425434479645], [0.07434671556889237, 0.09452036138262547], [0.10816393326658923, -0.0927674237751674], [0.13285254199980484, 0.0]]}',
     "qubit.json": '{"dims": [2, 1], "matrix": [[0.7, 0.0], [0.2, 0.1], [0.2, -0.1], [0.3, 0.0]]}',
+    "huge_rho.json": '{"dims": [2, 1], "matrix": [[10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000, 0], [0, 0], [0, 0], [0, 0]]}',
+    "huge_cov.json": '[[10000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000, 0], [0, 0.5]]',
+    "broken.json": '{not json',
+    "truncated.json": '[[0.5, 0]',
+    "no_matrix.json": '{"dims": [2, 1]}',
+    "three_element_pair.json": '{"dims": [2, 1], "matrix": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}',
+    "string_pair.json": '{"dims": [2, 1], "matrix": [["1", 0], [0, 0], [0, 0], [0, 0]]}',
+    "string_dims.json": '{"dims": ["a", 1], "matrix": [[1, 0], [0, 0], [0, 0], [0, 0]]}',
+    "non_square.json": '{"dims": [2, 1], "matrix": [[1, 0], [0, 0], [0, 0]]}',
+    "ragged_cov.json": '[[0.5, 0], [0.5]]',
+    "string_cov.json": '[["half", 0], [0, 0.5]]',
     "cov.json": '[[0.8735585532377617, -1.3286297707438848, 0.13006914957775026, 0.013306898559156805], [-1.3286297707438848, 7.7407348146137664, -0.5612053906652568, -1.104932883528828], [0.13006914957775026, -0.5612053906652568, 0.8257057914794199, -0.19255553032386086], [0.013306898559156805, -1.104932883528828, -0.19255553032386086, 2.240755091544804]]',
 }
 
@@ -460,14 +453,54 @@ OUTPUT_BYTES = [
          "quench_sweep_out"],
 )
 def test_output_bytes(capsys, tmp_path, argv, expected):
-    for name, text in FIXED_FILES.items():
-        (tmp_path / name).write_text(text)
-    code, out, err = run(capsys, *(str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv))
+    code, out, err = run_on_fixed_files(capsys, tmp_path, argv)
     assert (code, err) == (0, "")
     if "--out" in argv:
         assert out == "" and (tmp_path / "out.csv").read_bytes() == expected.encode("ascii")
     else:
         assert out == expected
+
+
+# each data error on the fixed files above: exit 1, nothing on stdout and this one stderr line
+ERROR_BYTES = [
+    (('qstate', '--state', 'huge_rho.json'),
+     'qcorr: error: matrix must be a list of [re, im] number pairs: int too large to convert to float'),
+    (('discord', '--state', 'huge_rho.json'),
+     'qcorr: error: matrix must be a list of [re, im] number pairs: int too large to convert to float'),
+    (('gaussian', '--cov', 'huge_cov.json'),
+     'qcorr: error: covariance matrix must be a JSON array of rows of numbers: int too large to convert to float'),
+    (('qstate', '--state', 'broken.json'),
+     'qcorr: error: density matrix file is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
+    (('gaussian', '--cov', 'broken.json'),
+     'qcorr: error: covariance matrix must be a JSON array of rows of numbers: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)'),
+    (('gaussian', '--cov', 'truncated.json'),
+     "qcorr: error: covariance matrix must be a JSON array of rows of numbers: Expecting ',' delimiter: line 1 column 10 (char 9)"),
+    (('qstate', '--state', 'cov.json'),
+     "qcorr: error: density matrix must be a JSON object with 'dims' and 'matrix'; got list"),
+    (('discord', '--state', 'cov.json'),
+     "qcorr: error: density matrix must be a JSON object with 'dims' and 'matrix'; got list"),
+    (('gaussian', '--cov', 'rho.json'),
+     "qcorr: error: covariance matrix must be a JSON array of rows of numbers: float() argument must be a string or a real number, not 'dict'"),
+    (('qstate', '--state', 'no_matrix.json'),
+     "qcorr: error: density matrix must be a JSON object with 'dims' and 'matrix'; got dict"),
+    (('qstate', '--state', 'three_element_pair.json'),
+     'qcorr: error: matrix must be a list of [re, im] number pairs: too many values to unpack (expected 2)'),
+    (('qstate', '--state', 'string_pair.json'),
+     "qcorr: error: matrix must be a list of [re, im] number pairs: complex() can't take second arg if first is a string"),
+    (('qstate', '--state', 'string_dims.json'),
+     "qcorr: error: dims must be a pair of integers; got ['a', 1]"),
+    (('qstate', '--state', 'non_square.json'),
+     'qcorr: error: matrix length 3 is not a perfect square'),
+    (('gaussian', '--cov', 'ragged_cov.json'),
+     'qcorr: error: covariance matrix must be a JSON array of rows of numbers: setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.'),
+    (('gaussian', '--cov', 'string_cov.json'),
+     "qcorr: error: covariance matrix must be a JSON array of rows of numbers: could not convert string to float: 'half'"),
+]
+
+
+@pytest.mark.parametrize("argv, line", ERROR_BYTES, ids=[" ".join(argv) for argv, _ in ERROR_BYTES])
+def test_error_bytes(capsys, tmp_path, argv, line):
+    assert run_on_fixed_files(capsys, tmp_path, argv) == (1, "", line + "\n")
 
 
 # -- units -----------------------------------------------------------------

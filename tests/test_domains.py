@@ -48,7 +48,8 @@ ones: a complex matrix is accepted as its real part only when every
 imaginary part is zero. ``symplectic_form`` takes an integer n_modes >= 0.
 The Gaussian helpers take a ``CovarianceMatrix`` (``symplectic_evolution``
 also a ``QuadraticHamiltonian``); a bare array or None raises naming its
-type.
+type. An integer beyond the float range, in an array or as a scalar
+argument, raises too, never the OverflowError of its conversion.
 
 Each violation raises naming the argument, the invariant, the operator
 index or the broken rule.
@@ -79,7 +80,6 @@ from qcorr import (
     QuenchParams,
     ValidationError,
     classical_partition,
-    covariance_to_json,
     discord,
     direct_sum,
     discord_swapped,
@@ -454,6 +454,43 @@ class TestCovarianceOverflow:
         assert pair._dets[1] == pytest.approx(1e304, rel=1e-12)
 
 
+HUGE = 10**400  # a Python integer beyond the float range: float(HUGE) raises OverflowError
+
+
+class TestIntegersBeyondTheFloatRange:
+    """An integer too large for a float, where an entry point takes a number
+    or an array of numbers, raises ValidationError naming the argument, not
+    the OverflowError of its conversion to float."""
+
+    ARRAY = "must be a rectangular array of numbers: int too large to convert to float"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: DensityMatrix([[HUGE, 0], [0, 0]], (2, 1)), f"density matrix {ARRAY}$"),
+            (lambda: PureState([HUGE, 0], (2, 1)), "state vector must be an array of numbers: int too large to convert to float$"),
+            (lambda: CovarianceMatrix([[HUGE, 0], [0, 0.5]]), f"covariance matrix {ARRAY}$"),
+            (lambda: QuadraticHamiltonian([[HUGE, 0], [0, 1]]), f"Hamiltonian matrix {ARRAY}$"),
+            (lambda: Distribution([HUGE, 0]), f"distribution {ARRAY}$"),
+            (lambda: JointDistribution([[HUGE, 0], [0, 0]]), f"joint table {ARRAY}$"),
+            (lambda: Observable([[HUGE, 0], [0, 1]]), f"observable {ARRAY}$"),
+            (lambda: Povm(([[HUGE, 0], [0, 1]],)), f"element 0 {ARRAY}$"),
+            (lambda: StochasticMap(([[HUGE, 0], [0, 1]],)),
+             "Kraus operators must be rectangular arrays of numbers: int too large to convert to float$"),
+            (lambda: QuenchParams(omega=HUGE), f"omega must be finite; got {HUGE}$"),
+            (lambda: thermal_variance(HUGE, 1.0), f"beta must be positive and convertible to float; got {HUGE}$"),
+            (lambda: MeasurementBasis(HUGE, 0.0), rf"theta must lie in \[0, pi\]; got {HUGE}$"),
+            (lambda: normal_mode_frequencies(1.0, HUGE), f"coupling must be finite and non-negative; got {HUGE}$"),
+        ],
+        ids=["DensityMatrix", "PureState", "CovarianceMatrix", "QuadraticHamiltonian", "Distribution",
+             "JointDistribution", "Observable", "Povm", "StochasticMap", "QuenchParams", "thermal_variance",
+             "MeasurementBasis", "normal_mode_frequencies"],
+    )
+    def test_rejected_naming_the_argument(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            call()
+
+
 class TestGaussianArgumentTypes:
     """Each Gaussian helper that reads a :class:`CovarianceMatrix` names the
     type of anything else in a ValidationError, where it used to escape as
@@ -472,10 +509,9 @@ class TestGaussianArgumentTypes:
             (local_invariants, "sigma"),
             (direct_sum, "blocks"),
             (lambda sigma: symplectic_evolution(sigma, TestGaussianArgumentTypes.HAM, 1.0), "sigma and ham"),
-            (covariance_to_json, "sigma"),
         ],
         ids=["symplectic_eigenvalues", "gaussian_entropy", "gaussian_discord", "minimize_gaussian_measurement",
-             "local_invariants", "direct_sum", "symplectic_evolution", "covariance_to_json"],
+             "local_invariants", "direct_sum", "symplectic_evolution"],
     )
     def test_rejected_naming_the_type(self, call, name, value):
         with pytest.raises(ValidationError, match=f"^{name} must be .*CovarianceMatrix.*; got {type(value).__name__}"):
@@ -662,7 +698,7 @@ class TestInvariants:
 @pytest.mark.parametrize(
     "module, count",
     [
-        (quench, 14), (gaussian, 20), (importlib.import_module("qcorr.discord"), 7), (states, 14),
+        (quench, 14), (gaussian, 18), (importlib.import_module("qcorr.discord"), 7), (states, 12),
         (importlib.import_module("qcorr.measurement"), 10), (importlib.import_module("qcorr.probability"), 8),
         (importlib.import_module("qcorr.errors"), 8),
     ],

@@ -1,7 +1,8 @@
 """qcorr needs numpy alone: with every import of scipy refused, the
 functions that exponentiate a generator, the quench-discord oracle that
 evolves through them, and every README CLI verb run, and none of them even
-tries to import scipy."""
+tries to import scipy. Files are the CLI's alone: ``import qcorr`` loads no
+``json``."""
 
 import json
 import os
@@ -10,12 +11,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qcorr
 from qcorr import (
     QuenchParams,
-    covariance_to_json,
-    density_matrix_to_json,
     quench_hamiltonian_matrix,
     random_covariance,
     symplectic_evolution,
@@ -75,20 +75,23 @@ print(json.dumps({"library": library, "codes": codes, "attempts": attempts,
 """
 
 
-def test_no_cli_verb_imports_scipy(tmp_path):
-    bell = tmp_path / "bell.json"
-    bell.write_text(density_matrix_to_json(bell_density()))
-    cov = tmp_path / "cov.json"
-    cov.write_text(covariance_to_json(random_covariance(3)))
+def _env() -> dict:
     src = str(Path(qcorr.__file__).resolve().parents[1])  # import the qcorr under test
     root = str(Path(__file__).resolve().parents[1])  # and the oracle beside this test
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, root, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_no_cli_verb_imports_scipy(tmp_path):
+    bell = tmp_path / "bell.json"
+    bell.write_text(json.dumps({"dims": [2, 2], "matrix": [[z.real, z.imag] for z in bell_density().elements.ravel().tolist()]}))
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps(random_covariance(3).sigma.tolist()))
     done = subprocess.run(
         [sys.executable, "-c", _SCRIPT, str(bell), str(cov), str(tmp_path)],
         capture_output=True,
         text=True,
         check=True,
-        env=env,
+        env=_env(),
     )
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["codes"] == [0] * 8
@@ -102,3 +105,12 @@ def test_no_cli_verb_imports_scipy(tmp_path):
         library["symplectic_evolution"], symplectic_evolution(random_covariance(3), ham, 0.7).sigma
     )
     assert library["quench_discord"] == quench_discord(QuenchParams(lambda0=2.0), 1.3)
+
+
+@pytest.mark.parametrize("module, loads_json", [("qcorr", False), ("qcorr.cli", True)])
+def test_only_the_cli_loads_json(module, loads_json):
+    """A fresh interpreter that imports the library has no ``json`` module;
+    one that imports the CLI, which reads the two file formats, has."""
+    script = f"import sys, {module}; print(any(m == 'json' or m.startswith('json.') for m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=_env())
+    assert done.stdout == f"{loads_json}\n"

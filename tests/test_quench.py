@@ -661,8 +661,8 @@ class TestSweepCost:
         step: 12 per evaluation when every trial step is accepted, 10 for a
         trial that is halved. One closed-form Gaussian discord runs 28 qcorr
         frames and no numpy frame. The Gaussian oracle runs no numpy frame
-        and 25 + 2 nfev qcorr frames: 26 for the seed forms, the spectrum,
-        the five entropies and the search's own frame, then one per
+        and 24 + 2 nfev qcorr frames: 25 for the seed forms, the spectrum,
+        the four entropies and the search's own frame, then one per
         evaluation of N / D and one per step, nfev - 1 steps."""
         discord(random_density_matrix((2, 2), 2, 0))  # any lazy set-up runs before counting
         halved, run_counts = 0, set()
@@ -689,5 +689,5 @@ class TestSweepCost:
                 packages = [package for package, _ in self._python_calls(lambda: gaussian_discord(sigma, mode))]
                 assert (packages.count("qcorr"), packages.count("numpy")) == (28, 0)
                 packages = [package for package, _ in self._python_calls(lambda: minimize_gaussian_measurement(sigma, mode))]
-                assert (packages.count("qcorr"), packages.count("numpy")) == (25 + 2 * searches[-1].nfev, 0)
+                assert (packages.count("qcorr"), packages.count("numpy")) == (24 + 2 * searches[-1].nfev, 0)
         assert len(searches) == 8 and len({result.nfev for result in searches}) > 1

@@ -69,10 +69,13 @@ def test_render_says_identical_or_moved():
     ]
 
 
-def test_cli_cases_are_those_of_test_output_bytes():
+def test_cli_cases_are_those_of_test_output_bytes_and_test_error_bytes():
     files, cases = same_bits._cli_cases(_PATH.parent.parent / "tests" / "test_cli.py")
-    assert set(files) == {"rho.json", "qubit.json", "cov.json"}
-    assert len(cases) == 15 and ["discord", "--state", "rho.json"] in cases
+    assert set(files) == {"rho.json", "qubit.json", "huge_rho.json", "huge_cov.json", "broken.json", "truncated.json",
+                          "no_matrix.json", "three_element_pair.json", "string_pair.json", "string_dims.json",
+                          "non_square.json", "ragged_cov.json", "string_cov.json", "cov.json"}
+    assert len(cases) == 15 + 16 and ["discord", "--state", "rho.json"] in cases
+    assert ["gaussian", "--cov", "huge_cov.json"] in cases
 
 
 def test_manifest_runs_in_process(monkeypatch):
@@ -94,6 +97,8 @@ def test_manifest_runs_in_process(monkeypatch):
     assert len(families["report_at.omega_excess"]) == 4
     discord_case = dict(map(tuple, families["cli"]))["discord --state rho.json"]
     assert discord_case.startswith("exit 0\n{\"mutual_info\": ")
+    assert dict(map(tuple, families["cli"]))["qstate --state non_square.json"] == (
+        "exit 1\nqcorr: error: matrix length 3 is not a perfect square\n")
     assert not any(isinstance(value, str) for values in families.values() if values is not families["cli"]
                    for _, value in values)  # no call raised
     json.loads(json.dumps(families))  # what a child writes, the parent reads
@@ -121,3 +126,18 @@ def test_main_reports_each_family(monkeypatch, tmp_path, capsys):
                            "max relative 0.0702; first at s: 57 -> 53"]
     report = json.loads(out.read_text())
     assert report["parent"] == "abc123" and report["families"]["discord.evaluations"]["moved"] == 1
+
+
+def test_a_cli_call_that_raises_is_recorded_as_its_exception(tmp_path):
+    """A parent whose CLI lets an exception escape still yields a comparable text."""
+    test_file = tmp_path / "test_cli.py"
+    test_file.write_text("FIXED_FILES = {'a.json': '[1'}\nOUTPUT_BYTES = []\nERROR_BYTES = [(('qstate', '--state', 'a.json'), '')]\n")
+
+    class Cli:
+        @staticmethod
+        def main(argv):
+            raise OverflowError("int too large to convert to float")
+
+    families = {}
+    same_bits._cli(Cli, families, test_file)
+    assert families["cli"] == [["qstate --state a.json", "OverflowError: int too large to convert to float"]]

@@ -9,8 +9,6 @@ from qcorr import (
     ValidationError,
     araki_lieb_check,
     density_from_pure,
-    density_matrix_from_json,
-    density_matrix_to_json,
     entanglement_entropy,
     partial_trace,
     quantum_mutual_information,
@@ -352,31 +350,3 @@ class TestRandomDensityMatrix:
     def test_dims_must_be_positive(self):
         with pytest.raises(ValidationError, match="dims must be positive"):
             random_density_matrix((-2, -2), 2, seed=1)
-
-
-class TestSerialization:
-    def test_round_trip_is_bit_exact(self):
-        rho = random_density_matrix((2, 2), 3, seed=9)
-        recovered = density_matrix_from_json(density_matrix_to_json(rho))
-        assert np.array_equal(recovered.elements, rho.elements)
-        assert recovered.dims == rho.dims
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("{not json", "not valid JSON"),
-            ("[[0.5, 0.0], [0.0, 0.5]]", "JSON object with 'dims' and 'matrix'; got list"),
-            ('{"dims": [2, 1]}', "JSON object with 'dims' and 'matrix'; got dict"),
-            ('{"dims": [2, 1], "matrix": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]}', r"\[re, im\] number pairs"),
-            ('{"dims": [2, 1], "matrix": [["1", 0], [0, 0], [0, 0], [0, 0]]}', r"\[re, im\] number pairs"),
-            ('{"dims": ["a", 1], "matrix": [[1, 0], [0, 0], [0, 0], [0, 0]]}', "pair of integers"),
-        ],
-    )
-    def test_malformed_file_rejected(self, text, message):
-        with pytest.raises(ValidationError, match=message):
-            density_matrix_from_json(text)
-
-    def test_loading_enforces_invariants(self):
-        text = density_matrix_to_json(bell_density()).replace("0.4999999999999999", "0.4", 1)
-        with pytest.raises(ValidationError):
-            density_matrix_from_json(text)

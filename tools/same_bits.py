@@ -14,8 +14,9 @@ tree's ``src`` in a child interpreter, so both sides compute the same inputs:
   ``random_covariance`` matrices, measuring either mode;
 - ``sweep_temperature`` at four couplings and two evolution times, and
   ``report_at`` on a grid of temperatures, one family per report column;
-- every CLI case of ``test_output_bytes`` in ``tests/test_cli.py`` (read from
-  this checkout, so both trees run the same argument lists);
+- every CLI case of ``test_output_bytes`` and ``test_error_bytes`` in
+  ``tests/test_cli.py`` (read from this checkout, so both trees run the same
+  argument lists), a call that raises recorded as its exception;
 - the stdout of every demo of each tree, and the CSV that demo 06 writes,
   each demo run from a temporary copy so that no checkout is written to.
 
@@ -60,13 +61,13 @@ def _bench_pairs():
 
 
 def _cli_cases(test_file: Path) -> tuple:
-    """``(FIXED_FILES, [argv, ...])`` of ``test_output_bytes``, read as literals."""
+    """``(FIXED_FILES, [argv, ...])`` of ``test_output_bytes`` and ``test_error_bytes``, read as literals."""
     found = {}
     for node in ast.parse(test_file.read_text()).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            if node.targets[0].id in ("FIXED_FILES", "OUTPUT_BYTES"):
+            if node.targets[0].id in ("FIXED_FILES", "OUTPUT_BYTES", "ERROR_BYTES"):
                 found[node.targets[0].id] = ast.literal_eval(node.value)
-    return found["FIXED_FILES"], [list(argv) for argv, _ in found["OUTPUT_BYTES"]]
+    return found["FIXED_FILES"], [list(argv) for argv, _ in found["OUTPUT_BYTES"] + found["ERROR_BYTES"]]
 
 
 # -- the manifest, run in a child interpreter against one tree ---------------
@@ -121,14 +122,16 @@ def _cli(cli, families: dict, test_file: Path):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             Path(tmp, name).write_text(text)
+        out_file = Path(tmp, "out.csv")
         for argv in cases:
-            out_file = Path(tmp, "out.csv")
-            out_file.unlink(missing_ok=True)
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main([str(Path(tmp, a)) if a.endswith((".json", ".csv")) else a for a in argv])
-            text = f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}{out_file.read_text() if out_file.exists() else ''}"
-            _record(families, "cli", " ".join(argv), lambda: {"": text})
+            def text():
+                out_file.unlink(missing_ok=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main([str(Path(tmp, a)) if a.endswith((".json", ".csv")) else a for a in argv])
+                return {"": f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}{out_file.read_text() if out_file.exists() else ''}"}
+
+            _record(families, "cli", " ".join(argv), text)
 
 
 def _demos(tree: Path, families: dict):
