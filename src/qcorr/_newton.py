@@ -3,20 +3,19 @@ the Riemannian search on the sphere (:mod:`qcorr.discord`), and
 Dinkelbach's iteration for the Gaussian measurement search on the unit
 disk (:mod:`qcorr.gaussian`).
 
-:func:`minimize` takes a chart, which turns the objective's derivatives
-at a point into a gradient (g1, g2) and Hessian (h11, h12, h22) in two
-local coordinates, and maps a step (d1, d2) in them to the point it
-reaches and the step it took. Where the 2x2 Hessian is not positive
-definite, its eigenvalues are replaced by their absolute values (floored
-at ``CURVATURE_FLOOR``), which keeps the step a descent direction; steps
-longer than ``MAX_STEP`` are shortened to it, and a step that does not
-lower the value is halved until it does. A run stops, converged, when the
-decrease that the step taken predicts, -(g.d), is at most ``FTOL``, or
-when halving brings it there without a lower value, which is rounding; it
-returns the lowest value it evaluated. It stops unconverged after
-``MAXITER`` steps. The sphere search starts from its best grid cells
-under the rule of :func:`minimize`: a further run only where every run so
-far stopped at its start.
+:func:`minimize` takes the objective's gradient (g1, g2) and Hessian
+(h11, h12, h22) in two coordinates of the tangent plane at a point, and a
+retraction, which maps a step (d1, d2) in them to the point it reaches.
+Where the 2x2 Hessian is not positive definite, its eigenvalues are
+replaced by their absolute values (floored at ``CURVATURE_FLOOR``), which
+keeps the step a descent direction; steps longer than ``MAX_STEP`` are
+shortened to it, and a step that does not lower the value is halved until
+it does. A run stops, converged, when the decrease that the step predicts,
+-(g.d), is at most ``FTOL``, or when halving brings it there without a
+lower value, which is rounding; it returns the lowest value it evaluated.
+It stops unconverged after ``MAXITER`` steps. The sphere search starts
+from its best grid cells under the rule of :func:`minimize`: a further run
+only where every run so far stopped at its start.
 
 :func:`minimize_ratio` minimizes N / D over the closed unit disk, for
 quadratics N and D > 0 with isotropic Hessians (Dinkelbach, Management
@@ -27,7 +26,7 @@ so its minimum over the whole disk has a closed form
 rise; a step is Newton's method on the concave F(f) = min (N - f D),
 whose slope at f is -D at the minimizing point, so they fall
 superlinearly to the root of F, the global minimum of N / D. Both loops,
-their steps and the sphere chart's points, derivatives and moves are
+their steps and the sphere's points, derivatives and retraction are
 floats and tuples of floats: no numpy call.
 """
 
@@ -37,7 +36,7 @@ import math
 from typing import Callable, Iterable, NamedTuple
 
 CURVATURE_FLOOR = 1e-12
-MAX_STEP = 1.0  # in the chart's coordinates
+MAX_STEP = 1.0  # in the tangent coordinates
 FTOL = 1e-15  # a step predicting a smaller decrease is rounding
 MAXITER = 50
 
@@ -72,47 +71,43 @@ def _newton_step(grad, hess) -> tuple:
     return d1, d2
 
 
-def _descend(fun, x, chart) -> tuple:
+def _descend(fun, x, retract) -> tuple:
     """One Newton run from x: (x, value, nfev, converged)."""
-    value, g, h = fun(x)
+    value, grad, hess = fun(x)
     nfev = 1
     for _ in range(MAXITER):
-        grad, hess, move = chart(x, g, h)
         (g1, g2), (d1, d2) = grad, _newton_step(grad, hess)
-        while True:
-            if not -(g1 * d1 + g2 * d2) > FTOL:  # the step taken is t (d1, d2), t in (0, 1]: it would stop too
-                return x, value, nfev, True
-            trial, d1, d2 = move(d1, d2)
-            if not -(g1 * d1 + g2 * d2) > FTOL:  # the decrease the step taken predicts
-                return x, value, nfev, True
-            trial_value, trial_g, trial_h = fun(trial)
+        while -(g1 * d1 + g2 * d2) > FTOL:  # the decrease the step predicts
+            trial = retract(x, d1, d2)
+            trial_value, trial_grad, trial_hess = fun(trial)
             nfev += 1
             if trial_value < value:
-                x, value, g, h = trial, trial_value, trial_g, trial_h
+                x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
                 break
             d1, d2 = d1 / 2.0, d2 / 2.0
+        else:  # no step predicts a decrease beyond rounding, the first or a halved one
+            return x, value, nfev, True
     return x, value, nfev, False
 
 
-def minimize(fun: Callable[[tuple], tuple], starts: Iterable[tuple], chart: Callable) -> Result:
-    """Minimize ``fun`` by Newton runs in ``chart``: from the first of
+def minimize(fun: Callable[[tuple], tuple], starts: Iterable[tuple], retract: Callable) -> Result:
+    """Minimize ``fun`` by Newton runs along ``retract``: from the first of
     ``starts``, then from each next one only while every run so far has
     evaluated its start alone (``nfev == 1``), at a critical point such as
     a saddle or on a constant objective. A run that moves is the search's
     last, so ``starts`` may be a lazy iterable whose later points are never
     built.
 
-    ``fun(x)`` returns ``(value, gradient, hessian)``, and
-    ``chart(x, gradient, hessian)`` returns ``((g1, g2), (h11, h12, h22),
-    move)`` with ``move(d1, d2)`` returning ``(point, d1, d2)``: the point
-    reached and the step that reached it. ``x`` is the point of the lowest
-    value found, the earliest run's on a tie, ``nfev`` counts the
-    evaluations of every run, and ``success`` is false when any run stopped
-    at ``MAXITER`` steps.
+    ``fun(x)`` returns ``(value, (g1, g2), (h11, h12, h22))`` in the
+    tangent coordinates at ``x``, and ``retract(x, d1, d2)`` returns the
+    point that the step (d1, d2) reaches from ``x``. ``x`` is the point of
+    the lowest value found, the earliest run's on a tie, ``nfev`` counts
+    the evaluations of every run, and ``success`` is false when any run
+    stopped at ``MAXITER`` steps.
     """
     best, nfev, success = None, 0, True
     for start in starts:
-        x, value, count, converged = _descend(fun, start, chart)
+        x, value, count, converged = _descend(fun, start, retract)
         nfev += count
         success = success and converged
         if best is None or value < best[1]:

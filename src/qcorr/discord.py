@@ -34,14 +34,14 @@ grid row reaches (the equator, for an X state whose pole is a saddle). It
 returns the largest of the grid and Newton maxima. A point of the Newton
 search is a unit 3-vector n with an orthonormal basis (e1, e2) of its
 tangent plane (:func:`_point`), and a step (d1, d2) is retracted onto the sphere by
-normalizing n + d1 e1 + d2 e2 (:func:`_tangent_chart`), so the poles of
+normalizing n + d1 e1 + d2 e2 (:func:`_retract`), so the poles of
 (theta, phi) are ordinary points. The objective returns the Riemannian
 gradient and Hessian in (e1, e2): for an extension off the sphere with
 Euclidean gradient g and Hessian H these are g.e_i and e_i^T H e_j -
 (n.g) delta_ij (Absil, Mahony and Sepulchre, *Optimization Algorithms on
 Matrix Manifolds*, 2008). The loop is :func:`qcorr._newton.minimize`,
-bound here as ``minimize`` and given that chart, whose ``MAX_STEP`` is
-then a length in radians along the tangent plane. The grid is twice as
+bound here as ``minimize`` and given that retraction, whose ``MAX_STEP``
+is then a length in radians along the tangent plane. The grid is twice as
 dense, along each axis, as the smallest that reproduces the 64 x 64 grid
 plus Nelder-Mead search of earlier versions to 1e-12 on the seeded
 states of the tests (4 x 4 with two starts). C is constant on pure and
@@ -249,20 +249,16 @@ def _point(v) -> tuple:
     return (n, *_tangent_basis(n))
 
 
-def _tangent_chart(x, grad, hess) -> tuple:
-    """The tangent plane at x = (n, e1, e2) as the chart of
-    :func:`minimize`: a step (d1, d2) reaches the point of
-    n + d1 e1 + d2 e2."""
+def _retract(x, d1, d2) -> tuple:
+    """The retraction of :func:`minimize`: the point of n + d1 e1 + d2 e2 from x = (n, e1, e2)."""
     (n0, n1, n2), (a0, a1, a2), (b0, b1, b2) = x
-    return grad, hess, lambda d1, d2: (
-        _point((n0 + d1 * a0 + d2 * b0, n1 + d1 * a1 + d2 * b1, n2 + d1 * a2 + d2 * b2)), d1, d2
-    )
+    return _point((n0 + d1 * a0 + d2 * b0, n1 + d1 * a1 + d2 * b1, n2 + d1 * a2 + d2 * b2))
 
 
 def _negated_objective(bloch, s_b: float):
     """-C(n) with its Riemannian gradient (g1, g2) and Hessian (h11, h12,
     h22) in the tangent basis (e1, e2), at the point (n, e1, e2) of
-    :func:`_point`, for :func:`minimize` in :func:`_tangent_chart`.
+    :func:`_point`, for :func:`minimize` along :func:`_retract`.
 
     Each of the terms eta(lambda+), eta(lambda-) and -eta(q) of outcome
     +-1 adds eta'(x) grad x / 2 to the Euclidean gradient and (grad x
@@ -360,7 +356,7 @@ def _maximize_classical_correlations(bloch, s_b: float):
     cells = np.rint((grid.max() - grid) / FTOL).argsort(kind="stable")[:STARTS].tolist()
     grid_value = grid[cells[0]].item()
     starts = map(_point, map(_GRID_POINTS.__getitem__, cells))  # lazy: a second point only for a second run
-    result = minimize(_negated_objective(bloch, s_b), starts, _tangent_chart)
+    result = minimize(_negated_objective(bloch, s_b), starts, _retract)
     if -result.fun >= grid_value:
         value, n = -result.fun, result.x[0]
     else:

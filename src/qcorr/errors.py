@@ -1,8 +1,9 @@
 """Exception types and the validation policy shared across the package:
 every accept/reject tolerance, zero cutoff and argument check
 (:func:`require_real`, :func:`require_finite`, :func:`require_integer`,
-:func:`require_seed`, :func:`hermitian_part`), and the one test that an
-operator sum is the identity, defined once below."""
+:func:`require_seed`, :func:`hermitian_part`), the one gate through which
+every array of numbers enters the package (:func:`number_array`), and the
+one test that an operator sum is the identity, defined once below."""
 
 import math
 import operator
@@ -71,11 +72,11 @@ MATRIX_ENTRY_MAX = 1e150
 def require_real(name: str, value) -> bool:
     """Whether ``value`` is finite; raises naming ``name`` unless it is a real number (NaN and inf are).
 
-    Domain: any value; one that ``math.isfinite`` rejects, a complex number, string or None included, raises ValidationError naming ``name``, and an integer beyond the float range is not finite."""
+    Domain: any value; one that ``math.isfinite`` rejects, a complex number, string or None included, and an integer beyond the float range raise ValidationError naming ``name``, the integer without its digits."""
     try:
         return math.isfinite(value)
-    except OverflowError:
-        return False
+    except OverflowError:  # formatting the integer could itself fail, beyond 4300 digits
+        raise ValidationError(f"{name} must be finite; got an integer beyond the float range") from None
     except TypeError:
         raise ValidationError(f"{name} must be a real number; got {value!r}") from None
 
@@ -118,32 +119,46 @@ def require_identity(total: np.ndarray, what: str):
         raise ValidationError(f"{what}: defect {defect!r}")
 
 
+def _as_numbers(values, what: str, dtype) -> np.ndarray:
+    """``np.asarray(values, dtype)``, raising naming ``what`` where numpy cannot convert."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
+        raise ValidationError(f"{what} must be a rectangular array of numbers: {exc}") from None
+
+
+def number_array(values, what: str, dtype) -> np.ndarray:
+    """``values`` as a numpy array of ``dtype`` with only finite entries: the one gate of array input.
+
+    Domain: any ``values``; a ragged or non-numeric one, an integer beyond the float range, or a NaN or infinite entry raises ValidationError naming ``what``."""
+    arr = _as_numbers(values, what, dtype)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be finite; got a NaN or infinite entry")
+    return arr
+
+
 def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, even: bool = False):
     """Validated Hermitian part ``(M + M^dagger) / 2`` of a square matrix.
 
     Raises :class:`ValidationError` naming the matrix ``what`` unless it is
-    a rectangular array of numbers, non-empty and square (of even size if
-    ``even``), has no entry larger than ``MATRIX_ENTRY_MAX`` in magnitude
-    (nor a NaN), and has max entrywise defect ``|M - M^dagger|`` at most
-    ``tol``. A real ``dtype`` makes this the symmetric part and a symmetry
-    check, and rejects a nonzero imaginary part (an all-zero one is dropped).
+    a finite array of numbers (:func:`number_array`), non-empty and square
+    (of even size if ``even``), has no entry larger than
+    ``MATRIX_ENTRY_MAX`` in magnitude, and has max entrywise defect
+    ``|M - M^dagger|`` at most ``tol``. A real ``dtype`` makes this the
+    symmetric part and a symmetry check, and rejects a nonzero imaginary
+    part (an all-zero one is dropped).
 
     Domain: any ``matrix``; input that fails any of these raises ValidationError naming ``what``.
     """
     # a real dtype reads everything but a real array as complex, so that no imaginary part is dropped
     cast = complex if getattr(getattr(matrix, "dtype", None), "kind", "c") == "c" else dtype
-    try:
-        mat = np.asarray(matrix, dtype=cast)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
-        raise ValidationError(f"{what} must be a rectangular array of numbers: {exc}") from None
+    mat = number_array(matrix, what, cast)
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0) or (even and mat.shape[0] % 2):
         size = "non-empty square of even size" if even else "non-empty square"
         raise ValidationError(f"{what} must be {size}; got shape {mat.shape}")
     largest = abs(mat).max()
-    if not largest <= MATRIX_ENTRY_MAX:  # NaN fails it too
-        if largest < np.inf:
-            raise ValidationError(f"{what} overflows: max |entry| {float(largest)!r} exceeds {MATRIX_ENTRY_MAX}")
-        raise ValidationError(f"{what} must be finite; got a NaN or infinite entry")
+    if largest > MATRIX_ENTRY_MAX:
+        raise ValidationError(f"{what} overflows: max |entry| {float(largest)!r} exceeds {MATRIX_ENTRY_MAX}")
     if cast is not dtype:
         imaginary = abs(mat.imag).max()
         if imaginary:

@@ -68,7 +68,8 @@ import numpy as np
 
 from ._newton import minimize_ratio as minimize  # the name under which the traced benchmark counts its evaluations
 from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
-from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_finite, require_integer, require_real, require_seed
+from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, _as_numbers, hermitian_part, require_finite, require_integer
+from .errors import require_real, require_seed
 
 VACUUM_VARIANCE = 0.5
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -167,8 +168,8 @@ def thermal_variance(beta: float, omega: float) -> float:
     Domain: 0 < omega < inf, beta > 0 within the float range (inf included) and beta omega / 2 large enough for a finite variance; NaN or anything else raises ValidationError naming it.
     """
     _require_frequency(omega)
-    if not ((require_real("beta", beta) or beta == math.inf) and beta > 0):  # NaN and integers beyond the float range fail
-        raise ValidationError(f"beta must be positive and convertible to float; got {beta}")
+    if not ((require_real("beta", beta) or beta == math.inf) and beta > 0):  # NaN fails
+        raise ValidationError(f"beta must be positive; got {beta}")
     half = beta * omega / 2.0
     variance = 0.5 / math.tanh(half) if half > 0.0 else math.inf  # a subnormal half overflows silently
     if variance == math.inf:
@@ -344,7 +345,7 @@ def mode_entropy(nu):
     A float gives a float, with ``math``, for scalar callers such as
     :func:`gaussian_entropy` and the oracles; an array gives an array.
 
-    Domain: a float or an array of finite nu >= 1/2 - PHYSICALITY_SLACK, the bound of :class:`CovarianceMatrix`; NaN, inf or less raises ValidationError.
+    Domain: a float or an array of finite nu >= 1/2 - PHYSICALITY_SLACK, the bound of :class:`CovarianceMatrix`; NaN, inf or less raises ValidationError, and so does anything numpy cannot read as floats, an integer beyond the float range included.
     """
     if isinstance(nu, float):
         if not VACUUM_VARIANCE - PHYSICALITY_SLACK <= nu < math.inf:
@@ -354,7 +355,7 @@ def mode_entropy(nu):
             return 0.0
         plus = nu + VACUUM_VARIANCE
         return plus * math.log(plus) - above * math.log(above)
-    nu = np.asarray(nu, dtype=float)
+    nu = _as_numbers(nu, "symplectic eigenvalue", float)  # NaN and inf are named below, with their value
     lowest = nu.min(initial=math.inf)  # NaN if any is NaN; inf for an empty array
     in_range = lowest >= VACUUM_VARIANCE - PHYSICALITY_SLACK
     if not (in_range and nu.max(initial=0.0) < math.inf):
@@ -459,13 +460,13 @@ def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
     :func:`_min_conditional_det`. The result is clamped at zero. One array passed
     as both eigenvalues (nu, nu) has f(nu) evaluated once and subtracted twice.
 
-    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it, and invariants so large (products such as ab, c^2 or b (d - a) beyond the float range) that the minimal conditional determinant is NaN or infinite raise ValidationError saying they overflow the closed form and naming them.
+    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an invariant that numpy cannot read as floats (an integer beyond the float range included), an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it, and invariants so large (products such as ab, c^2 or b (d - a) beyond the float range) that the minimal conditional determinant is NaN or infinite raise ValidationError saying they overflow the closed form and naming them.
     """
     args = (inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus)
     scalar = all(type(x) is float for x in args)  # numpy scalars take the array route, under np.errstate
     ops = _FLOAT_OPS if scalar else _ARRAY_OPS
     sqrt, absolute, maximum, minimum, _ = ops
-    a, b, c, d = args[:4] if scalar else (np.asarray(x, dtype=float) for x in args[:4])
+    a, b, c, d = args[:4] if scalar else (_as_numbers(x, f"invariant {name}", float) for name, x in zip("abcd", args[:4]))
     floor, abs_c = 1.0 - INVARIANT_SLACK, absolute(c)
     if scalar:  # NaN fails every comparison
         physical = floor <= a < math.inf and floor <= b < math.inf and floor <= d < math.inf and abs_c < math.inf

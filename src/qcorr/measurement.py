@@ -9,12 +9,13 @@ so the distributions produced here are reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BORN_SUM_TOL, DEGENERACY_TOL, MATRIX_TOL, NORM_TOL, ZERO_WEIGHT, ValidationError, hermitian_part
-from .errors import require_identity, require_integer, require_real
+from .errors import number_array, require_identity, require_integer, require_real
 from .probability import Distribution, JointDistribution, mutual_information
 from .states import DensityMatrix, PureState, eigh_phase_fixed
 
@@ -117,24 +118,21 @@ class Povm:
 class StochasticMap:
     """A trace-preserving quantum operation given by Kraus operators.
 
-    Domain: a non-empty iterable of finite, non-empty 2-D arrays of numbers of one shape whose sum of K^dagger K is the identity within ``MATRIX_TOL``; anything else, a non-iterable included, raises ValidationError naming the Kraus operators or the sum.
+    Domain: a non-empty iterable of finite, non-empty 2-D arrays of numbers of one shape whose sum of K^dagger K is the identity within ``MATRIX_TOL``; anything else, a non-iterable included (read as operator 0), raises ValidationError naming the Kraus operator or the sum.
     """
 
     kraus_ops: tuple
 
     def __post_init__(self):
-        try:
-            ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)  # copies: the caller's arrays stay the caller's
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
-            raise ValidationError(f"Kraus operators must be rectangular arrays of numbers: {exc}") from None
+        kraus = self.kraus_ops if isinstance(self.kraus_ops, Iterable) else (self.kraus_ops,)  # then operator 0, of no shape
+        # copies: the caller's arrays stay the caller's
+        ops = tuple(number_array(k, f"Kraus operator {idx}", complex).copy() for idx, k in enumerate(kraus))
         if not ops:
             raise ValidationError("a stochastic map needs at least one Kraus operator")
         for idx, k in enumerate(ops):
             if k.ndim != 2 or k.size == 0 or k.shape != ops[0].shape:
                 need = f"shape {ops[0].shape}" if idx else "a non-empty 2-D array"
                 raise ValidationError(f"Kraus operator {idx} has shape {k.shape}; expected {need}")
-            if not np.isfinite(k).all():
-                raise ValidationError(f"Kraus operator {idx} must be finite; got a NaN or infinite entry")
         require_identity(sum(k.conj().T @ k for k in ops), "Kraus operators are not trace preserving")
         for k in ops:
             k.flags.writeable = False

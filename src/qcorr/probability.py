@@ -19,18 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORM_TOL, ZERO_PROBABILITY, ValidationError
+from .errors import NORM_TOL, ZERO_PROBABILITY, ValidationError, number_array
 
 
 def _as_prob_array(values, ndim: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
-        raise ValidationError(f"{what} must be a rectangular array of numbers: {exc}") from None
+    arr = number_array(values, what, float)
     if arr.ndim != ndim or arr.size == 0:
         raise ValidationError(f"{what} must be a non-empty {ndim}-d array; got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} must be finite; got a NaN or infinite entry")
     if np.any(arr < 0.0):
         raise ValidationError(f"{what} has a negative entry: {float(arr.min())!r}")
     total = float(arr.sum())
@@ -57,12 +52,7 @@ def _normalized(cls, weights):
     Finite weights whose sum overflows are first divided by the largest
     of them; any other input is divided by its sum alone.
     """
-    try:
-        w = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
-        raise ValidationError(f"weights must be a rectangular array of numbers: {exc}") from None
-    if not np.isfinite(w).all():
-        raise ValidationError("weights must be finite; got a NaN or infinite entry")
+    w = number_array(weights, "weights", float)
     with np.errstate(over="ignore"):
         total = w.sum()
     if total == math.inf:

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError, require_finite, require_integer
+from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError, require_finite, require_integer, require_real
 from .gaussian import _require_coupling, discord_from_invariants, normal_mode_frequencies
 
 
@@ -332,11 +332,9 @@ def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport
 
 
 def _require_temperature_range(t_min, t_max):
-    try:
-        in_range = 0.0 < t_min < t_max < math.inf
-    except TypeError:
-        raise ValidationError(f"t_min and t_max must be real numbers; got {t_min!r}, {t_max!r}") from None
-    if not in_range:
+    require_real("t_min", t_min)
+    require_real("t_max", t_max)
+    if not 0.0 < t_min < t_max < math.inf:
         raise ValidationError(f"need 0 < t_min < t_max < inf; got {t_min}, {t_max}")
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_integer
-from .errors import require_seed
+from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part, number_array
+from .errors import require_integer, require_seed
 from .probability import _plogp
 
 
@@ -57,19 +57,16 @@ def _validate_dims(dims, size: int | None = None) -> tuple:
 class PureState:
     """A normalized state vector with a bipartite dimension split.
 
-    Domain: numbers of unit norm within ``NORM_TOL`` (flattened), and dims a pair of positive integers whose product is their count; anything else, ragged, non-numeric, NaN and infinite input included, raises ValidationError naming the violated invariant."""
+    Domain: finite numbers of unit norm within ``NORM_TOL`` (flattened), and dims a pair of positive integers whose product is their count; anything else, ragged, non-numeric, NaN and infinite input included, raises ValidationError naming the violated invariant."""
 
     amplitudes: np.ndarray
     dims: tuple
 
     def __post_init__(self):
-        try:
-            amp = np.asarray(self.amplitudes, dtype=complex).ravel().copy()
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
-            raise ValidationError(f"state vector must be an array of numbers: {exc}") from None
+        amp = number_array(self.amplitudes, "state vector", complex).ravel().copy()
         dims = _validate_dims(self.dims, amp.size)
         norm = float(np.linalg.norm(amp))
-        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails it too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValidationError(f"state norm is {norm!r}; expected 1 within {NORM_TOL}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
@@ -105,10 +102,7 @@ class DensityMatrix:
     dims: tuple
 
     def __post_init__(self):
-        try:
-            raw = np.asarray(self.elements, dtype=complex)
-        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, strings, integers beyond the float range
-            raise ValidationError(f"density matrix must be a rectangular array of numbers: {exc}") from None
+        raw = number_array(self.elements, "density matrix", complex)
         mat = hermitian_part(raw, "density matrix")
         dims = _validate_dims(self.dims, len(mat))
         trace = complex(raw.trace())

@@ -322,8 +322,8 @@ class TestDiscord:
         calls, runs = [], []
         refine = module.minimize
 
-        def recording_minimize(fun, starts, chart):
-            assert chart is module._tangent_chart
+        def recording_minimize(fun, starts, retract):
+            assert retract is module._retract
             taken = []
 
             def counted(n):
@@ -335,7 +335,7 @@ class TestDiscord:
                     taken.append(start)
                     yield start
 
-            result = refine(counted, taking(starts), chart)
+            result = refine(counted, taking(starts), retract)
             runs.append((len(taken), result.nfev))
             return result
 
@@ -463,12 +463,12 @@ class TestSecondStart:
         module = importlib.import_module("qcorr.discord")
         refine, descend, searches, runs = module.minimize, _newton._descend, [], []
 
-        def recording_minimize(fun, starts, chart):
-            searches.append(chart)
-            return refine(fun, starts, chart)
+        def recording_minimize(fun, starts, retract):
+            searches.append(retract)
+            return refine(fun, starts, retract)
 
-        def recording_descend(fun, x, chart):
-            run = descend(fun, x, chart)
+        def recording_descend(fun, x, retract):
+            run = descend(fun, x, retract)
             runs.append((x[0], run[2]))
             return run
 
@@ -481,7 +481,7 @@ class TestSecondStart:
                 searches.clear()
                 runs.clear()
                 result = search(rho)
-                assert searches == [module._tangent_chart]
+                assert searches == [module._retract]
                 first_nfev = runs[0][1]
                 assert len(runs) == (2 if first_nfev == 1 else 1)
                 assert result.trace.evaluations == len(GRID) + sum(nfev for _, nfev in runs)

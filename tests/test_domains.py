@@ -42,14 +42,15 @@ take real angles and overlap; ``random_density_matrix`` and
 
 Matrices: ``CovarianceMatrix``, ``QuadraticHamiltonian``, ``Observable``,
 ``Povm``, ``DensityMatrix``, ``StochasticMap``, ``Distribution`` and
-``JointDistribution`` take rectangular arrays of numbers, ``PureState`` an
-array of numbers of unit norm (a NaN norm is not), and the first two real
-ones: a complex matrix is accepted as its real part only when every
-imaginary part is zero. ``symplectic_form`` takes an integer n_modes >= 0.
+``JointDistribution`` take finite rectangular arrays of numbers,
+``PureState`` one of unit norm, all through the one gate of
+:mod:`qcorr.errors`, and the first two real ones: a complex matrix is
+accepted as its real part only when every imaginary part is zero. ``symplectic_form`` takes an integer n_modes >= 0.
 The Gaussian helpers take a ``CovarianceMatrix`` (``symplectic_evolution``
 also a ``QuadraticHamiltonian``); a bare array or None raises naming its
 type. An integer beyond the float range, in an array or as a scalar
-argument, raises too, never the OverflowError of its conversion.
+argument, raises too, never the OverflowError of its conversion nor, past
+4300 digits, the ValueError of formatting it.
 
 Each violation raises naming the argument, the invariant, the operator
 index or the broken rule.
@@ -59,6 +60,7 @@ import importlib
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,41 +456,56 @@ class TestCovarianceOverflow:
         assert pair._dets[1] == pytest.approx(1e304, rel=1e-12)
 
 
-HUGE = 10**400  # a Python integer beyond the float range: float(HUGE) raises OverflowError
-
-
 class TestIntegersBeyondTheFloatRange:
     """An integer too large for a float, where an entry point takes a number
     or an array of numbers, raises ValidationError naming the argument, not
-    the OverflowError of its conversion to float."""
+    the OverflowError of its conversion to float; also beyond 4300 digits,
+    where formatting the integer into the message would itself raise."""
 
     ARRAY = "must be a rectangular array of numbers: int too large to convert to float"
+    BEYOND = "must be finite; got an integer beyond the float range"
 
+    @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["401_digits", "5001_digits"])
     @pytest.mark.parametrize(
         "call, message",
         [
-            (lambda: DensityMatrix([[HUGE, 0], [0, 0]], (2, 1)), f"density matrix {ARRAY}$"),
-            (lambda: PureState([HUGE, 0], (2, 1)), "state vector must be an array of numbers: int too large to convert to float$"),
-            (lambda: CovarianceMatrix([[HUGE, 0], [0, 0.5]]), f"covariance matrix {ARRAY}$"),
-            (lambda: QuadraticHamiltonian([[HUGE, 0], [0, 1]]), f"Hamiltonian matrix {ARRAY}$"),
-            (lambda: Distribution([HUGE, 0]), f"distribution {ARRAY}$"),
-            (lambda: JointDistribution([[HUGE, 0], [0, 0]]), f"joint table {ARRAY}$"),
-            (lambda: Observable([[HUGE, 0], [0, 1]]), f"observable {ARRAY}$"),
-            (lambda: Povm(([[HUGE, 0], [0, 1]],)), f"element 0 {ARRAY}$"),
-            (lambda: StochasticMap(([[HUGE, 0], [0, 1]],)),
-             "Kraus operators must be rectangular arrays of numbers: int too large to convert to float$"),
-            (lambda: QuenchParams(omega=HUGE), f"omega must be finite; got {HUGE}$"),
-            (lambda: thermal_variance(HUGE, 1.0), f"beta must be positive and convertible to float; got {HUGE}$"),
-            (lambda: MeasurementBasis(HUGE, 0.0), rf"theta must lie in \[0, pi\]; got {HUGE}$"),
-            (lambda: normal_mode_frequencies(1.0, HUGE), f"coupling must be finite and non-negative; got {HUGE}$"),
+            (lambda h: DensityMatrix([[h, 0], [0, 0]], (2, 1)), f"density matrix {ARRAY}"),
+            (lambda h: PureState([h, 0], (2, 1)), f"state vector {ARRAY}"),
+            (lambda h: CovarianceMatrix([[h, 0], [0, 0.5]]), f"covariance matrix {ARRAY}"),
+            (lambda h: QuadraticHamiltonian([[h, 0], [0, 1]]), f"Hamiltonian matrix {ARRAY}"),
+            (lambda h: Distribution([h, 0]), f"distribution {ARRAY}"),
+            (lambda h: JointDistribution([[h, 0], [0, 0]]), f"joint table {ARRAY}"),
+            (lambda h: Distribution.normalized([h, 1]), f"weights {ARRAY}"),
+            (lambda h: Observable([[h, 0], [0, 1]]), f"observable {ARRAY}"),
+            (lambda h: Povm(([[h, 0], [0, 1]],)), f"element 0 {ARRAY}"),
+            (lambda h: StochasticMap(([[h, 0], [0, 1]],)), f"Kraus operator 0 {ARRAY}"),
+            (lambda h: mode_entropy(h), f"symplectic eigenvalue {ARRAY}"),
+            (lambda h: discord_from_invariants(h, 2.0, 0.5, 3.0, 0.6, 0.7), f"invariant a {ARRAY}"),
+            (lambda h: QuenchParams(omega=h), f"omega {BEYOND}"),
+            (lambda h: thermal_variance(h, 1.0), f"beta {BEYOND}"),
+            (lambda h: MeasurementBasis(h, 0.0), f"theta {BEYOND}"),
+            (lambda h: normal_mode_frequencies(1.0, h), f"coupling {BEYOND}"),
+            (lambda h: symplectic_propagator(quench_hamiltonian_matrix(1.0, 1.0), h), f"t {BEYOND}"),
+            (lambda h: report_at(QuenchParams(), h), f"evolution_time {BEYOND}"),
+            (lambda h: sweep_temperature(QuenchParams(), 0.1, h, 3), f"t_max {BEYOND}"),
+            (lambda h: everett_state(1.0, 0.0, h), f"pointer overlap {BEYOND}"),
         ],
         ids=["DensityMatrix", "PureState", "CovarianceMatrix", "QuadraticHamiltonian", "Distribution",
-             "JointDistribution", "Observable", "Povm", "StochasticMap", "QuenchParams", "thermal_variance",
-             "MeasurementBasis", "normal_mode_frequencies"],
+             "JointDistribution", "Distribution.normalized", "Observable", "Povm", "StochasticMap", "mode_entropy",
+             "discord_from_invariants", "QuenchParams", "thermal_variance", "MeasurementBasis", "normal_mode_frequencies",
+             "symplectic_propagator", "report_at", "sweep_temperature", "everett_state"],
     )
-    def test_rejected_naming_the_argument(self, call, message):
-        with pytest.raises(ValidationError, match=f"^{message}"):
-            call()
+    def test_rejected_naming_the_argument(self, call, message, huge):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call(huge)
+
+
+def test_one_copy_of_the_array_conversion():
+    """Numpy's conversion errors become a ValidationError in the one gate of
+    qcorr.errors, and in the CLI's reader of decoded JSON, nowhere else."""
+    sources = Path(states.__file__).parent.glob("*.py")
+    catching = sorted(path.name for path in sources if "except (TypeError, ValueError, OverflowError)" in path.read_text())
+    assert catching == ["cli.py", "errors.py"]
 
 
 class TestGaussianArgumentTypes:
@@ -543,9 +560,9 @@ class TestMatrixInput:
             (lambda: Povm(([[1.0, 0.0], [0.0, "x"]],)), "element 0 must be a rectangular array of numbers"),
             (lambda: DensityMatrix([[1.0, 0.0], [0.0]], (2, 1)), "density matrix must be a rectangular array of numbers"),
             (lambda: DensityMatrix([[1.0, 0.0], [0.0, "x"]], (2, 1)), "density matrix must be a rectangular array of numbers"),
-            (lambda: PureState([1.0, [0.0]], (2, 1)), "state vector must be an array of numbers"),
-            (lambda: PureState([math.nan, 0.0], (2, 1)), "state norm is nan"),
-            (lambda: StochasticMap(([[1.0, 0.0], [0.0]],)), "Kraus operators must be rectangular arrays of numbers"),
+            (lambda: PureState([1.0, [0.0]], (2, 1)), "state vector must be a rectangular array of numbers"),
+            (lambda: PureState([math.nan, 0.0], (2, 1)), "state vector must be finite; got a NaN or infinite entry$"),
+            (lambda: StochasticMap(([[1.0, 0.0], [0.0]],)), "Kraus operator 0 must be a rectangular array of numbers"),
             (lambda: Distribution([0.5, "x"]), "distribution must be a rectangular array of numbers"),
             (lambda: JointDistribution([[0.5], [0.25, 0.25]]), "joint table must be a rectangular array of numbers"),
             (lambda: Distribution.normalized([1.0, [2.0]]), "weights must be a rectangular array of numbers"),
@@ -700,14 +717,14 @@ class TestInvariants:
     [
         (quench, 14), (gaussian, 18), (importlib.import_module("qcorr.discord"), 7), (states, 12),
         (importlib.import_module("qcorr.measurement"), 10), (importlib.import_module("qcorr.probability"), 8),
-        (importlib.import_module("qcorr.errors"), 8),
+        (importlib.import_module("qcorr.errors"), 9),
     ],
     ids=["quench", "gaussian", "discord", "states", "measurement", "probability", "errors"],
 )
 def test_every_public_name_states_its_domain(module, count):
     """Each class and function that a qcorr module defines, the module's
     own public names, carries exactly one ``Domain:`` line in its
-    docstring: in qcorr.errors the two exceptions and the six checks."""
+    docstring: in qcorr.errors the two exceptions, the six checks and the array gate."""
     defined = [obj for name, obj in vars(module).items()
                if not name.startswith("_") and callable(obj) and obj.__module__ == module.__name__]
     assert len(defined) == count

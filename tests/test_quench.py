@@ -655,10 +655,10 @@ class TestSweepCost:
 
     def test_search_frames_pinned(self, monkeypatch):
         """One two-qubit search runs 14 numpy frames, whatever its evaluation
-        count, and 38 qcorr frames at the 49 grid directions and one Newton
-        run that evaluates its start alone, plus 12 for a second run that
-        does the same (one :func:`minimize` call holds both runs), 10 per further evaluation and 2 per further Newton
-        step: 12 per evaluation when every trial step is accepted, 10 for a
+        count, and 37 qcorr frames at the 49 grid directions and one Newton
+        run that evaluates its start alone, plus 11 for a second run that
+        does the same (one :func:`minimize` call holds both runs), 10 per further evaluation and 1 per further Newton
+        step: 11 per evaluation when every trial step is accepted, 10 for a
         trial that is halved. One closed-form Gaussian discord runs 28 qcorr
         frames and no numpy frame. The Gaussian oracle runs no numpy frame
         and 24 + 2 nfev qcorr frames: 25 for the seed forms, the spectrum,
@@ -677,7 +677,7 @@ class TestSweepCost:
                     runs = sum(code is _descend.__code__ for _, code in calls)
                     packages = [package for package, _ in calls]
                     assert packages.count("numpy") == 14
-                    assert packages.count("qcorr") == 38 + 12 * (runs - 1) + 10 * (evaluations - 49 - runs) + 2 * (steps - runs)
+                    assert packages.count("qcorr") == 37 + 11 * (runs - 1) + 10 * (evaluations - 49 - runs) + (steps - runs)
                     halved += evaluations - 49 - steps  # Newton evaluations less steps: the halved trials
                     run_counts.add(runs)
         assert halved > 0 and run_counts == {1, 2}

@@ -1,4 +1,4 @@
-"""Riemannian Newton on the sphere (the points and chart of
+"""Riemannian Newton on the sphere (the points and retraction of
 :mod:`qcorr.discord` in the loop of :mod:`qcorr._newton`) on quadratic
 forms n^T A n, whose minimum over unit vectors is the smallest
 eigenvalue of A, attained along its eigenvector. Their Riemannian
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qcorr import _newton
-from qcorr.discord import _point, _tangent_chart
+from qcorr.discord import _point, _retract
 
 sphere = importlib.import_module("qcorr.discord")  # the package binds the name discord to the function
 
@@ -20,7 +20,7 @@ sphere = importlib.import_module("qcorr.discord")  # the package binds the name 
 def minimize(fun, starts):
     """Newton runs from the directions ``starts``, as the discord search runs them, each point built
     only when its run starts; ``x`` is the unit vector found."""
-    x, value, nfev, success = _newton.minimize(fun, map(_point, starts), _tangent_chart)
+    x, value, nfev, success = _newton.minimize(fun, map(_point, starts), _retract)
     return _newton.Result(x[0], value, nfev, success)
 
 
@@ -79,7 +79,7 @@ def test_best_of_several_starts_and_total_evaluations():
 def test_a_tangent_basis_only_for_evaluated_points(monkeypatch):
     """Each tangent basis built belongs to a point the objective is
     evaluated at: the loop declines a step that predicts no decrease
-    before the chart maps it to a point, and builds a start's point only
+    before the retraction maps it to a point, and builds a start's point only
     when its run starts. From the middle eigenvector, a saddle, the first
     run evaluates its start alone and the second runs; the third start
     follows a run that moved and is never built."""
@@ -105,8 +105,8 @@ def test_a_tangent_basis_only_for_evaluated_points(monkeypatch):
 
 
 def test_a_further_start_exactly_when_every_run_stopped_at_its_start():
-    """:func:`qcorr._newton.minimize` on f = (x^2 - 1)^2 + y^2 in a flat
-    chart: from the saddle (0, 0) a run evaluates its start alone and the
+    """:func:`qcorr._newton.minimize` on f = (x^2 - 1)^2 + y^2 in the
+    plane, whose retraction adds the step: from the saddle (0, 0) a run evaluates its start alone and the
     next start runs; from any other start the run moves and the iterable of
     starts is not read again. On a constant objective every start runs, and
     the earliest keeps the tie."""
@@ -114,8 +114,8 @@ def test_a_further_start_exactly_when_every_run_stopped_at_its_start():
         x, y = z
         return (x * x - 1.0) ** 2 + y * y, (4.0 * x * (x * x - 1.0), 2.0 * y), (12.0 * x * x - 4.0, 0.0, 2.0)
 
-    def flat(z, g, h):
-        return g, h, lambda d1, d2: ((z[0] + d1, z[1] + d2), d1, d2)
+    def flat(z, d1, d2):
+        return z[0] + d1, z[1] + d2
 
     def lazy(points, taken):
         for point in points:
