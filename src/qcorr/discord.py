@@ -9,7 +9,9 @@ Adesso, PRA 83, 052108, 2011),
 
     rho = (1 + a.sigma (x) 1 + 1 (x) b.sigma + sum_ij T_ij sigma_i (x) sigma_j) / 4,
 
-read once from the matrix elements. Measuring A along the unit vector
+read once from the matrix elements as the Bloch matrix K = [[1, b^T],
+[a, T]], K_mn = Tr[rho sigma_m (x) sigma_n] with sigma_0 = 1
+(:func:`_bloch`). Measuring A along the unit vector
 n = (sin theta cos phi, sin theta sin phi, cos theta) gives the outcomes
 +-1 with probabilities p+- = (1 +- a.n) / 2 and leaves B with the Bloch
 vector (b +- T^T n) / (1 +- a.n). With eta(x) = x ln x, q = 1 +- a.n,
@@ -21,8 +23,7 @@ probability times each eigenvalue of its conditional state,
 where h(r) is the entropy of a qubit state with Bloch vector length r.
 The bases along n and -n are the same pair of projectors, so C(n) = C(-n):
 the grid covers the hemisphere phi in [0, pi), whose points and their
-antipodes make up the full grid. Exchanging A and B maps (a, b, T) to
-(b, a, T^T).
+antipodes make up the full grid. Exchanging A and B transposes K.
 
 The search evaluates C on the distinct directions of a THETA_POINTS x
 PHI_POINTS hemisphere grid (:data:`GRID`) and runs Riemannian Newton on
@@ -48,14 +49,18 @@ states of the tests (4 x 4 with two starts). C is constant on pure and
 Werner states, and its Hessian diverges where a conditional state is
 pure; Newton then stops at rounding with the best value it evaluated.
 
-Numpy does the array work: one einsum reads (a, b, T), one call per
-array operation evaluates C on both outcomes of every grid direction at
-once, and a few rank the grid. The rest runs on floats: each Newton
-evaluation is a few dozen products of 3-vectors (see
+Numpy does the array work. K is one real product of the 32 floats of the
+matrix elements with a constant 32 x 16 map, a C-contiguous 4 x 4 array.
+On the grid, one product of K with the stacked directions (n, -n) gives q
+and u for both outcomes of every direction, one product with a constant
+3 x 2 form gives lambda+, lambda- and q, and one with (1/2, 1/2, -1/2)
+the eta sums; a few calls rank the grid. The rest runs on floats: each
+Newton evaluation is a few dozen products of 3-vectors and three
+logarithms per outcome, which serve its value and its derivatives (see
 :func:`_negated_objective`), the retraction and tangent bases are tuples
-of floats, and the mutual information takes S(rho_A) =
-h(|a|) and S(rho_B) = h(|b|) from the vectors and S(rho) from the
-spectrum that :class:`~qcorr.states.DensityMatrix` holds. Every eta is
+of floats, and the mutual information takes S(rho_A) = h(|a|) and
+S(rho_B) = h(|b|) from the rows of K and S(rho) from the spectrum that
+:class:`~qcorr.states.DensityMatrix` holds. Every eta is
 the one of :mod:`qcorr.probability`, zero at or below
 ``ZERO_PROBABILITY``, so I and both routes to C drop the same
 rounding-level eigenvalues.
@@ -83,6 +88,10 @@ PHI_POINTS = 8  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere
 STARTS = 2  # grid directions a search may start from; minimize runs the second only where the first run stops at its start
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# Tr[rho S] = Re sum_ij rho_ij S_ji for Hermitian S = sigma_m (x) sigma_n: the rows (Re S_ji, -Im S_ji), for
+# i = (a, b) and j = (c, d), meet the 32 floats (Re rho_ij, Im rho_ij) of the row-major elements
+_PAULI_PAIRS = np.einsum("mca,ndb->abcdmn", _PAULI, _PAULI).reshape(16, 16)
+_BLOCH_MAP = np.stack([_PAULI_PAIRS.real, -_PAULI_PAIRS.imag], axis=1).reshape(32, 16)
 
 
 @dataclass(frozen=True)
@@ -150,13 +159,15 @@ def _require_two_qubits(rho: DensityMatrix):
         raise ValidationError(f"operation requires a 2 (x) 2 state; got {got}")
 
 
-def _bloch(rho: DensityMatrix):
-    """Bloch vectors and correlation matrix ``(a, b, T)`` of a two-qubit
-    state: a_i = Tr[rho sigma_i (x) 1], b_j = Tr[rho 1 (x) sigma_j] and
-    T_ij = Tr[rho sigma_i (x) sigma_j]."""
-    four = rho.elements.reshape(2, 2, 2, 2)
-    r = np.real(np.einsum("abcd,mca,ndb->mn", four, _PAULI, _PAULI))
-    return r[1:, 0], r[0, 1:], r[1:, 1:]
+def _bloch(rho: DensityMatrix) -> np.ndarray:
+    """The Bloch matrix K = [[1, b^T], [a, T]] of a two-qubit state, K_mn =
+    Tr[rho sigma_m (x) sigma_n] with sigma_0 = 1: a_i = K_i0, b_j = K_0j and
+    T_ij = K_ij for i, j = 1..3. A C-contiguous 4 x 4 float array from one
+    real product (:data:`_BLOCH_MAP`), with K_00 set to exactly 1; its
+    transpose is the Bloch matrix of the state with A and B exchanged."""
+    k = (rho.elements.reshape(-1).view(float) @ _BLOCH_MAP).reshape(4, 4)
+    k[0, 0] = 1.0
+    return k
 
 
 def _qubit_entropy(r2: float) -> float:
@@ -178,19 +189,31 @@ GRID = np.concatenate(
     [[[0.0, 0.0, 1.0]], _directions(np.linspace(0.0, math.pi, THETA_POINTS)[1:-1], np.linspace(0.0, math.pi, PHI_POINTS, endpoint=False))]
 )
 _GRID_POINTS = GRID.tolist()
-# the outcomes +-1 along the first axis; (q + w * _ETA_W) * _ETA_H stacks lambda+ = (q + w) / 2, lambda- = (q - w) / 2 and q
-_SIGNS, _SIGNS_3 = np.array([[1.0], [-1.0]]), np.array([[[1.0]], [[-1.0]]])
-_ETA_W, _ETA_H = np.array([[[1.0]], [[-1.0]], [[0.0]]]), np.array([[[0.5]], [[0.5]], [[1.0]]])
+# (q, w) -> (lambda+, lambda-, q) = ((q + w) / 2, (q - w) / 2, q); then (eta(lambda+) + eta(lambda-) - eta(q)) / 2
+_LAMBDA_FORM = np.array([[0.5, 0.5], [0.5, -0.5], [1.0, 0.0]])
+_ETA_SUM = np.array([0.5, 0.5, -0.5])
 
 
-def _grid_values(bloch, s_b: float, n: np.ndarray) -> np.ndarray:
-    """C(n) for every row of the direction array ``n``, given (a, b, T) and S(rho_B), in the eta
-    form of the module docstring; each numpy call covers both outcomes of every direction."""
-    a, b, t = bloch
-    q = 1.0 + _SIGNS * (n @ a)
-    u = b + _SIGNS_3 * (n @ t)
-    eta = _plogp((q + np.sqrt((u * u).sum(axis=2)) * _ETA_W) * _ETA_H)
-    values = s_b + (eta[0] + eta[1] - eta[2]).sum(axis=0) / 2.0
+def _outcomes(n: np.ndarray) -> np.ndarray:
+    """The directions of an (N, 3) array over the outcomes +-1 as the columns of (n^T, -n^T), shape (3, 2N),
+    for :func:`_grid_values`."""
+    return np.concatenate((n.T, -n.T), axis=1)
+
+
+_GRID_OUTCOMES = _outcomes(GRID)
+
+
+def _grid_values(k: np.ndarray, s_b: float, outcomes: np.ndarray) -> np.ndarray:
+    """C(n) for every direction n of ``outcomes`` = (n^T, -n^T) of :func:`_outcomes`, given the Bloch
+    matrix K and S(rho_B), in the eta form of the module docstring. Each numpy call covers both outcomes
+    of every direction, one per column; halving is exact, so the halved sums of the products carry the
+    digits of the halved sum."""
+    qu = k[1:].T @ outcomes + k[0, :, None]  # rows q = 1 +- a.n and u = b +- T^T n
+    u = qu[1:]
+    qu[1] = np.sqrt((u * u).sum(axis=0))  # rows (q, w, ...)
+    half = _ETA_SUM @ _plogp(_LAMBDA_FORM @ qu[:2])
+    split = len(half) // 2
+    values = s_b + (half[:split] + half[split:])
     if values.min() < -NEGATIVE_CLAMP:
         raise ConsistencyError(f"classical correlations evaluated to {float(values.min())!r} < 0")
     return np.maximum(values, 0.0)
@@ -255,7 +278,7 @@ def _retract(x, d1, d2) -> tuple:
     return _point((n0 + d1 * a0 + d2 * b0, n1 + d1 * a1 + d2 * b1, n2 + d1 * a2 + d2 * b2))
 
 
-def _negated_objective(bloch, s_b: float):
+def _negated_objective(k: np.ndarray, s_b: float):
     """-C(n) with its Riemannian gradient (g1, g2) and Hessian (h11, h12,
     h22) in the tangent basis (e1, e2), at the point (n, e1, e2) of
     :func:`_point`, for :func:`minimize` along :func:`_retract`.
@@ -277,10 +300,11 @@ def _negated_objective(bloch, s_b: float):
     adds nothing to the derivatives, and nor does the lambda- of a pure
     conditional state (lambda- <= ZERO_PROBABILITY), whose gradient along
     the sphere vanishes there; the eta of :mod:`qcorr.probability` reads
-    such a lambda- as zero in the value too.
+    such a lambda- as zero in the value too. The value's eta(x) = x ln x
+    reuses the logarithms of the derivatives. (a, b, T) are read from the
+    Bloch matrix K of :func:`_bloch`.
     """
-    (ax, ay, az), (bx, by, bz) = bloch[0].tolist(), bloch[1].tolist()
-    (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = bloch[2].tolist()
+    (_, bx, by, bz), (ax, t00, t01, t02), (ay, t10, t11, t12), (az, t20, t21, t22) = k.tolist()
 
     def negated(x):
         # every dot product in the operand order u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -298,17 +322,19 @@ def _negated_objective(bloch, s_b: float):
             u0, u1, u2 = bx + sign * tn0, by + sign * tn1, bz + sign * tn2
             w = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
             plus, minus = (q + w) / 2.0, (q - w) / 2.0
-            value += (_eta(plus) + _eta(minus) - _eta(q)) / 2.0
             if q <= 2.0 * ZERO_WEIGHT:
+                value += (_eta(plus) + _eta(minus) - _eta(q)) / 2.0
                 continue
             if w > 0.0:
                 v1, v2 = (u0 * p0 + u1 * p1 + u2 * p2) / w, (u0 * s0 + u1 * s1 + u2 * s2) / w
                 vn = (u0 * tn0 + u1 * tn1 + u2 * tn2) / w
             else:
                 v1 = v2 = vn = 0.0
-            slope_plus = math.log(plus) + 1.0
+            log_plus, log_q = math.log(plus), math.log(q)  # lambda+ >= q / 2 > ZERO_PROBABILITY: eta is x ln x
+            slope_plus = log_plus + 1.0
             if minus > ZERO_PROBABILITY:  # a mixed conditional state, whose eta(lambda-) counts
-                slope_minus = math.log(minus) + 1.0
+                log_minus = math.log(minus)
+                slope_minus, eta_minus = log_minus + 1.0, minus * log_minus
                 # the two hess lambda terms together, (slope_plus - slope_minus) / (4 w): as atanh(r) / r, finite
                 # as w -> 0; with the gradient's ln(lambda-) where lambda- is small, whose rounding then cancels
                 r = w / q
@@ -318,10 +344,11 @@ def _negated_objective(bloch, s_b: float):
                     c_t = (math.atanh(r) / r if r > 0.0 else 1.0) / (2.0 * q)
                 outer.append((-1.0 / (8.0 * minus), a1 - v1, a2 - v2))
             else:
-                slope_minus = 0.0
+                slope_minus = eta_minus = 0.0
                 c_t = slope_plus / (4.0 * w)
+            value += (plus * log_plus + eta_minus - q * log_q) / 2.0
             # the gradient of -C as coefficients of a and v, its Hessian as outer products and T T^T
-            g_a += sign * (2.0 * math.log(q) + 2.0 - slope_plus - slope_minus) / 4.0
+            g_a += sign * (2.0 * log_q + 2.0 - slope_plus - slope_minus) / 4.0
             g_v = sign * (slope_minus - slope_plus) / 4.0
             g1, g2, normal = g1 + g_v * v1, g2 + g_v * v2, normal + g_v * vn
             h_a += 1.0 / (2.0 * q)
@@ -345,18 +372,18 @@ def _basis_of(n) -> MeasurementBasis:
     return MeasurementBasis.canonical(math.atan2(math.hypot(n[0], n[1]), n[2]), math.atan2(n[1], n[0]))
 
 
-def _maximize_classical_correlations(bloch, s_b: float):
+def _maximize_classical_correlations(k: np.ndarray, s_b: float):
     """Coarse hemisphere grid, then Newton on the sphere from its best
     cell, and from its second best where that run evaluates its start
-    alone, on (a, b, T) and S(rho_B) = h(|b|). Returns (value, basis,
-    evaluations, converged)."""
-    grid = _grid_values(bloch, s_b, GRID)
+    alone, on the Bloch matrix K and S(rho_B) = h(|b|). Returns (value,
+    basis, evaluations, converged)."""
+    grid = _grid_values(k, s_b, _GRID_OUTCOMES)
     # values within FTOL of each other are equal to rounding, and the earlier direction wins: the
     # pole where C is constant, as on pure and Werner states; a stable argsort keeps the first of equal keys
     cells = np.rint((grid.max() - grid) / FTOL).argsort(kind="stable")[:STARTS].tolist()
     grid_value = grid[cells[0]].item()
     starts = map(_point, map(_GRID_POINTS.__getitem__, cells))  # lazy: a second point only for a second run
-    result = minimize(_negated_objective(bloch, s_b), starts, _retract)
+    result = minimize(_negated_objective(k, s_b), starts, _retract)
     if -result.fun >= grid_value:
         value, n = -result.fun, result.x[0]
     else:
@@ -371,18 +398,19 @@ def max_classical_correlations(rho: DensityMatrix):
     Domain: a two-qubit :class:`~qcorr.states.DensityMatrix` (dims (2, 2)); anything else raises ValidationError.
     """
     _require_two_qubits(rho)
-    bloch = _bloch(rho)
-    value, basis, _, _ = _maximize_classical_correlations(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
+    k = _bloch(rho)
+    b = k[0, 1:]
+    value, basis, _, _ = _maximize_classical_correlations(k, _qubit_entropy(float(b @ b)))
     return value, basis
 
 
-def _discord(rho: DensityMatrix, bloch) -> DiscordResult:
-    a, b, _ = bloch
+def _discord(rho: DensityMatrix, k: np.ndarray) -> DiscordResult:
+    a, b = k[1:, 0], k[0, 1:]
     l0, l1, l2, l3 = rho.spectrum().tolist()  # S(rho) = -sum eta, summed in numpy's order for four terms
     s_b = _qubit_entropy(float(b @ b))
     info = _qubit_entropy(float(a @ a)) + s_b + (_eta(l0) + _eta(l1) + _eta(l2) + _eta(l3))
     info = 0.0 if -NEGATIVE_CLAMP <= info < 0.0 else info  # as quantum_mutual_information reads it
-    value, basis, evaluations, converged = _maximize_classical_correlations(bloch, s_b)
+    value, basis, evaluations, converged = _maximize_classical_correlations(k, s_b)
     value = min(value, info) if info < value <= info + NEGATIVE_CLAMP else value
     gap = info - value
     if gap < -NEGATIVE_CLAMP:
@@ -416,10 +444,10 @@ def discord_swapped(rho: DensityMatrix) -> DiscordResult:
 
     No symmetry with :func:`discord` is implied; one-way classical
     states give zero in one direction only. The mutual information is
-    symmetric and (a, b, T) becomes (b, a, T^T).
+    symmetric, and the Bloch matrix K = [[1, b^T], [a, T]] becomes its
+    transpose [[1, a^T], [b, T^T]].
 
     Domain: a two-qubit :class:`~qcorr.states.DensityMatrix` (dims (2, 2)); anything else raises ValidationError.
     """
     _require_two_qubits(rho)
-    a, b, t = _bloch(rho)
-    return _discord(rho, (b, a, t.T))
+    return _discord(rho, _bloch(rho).T)

@@ -99,13 +99,23 @@ def require_integer(name: str, value) -> int:
         raise ValidationError(f"{name} must be an integer; got {value!r}") from None
 
 
+def _integer_text(value: int) -> str:
+    """An integer for a message: its digits, or words for one beyond the float range, whose digits
+    may not print at all (beyond 4300 digits)."""
+    try:
+        float(value)
+    except OverflowError:
+        return "an integer beyond the float range"
+    return str(value)
+
+
 def require_seed(value) -> int:
     """A random ensemble's seed: a non-negative integer through :func:`require_integer`.
 
     Domain: as :func:`require_integer`, and a negative integer raises ValidationError naming the seed."""
     seed = require_integer("seed", value)
     if seed < 0:
-        raise ValidationError(f"seed must be non-negative; got {seed}")
+        raise ValidationError(f"seed must be non-negative; got {_integer_text(seed)}")
     return seed
 
 

@@ -69,7 +69,7 @@ import numpy as np
 from ._newton import minimize_ratio as minimize  # the name under which the traced benchmark counts its evaluations
 from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
 from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, _as_numbers, hermitian_part, require_finite, require_integer
-from .errors import require_real, require_seed
+from .errors import _integer_text, require_real, require_seed
 
 VACUUM_VARIANCE = 0.5
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -80,7 +80,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
     Domain: a Python or numpy integer n_modes >= 0, 0 giving a 0 x 0 array; a negative one, a float, string or None raises ValidationError naming n_modes."""
     if require_integer("n_modes", n_modes) < 0:
-        raise ValidationError(f"n_modes must be non-negative; got {n_modes}")
+        raise ValidationError(f"n_modes must be non-negative; got {_integer_text(n_modes)}")
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
@@ -88,8 +88,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return out
 
 
+_TWO_MODE_FORM = symplectic_form(2)
+_TWO_MODE_FORM.flags.writeable = False
+
+
 def _symplectic_spectrum(sigma: np.ndarray) -> np.ndarray:
-    eigs = np.linalg.eigvals(symplectic_form(sigma.shape[0] // 2) @ sigma)
+    omega = _TWO_MODE_FORM if len(sigma) == 4 else symplectic_form(len(sigma) // 2)
+    eigs = np.linalg.eigvals(omega @ sigma)
     doubled = np.sort(np.abs(eigs.imag))
     return doubled[1::2]
 
@@ -377,7 +382,8 @@ def gaussian_entropy(sigma: CovarianceMatrix) -> float:
 
 def _split_blocks(sigma: np.ndarray, measured_mode: int):
     """(measured block, unmeasured block, cross block with measured rows) of a two-mode matrix,
-    or of its 2 x 2 matrix of block determinants: the one place that orients by the measured mode."""
+    or of its 2 x 2 matrix of block determinants, which :func:`_held_dets` reads, validating the
+    measured mode; :func:`_seed_forms` unpacks the entries of sigma in the same orientation."""
     n = len(sigma) // 2
     if measured_mode == 1:
         return sigma[:n, :n], sigma[n:, n:], sigma[:n, n:]
@@ -397,7 +403,8 @@ def _held_dets(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
     """The held (det M, det B, det C, det sigma) of the blocks (M, B, C) of :func:`_split_blocks`."""
     _require_two_modes(sigma)
     block_dets, det_sigma = sigma._dets
-    return (*(det.item() for det in _split_blocks(block_dets, measured_mode)), det_sigma)
+    det_m, det_b, det_c = _split_blocks(block_dets, measured_mode)
+    return det_m.item(), det_b.item(), det_c.item(), det_sigma
 
 
 def local_invariants(sigma: CovarianceMatrix, measured_mode: int = 1):
@@ -499,16 +506,22 @@ def _seed_forms(sigma: CovarianceMatrix, measured_mode: int) -> tuple:
     """``((N, D), det M)``, with N and D of the module docstring as
     ``(k, p, m, c)``: k (1 - |zeta|^2) + (p |1 + zeta|^2 + m |1 - zeta|^2) / 2 + c y.
     Q = adj(det B M - C adj(B) C^T), the adjugate of det B times the Schur
-    complement of B, which needs no inverse; on floats and the held determinants."""
+    complement of B, which needs no inverse. On floats: the held determinants,
+    and the entries of M = [[m00, m01], [m01, m11]], B = [[u00, u01], [u10, u11]]
+    and C (rows (c00, c01) and (c10, c11), measured rows) from one ``tolist``."""
     det_m, det_b, _, det_sigma = _held_dets(sigma, measured_mode)
-    ((m00, m01), (_, m11)), (u0, u1), (c0, c1) = (b.tolist() for b in _split_blocks(sigma.sigma, measured_mode))
-
-    def adj_b(r, s):  # r^T adj(B) s for rows r, s of C, with adj(B) = [[u11, -u01], [-u10, u00]]
-        return (r[0] * u1[1] - r[1] * u1[0]) * s[0] + (r[1] * u0[0] - r[0] * u0[1]) * s[1]
-
+    if measured_mode == 1:
+        (m00, m01, c00, c01), (_, m11, c10, c11), (_, _, u00, u01), (_, _, u10, u11) = sigma.sigma.tolist()
+    else:
+        (u00, u01, _, _), (u10, u11, _, _), (c00, c01, m00, m01), (c10, c11, _, m11) = sigma.sigma.tolist()
+    # r^T adj(B) s for rows r, s of C, with adj(B) = [[u11, -u01], [-u10, u00]]
+    adj_01 = (c00 * u11 - c01 * u10) * c10 + (c01 * u00 - c00 * u01) * c11
+    adj_10 = (c10 * u11 - c11 * u10) * c00 + (c11 * u00 - c10 * u01) * c01
+    adj_11 = (c10 * u11 - c11 * u10) * c10 + (c11 * u00 - c10 * u01) * c11
+    adj_00 = (c00 * u11 - c01 * u10) * c00 + (c01 * u00 - c00 * u01) * c01
     # Q = adj(schur) = [[s11, -s01], [-s10, s00]], symmetrized, with schur = det B M - C adj(B) C^T
-    off = (det_b * m01 - adj_b(c0, c1)) + (det_b * m01 - adj_b(c1, c0))
-    numerator = (det_sigma + det_b / 4.0, det_b * m11 - adj_b(c1, c1), det_b * m00 - adj_b(c0, c0), -off)
+    off = (det_b * m01 - adj_01) + (det_b * m01 - adj_10)
+    numerator = (det_sigma + det_b / 4.0, det_b * m11 - adj_11, det_b * m00 - adj_00, -off)
     return (numerator, (det_m + 0.25, m11, m00, -2.0 * m01)), det_m
 
 

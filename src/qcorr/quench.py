@@ -45,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError, require_finite, require_integer, require_real
+from .errors import _integer_text
 from .gaussian import _require_coupling, discord_from_invariants, normal_mode_frequencies
 
 
@@ -359,7 +360,7 @@ def sweep_temperature(
     _require_temperature_range(t_min, t_max)
     points = require_integer("points", points)
     if points < 2:
-        raise ValidationError(f"need at least 2 grid points; got {points}")
+        raise ValidationError(f"need at least 2 grid points; got {_integer_text(points)}")
     # beta = 1 / t falls with t and is positive below t_max < inf: finite at t_min, valid throughout
     require_finite("beta", 1.0 / t_min)
     temperatures = np.linspace(t_min, t_max, points)

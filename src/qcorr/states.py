@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, hermitian_part, number_array
-from .errors import require_integer, require_seed
+from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, _as_numbers, _integer_text
+from .errors import hermitian_part, number_array, require_integer, require_seed
 from .probability import _plogp
 
 
@@ -102,7 +102,7 @@ class DensityMatrix:
     dims: tuple
 
     def __post_init__(self):
-        raw = number_array(self.elements, "density matrix", complex)
+        raw = _as_numbers(self.elements, "density matrix", complex)  # hermitian_part checks it is finite
         mat = hermitian_part(raw, "density matrix")
         dims = _validate_dims(self.dims, len(mat))
         trace = complex(raw.trace())
@@ -269,7 +269,7 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     dim = d_a * d_b
     rank = require_integer("rank", rank)
     if not 1 <= rank <= dim:
-        raise ValidationError(f"rank must be in [1, {dim}]; got {rank}")
+        raise ValidationError(f"rank must be in [1, {dim}]; got {_integer_text(rank)}")
     rng = np.random.default_rng(require_seed(seed))
     x = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     gram = x @ x.conj().T

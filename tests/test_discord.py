@@ -28,6 +28,7 @@ from qcorr.discord import (
     _grid_values,
     _maximize_classical_correlations,
     _negated_objective,
+    _outcomes,
     _point,
     _qubit_entropy,
 )
@@ -58,11 +59,21 @@ def one_way_classical_state() -> DensityMatrix:
     return DensityMatrix(mat, (2, 2))
 
 
+def _abt(k: np.ndarray) -> tuple:
+    """(a, b, T) of a Bloch matrix K = [[1, b^T], [a, T]], as the oracle takes them."""
+    return k[1:, 0], k[0, 1:], k[1:, 1:]
+
+
+def _s_b(k: np.ndarray) -> float:
+    """S(rho_B) = h(|b|) from a Bloch matrix, as the search takes it."""
+    return _qubit_entropy(float(k[0, 1:] @ k[0, 1:]))
+
+
 def _grid_classical_correlations(rho: DensityMatrix, thetas, phis) -> np.ndarray:
     """C on the (theta, phi) grid, theta-major, by the search's vectorized
     kernel; the tests compare it with the Povm route of classical_correlations_at."""
-    bloch = _bloch(rho)
-    values = _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), _directions(thetas, phis))
+    k = _bloch(rho)
+    values = _grid_values(k, _s_b(k), _outcomes(_directions(thetas, phis)))
     return values.reshape(len(thetas), len(phis))
 
 
@@ -224,8 +235,8 @@ class TestMaxClassicalCorrelations:
         assert np.abs(GRID @ GRID.T - np.eye(len(GRID))).max() < 1.0 - 1e-3  # no repeats, no antipodes
         for seed in range(20):
             rho = random_density_matrix((2, 2), int(1 + seed % 4), seed=seed)
-            bloch = _bloch(rho)
-            assert _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), GRID).max() == pytest.approx(
+            k = _bloch(rho)
+            assert _grid_values(k, _s_b(k), _outcomes(GRID)).max() == pytest.approx(
                 _grid_classical_correlations(rho, thetas, full).max(), abs=1e-12
             )
 
@@ -385,15 +396,41 @@ class TestDiscordSwapped:
         assert discord_swapped(rho).discord > 1e-3
 
     def test_swap_matches_manual_permutation(self):
+        """discord_swapped reads K^T; the discord of the matrix with its
+        parties exchanged reads K of that matrix, its transpose to rounding.
+        C comes from K alone; I and D also from the spectrum, which eigvalsh
+        rounds differently on the permuted matrix (a few ulps of S(rho))."""
         perm = [0, 2, 1, 3]
         states = [werner_state(0.3)] + [
             random_density_matrix((2, 2), int(1 + seed % 4), seed=seed) for seed in range(24)
         ]
         for rho in states:
-            manual = discord(DensityMatrix(rho.elements[np.ix_(perm, perm)], (2, 2)))
-            swapped = discord_swapped(rho)
-            for field in ("mutual_info", "classical_corr", "discord"):
-                assert getattr(swapped, field) == pytest.approx(getattr(manual, field), abs=1e-12)
+            exchanged = DensityMatrix(rho.elements[np.ix_(perm, perm)], (2, 2))
+            assert np.abs(_bloch(exchanged) - _bloch(rho).T).max() <= 1e-15
+            manual, swapped = discord(exchanged), discord_swapped(rho)
+            assert abs(swapped.classical_corr - manual.classical_corr) <= 1e-15
+            for field in ("mutual_info", "discord"):
+                assert abs(getattr(swapped, field) - getattr(manual, field)) <= 1e-14
+
+
+class TestBlochMatrix:
+    """K = [[1, b^T], [a, T]] of :func:`_bloch`, one real product of the
+    matrix elements, against its definition K_mn = Tr[rho sigma_m (x) sigma_n]."""
+
+    PAULI4 = (np.eye(2, dtype=complex), *PAULIS)
+    STATES = [random_density_matrix((2, 2), rank, seed) for rank in (1, 2, 3, 4) for seed in range(10)]
+
+    def test_entries_are_the_pauli_traces(self):
+        for rho in self.STATES:
+            k = _bloch(rho)
+            expected = [[np.trace(rho.elements @ np.kron(sm, sn)) for sn in self.PAULI4] for sm in self.PAULI4]
+            assert k.dtype == np.float64 and k.shape == (4, 4) and k.flags.c_contiguous
+            assert np.abs(k - np.array(expected)).max() <= 1e-15
+
+    def test_corner_is_exactly_one(self):
+        assert all(_bloch(rho)[0, 0] == 1.0 for rho in self.STATES)
+        traces = [rho.elements.trace().real for rho in self.STATES]
+        assert any(trace != 1.0 for trace in traces)  # the corner is set, not summed
 
 
 class TestAgainstOracle:
@@ -407,9 +444,9 @@ class TestAgainstOracle:
         assert len(cases) >= 2000
         worst_c = worst_i = 0.0
         for rho, swapped in cases:
-            a, b, t = _bloch(rho)
+            k = _bloch(rho)
             result = (discord_swapped if swapped else discord)(rho)
-            expected, _, _, _ = discord_oracle._maximize_classical_correlations((b, a, t.T) if swapped else (a, b, t))
+            expected, _, _, _ = discord_oracle._maximize_classical_correlations(_abt(k.T if swapped else k))
             assert result.trace.converged
             worst_c = max(worst_c, abs(result.classical_corr - expected))
             worst_i = max(worst_i, abs(result.mutual_info - quantum_mutual_information(rho)))
@@ -429,10 +466,10 @@ class TestSecondStart:
         second-best cell is next to the pole, so a rule that skipped
         adjacent cells would return the pole's value."""
         rho = seeded_states(222, seed=2011)[1770]
-        bloch = _bloch(rho)
-        grid = _grid_values(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])), GRID)
+        k = _bloch(rho)
+        grid = _grid_values(k, _s_b(k), _outcomes(GRID))
         assert int(grid.argmax()) == 0 and tuple(GRID[0]) == (0.0, 0.0, 1.0)
-        expected, _, _, _ = discord_oracle._maximize_classical_correlations(bloch)
+        expected, _, _, _ = discord_oracle._maximize_classical_correlations(_abt(k))
         assert expected - float(grid.max()) > 5e-4
         result = discord(rho)
         assert abs(result.classical_corr - expected) <= 1e-12
@@ -514,9 +551,9 @@ class TestDerivatives:
         states = [s for s in seeded_states(6, seed=7) if np.linalg.matrix_rank(s.elements, 1e-6) > 1]
         checked = 0
         for rho in states:
-            a, b, t = _bloch(rho)
-            for bloch in ((a, b, t), (b, a, t.T)):
-                objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
+            k = _bloch(rho)
+            for side in (k, k.T):
+                objective = _negated_objective(side, _s_b(side))
                 for _ in range(4):
                     n, e1, e2 = _point(rng.standard_normal(3))
                     value, grad, hess = objective((n, e1, e2))
@@ -537,9 +574,9 @@ class TestDerivatives:
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(2011)
         pure, mixed = _hilbert_schmidt(rng, 1), _hilbert_schmidt(rng, 4)
-        bloch = _bloch(DensityMatrix((1 - 1e-10) * pure + 1e-10 * mixed, (2, 2)))
-        objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
-        a, b, t = ([[mpmath.mpf(float(x)) for x in row] for row in np.atleast_2d(m)] for m in bloch)
+        k = _bloch(DensityMatrix((1 - 1e-10) * pure + 1e-10 * mixed, (2, 2)))
+        objective = _negated_objective(k, _s_b(k))
+        a, b, t = ([[mpmath.mpf(float(x)) for x in row] for row in np.atleast_2d(m)] for m in _abt(k))
         a, b = a[0], b[0]
 
         def exact(m):
@@ -576,9 +613,9 @@ class TestDerivatives:
         states C is constant and its derivatives are rounding.)"""
         rng = np.random.default_rng(2008)
         for rank in (2, 3, 4):
-            a, b, t = _bloch(random_density_matrix((2, 2), rank, seed=11))
-            for bloch in ((a, b, t), (b, a, t.T)):
-                objective = _negated_objective(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
+            k = _bloch(random_density_matrix((2, 2), rank, seed=11))
+            for side in (k, k.T):
+                objective = _negated_objective(side, _s_b(side))
                 for _ in range(5):
                     n, e1, e2 = (np.asarray(v) for v in _point(rng.standard_normal(3)))
                     _, grad, (h11, h12, h22) = objective((n, e1, e2))
@@ -629,8 +666,8 @@ class TestDegenerateInputs:
         result = self._search(rho)
         assert result.discord == pytest.approx(0.0, abs=1e-12)
         assert min(result.optimal_basis.theta, math.pi - result.optimal_basis.theta) < 1e-6
-        a, b, t = _bloch(rho)
-        objective = _negated_objective((a, b, t), _qubit_entropy(float(b @ b)))
+        k = _bloch(rho)
+        objective = _negated_objective(k, _s_b(k))
         for n in ([0.0, 0.0, 1.0], [1e-9, 0.0, 1.0]):
             _, grad, hess = objective(_point(n))
             assert np.isfinite(grad).all() and np.isfinite(hess).all()
@@ -724,11 +761,11 @@ class TestDegenerateInputs:
             ]
             for mat in states:
                 rho = DensityMatrix(mat, (2, 2))
-                a, b, t = _bloch(rho)
-                for bloch in ((a, b, t), (b, a, t.T)):
-                    value, _, _, converged = _maximize_classical_correlations(bloch, _qubit_entropy(float(bloch[1] @ bloch[1])))
+                k = _bloch(rho)
+                for side in (k, k.T):
+                    value, _, _, converged = _maximize_classical_correlations(side, _s_b(side))
                     assert converged
-                    worst = max(worst, abs(value - discord_oracle._maximize_classical_correlations(bloch)[0]))
+                    worst = max(worst, abs(value - discord_oracle._maximize_classical_correlations(_abt(side))[0]))
                 self._search(rho)
                 self._search(rho, swapped=True)
         assert worst <= 1e-12

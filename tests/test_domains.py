@@ -142,8 +142,9 @@ def two_qubit_states(draw):
 
 
 def _oracle_bloch(rho: DensityMatrix, swapped: bool = False):
-    a, b, t = _bloch(rho)
-    return (b, a, t.T) if swapped else (a, b, t)
+    """(a, b, T) of the Bloch matrix K = [[1, b^T], [a, T]], or of its transpose, that of the swapped state."""
+    k = _bloch(rho).T if swapped else _bloch(rho)
+    return k[1:, 0], k[0, 1:], k[1:, 1:]
 
 
 class TestInsideTheDomain:
@@ -460,10 +461,13 @@ class TestIntegersBeyondTheFloatRange:
     """An integer too large for a float, where an entry point takes a number
     or an array of numbers, raises ValidationError naming the argument, not
     the OverflowError of its conversion to float; also beyond 4300 digits,
-    where formatting the integer into the message would itself raise."""
+    where formatting the integer into the message would itself raise. An
+    integer count (rank, seed, n_modes, points) out of its range is named
+    with words for the integer, not its digits."""
 
     ARRAY = "must be a rectangular array of numbers: int too large to convert to float"
     BEYOND = "must be finite; got an integer beyond the float range"
+    COUNT = "got an integer beyond the float range"  # an integer count, out of its range
 
     @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["401_digits", "5001_digits"])
     @pytest.mark.parametrize(
@@ -489,11 +493,16 @@ class TestIntegersBeyondTheFloatRange:
             (lambda h: report_at(QuenchParams(), h), f"evolution_time {BEYOND}"),
             (lambda h: sweep_temperature(QuenchParams(), 0.1, h, 3), f"t_max {BEYOND}"),
             (lambda h: everett_state(1.0, 0.0, h), f"pointer overlap {BEYOND}"),
+            (lambda h: random_density_matrix((2, 2), h, 0), rf"rank must be in \[1, 4\]; {COUNT}"),
+            (lambda h: random_density_matrix((2, 2), 1, -h), f"seed must be non-negative; {COUNT}"),
+            (lambda h: symplectic_form(-h), f"n_modes must be non-negative; {COUNT}"),
+            (lambda h: sweep_temperature(QuenchParams(), 0.1, 5.0, -h), f"need at least 2 grid points; {COUNT}"),
         ],
         ids=["DensityMatrix", "PureState", "CovarianceMatrix", "QuadraticHamiltonian", "Distribution",
              "JointDistribution", "Distribution.normalized", "Observable", "Povm", "StochasticMap", "mode_entropy",
              "discord_from_invariants", "QuenchParams", "thermal_variance", "MeasurementBasis", "normal_mode_frequencies",
-             "symplectic_propagator", "report_at", "sweep_temperature", "everett_state"],
+             "symplectic_propagator", "report_at", "sweep_temperature", "everett_state", "random_density_matrix.rank",
+             "random_density_matrix.seed", "symplectic_form", "sweep_temperature.points"],
     )
     def test_rejected_naming_the_argument(self, call, message, huge):
         with pytest.raises(ValidationError, match=f"^{message}$"):

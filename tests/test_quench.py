@@ -654,16 +654,18 @@ class TestSweepCost:
         assert QuenchParams.__post_init__.__code__ not in codes
 
     def test_search_frames_pinned(self, monkeypatch):
-        """One two-qubit search runs 14 numpy frames, whatever its evaluation
-        count, and 37 qcorr frames at the 49 grid directions and one Newton
-        run that evaluates its start alone, plus 11 for a second run that
-        does the same (one :func:`minimize` call holds both runs), 10 per further evaluation and 1 per further Newton
-        step: 11 per evaluation when every trial step is accepted, 10 for a
-        trial that is halved. One closed-form Gaussian discord runs 28 qcorr
-        frames and no numpy frame. The Gaussian oracle runs no numpy frame
-        and 24 + 2 nfev qcorr frames: 25 for the seed forms, the spectrum,
-        the four entropies and the search's own frame, then one per
-        evaluation of N / D and one per step, nfev - 1 steps."""
+        """One two-qubit search runs 4 numpy frames, whatever its evaluation
+        count, and 31 qcorr frames at the 49 grid directions and one Newton
+        run that evaluates its start alone, plus 5 for a second run that
+        does the same (one :func:`minimize` call holds both runs), 4 per further evaluation and 1 per further Newton
+        step: 5 per evaluation when every trial step is accepted, 4 for a
+        trial that is halved (an impossible outcome, which no state here
+        meets, would add three eta frames). One closed-form Gaussian discord
+        runs 24 qcorr frames and no numpy frame. The Gaussian oracle runs no
+        numpy frame and 11 + 2 nfev qcorr frames: 12 for the search's own
+        frame, the seed forms with the held determinants (five), the search
+        loop, the spectrum and the four entropies, then one per evaluation
+        of N / D and one per step, nfev - 1 steps."""
         discord(random_density_matrix((2, 2), 2, 0))  # any lazy set-up runs before counting
         halved, run_counts = 0, set()
         for rank in (1, 2, 3, 4):
@@ -676,8 +678,8 @@ class TestSweepCost:
                     steps = sum(code is _newton_step.__code__ for _, code in calls)
                     runs = sum(code is _descend.__code__ for _, code in calls)
                     packages = [package for package, _ in calls]
-                    assert packages.count("numpy") == 14
-                    assert packages.count("qcorr") == 37 + 11 * (runs - 1) + 10 * (evaluations - 49 - runs) + (steps - runs)
+                    assert packages.count("numpy") == 4
+                    assert packages.count("qcorr") == 31 + 5 * (runs - 1) + 4 * (evaluations - 49 - runs) + (steps - runs)
                     halved += evaluations - 49 - steps  # Newton evaluations less steps: the halved trials
                     run_counts.add(runs)
         assert halved > 0 and run_counts == {1, 2}
@@ -687,7 +689,7 @@ class TestSweepCost:
             sigma = random_covariance(seed)
             for mode in (1, 2):
                 packages = [package for package, _ in self._python_calls(lambda: gaussian_discord(sigma, mode))]
-                assert (packages.count("qcorr"), packages.count("numpy")) == (28, 0)
+                assert (packages.count("qcorr"), packages.count("numpy")) == (24, 0)
                 packages = [package for package, _ in self._python_calls(lambda: minimize_gaussian_measurement(sigma, mode))]
-                assert (packages.count("qcorr"), packages.count("numpy")) == (24 + 2 * searches[-1].nfev, 0)
+                assert (packages.count("qcorr"), packages.count("numpy")) == (11 + 2 * searches[-1].nfev, 0)
         assert len(searches) == 8 and len({result.nfev for result in searches}) > 1
