@@ -109,6 +109,13 @@ def _integer_text(value: int) -> str:
     return str(value)
 
 
+def _require_array_length(name: str, value: int) -> None:
+    """Raises naming ``name`` where the integer ``value``, an array length, exceeds numpy's largest, which
+    numpy would reject with its own ValueError or IndexError."""
+    if value > np.iinfo(np.intp).max:
+        raise ValidationError(f"{name} must be at most {np.iinfo(np.intp).max}, numpy's largest array length; got {_integer_text(value)}")
+
+
 def require_seed(value) -> int:
     """A random ensemble's seed: a non-negative integer through :func:`require_integer`.
 

@@ -61,6 +61,7 @@ numpy, so this module needs numpy alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -68,8 +69,8 @@ import numpy as np
 
 from ._newton import minimize_ratio as minimize  # the name under which the traced benchmark counts its evaluations
 from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
-from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, _as_numbers, hermitian_part, require_finite, require_integer
-from .errors import _integer_text, require_real, require_seed
+from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_finite, require_integer
+from .errors import _integer_text, _require_array_length, require_real, require_seed
 
 VACUUM_VARIANCE = 0.5
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -78,9 +79,10 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The block-diagonal symplectic form for quadrature order (x1, p1, ...).
 
-    Domain: a Python or numpy integer n_modes >= 0, 0 giving a 0 x 0 array; a negative one, a float, string or None raises ValidationError naming n_modes."""
+    Domain: a Python or numpy integer n_modes >= 0, 0 giving a 0 x 0 array; a negative one, one beyond numpy's largest array length, a float, string or None raises ValidationError naming n_modes."""
     if require_integer("n_modes", n_modes) < 0:
         raise ValidationError(f"n_modes must be non-negative; got {_integer_text(n_modes)}")
+    _require_array_length("2 n_modes", 2 * n_modes)
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
@@ -337,39 +339,29 @@ def symplectic_eigenvalues(sigma: CovarianceMatrix) -> tuple:
     return tuple(sigma._spectrum.tolist())
 
 
-def _eigenvalue_error(nu: float) -> str:
-    if nu == math.inf:
-        return f"symplectic eigenvalue {nu!r} is not finite"
-    return f"symplectic eigenvalue {nu!r} below the vacuum value 1/2"
+def _real_scalar(name: str, value) -> float:
+    """``value``, a Python or numpy real number, as a float; anything else raises naming ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number; got {value!r}")
+    require_real(name, value)  # names an integer beyond the float range
+    return float(value)
 
 
-def mode_entropy(nu):
+def mode_entropy(nu) -> float:
     """Entropy contribution f(nu) = (nu + 1/2) ln(nu + 1/2)
-    - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue.
+    - (nu - 1/2) ln(nu - 1/2) of one symplectic eigenvalue, with ``math``.
 
-    A float gives a float, with ``math``, for scalar callers such as
-    :func:`gaussian_entropy` and the oracles; an array gives an array.
-
-    Domain: a float or an array of finite nu >= 1/2 - PHYSICALITY_SLACK, the bound of :class:`CovarianceMatrix`; NaN, inf or less raises ValidationError, and so does anything numpy cannot read as floats, an integer beyond the float range included.
+    Domain: a real scalar (a float, or a Python or numpy integer or real) finite and at least 1/2 - PHYSICALITY_SLACK, the bound of :class:`CovarianceMatrix`; NaN, inf or less raises ValidationError with its value, and anything else, an array, a string or an integer beyond the float range included, raises ValidationError naming the symplectic eigenvalue.
     """
-    if isinstance(nu, float):
-        if not VACUUM_VARIANCE - PHYSICALITY_SLACK <= nu < math.inf:
-            raise ValidationError(_eigenvalue_error(nu))
-        above = nu - VACUUM_VARIANCE
-        if above <= SUPPORT_CUTOFF:
-            return 0.0
-        plus = nu + VACUUM_VARIANCE
-        return plus * math.log(plus) - above * math.log(above)
-    nu = _as_numbers(nu, "symplectic eigenvalue", float)  # NaN and inf are named below, with their value
-    lowest = nu.min(initial=math.inf)  # NaN if any is NaN; inf for an empty array
-    in_range = lowest >= VACUUM_VARIANCE - PHYSICALITY_SLACK
-    if not (in_range and nu.max(initial=0.0) < math.inf):
-        raise ValidationError(_eigenvalue_error(math.inf if in_range else float(lowest)))
-    above, plus = nu - VACUUM_VARIANCE, nu + VACUUM_VARIANCE
-    if not lowest - VACUUM_VARIANCE > SUPPORT_CUTOFF:  # an occupation nu - 1/2 off the support: log(1) = 0 there
-        support = above > SUPPORT_CUTOFF
-        above, plus = np.where(support, above, 1.0), np.where(support, plus, 1.0)
-    return plus * np.log(plus) - above * np.log(above)
+    if type(nu) is not float:
+        nu = _real_scalar("symplectic eigenvalue", nu)
+    if not VACUUM_VARIANCE - PHYSICALITY_SLACK <= nu < math.inf:
+        raise ValidationError(f"symplectic eigenvalue {nu!r} {'is not finite' if nu == math.inf else 'below the vacuum value 1/2'}")
+    above = nu - VACUUM_VARIANCE
+    if above <= SUPPORT_CUTOFF:
+        return 0.0
+    plus = nu + VACUUM_VARIANCE
+    return plus * math.log(plus) - above * math.log(above)
 
 
 def gaussian_entropy(sigma: CovarianceMatrix) -> float:
@@ -424,82 +416,57 @@ def local_invariants(sigma: CovarianceMatrix, measured_mode: int = 1):
 def gaussian_discord(sigma: CovarianceMatrix, measured_mode: int = 1) -> float:
     """Gaussian discord with Gaussian measurements on the chosen mode:
     :func:`discord_from_invariants` of the state's local invariants and
-    symplectic spectrum, on floats.
+    symplectic spectrum.
 
     Domain: a two-mode :class:`CovarianceMatrix` and measured mode 1 or 2; anything else raises ValidationError, which names the type of a state of another type, and so does a state whose invariants overflow the closed form (thermal pairs from nu of about 3e76, where the matrix itself is still accepted), saying so and naming them.
     """
-    invariants = local_invariants(sigma, measured_mode)
-    return float(discord_from_invariants(*invariants, *symplectic_eigenvalues(sigma)))
+    return discord_from_invariants(*local_invariants(sigma, measured_mode), *symplectic_eigenvalues(sigma))
 
 
-# sqrt, abs, max, min and the branch select of the closed form, for floats and for arrays
-_FLOAT_OPS = (math.sqrt, abs, max, min, lambda cond, x, y: x if cond else y)
-_ARRAY_OPS = (np.sqrt, np.abs, np.maximum, np.minimum, np.where)
-
-
-def _min_conditional_det(a, b, abs_c, d, ops):
-    """The minimal conditional determinant E_min of the unmeasured mode, from the local invariants
-    with the ``ops`` of floats or of arrays. A discriminant selects one of two regimes, one reached
-    in the infinite-squeezing (homodyne) limit and one at finite squeezing. Invariants near the
-    float range overflow its terms: the selected branch may stay finite, or E_min is NaN or infinite."""
-    sqrt, absolute, maximum, minimum, select = ops
-    c2, ab = abs_c * abs_c, a * b  # each product and difference below is formed once
-    pure = b - 1.0 < PURE_MODE_CUTOFF  # pure measured mode: necessarily a product state
-    b1 = select(pure, 1.0, b - 1.0)
+def _min_conditional_det(a: float, b: float, abs_c: float, d: float) -> float:
+    """The minimal conditional determinant E_min of the unmeasured mode, from the local invariants.
+    A discriminant selects one of two regimes, one reached in the infinite-squeezing (homodyne)
+    limit and one at finite squeezing. Invariants near the float range overflow its terms: the
+    selected branch may stay finite, or E_min is NaN or infinite."""
+    if b - 1.0 < PURE_MODE_CUTOFF:  # pure measured mode: necessarily a product state
+        return a
+    c2, ab, b1 = abs_c * abs_c, a * b, b - 1.0  # each product and difference below is formed once
     lift = b1 * (d - a)
-    finite_inner = maximum(c2 + lift, 0.0)
-    finite_squeezing = (2.0 * c2 + lift + 2.0 * abs_c * sqrt(finite_inner)) / (b1 * b1)
+    finite_squeezing = (2.0 * c2 + lift + 2.0 * abs_c * math.sqrt(max(c2 + lift, 0.0))) / (b1 * b1)
     skew = d - ab
     skew2, spread = skew * skew, (1.0 + b) * c2 * (a + d)
-    homodyne_inner = maximum(c2 * c2 + skew2 - 2.0 * c2 * (ab + d), 0.0)
-    homodyne = (ab - c2 + d - sqrt(homodyne_inner)) / (2.0 * b)
+    homodyne = (ab - c2 + d - math.sqrt(max(c2 * c2 + skew2 - 2.0 * c2 * (ab + d), 0.0))) / (2.0 * b)
     margin = skew2 - spread
     # on the branch boundary the two expressions coincide exactly but the
     # first loses precision to cancellation; take the smaller
-    boundary = absolute(margin) <= BRANCH_BOUNDARY_WIDTH * maximum(1.0, spread)
-    branch = select(boundary, minimum(finite_squeezing, homodyne), select(margin <= 0.0, finite_squeezing, homodyne))
-    return select(pure, a, branch)
+    if abs(margin) <= BRANCH_BOUNDARY_WIDTH * max(1.0, spread):
+        return min(finite_squeezing, homodyne)
+    return finite_squeezing if margin <= 0.0 else homodyne
 
 
-def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus):
+def discord_from_invariants(inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus) -> float:
     """Closed-form Gaussian discord (Adesso-Datta) from the local invariants
     of :func:`local_invariants` and the symplectic eigenvalues, through
-    :func:`_min_conditional_det`. The result is clamped at zero. One array passed
-    as both eigenvalues (nu, nu) has f(nu) evaluated once and subtracted twice.
+    :func:`_min_conditional_det`, with ``math``. The result is clamped at zero.
 
-    Domain: six floats (evaluated with math) or arrays of one shape, the invariants and spectrum of a physical state; an invariant that numpy cannot read as floats (an integer beyond the float range included), an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it, and invariants so large (products such as ab, c^2 or b (d - a) beyond the float range) that the minimal conditional determinant is NaN or infinite raise ValidationError saying they overflow the closed form and naming them.
+    Domain: six real scalars (floats, or Python or numpy integers or reals), the invariants and spectrum of a physical state; an invariant that is not a real scalar (an array or a string included) or is an integer beyond the float range, an a, b or d not finite or below the vacuum's 1 by more than INVARIANT_SLACK, a c not finite, or a symplectic eigenvalue outside the domain of :func:`mode_entropy`, raises ValidationError naming it, and invariants so large (products such as ab, c^2 or b (d - a) beyond the float range) that the minimal conditional determinant is NaN or infinite raise ValidationError saying they overflow the closed form and naming them.
     """
-    args = (inv_a, inv_b, inv_c, inv_d, nu_minus, nu_plus)
-    scalar = all(type(x) is float for x in args)  # numpy scalars take the array route, under np.errstate
-    ops = _FLOAT_OPS if scalar else _ARRAY_OPS
-    sqrt, absolute, maximum, minimum, _ = ops
-    a, b, c, d = args[:4] if scalar else (_as_numbers(x, f"invariant {name}", float) for name, x in zip("abcd", args[:4]))
-    floor, abs_c = 1.0 - INVARIANT_SLACK, absolute(c)
-    if scalar:  # NaN fails every comparison
-        physical = floor <= a < math.inf and floor <= b < math.inf and floor <= d < math.inf and abs_c < math.inf
-    else:  # one test of all four per call; a NaN carries through maximum
-        physical = minimum(minimum(a, b), d).min(initial=math.inf) >= floor and maximum(maximum(maximum(a, b), d), abs_c).max(initial=0.0) < math.inf
-    if not physical:
+    a, b, c, d = inv_a, inv_b, inv_c, inv_d
+    if not (type(a) is type(b) is type(c) is type(d) is float):
+        a, b, c, d = map(_real_scalar, ("invariant a", "invariant b", "invariant c", "invariant d"), (a, b, c, d))
+    floor, abs_c = 1.0 - INVARIANT_SLACK, abs(c)
+    # NaN fails every comparison
+    if not (floor <= a < math.inf and floor <= b < math.inf and floor <= d < math.inf and abs_c < math.inf):
         for name, x in zip("abcd", (a, b, c, d)):
-            bad = [v for v in np.ravel(x).tolist() if not (abs(v) < math.inf and (name == "c" or v >= floor))]
-            if bad:
+            if not (abs(x) < math.inf and (name == "c" or x >= floor)):
                 need = "finite" if name == "c" else "finite and at least 1 - INVARIANT_SLACK, the vacuum's"
-                raise ValidationError(f"invariant {name} must be {need}; got {bad[0]!r}")
-    if scalar:  # Python float arithmetic overflows without a warning
-        e_min = _min_conditional_det(a, b, abs_c, d, ops)
-        finite = abs(e_min) < math.inf
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow that matters is reported below
-            e_min = _min_conditional_det(a, b, abs_c, d, ops)
-        finite = np.isfinite(e_min).all()
-    if not finite:
-        first = np.argmin(np.isfinite(np.ravel(e_min)))  # the first NaN or infinite entry
-        named = ", ".join(f"{n} = {np.broadcast_to(x, np.shape(e_min)).flat[first].item()!r}" for n, x in zip("abcd", (a, b, c, d)))
-        raise ValidationError(f"invariants {named} overflow the closed form")
-    f_minus = mode_entropy(nu_minus)
-    f_plus = f_minus if nu_plus is nu_minus else mode_entropy(nu_plus)
-    value = mode_entropy(sqrt(maximum(b, 1.0)) / 2.0) - f_minus - f_plus + mode_entropy(sqrt(maximum(e_min, 1.0)) / 2.0)
-    return maximum(value, 0.0)
+                raise ValidationError(f"invariant {name} must be {need}; got {x!r}")
+    e_min = _min_conditional_det(a, b, abs_c, d)
+    if not abs(e_min) < math.inf:  # Python float arithmetic overflows without a warning
+        raise ValidationError(f"invariants a = {a!r}, b = {b!r}, c = {c!r}, d = {d!r} overflow the closed form")
+    f_minus, f_plus = mode_entropy(nu_minus), mode_entropy(nu_plus)
+    value = mode_entropy(math.sqrt(max(b, 1.0)) / 2.0) - f_minus - f_plus + mode_entropy(math.sqrt(max(e_min, 1.0)) / 2.0)
+    return max(value, 0.0)
 
 
 def _seed_forms(sigma: CovarianceMatrix, measured_mode: int) -> tuple:

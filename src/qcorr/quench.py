@@ -18,9 +18,11 @@ may raise ZeroDivisionError or a numpy RuntimeWarning, or return inf or NaN.
 Each closed form is one numpy expression over beta; its ln sinh(x) is one
 branch, np.log(np.sinh(x)), while every x = beta w / 2 is at most 20, and
 two beyond. The temperature sweep evaluates them over the whole array of
-inverse temperatures in one pass, and its discord column comes from the
-closed-form local invariants of the evolved vacuum, (1 + kappa, 1 + kappa,
--kappa, 1), scaled by the thermal occupation; :func:`report_at` is the
+inverse temperatures in one pass. Its discord column is the Adesso-Datta
+closed form written out for this state, in the thermal occupation
+n = 1 / (exp(beta omega) - 1) and the post-quench squeeze kappa, as the
+entropies of three mode occupations (:func:`_thermal_quench_discord`), with
+no invariants, propagator or covariance matrix; :func:`report_at` is the
 same code at one temperature. The excess-work floor and the two-route
 check run once over each column, before any row is built. Each
 temperature's outputs are one :class:`QuenchReport`, a ``NamedTuple``
@@ -45,8 +47,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError, require_finite, require_integer, require_real
-from .errors import _integer_text
-from .gaussian import _require_coupling, discord_from_invariants, normal_mode_frequencies
+from .errors import _integer_text, _require_array_length
+from .gaussian import _require_coupling, normal_mode_frequencies
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -276,32 +280,43 @@ def _quench_kappa(omega: float, lam0: float, t: float) -> float:
     return (math.sin(w2 * t) * (lam0 * lam0 / (omega * w2))) ** 2
 
 
+def _occupation_entropy(delta: np.ndarray) -> np.ndarray:
+    """F(delta) = ln(1 + delta) + delta ln(1 + 1/delta), the entropy of a mode of occupation
+    delta >= 0; F(0) = 0, since 1/delta is taken of no less than the smallest normal float."""
+    return np.log1p(delta) + delta * np.log1p(1.0 / np.maximum(delta, _TINY))
+
+
 def _thermal_quench_discord(params: QuenchParams, beta: np.ndarray, t: float) -> np.ndarray:
-    """Gaussian discord of the post-quench state at each inverse
-    temperature in ``beta``, from the closed-form local invariants of the
-    evolved state.
+    """Gaussian discord of the post-quench state at each inverse temperature in ``beta``, from the
+    thermal occupation n = 1 / (exp(beta omega) - 1) and :func:`_quench_kappa`, clamped at zero.
 
-    Both modes start at nu(beta) I, with nu = (1/2) coth(beta omega / 2),
-    and the propagator S does not depend on beta, so the evolved state is
-    nu S S^T: its doubled-convention invariants are those of the evolved
-    vacuum S S^T scaled by s = (2 nu)^2 for the 2x2 blocks and s^2 for the
-    whole matrix, and both symplectic eigenvalues are nu.
+    Both modes start at nu I, nu = n + 1/2, and S does not depend on beta, so the evolved state is
+    nu S S^T. S S^T is pure with block determinants 1 + kappa and -kappa: in the (center-of-mass,
+    relative) frame it is ((I + Q)/2, (I - Q)/2; (I - Q)/2, (I + Q)/2), where Q = M2 M2^T, for the
+    relative-mode rotation M2 with quadratures rescaled by r = w2 / omega, has det Q = 1 and
+    tr Q = 2 + 4 kappa; (r - 1/r) / 2 = lambda0^2 / (omega w2) has no cancellation at small lambda0.
+    The doubled invariants are a = b = s (1 + kappa), c = -s kappa and d = s^2, with
+    sqrt(s) = 2 nu = 1 + 2n, and both symplectic eigenvalues are nu. The Adesso-Datta discriminant
+    is then -(1 + kappa) (s - 1)^2 kappa^2 s^3 <= 0: the finite-squeezing branch, with
+    sqrt(E_min) = (s kappa + (s - 1) sqrt(s (1 + kappa))) / (s (1 + kappa) - 1). With
+    k' = sqrt(1 + kappa) - 1 = kappa / (1 + sqrt(1 + kappa)), the occupations sqrt(b) / 2 - 1/2 of
+    the measured mode and sqrt(E_min) / 2 - 1/2 of the conditional mode are
 
-    In the (center-of-mass, relative) frame the center-of-mass rotation is
-    orthogonal, so S S^T is ((I + Q)/2, (I - Q)/2; (I - Q)/2, (I + Q)/2)
-    with Q = M2 M2^T, M2 the relative-mode rotation with quadratures
-    rescaled by r = w2 / omega. det Q = 1 and
-    tr Q = 2 + sin^2(w2 t) (r - 1/r)^2, so the blocks have determinants
-    1 + kappa and -kappa with kappa = (sin(w2 t) (r - 1/r) / 2)^2, and the
-    evolved vacuum is pure (determinant 1). Since r^2 - 1 = 2 lambda0^2 / omega^2,
-    (r - 1/r) / 2 = lambda0^2 / (omega w2), which has no cancellation at
-    small lambda0.
+        delta_B = n + (n + 1/2) k',    delta_E = 2 n (n + 1) / ((1 + 2n) (1 + k') + 1),
+
+    and D = F(delta_B) - 2 F(n) + F(delta_E), F of :func:`_occupation_entropy`. No s - 1 cancels
+    at low temperature and no s^2 overflows at high, where the three entropies, each near
+    ln n + 1, cancel to a few rounding errors. n = exp(-x) / -expm1(-x), x = beta omega, is finite
+    with no warning for 1e-100 <= x <= 1e100.
     """
     kappa = _quench_kappa(params.omega, params.lambda0, t)
-    nu = 0.5 / np.tanh(beta * params.omega / 2.0)
-    scale = (2.0 * nu) ** 2
-    local = (1.0 + kappa) * scale
-    return discord_from_invariants(local, local, -kappa * scale, scale * scale, nu, nu)
+    k = kappa / (1.0 + math.sqrt(1.0 + kappa))
+    x = beta * params.omega
+    n = np.exp(-x) / -np.expm1(-x)
+    delta_b = n + (n + 0.5) * k
+    delta_e = 2.0 * n * (n + 1.0) / ((1.0 + 2.0 * n) * (1.0 + k) + 1.0)
+    discord = _occupation_entropy(delta_b) - 2.0 * _occupation_entropy(n) + _occupation_entropy(delta_e)
+    return np.maximum(discord, 0.0)
 
 
 def _reports(params: QuenchParams, beta: np.ndarray, evolution_time: float) -> list:
@@ -327,7 +342,7 @@ def report_at(params: QuenchParams, evolution_time: float = 1.0) -> QuenchReport
     """Evaluate every report field at the parameters' temperature: one
     row of :func:`sweep_temperature`, by the same code.
 
-    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite or non-real one raises ValidationError, and so does a temperature at which the discord's invariants overflow its closed form (from T of about 1e38 at the default parameters), saying so. Outside the closed-form range of the module docstring, unguarded.
+    Domain: a :class:`QuenchParams` (which validates its own fields) and a finite real ``evolution_time``; a non-finite or non-real one raises ValidationError. Outside the closed-form range of the module docstring, unguarded.
     """
     return _reports(params, np.array([params.beta]), evolution_time)[0]
 
@@ -350,17 +365,18 @@ def sweep_temperature(
 
     Every closed form and the discord are evaluated over the whole array
     of inverse temperatures in one pass; the discord column comes from the
-    closed-form local invariants of the evolved state, with no propagator
-    or covariance matrix. Each grid point's value depends only on its own
-    temperature, so refining the grid leaves values at shared temperatures
-    unchanged.
+    thermal occupation and kappa (:func:`_thermal_quench_discord`), with no
+    invariants, propagator or covariance matrix. Each grid point's value
+    depends only on its own temperature, so refining the grid leaves values
+    at shared temperatures unchanged.
 
-    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, a ``points`` that is not an integer, and a grid temperature at which the discord's invariants overflow its closed form (as in :func:`report_at`), raise ValidationError. Temperatures are energies, k_B T; outside the closed-form range of the module docstring, unguarded.
+    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 within numpy's largest array length (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, and a ``points`` that is not an integer raise ValidationError. Temperatures are energies, k_B T; outside the closed-form range of the module docstring, unguarded.
     """
     _require_temperature_range(t_min, t_max)
     points = require_integer("points", points)
     if points < 2:
         raise ValidationError(f"need at least 2 grid points; got {_integer_text(points)}")
+    _require_array_length("points", points)
     # beta = 1 / t falls with t and is positive below t_max < inf: finite at t_min, valid throughout
     require_finite("beta", 1.0 / t_min)
     temperatures = np.linspace(t_min, t_max, points)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, _as_numbers, _integer_text
-from .errors import hermitian_part, number_array, require_integer, require_seed
+from .errors import _require_array_length, hermitian_part, number_array, require_integer, require_seed
 from .probability import _plogp
 
 
@@ -46,10 +46,11 @@ def _validate_dims(dims, size: int | None = None) -> tuple:
         d_a, d_b = map(operator.index, dims)  # integers only: no float or str coercion
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"dims must be a pair of integers; got {dims!r}") from exc
+    shown = f"({_integer_text(d_a)}, {_integer_text(d_b)})"  # a huge entry's digits may not print
     if d_a < 1 or d_b < 1:
-        raise ValidationError(f"dims must be positive; got {dims!r}")
+        raise ValidationError(f"dims must be positive; got {shown}")
     if size is not None and d_a * d_b != size:
-        raise ValidationError(f"dims {dims!r} incompatible with total dimension {size}")
+        raise ValidationError(f"dims {shown} incompatible with total dimension {size}")
     return (d_a, d_b)
 
 
@@ -263,10 +264,11 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     and returns ``X X^dagger / Tr[X X^dagger]``. Deterministic for a
     fixed seed.
 
-    Domain: dims a pair of positive integers, rank an integer in [1, d_a d_b] and seed a non-negative integer; anything else raises ValidationError naming the argument.
+    Domain: dims a pair of positive integers whose product d_a d_b is within numpy's largest array length, rank an integer in [1, d_a d_b] and seed a non-negative integer; anything else raises ValidationError naming the argument.
     """
     d_a, d_b = _validate_dims(dims)
     dim = d_a * d_b
+    _require_array_length("d_a d_b", dim)
     rank = require_integer("rank", rank)
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must be in [1, {dim}]; got {_integer_text(rank)}")

@@ -83,10 +83,16 @@ def _homodyne_conditional_det(entries: tuple, c, sn):
 
 def _conditional_entropy(det):
     """Entropy of the conditional mode from its determinant, which
-    rounding may push below the vacuum value 1/4; float or array."""
+    rounding may push below the vacuum value 1/4; float or array. An array
+    takes f(nu) = (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2) in
+    numpy, with nu - 1/2 at or below 1e-12 (qcorr's SUPPORT_CUTOFF) read as
+    the vacuum, where f is 0."""
     if isinstance(det, float):
         return mode_entropy(math.sqrt(max(det, 0.25)))
-    return mode_entropy(np.sqrt(np.maximum(det, 0.25)))
+    nu = np.sqrt(np.maximum(det, 0.25))
+    support = nu - 0.5 > 1e-12
+    above, plus = np.where(support, nu - 0.5, 1.0), np.where(support, nu + 0.5, 1.0)
+    return plus * np.log(plus) - above * np.log(above)
 
 
 def conditional_entropy_factory(sigma: np.ndarray, measured_mode: int):

@@ -435,13 +435,13 @@ OUTPUT_BYTES = [
     (('everett', '--alpha', '0.6', '--beta', '0.8j', '--points', '3', '--out', 'out.csv'),
      'epsilon,measurement_mutual_information,quantum_mutual_information\n0,0.65341819479370167,1.3068363895874033\n0.5,0.33245247453392412,1.0592342209301453\n1,0,0\n'),
     (('quench', 'point', '--beta', '0.3', '--lambda0', '0.7', '--omega', '1.3', '--hbar', '2', '--kb', '0.5', '--time', '2.5'),
-     '{"temperature": 6.666666666666667, "w_c_avg": 0.96646942800788938, "df_c": 0.76224990579529328, "w_c_irr": 0.20421952221259609, "w_q_avg": 1.0149796575642425, "df_q": 0.81062092170964828, "w_q_irr": 0.20435873585459419, "omega_excess": 0.00013921364199809272, "gaussian_discord": 0.0097299406924007403}\n'),
+     '{"temperature": 6.666666666666667, "w_c_avg": 0.96646942800788938, "df_c": 0.76224990579529328, "w_c_irr": 0.20421952221259609, "w_q_avg": 1.0149796575642425, "df_q": 0.81062092170964828, "w_q_irr": 0.20435873585459419, "omega_excess": 0.00013921364199809272, "gaussian_discord": 0.0097299406924011844}\n'),
     (('quench', 'sweep', '--hbar', '2', '--kb', '0.5', '--lambda0', '0.7', '--omega', '1.3', '--t-min', '0.5', '--t-max', '2', '--points', '3', '--time', '2.5'),
-     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.072485207100591698,0.057168742934646993,0.015316464165944704,0.37694601903153008,0.33402054630283473,0.042925472728695346,0.027609008562750642,0.049545967798707506\n1.25,0.18121301775147922,0.14292185733661747,0.038291160414861747,0.38887531975424822,0.34048627688709643,0.048389042867151788,0.010097882452290041,0.034426576605946779\n2,0.28994082840236679,0.22867497173858797,0.061265856663778817,0.43740622826412251,0.37236445126185758,0.065041777002264933,0.0037759203384861162,0.02360251508261646\n'),
+     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.072485207100591698,0.057168742934646993,0.015316464165944704,0.37694601903153008,0.33402054630283473,0.042925472728695346,0.027609008562750642,0.049545967793813123\n1.25,0.18121301775147922,0.14292185733661747,0.038291160414861747,0.38887531975424822,0.34048627688709643,0.048389042867151788,0.010097882452290041,0.034426576605950512\n2,0.28994082840236679,0.22867497173858797,0.061265856663778817,0.43740622826412251,0.37236445126185758,0.065041777002264933,0.0037759203384861162,0.023602515082616404\n'),
     (('quench', 'sweep', '--lambda0', '0.5', '--t-min', '0.5', '--t-max', '2', '--points', '3', '--time', '3'),
-     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.125,0.1013662770270411,0.023633722972958904,0.16412941068741643,0.13993207780520026,0.024197332882216177,0.00056360990925727328,0.0060514785066955734\n1.25,0.3125,0.25341569256760271,0.059084307432397287,0.32899155522902351,0.26986434002045478,0.059127215208568729,4.290777617144137e-05,0.0030959206980956111\n2,0.5,0.40546510810816438,0.094534891891835615,0.51037352063419961,0.41582792710339778,0.09454559353080183,1.0701638966215121e-05,0.0021453614864814785\n'),
+     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.125,0.1013662770270411,0.023633722972958904,0.16412941068741643,0.13993207780520026,0.024197332882216177,0.00056360990925727328,0.0060514785066960175\n1.25,0.3125,0.25341569256760271,0.059084307432397287,0.32899155522902351,0.26986434002045478,0.059127215208568729,4.290777617144137e-05,0.0030959206980953891\n2,0.5,0.40546510810816438,0.094534891891835615,0.51037352063419961,0.41582792710339778,0.09454559353080183,1.0701638966215121e-05,0.0021453614864812565\n'),
     (('quench', 'sweep', '--lambda0', '0.5', '--t-min', '0.5', '--t-max', '2', '--points', '3', '--time', '3', '--out', 'out.csv'),
-     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.125,0.1013662770270411,0.023633722972958904,0.16412941068741643,0.13993207780520026,0.024197332882216177,0.00056360990925727328,0.0060514785066955734\n1.25,0.3125,0.25341569256760271,0.059084307432397287,0.32899155522902351,0.26986434002045478,0.059127215208568729,4.290777617144137e-05,0.0030959206980956111\n2,0.5,0.40546510810816438,0.094534891891835615,0.51037352063419961,0.41582792710339778,0.09454559353080183,1.0701638966215121e-05,0.0021453614864814785\n'),
+     'temperature,w_c_avg,df_c,w_c_irr,w_q_avg,df_q,w_q_irr,omega_excess,gaussian_discord\n0.5,0.125,0.1013662770270411,0.023633722972958904,0.16412941068741643,0.13993207780520026,0.024197332882216177,0.00056360990925727328,0.0060514785066960175\n1.25,0.3125,0.25341569256760271,0.059084307432397287,0.32899155522902351,0.26986434002045478,0.059127215208568729,4.290777617144137e-05,0.0030959206980953891\n2,0.5,0.40546510810816438,0.094534891891835615,0.51037352063419961,0.41582792710339778,0.09454559353080183,1.0701638966215121e-05,0.0021453614864812565\n'),
 ]
 
 

@@ -29,10 +29,11 @@ finite real ``t`` whose propagator is finite with |det S - 1| at most
 ``discord_from_invariants`` takes a, b and d finite and at least 1 within
 ``INVARIANT_SLACK``, the rounding of the determinants they are held as, a
 finite c, and symplectic eigenvalues in the domain of ``mode_entropy``
-(finite, and at least 1/2 within ``PHYSICALITY_SLACK``); invariants whose
-closed-form terms overflow to a NaN or infinite minimal conditional
-determinant raise naming all four, through ``gaussian_discord``,
-``report_at`` and ``sweep_temperature`` too. A string, None or float where
+(finite, and at least 1/2 within ``PHYSICALITY_SLACK``), all six real
+scalars; invariants whose closed-form terms overflow to a NaN or infinite
+minimal conditional determinant raise naming all four, through
+``gaussian_discord`` too. The sweep's discord column has no invariants and
+stays finite beyond where they overflowed. A string, None or float where
 these helpers take a real number or an integer raises too.
 
 Operators, angles and seeds: ``StochasticMap`` takes non-empty, finite 2-D
@@ -112,7 +113,7 @@ from qcorr.discord import _bloch
 from qcorr.gaussian import discord_from_invariants, local_invariants
 
 from . import discord_oracle
-from .quench_oracle import quench_propagator_closed_form
+from .quench_oracle import quench_discord_mp, quench_propagator_closed_form
 
 TOL = 1e-12
 # the same draws on every run: no example database replays earlier failures
@@ -462,12 +463,14 @@ class TestIntegersBeyondTheFloatRange:
     or an array of numbers, raises ValidationError naming the argument, not
     the OverflowError of its conversion to float; also beyond 4300 digits,
     where formatting the integer into the message would itself raise. An
-    integer count (rank, seed, n_modes, points) out of its range is named
-    with words for the integer, not its digits."""
+    integer count (rank, seed, n_modes, points, dims) out of its range, or
+    beyond numpy's largest array length, is named with words for the
+    integer, not its digits."""
 
     ARRAY = "must be a rectangular array of numbers: int too large to convert to float"
     BEYOND = "must be finite; got an integer beyond the float range"
     COUNT = "got an integer beyond the float range"  # an integer count, out of its range
+    LENGTH = rf"must be at most {np.iinfo(np.intp).max}, numpy's largest array length"
 
     @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["401_digits", "5001_digits"])
     @pytest.mark.parametrize(
@@ -483,8 +486,8 @@ class TestIntegersBeyondTheFloatRange:
             (lambda h: Observable([[h, 0], [0, 1]]), f"observable {ARRAY}"),
             (lambda h: Povm(([[h, 0], [0, 1]],)), f"element 0 {ARRAY}"),
             (lambda h: StochasticMap(([[h, 0], [0, 1]],)), f"Kraus operator 0 {ARRAY}"),
-            (lambda h: mode_entropy(h), f"symplectic eigenvalue {ARRAY}"),
-            (lambda h: discord_from_invariants(h, 2.0, 0.5, 3.0, 0.6, 0.7), f"invariant a {ARRAY}"),
+            (lambda h: mode_entropy(h), f"symplectic eigenvalue {BEYOND}"),
+            (lambda h: discord_from_invariants(h, 2.0, 0.5, 3.0, 0.6, 0.7), f"invariant a {BEYOND}"),
             (lambda h: QuenchParams(omega=h), f"omega {BEYOND}"),
             (lambda h: thermal_variance(h, 1.0), f"beta {BEYOND}"),
             (lambda h: MeasurementBasis(h, 0.0), f"theta {BEYOND}"),
@@ -497,12 +500,17 @@ class TestIntegersBeyondTheFloatRange:
             (lambda h: random_density_matrix((2, 2), 1, -h), f"seed must be non-negative; {COUNT}"),
             (lambda h: symplectic_form(-h), f"n_modes must be non-negative; {COUNT}"),
             (lambda h: sweep_temperature(QuenchParams(), 0.1, 5.0, -h), f"need at least 2 grid points; {COUNT}"),
+            (lambda h: sweep_temperature(QuenchParams(), 0.1, 5.0, h), f"points {LENGTH}; {COUNT}"),
+            (lambda h: symplectic_form(h), f"2 n_modes {LENGTH}; {COUNT}"),
+            (lambda h: random_density_matrix((h, 1), 1, 0), f"d_a d_b {LENGTH}; {COUNT}"),
+            (lambda h: random_density_matrix((-h, 1), 1, 0), rf"dims must be positive; got \(an integer beyond the float range, 1\)"),
         ],
         ids=["DensityMatrix", "PureState", "CovarianceMatrix", "QuadraticHamiltonian", "Distribution",
              "JointDistribution", "Distribution.normalized", "Observable", "Povm", "StochasticMap", "mode_entropy",
              "discord_from_invariants", "QuenchParams", "thermal_variance", "MeasurementBasis", "normal_mode_frequencies",
              "symplectic_propagator", "report_at", "sweep_temperature", "everett_state", "random_density_matrix.rank",
-             "random_density_matrix.seed", "symplectic_form", "sweep_temperature.points"],
+             "random_density_matrix.seed", "symplectic_form", "sweep_temperature.points", "sweep_temperature.points_large",
+             "symplectic_form.large", "random_density_matrix.dims_large", "random_density_matrix.dims_negative"],
     )
     def test_rejected_naming_the_argument(self, call, message, huge):
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -612,10 +620,11 @@ class TestMatrixInput:
 
 
 class TestInvariants:
-    """``discord_from_invariants`` on floats and on arrays rejects an a, b or d
-    that is not finite or lies below the vacuum's 1 by more than
-    INVARIANT_SLACK (1e-7), a c that is not finite, and an infinite
-    symplectic eigenvalue, naming the first such invariant and its value."""
+    """``discord_from_invariants`` rejects an a, b or d that is not finite or
+    lies below the vacuum's 1 by more than INVARIANT_SLACK (1e-7), a c that
+    is not finite, and an infinite symplectic eigenvalue, naming the first
+    such invariant and its value, and anything but a real scalar naming the
+    argument."""
 
     @pytest.mark.parametrize(
         "invariants, name, value",
@@ -629,47 +638,30 @@ class TestInvariants:
         ids=["b_below_vacuum", "b_zero", "a_nan", "d_inf", "d_below_slack"],
     )
     def test_rejected_naming_the_invariant(self, invariants, name, value):
-        floats = invariants + (0.5, 0.5)
-        arrays_ = tuple(np.array([2.0, x, 2.0]) for x in invariants) + (np.full(3, 0.5),) * 2
-        for args in (floats, arrays_):
-            with pytest.raises(ValidationError, match=f"^invariant {name} must be finite .*; got {value}$"):
-                discord_from_invariants(*args)
+        with pytest.raises(ValidationError, match=f"^invariant {name} must be finite .*; got {value}$"):
+            discord_from_invariants(*invariants, 0.5, 0.5)
 
     @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
     def test_non_finite_c_rejected_naming_c(self, c):
-        floats = (2.0, 2.0, c, 2.0, 0.5, 0.5)
-        arrays_ = tuple(np.array([2.0, x]) for x in (2.0, 2.0)) + (np.array([0.0, c]), np.full(2, 2.0)) + (np.full(2, 0.5),) * 2
-        for args in (floats, arrays_):
-            with pytest.raises(ValidationError, match=f"^invariant c must be finite; got {c!r}$"):
-                discord_from_invariants(*args)
+        with pytest.raises(ValidationError, match=f"^invariant c must be finite; got {c!r}$"):
+            discord_from_invariants(2.0, 2.0, c, 2.0, 0.5, 0.5)
 
     @pytest.mark.parametrize("which", [4, 5], ids=["nu_minus", "nu_plus"])
     def test_infinite_symplectic_eigenvalue_rejected(self, which):
-        floats = [2.0, 2.0, 0.0, 2.0, 0.5, 0.5]
-        floats[which] = math.inf
-        arrays_ = [np.array([x, x]) for x in (2.0, 2.0, 0.0, 2.0, 0.5, 0.5)]
-        arrays_[which] = np.array([0.5, math.inf])
-        for args in (floats, arrays_):
-            with pytest.raises(ValidationError, match="^symplectic eigenvalue inf is not finite$"):
-                discord_from_invariants(*args)
-
-    @pytest.mark.parametrize("nu", [math.inf, np.array([1.0, math.inf])], ids=["float", "array"])
-    def test_mode_entropy_of_inf_rejected(self, nu):
+        args = [2.0, 2.0, 0.0, 2.0, 0.5, 0.5]
+        args[which] = math.inf
         with pytest.raises(ValidationError, match="^symplectic eigenvalue inf is not finite$"):
-            mode_entropy(nu)
+            discord_from_invariants(*args)
 
-    OVERFLOW = r"^invariants a = 1e\+200, b = 1e\+200, c = 0.0, d = 1.0 overflow the closed form$"
+    def test_mode_entropy_of_inf_rejected(self):
+        with pytest.raises(ValidationError, match="^symplectic eigenvalue inf is not finite$"):
+            mode_entropy(math.inf)
 
-    def test_overflowing_invariants_named_on_both_routes(self):
+    def test_overflowing_invariants_named(self):
         """a b = inf makes the minimal conditional determinant NaN: one error names
-        the invariants, with no numpy warning, and not the NaN symplectic
-        eigenvalue derived from them."""
-        floats = (1e200, 1e200, 0.0, 1.0, 0.5, 0.5)
-        arrays_ = tuple(np.array([2.0, x]) for x in floats[:4]) + (np.full(2, 0.5),) * 2
-        arrays_[3][0] = 4.0
-        for args in (floats, arrays_):
-            with pytest.raises(ValidationError, match=self.OVERFLOW):
-                discord_from_invariants(*args)
+        the invariants, not the NaN symplectic eigenvalue derived from them."""
+        with pytest.raises(ValidationError, match=r"^invariants a = 1e\+200, b = 1e\+200, c = 0.0, d = 1.0 overflow the closed form$"):
+            discord_from_invariants(1e200, 1e200, 0.0, 1.0, 0.5, 0.5)
 
     def test_accepted_state_whose_invariants_overflow(self):
         mode = thermal_covariance(3e-77, 1.0)  # nu = 3.3e76: entries and det sigma finite
@@ -685,26 +677,41 @@ class TestInvariants:
             with pytest.raises(ValidationError, match=r"^det sigma = 1.0000000000000136e\+308 overflows the invariant d = 16 det sigma$"):
                 call()
 
-    def test_numpy_scalar_invariants_take_the_array_route(self):
-        """np.float64 is a float subclass, but its scalar arithmetic warns on overflow; such
-        invariants take the array route, under np.errstate, and raise the one overflow error."""
+    def test_numpy_scalars_and_integers_read_as_floats(self):
+        """np.float64 and integers give the bits of the same floats; numpy scalars whose products
+        overflow raise the one overflow error, with no numpy warning."""
+        inside = (3.0, 2.5, 1.2, 4.0, 0.7, 1.1)
+        assert discord_from_invariants(*map(np.float64, inside)) == discord_from_invariants(*inside)
+        assert discord_from_invariants(3, np.int64(2), 1, 4.0, 0.7, np.float32(1.5)) == discord_from_invariants(3.0, 2.0, 1.0, 4.0, 0.7, 1.5)
+        assert mode_entropy(np.float64(0.7)) == mode_entropy(0.7) and mode_entropy(1) == mode_entropy(1.0)
         a, b, d = 10.0 ** np.random.default_rng(0).uniform(0.0, 308.0, 3)  # 1.53e196, 1.24e83, 4.17e12
         with pytest.raises(ValidationError, match=r"^invariants a = 1.528268617151872e\+196, .* overflow the closed form$"):
             discord_from_invariants(a, b, np.float64(-1.49), d, np.float64(0.5), np.float64(0.5))
-        inside = (3.0, 2.5, 1.2, 4.0, 0.7, 1.1)
-        assert discord_from_invariants(*map(np.float64, inside)) == pytest.approx(discord_from_invariants(*inside), rel=1e-14)
 
-    def test_sweep_beyond_the_closed_form_raises_naming_the_invariants(self):
-        """Below T = 1e38 (lambda0 = omega = 1, t = 1) the terms overflow but select a finite branch: 0.0, no warning."""
-        assert [r.gaussian_discord for r in sweep_temperature(QuenchParams(), 4e30, 1e38, 3)] == [0.0, 0.0, 0.0]
-        for call in (lambda: report_at(QuenchParams(beta=1e-39)), lambda: sweep_temperature(QuenchParams(), 1.0, 1e39, 2)):
-            with pytest.raises(ValidationError, match=r"^invariants a = 5.29.*e\+78, .* overflow the closed form$"):
-                call()
+    @pytest.mark.parametrize("value", [np.array([2.0, 3.0]), np.array(2.0), np.array([2.0]), "2.0", None, 2.0 + 0j],
+                             ids=["array", "zero_dim_array", "one_entry_array", "string", "None", "complex"])
+    def test_anything_but_a_real_scalar_named(self, value):
+        with pytest.raises(ValidationError, match=f"^invariant b must be a real number; got {re.escape(repr(value))}$"):
+            discord_from_invariants(2.0, value, 0.5, 3.0, 0.6, 0.7)
+        with pytest.raises(ValidationError, match=f"^symplectic eigenvalue must be a real number; got {re.escape(repr(value))}$"):
+            discord_from_invariants(2.0, 2.0, 0.5, 3.0, 0.6, value)
+        with pytest.raises(ValidationError, match="^symplectic eigenvalue must be a real number"):
+            mode_entropy(value)
+
+    def test_sweep_column_stays_within_reach_of_the_exact_discord(self):
+        """From T = 4e30 to 1e39 (lambda0 = omega = 1, t = 1), where the closed form on float
+        invariants overflowed, the sweep's column and report_at are finite, non-negative and
+        within 1e-13 of the 250-digit Adesso-Datta discord."""
+        pytest.importorskip("mpmath")
+        reports = sweep_temperature(QuenchParams(), 4e30, 1e39, 3) + [report_at(QuenchParams(beta=1e-39))]
+        for report in reports:
+            exact = quench_discord_mp(QuenchParams(beta=1.0 / report.temperature))
+            assert math.isfinite(report.gaussian_discord) and report.gaussian_discord >= 0.0
+            assert report.gaussian_discord == pytest.approx(exact, rel=0.0, abs=1e-13)
 
     def test_vacuum_within_the_slack_accepted(self):
         low = 1.0 - 0.5e-7
         assert discord_from_invariants(low, low, 0.0, low, 0.5, 0.5) == 0.0
-        assert discord_from_invariants(*(np.full(2, x) for x in (low, low, 0.0, low, 0.5, 0.5))).tolist() == [0.0, 0.0]
 
     def test_rounding_of_held_determinants_accepted(self):
         """Two-mode squeezed vacua with r < 4 hold d = 16 det sigma below 1 by

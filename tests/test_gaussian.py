@@ -27,8 +27,8 @@ from qcorr import (
     thermal_covariance,
     thermal_variance,
 )
-from qcorr.errors import BRANCH_BOUNDARY_WIDTH, PROPAGATOR_DET_TOL, PURE_MODE_CUTOFF
-from qcorr.gaussian import discord_from_invariants, local_invariants
+from qcorr.errors import PROPAGATOR_DET_TOL
+from qcorr.gaussian import local_invariants
 
 from . import gaussian_oracle
 from .quench_oracle import quench_propagator_closed_form
@@ -667,16 +667,6 @@ ROUTE_STATES = (
 )
 
 
-def closed_form_branch(a, b, c, d) -> str:
-    """The branch :func:`discord_from_invariants` takes, by its own tests."""
-    if b - 1.0 < PURE_MODE_CUTOFF:
-        return "pure"
-    margin = (d - a * b) ** 2 - (1.0 + b) * c * c * (a + d)
-    if abs(margin) <= BRANCH_BOUNDARY_WIDTH * max(1.0, (1.0 + b) * c * c * (a + d)):
-        return "boundary"
-    return "finite" if margin <= 0.0 else "homodyne"
-
-
 class TestHeldDeterminants:
     """A two-mode matrix holds det A, det B, det C and det sigma of its
     blocks ((A, C), (C^T, B)); the closed form and the oracle read them."""
@@ -692,26 +682,3 @@ class TestHeldDeterminants:
             assert local_invariants(sigma, 1) == (4.0 * det_b, 4.0 * det_a, 4.0 * det_c, 16.0 * det_sigma)
             assert local_invariants(sigma, 2) == (4.0 * det_a, 4.0 * det_b, 4.0 * det_ct, 16.0 * det_sigma)
             assert gaussian._seed_forms(sigma, 1)[1] == det_a and gaussian._seed_forms(sigma, 2)[1] == det_b
-
-    def test_float_route_matches_array_route_on_every_branch(self):
-        """:func:`discord_from_invariants` on six floats (math and builtins)
-        against the same invariants as arrays (numpy), on random states,
-        post-quench thermal states from T = 0.1 to 5, two-mode squeezed
-        vacua and products with a vacuum: every branch (pure measured mode,
-        finite squeezing, homodyne, the BRANCH_BOUNDARY_WIDTH boundary)
-        within 1e-13 relative. The routes differ by the last bits of
-        math.log against np.log: 3.1e-15 here, and 1.5e-14 at most over
-        random_covariance seeds 0-1499."""
-        rows, branches = [], set()
-        for sigma in ROUTE_STATES:
-            for mode in (1, 2):
-                invariants = local_invariants(sigma, mode)
-                rows.append(invariants + symplectic_eigenvalues(sigma))
-                branches.add(closed_form_branch(*invariants))
-        assert branches == {"pure", "finite", "homodyne", "boundary"}
-        from_arrays = discord_from_invariants(*np.array(rows).T)
-        assert isinstance(from_arrays, np.ndarray) and from_arrays.shape == (len(rows),)
-        for row, expected in zip(rows, from_arrays.tolist()):
-            from_floats = discord_from_invariants(*row)
-            assert type(from_floats) is float
-            assert from_floats == pytest.approx(expected, rel=1e-13, abs=0.0)

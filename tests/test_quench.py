@@ -46,6 +46,7 @@ from .quench_oracle import (
     quantum_avg_work_fock,
     quantum_partition_fock,
     quench_discord,
+    quench_discord_mp,
     quench_propagator_closed_form,
 )
 
@@ -373,6 +374,46 @@ class TestQuenchDiscord:
         assert quench_discord(replace(UNIT, beta=1e-7)) == pytest.approx(0.0, abs=1e-6)
 
 
+class TestDiscordColumnAccuracy:
+    """The sweep's discord column (:func:`qcorr.quench._thermal_quench_discord`)
+    against the Adesso-Datta closed form on the exact invariants at 250 digits
+    (:func:`quench_discord_mp`), at t = 1: within 1e-13 relative at 21
+    log-spaced temperatures in [0.01, 1] omega, where the closed form on
+    float invariants lost 2.2e-7 to the cancellation of s - 1, and within
+    1e-13 absolute from T = 1e3 to 1e30 omega, where it read up to 64 for a
+    discord below 1e-13. Measured: 1.9e-14 and 1.4e-14."""
+
+    @pytest.mark.parametrize("lambda0", [0.5, 1.0, 3.0, 30.0])
+    def test_cold_band_relative(self, lambda0):
+        pytest.importorskip("mpmath")
+        temperatures = np.logspace(-2.0, 0.0, 21)
+        column = quench._thermal_quench_discord(QuenchParams(lambda0=lambda0), 1.0 / temperatures, 1.0)
+        for temperature, value in zip(temperatures.tolist(), column.tolist()):
+            exact = quench_discord_mp(QuenchParams(lambda0=lambda0, beta=1.0 / temperature))
+            assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("lambda0", [0.5, 1.0, 3.0, 30.0])
+    def test_hot_band_absolute(self, lambda0):
+        pytest.importorskip("mpmath")
+        temperatures = np.logspace(3.0, 30.0, 28)
+        column = quench._thermal_quench_discord(QuenchParams(lambda0=lambda0), 1.0 / temperatures, 1.0)
+        for temperature, value in zip(temperatures.tolist(), column.tolist()):
+            exact = quench_discord_mp(QuenchParams(lambda0=lambda0, beta=1.0 / temperature))
+            assert value == pytest.approx(exact, rel=0.0, abs=1e-13)
+
+    def test_report_at_the_former_spike(self):
+        """The closed form on float invariants read 8.0 here."""
+        assert 0.0 <= report_at(QuenchParams(lambda0=0.5, beta=1e-15)).gaussian_discord <= 1e-13
+
+    def test_no_warning_over_the_closed_form_range(self):
+        """n = exp(-x) / -expm1(-x) and F(0) = 0 stay finite with no RuntimeWarning (an error under
+        this suite's filter) for beta omega from 1e-100 to 1e100, subnormal n and n = 0 included."""
+        beta = np.array([1e-100, 1e-10, 1.0, 708.5, 720.0, 745.2, 800.0, 1e100])
+        for lambda0 in (0.0, 1.0, 1e50):
+            column = quench._thermal_quench_discord(QuenchParams(lambda0=lambda0), beta, 1.0)
+            assert np.isfinite(column).all() and (column >= 0.0).all()
+
+
 class TestReportAndSweep:
     def test_report_identities(self):
         report = report_at(UNIT)
@@ -575,30 +616,31 @@ class TestArraySweep:
 
 
 # sha256 of reports_to_csv(sweep_temperature(QuenchParams(lambda0=lambda0), 0.1, 5.0, points, t)) by
-# (points, lambda0, t), and the repr of report_at at lambda0 = 3, beta = 10, taken at commit da782ad; at
-# lambda0 = 3 the coldest rows have beta w2 / 2 = 21.8, the large-argument branch of ln sinh
+# (points, lambda0, t), and the repr of report_at at lambda0 = 3, beta = 10, with the discord column in the
+# thermal occupation (quench._thermal_quench_discord); at lambda0 = 3 the coldest rows have beta w2 / 2 = 21.8,
+# the large-argument branch of ln sinh
 SWEEP_SHA256 = {
-    (50, 0.5, 1.0): "50b217704683f2b6f2b623a8ff7ac42dfab3490945e2019a965a13d1b818e16b",
-    (50, 0.5, 2.5): "c38e6c49f146146a529c17fa0a5784ad67c55891a9d54c75cadd8dd99d3ae1cc",
-    (50, 1.0, 1.0): "dbea350d3bb29ee391e79ecc9192ba03d27869149c883043c1884bd119c8c249",
-    (50, 1.0, 2.5): "d57b2a70a2a90d225e37cde8b6f27293373dd91e86db6dc2b10b58327077f209",
-    (50, 2.0, 1.0): "8cfcf88611d421975b52d17abd5d3c7d009290e7e619bdad6343a21039cd20fb",
-    (50, 2.0, 2.5): "6c10f7fc51bfc2f24d5e83f25b8117793c80108bfe4718677beddf9ad05150cc",
-    (50, 3.0, 1.0): "c2c1b800e0d01459fc39f41a0002d219b3f28be946bb1f363ae4d358ec1aa7c3",
-    (50, 3.0, 2.5): "6451436e00e39b0f0d3e0adaf16714c12e0981cdcff3d191582fbe9ad97f0d37",
-    (1000, 0.5, 1.0): "33d776b3deb5847ce3e2ef6c73697e53794a9f2e3065473b5d87741086828b31",
-    (1000, 0.5, 2.5): "55c517d1833aba0f8bfc28c913ced2866a6247898588dc3eb699af091eb2abfe",
-    (1000, 1.0, 1.0): "80f960a7d0b755c7916405c4e4ec60933cb5f1c0f4a770f7c06ec4e3e4d24feb",
-    (1000, 1.0, 2.5): "d228ba1b5cdaa16fae37e538285f10e1076186fdbf67bd0b4feee266235e5ad0",
-    (1000, 2.0, 1.0): "29a0e08bdce723ef33d6e1f40746d470f167975fb1f4dd5a93d05e55a8ae06b1",
-    (1000, 2.0, 2.5): "67e11b6b1900f44696ca57af748c2c134900fd2110bc468471c2919612832da8",
-    (1000, 3.0, 1.0): "12d98f3ee36d9c0d084bf9e24537169fb56093a09b1402a0a19b8644d982b258",
-    (1000, 3.0, 2.5): "7e98e2d5808d21c51ae25210ccc3083c656f0304933fd2b5430d8537e3b119ee",
+    (50, 0.5, 1.0): "5f2604467463ca8f55030a08a1aa75d0f2a34f3b0580ccfe2b5f611e6ff4f51a",
+    (50, 0.5, 2.5): "ef6d05959bcf52cafa99b5fd87ccc2bd6eb2ca3f77ec7b4bc196f24a427b0c3b",
+    (50, 1.0, 1.0): "42d5719b908cc6e85e46ad526916a0a8159f3aca267272304e18ddfcf53a3187",
+    (50, 1.0, 2.5): "84452dd7f4eb8b5339d0e49fb5fa280fe4b0246809e5c41a3c406d6caf605bd4",
+    (50, 2.0, 1.0): "5eefef21f5cd6653057adca357572284df776e175e2e8713f4e98e3338476517",
+    (50, 2.0, 2.5): "2e251a0653d6609e474e6a5c191cd16771fd1f71e85e60199eb5cd96f46218ba",
+    (50, 3.0, 1.0): "3c8fdb041cf5349085424147d2294ddeab140cd458f0abc056e87a995b92947a",
+    (50, 3.0, 2.5): "2243b50487a85cce59eef2aa0914ae11fa8d9c67cadcfad794b315775eb46402",
+    (1000, 0.5, 1.0): "14967cd95f878f3d2752058249ebda085882ae8282de18475d1f4e0373a4acab",
+    (1000, 0.5, 2.5): "fec4ed5a238b63e9bf55da178b1121dcbb1d82c8cfaf40f1d66076dceac49dbd",
+    (1000, 1.0, 1.0): "9d22a8ec1e302e4e942e65b6eda6342c92ba0985028a6a1204c5b91fd0bba129",
+    (1000, 1.0, 2.5): "777c83dc70a818d9702fbac8bcf6cc8a9d4cfc41fde22f54d7e00615425d0bfe",
+    (1000, 2.0, 1.0): "76f15bbf40fed04296a6c910d9469d13ccd146496fb341d50d03f8c5aea54970",
+    (1000, 2.0, 2.5): "2351e119e5f167be795f0a0842480563733825f2d77ed39721f16731da5e1d7f",
+    (1000, 3.0, 1.0): "640ed5ba8889ef76c26ac7dbe2f83c4d688b47b2a5387606fe2ee65ca8cc5f92",
+    (1000, 3.0, 2.5): "8710d884453bda5fc6f394aba2e5fbb52bc92b38261302dbf85bc467fad94bd4",
 }
 REPORT_LAMBDA3_BETA10 = (
     "QuenchReport(temperature=0.1, w_c_avg=0.9, df_c=0.14722194895832202, w_c_irr=0.7527780510416779, "
     "w_q_avg=4.500408617919088, df_q=1.6794540118663743, w_q_irr=2.8209546060527133, "
-    "omega_excess=2.0681765550110356, gaussian_discord=1.0480528954392732)"
+    "omega_excess=2.0681765550110356, gaussian_discord=1.0480528954514863)"
 )
 
 
@@ -661,7 +703,9 @@ class TestSweepCost:
         step: 5 per evaluation when every trial step is accepted, 4 for a
         trial that is halved (an impossible outcome, which no state here
         meets, would add three eta frames). One closed-form Gaussian discord
-        runs 24 qcorr frames and no numpy frame. The Gaussian oracle runs no
+        runs 13 qcorr frames and no numpy frame: its own, the invariants with
+        the held determinants (five), the spectrum, the closed form, its
+        minimal conditional determinant and four entropies. The Gaussian oracle runs no
         numpy frame and 11 + 2 nfev qcorr frames: 12 for the search's own
         frame, the seed forms with the held determinants (five), the search
         loop, the spectrum and the four entropies, then one per evaluation
@@ -689,7 +733,7 @@ class TestSweepCost:
             sigma = random_covariance(seed)
             for mode in (1, 2):
                 packages = [package for package, _ in self._python_calls(lambda: gaussian_discord(sigma, mode))]
-                assert (packages.count("qcorr"), packages.count("numpy")) == (24, 0)
+                assert (packages.count("qcorr"), packages.count("numpy")) == (13, 0)
                 packages = [package for package, _ in self._python_calls(lambda: minimize_gaussian_measurement(sigma, mode))]
                 assert (packages.count("qcorr"), packages.count("numpy")) == (11 + 2 * searches[-1].nfev, 0)
         assert len(searches) == 8 and len({result.nfev for result in searches}) > 1

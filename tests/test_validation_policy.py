@@ -100,26 +100,19 @@ def test_covariance_at_double_slack_rejected():
         CovarianceMatrix((0.5 - 2.0 * PHYSICALITY_SLACK) * np.eye(4))
 
 
-@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
-def test_mode_entropy_half_slack_accepted(as_array):
-    nu = 0.5 - 0.5 * PHYSICALITY_SLACK
-    value = mode_entropy(np.array([nu]) if as_array else nu)
-    assert np.array_equal(value, [0.0] if as_array else 0.0)
+def test_mode_entropy_half_slack_accepted():
+    assert mode_entropy(0.5 - 0.5 * PHYSICALITY_SLACK) == 0.0
 
 
-@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
-def test_mode_entropy_double_slack_rejected(as_array):
-    nu = 0.5 - 2.0 * PHYSICALITY_SLACK
+def test_mode_entropy_double_slack_rejected():
     with pytest.raises(ValidationError, match="below the vacuum value"):
-        mode_entropy(np.array([nu, 1.0]) if as_array else nu)
+        mode_entropy(0.5 - 2.0 * PHYSICALITY_SLACK)
 
 
-@pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
-def test_mode_entropy_nan_rejected(as_array):
+def test_mode_entropy_nan_rejected():
     # NaN compares false both ways, so the gate must accept only nu >= bound
-    nu = float("nan")
     with pytest.raises(ValidationError, match="below the vacuum value"):
-        mode_entropy(np.array([nu, 1.0]) if as_array else nu)
+        mode_entropy(float("nan"))
 
 
 DEGENERACY_TOL = 1e-9

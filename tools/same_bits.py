@@ -13,7 +13,8 @@ tree's ``src`` in a child interpreter, so both sides compute the same inputs:
 - ``gaussian_discord`` and ``minimize_gaussian_measurement`` on
   ``random_covariance`` matrices, measuring either mode;
 - ``sweep_temperature`` at four couplings and two evolution times, and
-  ``report_at`` on a grid of temperatures, one family per report column;
+  ``report_at`` on a grid of temperatures from 0.01 to 1e15, one family per
+  report column;
 - every CLI case of ``test_output_bytes`` and ``test_error_bytes`` in
   ``tests/test_cli.py`` (read from this checkout, so both trees run the same
   argument lists), a call that raises recorded as its exception;
@@ -49,7 +50,9 @@ ROOT = Path(__file__).resolve().parent.parent
 RANKS, STATE_SEEDS = (1, 2, 3, 4), range(500)
 COVARIANCE_SEEDS = range(300)
 COUPLINGS, EVOLUTION_TIMES, SWEEP_POINTS = (0.5, 1.0, 2.0, 3.0), (1.0, 2.5), 400
-REPORT_TEMPERATURES = [0.05 * 1.25**k for k in range(30)]
+# cold points below the sweeps' 0.1, a geometric grid through them, and hot points where the excess-work
+# routes may disagree: a point that raises the same error on both sides is identical
+REPORT_TEMPERATURES = [0.01, 0.02, 0.03, 0.04] + [0.05 * 1.25**k for k in range(30)] + [1e3, 1e6, 1e9, 1e12, 1e15]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\binf\b|\bnan\b")
 
 
