@@ -51,10 +51,11 @@ pure; Newton then stops at rounding with the best value it evaluated.
 
 Numpy does the array work. K is one real product of the 32 floats of the
 matrix elements with a constant 32 x 16 map, a C-contiguous 4 x 4 array.
-On the grid, one product of K with the stacked directions (n, -n) gives q
-and u for both outcomes of every direction, one product with a constant
-3 x 2 form gives lambda+, lambda- and q, and one with (1/2, 1/2, -1/2)
-the eta sums; a few calls rank the grid. The rest runs on floats: each
+On the grid, one product of K^T with the constant (1; n^T, -n^T) gives q
+and u for both outcomes of every direction, one with a constant 3 x 2 form
+lambda+, lambda- and q, and one with (1/2, 1/2, -1/2) the eta sums. Newton
+starts at the argmin of the grid's rounded keys, a second run at the argmin
+of the rest, from start points built at import. The rest runs on floats: each
 Newton evaluation is a few dozen products of 3-vectors and three
 logarithms per outcome, which serve its value and its derivatives (see
 :func:`_negated_objective`), the retraction and tangent bases are tuples
@@ -74,6 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,7 +87,6 @@ from .states import DensityMatrix, partial_trace, von_neumann_entropy
 
 THETA_POINTS = 8
 PHI_POINTS = 8  # phi in [0, pi); C(n) = C(-n) covers the other hemisphere
-STARTS = 2  # grid directions a search may start from; minimize runs the second only where the first run stops at its start
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # Tr[rho S] = Re sum_ij rho_ij S_ji for Hermitian S = sigma_m (x) sigma_n: the rows (Re S_ji, -Im S_ji), for
@@ -195,20 +196,20 @@ _ETA_SUM = np.array([0.5, 0.5, -0.5])
 
 
 def _outcomes(n: np.ndarray) -> np.ndarray:
-    """The directions of an (N, 3) array over the outcomes +-1 as the columns of (n^T, -n^T), shape (3, 2N),
-    for :func:`_grid_values`."""
-    return np.concatenate((n.T, -n.T), axis=1)
+    """The directions of an (N, 3) array over the outcomes +-1 as the columns of (1; n^T, -n^T), shape
+    (4, 2N), for :func:`_grid_values`: K^T times it holds (q; u) = (1 +- a.n; b +- T^T n) in each column."""
+    return np.vstack((np.ones(2 * len(n)), np.hstack((n.T, -n.T))))
 
 
 _GRID_OUTCOMES = _outcomes(GRID)
 
 
 def _grid_values(k: np.ndarray, s_b: float, outcomes: np.ndarray) -> np.ndarray:
-    """C(n) for every direction n of ``outcomes`` = (n^T, -n^T) of :func:`_outcomes`, given the Bloch
-    matrix K and S(rho_B), in the eta form of the module docstring. Each numpy call covers both outcomes
-    of every direction, one per column; halving is exact, so the halved sums of the products carry the
-    digits of the halved sum."""
-    qu = k[1:].T @ outcomes + k[0, :, None]  # rows q = 1 +- a.n and u = b +- T^T n
+    """C(n) for every direction n of ``outcomes`` = (1; n^T, -n^T) of :func:`_outcomes`, given the Bloch
+    matrix K and S(rho_B), in the eta form of the module docstring. One product K^T (1; n^T, -n^T) gives q
+    and u of both outcomes of every direction, one per column, so each later numpy call covers them all;
+    halving is exact, so the halved sums of the products carry the digits of the halved sum."""
+    qu = k.T @ outcomes  # rows q = 1 +- a.n and u = b +- T^T n
     u = qu[1:]
     qu[1] = np.sqrt((u * u).sum(axis=0))  # rows (q, w, ...)
     half = _ETA_SUM @ _plogp(_LAMBDA_FORM @ qu[:2])
@@ -372,22 +373,33 @@ def _basis_of(n) -> MeasurementBasis:
     return MeasurementBasis.canonical(math.atan2(math.hypot(n[0], n[1]), n[2]), math.atan2(n[1], n[0]))
 
 
+# the search point (n, e1, e2) of each grid direction, where a Newton run may start
+_GRID_STARTS = [_point(v) for v in _GRID_POINTS]
+
+
+def _start_cells(grid: np.ndarray) -> tuple:
+    """The first two cells of a stable argsort of these keys, the second lazily, for a second run only: values
+    within FTOL are equal, and the earlier direction wins (the pole where C is constant, as on Werner states)."""
+    keys = np.rint((grid.max() - grid) / FTOL)
+    first = keys.argmin()  # the first index of the least key
+    keys[first] = math.inf
+    return first, map(np.ndarray.argmin, (keys,))
+
+
 def _maximize_classical_correlations(k: np.ndarray, s_b: float):
     """Coarse hemisphere grid, then Newton on the sphere from its best
     cell, and from its second best where that run evaluates its start
     alone, on the Bloch matrix K and S(rho_B) = h(|b|). Returns (value,
     basis, evaluations, converged)."""
     grid = _grid_values(k, s_b, _GRID_OUTCOMES)
-    # values within FTOL of each other are equal to rounding, and the earlier direction wins: the
-    # pole where C is constant, as on pure and Werner states; a stable argsort keeps the first of equal keys
-    cells = np.rint((grid.max() - grid) / FTOL).argsort(kind="stable")[:STARTS].tolist()
-    grid_value = grid[cells[0]].item()
-    starts = map(_point, map(_GRID_POINTS.__getitem__, cells))  # lazy: a second point only for a second run
+    first, later = _start_cells(grid)
+    grid_value = grid[first].item()
+    starts = chain((_GRID_STARTS[first],), map(_GRID_STARTS.__getitem__, later))
     result = minimize(_negated_objective(k, s_b), starts, _retract)
     if -result.fun >= grid_value:
         value, n = -result.fun, result.x[0]
     else:
-        value, n = grid_value, _GRID_POINTS[cells[0]]
+        value, n = grid_value, _GRID_POINTS[first]
     return value, _basis_of(n), len(GRID) + result.nfev, result.success
 
 
@@ -407,7 +419,7 @@ def max_classical_correlations(rho: DensityMatrix):
 def _discord(rho: DensityMatrix, k: np.ndarray) -> DiscordResult:
     a, b = k[1:, 0], k[0, 1:]
     l0, l1, l2, l3 = rho.spectrum().tolist()  # S(rho) = -sum eta, summed in numpy's order for four terms
-    s_b = _qubit_entropy(float(b @ b))
+    s_b = _qubit_entropy(float(b @ b))  # |a|^2 and |b|^2 by numpy's dot: a float sum rounds some differently
     info = _qubit_entropy(float(a @ a)) + s_b + (_eta(l0) + _eta(l1) + _eta(l2) + _eta(l3))
     info = 0.0 if -NEGATIVE_CLAMP <= info < 0.0 else info  # as quantum_mutual_information reads it
     value, basis, evaluations, converged = _maximize_classical_correlations(k, s_b)

@@ -109,11 +109,13 @@ def _integer_text(value: int) -> str:
     return str(value)
 
 
-def _require_array_length(name: str, value: int) -> None:
-    """Raises naming ``name`` where the integer ``value``, an array length, exceeds numpy's largest, which
-    numpy would reject with its own ValueError or IndexError."""
-    if value > np.iinfo(np.intp).max:
-        raise ValidationError(f"{name} must be at most {np.iinfo(np.intp).max}, numpy's largest array length; got {_integer_text(value)}")
+def _require_array_size(name: str, count: int, itemsize: int, square: bool = False) -> None:
+    """Raises naming ``name`` where the integer ``count`` sizes an array of ``itemsize``-byte entries, ``count`` of
+    them or ``count`` squared if ``square``, beyond numpy's largest in bytes, which numpy refuses with its own ValueError."""
+    largest = math.isqrt(np.iinfo(np.intp).max // itemsize) if square else np.iinfo(np.intp).max // itemsize
+    if count > largest:
+        raise ValidationError(f"{name} must be at most {largest} for numpy to size its {'square ' * square}array of "
+                              f"{itemsize}-byte entries; got {_integer_text(count)}")
 
 
 def require_seed(value) -> int:
@@ -163,18 +165,22 @@ def hermitian_part(matrix, what: str, dtype=complex, tol: float = MATRIX_TOL, ev
     ``MATRIX_ENTRY_MAX`` in magnitude, and has max entrywise defect
     ``|M - M^dagger|`` at most ``tol``. A real ``dtype`` makes this the
     symmetric part and a symmetry check, and rejects a nonzero imaginary
-    part (an all-zero one is dropped).
+    part (an all-zero one is dropped). The messages come in that order; the
+    largest |entry| serves the overflow test and, as NaN and inf fail it too,
+    the finite one, which only then calls :func:`number_array` for its message.
 
     Domain: any ``matrix``; input that fails any of these raises ValidationError naming ``what``.
     """
     # a real dtype reads everything but a real array as complex, so that no imaginary part is dropped
     cast = complex if getattr(getattr(matrix, "dtype", None), "kind", "c") == "c" else dtype
-    mat = number_array(matrix, what, cast)
+    mat = _as_numbers(matrix, what, cast)
+    largest = abs(mat).max() if mat.size else 0.0
+    if not largest <= MATRIX_ENTRY_MAX:
+        number_array(mat, what, cast)  # raises on a NaN or infinite entry
     if not (mat.ndim == 2 and mat.shape[0] == mat.shape[1] > 0) or (even and mat.shape[0] % 2):
         size = "non-empty square of even size" if even else "non-empty square"
         raise ValidationError(f"{what} must be {size}; got shape {mat.shape}")
-    largest = abs(mat).max()
-    if largest > MATRIX_ENTRY_MAX:
+    if not largest <= MATRIX_ENTRY_MAX:
         raise ValidationError(f"{what} overflows: max |entry| {float(largest)!r} exceeds {MATRIX_ENTRY_MAX}")
     if cast is not dtype:
         imaginary = abs(mat.imag).max()

@@ -70,7 +70,7 @@ import numpy as np
 from ._newton import minimize_ratio as minimize  # the name under which the traced benchmark counts its evaluations
 from .errors import BRANCH_BOUNDARY_WIDTH, HAMILTONIAN_TOL, INVARIANT_SLACK, PHYSICALITY_SLACK, PROPAGATOR_DET_TOL
 from .errors import PURE_MODE_CUTOFF, SUPPORT_CUTOFF, ValidationError, hermitian_part, require_finite, require_integer
-from .errors import _integer_text, _require_array_length, require_real, require_seed
+from .errors import _integer_text, _require_array_size, require_real, require_seed
 
 VACUUM_VARIANCE = 0.5
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -79,10 +79,10 @@ _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The block-diagonal symplectic form for quadrature order (x1, p1, ...).
 
-    Domain: a Python or numpy integer n_modes >= 0, 0 giving a 0 x 0 array; a negative one, one beyond numpy's largest array length, a float, string or None raises ValidationError naming n_modes."""
+    Domain: a Python or numpy integer n_modes >= 0, 0 giving a 0 x 0 array; a negative one, one whose (2 n_modes)^2 floats exceed numpy's largest array in bytes, a float, string or None raises ValidationError naming n_modes."""
     if require_integer("n_modes", n_modes) < 0:
         raise ValidationError(f"n_modes must be non-negative; got {_integer_text(n_modes)}")
-    _require_array_length("2 n_modes", 2 * n_modes)
+    _require_array_size("2 n_modes", 2 * n_modes, 8, square=True)
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):

@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IDENTITY_TOL, OMEGA_FLOOR, ConsistencyError, ValidationError, require_finite, require_integer, require_real
-from .errors import _integer_text, _require_array_length
+from .errors import _integer_text, _require_array_size
 from .gaussian import _require_coupling, normal_mode_frequencies
 
 _TINY = np.finfo(float).tiny
@@ -370,13 +370,13 @@ def sweep_temperature(
     depends only on its own temperature, so refining the grid leaves values
     at shared temperatures unchanged.
 
-    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 within numpy's largest array length (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, and a ``points`` that is not an integer raise ValidationError. Temperatures are energies, k_B T; outside the closed-form range of the module docstring, unguarded.
+    Domain: a :class:`QuenchParams`, real 0 < t_min < t_max < inf with beta finite at both ends, an integer ``points`` >= 2 whose array of floats numpy can size (a Python or numpy integer, not a float or string) and a finite real ``evolution_time``; values outside these ranges, non-real temperatures or ``evolution_time``, and a ``points`` that is not an integer raise ValidationError. Temperatures are energies, k_B T; outside the closed-form range of the module docstring, unguarded.
     """
     _require_temperature_range(t_min, t_max)
     points = require_integer("points", points)
     if points < 2:
         raise ValidationError(f"need at least 2 grid points; got {_integer_text(points)}")
-    _require_array_length("points", points)
+    _require_array_size("points", points, 8)
     # beta = 1 / t falls with t and is positive below t_max < inf: finite at t_min, valid throughout
     require_finite("beta", 1.0 / t_min)
     temperatures = np.linspace(t_min, t_max, points)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MATRIX_TOL, NEGATIVE_CLAMP, NORM_TOL, SUPPORT_CUTOFF, ValidationError, _as_numbers, _integer_text
-from .errors import _require_array_length, hermitian_part, number_array, require_integer, require_seed
+from .errors import _require_array_size, hermitian_part, number_array, require_integer, require_seed
 from .probability import _plogp
 
 
@@ -45,13 +45,20 @@ def _validate_dims(dims, size: int | None = None) -> tuple:
     try:
         d_a, d_b = map(operator.index, dims)  # integers only: no float or str coercion
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"dims must be a pair of integers; got {dims!r}") from exc
-    shown = f"({_integer_text(d_a)}, {_integer_text(d_b)})"  # a huge entry's digits may not print
+        raise ValidationError(f"dims must be a pair of integers; got {_dims_text(dims)}") from exc
     if d_a < 1 or d_b < 1:
-        raise ValidationError(f"dims must be positive; got {shown}")
+        raise ValidationError(f"dims must be positive; got {_dims_text((d_a, d_b))}")
     if size is not None and d_a * d_b != size:
-        raise ValidationError(f"dims {shown} incompatible with total dimension {size}")
+        raise ValidationError(f"dims {_dims_text((d_a, d_b))} incompatible with total dimension {size}")
     return (d_a, d_b)
+
+
+def _dims_text(dims) -> str:
+    """``dims`` for a message, each integer through ``_integer_text``: a huge one's digits may not print."""
+    if not isinstance(dims, (tuple, list)):
+        return _integer_text(dims) if isinstance(dims, int) else repr(dims)
+    entries = ", ".join(_integer_text(d) if isinstance(d, int) else repr(d) for d in dims)
+    return f"[{entries}]" if isinstance(dims, list) else f"({entries})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +119,8 @@ class DensityMatrix:
         vals = np.linalg.eigvalsh(mat)  # ascending
         if vals[0] < -MATRIX_TOL:
             raise ValidationError(f"matrix is not positive semidefinite: smallest eigenvalue {float(vals[0])!r}")
-        np.maximum(vals, 0.0, out=vals)
+        if vals[0] < 0.0:
+            np.maximum(vals, 0.0, out=vals)
         mat.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "elements", mat)
@@ -264,11 +272,11 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     and returns ``X X^dagger / Tr[X X^dagger]``. Deterministic for a
     fixed seed.
 
-    Domain: dims a pair of positive integers whose product d_a d_b is within numpy's largest array length, rank an integer in [1, d_a d_b] and seed a non-negative integer; anything else raises ValidationError naming the argument.
+    Domain: dims a pair of positive integers whose product d_a d_b sizes a complex d_a d_b x d_a d_b array within numpy's largest in bytes, rank an integer in [1, d_a d_b] and seed a non-negative integer; anything else raises ValidationError naming the argument.
     """
     d_a, d_b = _validate_dims(dims)
     dim = d_a * d_b
-    _require_array_length("d_a d_b", dim)
+    _require_array_size("d_a d_b", dim, 16, square=True)  # the Gram matrix
     rank = require_integer("rank", rank)
     if not 1 <= rank <= dim:
         raise ValidationError(f"rank must be in [1, {dim}]; got {_integer_text(rank)}")

@@ -31,6 +31,7 @@ from qcorr.discord import (
     _outcomes,
     _point,
     _qubit_entropy,
+    _start_cells,
 )
 
 from . import discord_oracle
@@ -452,6 +453,63 @@ class TestAgainstOracle:
             worst_i = max(worst_i, abs(result.mutual_info - quantum_mutual_information(rho)))
         assert worst_c <= 1e-12
         assert worst_i <= 1e-12
+
+
+class TestStartRule:
+    """The search's starts, an argmin and a lazily found second, are the
+    first two cells of a stable argsort of the rounded keys
+    rint((max - C) / FTOL): the earliest of the largest values, then the
+    earliest of the largest of the rest."""
+
+    @staticmethod
+    def _argsorted(grid: np.ndarray) -> list:
+        return np.rint((grid.max() - grid) / _newton.FTOL).argsort(kind="stable")[:2].tolist()
+
+    @staticmethod
+    def _started(grid: np.ndarray) -> list:
+        first, later = _start_cells(grid)
+        return [int(first), *map(int, later)]
+
+    def test_planted_ties(self):
+        """Synthetic grids of 49 values with ties planted at the top, in the
+        second place and within rounding of each other."""
+        rng = np.random.default_rng(38)
+        ftol = _newton.FTOL
+        grids = [np.zeros(49), np.full(49, 0.3)]
+        for _ in range(200):
+            grid = rng.random(49) * rng.choice([1e-14, 1e-3, 1.0])
+            top, second = rng.choice(49, size=2, replace=False)
+            grid[rng.choice(49, size=rng.integers(1, 5))] = grid.max()  # ties at the maximum
+            grid[rng.choice(49, size=rng.integers(0, 5))] = np.sort(grid)[-2]  # ties behind it
+            grid[top] += rng.choice([0.0, 0.2 * ftol, 0.6 * ftol, 2.0 * ftol])  # within or beyond rounding
+            grid[second] = grid[top] - rng.choice([0.0, 0.4 * ftol, 1.5 * ftol])
+            grids.append(grid)
+        for grid in grids:
+            assert self._started(grid) == self._argsorted(grid)
+
+    def test_states_where_many_cells_tie(self):
+        """Werner, pure and product states, on which C is constant or
+        nearly so over the grid, and random states, measured on either side."""
+        rng = np.random.default_rng(2011)
+        states = [werner_state(w) for w in (0.0, 0.3, 0.5, 1.0)] + [bell_density()]
+        states += seeded_states(3, seed=38)
+        states += [tensor_product(*(DensityMatrix(np.outer(v, v.conj()), (2, 1)) for v in (_ket(rng), _ket(rng))))]
+        ties = 0
+        for rho in states:
+            k = _bloch(rho)
+            for side in (k, k.T):
+                grid = _grid_values(side, _s_b(side), _outcomes(GRID))
+                keys = np.rint((grid.max() - grid) / _newton.FTOL)
+                ties += int((keys == keys.min()).sum() > 1)
+                assert self._started(grid) == self._argsorted(grid)
+        assert ties >= 10
+
+    def test_second_cell_found_only_when_asked(self):
+        grid = np.zeros(49)
+        first, later = _start_cells(grid)
+        assert int(first) == 0
+        assert [int(cell) for cell in later] == [1]
+        assert list(later) == []  # one second start at most
 
 
 class TestSecondStart:

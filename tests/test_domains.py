@@ -464,13 +464,16 @@ class TestIntegersBeyondTheFloatRange:
     the OverflowError of its conversion to float; also beyond 4300 digits,
     where formatting the integer into the message would itself raise. An
     integer count (rank, seed, n_modes, points, dims) out of its range, or
-    beyond numpy's largest array length, is named with words for the
-    integer, not its digits."""
+    sizing an array beyond numpy's largest in bytes, is named with words for
+    the integer, not its digits. The counts tested here all size arrays
+    beyond np.intp in bytes, which numpy refuses before allocating."""
 
     ARRAY = "must be a rectangular array of numbers: int too large to convert to float"
     BEYOND = "must be finite; got an integer beyond the float range"
     COUNT = "got an integer beyond the float range"  # an integer count, out of its range
-    LENGTH = rf"must be at most {np.iinfo(np.intp).max}, numpy's largest array length"
+    FLOATS = f"must be at most {np.iinfo(np.intp).max // 8} for numpy to size its array of 8-byte entries"
+    SQUARE_FLOATS = f"must be at most {math.isqrt(np.iinfo(np.intp).max // 8)} for numpy to size its square array of 8-byte entries"
+    SQUARE_COMPLEX = f"must be at most {math.isqrt(np.iinfo(np.intp).max // 16)} for numpy to size its square array of 16-byte entries"
 
     @pytest.mark.parametrize("huge", [10**400, 10**5000], ids=["401_digits", "5001_digits"])
     @pytest.mark.parametrize(
@@ -500,21 +503,40 @@ class TestIntegersBeyondTheFloatRange:
             (lambda h: random_density_matrix((2, 2), 1, -h), f"seed must be non-negative; {COUNT}"),
             (lambda h: symplectic_form(-h), f"n_modes must be non-negative; {COUNT}"),
             (lambda h: sweep_temperature(QuenchParams(), 0.1, 5.0, -h), f"need at least 2 grid points; {COUNT}"),
-            (lambda h: sweep_temperature(QuenchParams(), 0.1, 5.0, h), f"points {LENGTH}; {COUNT}"),
-            (lambda h: symplectic_form(h), f"2 n_modes {LENGTH}; {COUNT}"),
-            (lambda h: random_density_matrix((h, 1), 1, 0), f"d_a d_b {LENGTH}; {COUNT}"),
+            (lambda h: sweep_temperature(QuenchParams(), 0.1, 5.0, h), f"points {FLOATS}; {COUNT}"),
+            (lambda h: symplectic_form(h), f"2 n_modes {SQUARE_FLOATS}; {COUNT}"),
+            (lambda h: random_density_matrix((h, 1), 1, 0), f"d_a d_b {SQUARE_COMPLEX}; {COUNT}"),
             (lambda h: random_density_matrix((-h, 1), 1, 0), rf"dims must be positive; got \(an integer beyond the float range, 1\)"),
+            (lambda h: random_density_matrix((h, 1.5), 1, 0),
+             rf"dims must be a pair of integers; got \(an integer beyond the float range, 1.5\)"),
         ],
         ids=["DensityMatrix", "PureState", "CovarianceMatrix", "QuadraticHamiltonian", "Distribution",
              "JointDistribution", "Distribution.normalized", "Observable", "Povm", "StochasticMap", "mode_entropy",
              "discord_from_invariants", "QuenchParams", "thermal_variance", "MeasurementBasis", "normal_mode_frequencies",
              "symplectic_propagator", "report_at", "sweep_temperature", "everett_state", "random_density_matrix.rank",
              "random_density_matrix.seed", "symplectic_form", "sweep_temperature.points", "sweep_temperature.points_large",
-             "symplectic_form.large", "random_density_matrix.dims_large", "random_density_matrix.dims_negative"],
+             "symplectic_form.large", "random_density_matrix.dims_large", "random_density_matrix.dims_negative",
+             "random_density_matrix.dims_not_integers"],
     )
     def test_rejected_naming_the_argument(self, call, message, huge):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             call(huge)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: sweep_temperature(QuenchParams(), 0.1, 5.0, 2**62), f"points {FLOATS}; got {2**62}"),
+            (lambda: symplectic_form(2**40), f"2 n_modes {SQUARE_FLOATS}; got {2**41}"),
+            (lambda: random_density_matrix((2**61, 1), 1, 0), f"d_a d_b {SQUARE_COMPLEX}; got {2**61}"),
+            (lambda: random_density_matrix((2**30, 2**31), 1, 0), f"d_a d_b {SQUARE_COMPLEX}; got {2**61}"),
+        ],
+        ids=["sweep_temperature.points", "symplectic_form", "random_density_matrix.dims", "random_density_matrix.dims_product"],
+    )
+    def test_counts_within_intp_whose_arrays_numpy_cannot_size(self, call, message):
+        """Counts within np.intp whose arrays exceed it in bytes, where numpy's
+        "array is too big" used to escape."""
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
 
 
 def test_one_copy_of_the_array_conversion():

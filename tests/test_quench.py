@@ -697,9 +697,10 @@ class TestSweepCost:
 
     def test_search_frames_pinned(self, monkeypatch):
         """One two-qubit search runs 4 numpy frames, whatever its evaluation
-        count, and 31 qcorr frames at the 49 grid directions and one Newton
-        run that evaluates its start alone, plus 5 for a second run that
-        does the same (one :func:`minimize` call holds both runs), 4 per further evaluation and 1 per further Newton
+        count, and 30 qcorr frames at the 49 grid directions and one Newton
+        run that evaluates its start alone, plus 3 for a second run that
+        does the same (one :func:`minimize` call holds both runs; the start
+        points are built at import), 4 per further evaluation and 1 per further Newton
         step: 5 per evaluation when every trial step is accepted, 4 for a
         trial that is halved (an impossible outcome, which no state here
         meets, would add three eta frames). One closed-form Gaussian discord
@@ -723,7 +724,7 @@ class TestSweepCost:
                     runs = sum(code is _descend.__code__ for _, code in calls)
                     packages = [package for package, _ in calls]
                     assert packages.count("numpy") == 4
-                    assert packages.count("qcorr") == 31 + 5 * (runs - 1) + 4 * (evaluations - 49 - runs) + (steps - runs)
+                    assert packages.count("qcorr") == 30 + 3 * (runs - 1) + 4 * (evaluations - 49 - runs) + (steps - runs)
                     halved += evaluations - 49 - steps  # Newton evaluations less steps: the halved trials
                     run_counts.add(runs)
         assert halved > 0 and run_counts == {1, 2}

@@ -90,6 +90,7 @@ def test_manifest_runs_in_process(monkeypatch):
     same_bits._two_qubit(qcorr, families)
     same_bits._gaussian(qcorr, families)
     same_bits._quench(qcorr, families)
+    same_bits._messages(qcorr, families)
     same_bits._cli(importlib.import_module("qcorr.cli"), families, _PATH.parent.parent / "tests" / "test_cli.py")
     assert len(families["discord.classical_corr"]) == len(families["discord_swapped.evaluations"]) == 8
     assert len(families["gaussian_discord"]) == len(families["minimize_gaussian_measurement"]) == 4
@@ -99,8 +100,11 @@ def test_manifest_runs_in_process(monkeypatch):
     assert discord_case.startswith("exit 0\n{\"mutual_info\": ")
     assert dict(map(tuple, families["cli"]))["qstate --state non_square.json"] == (
         "exit 1\nqcorr: error: matrix length 3 is not a perfect square\n")
-    assert not any(isinstance(value, str) for values in families.values() if values is not families["cli"]
-                   for _, value in values)  # no call raised
+    messages = dict(map(tuple, families["validation_messages"]))
+    assert len(messages) == 3 * 6 and all(text.startswith("ValidationError: ") for text in messages.values())
+    assert messages["CovarianceMatrix huge_square"] == "ValidationError: covariance matrix overflows: max |entry| 1e+200 exceeds 1e+150"
+    assert not any(isinstance(value, str) for name, values in families.items() if name not in ("cli", "validation_messages")
+                   for _, value in values)  # no other call raised
     json.loads(json.dumps(families))  # what a child writes, the parent reads
 
 

@@ -143,3 +143,43 @@ def test_messages_print_plain_numbers(name):
     with pytest.raises(ValidationError) as info:
         NUMPY_SCALAR_REJECTIONS[name]()
     assert "np.float64" not in str(info.value)
+
+
+# inputs that fail more than one check of the matrix gate, each named by the check whose message comes first
+# (the order is conversion, finite, shape, overflow, imaginary, Hermitian)
+GATE_INPUTS = {
+    "nan_non_square": [[float("nan"), 0.0, 0.0], [0.0, 0.5, 0.0]],
+    "huge_non_square": [[1e200, 0.0, 0.0], [0.0, 0.5, 0.0]],
+    "empty": [],
+    "infinite_imaginary_part": [[0.5, complex(0.0, float("inf"))], [0.0, 0.5]],
+    "huge_square": [[1e200, 0.0], [0.0, 0.5]],
+    "complex": [[0.5, 0.25j], [0.25j, 0.5]],
+}
+GATE_MESSAGES = {
+    "nan_non_square": "{} must be finite; got a NaN or infinite entry",
+    "huge_non_square": "{} must be non-empty square{}; got shape (2, 3)",
+    "empty": "{} must be non-empty square{}; got shape (0,)",
+    "infinite_imaginary_part": "{} must be finite; got a NaN or infinite entry",
+    "huge_square": "{} overflows: max |entry| 1e+200 exceeds 1e+150",
+}
+GATE_CONSTRUCTORS = {
+    "DensityMatrix": ("density matrix", "", lambda m: DensityMatrix(m, (2, 1)),
+                      "density matrix is not Hermitian: max entrywise defect 0.5"),
+    "CovarianceMatrix": ("covariance matrix", " of even size", CovarianceMatrix,
+                         "covariance matrix must be real: max |imaginary part| 0.25"),
+    "QuadraticHamiltonian": ("Hamiltonian matrix", " of even size", QuadraticHamiltonian,
+                             "Hamiltonian matrix must be real: max |imaginary part| 0.25"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_INPUTS))
+@pytest.mark.parametrize("constructor", sorted(GATE_CONSTRUCTORS))
+def test_gate_names_the_first_failed_check(constructor, case):
+    """The first message of the matrix gate on an input that fails several
+    checks, pinned in full: a gate that reorders its checks or rewords one
+    fails here."""
+    what, even, build, complex_message = GATE_CONSTRUCTORS[constructor]
+    expected = GATE_MESSAGES[case].format(what, even) if case in GATE_MESSAGES else complex_message
+    with pytest.raises(ValidationError) as info:
+        build(GATE_INPUTS[case])
+    assert str(info.value) == expected

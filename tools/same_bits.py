@@ -15,6 +15,10 @@ tree's ``src`` in a child interpreter, so both sides compute the same inputs:
 - ``sweep_temperature`` at four couplings and two evolution times, and
   ``report_at`` on a grid of temperatures from 0.01 to 1e15, one family per
   report column;
+- the ``ValidationError`` text of ``DensityMatrix``, ``CovarianceMatrix`` and
+  ``QuadraticHamiltonian`` on inputs that fail several checks of the matrix
+  gate (:data:`GATE_INPUTS`), so that a gate that rewords or reorders its
+  messages shows;
 - every CLI case of ``test_output_bytes`` and ``test_error_bytes`` in
   ``tests/test_cli.py`` (read from this checkout, so both trees run the same
   argument lists), a call that raises recorded as its exception;
@@ -53,6 +57,15 @@ COUPLINGS, EVOLUTION_TIMES, SWEEP_POINTS = (0.5, 1.0, 2.0, 3.0), (1.0, 2.5), 400
 # cold points below the sweeps' 0.1, a geometric grid through them, and hot points where the excess-work
 # routes may disagree: a point that raises the same error on both sides is identical
 REPORT_TEMPERATURES = [0.01, 0.02, 0.03, 0.04] + [0.05 * 1.25**k for k in range(30)] + [1e3, 1e6, 1e9, 1e12, 1e15]
+# each fails more than one check of the matrix gate; the first failed check names it
+GATE_INPUTS = {
+    "nan_non_square": [[math.nan, 0.0, 0.0], [0.0, 0.5, 0.0]],
+    "huge_non_square": [[1e200, 0.0, 0.0], [0.0, 0.5, 0.0]],
+    "empty": [],
+    "infinite_imaginary_part": [[0.5, complex(0.0, math.inf)], [0.0, 0.5]],
+    "huge_square": [[1e200, 0.0], [0.0, 0.5]],
+    "complex": [[0.5, 0.25j], [0.25j, 0.5]],
+}
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\binf\b|\bnan\b")
 
 
@@ -120,6 +133,14 @@ def _quench(qcorr, families: dict):
                     lambda: qcorr.report_at(qcorr.QuenchParams(lambda0=lambda0, beta=1.0 / temperature))._asdict())
 
 
+def _messages(qcorr, families: dict):
+    builders = {"DensityMatrix": lambda m: qcorr.DensityMatrix(m, (2, 1)), "CovarianceMatrix": qcorr.CovarianceMatrix,
+                "QuadraticHamiltonian": qcorr.QuadraticHamiltonian}
+    for name, build in builders.items():
+        for case, matrix in GATE_INPUTS.items():
+            _record(families, "validation_messages", f"{name} {case}", lambda: build(matrix) and {"": "accepted"})
+
+
 def _cli(cli, families: dict, test_file: Path):
     files, cases = _cli_cases(test_file)
     with tempfile.TemporaryDirectory() as tmp:
@@ -155,6 +176,7 @@ def emit(tree: Path, test_file: Path) -> dict:
     _two_qubit(qcorr, families)
     _gaussian(qcorr, families)
     _quench(qcorr, families)
+    _messages(qcorr, families)
     _cli(importlib.import_module("qcorr.cli"), families, test_file)
     _demos(tree, families)
     return {"qcorr": qcorr.__file__, "families": families}
